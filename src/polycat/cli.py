@@ -54,7 +54,7 @@ def _build_parser() -> _Parser:
                       help="build both composites and check they are isomorphic")
     p.add_argument("--family", help="also verify two-stage evaluation at this family")
     p.add_argument("--max-shapes", type=int, default=64,
-                   help="isomorphism search bound for --both")
+                   help="largest composite, in shapes, that --both compares")
     p.add_argument("--json", action="store_true", help="print the composite as JSON")
 
     for name, help_text in (("tensor", "tensor two diagrams"),
@@ -78,10 +78,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--src", required=True)
     p.add_argument("--dst", required=True)
 
-    p = cmd("iso-check", "search for an isomorphism witness between two diagrams")
+    p = cmd("iso-check", "decide whether two diagrams are isomorphic")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.add_argument("--max-shapes", type=int, default=8)
 
     p = cmd("sim-validate", "re-check the four simulation cell equations")
     p.add_argument("--cell", required=True)
@@ -176,7 +175,11 @@ def _run(args: argparse.Namespace) -> int:
             if not args.json:
                 print(f"structural: {_describe(s)}")
                 print(f"direct: {_describe(d)}")
-            witness = poly.iso_check(s, d, max_shapes=args.max_shapes)
+            if d.shapes.size > args.max_shapes:
+                raise SizeGuardExceeded(
+                    f"composite has {d.shapes.size} shapes, "
+                    f"--max-shapes is {args.max_shapes}")
+            witness = poly.iso_check(s, d)
             if witness is None:
                 print("structural and direct composites: NO ISO WITNESS")
                 exit_code = 4
@@ -238,7 +241,7 @@ def _run(args: argparse.Namespace) -> int:
     if command == "iso-check":
         left = document.diagram(args.left)
         right = document.diagram(args.right)
-        witness = poly.iso_check(left, right, max_shapes=args.max_shapes)
+        witness = poly.iso_check(left, right)
         verdict = "ISO" if witness is not None else "NOT ISO"
         print(f"{_describe(left)} vs {_describe(right)} : {verdict}")
         return 0

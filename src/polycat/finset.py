@@ -11,6 +11,7 @@ carriers) honor a configurable global size guard.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import ShapeMismatch, SizeGuardExceeded
@@ -36,8 +37,12 @@ def set_guard_limit(limit: int) -> int:
 
 def check_guard(size: int, what: str) -> None:
     if size > _guard_limit:
+        # str() refuses integers beyond a few thousand digits, so a huge
+        # size is quoted by its order of magnitude
+        shown = str(size) if size < 10**100 else (
+            f"more than 10^{math.floor((size.bit_length() - 1) * math.log10(2))}")
         raise SizeGuardExceeded(
-            f"search too large: {what} has size {size}, guard limit is {_guard_limit}"
+            f"search too large: {what} has size {shown}, guard limit is {_guard_limit}"
         )
 
 

@@ -10,6 +10,7 @@ and verifies naturality squares exhaustively up to a fiber bound.
 from __future__ import annotations
 
 import itertools
+import math
 
 from . import fam, finset, poly
 from .errors import OracleNotNatural, ShapeMismatch, ValidationError
@@ -77,43 +78,37 @@ def _alpha_candidates(p: PolyDiagram, q: PolyDiagram) -> list[tuple[int, ...]]:
 
 
 def count_nat(p: PolyDiagram, q: PolyDiagram) -> int:
-    """Exact number of strong transformations: sum over sort-compatible
-    shape maps of the product, over source shapes and image directions, of
-    the matching-direction counts."""
-    cand = _alpha_candidates(p, q)
-    space = 1
-    for c in cand:
-        space *= len(c)
-    check_guard(space, "shape map search space")
-    total = 0
-    for combo in itertools.product(*cand):
-        prod = 1
-        for v in p.shapes:
-            for choices in _beta_choice_lists(p, q, v, combo[v]):
-                prod *= len(choices)
-                if prod == 0:
-                    break
-            if prod == 0:
-                break
-        total += prod
+    """Exact number of strong transformations, by Yoneda
+    Nat(sum_v X^{A_v}, q) = prod_v q(A_v): the product over source shapes
+    v of the sum over sort-compatible target shapes w of the product, over
+    w's directions, of the matching-direction counts. Pure arithmetic,
+    never guarded."""
+    total = 1
+    for v, ws in zip(p.shapes, _alpha_candidates(p, q)):
+        total *= sum(
+            math.prod(len(c) for c in _beta_choice_lists(p, q, v, w)) for w in ws
+        )
     return total
 
 
 def enumerate_dm(p: PolyDiagram, q: PolyDiagram) -> list[DiagMorphism]:
     """All strong transformations, shape-map major, then backward tables
-    in odometer order. Guarded by the exact count."""
+    in odometer order. Guarded by the exact count. The backward tables of
+    each (source shape, target shape) pair are listed once, and target
+    shapes with no tables are dropped, so no shape map is visited that
+    yields nothing."""
     check_guard(count_nat(p, q), "transformation enumeration")
-    cand = _alpha_candidates(p, q)
+    tables = [
+        {w: list(itertools.product(*_beta_choice_lists(p, q, v, w))) for w in ws}
+        for v, ws in zip(p.shapes, _alpha_candidates(p, q))
+    ]
+    cand = [[w for w, ts in by_w.items() if ts] for by_w in tables]
     out: list[DiagMorphism] = []
     for combo in itertools.product(*cand):
-        per_shape = [
-            list(itertools.product(*_beta_choice_lists(p, q, v, combo[v])))
-            for v in p.shapes
-        ]
+        alpha = FinMap(p.shapes, q.shapes, combo)
+        per_shape = [tables[v][w] for v, w in enumerate(combo)]
         for betas in itertools.product(*per_shape):
-            out.append(
-                DiagMorphism(p, q, FinMap(p.shapes, q.shapes, combo), tuple(betas))
-            )
+            out.append(DiagMorphism(p, q, alpha, betas))
     return out
 
 

@@ -15,17 +15,18 @@ The module provides two independent composition algorithms (a direct
 substitution formula and a structural pipeline of pullbacks plus one
 distributivity square), the pointwise tensor and sum, the single-sorted
 internal hom and dualization, the truncated multiset exponential, the
-span lifts, and a witness-producing isomorphism search. Element-level
+span lifts, and a witness-producing isomorphism check. Element-level
 constructions keep explicit decodings so that every claimed bijection is
 checked on actual elements, never just on cardinalities.
 """
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 
 from . import fam, finset
-from .errors import ShapeMismatch, SizeGuardExceeded, ValidationError
+from .errors import ShapeMismatch, ValidationError
 from .fam import FamMorphism, Family, Span
 from .finset import FinMap, FinSet, check_guard
 from .report import Report
@@ -578,7 +579,7 @@ def dualize(p: PolyDiagram) -> PolyDiagram:
 
 
 # ---------------------------------------------------------------------------
-# container morphisms and isomorphism search
+# container morphisms and isomorphism check
 
 
 @dataclass(frozen=True)
@@ -680,43 +681,27 @@ def _dir_signature(p: PolyDiagram, v: int) -> tuple[tuple[int, ...], int]:
     return (tuple(sorted(p.dir_sort(u) for u in p.shape_fiber(v))), p.shape_sort(v))
 
 
-def iso_check(p1: PolyDiagram, p2: PolyDiagram, max_shapes: int = 8) -> DiagIso | None:
-    """Search for an isomorphism of diagrams: a shape bijection over the
-    target together with sort-preserving direction bijections, found by
-    backtracking with signature pruning. Returns the witness or None."""
+def iso_check(p1: PolyDiagram, p2: PolyDiagram) -> DiagIso | None:
+    """Decide isomorphism of diagrams over the same sorts and return a
+    witness (a shape bijection over the target together with
+    sort-preserving direction bijections), or None. Two diagrams are
+    isomorphic exactly when their multisets of shape signatures (sorted
+    direction sorts, shape sort) agree, and shapes with equal signatures
+    are interchangeable, so each shape of p1 is matched to the first
+    unused shape of p2 with its signature, with no backtracking."""
     if p1.source != p2.source or p1.target != p2.target:
         raise ShapeMismatch("isomorphic diagrams must share source and target")
     if p1.shapes.size != p2.shapes.size or p1.dirs.size != p2.dirs.size:
         return None
-    if p1.shapes.size > max_shapes:
-        raise SizeGuardExceeded(
-            f"search too large: isomorphism search over {p1.shapes.size} shapes, "
-            f"bound is {max_shapes}"
-        )
-
-    sig2: dict[tuple[tuple[int, ...], int], list[int]] = {}
+    unused: dict[tuple[tuple[int, ...], int], deque[int]] = {}
     for w in p2.shapes:
-        sig2.setdefault(_dir_signature(p2, w), []).append(w)
-
+        unused.setdefault(_dir_signature(p2, w), deque()).append(w)
     theta: list[int] = []
-    used = [False] * p2.shapes.size
-
-    def backtrack(v: int) -> bool:
-        if v == p1.shapes.size:
-            return True
-        for w in sig2.get(_dir_signature(p1, v), ()):
-            if used[w]:
-                continue
-            used[w] = True
-            theta.append(w)
-            if backtrack(v + 1):
-                return True
-            theta.pop()
-            used[w] = False
-        return False
-
-    if not backtrack(0):
-        return None
+    for v in p1.shapes:
+        ws = unused.get(_dir_signature(p1, v))
+        if not ws:
+            return None
+        theta.append(ws.popleft())
 
     alpha = FinMap(p1.shapes, p2.shapes, tuple(theta))
     betas_f: list[tuple[int, ...]] = []

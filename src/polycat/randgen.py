@@ -9,7 +9,7 @@ from . import fam, poly
 from .fam import Family, Span
 from .finset import FinMap, FinSet
 from .poly import PolyDiagram
-from .sim import SimCell, cell_pairs
+from .sim import SimCell, cell_pairs, entry_options
 
 __all__ = [
     "random_family",
@@ -87,13 +87,7 @@ def random_sim_cell(rng: random.Random, p1: PolyDiagram, p2: PolyDiagram,
             w = rng.choice(choices)
             alpha[rho, v] = w
             for u in p2.shape_fiber(w):
-                options = [
-                    (b, g)
-                    for g in span.carrier
-                    if span.right(g) == p2.dir_sort(u)
-                    for b in p1.shape_fiber(v)
-                    if p1.dir_sort(b) == span.left(g)
-                ]
+                options = entry_options(p1, p2, span, v, u)
                 if not options:
                     dead = True
                     break

@@ -36,6 +36,7 @@ __all__ = [
     "Span",
     "SimCell",
     "cell_pairs",
+    "entry_options",
     "validate",
     "identity_sim",
     "zero_sim",
@@ -272,6 +273,21 @@ def extract_sim(oracle, span: Span, p1: PolyDiagram, p2: PolyDiagram) -> SimCell
     return c
 
 
+def entry_options(p1: PolyDiagram, p2: PolyDiagram, span: Span,
+                  v: int, u: int) -> list[tuple[int, int]]:
+    """The (direction, state) pairs that may fill direction u of the
+    destination at a (state, shape v) pair of a cell: a state over u's sort
+    on the right, and a direction of v over that state's sort on the left.
+    Ordered state-major."""
+    return [
+        (b, g)
+        for g in span.carrier
+        if span.right(g) == p2.dir_sort(u)
+        for b in p1.shape_fiber(v)
+        if p1.dir_sort(b) == span.left(g)
+    ]
+
+
 def count_sim(p1: PolyDiagram, p2: PolyDiagram, span: Span) -> int:
     """Number of valid cells over the given span, computed arithmetically.
 
@@ -285,13 +301,7 @@ def count_sim(p1: PolyDiagram, p2: PolyDiagram, span: Span) -> int:
         for w in p2.shape_sort.fiber(span.right(rho)):
             branch = 1
             for u in p2.shape_fiber(w):
-                branch *= sum(
-                    1
-                    for g in span.carrier
-                    if span.right(g) == p2.dir_sort(u)
-                    for b in p1.shape_fiber(v)
-                    if p1.dir_sort(b) == span.left(g)
-                )
+                branch *= len(entry_options(p1, p2, span, v, u))
             weight += branch
         total *= weight
     return total
@@ -302,27 +312,16 @@ def _pair_choices(p1: PolyDiagram, p2: PolyDiagram, span: Span,
     """Every way to fill one (state, shape) pair of a cell: an assigned
     shape of the destination plus full direction/state tables for it.
     The option count is guarded before materializing."""
-
-    def entry_options(u: int) -> list[tuple[int, int]]:
-        return [
-            (b, g)
-            for g in span.carrier
-            if span.right(g) == p2.dir_sort(u)
-            for b in p1.shape_fiber(v)
-            if p1.dir_sort(b) == span.left(g)
-        ]
-
-    weight = 0
-    for w in p2.shape_sort.fiber(span.right(rho)):
-        branch = 1
-        for u in p2.shape_fiber(w):
-            branch *= len(entry_options(u))
-        weight += branch
+    per_shape = [
+        (w, [entry_options(p1, p2, span, v, u) for u in p2.shape_fiber(w)])
+        for w in p2.shape_sort.fiber(span.right(rho))
+    ]
+    weight = sum(math.prod(len(opts) for opts in options) for _, options in per_shape)
     check_guard(weight, "cell table options at one (state, shape) pair")
     choices: list[tuple[int, dict, dict]] = []
-    for w in p2.shape_sort.fiber(span.right(rho)):
+    for w, options in per_shape:
         fiber = p2.shape_fiber(w)
-        for assignment in itertools.product(*(entry_options(u) for u in fiber)):
+        for assignment in itertools.product(*options):
             beta = {(rho, v, u): b for u, (b, _) in zip(fiber, assignment)}
             gamma = {(rho, v, u): g for u, (_, g) in zip(fiber, assignment)}
             choices.append((w, beta, gamma))

@@ -49,6 +49,18 @@ def test_double_dual_degenerate_case_is_iso(capsys):
     code, out, _ = run(capsys, "double-dual", "--a", "2", "--b", "1")
     assert code == 0
     assert out == "2X vs 2X : ISO\n"
+    code, out, _ = run(capsys, "double-dual", "--a", "9", "--b", "1")
+    assert code == 0
+    assert out == "9X vs 9X : ISO\n"
+
+
+def test_double_dual_over_the_guard_refuses_in_one_line(capsys):
+    # the double dual has 3^64000 shapes, too many digits for str()
+    code, out, err = run(capsys, "double-dual", "--a", "3", "--b", "40")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("size guard exceeded:")
 
 
 def test_check_laws_tensor_unit_exits_zero(capsys):
@@ -135,6 +147,20 @@ def test_iso_check_verdicts(capsys):
                        "--right", "square")
     assert code == 0
     assert out == "X^2 vs X^2 : ISO\n"
+
+
+def test_iso_check_has_no_shape_bound_flag(capsys):
+    code, _, err = run(capsys, "iso-check", LIST_DOC, "--left", "square",
+                       "--right", "square", "--max-shapes", "8")
+    assert code == 1
+    assert err.startswith("parse error:")
+
+
+def test_compose_both_refuses_composites_over_max_shapes(capsys):
+    code, _, err = run(capsys, "compose", LIST_DOC, "--outer", "two-x",
+                       "--inner", "square", "--both", "--max-shapes", "1")
+    assert code == 3
+    assert err.startswith("size guard exceeded:")
 
 
 def test_sim_validate_reports_ok(capsys):

@@ -204,6 +204,15 @@ def test_guard_is_configurable():
         finset.set_guard_limit(old)
 
 
+def test_guard_message_quotes_huge_sizes_by_magnitude():
+    with pytest.raises(SizeGuardExceeded) as exact:
+        finset.check_guard(10**100 - 1, "x")
+    assert f"has size {10**100 - 1}," in str(exact.value)
+    with pytest.raises(SizeGuardExceeded) as huge:
+        finset.check_guard(3**64000, "x")
+    assert "has size more than 10^30535," in str(huge.value)
+
+
 def test_exponential_sizes():
     assert finset.exponential(FinSet(3), FinSet(2)).size == 8
     assert finset.exponential(FinSet(0), FinSet(5)).size == 1

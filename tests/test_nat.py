@@ -11,9 +11,8 @@ import random
 
 import pytest
 
-from polycat import fam, nat, poly
-from polycat.errors import (OracleNotNatural, ShapeMismatch,
-                            SizeGuardExceeded, ValidationError)
+from polycat import fam, nat, poly, randgen
+from polycat.errors import OracleNotNatural, ShapeMismatch, ValidationError
 from polycat.finset import FinMap, FinSet
 
 
@@ -121,12 +120,65 @@ def test_count_matches_enumeration():
             assert len(set(ms)) == len(ms)
 
 
-def test_count_nat_mismatch_and_guard():
+def test_count_nat_mismatch_and_large_counts():
     with pytest.raises(ShapeMismatch):
         nat.count_nat(ss(1), poly.identity_diagram(FinSet(2)))
-    big = ss(*([1] * 8))
-    with pytest.raises(SizeGuardExceeded):
-        nat.count_nat(big, big)
+    # counting is arithmetic: 8^8 and 2^25 shape maps are never walked
+    assert nat.count_nat(ss(*([1] * 8)), ss(*([1] * 8))) == 8**8
+    assert nat.count_nat(ss(*([1] * 25)), ss(1, 1)) == 2**25
+
+
+def matching_dirs(p, q, v: int, w: int) -> list[list[int]]:
+    """Per direction of q's shape w, the directions of p's shape v with
+    its sort."""
+    return [[u1 for u1 in p.shape_fiber(v) if p.dir_sort(u1) == q.dir_sort(u2)]
+            for u2 in q.shape_fiber(w)]
+
+
+def shape_maps(p, q):
+    """Every sort-compatible shape map, as a table."""
+    return itertools.product(*(q.shape_sort.fiber(p.shape_sort(v)) for v in p.shapes))
+
+
+def shape_map_count(p, q) -> int:
+    """The count as a search: a sum over every shape map of the product of
+    the matching-direction counts."""
+    total = 0
+    for alpha in shape_maps(p, q):
+        prod = 1
+        for v, w in zip(p.shapes, alpha):
+            for choices in matching_dirs(p, q, v, w):
+                prod *= len(choices)
+        total += prod
+    return total
+
+
+def shape_map_enumeration(p, q) -> list:
+    """(shape map, backward tables) pairs, shape-map major, then backward
+    tables in odometer order."""
+    return [
+        (alpha, betas)
+        for alpha in shape_maps(p, q)
+        for betas in itertools.product(*(
+            list(itertools.product(*matching_dirs(p, q, v, w)))
+            for v, w in zip(p.shapes, alpha)))
+    ]
+
+
+def test_count_and_enumeration_match_shape_map_search_on_random_pairs():
+    rng = random.Random(5)
+    enumerated = 0
+    for _ in range(300):
+        src, tgt = FinSet(rng.randint(1, 3)), FinSet(rng.randint(1, 2))
+        p = randgen.random_diagram(rng, src, tgt, max_shapes=4, max_fiber=3)
+        q = randgen.random_diagram(rng, src, tgt, max_shapes=4, max_fiber=3)
+        n = nat.count_nat(p, q)
+        assert n == shape_map_count(p, q)
+        if n <= 300:
+            ms = nat.enumerate_dm(p, q)
+            assert [(m.alpha.table, m.betas) for m in ms] == shape_map_enumeration(p, q)
+            enumerated += 1
+    assert enumerated >= 100
 
 
 # -- extraction ------------------------------------------------------------------

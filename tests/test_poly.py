@@ -5,6 +5,7 @@ evaluating sums, over each shape, the product of the chosen fiber sizes.
 """
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -378,11 +379,70 @@ def test_iso_check_respects_sorts():
     assert poly.iso_check(p1, p1) is not None
 
 
-def test_iso_check_guard():
-    p = ss(*([1] * 9))
-    with pytest.raises(SizeGuardExceeded):
-        poly.iso_check(p, p)
-    assert poly.iso_check(p, p, max_shapes=9) is not None
+def test_iso_check_many_shapes():
+    for n in (9, 12):
+        p = ss(*([1] * n))
+        assert poly.iso_check(p, p) is not None
+    # a search would try the 10! matchings of the unary shapes first
+    start = time.perf_counter()
+    assert poly.iso_check(ss(*([1] * 10 + [2, 0])), ss(*([1] * 12))) is None
+    assert time.perf_counter() - start < 1.0
+
+
+def signatures(p: poly.PolyDiagram) -> list:
+    return sorted((p.shape_sort(v), sorted(p.dir_sort(u) for u in p.shape_fiber(v)))
+                  for v in p.shapes)
+
+
+def shuffled(rng: random.Random, p: poly.PolyDiagram) -> poly.PolyDiagram:
+    """p with its shapes, and the directions within each shape, renumbered
+    at random."""
+    order = list(p.shapes)
+    rng.shuffle(order)
+    fibers = []
+    for v in order:
+        fiber = list(p.shape_fiber(v))
+        rng.shuffle(fiber)
+        fibers.append(fiber)
+    shapes = FinSet(p.shapes.size)
+    dfam = fam.family_from_fibers(shapes, [len(f) for f in fibers])
+    return poly.PolyDiagram(
+        source=p.source,
+        dirs=dfam.total,
+        shapes=shapes,
+        target=p.target,
+        dir_sort=FinMap(dfam.total, p.source,
+                        tuple(p.dir_sort(u) for f in fibers for u in f)),
+        dir_shape=dfam.proj,
+        shape_sort=FinMap(shapes, p.target, tuple(p.shape_sort(v) for v in order)),
+    )
+
+
+def test_iso_check_verdict_is_signature_multiset_equality():
+    rng = random.Random(13)
+    verdicts = []
+    for _ in range(400):
+        src, tgt = rng.randint(1, 2), rng.randint(1, 2)
+        p1 = random_diagram(rng, src, tgt, max_shapes=3, max_fiber=2)
+        p2 = random_diagram(rng, src, tgt, max_shapes=3, max_fiber=2)
+        verdict = poly.iso_check(p1, p2) is not None
+        assert verdict == (signatures(p1) == signatures(p2))
+        verdicts.append(verdict)
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+
+def test_iso_check_finds_a_witness_for_every_shuffle():
+    rng = random.Random(17)
+    for _ in range(200):
+        p = random_diagram(rng, rng.randint(1, 3), rng.randint(1, 2),
+                           max_shapes=6, max_fiber=3)
+        q = shuffled(rng, p)
+        iso = poly.iso_check(p, q)
+        assert iso is not None
+        assert iso.forward.src == p and iso.forward.dst == q
+        alpha, betas = poly._compose_dm_tables(iso.backward, iso.forward)
+        assert alpha.table == tuple(p.shapes)
+        assert betas == tuple(p.shape_fiber(v) for v in p.shapes)
 
 
 def test_diag_morphism_validation():

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from . import fam, finset
 from .errors import ShapeMismatch, ValidationError
@@ -141,33 +143,77 @@ def extension_fiber_sizes(p: PolyDiagram, x: Family) -> tuple[int, ...]:
     return tuple(sizes)
 
 
+@dataclass(frozen=True, eq=False)
+class Extension:
+    """The extension of a diagram evaluated at one family: the value
+    family over the target and its elements in canonical order, with the
+    rank of each element built on first use. One record per diagram and
+    family value, shared by every caller; treat it as read-only."""
+
+    family: Family
+    elements: tuple[tuple[int, tuple[int, ...]], ...]
+
+    def index(self) -> MappingProxyType:
+        # cached like FinMap.fibers; the proxy keeps the shared dict read-only
+        cached = getattr(self, "_index", None)
+        if cached is None:
+            cached = MappingProxyType({elem: k for k, elem in enumerate(self.elements)})
+            object.__setattr__(self, "_index", cached)
+        return cached
+
+
+def _extension(p: PolyDiagram, x: Family) -> Extension:
+    """The extension of p at x, built on the first request for a family
+    of x's value and kept in a dict on p, so it lives as long as p. The
+    guard is checked on every request, so a limit lowered after the build
+    still refuses the carrier."""
+    cache = getattr(p, "_ext", None)
+    if cache is None:
+        cache = {}
+        object.__setattr__(p, "_ext", cache)
+    ext = cache.get(x)
+    if ext is not None:
+        check_guard(ext.family.total.size, "extension carrier")
+        return ext
+    sizes = extension_fiber_sizes(p, x)
+    check_guard(sum(sizes), "extension carrier")
+    xfibs = x.proj.fibers()
+    dir_sort = p.dir_sort.table
+    shape_fibers = p.dir_shape.fibers()
+    out: list[tuple[int, tuple[int, ...]]] = []
+    for vs in p.shape_sort.fibers():
+        for v in vs:
+            choices = [xfibs[dir_sort[u]] for u in shape_fibers[v]]
+            out.extend((v, payload) for payload in itertools.product(*choices))
+    ext = Extension(fam.family_from_fibers(p.target, sizes), tuple(out))
+    cache[x] = ext
+    return ext
+
+
 def extension_elements(p: PolyDiagram, x: Family) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The elements (shape, payload) of the evaluated extension, in the
     canonical order: target index major, then shape ascending, then
     payload in odometer order (rightmost direction fastest). Payload
     entries are absolute elements of x.total, one per direction of the
-    shape in ascending direction order. Guarded."""
-    check_guard(sum(extension_fiber_sizes(p, x)), "extension carrier")
-    xfibs = x.proj.fibers()
-    out: list[tuple[int, tuple[int, ...]]] = []
-    for j in p.target:
-        for v in p.shape_sort.fiber(j):
-            choices = [xfibs[p.dir_sort(u)] for u in p.shape_fiber(v)]
-            for payload in itertools.product(*choices):
-                out.append((v, payload))
-    return tuple(out)
+    shape in ascending direction order. Guarded. The tuple is shared by
+    every call with a family of x's value, is read-only and lives as long
+    as p."""
+    return _extension(p, x).elements
 
 
-def extension_index(p: PolyDiagram, x: Family) -> dict[tuple[int, tuple[int, ...]], int]:
-    return {elem: k for k, elem in enumerate(extension_elements(p, x))}
+def extension_index(p: PolyDiagram, x: Family) -> Mapping[tuple[int, tuple[int, ...]], int]:
+    """The position of each element in extension_elements(p, x). Guarded.
+    The mapping is shared by every call with a family of x's value, lives
+    as long as p and is read-only."""
+    return _extension(p, x).index()
 
 
 def eval_extension(p: PolyDiagram, x: Family) -> Family:
     """Evaluate the diagram's extension on x: the family over the target
-    whose elements are indexed as in extension_elements."""
-    sizes = extension_fiber_sizes(p, x)
-    check_guard(sum(sizes), "extension carrier")
-    return fam.family_from_fibers(p.target, sizes)
+    whose elements are indexed as in extension_elements. Guarded. The
+    family is shared by every call with a family of x's value, is
+    read-only like every Family and lives as long as p."""
+    return _extension(p, x).family
 
 
 def extension_map(p: PolyDiagram, h: FamMorphism) -> FamMorphism:
@@ -402,16 +448,30 @@ def _product_map(f1: FinMap, f2: FinMap) -> FinMap:
 def tensor(p1: PolyDiagram, p2: PolyDiagram) -> PolyDiagram:
     """Pointwise product of diagrams: carriers multiply and all three
     structure maps act coordinatewise. On single-sorted inputs: shapes
-    pair up and direction fibers multiply."""
-    return PolyDiagram(
-        source=finset.product(p1.source, p2.source).carrier,
-        dirs=finset.product(p1.dirs, p2.dirs).carrier,
-        shapes=finset.product(p1.shapes, p2.shapes).carrier,
-        target=finset.product(p1.target, p2.target).carrier,
-        dir_sort=_product_map(p1.dir_sort, p2.dir_sort),
-        dir_shape=_product_map(p1.dir_shape, p2.dir_shape),
-        shape_sort=_product_map(p1.shape_sort, p2.shape_sort),
-    )
+    pair up and direction fibers multiply.
+
+    The result is kept in a dict on p1 keyed by p2's fields, so every
+    call with a p2 of the same value shares one read-only diagram (and so
+    its extension carriers) for as long as p1 lives. Keying by the fields
+    keeps p2 itself and its carriers out of p1's cache."""
+    cache = getattr(p1, "_tensor", None)
+    if cache is None:
+        cache = {}
+        object.__setattr__(p1, "_tensor", cache)
+    key = (p2.source, p2.dirs, p2.shapes, p2.target, p2.dir_sort, p2.dir_shape, p2.shape_sort)
+    tens = cache.get(key)
+    if tens is None:
+        tens = PolyDiagram(
+            source=finset.product(p1.source, p2.source).carrier,
+            dirs=finset.product(p1.dirs, p2.dirs).carrier,
+            shapes=finset.product(p1.shapes, p2.shapes).carrier,
+            target=finset.product(p1.target, p2.target).carrier,
+            dir_sort=_product_map(p1.dir_sort, p2.dir_sort),
+            dir_shape=_product_map(p1.dir_shape, p2.dir_shape),
+            shape_sort=_product_map(p1.shape_sort, p2.shape_sort),
+        )
+        cache[key] = tens
+    return tens
 
 
 def tensor_unit() -> PolyDiagram:
@@ -846,16 +906,22 @@ def multiset_power_elements(x: Family, k: int) -> tuple[tuple[int, tuple[int, ..
 def au_lift(r: Span) -> PolyDiagram:
     """Lift a span to the diagram whose middle map is the identity: its
     extension relabels-and-sums fibers along the span (a sum over the
-    right leg of values at the left leg)."""
-    return PolyDiagram(
-        source=r.left.cod,
-        dirs=r.carrier,
-        shapes=r.carrier,
-        target=r.right.cod,
-        dir_sort=r.left,
-        dir_shape=finset.identity(r.carrier),
-        shape_sort=r.right,
-    )
+    right leg of values at the left leg). The diagram is kept on r, so
+    every call with r shares one read-only diagram (and so its extension
+    carriers) for as long as r lives."""
+    cached = getattr(r, "_au", None)
+    if cached is None:
+        cached = PolyDiagram(
+            source=r.left.cod,
+            dirs=r.carrier,
+            shapes=r.carrier,
+            target=r.right.cod,
+            dir_sort=r.left,
+            dir_shape=finset.identity(r.carrier),
+            shape_sort=r.right,
+        )
+        object.__setattr__(r, "_au", cached)
+    return cached
 
 
 def du_lift(r: Span) -> PolyDiagram:

@@ -204,24 +204,27 @@ def eval_sim(c: SimCell, x: Family) -> FamMorphism:
         raise ShapeMismatch("family must live over the source sorts")
     c.require_valid()
     au = au_lift(c.span)
-    inner = poly.eval_extension(c.src, x)
-    dom = poly.eval_extension(au, inner)
-    aux = poly.eval_extension(au, x)
-    aux_index = poly.extension_index(au, x)
-    cod = poly.eval_extension(c.dst, aux)
-    cod_index = poly.extension_index(c.dst, aux)
-    inner_elems = poly.extension_elements(c.src, x)
+    inner = poly._extension(c.src, x)
+    dom = poly._extension(au, inner.family)
+    aux = poly._extension(au, x)
+    cod = poly._extension(c.dst, aux.family)
+    aux_index = aux.index()
+    cod_index = cod.index()
+    inner_elems = inner.elements
+    src_fibers = c.src.dir_shape.fibers()
+    dst_fibers = c.dst.dir_shape.fibers()
     table = []
-    for rho, (t,) in poly.extension_elements(au, inner):
+    for rho, (t,) in dom.elements:
         v, h = inner_elems[t]
         w = c.alpha[rho, v]
-        fiber1 = c.src.shape_fiber(v)
+        fiber1 = src_fibers[v]
         payload = tuple(
             aux_index[(c.gamma[rho, v, u], (h[fiber1.index(c.beta[rho, v, u])],))]
-            for u in c.dst.shape_fiber(w)
+            for u in dst_fibers[w]
         )
         table.append(cod_index[(w, payload)])
-    return FamMorphism(dom, cod, FinMap(dom.total, cod.total, tuple(table)))
+    return FamMorphism(dom.family, cod.family,
+                       FinMap(dom.family.total, cod.family.total, tuple(table)))
 
 
 def sim_naturality_check(c: SimCell, bound: int) -> Report:
@@ -247,19 +250,17 @@ def extract_sim(oracle, span: Span, p1: PolyDiagram, p2: PolyDiagram) -> SimCell
     for rho, v in cell_pairs(span, p1):
         y, order = nat.generic_family(p1, v)
         comp = oracle(y)
-        inner = poly.eval_extension(p1, y)
-        expected_src = poly.eval_extension(au, inner)
-        aux = poly.eval_extension(au, y)
-        expected_dst = poly.eval_extension(p2, aux)
-        if comp.src != expected_src or comp.dst != expected_dst:
+        src_ext = poly._extension(au, poly.eval_extension(p1, y))
+        aux = poly._extension(au, y)
+        dst_ext = poly._extension(p2, aux.family)
+        if comp.src != src_ext.family or comp.dst != dst_ext.family:
             raise ValidationError("oracle component has the wrong endpoints")
         gen = nat.generic_element(p1, v)
-        probe = poly.extension_index(au, inner)[(rho, (gen,))]
-        w, payload = poly.extension_elements(p2, aux)[comp(probe)]
+        probe = src_ext.index()[(rho, (gen,))]
+        w, payload = dst_ext.elements[comp(probe)]
         alpha[rho, v] = w
-        aux_elems = poly.extension_elements(au, y)
         for pos, u in enumerate(p2.shape_fiber(w)):
-            g, (t,) = aux_elems[payload[pos]]
+            g, (t,) = aux.elements[payload[pos]]
             gamma[rho, v, u] = g
             beta[rho, v, u] = order[t]
     try:

@@ -138,6 +138,18 @@ def test_count_nat_matches_library(capsys):
     assert out == "natural transformations: 4\n"
 
 
+def test_count_nat_prints_counts_of_more_than_4300_digits(capsys, tmp_path):
+    # X^10 into X^4400 has 10^4400 transformations, beyond str()'s digit limit
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"diagrams": {
+        "p": {"source": 1, "target": 1, "shapes": [{"sort": 0, "dir_sorts": [0] * 10}]},
+        "q": {"source": 1, "target": 1, "shapes": [{"sort": 0, "dir_sorts": [0] * 4400}]},
+    }}))
+    code, out, err = run(capsys, "count-nat", str(path), "--src", "p", "--dst", "q")
+    assert (code, err) == (0, "")
+    assert out == "natural transformations: 1" + "0" * 4400 + "\n"
+
+
 def test_iso_check_verdicts(capsys):
     code, out, _ = run(capsys, "iso-check", LIST_DOC, "--left", "square",
                        "--right", "two-x")

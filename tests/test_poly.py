@@ -3,9 +3,11 @@
 Expected numbers are computed by hand from the sum-of-monomials reading:
 evaluating sums, over each shape, the product of the chosen fiber sizes.
 """
+import gc
 import itertools
 import random
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -135,6 +137,134 @@ def test_extension_agreement_batch():
 def test_eval_guard_trips():
     with pytest.raises(SizeGuardExceeded):
         poly.eval_extension(ss(40), fams(1, (3,)))
+
+
+# -- the extension cache ------------------------------------------------------
+
+
+def test_extension_lookups_share_one_record():
+    p = ss(2, 1)
+    x = fams(1, (3,))
+    elems = poly.extension_elements(p, x)
+    index = poly.extension_index(p, x)
+    assert poly.extension_elements(p, x) is elems
+    assert poly.extension_index(p, x) is index
+    assert poly.eval_extension(p, x) is poly.eval_extension(p, x)
+    # a family of the same value built separately hits the same record
+    again = fams(1, (3,))
+    assert again is not x
+    assert poly.extension_elements(p, again) is elems
+    assert poly.extension_index(p, again) is index
+
+
+def test_extension_guard_is_checked_on_every_cached_access():
+    p = ss(2)
+    x = fams(1, (3,))
+    assert len(poly.extension_elements(p, x)) == 9
+    poly.extension_index(p, x)
+    old = finset.set_guard_limit(5)
+    try:
+        for view in (poly.eval_extension, poly.extension_elements, poly.extension_index):
+            with pytest.raises(SizeGuardExceeded, match="extension carrier has size 9"):
+                view(p, x)
+    finally:
+        finset.set_guard_limit(old)
+    assert len(poly.extension_elements(p, x)) == 9
+
+
+def test_extension_index_is_read_only():
+    index = poly.extension_index(ss(2), fams(1, (3,)))
+    with pytest.raises(TypeError):
+        index[(0, (1, 2))] = 0
+    assert index[(0, (1, 2))] == 5
+
+
+def test_caches_make_no_reference_cycles():
+    # with the cyclic collector off, an object in a cycle would outlive del
+    gc.disable()
+    try:
+        p = ss(2, 1)
+        x = fams(1, (2,))
+        poly.extension_index(p, x)
+        poly.extension_index(poly.tensor(p, p), fam.box(x, x))
+        r = Span(FinSet(3), fmap(3, 2, (0, 1, 1)), fmap(3, 2, (0, 0, 1)))
+        poly.extension_index(poly.au_lift(r), fams(2, (2, 3)))
+        dead_p, dead_x, dead_r = weakref.ref(p), weakref.ref(x), weakref.ref(r)
+        del p, x, r
+        assert dead_p() is None
+        assert dead_x() is None
+        assert dead_r() is None
+    finally:
+        gc.enable()
+
+
+def test_au_lift_and_tensor_are_shared():
+    r = Span(FinSet(3), fmap(3, 2, (0, 1, 1)), fmap(3, 2, (0, 0, 1)))
+    assert poly.au_lift(r) is poly.au_lift(r)
+    p1 = random_diagram(random.Random(5), 2, 2)
+    t = poly.tensor(p1, ss(2, 1))
+    # a value-equal second factor built separately shares the diagram ...
+    assert poly.tensor(p1, ss(2, 1)) is t
+    # ... which equals the tensor built by a first factor with no cache
+    fresh = poly.PolyDiagram(p1.source, p1.dirs, p1.shapes, p1.target,
+                             p1.dir_sort, p1.dir_shape, p1.shape_sort)
+    assert not hasattr(fresh, "_tensor")
+    assert poly.tensor(fresh, ss(2, 1)) == t
+    assert poly.tensor(p1, ss(1, 1)) != t
+
+
+def odometer_elements(p: poly.PolyDiagram, x: fam.Family) -> tuple:
+    """The extension's elements from the definition: per target index,
+    per shape, every payload counted up like an odometer."""
+    xfibs = [[t for t in range(x.total.size) if x.proj.table[t] == i]
+             for i in range(x.base.size)]
+    out = []
+    for j in range(p.target.size):
+        for v in range(p.shapes.size):
+            if p.shape_sort.table[v] != j:
+                continue
+            choices = [xfibs[p.dir_sort.table[u]] for u in range(p.dirs.size)
+                       if p.dir_shape.table[u] == v]
+            if any(not c for c in choices):
+                continue
+            digits = [0] * len(choices)
+            while True:
+                out.append((v, tuple(c[d] for c, d in zip(choices, digits))))
+                k = len(digits) - 1
+                while k >= 0:
+                    digits[k] += 1
+                    if digits[k] < len(choices[k]):
+                        break
+                    digits[k] = 0
+                    k -= 1
+                if k < 0:
+                    break
+    return tuple(out)
+
+
+def test_cached_extensions_match_an_odometer_oracle():
+    rng = random.Random(11)
+    views = ("elements", "index", "eval", "agreement")
+    for _ in range(60):
+        src, tgt = rng.randint(1, 3), rng.randint(1, 3)
+        p = random_diagram(rng, src, tgt, max_shapes=4, max_fiber=3)
+        families = [random_family(rng, src) for _ in range(3)]
+        # value-equal copies, so some lookups hit a record another family built
+        families += [fams(src, x.fiber_sizes()) for x in families]
+        calls = [(x, view) for x in families for view in views]
+        rng.shuffle(calls)
+        for x, view in calls:
+            expected = odometer_elements(p, x)
+            if view == "elements":
+                assert poly.extension_elements(p, x) == expected
+            elif view == "index":
+                assert dict(poly.extension_index(p, x)) == {e: k for k, e in enumerate(expected)}
+            elif view == "eval":
+                value = poly.eval_extension(p, x)
+                assert value.total.size == len(expected)
+                assert value.proj.table == tuple(p.shape_sort.table[v] for v, _ in expected)
+            else:
+                assert poly.extension_agreement(p, x).ok
 
 
 # -- composition --------------------------------------------------------------

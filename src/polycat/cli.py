@@ -82,7 +82,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
 
-    p = cmd("sim-validate", "re-check the four simulation cell equations")
+    p = cmd("sim-validate", "report the four simulation cell equations "
+                            "(checked once, when the cell is loaded)")
     p.add_argument("--cell", required=True)
 
     p = cmd("sim-compose", "compose two simulation cells (second after first)")

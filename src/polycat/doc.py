@@ -28,15 +28,14 @@ direction numbering of a constructed diagram::
 Unresolvable names and malformed structure raise ParseError; definitions
 that parse but violate the declared conditions (non-total maps, broken
 projections, simulation tables that fail their equations) raise
-ValidationError. Loading re-validates everything, including the four
-simulation cell equations.
+ValidationError. Loading validates everything: a simulation is checked
+against its four cell equations once, when its cell is built.
 """
 from __future__ import annotations
 
 import json
 from typing import Any
 
-from . import sim
 from .errors import ParseError, ValidationError
 from .fam import Family, Span, family_from_fibers
 from .finset import FinMap, FinSet
@@ -97,8 +96,8 @@ def _expect(cond: bool, message: str) -> None:
 
 
 def _int_list(spec: Any, what: str) -> tuple[int, ...]:
-    _expect(isinstance(spec, list) and all(isinstance(v, int) and not isinstance(v, bool)
-                                           for v in spec),
+    # type(v) is int: JSON booleans are not integers here
+    _expect(isinstance(spec, list) and all(type(v) is int for v in spec),
             f"{what} must be a list of integers")
     return tuple(spec)
 
@@ -113,7 +112,7 @@ def _decode_set(spec: Any, doc: Document, what: str) -> FinSet:
         _expect(spec >= 0, f"{what}: set size must be nonnegative")
         return FinSet(spec)
     if isinstance(spec, dict):
-        _expect(isinstance(spec.get("size"), int), f"{what}: set needs an integer size")
+        _expect(type(spec.get("size")) is int, f"{what}: set needs an integer size")
         labels = spec.get("labels")
         if labels is not None:
             _expect(isinstance(labels, list) and all(isinstance(s, str) for s in labels),
@@ -180,7 +179,7 @@ def _decode_diagram(spec: Any, doc: Document, what: str) -> PolyDiagram:
         for v, entry in enumerate(shapes_spec):
             _expect(isinstance(entry, dict) and "sort" in entry and "dir_sorts" in entry,
                     f"{what}.shapes[{v}]: each shape needs sort and dir_sorts")
-            _expect(isinstance(entry["sort"], int), f"{what}.shapes[{v}].sort must be an integer")
+            _expect(type(entry["sort"]) is int, f"{what}.shapes[{v}].sort must be an integer")
             extra = set(entry) - {"sort", "dir_sorts"}
             _expect(not extra, f"{what}.shapes[{v}]: unknown keys {sorted(extra)}")
             shape_sort.append(entry["sort"])
@@ -256,14 +255,13 @@ def _decode_simulation(spec: Any, doc: Document, what: str) -> SimCell:
     span = _decode_span(spec["span"], doc, f"{what}.span")
     src = _decode_diagram(spec["src"], doc, f"{what}.src")
     dst = _decode_diagram(spec["dst"], doc, f"{what}.dst")
-    cell = SimCell(span, src, dst,
-                   _decode_table(spec["alpha"], 2, f"{what}.alpha"),
-                   _decode_table(spec["beta"], 3, f"{what}.beta"),
-                   _decode_table(spec["gamma"], 3, f"{what}.gamma"))
-    rep = sim.validate(cell)
-    if not rep.ok:
-        raise ValidationError(f"{what}: {rep.lines[0]}")
-    return cell
+    try:
+        return SimCell(span, src, dst,
+                       _decode_table(spec["alpha"], 2, f"{what}.alpha"),
+                       _decode_table(spec["beta"], 3, f"{what}.beta"),
+                       _decode_table(spec["gamma"], 3, f"{what}.gamma"))
+    except ValidationError as e:
+        raise ValidationError(f"{what}: {e}") from e
 
 
 _DECODERS = {

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import ShapeMismatch, SizeGuardExceeded
@@ -37,13 +38,32 @@ def set_guard_limit(limit: int) -> int:
 
 def check_guard(size: int, what: str) -> None:
     if size > _guard_limit:
-        # str() refuses integers beyond a few thousand digits, so a huge
-        # size is quoted by its order of magnitude
-        shown = str(size) if size < 10**100 else (
-            f"more than 10^{math.floor((size.bit_length() - 1) * math.log10(2))}")
+        # a sum cut short at the limit (see check_guard_sum) arrives as
+        # limit + 1 and is quoted as a lower bound; str() refuses integers
+        # beyond a few thousand digits, so a huge size is quoted by its
+        # order of magnitude
+        if size == _guard_limit + 1:
+            shown = f"more than {_guard_limit}"
+        elif size < 10**100:
+            shown = str(size)
+        else:
+            shown = f"more than 10^{math.floor((size.bit_length() - 1) * math.log10(2))}"
         raise SizeGuardExceeded(
             f"search too large: {what} has size {shown}, guard limit is {_guard_limit}"
         )
+
+
+def check_guard_sum(terms: Iterable[int], what: str) -> None:
+    """check_guard on the sum of nonnegative terms. Adding stops at the
+    first partial sum over the limit, which is passed on as limit + 1, so
+    no huge sum is built just to refuse."""
+    total = 0
+    for term in terms:
+        total += term
+        if total > _guard_limit:
+            total = _guard_limit + 1
+            break
+    check_guard(total, what)
 
 
 @dataclass(frozen=True)

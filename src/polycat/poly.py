@@ -22,6 +22,7 @@ checked on actual elements, never just on cardinalities.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -790,9 +791,10 @@ def iso_check(p1: PolyDiagram, p2: PolyDiagram) -> DiagIso | None:
 
 def lists_up_to(s: FinSet, k: int) -> tuple[tuple[int, ...], ...]:
     """All tuples over s of length at most k, ordered by length then
-    lexicographically. Guarded."""
-    total = sum(s.size**n for n in range(k + 1))
-    check_guard(total, "list carrier")
+    lexicographically. Guarded on the entries of all the tuples."""
+    if s.size == 0:
+        k = 0  # the empty tuple is the only one
+    finset.check_guard_sum((n * s.size**n for n in range(1, k + 1)), "list carrier entries")
     out: list[tuple[int, ...]] = []
     for n in range(k + 1):
         out.extend(itertools.product(range(s.size), repeat=n))
@@ -801,7 +803,12 @@ def lists_up_to(s: FinSet, k: int) -> tuple[tuple[int, ...], ...]:
 
 def multisets_up_to(s: FinSet, k: int) -> tuple[tuple[int, ...], ...]:
     """All sorted tuples over s of length at most k (canonical multiset
-    forms), ordered by length then lexicographically."""
+    forms), ordered by length then lexicographically. Guarded on the
+    entries of all the tuples."""
+    if s.size == 0:
+        k = 0  # the empty tuple is the only one
+    finset.check_guard_sum((n * math.comb(s.size + n - 1, n) for n in range(1, k + 1)),
+                           "multiset carrier entries")
     out: list[tuple[int, ...]] = []
     for n in range(k + 1):
         out.extend(itertools.combinations_with_replacement(range(s.size), n))

@@ -13,10 +13,11 @@ with three tables:
                     assigned shape (the backward direction choice);
   gamma[rho, v, u]  a successor state for the same entries.
 
-Four equations tie the tables together (checked by validate): the
-assigned shape sits over the state's right end; beta stays in v's
-direction fiber; beta's sort is the successor's left end; the
-successor's right end is u's sort. Evaluation turns a valid cell into a
+Four equations tie the tables together: the assigned shape sits over
+the state's right end; beta stays in v's direction fiber; beta's sort is
+the successor's left end; the successor's right end is u's sort. A
+SimCell checks them once, when it is built, and its tables are
+read-only, so every cell is valid. Evaluation turns a cell into a
 natural family of morphisms relating the two extensions across the
 span's sum lift.
 """
@@ -24,6 +25,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from . import fam, finset, nat, poly
 from .errors import OracleNotNatural, ShapeMismatch, ValidationError
@@ -64,13 +68,26 @@ def cell_pairs(span: Span, src: PolyDiagram) -> list[tuple[int, int]]:
     ]
 
 
+@dataclass(frozen=True)
 class SimCell:
-    """A simulation cell; construction checks shapes and ranges, the four
-    equations are the business of validate()."""
+    """A valid simulation cell, frozen. Construction checks shapes, ranges
+    and the four equations, raising ValidationError at the first
+    violation, and keeps read-only copies of the tables."""
 
-    def __init__(self, span: Span, src: PolyDiagram, dst: PolyDiagram,
-                 alpha: dict, beta: dict, gamma: dict):
-        assert src.is_endo() and dst.is_endo(), "simulations relate endo diagrams"
+    span: Span
+    src: PolyDiagram
+    dst: PolyDiagram
+    alpha: Mapping
+    beta: Mapping
+    gamma: Mapping
+    pairs: list = field(init=False, compare=False)
+    triples: list = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        span, src, dst = self.span, self.src, self.dst
+        alpha, beta, gamma = self.alpha, self.beta, self.gamma
+        if not (src.is_endo() and dst.is_endo()):
+            raise ValidationError("simulations relate endo diagrams")
         if span.left.cod != src.source or span.right.cod != dst.source:
             raise ShapeMismatch("span legs must land in the two sort sets")
         pairs = cell_pairs(span, src)
@@ -92,35 +109,23 @@ class SimCell:
                 raise ValidationError(f"direction table value out of range at {key}")
             if gamma[key] not in span.carrier:
                 raise ValidationError(f"state table value out of range at {key}")
-        self.span = span
-        self.src = src
-        self.dst = dst
-        self.alpha = dict(alpha)
-        self.beta = dict(beta)
-        self.gamma = dict(gamma)
-        self.pairs = pairs
-        self.triples = triples
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SimCell):
-            return NotImplemented
-        return (self.span, self.src, self.dst) == (other.span, other.src, other.dst) \
-            and self.alpha == other.alpha and self.beta == other.beta \
-            and self.gamma == other.gamma
+        for name, table in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
+            object.__setattr__(self, name, MappingProxyType(dict(table)))
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "triples", triples)
+        rep = validate(self)
+        if not rep.ok:
+            raise ValidationError(rep.lines[0])
 
     def __repr__(self) -> str:
         return (f"SimCell(states={self.span.carrier.size}, "
                 f"pairs={len(self.pairs)}, triples={len(self.triples)})")
 
-    def require_valid(self) -> None:
-        rep = validate(self)
-        if not rep.ok:
-            raise ValidationError(rep.lines[0])
-
 
 def validate(c: SimCell) -> Report:
     """Check the four cell equations on every entry; the first violation
-    is reported with its coordinates."""
+    is reported with its coordinates. The constructor runs it, so on a
+    built cell the report is always ok."""
     for rho, v in c.pairs:
         w = c.alpha[rho, v]
         if c.dst.shape_sort(w) != c.span.right(rho):
@@ -174,8 +179,6 @@ def compose_sim(c2: SimCell, c1: SimCell) -> SimCell:
     assigned shape to c2, pull directions back through both."""
     if c1.dst != c2.src:
         raise ShapeMismatch("cannot compose: middle diagrams differ")
-    c1.require_valid()
-    c2.require_valid()
     pb = finset.pullback(c1.span.right, c2.span.left)
     span = Span(pb.carrier, pb.left.then(c1.span.left), pb.right.then(c2.span.right))
     alpha: dict = {}
@@ -202,7 +205,6 @@ def eval_sim(c: SimCell, x: Family) -> FamMorphism:
     value to the dst value of the sum lift."""
     if x.base != c.src.source:
         raise ShapeMismatch("family must live over the source sorts")
-    c.require_valid()
     au = au_lift(c.span)
     inner = poly._extension(c.src, x)
     dom = poly._extension(au, inner.family)
@@ -265,8 +267,7 @@ def extract_sim(oracle, span: Span, p1: PolyDiagram, p2: PolyDiagram) -> SimCell
             beta[rho, v, u] = order[t]
     try:
         c = SimCell(span, p1, p2, alpha, beta, gamma)
-        c.require_valid()
-    except (ValidationError, ShapeMismatch) as exc:
+    except ValidationError as exc:
         raise OracleNotNatural("oracle not natural") from exc
     for x in fam.families_up_to(p1.source, 3):
         if eval_sim(c, x).map.table != oracle(x).map.table:
@@ -671,7 +672,6 @@ class PlusStructure:
         equivalence."""
         if c.src != self.sum:
             raise ShapeMismatch("decomposition needs a cell out of the sum")
-        c.require_valid()
         out = []
         for part, p, vs, us in (
             (0, self.p1, 0, 0),

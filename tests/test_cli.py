@@ -3,6 +3,7 @@ and determinism. All invocations run in-process through main()."""
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -173,6 +174,19 @@ def test_compose_both_refuses_composites_over_max_shapes(capsys):
                        "--inner", "square", "--both", "--max-shapes", "1")
     assert code == 3
     assert err.startswith("size guard exceeded:")
+
+
+def test_bang_refuses_deep_replication_of_a_constant_quickly(capsys, tmp_path):
+    # the constant diagram 1 has one list of each length: the lists are
+    # few, but their entries grow quadratically with the depth
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"diagrams": {"one": {
+        "source": 1, "target": 1, "shapes": [{"sort": 0, "dir_sorts": []}]}}}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bang", str(path), "--diagram", "one", "--depth", "100000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("size guard exceeded:") and err.count("\n") == 1
 
 
 def test_sim_validate_reports_ok(capsys):

@@ -69,6 +69,32 @@ def test_simulation_is_validated_eagerly_on_load():
         parse(bad)
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"beta": [[0, 0, 0, 1], [0, 1, 1, 1]]},
+     "backward direction leaves the shape's fiber at (state 0, shape 0, direction 0)"),
+    ({"alpha": [[0, 0, 2], [0, 1, 1]]}, "shape table value out of range at (0, 0)"),
+    ({"dst": {"source": 1, "target": 2, "shapes": []}}, "simulations relate endo diagrams"),
+])
+def test_simulation_failures_name_the_simulation(change, message):
+    tree = {
+        "diagrams": {"p": {"source": 1, "target": 1,
+                           "shapes": [{"sort": 0, "dir_sorts": [0]},
+                                      {"sort": 0, "dir_sorts": [0]}]}},
+        "spans": {"r": {"carrier": 1,
+                        "left": {"dom": 1, "cod": 1, "table": [0]},
+                        "right": {"dom": 1, "cod": 1, "table": [0]}}},
+        "simulations": {"c": {"span": "r", "src": "p", "dst": "p",
+                              "alpha": [[0, 0, 0], [0, 1, 1]],
+                              "beta": [[0, 0, 0, 0], [0, 1, 1, 1]],
+                              "gamma": [[0, 0, 0, 0], [0, 1, 1, 0]]}},
+    }
+    parse(tree)  # the identity cell
+    tree["simulations"]["c"].update(change)
+    with pytest.raises(ValidationError) as exc:
+        parse(tree)
+    assert str(exc.value) == f"simulations.c: {message}"
+
+
 @pytest.mark.parametrize("tree, fragment", [
     ("{", "not valid JSON"),
     ({"bogus": {}}, "unknown sections"),
@@ -82,6 +108,10 @@ def test_simulation_is_validated_eagerly_on_load():
                          "shapes": [{"sort": 0}]}}}, "needs sort and dir_sorts"),
     ({"diagrams": {"p": {"source": 1, "target": 1}}}, "table form needs"),
     ({"simulations": {"c": {"span": "r"}}}, "a simulation needs src"),
+    ({"sets": {"I": {"size": True}}}, "set needs an integer size"),
+    ({"diagrams": {"p": {"source": 1, "target": 1,
+                         "shapes": [{"sort": True, "dir_sorts": []}]}}},
+     "sort must be an integer"),
 ])
 def test_malformed_documents_are_parse_errors(tree, fragment):
     text = tree if isinstance(tree, str) else json.dumps(tree)

@@ -213,6 +213,19 @@ def test_guard_message_quotes_huge_sizes_by_magnitude():
     assert "has size more than 10^30535," in str(huge.value)
 
 
+def test_guard_sum_stops_adding_once_over_the_limit():
+    def terms():
+        yield 10**6
+        yield 1
+        raise AssertionError("summed past the first total over the limit")
+
+    with pytest.raises(SizeGuardExceeded) as exc:
+        finset.check_guard_sum(terms(), "x")
+    assert str(exc.value) == \
+        "search too large: x has size more than 1000000, guard limit is 1000000"
+    finset.check_guard_sum([10**6 - 1, 1], "x")
+
+
 def test_exponential_sizes():
     assert finset.exponential(FinSet(3), FinSet(2)).size == 8
     assert finset.exponential(FinSet(0), FinSet(5)).size == 1

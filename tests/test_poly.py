@@ -658,6 +658,16 @@ def test_bang_validation_and_guard():
         poly.bang_truncated(ss(1, 1), 20)
 
 
+def test_lists_and_multisets_are_guarded_by_entries():
+    # 1501 tuples over a one-element set hold 1500 * 1501 / 2 > 10^6 entries
+    for build in (poly.lists_up_to, poly.multisets_up_to):
+        assert len(build(FinSet(1), 1413)) == 1414
+        with pytest.raises(SizeGuardExceeded) as exc:
+            build(FinSet(1), 1500)
+        assert "entries has size more than 1000000" in str(exc.value)
+        assert build(FinSet(0), 10**12) == ((),)
+
+
 def test_multiset_power_elements():
     x = fams(2, (1, 2))
     m = poly.multiset_power(x, 2)

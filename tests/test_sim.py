@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from polycat import fam, finset, nat, poly, randgen, sim
+from polycat import doc, fam, finset, nat, poly, randgen, sim
 from polycat.errors import (OracleNotNatural, ShapeMismatch,
                             SizeGuardExceeded, ValidationError)
 from polycat.fam import FamMorphism, Span
@@ -151,25 +151,32 @@ def test_empty_span_vacuously_valid():
     assert c.pairs == [] and c.triples == []
 
 
+def corrupt(c: sim.SimCell, **entries) -> tuple:
+    """Copies of c's three tables, with the given entries overwritten
+    (alpha, beta and gamma each map keys to new values)."""
+    tables = [dict(c.alpha), dict(c.beta), dict(c.gamma)]
+    for table, name in zip(tables, ("alpha", "beta", "gamma")):
+        table.update(entries.get(name, {}))
+    return tuple(tables)
+
+
 def test_validate_locates_corrupt_gamma():
     c = sim.identity_sim(two_sorted_endo())
     # successor state 1 has right end 1, but direction 0 of shape 0 has sort 1,
     # so corrupt the entry of the OTHER shape: its direction has sort 0
-    c.gamma[1, 1, 1] = 1
-    rep = sim.validate(c)
-    assert not rep.ok
-    assert "successor state's right end" in rep.lines[0]
-    assert "(state 1, shape 1, direction 1)" in rep.lines[0]
+    with pytest.raises(ValidationError) as exc:
+        sim.SimCell(c.span, c.src, c.dst, *corrupt(c, gamma={(1, 1, 1): 1}))
+    assert "successor state's right end" in str(exc.value)
+    assert "(state 1, shape 1, direction 1)" in str(exc.value)
 
 
 def test_validate_locates_corrupt_beta():
     c = sim.identity_sim(list_diagram())
     # a direction of a different shape
-    c.beta[0, 2, 1] = 0
-    rep = sim.validate(c)
-    assert not rep.ok
-    assert "leaves the shape's fiber" in rep.lines[0]
-    assert "(state 0, shape 2, direction 1)" in rep.lines[0]
+    with pytest.raises(ValidationError) as exc:
+        sim.SimCell(c.span, c.src, c.dst, *corrupt(c, beta={(0, 2, 1): 0}))
+    assert "leaves the shape's fiber" in str(exc.value)
+    assert "(state 0, shape 2, direction 1)" in str(exc.value)
 
 
 def test_validate_locates_corrupt_beta_sort():
@@ -190,19 +197,60 @@ def test_validate_locates_corrupt_beta_sort():
     span = Span(one, fmap(1, 2, (0,)), fmap(1, 2, (0,)))
     good = sim.SimCell(span, p1, p2, {(0, 0): 0}, {(0, 0, 0): 0}, {(0, 0, 0): 0})
     assert sim.validate(good).ok
-    bad = sim.SimCell(span, p1, p2, {(0, 0): 0}, {(0, 0, 0): 1}, {(0, 0, 0): 0})
-    rep = sim.validate(bad)
-    assert not rep.ok
-    assert "disagrees with the successor state's left end" in rep.lines[0]
-    assert "(state 0, shape 0, direction 0)" in rep.lines[0]
+    with pytest.raises(ValidationError) as exc:
+        sim.SimCell(span, p1, p2, {(0, 0): 0}, {(0, 0, 0): 1}, {(0, 0, 0): 0})
+    assert "disagrees with the successor state's left end" in str(exc.value)
+    assert "(state 0, shape 0, direction 0)" in str(exc.value)
 
 
 def test_validate_locates_corrupt_alpha():
     c = sim.identity_sim(two_sorted_endo())
-    c.alpha[0, 0] = 1
-    rep = sim.validate(c)
-    assert not rep.ok
-    assert "assigned shape sits over the wrong sort at (state 0, shape 0)" in rep.lines[0]
+    # shape 1 sits over sort 1, but state 0's right end is sort 0; the
+    # direction entries follow the new shape so that only the sort is wrong
+    alpha, beta, gamma = corrupt(c, alpha={(0, 0): 1})
+    del beta[0, 0, 0], gamma[0, 0, 0]
+    beta[0, 0, 1] = 0
+    gamma[0, 0, 1] = 1
+    with pytest.raises(ValidationError) as exc:
+        sim.SimCell(c.span, c.src, c.dst, alpha, beta, gamma)
+    assert "assigned shape sits over the wrong sort at (state 0, shape 0)" in str(exc.value)
+
+
+def test_cells_and_their_tables_are_read_only():
+    c = sim.identity_sim(list_diagram())
+    for table, key, value in ((c.alpha, (0, 0), 1), (c.beta, (0, 2, 1), 0),
+                              (c.gamma, (0, 2, 1), 0)):
+        with pytest.raises(TypeError):
+            table[key] = value
+    with pytest.raises(AttributeError):
+        c.beta = {}
+    assert sim.validate(c).ok
+    assert c == sim.identity_sim(list_diagram()) != sim.identity_sim(ss(1))
+
+
+def test_non_endo_cells_are_validation_errors():
+    p = poly.PolyDiagram(
+        source=FinSet(1), dirs=FinSet(0), shapes=FinSet(1), target=FinSet(2),
+        dir_sort=fmap(0, 1, ()), dir_shape=fmap(0, 1, ()), shape_sort=fmap(1, 2, (0,)),
+    )
+    with pytest.raises(ValidationError) as exc:
+        sim.SimCell(singleton_span(), p, p, {}, {}, {})
+    assert str(exc.value) == "simulations relate endo diagrams"
+
+
+def test_each_cell_is_validated_once(monkeypatch):
+    calls = []
+    validate = sim.validate
+    monkeypatch.setattr(sim, "validate", lambda c: calls.append(c) or validate(c))
+    d = doc.load_document("docs/examples/simulation.json")
+    cells = list(d.simulations.values())
+    assert len(calls) == len(cells)
+    for k in range(10):
+        sim.eval_sim(cells[k % len(cells)], d.family("pair"))
+    assert len(calls) == len(cells)
+    composite = sim.compose_sim(cells[0], cells[1])
+    sim.eval_sim(composite, d.family("pair"))
+    assert calls[len(cells):] == [composite]
 
 
 def test_constructor_rejects_bad_tables():
@@ -256,10 +304,13 @@ def test_eval_base_mismatch():
 
 
 def test_eval_rejects_invalid_cell():
+    # an invalid cell cannot be built, and a built one cannot be corrupted
     c = sim.identity_sim(list_diagram())
-    c.beta[0, 2, 1] = 0
     with pytest.raises(ValidationError):
-        sim.eval_sim(c, fams(1, [2]))
+        sim.SimCell(c.span, c.src, c.dst, *corrupt(c, beta={(0, 2, 1): 0}))
+    with pytest.raises(TypeError):
+        c.beta[0, 2, 1] = 0
+    assert sim.eval_sim(c, fams(1, [2])).is_iso()
 
 
 def test_prefix_cell_valid_and_natural():

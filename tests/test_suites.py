@@ -1,6 +1,8 @@
 """The named law suites: registry behavior, determinism, and a green run
 for every cheap suite (the heavy ones are exercised by the acceptance
 tests and get a reduced-size run here)."""
+from pathlib import Path
+
 import pytest
 
 from polycat import suites
@@ -18,6 +20,9 @@ CHEAP = [
     "kernel-witnesses",
     "naturality",
 ]
+
+# the check-laws --seed 0 report of every suite, byte for byte
+GOLDEN = Path(__file__).parent / "golden" / "check-laws-seed0"
 
 
 def test_registry_names_are_stable():
@@ -38,6 +43,10 @@ def test_registry_names_are_stable():
     ]
 
 
+def test_golden_reports_cover_every_suite():
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(suites.suite_names())
+
+
 def test_unknown_suite_is_rejected():
     with pytest.raises(ValidationError):
         suites.run_suite("no-such-suite")
@@ -48,6 +57,7 @@ def test_cheap_suites_pass_at_default_seed(name):
     rep = suites.run_suite(name, 0)
     assert isinstance(rep, Report)
     assert rep.ok, rep.render()
+    assert rep.render() + "\n" == (GOLDEN / f"{name}.txt").read_text()
 
 
 def test_composition_suite_reduced():

@@ -186,9 +186,6 @@ class Pullback:
         # allows unpacking as (carrier, left, right)
         return iter((self.carrier, self.left, self.right))
 
-    def index(self, x: int, y: int) -> int:
-        return self.pairs.index((x, y))
-
 
 def pullback(f: FinMap, g: FinMap) -> Pullback:
     if f.cod != g.cod:
@@ -337,14 +334,4 @@ def index_of_map(f: FinMap) -> int:
     k = 0
     for y in f.table:
         k = k * f.cod.size + y
-    return k
-
-
-def tuple_index(choices: tuple[int, ...], radices: tuple[int, ...]) -> int:
-    """Rank of a mixed-radix tuple in itertools.product order."""
-    assert len(choices) == len(radices)
-    k = 0
-    for c, r in zip(choices, radices):
-        assert 0 <= c < r
-        k = k * r + c
     return k

@@ -9,7 +9,7 @@ from . import fam, poly
 from .fam import Family, Span
 from .finset import FinMap, FinSet
 from .poly import PolyDiagram
-from .sim import SimCell, cell_pairs, entry_options
+from .sim import SimCell, cell_pairs, entry_options, require_endo
 
 __all__ = [
     "random_family",
@@ -72,7 +72,7 @@ def random_sim_cell(rng: random.Random, p1: PolyDiagram, p2: PolyDiagram,
                     max_states: int = 2, attempts: int = 40) -> SimCell | None:
     """A uniformly sampled valid cell over a random span, or None when no
     sampled span admits one."""
-    assert p1.is_endo() and p2.is_endo()
+    require_endo(p1, p2)
     for _ in range(attempts):
         span = random_span(rng, p1.source, p2.source, max_states)
         alpha: dict = {}

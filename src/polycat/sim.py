@@ -20,6 +20,11 @@ SimCell checks them once, when it is built, and its tables are
 read-only, so every cell is valid. Evaluation turns a cell into a
 natural family of morphisms relating the two extensions across the
 span's sum lift.
+
+Parallel cells add: sum_sim takes the coproduct of their spans, and
+zero_sim, the empty span, is its unit. On a sum of diagrams only the
+injections and projections are built by hand; pairing, copairing and
+decomposition are composites with them, added by sum_sim.
 """
 from __future__ import annotations
 
@@ -39,11 +44,13 @@ from .report import Report
 __all__ = [
     "Span",
     "SimCell",
+    "require_endo",
     "cell_pairs",
     "entry_options",
     "validate",
     "identity_sim",
     "zero_sim",
+    "sum_sim",
     "compose_sim",
     "eval_sim",
     "sim_naturality_check",
@@ -55,6 +62,13 @@ __all__ = [
     "PlusStructure",
     "plus_structure",
 ]
+
+
+def require_endo(*diagrams: PolyDiagram) -> None:
+    """Raise ValidationError unless every diagram is endo: simulations
+    relate endo diagrams only."""
+    if not all(p.is_endo() for p in diagrams):
+        raise ValidationError("simulations relate endo diagrams")
 
 
 def cell_pairs(span: Span, src: PolyDiagram) -> list[tuple[int, int]]:
@@ -86,8 +100,7 @@ class SimCell:
     def __post_init__(self) -> None:
         span, src, dst = self.span, self.src, self.dst
         alpha, beta, gamma = self.alpha, self.beta, self.gamma
-        if not (src.is_endo() and dst.is_endo()):
-            raise ValidationError("simulations relate endo diagrams")
+        require_endo(src, dst)
         if span.left.cod != src.source or span.right.cod != dst.source:
             raise ShapeMismatch("span legs must land in the two sort sets")
         pairs = cell_pairs(span, src)
@@ -154,7 +167,7 @@ def validate(c: SimCell) -> Report:
 
 def identity_sim(p: PolyDiagram) -> SimCell:
     """The identity simulation: the diagonal span, every table a copy."""
-    assert p.is_endo()
+    require_endo(p)
     ident = finset.identity(p.source)
     span = Span(p.source, ident, ident)
     alpha = {(i, v): v for i, v in cell_pairs(span, p)}
@@ -172,6 +185,25 @@ def zero_sim(src: PolyDiagram, dst: PolyDiagram) -> SimCell:
     empty = FinSet(0)
     span = Span(empty, FinMap(empty, src.source, ()), FinMap(empty, dst.source, ()))
     return SimCell(span, src, dst, {}, {}, {})
+
+
+def sum_sim(c1: SimCell, c2: SimCell) -> SimCell:
+    """The sum of two parallel cells: the coproduct of their spans, each
+    state keeping its own table entries, c2's states (and its successor
+    states) shifted past c1's. zero_sim is its unit."""
+    if c1.src != c2.src or c1.dst != c2.dst:
+        raise ShapeMismatch("summing needs cells between the same diagrams")
+    cop = finset.coproduct(c1.span.carrier, c2.span.carrier)
+    span = Span(cop.carrier, finset.copair(c1.span.left, c2.span.left, cop),
+                finset.copair(c1.span.right, c2.span.right, cop))
+    n = c1.span.carrier.size
+    alpha = dict(c1.alpha)
+    alpha.update({(rho + n, v): w for (rho, v), w in c2.alpha.items()})
+    beta = dict(c1.beta)
+    beta.update({(rho + n, v, u): b for (rho, v, u), b in c2.beta.items()})
+    gamma = dict(c1.gamma)
+    gamma.update({(rho + n, v, u): g + n for (rho, v, u), g in c2.gamma.items()})
+    return SimCell(span, c1.src, c1.dst, alpha, beta, gamma)
 
 
 def compose_sim(c2: SimCell, c1: SimCell) -> SimCell:
@@ -242,7 +274,7 @@ def extract_sim(oracle, span: Span, p1: PolyDiagram, p2: PolyDiagram) -> SimCell
     """Read the cell tables off a black-box component assignment by
     probing each (state, shape) pair at the shape's representing family,
     then verify the round trip on every family with fibers at most 3."""
-    assert p1.is_endo() and p2.is_endo()
+    require_endo(p1, p2)
     if span.left.cod != p1.source or span.right.cod != p2.source:
         raise ShapeMismatch("span legs must land in the two sort sets")
     au = au_lift(span)
@@ -296,7 +328,7 @@ def count_sim(p1: PolyDiagram, p2: PolyDiagram, span: Span) -> int:
     No guard: the count is a product of per-pair weights and is safe to
     compute even when enumerating the cells themselves would not be.
     """
-    assert p1.is_endo() and p2.is_endo()
+    require_endo(p1, p2)
     total = 1
     for rho, v in cell_pairs(span, p1):
         weight = 0
@@ -337,7 +369,7 @@ def random_cell(rng, p1: PolyDiagram, p2: PolyDiagram, span: Span) -> SimCell | 
     its own options; useful for spot-checking laws on instances whose
     full cell space is too large to enumerate.
     """
-    assert p1.is_endo() and p2.is_endo()
+    require_endo(p1, p2)
     pairs = cell_pairs(span, p1)
     alpha: dict = {}
     beta: dict = {}
@@ -357,7 +389,7 @@ def enumerate_sim(p1: PolyDiagram, p2: PolyDiagram, span: Span) -> list[SimCell]
     """All valid cells over the given span: per (state, shape) pair, a
     choice of assigned shape plus a full direction/state table for it.
     The exact cell count is computed up front and guarded."""
-    assert p1.is_endo() and p2.is_endo()
+    require_endo(p1, p2)
     pairs = cell_pairs(span, p1)
     check_guard(count_sim(p1, p2, span), "cell search space")
     per_pair = [_pair_choices(p1, p2, span, rho, v) for rho, v in pairs]
@@ -541,10 +573,13 @@ def au_du_adjunction_check(r: Span, y: Family, z: Family) -> Report:
 
 class PlusStructure:
     """Injections, projections, pairing and copairing for a sum of endo
-    diagrams, all as simulation cells."""
+    diagrams, all as simulation cells. Pairing and copairing are derived
+    as in any additive category: <c1, c2> = inl . c1 + inr . c2 and
+    [d1, d2] = d1 . proj1 + d2 . proj2, with compose_sim for . and
+    sum_sim for +."""
 
     def __init__(self, p1: PolyDiagram, p2: PolyDiagram):
-        assert p1.is_endo() and p2.is_endo()
+        require_endo(p1, p2)
         self.p1 = p1
         self.p2 = p2
         self.sum = poly.plus(p1, p2)
@@ -554,7 +589,6 @@ class PlusStructure:
         embed2 = FinMap(p2.source, total, tuple(range(n1, n1 + n2)))
         self._shape_shift = p1.shapes.size
         self._dir_shift = p1.dirs.size
-        self._sort_shift = n1
         self.inl = self._injection(p1, embed1, left=True)
         self.inr = self._injection(p2, embed2, left=False)
         self.proj1 = self._projection(p1, embed1, left=True)
@@ -592,115 +626,29 @@ class PlusStructure:
         return SimCell(span, self.sum, p, alpha, beta, gamma)
 
     def pair(self, c1: SimCell, c2: SimCell) -> SimCell:
-        """The cell into the sum determined by cells into both parts."""
+        """The cell into the sum determined by cells into both parts:
+        inl . c1 + inr . c2."""
         if c1.src != c2.src:
             raise ShapeMismatch("pairing needs cells out of a common diagram")
         if c1.dst != self.p1 or c2.dst != self.p2:
             raise ShapeMismatch("pairing needs cells into the two parts")
-        q = c1.src
-        cop = finset.coproduct(c1.span.carrier, c2.span.carrier)
-        left = finset.copair(c1.span.left, c2.span.left, cop)
-        right = finset.copair(
-            c1.span.right.then(FinMap(self.p1.source, self.sum.source,
-                                      tuple(range(self.p1.source.size)))),
-            c2.span.right.then(FinMap(self.p2.source, self.sum.source,
-                                      tuple(range(self._sort_shift,
-                                                  self.sum.source.size)))),
-            cop,
-        )
-        span = Span(cop.carrier, left, right)
-        shift = c1.span.carrier.size
-        alpha = {}
-        beta = {}
-        gamma = {}
-        for rho, v in cell_pairs(span, q):
-            if rho < shift:
-                w = c1.alpha[rho, v]
-                alpha[rho, v] = w
-                for u2 in self.p1.shape_fiber(w):
-                    beta[rho, v, u2] = c1.beta[rho, v, u2]
-                    gamma[rho, v, u2] = c1.gamma[rho, v, u2]
-            else:
-                w = c2.alpha[rho - shift, v] + self._shape_shift
-                alpha[rho, v] = w
-                for u2 in self.sum.shape_fiber(w):
-                    u = u2 - self._dir_shift
-                    beta[rho, v, u2] = c2.beta[rho - shift, v, u]
-                    gamma[rho, v, u2] = c2.gamma[rho - shift, v, u] + shift
-        return SimCell(span, q, self.sum, alpha, beta, gamma)
+        return sum_sim(compose_sim(self.inl, c1), compose_sim(self.inr, c2))
 
     def copair(self, c1: SimCell, c2: SimCell) -> SimCell:
-        """The cell out of the sum determined by cells out of both parts."""
+        """The cell out of the sum determined by cells out of both parts:
+        c1 . proj1 + c2 . proj2."""
         if c1.dst != c2.dst:
             raise ShapeMismatch("copairing needs cells into a common diagram")
         if c1.src != self.p1 or c2.src != self.p2:
             raise ShapeMismatch("copairing needs cells out of the two parts")
-        q = c1.dst
-        cop = finset.coproduct(c1.span.carrier, c2.span.carrier)
-        left = finset.copair(
-            c1.span.left.then(FinMap(self.p1.source, self.sum.source,
-                                     tuple(range(self.p1.source.size)))),
-            c2.span.left.then(FinMap(self.p2.source, self.sum.source,
-                                     tuple(range(self._sort_shift,
-                                                 self.sum.source.size)))),
-            cop,
-        )
-        right = finset.copair(c1.span.right, c2.span.right, cop)
-        span = Span(cop.carrier, left, right)
-        shift = c1.span.carrier.size
-        alpha = {}
-        beta = {}
-        gamma = {}
-        for rho, w in cell_pairs(span, self.sum):
-            if rho < shift:
-                v = w  # a left-part shape, unshifted in the sum
-                alpha[rho, w] = c1.alpha[rho, v]
-                for u in q.shape_fiber(alpha[rho, w]):
-                    beta[rho, w, u] = c1.beta[rho, v, u]
-                    gamma[rho, w, u] = c1.gamma[rho, v, u]
-            else:
-                v = w - self._shape_shift
-                alpha[rho, w] = c2.alpha[rho - shift, v]
-                for u in q.shape_fiber(alpha[rho, w]):
-                    beta[rho, w, u] = c2.beta[rho - shift, v, u] + self._dir_shift
-                    gamma[rho, w, u] = c2.gamma[rho - shift, v, u] + shift
-        return SimCell(span, self.sum, q, alpha, beta, gamma)
+        return sum_sim(compose_sim(c1, self.proj1), compose_sim(c2, self.proj2))
 
     def decompose(self, c: SimCell) -> tuple[SimCell, SimCell]:
-        """Split a cell out of the sum by which part each state's left
-        end lands in; copairing the parts recovers the cell up to
-        equivalence."""
+        """The restrictions c . inl and c . inr of a cell out of the sum;
+        copairing them recovers the cell up to equivalence."""
         if c.src != self.sum:
             raise ShapeMismatch("decomposition needs a cell out of the sum")
-        out = []
-        for part, p, vs, us in (
-            (0, self.p1, 0, 0),
-            (1, self.p2, self._shape_shift, self._dir_shift),
-        ):
-            keep = [rho for rho in c.span.carrier
-                    if (c.span.left(rho) >= self._sort_shift) == bool(part)]
-            renumber = {rho: k for k, rho in enumerate(keep)}
-            carrier = FinSet(len(keep))
-            left = FinMap(carrier, p.source,
-                          tuple(c.span.left(rho) - part * self._sort_shift
-                                for rho in keep))
-            right = FinMap(carrier, c.dst.source,
-                           tuple(c.span.right(rho) for rho in keep))
-            span = Span(carrier, left, right)
-            alpha = {}
-            beta = {}
-            gamma = {}
-            for rho in keep:
-                for w in self.sum.shapes:
-                    if self.sum.shape_sort(w) != c.span.left(rho):
-                        continue
-                    v = w - vs
-                    alpha[renumber[rho], v] = c.alpha[rho, w]
-                    for u in c.dst.shape_fiber(c.alpha[rho, w]):
-                        beta[renumber[rho], v, u] = c.beta[rho, w, u] - us
-                        gamma[renumber[rho], v, u] = renumber[c.gamma[rho, w, u]]
-            out.append(SimCell(span, p, c.dst, alpha, beta, gamma))
-        return out[0], out[1]
+        return compose_sim(c, self.inl), compose_sim(c, self.inr)
 
 
 def plus_structure(p1: PolyDiagram, p2: PolyDiagram) -> PlusStructure:

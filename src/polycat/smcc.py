@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 
 from . import fam, finset, nat, poly
 from .errors import OracleNotNatural, ShapeMismatch, ValidationError
@@ -336,31 +337,18 @@ def adjunction_count_check(p1: PolyDiagram, p2: PolyDiagram, p3: PolyDiagram,
 # the coend oracle
 
 
+@dataclass(frozen=True)
 class RectangleDecomposition:
     """Canonical coend representative of one element of the tensor's
     value: the two direction fibers as skeleton sets, the pairing map
     from their product into the family, and the two generic elements
     (identity payloads at the named shapes)."""
 
-    def __init__(self, left_shape: int, right_shape: int, left_size: int,
-                 right_size: int, pairing: tuple):
-        self.left_shape = left_shape
-        self.right_shape = right_shape
-        self.left_size = left_size
-        self.right_size = right_size
-        self.pairing = pairing
-
-    def _key(self):
-        return (self.left_shape, self.right_shape, self.left_size,
-                self.right_size, self.pairing)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RectangleDecomposition):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    left_shape: int
+    right_shape: int
+    left_size: int
+    right_size: int
+    pairing: tuple
 
     def __repr__(self) -> str:
         return (f"RectangleDecomposition(shapes=({self.left_shape}, "
@@ -408,7 +396,8 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
     argument: every tuple reduces along its own payloads (two generator
     steps) to a canonical rectangle, canonical rectangles decode
     bijectively to extension elements, and the separating comparison is
-    checked to respect a seeded sample of the generating relations."""
+    checked to respect a seeded sample of the generating relations.
+    The skeleton bound is guarded before anything is counted."""
     if not (p1.is_single_sorted() and p2.is_single_sorted()):
         raise ValidationError("the coend oracle is single-sorted only")
     if x.base.size != 1:
@@ -421,6 +410,13 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
             f"skeleton bound {skeleton_bound} is below the largest direction "
             f"fiber {need}")
     s = skeleton_bound
+    # the relation count runs over every triple of skeleton sizes, and both
+    # modes list the elements of both diagrams at every size
+    check_guard((s + 1) ** 3, "coend oracle skeleton size triples")
+    finset.check_guard_sum(
+        (sum(a ** d for d in fibers) for fibers in (fibers1, fibers2)
+         for a in range(s + 1)),
+        "coend oracle skeleton elements")
     nx = x.total.size
     tens = poly.tensor(p1, p2)
     expected = poly.eval_extension(tens, x).total.size

@@ -265,6 +265,21 @@ def test_day_oracle_skeleton_too_small_is_validation_failure(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("--left", "square", "--right", "two-x", "--family", "two", "--skeleton", "100000"),
+    ("--left", "list3", "--right", "list3", "--family", "three", "--skeleton", "99"),
+])
+def test_day_oracle_refuses_large_skeletons_quickly(argv):
+    # in a subprocess, so that a skeleton the guards miss fails on the
+    # timeout instead of hanging the suite
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "polycat.cli", "day-oracle", LIST_DOC, *argv],
+                          capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - start < 2.0
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr.startswith("size guard exceeded:") and done.stderr.count("\n") == 1
+
+
 def test_parse_errors_exit_one(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")

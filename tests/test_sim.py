@@ -228,13 +228,25 @@ def test_cells_and_their_tables_are_read_only():
     assert c == sim.identity_sim(list_diagram()) != sim.identity_sim(ss(1))
 
 
-def test_non_endo_cells_are_validation_errors():
-    p = poly.PolyDiagram(
+@pytest.mark.parametrize("entry", [
+    lambda p, q: sim.SimCell(singleton_span(), p, q, {}, {}, {}),
+    lambda p, q: sim.identity_sim(q),
+    lambda p, q: sim.extract_sim(lambda x: None, singleton_span(), p, q),
+    lambda p, q: sim.count_sim(p, q, singleton_span()),
+    lambda p, q: sim.random_cell(random.Random(0), p, q, singleton_span()),
+    lambda p, q: sim.enumerate_sim(p, q, singleton_span()),
+    lambda p, q: sim.PlusStructure(p, q),
+    lambda p, q: randgen.random_sim_cell(random.Random(0), p, q),
+], ids=["SimCell", "identity_sim", "extract_sim", "count_sim", "random_cell",
+        "enumerate_sim", "PlusStructure", "random_sim_cell"])
+def test_non_endo_cells_are_validation_errors(entry):
+    # the same error under python -O, which strips assert statements
+    q = poly.PolyDiagram(
         source=FinSet(1), dirs=FinSet(0), shapes=FinSet(1), target=FinSet(2),
         dir_sort=fmap(0, 1, ()), dir_shape=fmap(0, 1, ()), shape_sort=fmap(1, 2, (0,)),
     )
     with pytest.raises(ValidationError) as exc:
-        sim.SimCell(singleton_span(), p, p, {}, {}, {})
+        entry(ss(1), q)
     assert str(exc.value) == "simulations relate endo diagrams"
 
 
@@ -741,10 +753,64 @@ def test_zero_is_biproduct_unit():
 def test_pair_copair_endpoint_checks():
     p1, p2 = ss(1), ss(2)
     ps = sim.plus_structure(p1, p2)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeMismatch, match="pairing needs cells out of a common"):
         ps.pair(sim.identity_sim(p1), sim.identity_sim(p2))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeMismatch, match="copairing needs cells into a common"):
         ps.copair(sim.identity_sim(p1), sim.identity_sim(p2))
+    with pytest.raises(ShapeMismatch, match="decomposition needs a cell out of the sum"):
+        ps.decompose(sim.identity_sim(p1))
+    with pytest.raises(ShapeMismatch, match="summing needs cells between the same"):
+        sim.sum_sim(sim.identity_sim(p1), sim.identity_sim(p2))
+
+
+def two_sorted_cells(seed: int, count: int):
+    """Seeded random endo diagrams p, q, r on two sorts with three cells
+    p -> q and two cells q -> r, all over nonempty spans; as many
+    instances as asked for."""
+    rng = random.Random(seed)
+    two = FinSet(2)
+
+    def cell(p, q):
+        for _ in range(10):
+            c = randgen.random_sim_cell(rng, p, q)
+            if c is not None and c.span.carrier.size:
+                return c
+        return None
+
+    out = []
+    while len(out) < count:
+        p, q, r = (randgen.random_diagram(rng, two, two, 3, 2) for _ in range(3))
+        cells = [cell(p, q) for _ in range(3)] + [cell(q, r) for _ in range(2)]
+        if all(c is not None for c in cells):
+            out.append(cells)
+    return out
+
+
+def equivalent(c: sim.SimCell, c2: sim.SimCell) -> bool:
+    return sim.equivalence_check(c, c2) is not None
+
+
+def test_zero_is_the_unit_of_the_sum_of_cells():
+    for c1, *_ in two_sorted_cells(41, 100):
+        zero = sim.zero_sim(c1.src, c1.dst)
+        assert equivalent(sim.sum_sim(zero, c1), c1)
+        assert equivalent(sim.sum_sim(c1, zero), c1)
+
+
+def test_sum_of_cells_is_commutative_and_associative():
+    for c1, c2, c3, _, _ in two_sorted_cells(43, 100):
+        assert equivalent(sim.sum_sim(c1, c2), sim.sum_sim(c2, c1))
+        assert equivalent(sim.sum_sim(sim.sum_sim(c1, c2), c3),
+                          sim.sum_sim(c1, sim.sum_sim(c2, c3)))
+
+
+def test_composition_distributes_over_the_sum_of_cells():
+    compose = sim.compose_sim
+    for c1, c2, _, d1, d2 in two_sorted_cells(47, 100):
+        assert equivalent(compose(d1, sim.sum_sim(c1, c2)),
+                          sim.sum_sim(compose(d1, c1), compose(d1, c2)))
+        assert equivalent(compose(sim.sum_sim(d1, d2), c1),
+                          sim.sum_sim(compose(d1, c1), compose(d2, c1)))
 
 
 # -- the validity/naturality equivalence --------------------------------------

@@ -228,6 +228,16 @@ def test_cells_and_their_tables_are_read_only():
     assert c == sim.identity_sim(list_diagram()) != sim.identity_sim(ss(1))
 
 
+def test_non_endo_cells_are_validation_errors():
+    p = poly.PolyDiagram(
+        source=FinSet(1), dirs=FinSet(0), shapes=FinSet(1), target=FinSet(2),
+        dir_sort=fmap(0, 1, ()), dir_shape=fmap(0, 1, ()), shape_sort=fmap(1, 2, (0,)),
+    )
+    with pytest.raises(ValidationError) as exc:
+        sim.SimCell(singleton_span(), p, p, {}, {}, {})
+    assert str(exc.value) == "simulations relate endo diagrams"
+
+
 @pytest.mark.parametrize("entry", [
     lambda p, q: sim.SimCell(singleton_span(), p, q, {}, {}, {}),
     lambda p, q: sim.identity_sim(q),
@@ -239,7 +249,7 @@ def test_cells_and_their_tables_are_read_only():
     lambda p, q: randgen.random_sim_cell(random.Random(0), p, q),
 ], ids=["SimCell", "identity_sim", "extract_sim", "count_sim", "random_cell",
         "enumerate_sim", "PlusStructure", "random_sim_cell"])
-def test_non_endo_cells_are_validation_errors(entry):
+def test_non_endo_cells_are_validation_errors_at_every_entry(entry):
     # the same error under python -O, which strips assert statements
     q = poly.PolyDiagram(
         source=FinSet(1), dirs=FinSet(0), shapes=FinSet(1), target=FinSet(2),

@@ -17,7 +17,7 @@ from . import fam, finset, nat, poly, sim, smcc, suites
 from .errors import (OracleNotNatural, ParseError, SizeGuardExceeded,
                      ValidationError)
 from .poly import PolyDiagram
-from .report import Report
+from .report import Report, decimal
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,18 +132,6 @@ def _describe(p: PolyDiagram) -> str:
             f"({p.source.size} sorts -> {p.target.size} sorts)")
 
 
-def _decimal(n: int) -> str:
-    """The exact decimal digits of a count. str() refuses integers of
-    more than 4300 digits, so the digits are made 4000 at a time."""
-    chunk = 10**4000
-    parts = []
-    while n >= chunk:
-        n, low = divmod(n, chunk)
-        parts.append(str(low).zfill(4000))
-    parts.append(str(n))
-    return "".join(reversed(parts))
-
-
 def _print_json(tree) -> None:
     print(json.dumps(tree, indent=2, sort_keys=True))
 
@@ -248,7 +236,7 @@ def _run(args: argparse.Namespace) -> int:
 
     if command == "count-nat":
         n = nat.count_nat(document.diagram(args.src), document.diagram(args.dst))
-        print(f"natural transformations: {_decimal(n)}")
+        print(f"natural transformations: {decimal(n)}")
         return 0
 
     if command == "iso-check":
@@ -291,8 +279,8 @@ def _run(args: argparse.Namespace) -> int:
         h = poly.hom_single_sorted(p2, p3)
         n_left = nat.count_nat(tens, p3)
         n_right = nat.count_nat(p1, h)
-        print(f"transformations: {_decimal(n_left)} out of the tensor, "
-              f"{_decimal(n_right)} into the hom")
+        print(f"transformations: {decimal(n_left)} out of the tensor, "
+              f"{decimal(n_right)} into the hom")
         if n_left != n_right:
             print("counts differ: LAW VIOLATION")
             return 4
@@ -300,10 +288,10 @@ def _run(args: argparse.Namespace) -> int:
             print("nothing to curry")
             return 0
         if not 0 <= args.index < n_left:
-            raise ValidationError(f"--index must be in 0..{_decimal(n_left - 1)}")
+            raise ValidationError(f"--index must be in 0..{decimal(n_left - 1)}")
         if n_left > args.limit:
             raise SizeGuardExceeded(
-                f"{_decimal(n_left)} transformations exceed the enumeration limit {args.limit}")
+                f"{decimal(n_left)} transformations exceed the enumeration limit {args.limit}")
         m = nat.enumerate_dm(tens, p3)[args.index]
         curried = smcc.curry_dm(m, p1, p2, p3)
         position = nat.enumerate_dm(p1, h).index(curried)

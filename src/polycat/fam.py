@@ -104,6 +104,61 @@ def identity_morphism(x: Family) -> FamMorphism:
     return FamMorphism(x, x, finset.identity(x.total))
 
 
+# ---------------------------------------------------------------------------
+# a presentation of the skeleton of finite sets
+
+
+def elementary_maps(bound: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The generators of the maps between the sets 0..n-1 with n <= bound,
+    as (n, m, table) for a map from an n-set to an m-set: each coface
+    n -> n+1 (skip one point), each codegeneracy n+1 -> n (merge two
+    adjacent points) and each adjacent transposition n -> n.
+
+    Every map between sets of size at most the bound is a composite of
+    these through sets of size at most the bound: it is a permutation
+    that sorts the domain by value, then a monotone surjection onto its
+    image, then a monotone injection (the simplicial presentation, Mac
+    Lane, Categories for the Working Mathematician, VII.5, with the
+    symmetric groups added). An identity is the empty composite."""
+    out: list[tuple[int, int, tuple[int, ...]]] = []
+    for n in range(bound):
+        for i in range(n + 1):
+            out.append((n, n + 1, tuple(t if t < i else t + 1 for t in range(n))))
+    for n in range(1, bound):
+        for i in range(n):
+            out.append((n + 1, n, tuple(t if t <= i else t - 1 for t in range(n + 1))))
+    for n in range(2, bound + 1):
+        for i in range(n - 1):
+            table = list(range(n))
+            table[i], table[i + 1] = i + 1, i
+            out.append((n, n, tuple(table)))
+    return out
+
+
+def generating_morphisms(base: FinSet, bound: int) -> list[FamMorphism]:
+    """Generators of the morphisms between block families over base with
+    every fiber of size at most the bound: an elementary map on one
+    sort's fiber and the identity on every other fiber, for every choice
+    of the other fibers' sizes. Every morphism between such families is
+    a composite of these through such families, one fiber at a time.
+    Guarded."""
+    maps = elementary_maps(bound)
+    check_guard(base.size * len(maps) * (bound + 1) ** max(base.size - 1, 0),
+                "generating family morphisms")
+    out: list[FamMorphism] = []
+    for b in range(base.size):
+        for others in itertools.product(range(bound + 1), repeat=base.size - 1):
+            before, after = others[:b], others[b:]
+            offset = sum(before)
+            for n, m, f in maps:
+                src = family_from_fibers(base, (*before, n, *after))
+                dst = family_from_fibers(base, (*before, m, *after))
+                table = (*range(offset), *(offset + t for t in f),
+                         *range(offset + m, offset + m + sum(after)))
+                out.append(FamMorphism(src, dst, FinMap(src.total, dst.total, table)))
+    return out
+
+
 @dataclass(frozen=True)
 class FamIso:
     """A verified invertible family morphism (both directions stored)."""

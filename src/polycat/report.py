@@ -1,4 +1,5 @@
-"""Plain-text check reports with a stable rendering for golden tests."""
+"""Plain-text check reports with a stable rendering for golden tests, and
+the exact decimal digits of a count of any size."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -23,6 +24,18 @@ class Report:
 
     def __str__(self) -> str:
         return self.render()
+
+
+def decimal(n: int) -> str:
+    """The exact decimal digits of a count. str() refuses integers of
+    more than 4300 digits, so the digits are made 4000 at a time."""
+    chunk = 10**4000
+    parts = []
+    while n >= chunk:
+        n, low = divmod(n, chunk)
+        parts.append(str(low).zfill(4000))
+    parts.append(str(n))
+    return "".join(reversed(parts))
 
 
 def merge(title: str, parts: list[Report]) -> Report:

@@ -16,7 +16,7 @@ from .errors import OracleNotNatural, ShapeMismatch, ValidationError
 from .fam import FamMorphism, Family
 from .finset import FinMap, FinSet, check_guard
 from .poly import DiagMorphism, PolyDiagram
-from .report import Report
+from .report import Report, decimal
 
 __all__ = [
     "epsilon",
@@ -101,20 +101,28 @@ def epsilon_naturality_check(p1: PolyDiagram, p2: PolyDiagram, bound: int) -> Re
 
 def _check_rho_natural(rho, p1: PolyDiagram, p2: PolyDiagram,
                        f_diag: PolyDiagram, bound: int) -> None:
-    tens = poly.tensor(p1, p2)
-    fs = _base_morphisms(p1.source, bound)
-    gs = _base_morphisms(p2.source, bound)
-    check_guard(len(fs) * len(gs), "binaturality square count")
-    for f in fs:
-        for g in gs:
-            lhs = fam.box_morphism(
-                poly.extension_map(p1, f), poly.extension_map(p2, g)
-            ).then(rho(f.dst, g.dst))
-            rhs = rho(f.src, g.src).then(
-                poly.extension_map(f_diag, fam.box_morphism(f, g))
-            )
-            if lhs.map.table != rhs.map.table:
-                raise OracleNotNatural("rho not natural")
+    """Raise OracleNotNatural unless rho is binatural on the families with
+    fibers at most the bound. Squares paste: the square of (f, g) is the
+    square of (f, id) beside the square of (id, g), and the square of a
+    composite is the squares of its factors side by side. So only the
+    squares (f, id_y) and (id_x, g) with f and g generating morphisms
+    are checked."""
+    xs = list(fam.families_up_to(p1.source, bound))
+    ys = list(fam.families_up_to(p2.source, bound))
+    fs = fam.generating_morphisms(p1.source, bound)
+    gs = fam.generating_morphisms(p2.source, bound)
+    check_guard(len(fs) * len(ys) + len(xs) * len(gs), "binaturality square count")
+    squares = [(f, fam.identity_morphism(y)) for f in fs for y in ys]
+    squares += [(fam.identity_morphism(x), g) for x in xs for g in gs]
+    for f, g in squares:
+        lhs = fam.box_morphism(
+            poly.extension_map(p1, f), poly.extension_map(p2, g)
+        ).then(rho(f.dst, g.dst))
+        rhs = rho(f.src, g.src).then(
+            poly.extension_map(f_diag, fam.box_morphism(f, g))
+        )
+        if lhs.map.table != rhs.map.table:
+            raise OracleNotNatural("rho not natural")
 
 
 def theta(rho, p1: PolyDiagram, p2: PolyDiagram, f_diag: PolyDiagram,
@@ -122,7 +130,9 @@ def theta(rho, p1: PolyDiagram, p2: PolyDiagram, f_diag: PolyDiagram,
     """The mediating component at r induced by a binatural family rho:
     probe rho at the representing families of the two shapes, then push
     the result forward along the payload map. rho's naturality is
-    verified post hoc at fiber bound 2 unless disabled."""
+    verified post hoc at fiber bound 2 unless disabled, on the squares of
+    the generating morphisms only: naturality squares paste, so these
+    give every square between families with fibers at most 2."""
     tens = poly.tensor(p1, p2)
     if f_diag.source != tens.source or f_diag.target != tens.target:
         raise ShapeMismatch("target diagram must share the tensor's sorts")
@@ -389,10 +399,16 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
     """Compute the tensor's value at x from first principles, as the
     quotient of all (set, set, pairing, element, element) tuples over the
     finite skeleton by the relations generated by single morphism steps
-    in either set argument.
+    in either set argument. The report counts the tuples and the
+    generating relations, one for every map of the skeleton, in closed
+    form.
 
     Small instances are materialized and quotiented exactly by
-    union-find. Large instances are handled by the factorization
+    union-find. The union runs over the relations of the elementary maps
+    only (cofaces, codegeneracies and adjacent transpositions, see
+    `fam.elementary_maps`): relations chain along a composite, and every
+    map of the skeleton is a composite of elementary maps, so the classes
+    are the same. Large instances are handled by the factorization
     argument: every tuple reduces along its own payloads (two generator
     steps) to a canonical rectangle, canonical rectangles decode
     bijectively to extension elements, and the separating comparison is
@@ -410,8 +426,8 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
             f"skeleton bound {skeleton_bound} is below the largest direction "
             f"fiber {need}")
     s = skeleton_bound
-    # the relation count runs over every triple of skeleton sizes, and both
-    # modes list the elements of both diagrams at every size
+    # the counts multiply numbers of up to s^2 log(nx) digits about s^2
+    # times, and both modes list the elements of both diagrams at every size
     check_guard((s + 1) ** 3, "coend oracle skeleton size triples")
     finset.check_guard_sum(
         (sum(a ** d for d in fibers) for fibers in (fibers1, fibers2)
@@ -422,19 +438,14 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
     expected = poly.eval_extension(tens, x).total.size
     p1_counts = [sum(a ** d for d in fibers1) for a in range(s + 1)]
     p2_counts = [sum(b ** d for d in fibers2) for b in range(s + 1)]
-    tuple_counts = {
-        (a, b): nx ** (a * b) * p1_counts[a] * p2_counts[b]
-        for a in range(s + 1) for b in range(s + 1)
-    }
-    total_tuples = sum(tuple_counts.values())
-    gen_total = 0
-    for a in range(s + 1):
-        for a2 in range(s + 1):
-            for b in range(s + 1):
-                gen_total += (a2 ** a) * (nx ** (a2 * b)) \
-                    * p1_counts[a] * p2_counts[b]
-                gen_total += (a2 ** b) * (nx ** (a * a2)) \
-                    * p1_counts[a] * p2_counts[b]
+    # tuples at sizes (a, b): nx^(a b) P1[a] P2[b]; relations along a map
+    # a -> a2 on the left: a2^a nx^(a2 b) P1[a] P2[b], and the mirror term.
+    # Summed with P1 and P2 as polynomials in the skeleton size:
+    total_tuples = sum(p1_counts[a] * _horner(p2_counts, nx ** a)
+                       for a in range(s + 1))
+    gen_total = sum(_horner(p1_counts, a2) * _horner(p2_counts, nx ** a2)
+                    + _horner(p2_counts, a2) * _horner(p1_counts, nx ** a2)
+                    for a2 in range(s + 1))
 
     def cocone(a, b, phi, e1, e2):
         v1, pay1 = e1
@@ -443,11 +454,16 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
                 tuple(phi[i * b + j] for i in pay1 for j in pay2))
 
     rects = rectangle_decomposition(p1, p2, x)
-    lines = [f"skeleton 0..{s}: {total_tuples} tuples, "
-             f"{gen_total} generating relations"]
+    lines = [f"skeleton 0..{s}: {decimal(total_tuples)} tuples, "
+             f"{decimal(gen_total)} generating relations"]
     if total_tuples <= budget and gen_total <= 10 * budget:
-        classes, canon_ok = _coend_exact(
-            p1, p2, x, s, nx, p1_counts, p2_counts, tuple_counts, rects)
+        roots, number = _coend_exact(p1, p2, s, nx)
+        classes = sum(1 for k, root in enumerate(roots) if k == root)
+        found = {roots[number(r.left_size, r.right_size, r.pairing,
+                              (r.left_shape, tuple(range(r.left_size))),
+                              (r.right_shape, tuple(range(r.right_size))))]
+                 for r in rects}
+        canon_ok = len(found) == len(rects) == classes
         lines.append("mode: exact union-find over all tuples")
         lines.append(f"equivalence classes: {classes}; extension elements: {expected}")
         lines.append("each class contains exactly one canonical rectangle: "
@@ -463,7 +479,8 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
         reductions_ok = True
         reduced = 0
         rect_set = set(rects)
-        weighted = [ab for ab, cnt in tuple_counts.items() if cnt > 0]
+        weighted = [(a, b) for a in range(s + 1) for b in range(s + 1)
+                    if p1_counts[a] * p2_counts[b] > 0 and (nx > 0 or a * b == 0)]
         for _ in range(samples if weighted else 0):
             a, b = rng.choice(weighted)
             if not elems1[a] or not elems2[b]:
@@ -541,25 +558,48 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
     return Report("coend oracle", bool(ok), tuple(lines))
 
 
-def _coend_exact(p1, p2, x, s, nx, p1_counts, p2_counts, tuple_counts, rects):
-    """Materialize the skeleton tuples, union over all generating
-    relations, count classes, and locate every canonical rectangle."""
-    elems1 = {a: _set_elements(p1, a) for a in range(s + 1)}
-    elems1_index = {a: {e: k for k, e in enumerate(elems1[a])} for a in elems1}
-    elems2 = {b: _set_elements(p2, b) for b in range(s + 1)}
-    elems2_index = {b: {e: k for k, e in enumerate(elems2[b])} for b in elems2}
+def _horner(coefficients: list[int], z: int) -> int:
+    """The polynomial with the given coefficients (constant term first)
+    at z."""
+    value = 0
+    for c in reversed(coefficients):
+        value = value * z + c
+    return value
+
+
+def _coend_exact(p1, p2, s, nx):
+    """Materialize the skeleton tuples (a, b, phi, e1, e2) and union them
+    along the generating relations of the elementary maps only
+    (`fam.elementary_maps`). Relations chain: the relation along a
+    composite map joins the same two tuples as the relations along its
+    factors in turn, and every map between sets of size at most s is a
+    composite of elementary maps through such sets. So the classes are
+    the classes of the relations along every map.
+
+    Returns the representative of every tuple's class, and the function
+    that numbers a tuple (a, b, phi, e1, e2), with e1 and e2 elements of
+    the two diagrams' values at a and at b. Tuples are numbered by the
+    sizes (a, b) in lexicographic order, then by phi as a base-nx
+    numeral, then by the positions of e1 and e2 in `_set_elements`."""
+    elems1 = [_set_elements(p1, a) for a in range(s + 1)]
+    elems2 = [_set_elements(p2, b) for b in range(s + 1)]
+    index1 = [{e: k for k, e in enumerate(es)} for es in elems1]
+    index2 = [{e: k for k, e in enumerate(es)} for es in elems2]
+    n1 = [len(es) for es in elems1]
+    n2 = [len(es) for es in elems2]
     offsets = {}
     total = 0
     for a in range(s + 1):
         for b in range(s + 1):
             offsets[a, b] = total
-            total += tuple_counts[a, b]
+            total += nx ** (a * b) * n1[a] * n2[b]
 
-    def tuple_index(a, b, phi, e1k, e2k):
-        phi_idx = 0
+    def first(a, b, phi):
+        # the number of the first tuple with sizes (a, b) and pairing phi
+        k = 0
         for entry in phi:
-            phi_idx = phi_idx * nx + entry
-        return offsets[a, b] + (phi_idx * p1_counts[a] + e1k) * p2_counts[b] + e2k
+            k = k * nx + entry
+        return offsets[a, b] + k * n1[a] * n2[b]
 
     parent = list(range(total))
 
@@ -574,39 +614,34 @@ def _coend_exact(p1, p2, x, s, nx, p1_counts, p2_counts, tuple_counts, rects):
         if ri != rj:
             parent[ri] = rj
 
-    for a in range(s + 1):
-        for a2 in range(s + 1):
-            for b in range(s + 1):
-                if p1_counts[a] == 0 or p2_counts[b] == 0:
-                    continue
-                for f in itertools.product(range(a2), repeat=a):
-                    for phi2 in itertools.product(range(nx), repeat=a2 * b):
-                        pulled = tuple(phi2[f[i] * b + j]
-                                       for i in range(a) for j in range(b))
-                        for e1k, (v1, pay1) in enumerate(elems1[a]):
-                            pushed = elems1_index[a2][(v1, tuple(f[t] for t in pay1))]
-                            for e2k in range(p2_counts[b]):
-                                union(tuple_index(a2, b, phi2, pushed, e2k),
-                                      tuple_index(a, b, pulled, e1k, e2k))
-                for g in itertools.product(range(a2), repeat=b):
-                    for phi2 in itertools.product(range(nx), repeat=a * a2):
-                        pulled = tuple(phi2[i * a2 + g[j]]
-                                       for i in range(a) for j in range(b))
-                        for e2k, (v2, pay2) in enumerate(elems2[b]):
-                            pushed = elems2_index[a2][(v2, tuple(g[t] for t in pay2))]
-                            for e1k in range(p1_counts[a]):
-                                union(tuple_index(a, a2, phi2, e1k, pushed),
-                                      tuple_index(a, b, pulled, e1k, e2k))
-    classes = sum(1 for k in range(total) if find(k) == k)
-    roots = set()
-    for rect in rects:
-        a = rect.left_size
-        b = rect.right_size
-        e1k = elems1_index[a][(rect.left_shape, tuple(range(a)))]
-        e2k = elems2_index[b][(rect.right_shape, tuple(range(b)))]
-        roots.add(find(tuple_index(a, b, rect.pairing, e1k, e2k)))
-    canon_ok = len(roots) == len(rects) == classes
-    return classes, canon_ok
+    for n, m, f in fam.elementary_maps(s):
+        # f on the left set: (m, b, phi2, f e1, e2) ~ (n, b, phi2 (f x 1), e1, e2)
+        pushed1 = [index1[m][(v, tuple(f[t] for t in pay))] for v, pay in elems1[n]]
+        for b in range(s + 1):
+            if not pushed1 or not n2[b]:
+                continue
+            for phi2 in itertools.product(range(nx), repeat=m * b):
+                pulled = tuple(phi2[f[i] * b + j] for i in range(n) for j in range(b))
+                hi, lo = first(m, b, phi2), first(n, b, pulled)
+                for e1k, pushed in enumerate(pushed1):
+                    for e2k in range(n2[b]):
+                        union(hi + pushed * n2[b] + e2k, lo + e1k * n2[b] + e2k)
+        # f on the right set: (a, m, phi2, e1, f e2) ~ (a, n, phi2 (1 x f), e1, e2)
+        pushed2 = [index2[m][(v, tuple(f[t] for t in pay))] for v, pay in elems2[n]]
+        for a in range(s + 1):
+            if not pushed2 or not n1[a]:
+                continue
+            for phi2 in itertools.product(range(nx), repeat=a * m):
+                pulled = tuple(phi2[i * m + f[j]] for i in range(a) for j in range(n))
+                hi, lo = first(a, m, phi2), first(a, n, pulled)
+                for e2k, pushed in enumerate(pushed2):
+                    for e1k in range(n1[a]):
+                        union(hi + e1k * n2[m] + pushed, lo + e1k * n2[n] + e2k)
+
+    def number(a, b, phi, e1, e2):
+        return first(a, b, phi) + index1[a][e1] * n2[b] + index2[b][e2]
+
+    return [find(k) for k in range(total)], number
 
 
 # ---------------------------------------------------------------------------

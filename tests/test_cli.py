@@ -8,7 +8,7 @@ import time
 import pytest
 
 from polycat import cli, doc, poly, suites
-from polycat.report import Report
+from polycat.report import Report, decimal
 
 LIST_DOC = "docs/examples/list.json"
 SIM_DOC = "docs/examples/simulation.json"
@@ -278,6 +278,34 @@ def test_day_oracle_refuses_large_skeletons_quickly(argv):
     assert time.perf_counter() - start < 2.0
     assert done.returncode == 3 and done.stdout == ""
     assert done.stderr.startswith("size guard exceeded:") and done.stderr.count("\n") == 1
+
+
+def test_day_oracle_prints_counts_of_more_than_4300_digits(tmp_path):
+    # one constant shape on both sides: 41 elements at each size, but the
+    # pairings of a 100000-element family number up to 10^8000
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "diagrams": {"one": {"source": 1, "target": 1,
+                             "shapes": [{"sort": 0, "dir_sorts": []}]}},
+        "families": {"big": {"base": 1, "fibers": [100000]}}}))
+    s, nx = 40, 100000
+    # the constant diagram has one element at every size, so there are
+    # nx^(a b) tuples at sizes (a, b), and a2^a nx^(a2 b) relations along
+    # the maps a -> a2 on the left, as many on the right
+    tuples = sum(nx ** (a * b) for a in range(s + 1) for b in range(s + 1))
+    relations = 2 * sum(sum(a2 ** a for a in range(s + 1))
+                        * sum(nx ** (a2 * b) for b in range(s + 1))
+                        for a2 in range(s + 1))
+    done = subprocess.run([sys.executable, "-m", "polycat.cli", "day-oracle", str(path),
+                           "--left", "one", "--right", "one", "--family", "big",
+                           "--skeleton", str(s)],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    assert lines[0] == "coend oracle: ok"
+    assert lines[1] == (f"  skeleton 0..{s}: {decimal(tuples)} tuples, "
+                        f"{decimal(relations)} generating relations")
+    assert len(decimal(tuples)) > 4300
 
 
 def test_parse_errors_exit_one(capsys, tmp_path):

@@ -135,6 +135,62 @@ def test_hom_empty_cases():
     assert len(fam.hom_enumerate(x, y)) == 1
 
 
+# --- the presentation by generating maps --------------------------------------
+
+
+def test_elementary_maps_at_bound_four():
+    maps = fam.elementary_maps(4)
+    # 10 cofaces, 6 codegeneracies, 6 adjacent transpositions, against the
+    # 499 maps between the sets of size 0..4
+    assert len(maps) == 22
+    assert len(set(maps)) == 22
+    assert sum(1 for n, m, _ in maps if m == n + 1) == 10
+    assert sum(1 for n, m, _ in maps if m == n - 1) == 6
+    assert sum(1 for n, m, _ in maps if m == n) == 6
+    for n, m, table in maps:
+        assert len(table) == n and all(0 <= t < m for t in table)
+        assert max(n, m) <= 4
+    assert fam.elementary_maps(0) == []
+    assert fam.elementary_maps(1) == [(0, 1, ())]
+
+
+@pytest.mark.parametrize("sorts, bound", [(s, b) for s in (1, 2) for b in range(4)])
+def test_generating_morphisms_compose_to_every_morphism(sorts, bound):
+    # close the generators under composition, starting from the identities
+    # (the empty composites), and compare with every listed morphism
+    base = FinSet(sorts)
+    gens: dict[tuple, list] = {}
+    for g in fam.generating_morphisms(base, bound):
+        assert all(n <= bound for n in g.src.fiber_sizes() + g.dst.fiber_sizes())
+        gens.setdefault(g.src.fiber_sizes(), []).append((g.dst.fiber_sizes(), g.map.table))
+    families = list(fam.families_up_to(base, bound))
+    reached = {(x.fiber_sizes(), x.fiber_sizes(), tuple(range(x.total.size)))
+               for x in families}
+    frontier = list(reached)
+    while frontier:
+        step = []
+        for src, mid, table in frontier:
+            for dst, g in gens.get(mid, ()):
+                h = (src, dst, tuple(g[t] for t in table))
+                if h not in reached:
+                    reached.add(h)
+                    step.append(h)
+        frontier = step
+    every = {(x.fiber_sizes(), y.fiber_sizes(), m.map.table)
+             for x in families for y in families for m in fam.hom_enumerate(x, y)}
+    assert reached == every
+
+
+def test_generating_morphisms_counts_and_guard():
+    # one sort at bound 2: 2 + 1 + 1 + 1 = 5 maps; two sorts: 5 on each
+    # sort's fiber for each of the 3 sizes of the other fiber
+    assert len(fam.generating_morphisms(FinSet(1), 2)) == 5
+    assert len(fam.generating_morphisms(FinSet(2), 2)) == 30
+    assert fam.generating_morphisms(FinSet(0), 2) == []
+    with pytest.raises(SizeGuardExceeded, match="generating family morphisms"):
+        fam.generating_morphisms(FinSet(20), 2)
+
+
 # --- adjunctions --------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Tests for the tensor's comparison map and universal property, the
 currying adjunction, the coend oracle, the truncated exponential
 identity, and double dualization."""
+import itertools
 import random
 
 import pytest
@@ -185,6 +186,114 @@ def test_theta_family_base_mismatch():
                    fams(2, [1, 1]))
 
 
+def _all_maps_counterexample(rho, p1, p2, f_diag, bound, keep=lambda m: True):
+    """The first pair (f, g) of family morphisms with fibers at most the
+    bound, both kept by `keep`, whose naturality square fails; None if
+    every such square commutes. Runs over every morphism, independently
+    of the generating morphisms that smcc checks."""
+    def morphisms(base):
+        xs = list(fam.families_up_to(base, bound))
+        return [m for x in xs for y in xs for m in fam.hom_enumerate(x, y) if keep(m)]
+
+    for f in morphisms(p1.source):
+        for g in morphisms(p2.source):
+            lhs = fam.box_morphism(
+                poly.extension_map(p1, f), poly.extension_map(p2, g)
+            ).then(rho(f.dst, g.dst))
+            rhs = rho(f.src, g.src).then(
+                poly.extension_map(f_diag, fam.box_morphism(f, g)))
+            if lhs.map.table != rhs.map.table:
+                return f, g
+    return None
+
+
+def _generators_accept(rho, p1, p2, f_diag, bound):
+    try:
+        smcc._check_rho_natural(rho, p1, p2, f_diag, bound)
+    except OracleNotNatural:
+        return False
+    return True
+
+
+def _diagonal_test_oracle(left):
+    # X^2 (x) X into 2 X^2 (X (x) X^2 when not left): the payloads p and q of
+    # the two arguments go to the payload p x q, at shape 0 when p or q has
+    # a repeated entry and at shape 1 otherwise. Injections keep entries
+    # apart; a merge on the X^2 argument's fiber can make them equal.
+    p1, p2 = (ss((2,)), ss((1,))) if left else (ss((1,)), ss((2,)))
+    target = ss((2, 2))
+
+    def rho(x, y):
+        ext1, ext2 = poly.eval_extension(p1, x), poly.eval_extension(p2, y)
+        bx = fam.box(x, y)
+        cod = poly.eval_extension(target, bx)
+        index = poly.extension_index(target, bx)
+        table = []
+        for _, pay1 in poly.extension_elements(p1, x):
+            for _, pay2 in poly.extension_elements(p2, y):
+                payload = tuple(fam.box_pair(y, t, u) for t in pay1 for u in pay2)
+                repeated = len(set(pay1)) < len(pay1) or len(set(pay2)) < len(pay2)
+                table.append(index[(0 if repeated else 1, payload)])
+        dom = fam.box(ext1, ext2)
+        return fam.FamMorphism(dom, cod, FinMap(dom.total, cod.total, tuple(table)))
+    return p1, p2, target, rho
+
+
+@pytest.mark.parametrize("left", [True, False])
+def test_theta_catches_rho_natural_on_injections_but_not_on_a_merge(left):
+    p1, p2, target, rho = _diagonal_test_oracle(left)
+    injective = lambda m: len(set(m.map.table)) == m.map.dom.size
+    assert _all_maps_counterexample(rho, p1, p2, target, 2, injective) is None
+    f, g = _all_maps_counterexample(rho, p1, p2, target, 2)
+    assert not injective(f if left else g)
+    with pytest.raises(OracleNotNatural, match="rho not natural"):
+        smcc.theta(rho, p1, p2, target, fam.box(fams(1, [2]), fams(1, [1])))
+    with pytest.raises(OracleNotNatural, match="rho not natural"):
+        smcc.theta_check(p1, p2, target, rho)
+
+
+def _swapped_at(rho, sizes):
+    # rho with the first and last entries of one component swapped
+    def wrapped(x, y):
+        e = rho(x, y)
+        if (x.fiber_sizes(), y.fiber_sizes()) != sizes or e.map.dom.size < 2:
+            return e
+        t = list(e.map.table)
+        t[0], t[-1] = t[-1], t[0]
+        return fam.FamMorphism(e.src, e.dst, FinMap(e.map.dom, e.map.cod, tuple(t)))
+    return wrapped
+
+
+def test_rho_check_on_generators_agrees_with_all_maps_on_seeded_instances():
+    rng = random.Random(11)
+    verdicts = []
+    for _ in range(16):
+        k1, k2 = rng.randint(1, 2), rng.randint(1, 2)
+        p1 = randgen.random_diagram(rng, FinSet(k1), FinSet(1), 2, 2)
+        p2 = randgen.random_diagram(rng, FinSet(k2), FinSet(1), 2, 2)
+        bound = 2 if k1 == k2 == 1 else 1
+        tens = poly.tensor(p1, p2)
+        rho = _eps_oracle(p1, p2)
+        if rng.random() < 0.5:
+            sizes = (tuple(rng.randint(0, bound) for _ in range(k1)),
+                     tuple(rng.randint(0, bound) for _ in range(k2)))
+            rho = _swapped_at(rho, sizes)
+        natural = _all_maps_counterexample(rho, p1, p2, tens, bound) is None
+        assert _generators_accept(rho, p1, p2, tens, bound) == natural
+        verdicts.append(natural)
+    # both verdicts occur, so the agreement is not vacuous
+    assert True in verdicts and False in verdicts
+    # the diagonal oracles and the oracle of test_theta_rejects_unnatural_oracle
+    for left in (True, False):
+        p1, p2, target, rho = _diagonal_test_oracle(left)
+        assert _all_maps_counterexample(rho, p1, p2, target, 2) is not None
+        assert not _generators_accept(rho, p1, p2, target, 2)
+    p = ss((1,))
+    rho = _swapped_at(_eps_oracle(p, p), ((2,), (1,)))
+    assert _all_maps_counterexample(rho, p, p, poly.tensor(p, p), 2) is not None
+    assert not _generators_accept(rho, p, p, poly.tensor(p, p), 2)
+
+
 # ---------------------------------------------------------------------------
 # the currying adjunction
 
@@ -348,6 +457,78 @@ def test_day_oracle_exact_matches_monomials(d1, d2, n):
                                 max(d1, d2, 1))
     assert rep.ok
     assert f"extension elements: {n ** (d1 * d2)}" in " ".join(rep.lines)
+
+
+def _set_values(p, a):
+    return [(v, pay) for v in p.shapes
+            for pay in itertools.product(range(a), repeat=len(p.shape_fiber(v)))]
+
+
+def _all_maps_coend_classes(p1, p2, nx, s):
+    """Every skeleton tuple (a, b, phi, e1, e2) in the order that
+    smcc._coend_exact numbers them, and the smallest number in each
+    tuple's class under the relations along every map a -> a2 of the
+    skeleton, by a union-find of its own."""
+    tuples = [(a, b, phi, e1, e2)
+              for a in range(s + 1) for b in range(s + 1)
+              for phi in itertools.product(range(nx), repeat=a * b)
+              for e1 in _set_values(p1, a) for e2 in _set_values(p2, b)]
+    number = {t: k for k, t in enumerate(tuples)}
+    parent = list(range(len(tuples)))
+
+    def find(k):
+        while parent[k] != k:
+            k = parent[k]
+        return k
+
+    def union(t, u):
+        parent[find(number[t])] = find(number[u])
+
+    for a, a2, b in itertools.product(range(s + 1), repeat=3):
+        for f in itertools.product(range(a2), repeat=a):
+            for phi2 in itertools.product(range(nx), repeat=a2 * b):
+                pulled = tuple(phi2[f[i] * b + j] for i in range(a) for j in range(b))
+                for v1, pay1 in _set_values(p1, a):
+                    for e2 in _set_values(p2, b):
+                        union((a2, b, phi2, (v1, tuple(f[t] for t in pay1)), e2),
+                              (a, b, pulled, (v1, pay1), e2))
+        for g in itertools.product(range(a2), repeat=b):
+            for phi2 in itertools.product(range(nx), repeat=a * a2):
+                pulled = tuple(phi2[i * a2 + g[j]] for i in range(a) for j in range(b))
+                for e1 in _set_values(p1, a):
+                    for v2, pay2 in _set_values(p2, b):
+                        union((a, a2, phi2, e1, (v2, tuple(g[t] for t in pay2))),
+                              (a, b, pulled, e1, (v2, pay2)))
+    return tuples, _smallest_in_class([find(k) for k in range(len(tuples))])
+
+
+def _smallest_in_class(roots):
+    low = {}
+    for k, root in enumerate(roots):
+        low.setdefault(root, k)
+    return [low[root] for root in roots]
+
+
+def test_coend_union_over_elementary_maps_gives_the_all_maps_classes():
+    rng = random.Random(3)
+    grid = [(), (0,), (1,), (2,)] + [(a, b) for a in range(3) for b in range(3)]
+    checked = 0
+    while checked < 12:
+        f1, f2 = rng.choice(grid), rng.choice(grid)
+        n = rng.randint(0, 2)
+        s = rng.randint(max(f1 + f2 + (1,)), 3)
+        c1 = [sum(a ** d for d in f1) for a in range(s + 1)]
+        c2 = [sum(b ** d for d in f2) for b in range(s + 1)]
+        total = sum(n ** (a * b) * c1[a] * c2[b]
+                    for a in range(s + 1) for b in range(s + 1))
+        if not 30 <= total <= 5000:
+            continue
+        p1, p2 = ss(f1), ss(f2)
+        tuples, want = _all_maps_coend_classes(p1, p2, n, s)
+        roots, number = smcc._coend_exact(p1, p2, s, n)
+        assert [number(*t) for t in tuples] == list(range(len(tuples)))
+        assert _smallest_in_class(roots) == want
+        checked += 1
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,14 @@ from .report import Report
 
 @dataclass(frozen=True)
 class Family:
-    """An indexed family of finite sets, presented as total -> base."""
+    """An indexed family of finite sets, presented as total -> base.
+
+    Like FinMap, a family keeps the hash of its field tuple (total, base,
+    proj) in its __dict__ from the first call on, so it is hashed once
+    however often it is looked up as a key (every extension, generic
+    family and check family is found that way). The hash is read-only,
+    lives as long as the family and is not pickled; equality still
+    compares the fields."""
 
     total: FinSet
     base: FinSet
@@ -36,6 +43,16 @@ class Family:
     def __post_init__(self) -> None:
         if self.proj.dom != self.total or self.proj.cod != self.base:
             raise ShapeMismatch("projection endpoints do not match total/base")
+
+    def __hash__(self) -> int:
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash((self.total, self.base, self.proj))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        return finset.without_hash(self.__dict__)
 
     def fiber(self, b: int) -> tuple[int, ...]:
         return self.proj.fiber(b)
@@ -82,7 +99,8 @@ class FamMorphism:
             raise ShapeMismatch("family morphism needs a common base")
         if self.map.dom != self.src.total or self.map.cod != self.dst.total:
             raise ShapeMismatch("morphism endpoints do not match the families")
-        if finset.compose(self.dst.proj, self.map).table != self.src.proj.table:
+        dst_proj = self.dst.proj.table
+        if tuple([dst_proj[t] for t in self.map.table]) != self.src.proj.table:
             raise ShapeMismatch("morphism does not commute with the projections")
 
     def __call__(self, t: int) -> int:

@@ -66,6 +66,12 @@ def check_guard_sum(terms: Iterable[int], what: str) -> None:
     check_guard(total, what)
 
 
+def without_hash(state: dict) -> dict:
+    """A value's pickling state without its cached hash: string labels
+    hash differently in another process."""
+    return {k: v for k, v in state.items() if k != "_hash"}
+
+
 @dataclass(frozen=True)
 class FinSet:
     """A finite set with carrier 0..size-1 and optional display labels."""
@@ -96,7 +102,14 @@ class FinSet:
 
 @dataclass(frozen=True)
 class FinMap:
-    """A total map between finite sets, stored as a lookup table."""
+    """A total map between finite sets, stored as a lookup table.
+
+    Two values are computed on first use and kept on the map, in its
+    __dict__: the fibers and the hash of the field tuple (dom, cod,
+    table), so a map used as a dict key, or inside one, hashes its table
+    once and not on every lookup. Both are shared by every caller, are
+    read-only like the map and live as long as it does. Equality still
+    compares the fields, and pickling drops the hash."""
 
     dom: FinSet
     cod: FinSet
@@ -105,13 +118,28 @@ class FinMap:
     def __post_init__(self) -> None:
         if not isinstance(self.table, tuple):
             object.__setattr__(self, "table", tuple(self.table))
-        if len(self.table) != self.dom.size:
+        table = self.table
+        if len(table) != self.dom.size:
             raise ShapeMismatch(
-                f"table length {len(self.table)} does not match domain size {self.dom.size}"
+                f"table length {len(table)} does not match domain size {self.dom.size}"
             )
-        for x, y in enumerate(self.table):
-            if y not in self.cod:
-                raise ShapeMismatch(f"table entry {x} -> {y} lands outside the codomain")
+        # one min/max pass decides; the scan only finds the first bad entry
+        if table and (min(table) < 0 or max(table) >= self.cod.size):
+            for x, y in enumerate(table):
+                if y not in self.cod:
+                    raise ShapeMismatch(f"table entry {x} -> {y} lands outside the codomain")
+
+    def __hash__(self) -> int:
+        # cached like fibers: the value never changes, and dict lookups
+        # would otherwise rehash the whole table every time
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash((self.dom, self.cod, self.table))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        return without_hash(self.__dict__)
 
     def __call__(self, x: int) -> int:
         return self.table[x]

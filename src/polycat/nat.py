@@ -31,6 +31,7 @@ __all__ = [
     "enumerate_dm",
     "generic_family",
     "generic_element",
+    "check_families",
     "yoneda_extract",
     "naturality_check",
     "transformation_check",
@@ -116,26 +117,58 @@ def enumerate_dm(p: PolyDiagram, q: PolyDiagram) -> list[DiagMorphism]:
 # generic families and extraction
 
 
+def _generic(p: PolyDiagram, v: int) -> tuple[Family, tuple[int, ...], tuple[int, ...]]:
+    """The representing family of shape v, its direction order and the
+    generic element's payload, built on the first request and kept in a
+    dict on p."""
+    cache = getattr(p, "_generic", None)
+    if cache is None:
+        cache = {}
+        object.__setattr__(p, "_generic", cache)
+    entry = cache.get(v)
+    if entry is None:
+        by_sort: dict[int, list[int]] = {i: [] for i in p.source}
+        for u in p.shape_fiber(v):
+            by_sort[p.dir_sort(u)].append(u)
+        sizes = [len(by_sort[i]) for i in p.source]
+        y = fam.family_from_fibers(p.source, sizes)
+        order = tuple(u for i in p.source for u in by_sort[i])
+        t_of = {u: t for t, u in enumerate(order)}
+        entry = cache[v] = (y, order, tuple(t_of[u] for u in p.shape_fiber(v)))
+    return entry
+
+
 def generic_family(p: PolyDiagram, v: int) -> tuple[Family, tuple[int, ...]]:
     """The representing family of shape v: its fiber over a source index
     collects v's directions of that sort. Returns the family and the
-    direction order, so that order[t] is the direction at total element t."""
-    by_sort: dict[int, list[int]] = {i: [] for i in p.source}
-    for u in p.shape_fiber(v):
-        by_sort[p.dir_sort(u)].append(u)
-    sizes = [len(by_sort[i]) for i in p.source]
-    y = fam.family_from_fibers(p.source, sizes)
-    order = tuple(u for i in p.source for u in by_sort[i])
+    direction order, so that order[t] is the direction at total element t.
+
+    Both are built on the first request for v and kept on p, so every
+    call for v returns the same Family object (its hash computed once)
+    for as long as p lives; they are shared and read-only."""
+    y, order, _ = _generic(p, v)
     return y, order
 
 
 def generic_element(p: PolyDiagram, v: int) -> int:
     """The index, in the extension at the representing family, of the
-    element of shape v whose payload picks each direction itself."""
-    y, order = generic_family(p, v)
-    t_of = {u: t for t, u in enumerate(order)}
-    payload = tuple(t_of[u] for u in p.shape_fiber(v))
+    element of shape v whose payload picks each direction itself.
+    Guarded, like every extension index."""
+    y, _, payload = _generic(p, v)
     return poly.extension_index(p, y)[(v, payload)]
+
+
+def check_families(p: PolyDiagram) -> tuple[Family, ...]:
+    """The block families over p's source with every fiber at most 3, on
+    which extraction checks its round trip. Built on the first request
+    and kept on p, so the same Family objects (their hashes computed
+    once) reach every extension lookup for as long as p lives; shared and
+    read-only."""
+    cached = getattr(p, "_check_families", None)
+    if cached is None:
+        cached = tuple(fam.families_up_to(p.source, 3))
+        object.__setattr__(p, "_check_families", cached)
+    return cached
 
 
 def yoneda_extract(oracle, p: PolyDiagram, q: PolyDiagram) -> DiagMorphism:
@@ -163,7 +196,7 @@ def yoneda_extract(oracle, p: PolyDiagram, q: PolyDiagram) -> DiagMorphism:
         )
     except (ValidationError, ShapeMismatch) as exc:
         raise OracleNotNatural("oracle not natural") from exc
-    for x in fam.families_up_to(p.source, 3):
+    for x in check_families(p):
         if eval_dm(m, x).map.table != oracle(x).map.table:
             raise OracleNotNatural("oracle not natural")
     return m

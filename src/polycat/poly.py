@@ -280,28 +280,39 @@ class Composite:
     dir_reps: tuple[tuple[int, int, int], ...]
 
 
+def _running_products(factors: list[int], cap: int) -> list[int]:
+    """[1, f0, f0*f1, ...], each product cut to at most cap. A zero factor
+    still zeroes every later product, so each entry is the true product
+    whenever that is below cap, and cap otherwise."""
+    out = [1]
+    for n in factors:
+        out.append(min(out[-1] * n, cap))
+    return out
+
+
 def _compose_guard(q: PolyDiagram, p: PolyDiagram) -> None:
+    """Guard the composite's carriers by their sizes: a composite shape
+    is an outer shape w with an inner shape for each direction of w; a
+    composite direction is such a shape with one direction of w and one
+    direction of its inner shape. Every product saturates at the limit
+    plus one, so a refusal costs time linear in the directions."""
+    cap = finset.guard_limit() + 1
     inner_per_sort = [len(p.shape_sort.fiber(j)) for j in p.target]
-    fiber_of = [len(p.shape_fiber(v)) for v in p.shapes]
-    shape_count = 0
-    dir_count = 0
+    dirs_per_sort = [sum(len(p.shape_fiber(v)) for v in p.shape_sort.fiber(j))
+                     for j in p.target]
+    counts = [[inner_per_sort[q.dir_sort(e)] for e in q.shape_fiber(w)] for w in q.shapes]
+    finset.check_guard_sum((_running_products(c, cap)[-1] for c in counts),
+                           "composite shape carrier")
+    dir_terms = []
     for w in q.shapes:
-        block = 1
-        for e in q.shape_fiber(w):
-            block *= inner_per_sort[q.dir_sort(e)]
-        shape_count += block
-        for e in q.shape_fiber(w):
-            others = 1
-            summed = 0
-            for e2 in q.shape_fiber(w):
-                if e2 == e:
-                    continue
-                others *= inner_per_sort[q.dir_sort(e2)]
-            for v in p.shape_sort.fiber(q.dir_sort(e)):
-                summed += fiber_of[v]
-            dir_count += summed * others
-    check_guard(shape_count, "composite shape carrier")
-    check_guard(dir_count, "composite direction carrier")
+        es = q.shape_fiber(w)
+        before = _running_products(counts[w], cap)
+        after = _running_products(counts[w][::-1], cap)[::-1]
+        for i, e in enumerate(es):
+            # the inner shapes chosen for every other direction of w
+            others = min(before[i] * after[i + 1], cap)
+            dir_terms.append(min(dirs_per_sort[q.dir_sort(e)] * others, cap))
+    finset.check_guard_sum(dir_terms, "composite direction carrier")
 
 
 def compose_data(q: PolyDiagram, p: PolyDiagram) -> Composite:

@@ -232,9 +232,36 @@ def compose_sim(c2: SimCell, c1: SimCell) -> SimCell:
     return SimCell(span, c1.src, c2.dst, alpha, beta, gamma)
 
 
+def _eval_plan(c: SimCell) -> tuple[tuple, ...]:
+    """What eval_sim reads of the cell, indexed [rho][v]: for each
+    (state, shape) pair, the assigned shape w and, per direction u of w,
+    the successor state gamma[rho, v, u] and the position of the
+    backward direction beta[rho, v, u] in v's direction fiber (None off
+    the pairs). Built on the first call and kept on the cell."""
+    try:
+        return c._plan
+    except AttributeError:
+        src_fibers = c.src.dir_shape.fibers()
+        rows = [[None] * c.src.shapes.size for _ in c.span.carrier]
+        for rho, v in c.pairs:
+            w = c.alpha[rho, v]
+            position = {b: k for k, b in enumerate(src_fibers[v])}
+            rows[rho][v] = (w, tuple((c.gamma[rho, v, u], position[c.beta[rho, v, u]])
+                                     for u in c.dst.shape_fiber(w)))
+        plan = tuple(tuple(row) for row in rows)
+        object.__setattr__(c, "_plan", plan)
+        return plan
+
+
 def eval_sim(c: SimCell, x: Family) -> FamMorphism:
     """The cell's component at x: a morphism from the sum lift of the src
-    value to the dst value of the sum lift."""
+    value to the dst value of the sum lift.
+
+    The cell's tables are read through one evaluation plan: per (state,
+    shape) pair, the assigned shape and the (successor, position) pair
+    of each of its directions. It is built on the first call and kept on
+    the cell, shared by every later call, read-only like the cell, and
+    lives as long as the cell."""
     if x.base != c.src.source:
         raise ShapeMismatch("family must live over the source sorts")
     au = au_lift(c.span)
@@ -245,17 +272,12 @@ def eval_sim(c: SimCell, x: Family) -> FamMorphism:
     aux_index = aux.index()
     cod_index = cod.index()
     inner_elems = inner.elements
-    src_fibers = c.src.dir_shape.fibers()
-    dst_fibers = c.dst.dir_shape.fibers()
+    plan = _eval_plan(c)
     table = []
     for rho, (t,) in dom.elements:
         v, h = inner_elems[t]
-        w = c.alpha[rho, v]
-        fiber1 = src_fibers[v]
-        payload = tuple(
-            aux_index[(c.gamma[rho, v, u], (h[fiber1.index(c.beta[rho, v, u])],))]
-            for u in dst_fibers[w]
-        )
+        w, moves = plan[rho][v]
+        payload = tuple([aux_index[(g, (h[k],))] for g, k in moves])
         table.append(cod_index[(w, payload)])
     return FamMorphism(dom.family, cod.family,
                        FinMap(dom.family.total, cod.family.total, tuple(table)))
@@ -301,7 +323,7 @@ def extract_sim(oracle, span: Span, p1: PolyDiagram, p2: PolyDiagram) -> SimCell
         c = SimCell(span, p1, p2, alpha, beta, gamma)
     except ValidationError as exc:
         raise OracleNotNatural("oracle not natural") from exc
-    for x in fam.families_up_to(p1.source, 3):
+    for x in nat.check_families(p1):
         if eval_sim(c, x).map.table != oracle(x).map.table:
             raise OracleNotNatural("oracle not natural")
     return c

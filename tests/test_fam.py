@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +45,38 @@ def test_morphism_must_commute():
         FamMorphism(x, y, fmap(2, 2, (1, 0)))
     m = FamMorphism(x, y, fmap(2, 2, (0, 1)))
     assert m.is_iso()
+
+
+def test_morphism_commutation_error_is_unchanged():
+    x = blocks(2, (2, 1))
+    y = blocks(2, (1, 1))
+    with pytest.raises(ShapeMismatch, match="^morphism does not commute with the projections$"):
+        FamMorphism(x, y, fmap(3, 2, (0, 0, 0)))
+    assert FamMorphism(x, y, fmap(3, 2, (0, 0, 1))).map.table == (0, 0, 1)
+
+
+def named_blocks(sizes, labelled: bool) -> Family:
+    base = FinSet(len(sizes), tuple(f"b{i}" for i in range(len(sizes))) if labelled else None)
+    return family_from_fibers(base, sizes)
+
+
+@given(st.lists(st.integers(0, 3), max_size=3), st.booleans())
+def test_family_hashes_like_a_fresh_equal_family(sizes, labelled):
+    x = named_blocks(sizes, labelled)
+    fields_hash = hash((x.total, x.base, x.proj))
+    assert hash(x) == fields_hash
+    keyed = {x: "x"}
+    assert hash(x) == fields_hash
+    y = named_blocks(sizes, labelled)
+    assert y is not x and y == x and hash(y) == hash(x)
+    assert keyed[y] == "x"
+    # a replaced field gives a new value, hashed as that value
+    flipped = FinMap(x.total, x.base, x.proj.table[::-1])
+    r = dataclasses.replace(x, proj=flipped)
+    assert (r == x) == (flipped.table == x.proj.table)
+    assert hash(r) == hash(Family(x.total, x.base, flipped)) == hash((r.total, r.base, flipped))
+    copied = pickle.loads(pickle.dumps(x))
+    assert "_hash" not in copied.__dict__ and copied == x and hash(copied) == hash(x)
 
 
 def test_morphism_needs_common_base():

@@ -1,4 +1,9 @@
+import dataclasses
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -38,6 +43,65 @@ def test_map_totality_checked():
         fmap(2, 2, (0,))
     with pytest.raises(ShapeMismatch):
         fmap(2, 2, (0, 2))
+
+
+def test_map_range_error_names_the_first_entry_outside():
+    with pytest.raises(ShapeMismatch, match=r"^table entry 1 -> 3 lands outside the codomain$"):
+        fmap(4, 3, (0, 3, 2, -1))
+    with pytest.raises(ShapeMismatch, match=r"^table entry 2 -> -1 lands outside the codomain$"):
+        fmap(3, 3, (0, 2, -1))
+    with pytest.raises(ShapeMismatch, match=r"^table entry 0 -> 0 lands outside the codomain$"):
+        fmap(1, 0, (0,))
+
+
+# --- the hash contract: a map is hashed once, and like its value ------------
+
+
+def named_set(n: int, labelled: bool) -> FinSet:
+    return FinSet(n, tuple(f"e{i}" for i in range(n)) if labelled else None)
+
+
+@given(st.integers(0, 4), st.integers(1, 4), st.booleans(), st.data())
+def test_map_hashes_like_a_fresh_equal_map(n, m, labelled, data):
+    table = tuple(data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+
+    def build():
+        return FinMap(named_set(n, labelled), named_set(m, labelled), table)
+
+    f = build()
+    fields_hash = hash((named_set(n, labelled), named_set(m, labelled), table))
+    assert hash(f) == fields_hash
+    keyed = {f: "f"}
+    assert hash(f) == fields_hash
+    g = build()
+    assert g is not f and g == f and hash(g) == hash(f)
+    assert keyed[g] == "f"
+    # a replaced field gives a new value, hashed as that value
+    wider = dataclasses.replace(f, cod=named_set(m + 1, labelled))
+    assert wider != f
+    assert hash(wider) == hash(FinMap(named_set(n, labelled), named_set(m + 1, labelled), table))
+    assert hash(wider) == hash((wider.dom, wider.cod, wider.table))
+
+
+def test_a_pickled_map_is_hashed_afresh_in_another_process():
+    # string labels hash differently under another hash seed, so the
+    # cached hash must not travel with the map
+    f = FinMap(named_set(2, True), named_set(3, True), (2, 0))
+    hash(f)
+    assert "_hash" not in pickle.loads(pickle.dumps(f)).__dict__
+    check = (
+        "import pickle, sys\n"
+        "from polycat.finset import FinMap, FinSet\n"
+        "f = pickle.loads(sys.stdin.buffer.read())\n"
+        "fresh = FinMap(FinSet(2, ('e0', 'e1')), FinSet(3, ('e0', 'e1', 'e2')), (2, 0))\n"
+        "print(f == fresh and hash(f) == hash(fresh) and {fresh: 1}[f] == 1)\n"
+    )
+    env = dict(os.environ, PYTHONHASHSEED="12345")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (os.path.dirname(finset.__file__) + "/..",
+                                                     env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", check], input=pickle.dumps(f),
+                         capture_output=True, env=env, check=True)
+    assert out.stdout.strip() == b"True"
 
 
 def test_compose_example():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycat import fam, finset, poly
+from polycat import fam, finset, nat, poly, sim
 from polycat.errors import ShapeMismatch, SizeGuardExceeded, ValidationError
 from polycat.fam import Span
 from polycat.finset import FinMap, FinSet
@@ -189,11 +189,21 @@ def test_caches_make_no_reference_cycles():
         poly.extension_index(poly.tensor(p, p), fam.box(x, x))
         r = Span(FinSet(3), fmap(3, 2, (0, 1, 1)), fmap(3, 2, (0, 0, 1)))
         poly.extension_index(poly.au_lift(r), fams(2, (2, 3)))
-        dead_p, dead_x, dead_r = weakref.ref(p), weakref.ref(x), weakref.ref(r)
-        del p, x, r
-        assert dead_p() is None
-        assert dead_x() is None
-        assert dead_r() is None
+        # the generic and check families kept on a diagram, and the
+        # evaluation plan kept on a cell
+        e = ss(2, 0)
+        generic, _ = nat.generic_family(e, 0)
+        nat.generic_element(e, 0)
+        checks = nat.check_families(e)[-1]
+        cell = sim.identity_sim(e)
+        extracted = sim.extract_sim(lambda y: sim.eval_sim(cell, y), cell.span, e, e)
+        sim.eval_sim(extracted, fams(1, (2,)))
+        assert {"_generic", "_check_families"} <= vars(e).keys()
+        assert "_plan" in vars(cell) and "_plan" in vars(extracted)
+        objects = [p, x, r, e, generic, checks, cell, extracted]
+        dead = [weakref.ref(o) for o in objects]
+        del p, x, r, e, generic, checks, cell, extracted, objects
+        assert [ref() for ref in dead] == [None] * len(dead)
     finally:
         gc.enable()
 
@@ -318,6 +328,30 @@ def test_compose_multisorted_frozen():
 def test_compose_guard_trips():
     with pytest.raises(SizeGuardExceeded):
         poly.compose_direct(ss(20), ss(*([1] * 20)))
+
+
+def test_compose_guard_refuses_a_wide_shape_at_once():
+    # 2^20000 composite shapes: the guard's products saturate at the
+    # limit, so the refusal takes time linear in the directions
+    q, p = ss(20000), ss(1, 1)
+    for compose in (poly.compose_direct, poly.compose_structural):
+        start = time.perf_counter()
+        with pytest.raises(SizeGuardExceeded,
+                           match="composite shape carrier has size more than 1000000"):
+            compose(q, p)
+        assert time.perf_counter() - start < 0.5
+
+
+def test_compose_guard_checks_the_direction_carrier():
+    # X^4 after X^3: one composite shape with 4 * 3 directions
+    old = finset.set_guard_limit(11)
+    try:
+        with pytest.raises(SizeGuardExceeded, match="composite direction carrier"):
+            poly.compose_direct(ss(4), ss(3))
+        finset.set_guard_limit(12)
+        assert poly.compose_direct(ss(4), ss(3)).dirs.size == 12
+    finally:
+        finset.set_guard_limit(old)
 
 
 def test_structural_equals_direct_frozen():

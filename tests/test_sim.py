@@ -467,6 +467,37 @@ def test_compose_associativity_seeded():
         done += 1
 
 
+def eval_from_the_tables(c: sim.SimCell, x: fam.Family) -> tuple[int, ...]:
+    """The component's table read off the cell's three tables entry by
+    entry, as the definition says."""
+    au = poly.au_lift(c.span)
+    inner_elems = poly.extension_elements(c.src, x)
+    dom_elems = poly.extension_elements(au, poly.eval_extension(c.src, x))
+    aux_index = poly.extension_index(au, x)
+    cod_index = poly.extension_index(c.dst, poly.eval_extension(au, x))
+    table = []
+    for rho, (t,) in dom_elems:
+        v, h = inner_elems[t]
+        w = c.alpha[rho, v]
+        fiber = c.src.shape_fiber(v)
+        payload = tuple(aux_index[(c.gamma[rho, v, u], (h[fiber.index(c.beta[rho, v, u])],))]
+                        for u in c.dst.shape_fiber(w))
+        table.append(cod_index[(w, payload)])
+    return tuple(table)
+
+
+def test_eval_plan_agrees_with_the_tables_and_is_kept_on_the_cell():
+    families = list(fam.families_up_to(FinSet(2), 2))
+    for cells in two_sorted_cells(53, 20):
+        for c in cells:
+            plan = sim._eval_plan(c)
+            for x in families:
+                assert sim.eval_sim(c, x).map.table == eval_from_the_tables(c, x)
+            assert sim._eval_plan(c) is plan
+    c = prefix_cell()
+    assert sim.eval_sim(c, fams(1, [3])).map.table == eval_from_the_tables(c, fams(1, [3]))
+
+
 # -- extraction ---------------------------------------------------------------
 
 
@@ -481,6 +512,23 @@ def test_extract_identity_oracle():
     c = sim.identity_sim(p)
     got = sim.extract_sim(lambda x: sim.eval_sim(c, x), c.span, p, p)
     assert got == c
+
+
+def test_extraction_probes_are_kept_on_the_diagram():
+    c = prefix_cell()
+    p = c.src
+    checks = nat.check_families(p)
+    generic = [nat.generic_family(p, v) for v in p.shapes]
+    assert len(checks) == 4 and checks == tuple(fam.families_up_to(p.source, 3))
+    sim.extract_sim(lambda x: sim.eval_sim(c, x), c.span, p, c.dst)
+    # the same Family objects are handed out again, so every extension
+    # lookup finds them with their hash already computed
+    assert nat.check_families(p) is checks
+    for v in p.shapes:
+        y, order = nat.generic_family(p, v)
+        assert y is generic[v][0] and order == generic[v][1]
+        assert "_hash" in vars(y)
+    assert all("_hash" in vars(x) for x in checks)
 
 
 def test_extract_bijection_on_enumerated_cells():

@@ -31,10 +31,9 @@ class Family:
 
     Like FinMap, a family keeps the hash of its field tuple (total, base,
     proj) in its __dict__ from the first call on, so it is hashed once
-    however often it is looked up as a key (every extension, generic
-    family and check family is found that way). The hash is read-only,
-    lives as long as the family and is not pickled; equality still
-    compares the fields."""
+    however often it is looked up as a key, as every family handed to an
+    extension is. The hash is read-only, lives as long as the family and
+    is not pickled; equality still compares the fields."""
 
     total: FinSet
     base: FinSet

@@ -41,18 +41,14 @@ def test_family_validation():
 def test_morphism_must_commute():
     x = blocks(2, (1, 1))
     y = blocks(2, (1, 1))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeMismatch, match="^morphism does not commute with the projections$"):
         FamMorphism(x, y, fmap(2, 2, (1, 0)))
     m = FamMorphism(x, y, fmap(2, 2, (0, 1)))
     assert m.is_iso()
-
-
-def test_morphism_commutation_error_is_unchanged():
-    x = blocks(2, (2, 1))
-    y = blocks(2, (1, 1))
+    z = blocks(2, (2, 1))
     with pytest.raises(ShapeMismatch, match="^morphism does not commute with the projections$"):
-        FamMorphism(x, y, fmap(3, 2, (0, 0, 0)))
-    assert FamMorphism(x, y, fmap(3, 2, (0, 0, 1))).map.table == (0, 0, 1)
+        FamMorphism(z, y, fmap(3, 2, (0, 0, 0)))
+    assert FamMorphism(z, y, fmap(3, 2, (0, 0, 1))).map.table == (0, 0, 1)
 
 
 def named_blocks(sizes, labelled: bool) -> Family:

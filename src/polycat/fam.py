@@ -79,9 +79,11 @@ def family_from_fibers(base: FinSet, sizes: tuple[int, ...] | list[int]) -> Fami
 
 def families_up_to(base: FinSet, max_fiber: int) -> Iterator[Family]:
     """All block families over base with every fiber size <= max_fiber,
-    in lexicographic order of the size tuple."""
-    for sizes in itertools.product(range(max_fiber + 1), repeat=base.size):
-        yield family_from_fibers(base, sizes)
+    in lexicographic order of the size tuple. Guarded by their number
+    when called, before the first family is built."""
+    check_guard((max_fiber + 1) ** base.size, "families with bounded fibers")
+    return (family_from_fibers(base, sizes)
+            for sizes in itertools.product(range(max_fiber + 1), repeat=base.size))
 
 
 @dataclass(frozen=True)

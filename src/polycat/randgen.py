@@ -9,7 +9,7 @@ from . import fam, poly
 from .fam import Family, Span
 from .finset import FinMap, FinSet
 from .poly import PolyDiagram
-from .sim import SimCell, cell_pairs, entry_options, require_endo
+from .sim import SimCell, random_cell, require_endo
 
 __all__ = [
     "random_family",
@@ -70,32 +70,15 @@ def random_span(rng: random.Random, left: FinSet, right: FinSet,
 
 def random_sim_cell(rng: random.Random, p1: PolyDiagram, p2: PolyDiagram,
                     max_states: int = 2, attempts: int = 40) -> SimCell | None:
-    """A uniformly sampled valid cell over a random span, or None when no
-    sampled span admits one."""
+    """A random cell over a random span, or None when none of `attempts`
+    drawn spans admits one. Given the drawn span, the cell is uniform
+    over the cells on it (sim.random_cell). The span draw is not uniform:
+    a span that admits no cell is redrawn, and the empty span always
+    admits one."""
     require_endo(p1, p2)
     for _ in range(attempts):
         span = random_span(rng, p1.source, p2.source, max_states)
-        alpha: dict = {}
-        beta: dict = {}
-        gamma: dict = {}
-        dead = False
-        for rho, v in cell_pairs(span, p1):
-            choices = p2.shape_sort.fiber(span.right(rho))
-            if not choices:
-                dead = True
-                break
-            w = rng.choice(choices)
-            alpha[rho, v] = w
-            for u in p2.shape_fiber(w):
-                options = entry_options(p1, p2, span, v, u)
-                if not options:
-                    dead = True
-                    break
-                b, g = rng.choice(options)
-                beta[rho, v, u] = b
-                gamma[rho, v, u] = g
-            if dead:
-                break
-        if not dead:
-            return SimCell(span, p1, p2, alpha, beta, gamma)
+        c = random_cell(rng, p1, p2, span)
+        if c is not None:
+            return c
     return None

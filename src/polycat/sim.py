@@ -284,8 +284,9 @@ def eval_sim(c: SimCell, x: Family) -> FamMorphism:
 
 
 def sim_naturality_check(c: SimCell, bound: int) -> Report:
-    """Exhaustively verify that the cell's components are natural between
-    the two composite functors, up to the fiber bound."""
+    """Verify that the cell's components are natural between the two
+    composite functors on the families with fibers at most the bound,
+    through the generating squares of nat.transformation_check."""
     au = nat.ExtFunctor(au_lift(c.span))
     f = nat.ComposedFunctor(au, nat.ExtFunctor(c.src))
     g = nat.ComposedFunctor(nat.ExtFunctor(c.dst), au)

@@ -623,9 +623,9 @@ def kernel_witnesses_suite(seed: int = 0, cases: int = 100) -> Report:
 
 
 def naturality_suite(seed: int = 0, cases: int = 8) -> Report:
-    """Naturality squares checked exhaustively at small bounds: the
-    canonical comparison map in both arguments, evaluated morphisms, and
-    evaluated simulation cells."""
+    """Naturality squares at small bounds, checked on the generating maps
+    (which give every square): the canonical comparison map in both
+    arguments, evaluated morphisms, and evaluated simulation cells."""
     rng = random.Random(seed)
     eps = 0
     detail: list[str] = []

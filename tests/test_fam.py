@@ -221,6 +221,13 @@ def test_generating_morphisms_counts_and_guard():
         fam.generating_morphisms(FinSet(20), 2)
 
 
+def test_families_up_to_is_guarded_when_called():
+    assert len(list(fam.families_up_to(FinSet(3), 3))) == 64
+    # refused at the call, before a single family is built
+    with pytest.raises(SizeGuardExceeded, match="families with bounded fibers"):
+        fam.families_up_to(FinSet(20), 1)
+
+
 # --- adjunctions --------------------------------------------------------------
 
 

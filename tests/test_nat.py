@@ -8,11 +8,13 @@ transformation set, computed without the container representation.
 """
 import itertools
 import random
+import time
 
 import pytest
 
 from polycat import fam, nat, poly, randgen
-from polycat.errors import OracleNotNatural, ShapeMismatch, ValidationError
+from polycat.errors import (OracleNotNatural, ShapeMismatch, SizeGuardExceeded,
+                            ValidationError)
 from polycat.finset import FinMap, FinSet
 
 
@@ -215,6 +217,14 @@ def test_yoneda_extract_not_natural():
         nat.yoneda_extract(mixed, p, q)
 
 
+def test_check_families_refuse_many_sorts_quickly():
+    # 4^10 families with fibers at most 3 exceed the guard limit of 10^6
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardExceeded, match="families with bounded fibers"):
+        nat.check_families(poly.identity_diagram(FinSet(10)))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_yoneda_extract_bad_component_endpoints():
     p = ss(2)
     with pytest.raises(ValidationError):
@@ -228,6 +238,29 @@ def test_naturality_of_container_morphisms():
     for m in nat.enumerate_dm(ss(2), ss(1, 1)):
         rep = nat.naturality_check(m, 2)
         assert rep.ok, rep.render()
+        # one sort at bound 2: 3 cofaces, 1 codegeneracy, 1 transposition
+        assert rep.lines == ("5 generating squares commute at fiber bound 2",)
+
+
+def test_naturality_check_counts_generating_squares_per_sort():
+    # each of 2 sorts: 5 elementary maps, times 3 sizes of the other fiber
+    p = poly.identity_diagram(FinSet(2))
+    rep = nat.naturality_check(nat.identity_dm(p), 2)
+    assert rep.lines == ("30 generating squares commute at fiber bound 2",)
+    # bound 1: one coface per sort, times 2 sizes of the other fiber
+    rep = nat.naturality_check(nat.identity_dm(p), 1)
+    assert rep.lines == ("4 generating squares commute at fiber bound 1",)
+
+
+def test_naturality_check_evaluates_each_family_once():
+    seen = []
+
+    def component(x):
+        seen.append(x.fiber_sizes())
+        return nat.eval_dm(pick_first(), x)
+
+    assert nat.naturality_check(component, 2, p=ss(2), q=ss(1, 1)).ok
+    assert sorted(seen) == [(0,), (1,), (2,)]
 
 
 def test_naturality_check_rejects_mixed_oracle():
@@ -240,7 +273,8 @@ def test_naturality_check_rejects_mixed_oracle():
 
     rep = nat.naturality_check(mixed, 2, p=p, q=q)
     assert not rep.ok
-    assert "counterexample" in rep.lines[0]
+    assert rep.lines[0].startswith("counterexample: fibers (")
+    assert "morphism table" in rep.lines[0]
 
 
 def test_naturality_check_bound_zero_vacuous():
@@ -262,6 +296,75 @@ def test_composed_functor_protocol():
     with pytest.raises(ShapeMismatch):
         nat.ComposedFunctor(nat.ExtFunctor(poly.identity_diagram(FinSet(2))),
                             nat.ExtFunctor(ss(1)))
+
+
+# -- the generating squares against every square --------------------------------
+
+
+def _all_maps_counterexample(f, g, component, bound):
+    """The first family morphism with fibers at most the bound whose
+    naturality square from f to g fails; None if every such square
+    commutes. Runs over every morphism, independently of the generating
+    morphisms that nat checks."""
+    xs = list(fam.families_up_to(f.src_base, bound))
+    comps = [component(x) for x in xs]
+    for (x, cx), (y, cy) in itertools.product(zip(xs, comps), repeat=2):
+        for h in fam.hom_enumerate(x, y):
+            if cx.then(g.on_morphism(h)).map.table != f.on_morphism(h).then(cy).map.table:
+                return h
+    return None
+
+
+def _bumped_at(m, sizes):
+    # the components of m, with the image of the first element moved to
+    # the next element of the single-sorted codomain at the family with
+    # the given fiber sizes
+    def component(x):
+        e = nat.eval_dm(m, x)
+        if x.fiber_sizes() != sizes or e.map.dom.size == 0 or e.map.cod.size < 2:
+            return e
+        t = list(e.map.table)
+        t[0] = (t[0] + 1) % e.map.cod.size
+        return fam.FamMorphism(e.src, e.dst, FinMap(e.map.dom, e.map.cod, tuple(t)))
+    return component
+
+
+def _agree(p, q, component, bound):
+    f, g = nat.ExtFunctor(p), nat.ExtFunctor(q)
+    natural = _all_maps_counterexample(f, g, component, bound) is None
+    assert nat.transformation_check(f, g, component, bound).ok == natural
+    return natural
+
+
+def test_transformation_check_agrees_with_all_maps_on_seeded_instances():
+    rng = random.Random(5)
+    verdicts = []
+    while len(verdicts) < 24:
+        sorts = FinSet(rng.randint(1, 2))
+        p = randgen.random_diagram(rng, sorts, FinSet(1), 2, 2)
+        q = randgen.random_diagram(rng, sorts, FinSet(1), 2, 2)
+        if not 0 < nat.count_nat(p, q) <= 64:
+            continue
+        m = rng.choice(nat.enumerate_dm(p, q))
+        bound = 2 if sorts.size == 1 else 1
+        component = lambda x, m=m: nat.eval_dm(m, x)
+        if rng.random() < 0.5:
+            component = _bumped_at(m, tuple(rng.randint(0, bound) for _ in sorts))
+        verdicts.append(_agree(p, q, component, bound))
+    # both verdicts occur, so the agreement is not vacuous
+    assert True in verdicts and False in verdicts
+
+
+def test_transformation_check_agrees_with_all_maps_on_the_mixed_oracle():
+    p, q = ss(2), ss(1, 1)
+    ms = nat.enumerate_dm(p, q)
+
+    def mixed(x: fam.Family) -> fam.FamMorphism:
+        pick = ms[0] if x.total.size % 2 == 0 else ms[3]
+        return nat.eval_dm(pick, x)
+
+    assert not _agree(p, q, mixed, 2)
+    assert _agree(p, q, lambda x: nat.eval_dm(ms[3], x), 2)
 
 
 # -- brute-force cross-check -------------------------------------------------------

@@ -340,7 +340,8 @@ def test_prefix_cell_valid_and_natural():
     assert sim.validate(c).ok
     rep = sim.sim_naturality_check(c, 2)
     assert rep.ok
-    assert "squares commute" in rep.lines[0]
+    # one sort at bound 2: 3 cofaces, 1 codegeneracy, 1 transposition
+    assert rep.lines == ("5 generating squares commute at fiber bound 2",)
 
 
 def test_prefix_cell_eval_values():
@@ -360,6 +361,48 @@ def test_prefix_cell_eval_values():
     assert m(src) == expected
 
 
+def cell_functors(c: sim.SimCell) -> tuple:
+    """The two composite functors between which the cell's components
+    are natural, as sim.sim_naturality_check builds them."""
+    au = nat.ExtFunctor(poly.au_lift(c.span))
+    return (nat.ComposedFunctor(au, nat.ExtFunctor(c.src)),
+            nat.ComposedFunctor(nat.ExtFunctor(c.dst), au))
+
+
+def all_maps_counterexample(f, g, component, bound):
+    """The first family morphism with fibers at most the bound whose
+    naturality square from f to g fails; None if every such square
+    commutes. Runs over every morphism, independently of the generating
+    morphisms that nat checks."""
+    xs = list(fam.families_up_to(f.src_base, bound))
+    comps = [component(x) for x in xs]
+    for (x, cx), (y, cy) in itertools.product(zip(xs, comps), repeat=2):
+        for h in fam.hom_enumerate(x, y):
+            if cx.then(g.on_morphism(h)).map.table != f.on_morphism(h).then(cy).map.table:
+                return h
+    return None
+
+
+def moved_at(c: sim.SimCell, sizes):
+    # the cell's components, with the image of the first element that has
+    # another element in its fiber moved to that element, at the family
+    # with the given fiber sizes
+    def component(x):
+        e = sim.eval_sim(c, x)
+        if x.fiber_sizes() != sizes:
+            return e
+        proj = e.dst.proj.table
+        for k, t in enumerate(e.map.table):
+            others = [u for u in range(len(proj)) if proj[u] == proj[t] and u != t]
+            if others:
+                table = list(e.map.table)
+                table[k] = others[0]
+                return FamMorphism(e.src, e.dst,
+                                   FinMap(e.src.total, e.dst.total, tuple(table)))
+        return e
+    return component
+
+
 def test_sim_naturality_catches_broken_component():
     c = prefix_cell()
 
@@ -373,12 +416,36 @@ def test_sim_naturality_catches_broken_component():
                                    FinMap(m.src.total, m.dst.total, tuple(table)))
         return m
 
-    au = nat.ExtFunctor(poly.au_lift(c.span))
-    f = nat.ComposedFunctor(au, nat.ExtFunctor(c.src))
-    g = nat.ComposedFunctor(nat.ExtFunctor(c.dst), au)
+    f, g = cell_functors(c)
     rep = nat.transformation_check(f, g, broken, 2)
     assert not rep.ok
     assert "counterexample" in rep.lines[0]
+    assert all_maps_counterexample(f, g, broken, 2) is not None
+
+
+def test_sim_naturality_agrees_with_all_maps_on_seeded_cells():
+    rng = random.Random(41)
+    verdicts = []
+    while len(verdicts) < 16:
+        p1 = randgen.random_endo(rng, 2, 2, 2)
+        p2 = randgen.random_endo(rng, 2, 2, 2)
+        # a nonempty span, so that the components are not all empty
+        span = randgen.random_span(rng, p1.source, p2.source)
+        c = sim.random_cell(rng, p1, p2, span) if span.carrier.size else None
+        if c is None:
+            continue
+        f, g = cell_functors(c)
+        if len(verdicts) % 2:
+            component = moved_at(c, (2,) * p1.source.size)
+            checked = nat.transformation_check(f, g, component, 2)
+        else:
+            component = lambda x, c=c: sim.eval_sim(c, x)
+            checked = sim.sim_naturality_check(c, 2)
+        natural = all_maps_counterexample(f, g, component, 2) is None
+        assert checked.ok == natural
+        verdicts.append(natural)
+    # both verdicts occur, so the agreement is not vacuous
+    assert True in verdicts and False in verdicts
 
 
 # -- composition --------------------------------------------------------------

@@ -77,7 +77,8 @@ def test_epsilon_base_mismatch():
 def test_epsilon_natural_at_bound_two():
     rep = smcc.epsilon_naturality_check(ss((1, 0)), ss((2,)), 2)
     assert rep.ok
-    assert "121 squares" in rep.lines[0]
+    # 5 generating maps per argument, beside the identities of 3 families
+    assert rep.lines == ("30 generating squares commute at fiber bound 2",)
 
 
 def test_epsilon_naturality_multi_sorted():
@@ -87,6 +88,8 @@ def test_epsilon_naturality_multi_sorted():
                           fmap(2, 2, (0, 1)))
     rep = smcc.epsilon_naturality_check(p1, ss((1,)), 1)
     assert rep.ok
+    # 4 generators on 2 sorts beside 2 families, 4 families beside 1 generator
+    assert rep.lines == ("12 generating squares commute at fiber bound 1",)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +295,54 @@ def test_rho_check_on_generators_agrees_with_all_maps_on_seeded_instances():
     rho = _swapped_at(_eps_oracle(p, p), ((2,), (1,)))
     assert _all_maps_counterexample(rho, p, p, poly.tensor(p, p), 2) is not None
     assert not _generators_accept(rho, p, p, poly.tensor(p, p), 2)
+
+
+def test_rho_check_evaluates_rho_once_per_argument_pair():
+    p = ss((1,))
+    calls = []
+
+    def rho(x, y):
+        calls.append((x.fiber_sizes(), y.fiber_sizes()))
+        return smcc.epsilon(p, p, x, y)
+
+    assert smcc._check_rho_natural(rho, p, p, poly.tensor(p, p), 2) == 30
+    assert sorted(calls) == [((a,), (b,)) for a in range(3) for b in range(3)]
+
+
+def test_epsilon_check_agrees_with_all_maps_on_seeded_instances(monkeypatch):
+    # the check evaluates smcc.epsilon, so patching it in gives the check a
+    # deliberately broken comparison map
+    epsilon = smcc.epsilon
+    rng = random.Random(13)
+    verdicts = []
+    for _ in range(16):
+        k1, k2 = rng.randint(1, 2), rng.randint(1, 2)
+        p1 = randgen.random_diagram(rng, FinSet(k1), FinSet(1), 2, 2)
+        p2 = randgen.random_diagram(rng, FinSet(k2), FinSet(1), 2, 2)
+        bound = 2 if k1 == k2 == 1 else 1
+        rho = lambda x, y, p1=p1, p2=p2: epsilon(p1, p2, x, y)
+        if rng.random() < 0.5:
+            rho = _swapped_at(rho, (tuple(rng.randint(0, bound) for _ in range(k1)),
+                                    tuple(rng.randint(0, bound) for _ in range(k2))))
+        monkeypatch.setattr(smcc, "epsilon", lambda a, b, x, y, rho=rho: rho(x, y))
+        rep = smcc.epsilon_naturality_check(p1, p2, bound)
+        natural = _all_maps_counterexample(rho, p1, p2, poly.tensor(p1, p2), bound) is None
+        assert rep.ok == natural
+        if not natural:
+            assert rep.lines[0].startswith("rho not natural: counterexample at fibers (")
+        verdicts.append(natural)
+    # both verdicts occur, so the agreement is not vacuous
+    assert True in verdicts and False in verdicts
+    # the swapped comparison map of the rho check above
+    p = ss((1,))
+    rho = _swapped_at(lambda x, y: epsilon(p, p, x, y), ((2,), (1,)))
+    monkeypatch.setattr(smcc, "epsilon", lambda a, b, x, y: rho(x, y))
+    assert _all_maps_counterexample(rho, p, p, poly.tensor(p, p), 2) is not None
+    rep = smcc.epsilon_naturality_check(p, p, 2)
+    assert not rep.ok
+    # the coface skipping point 0, beside the identity of a 1-point fiber
+    assert rep.lines == ("rho not natural: counterexample at fibers (1,)->(2,) "
+                         "and (1,)->(1,), maps (1,) and (0,)",)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ Everything downstream decodes constructed elements through those tables.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -81,7 +82,8 @@ def families_up_to(base: FinSet, max_fiber: int) -> Iterator[Family]:
     """All block families over base with every fiber size <= max_fiber,
     in lexicographic order of the size tuple. Guarded by their number
     when called, before the first family is built."""
-    check_guard((max_fiber + 1) ** base.size, "families with bounded fibers")
+    check_guard(finset.capped_power(max_fiber + 1, base.size, finset.guard_limit() + 1),
+                "families with bounded fibers")
     return (family_from_fibers(base, sizes)
             for sizes in itertools.product(range(max_fiber + 1), repeat=base.size))
 
@@ -253,21 +255,23 @@ def pi_sections(f: FinMap, x: Family) -> tuple[tuple[int, tuple[int, ...]], ...]
     element of the fiber of x over that point; sections enumerate in
     odometer order, rightmost coordinate fastest. Entries are absolute
     elements of x.total.
+
+    Guarded by the carrier's size, the sum over b of the product of the
+    fiber sizes over f^-1(b). Every product and the sum stop at the limit
+    plus one, so a refusal quotes "more than <limit>" and costs time
+    linear in the fibers.
     """
     if x.base != f.dom:
         raise ShapeMismatch("dependent product: family not over the map's domain")
-    xfibs = x.proj.fibers()
     sizes = x.fiber_sizes()
-    count = 0
-    for b in range(f.cod.size):
-        block = 1
-        for a in f.fiber(b):
-            block *= sizes[a]
-        count += block
-    check_guard(count, "dependent product carrier")
+    cap = finset.guard_limit() + 1
+    finset.check_guard_sum(
+        (finset.capped_product((sizes[a] for a in fiber), cap) for fiber in f.fibers()),
+        "dependent product carrier")
+    xfibs = x.proj.fibers()
     out: list[tuple[int, tuple[int, ...]]] = []
-    for b in range(f.cod.size):
-        choices = [xfibs[a] for a in f.fiber(b)]
+    for b, fiber in enumerate(f.fibers()):
+        choices = [xfibs[a] for a in fiber]
         for section in itertools.product(*choices):
             out.append((b, section))
     return tuple(out)
@@ -288,20 +292,26 @@ def pi_index(f: FinMap, x: Family) -> dict[tuple[int, tuple[int, ...]], int]:
 # hom sets
 
 
-def hom_count(x: Family, y: Family) -> int:
+def _hom_powers(x: Family, y: Family) -> list[tuple[int, int]]:
+    """(|y_b|, |x_b|) for each base point b: a morphism x -> y picks one of
+    |y_b| elements for each of the |x_b| elements over b."""
     if x.base != y.base:
         raise ShapeMismatch("hom needs families over a common base")
-    sizes = y.fiber_sizes()
-    count = 1
-    for b in x.proj.table:
-        count *= sizes[b]
-    return count
+    return list(zip(y.fiber_sizes(), x.fiber_sizes()))
+
+
+def hom_count(x: Family, y: Family) -> int:
+    """Number of family morphisms x -> y. Exact and unguarded."""
+    return math.prod(n**m for n, m in _hom_powers(x, y))
 
 
 def hom_enumerate(x: Family, y: Family) -> list[FamMorphism]:
     """All family morphisms x -> y, lexicographic in the table whose t-th
-    entry ranges over the (ascending) fiber of y over proj(t). Guarded."""
-    check_guard(hom_count(x, y), "family hom set")
+    entry ranges over the (ascending) fiber of y over proj(t). Guarded by
+    their number, cut at the limit plus one."""
+    cap = finset.guard_limit() + 1
+    finset.check_guard_product((finset.capped_power(n, m, cap) for n, m in _hom_powers(x, y)),
+                               "family hom set")
     yfibs = y.proj.fibers()
     choices = [yfibs[b] for b in x.proj.table]
     out = []
@@ -664,12 +674,10 @@ def tr_elements(y: Family, z: Family) -> tuple[tuple[int, tuple[int, ...]], ...]
     z-element for each element of the y-fiber (ascending), tables in
     lexicographic order."""
     prod_base = finset.product(y.base, z.base)
-    count = 0
-    ysizes, zsizes = y.fiber_sizes(), z.fiber_sizes()
-    for i2 in range(y.base.size):
-        for i3 in range(z.base.size):
-            count += zsizes[i3] ** ysizes[i2]
-    check_guard(count, "two-variable hom family")
+    cap = finset.guard_limit() + 1
+    finset.check_guard_sum((finset.capped_power(n3, n2, cap)
+                            for n2 in y.fiber_sizes() for n3 in z.fiber_sizes()),
+                           "two-variable hom family")
     out: list[tuple[int, tuple[int, ...]]] = []
     for i2 in range(y.base.size):
         yfib = y.fiber(i2)

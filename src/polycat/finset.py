@@ -66,6 +66,48 @@ def check_guard_sum(terms: Iterable[int], what: str) -> None:
     check_guard(total, what)
 
 
+def capped_power(base: int, exponent: int, cap: int) -> int:
+    """min(base ** exponent, cap) for a nonnegative base and exponent and
+    cap >= 1, with 0 ** 0 = 1. A base of at least 2 passes the cap once the
+    exponent reaches the cap's bit length, so no power beyond
+    base ** log2(cap) is ever built."""
+    if base >= 2 and exponent >= cap.bit_length():
+        return cap
+    return min(base**exponent, cap)
+
+
+def capped_product(factors: Iterable[int], cap: int) -> int:
+    """min(product of the nonnegative factors, cap), for cap >= 1, with
+    every partial product cut at cap. Cutting commutes with sums and
+    products of nonnegative integers, min(a·b, c) = min(min(a, c) ·
+    min(b, c), c), so the result is exact below cap: a zero factor still
+    zeroes it, and a factor may arrive cut already, as a capped_power does."""
+    product = 1
+    for n in factors:
+        product = min(product * n, cap)
+    return product
+
+
+def capped_product_rule(pairs: Iterable[tuple[int, int]], cap: int) -> tuple[int, int]:
+    """For pairs (s_i, t_i) of nonnegative integers, the product Π_i s_i
+    and the sum Σ_i t_i · Π_{j≠i} s_j, each cut to at most cap like
+    capped_product: the number of ways to choose one of s_i things for
+    every i, and the number of those with one of t_i marks at one i (a
+    composite shape and its directions). One pass by the product rule:
+    each pair turns (P, Q) into (P·s, Q·s + P·t)."""
+    product, marked = 1, 0
+    for s, t in pairs:
+        product, marked = min(product * s, cap), min(marked * s + product * t, cap)
+    return product, marked
+
+
+def check_guard_product(factors: Iterable[int], what: str) -> None:
+    """check_guard on the product of nonnegative factors, cut at the limit
+    plus one like check_guard_sum (capped_product), so a refusal quotes
+    "more than <limit>" and no huge product is built."""
+    check_guard(capped_product(factors, _guard_limit + 1), what)
+
+
 def without_hash(state: dict) -> dict:
     """A value's pickling state without its cached hash: string labels
     hash differently in another process."""
@@ -326,13 +368,15 @@ def copair(f: FinMap, g: FinMap, cop: Coproduct) -> FinMap:
 
 
 def map_count(a: FinSet, b: FinSet) -> int:
-    """Number of total maps a -> b (with 0^0 = 1)."""
+    """Number of total maps a -> b (with 0^0 = 1). Exact and unguarded."""
     return b.size**a.size
 
 
 def enumerate_maps(a: FinSet, b: FinSet) -> list[FinMap]:
-    """All maps a -> b in lexicographic table order. Guarded."""
-    check_guard(map_count(a, b), f"map space {b.size}^{a.size}")
+    """All maps a -> b in lexicographic table order. Guarded by their
+    number, cut at the limit plus one (capped_power)."""
+    check_guard(capped_power(b.size, a.size, _guard_limit + 1),
+                f"map space {b.size}^{a.size}")
     return [
         FinMap(a, b, table) for table in itertools.product(range(b.size), repeat=a.size)
     ]
@@ -342,9 +386,12 @@ def exponential(a: FinSet, b: FinSet) -> FinSet:
     """Carrier for the map space b^a; element k decodes via map_from_index.
 
     The numbering agrees with enumerate_maps: index k reads as the base-b
-    digits of k, most significant digit first.
+    digits of k, most significant digit first. Guarded by the carrier's
+    size, cut at the limit plus one, so a refused exponential quotes "more
+    than <limit>" and its power is never built.
     """
-    check_guard(map_count(a, b), f"exponential {b.size}^{a.size}")
+    check_guard(capped_power(b.size, a.size, _guard_limit + 1),
+                f"exponential {b.size}^{a.size}")
     return FinSet(map_count(a, b))
 
 

@@ -95,15 +95,22 @@ def zero_diagram() -> PolyDiagram:
     return PolyDiagram(empty, empty, empty, empty, e, e, e)
 
 
+def arity_counts(p: PolyDiagram) -> dict[int, int]:
+    """How many shapes have each arity, read off the fibers in one pass."""
+    counts: dict[int, int] = {}
+    for fiber in p.dir_shape.fibers():
+        counts[len(fiber)] = counts.get(len(fiber), 0) + 1
+    return counts
+
+
 def notation(p: PolyDiagram) -> str:
     """Sum-of-monomials rendering of a single-sorted diagram, e.g. 2X^2."""
     assert p.is_single_sorted()
-    counts: dict[int, int] = {}
-    for v in p.shapes:
-        e = len(p.shape_fiber(v))
-        counts[e] = counts.get(e, 0) + 1
-    if not counts:
-        return "0"
+    return monomials(arity_counts(p))
+
+
+def monomials(counts: Mapping[int, int]) -> str:
+    """Sum-of-monomials rendering of the shape counts per arity."""
     terms = []
     for e in sorted(counts, reverse=True):
         c = counts[e]
@@ -112,7 +119,7 @@ def notation(p: PolyDiagram) -> str:
         else:
             x = "X" if e == 1 else f"X^{e}"
             terms.append(x if c == 1 else f"{c}{x}")
-    return " + ".join(terms)
+    return " + ".join(terms) if terms else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +287,6 @@ class Composite:
     dir_reps: tuple[tuple[int, int, int], ...]
 
 
-def _running_products(factors: list[int], cap: int) -> list[int]:
-    """[1, f0, f0*f1, ...], each product cut to at most cap. A zero factor
-    still zeroes every later product, so each entry is the true product
-    whenever that is below cap, and cap otherwise."""
-    out = [1]
-    for n in factors:
-        out.append(min(out[-1] * n, cap))
-    return out
-
-
 def _compose_guard(q: PolyDiagram, p: PolyDiagram) -> None:
     """Guard the composite's carriers by their sizes: a composite shape
     is an outer shape w with an inner shape for each direction of w; a
@@ -300,19 +297,13 @@ def _compose_guard(q: PolyDiagram, p: PolyDiagram) -> None:
     inner_per_sort = [len(p.shape_sort.fiber(j)) for j in p.target]
     dirs_per_sort = [sum(len(p.shape_fiber(v)) for v in p.shape_sort.fiber(j))
                      for j in p.target]
-    counts = [[inner_per_sort[q.dir_sort(e)] for e in q.shape_fiber(w)] for w in q.shapes]
-    finset.check_guard_sum((_running_products(c, cap)[-1] for c in counts),
-                           "composite shape carrier")
-    dir_terms = []
-    for w in q.shapes:
-        es = q.shape_fiber(w)
-        before = _running_products(counts[w], cap)
-        after = _running_products(counts[w][::-1], cap)[::-1]
-        for i, e in enumerate(es):
-            # the inner shapes chosen for every other direction of w
-            others = min(before[i] * after[i + 1], cap)
-            dir_terms.append(min(dirs_per_sort[q.dir_sort(e)] * others, cap))
-    finset.check_guard_sum(dir_terms, "composite direction carrier")
+    # per outer shape w: an inner shape for each direction of w, and then
+    # one direction of w with one direction of its inner shape
+    sizes = [finset.capped_product_rule(
+        ((inner_per_sort[j], dirs_per_sort[j]) for j in map(q.dir_sort, q.shape_fiber(w))),
+        cap) for w in q.shapes]
+    finset.check_guard_sum((shapes for shapes, _ in sizes), "composite shape carrier")
+    finset.check_guard_sum((dirs for _, dirs in sizes), "composite direction carrier")
 
 
 def compose_data(q: PolyDiagram, p: PolyDiagram) -> Composite:
@@ -574,51 +565,68 @@ class HomData:
     dir_reps: tuple[tuple[int, int, int], ...]
 
 
+def _hom_sizes(by_arity2: Mapping[int, int], by_arity3: Mapping[int, int],
+               cap: int) -> tuple[int, int]:
+    """The numbers of shapes and of directions of the hom from p2 to p3,
+    each cut to at most cap, in closed form from the shape counts per
+    arity (arity_counts): the sum over shape maps f factorizes over the
+    shapes v of p2. With n2 and n3 the arities in p2 and p3,
+    S_v = Σ_w n2(v)^n3(w) and D_v = Σ_w n2(v)^n3(w) · n3(w), there are
+    Π_v S_v shapes and Σ_v D_v · Π_{v'≠v} S_{v'} directions
+    (capped_product_rule). S_v and D_v depend on v's arity alone, so the k
+    shapes of one arity make one block: S_v^k shapes, k · D_v · S_v^(k-1)
+    directions."""
+    blocks = []
+    for n, k in by_arity2.items():
+        s = d = 0
+        for m, c in by_arity3.items():
+            tables = c * finset.capped_power(n, m, cap)
+            s, d = min(s + tables, cap), min(d + tables * m, cap)
+        blocks.append((finset.capped_power(s, k, cap),
+                       min(k * d * finset.capped_power(s, k - 1, cap), cap)))
+    return finset.capped_product_rule(blocks, cap)
+
+
 def hom_data(p2: PolyDiagram, p3: PolyDiagram) -> HomData:
     """The internal hom of single-sorted diagrams: a shape is a forward
-    map on shapes with a backward table on direction fibers, a direction
-    is a pair of a first-operand shape and a direction of its image."""
+    map f on shapes with a backward table on direction fibers, a direction
+    is a pair of a first-operand shape v and a direction of f(v). Shapes
+    enumerate by f in lexicographic table order, then by the backward
+    tables in odometer order.
+
+    Guarded, in this order, by the number of shape maps and by the sizes
+    of both carriers in closed form (_hom_sizes), each cut at the limit
+    plus one: a refusal quotes "more than <limit>", costs time linear in
+    the operands' directions and visits no shape map. The build reads each
+    operand's fibers once and emits the shapes and directions of each
+    shape map as one block."""
     if not (p2.is_single_sorted() and p3.is_single_sorted()):
         raise ValidationError("general hom not implemented: single-sorted diagrams only")
     a1, a2 = p2.shapes, p3.shapes
-    fibers2 = [p2.shape_fiber(v) for v in a1]
-    fibers3 = [p3.shape_fiber(w) for w in a2]
-    check_guard(finset.map_count(a1, a2), "hom shape search space")
-
-    shape_count = 0
-    dir_count = 0
-    for k in range(finset.map_count(a1, a2)):
-        f = finset.map_from_index(a1, a2, k)
-        block = 1
-        dirs_here = 0
-        for v in a1:
-            block *= len(fibers2[v]) ** len(fibers3[f(v)])
-            dirs_here += len(fibers3[f(v)])
-        shape_count += block
-        dir_count += block * dirs_here
+    cap = finset.guard_limit() + 1
+    check_guard(finset.capped_power(a2.size, a1.size, cap), "hom shape search space")
+    by_arity2, by_arity3 = arity_counts(p2), arity_counts(p3)
+    shape_count, dir_count = _hom_sizes(by_arity2, by_arity3, cap)
     check_guard(shape_count, "hom shape carrier")
     check_guard(dir_count, "hom direction carrier")
 
+    fibers2, fibers3 = p2.dir_shape.fibers(), p3.dir_shape.fibers()
+    # the images w of v that leave v a backward table, n2(v)^n3(w) > 0
+    images = [[w for w in a2 if fibers2[v] or not fibers3[w]] for v in a1]
+    # the backward tables per pair of arities; while there are shapes, each
+    # S_v is at least 1, so n2^n3 <= S_v <= shape_count is within the guard
+    tables = {(n2, n3): list(itertools.product(range(n2), repeat=n3))
+              for n2 in by_arity2 for n3 in by_arity3} if shape_count else {}
     one = FinSet(1)
     shape_reps: list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = []
     dir_reps: list[tuple[int, int, int]] = []
-    for k in range(finset.map_count(a1, a2)):
-        f = finset.map_from_index(a1, a2, k)
-        per_shape_tables = [
-            [
-                tab
-                for tab in itertools.product(
-                    range(len(fibers2[v])), repeat=len(fibers3[f(v)])
-                )
-            ]
-            for v in a1
-        ]
-        for phi in itertools.product(*per_shape_tables):
-            c = len(shape_reps)
-            shape_reps.append((f.table, tuple(phi)))
-            for v in a1:
-                for e in fibers3[f(v)]:
-                    dir_reps.append((c, v, e))
+    for f in itertools.product(*images):
+        blocks = [tables[len(fibers2[v]), len(fibers3[w])] for v, w in enumerate(f)]
+        start = len(shape_reps)
+        shape_reps.extend((f, phi) for phi in itertools.product(*blocks))
+        dirs_of_f = [(v, e) for v, w in enumerate(f) for e in fibers3[w]]
+        dir_reps.extend((c, v, e) for c in range(start, len(shape_reps))
+                        for v, e in dirs_of_f)
     shapes = FinSet(len(shape_reps))
     dirs = FinSet(len(dir_reps))
     diagram = PolyDiagram(

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import pickle
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,6 +129,19 @@ def test_pi_with_empty_input_fiber():
     assert p.fiber_sizes() == (0,)
 
 
+def test_pi_guard_refuses_a_wide_fiber_at_once():
+    # 3^200000 sections over one point, and a zero fiber that empties a
+    # product which passed the limit first
+    f = fmap(200000, 1, (0,) * 200000)
+    x = blocks(200000, (3,) * 200000)
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardExceeded,
+                       match="dependent product carrier has size more than 1000000,"):
+        fam.pi_sections(f, x)
+    assert time.perf_counter() - start < 0.5
+    assert fam.pi_sections(fmap(40, 1, (0,) * 40), blocks(40, (3,) * 39 + (0,))) == ()
+
+
 def test_reindexing_shape_checks():
     f = fmap(2, 1, (0, 0))
     with pytest.raises(ShapeMismatch):
@@ -155,6 +169,18 @@ def test_hom_guard():
     y = blocks(1, (10,))
     with pytest.raises(SizeGuardExceeded):
         fam.hom_enumerate(x, y)
+
+
+def test_hom_guard_saturates_and_the_count_stays_exact():
+    # 3^200000 morphisms: the guard refuses at once, the count is exact
+    x, y = blocks(2, (200000, 0)), blocks(2, (3, 5))
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardExceeded, match="family hom set has size more than 1000000,"):
+        fam.hom_enumerate(x, y)
+    assert time.perf_counter() - start < 0.5
+    assert fam.hom_count(x, y) == 3**200000
+    with pytest.raises(ShapeMismatch):
+        fam.hom_enumerate(x, blocks(1, (3,)))
 
 
 def test_hom_empty_cases():

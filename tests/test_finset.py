@@ -1,12 +1,14 @@
 import dataclasses
 import itertools
+import math
 import os
 import pickle
 import subprocess
 import sys
+import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from polycat import finset
 from polycat.errors import ShapeMismatch, SizeGuardExceeded
@@ -288,6 +290,61 @@ def test_guard_sum_stops_adding_once_over_the_limit():
     assert str(exc.value) == \
         "search too large: x has size more than 1000000, guard limit is 1000000"
     finset.check_guard_sum([10**6 - 1, 1], "x")
+
+
+@given(st.lists(st.integers(0, 9), max_size=10), st.integers(0, 2000))
+@example([0], 0)
+@example([5, 0, 7], 0)
+@example([], 0)
+@example([10**6, 10**6, 0], 10**6)
+def test_saturating_product_is_the_exact_product_cut_at_the_limit(factors, limit):
+    cap = limit + 1
+    exact = math.prod(factors)
+    assert finset.capped_product(factors, cap) == min(exact, cap)
+    old = finset.set_guard_limit(limit)
+    try:
+        if exact > limit:
+            with pytest.raises(SizeGuardExceeded) as exc:
+                finset.check_guard_product(factors, "x")
+            assert str(exc.value) == (f"search too large: x has size more than {limit}, "
+                                      f"guard limit is {limit}")
+        else:
+            finset.check_guard_product(factors, "x")
+    finally:
+        finset.set_guard_limit(old)
+
+
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=8),
+       st.integers(1, 3000))
+@example([(0, 5), (7, 3)], 1)
+@example([(10**6, 1), (10**6, 1), (0, 2)], 10**6 + 1)
+def test_product_rule_is_the_exact_count_cut_at_the_cap(pairs, cap):
+    factors = [s for s, _ in pairs]
+    marked = sum(t * math.prod(factors[:i] + factors[i + 1:]) for i, (_, t) in enumerate(pairs))
+    assert finset.capped_product_rule(pairs, cap) == (min(math.prod(factors), cap),
+                                                      min(marked, cap))
+
+
+@given(st.integers(0, 12), st.integers(0, 40), st.integers(1, 3000))
+@example(0, 0, 1)
+@example(2, 0, 1)
+@example(1, 10**9, 1)
+def test_capped_power_is_the_exact_power_cut_at_the_cap(base, exponent, cap):
+    assert finset.capped_power(base, exponent, cap) == min(base**exponent, cap)
+
+
+def test_map_space_guards_refuse_a_huge_exponent_at_once():
+    # 3^(10^7) maps: the guard never builds the power
+    a, b = FinSet(10**7), FinSet(3)
+    for build, what in ((finset.exponential, "exponential"),
+                        (finset.enumerate_maps, "map space")):
+        start = time.perf_counter()
+        with pytest.raises(SizeGuardExceeded,
+                           match=f"{what} 3\\^10000000 has size more than 1000000,"):
+            build(a, b)
+        assert time.perf_counter() - start < 0.5
+    # pure counting never guards
+    assert finset.map_count(FinSet(2000), FinSet(3)) == 3**2000
 
 
 def test_exponential_sizes():

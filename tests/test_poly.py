@@ -510,6 +510,111 @@ def test_dualize_degenerate():
     assert poly.notation(poly.dualize(ss(0))) == "0"
 
 
+def _two_pass_hom(p2, p3):
+    """The hom as first written: a counting pass over every shape map,
+    then a build pass that enumerates every map again, lists the backward
+    tables of each first-operand shape and appends each hom shape's
+    directions one by one. Returns the two counts and the HomData."""
+    a1, a2 = p2.shapes, p3.shapes
+    fibers2 = [p2.shape_fiber(v) for v in a1]
+    fibers3 = [p3.shape_fiber(w) for w in a2]
+    shape_count = dir_count = 0
+    for k in range(finset.map_count(a1, a2)):
+        f = finset.map_from_index(a1, a2, k)
+        block, dirs_here = 1, 0
+        for v in a1:
+            block *= len(fibers2[v]) ** len(fibers3[f(v)])
+            dirs_here += len(fibers3[f(v)])
+        shape_count += block
+        dir_count += block * dirs_here
+    shape_reps, dir_reps = [], []
+    for k in range(finset.map_count(a1, a2)):
+        f = finset.map_from_index(a1, a2, k)
+        tables = [list(itertools.product(range(len(fibers2[v])), repeat=len(fibers3[f(v)])))
+                  for v in a1]
+        for phi in itertools.product(*tables):
+            c = len(shape_reps)
+            shape_reps.append((f.table, tuple(phi)))
+            for v in a1:
+                for e in fibers3[f(v)]:
+                    dir_reps.append((c, v, e))
+    shapes, dirs, one = FinSet(len(shape_reps)), FinSet(len(dir_reps)), FinSet(1)
+    diagram = poly.PolyDiagram(
+        source=one, dirs=dirs, shapes=shapes, target=one,
+        dir_sort=FinMap(dirs, one, (0,) * dirs.size),
+        dir_shape=FinMap(dirs, shapes, tuple(c for c, _, _ in dir_reps)),
+        shape_sort=FinMap(shapes, one, (0,) * shapes.size))
+    return shape_count, dir_count, poly.HomData(diagram, tuple(shape_reps), tuple(dir_reps))
+
+
+def _hom_pairs():
+    """Seeded operand pairs, with shapes without directions, an empty
+    first or second operand, and both empty."""
+    rng = random.Random(9)
+    pairs = [(ss(), ss()), (ss(2, 0), ss()), (ss(), ss(1, 3)), (ss(0, 0), ss(0, 2)),
+             (ss(0, 1), ss(2, 0, 1))]
+    for _ in range(60):
+        pairs.append((ss(*(rng.randint(0, 3) for _ in range(rng.randint(0, 4)))),
+                      ss(*(rng.randint(0, 3) for _ in range(rng.randint(0, 3))))))
+    return pairs
+
+
+def test_hom_counts_in_closed_form_match_the_built_carriers():
+    for p2, p3 in _hom_pairs():
+        shape_count, dir_count, _ = _two_pass_hom(p2, p3)
+        data = poly.hom_data(p2, p3)
+        assert (shape_count, dir_count) == (len(data.shape_reps), len(data.dir_reps))
+        for cap in (1, 2, 7, 10**30):
+            assert poly._hom_sizes(poly.arity_counts(p2), poly.arity_counts(p3), cap) == \
+                (min(shape_count, cap), min(dir_count, cap))
+
+
+def test_hom_data_matches_the_two_pass_build():
+    for p2, p3 in _hom_pairs():
+        assert poly.hom_data(p2, p3) == _two_pass_hom(p2, p3)[2]
+
+
+def test_hom_guards_keep_their_order_at_every_limit():
+    # X^2 + X into 2X^2 + 1: 9 shape maps; S = 9 and D = 16 for X^2, S = 3
+    # and D = 4 for X, so 9 * 3 = 27 hom shapes and 16 * 3 + 4 * 9 = 84
+    # directions
+    p2, p3 = ss(2, 1), ss(2, 2, 0)
+    assert _two_pass_hom(p2, p3)[:2] == (27, 84)
+    for limit, what in ((8, "hom shape search space"), (26, "hom shape carrier"),
+                        (83, "hom direction carrier"), (84, None)):
+        old = finset.set_guard_limit(limit)
+        try:
+            if what is None:
+                assert poly.hom_single_sorted(p2, p3).dirs.size == 84
+            else:
+                with pytest.raises(SizeGuardExceeded,
+                                   match=f"{what} has size more than {limit},"):
+                    poly.hom_single_sorted(p2, p3)
+        finally:
+            finset.set_guard_limit(old)
+
+
+def test_hom_guards_refuse_a_wide_operand_at_once():
+    # 3^200000 hom shapes into the dualizing diagram, and 2^100000 shape
+    # maps into two shapes: every guard saturates at the limit
+    for p2, p3, what in ((ss(*(3,) * 200000), poly.bottom_diagram(), "hom shape carrier"),
+                         (ss(*(1,) * 100000), ss(1, 1), "hom shape search space")):
+        start = time.perf_counter()
+        with pytest.raises(SizeGuardExceeded,
+                           match=f"{what} has size more than 1000000, guard limit"):
+            poly.hom_single_sorted(p2, p3)
+        assert time.perf_counter() - start < 0.5
+
+
+def test_hom_builds_no_backward_table_of_a_map_without_shapes():
+    # X^1000 + 1 into X^5: the constant shape has no image, so there are
+    # no hom shapes, and the 1000^5 backward tables of X^1000 are never built
+    start = time.perf_counter()
+    data = poly.hom_data(ss(1000, 0), ss(5))
+    assert data.shape_reps == () and data.dir_reps == ()
+    assert time.perf_counter() - start < 0.5
+
+
 # -- morphisms and isomorphism search -----------------------------------------
 
 

@@ -3,6 +3,7 @@ currying adjunction, the coend oracle, the truncated exponential
 identity, and double dualization."""
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -307,6 +308,32 @@ def test_rho_check_evaluates_rho_once_per_argument_pair():
 
     assert smcc._check_rho_natural(rho, p, p, poly.tensor(p, p), 2) == 30
     assert sorted(calls) == [((a,), (b,)) for a in range(3) for b in range(3)]
+
+
+def test_theta_check_evaluates_rho_and_epsilon_once_per_argument_pair(monkeypatch):
+    p1, p2 = ss((1, 0)), ss((2,))
+    rho_calls, epsilon_calls = Counter(), Counter()
+    epsilon = smcc.epsilon
+
+    def counted_epsilon(a, b, x, y):
+        epsilon_calls[x.fiber_sizes(), y.fiber_sizes()] += 1
+        return epsilon(a, b, x, y)
+
+    def rho(x, y):
+        rho_calls[x.fiber_sizes(), y.fiber_sizes()] += 1
+        return epsilon(p1, p2, x, y)
+
+    monkeypatch.setattr(smcc, "epsilon", counted_epsilon)
+    rep = smcc.theta_check(p1, p2, poly.tensor(p1, p2), rho, candidate_limit=50)
+    assert rep.ok
+    assert "1 of 5 candidate transformations" in rep.lines[1]
+    # the 9 pairs with fibers at most 2, which hold the generic families
+    pairs = {((a,), (b,)) for a in range(3) for b in range(3)}
+    assert rho_calls == Counter(pairs)
+    assert epsilon_calls == Counter(pairs)
+    # the cache lives for one call
+    smcc.theta_check(p1, p2, poly.tensor(p1, p2), rho, candidate_limit=50)
+    assert rho_calls == Counter({pair: 2 for pair in pairs})
 
 
 def test_epsilon_check_agrees_with_all_maps_on_seeded_instances(monkeypatch):

@@ -276,7 +276,8 @@ def _run(args: argparse.Namespace) -> int:
         p2 = document.diagram(args.p2)
         p3 = document.diagram(args.p3)
         tens = poly.tensor(p1, p2)
-        h = poly.hom_single_sorted(p2, p3)
+        hd = poly.hom_data(p2, p3)
+        h = hd.diagram
         n_left = nat.count_nat(tens, p3)
         n_right = nat.count_nat(p1, h)
         print(f"transformations: {decimal(n_left)} out of the tensor, "
@@ -293,11 +294,12 @@ def _run(args: argparse.Namespace) -> int:
             raise SizeGuardExceeded(
                 f"{decimal(n_left)} transformations exceed the enumeration limit {args.limit}")
         m = nat.enumerate_dm(tens, p3)[args.index]
-        curried = smcc.curry_dm(m, p1, p2, p3)
+        # one hom for the count, both transpositions and the position
+        curried = smcc._curry(m, p1, p2, hd, smcc._shape_index(hd))
         position = nat.enumerate_dm(p1, h).index(curried)
         print(f"transformation {args.index} of {n_left} curries to "
               f"{position} of {n_right}")
-        if smcc.uncurry_dm(curried, p1, p2, p3) != m:
+        if smcc._uncurry(curried, p1, p2, p3, hd) != m:
             print("uncurrying does not return the original: LAW VIOLATION")
             return 4
         print("uncurrying returns the original transformation")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -594,34 +594,40 @@ def hom_data(p2: PolyDiagram, p3: PolyDiagram) -> HomData:
     enumerate by f in lexicographic table order, then by the backward
     tables in odometer order.
 
-    Guarded, in this order, by the number of shape maps and by the sizes
-    of both carriers in closed form (_hom_sizes), each cut at the limit
-    plus one: a refusal quotes "more than <limit>", costs time linear in
-    the operands' directions and visits no shape map. The build reads each
-    operand's fibers once and emits the shapes and directions of each
-    shape map as one block."""
+    Guarded, in this order, by the sizes of both carriers in closed form
+    (_hom_sizes), each cut at the limit plus one: a refusal quotes "more
+    than <limit>", costs time linear in the operands' directions and
+    visits no shape map. The build reads each operand's fibers once and
+    visits only the shape maps f with n2(v)^n3(f(v)) > 0 at every v. Each
+    of them has at least one hom shape, so the maps visited are at most
+    the guarded shape count, however many maps there are between the
+    shape sets; the shapes and directions of each map are emitted as one
+    block."""
     if not (p2.is_single_sorted() and p3.is_single_sorted()):
         raise ValidationError("general hom not implemented: single-sorted diagrams only")
-    a1, a2 = p2.shapes, p3.shapes
-    cap = finset.guard_limit() + 1
-    check_guard(finset.capped_power(a2.size, a1.size, cap), "hom shape search space")
-    by_arity2, by_arity3 = arity_counts(p2), arity_counts(p3)
-    shape_count, dir_count = _hom_sizes(by_arity2, by_arity3, cap)
+    fibers2, fibers3 = p2.dir_shape.fibers(), p3.dir_shape.fibers()
+    arity2, arity3 = list(map(len, fibers2)), list(map(len, fibers3))
+    by_arity2, by_arity3 = Counter(arity2), Counter(arity3)
+    shape_count, dir_count = _hom_sizes(by_arity2, by_arity3, finset.guard_limit() + 1)
     check_guard(shape_count, "hom shape carrier")
     check_guard(dir_count, "hom direction carrier")
 
-    fibers2, fibers3 = p2.dir_shape.fibers(), p3.dir_shape.fibers()
-    # the images w of v that leave v a backward table, n2(v)^n3(w) > 0
-    images = [[w for w in a2 if fibers2[v] or not fibers3[w]] for v in a1]
+    # the images w of v that leave v a backward table, n2(v)^n3(w) > 0: every
+    # shape when v has directions, else the shapes without; as tuples, which
+    # itertools.product takes without copying
+    every = tuple(p3.shapes)
+    constants = tuple(w for w, n3 in enumerate(arity3) if not n3)
+    images = [every if n2 else constants for n2 in arity2]
     # the backward tables per pair of arities; while there are shapes, each
     # S_v is at least 1, so n2^n3 <= S_v <= shape_count is within the guard
-    tables = {(n2, n3): list(itertools.product(range(n2), repeat=n3))
+    tables = {(n2, n3): tuple(itertools.product(range(n2), repeat=n3))
               for n2 in by_arity2 for n3 in by_arity3} if shape_count else {}
     one = FinSet(1)
     shape_reps: list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = []
     dir_reps: list[tuple[int, int, int]] = []
     for f in itertools.product(*images):
-        blocks = [tables[len(fibers2[v]), len(fibers3[w])] for v, w in enumerate(f)]
+        # the table list of each v at (n2(v), n3(f(v))), looked up in C
+        blocks = map(tables.__getitem__, zip(arity2, map(arity3.__getitem__, f)))
         start = len(shape_reps)
         shape_reps.extend((f, phi) for phi in itertools.product(*blocks))
         dirs_of_f = [(v, e) for v, w in enumerate(f) for e in fibers3[w]]
@@ -669,6 +675,13 @@ class DiagMorphism:
     alpha maps src shapes to dst shapes over the common target; betas[v]
     lists, for each direction of alpha(v) (ascending), an absolute src
     direction of shape v with the same sort.
+
+    Checked on construction, in one pass that reads alpha's table, the
+    beta tables and the endpoints' structure tables once: the endpoints,
+    alpha's domain, codomain and sorts, the number of beta tables, then
+    shape by shape the table's length and, entry by entry, that it stays
+    in shape v's direction fiber and keeps the sort. The first failing
+    check raises.
     """
 
     src: PolyDiagram
@@ -677,23 +690,27 @@ class DiagMorphism:
     betas: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.src.source != self.dst.source or self.src.target != self.dst.target:
+        src, dst, alpha = self.src, self.dst, self.alpha
+        if src.source != dst.source or src.target != dst.target:
             raise ShapeMismatch("morphism endpoints must share source and target")
-        if self.alpha.dom != self.src.shapes or self.alpha.cod != self.dst.shapes:
+        if alpha.dom != src.shapes or alpha.cod != dst.shapes:
             raise ShapeMismatch("alpha must map src shapes to dst shapes")
-        if self.alpha.then(self.dst.shape_sort).table != self.src.shape_sort.table:
+        dst_shape_sort = dst.shape_sort.table
+        if tuple(dst_shape_sort[w] for w in alpha.table) != src.shape_sort.table:
             raise ValidationError("alpha does not respect shape sorts")
-        if len(self.betas) != self.src.shapes.size:
+        if len(self.betas) != src.shapes.size:
             raise ShapeMismatch("one beta table per src shape required")
-        for v in self.src.shapes:
-            fiber2 = self.dst.shape_fiber(self.alpha(v))
-            table = self.betas[v]
+        fibers2 = dst.dir_shape.fibers()
+        n_dirs, dir_shape, dir_sort = src.dirs.size, src.dir_shape.table, src.dir_sort.table
+        dst_dir_sort = dst.dir_sort.table
+        for v, (w, table) in enumerate(zip(alpha.table, self.betas)):
+            fiber2 = fibers2[w]
             if len(table) != len(fiber2):
                 raise ShapeMismatch(f"beta table at shape {v} has the wrong length")
-            for pos, u1 in enumerate(table):
-                if u1 not in self.src.dirs or self.src.dir_shape(u1) != v:
+            for u1, u2 in zip(table, fiber2):
+                if not 0 <= u1 < n_dirs or dir_shape[u1] != v:
                     raise ValidationError(f"beta at shape {v} leaves the direction fiber")
-                if self.src.dir_sort(u1) != self.dst.dir_sort(fiber2[pos]):
+                if dir_sort[u1] != dst_dir_sort[u2]:
                     raise ValidationError(f"beta at shape {v} does not respect sorts")
 
     def beta_at(self, v: int, u2: int) -> int:

@@ -364,17 +364,35 @@ def count_sim(p1: PolyDiagram, p2: PolyDiagram, span: Span) -> int:
     return total
 
 
+def _option_counts(p1: PolyDiagram, p2: PolyDiagram, span: Span,
+                   rho: int, v: int) -> list[list[int]]:
+    """At the (state, shape) pair (rho, v) of a cell, per destination shape
+    w over rho's right leg, the numbers of entry options of w's directions:
+    the factors of count_sim, for a guard that cuts them."""
+    return [[len(entry_options(p1, p2, span, v, u)) for u in p2.shape_fiber(w)]
+            for w in p2.shape_sort.fiber(span.right(rho))]
+
+
+def _fillings(option_counts: list, cap: int) -> int:
+    """The number of ways to fill one (state, shape) pair, the sum over the
+    destination shapes of the product of their option counts, with every
+    product and the sum cut at cap (finset.capped_product)."""
+    return min(sum(finset.capped_product(counts, cap) for counts in option_counts), cap)
+
+
 def _pair_choices(p1: PolyDiagram, p2: PolyDiagram, span: Span,
                   rho: int, v: int) -> list[tuple[int, dict, dict]]:
     """Every way to fill one (state, shape) pair of a cell: an assigned
     shape of the destination plus full direction/state tables for it.
-    The option count is guarded before materializing."""
+    The option count is guarded before materializing, cut at the limit
+    plus one (_fillings)."""
     per_shape = [
         (w, [entry_options(p1, p2, span, v, u) for u in p2.shape_fiber(w)])
         for w in p2.shape_sort.fiber(span.right(rho))
     ]
-    weight = sum(math.prod(len(opts) for opts in options) for _, options in per_shape)
-    check_guard(weight, "cell table options at one (state, shape) pair")
+    check_guard(_fillings([map(len, options) for _, options in per_shape],
+                          finset.guard_limit() + 1),
+                "cell table options at one (state, shape) pair")
     choices: list[tuple[int, dict, dict]] = []
     for w, options in per_shape:
         fiber = p2.shape_fiber(w)
@@ -411,10 +429,14 @@ def random_cell(rng, p1: PolyDiagram, p2: PolyDiagram, span: Span) -> SimCell | 
 def enumerate_sim(p1: PolyDiagram, p2: PolyDiagram, span: Span) -> list[SimCell]:
     """All valid cells over the given span: per (state, shape) pair, a
     choice of assigned shape plus a full direction/state table for it.
-    The exact cell count is computed up front and guarded."""
+    The cell count is guarded up front, cut at the limit plus one: the
+    product of every pair's _fillings (finset.check_guard_product)."""
     require_endo(p1, p2)
     pairs = cell_pairs(span, p1)
-    check_guard(count_sim(p1, p2, span), "cell search space")
+    cap = finset.guard_limit() + 1
+    finset.check_guard_product(
+        (_fillings(_option_counts(p1, p2, span, rho, v), cap) for rho, v in pairs),
+        "cell search space")
     per_pair = [_pair_choices(p1, p2, span, rho, v) for rho, v in pairs]
     out: list[SimCell] = []
     for combo in itertools.product(*per_pair):
@@ -436,7 +458,8 @@ def equivalence_check(c: SimCell, c2: SimCell) -> FinMap | None:
     r, r2 = c.span, c2.span
     if r.carrier.size != r2.carrier.size:
         return None
-    check_guard(math.factorial(r.carrier.size), "span isomorphism search")
+    # the bijections of the carrier, |carrier|!, counted up to the limit
+    finset.check_guard_product(range(1, r.carrier.size + 1), "span isomorphism search")
     by_legs: dict[tuple[int, int], list[int]] = {}
     for rho in r2.carrier:
         by_legs.setdefault((r2.left(rho), r2.right(rho)), []).append(rho)

@@ -234,79 +234,97 @@ def theta_check(p1: PolyDiagram, p2: PolyDiagram, f_diag: PolyDiagram, rho,
 # the currying adjunction
 
 
-def curry_dm(m: DiagMorphism, p1: PolyDiagram, p2: PolyDiagram,
-             p3: PolyDiagram) -> DiagMorphism:
-    """Transpose a container morphism out of a tensor into one landing in
-    the internal hom. Single-sorted diagrams only."""
-    tens = poly.tensor(p1, p2)
-    if m.src != tens or m.dst != p3:
-        raise ShapeMismatch("morphism must go from the tensor of the first two "
-                            "diagrams to the third")
-    hd = poly.hom_data(p2, p3)
-    shape_of = {rep: c for c, rep in enumerate(hd.shape_reps)}
-    nd2 = p2.dirs.size
+def _shape_index(hd: poly.HomData) -> dict:
+    """The hom's shapes by their decodings: shape_reps[c] -> c."""
+    return {rep: c for c, rep in enumerate(hd.shape_reps)}
+
+
+def _curry(m: DiagMorphism, p1: PolyDiagram, p2: PolyDiagram, hd: poly.HomData,
+           shape_of: dict) -> DiagMorphism:
+    """curry_dm against a hom already built, hd = hom_data(p2, p3) with
+    shape_of = _shape_index(hd); the result lands in hd.diagram itself.
+    A direction u1 * |p2 dirs| + u2 of a tensor shape (v1, v2) answers with
+    u1, and its u2 gives the backward table phi at v2 by position."""
+    n2, nd2 = p2.shapes.size, p2.dirs.size
+    fibers2 = p2.dir_shape.fibers()
+    alpha = m.alpha.table
     alpha_table = []
     betas = []
     for v1 in p1.shapes:
-        f_table = tuple(m.alpha(v1 * p2.shapes.size + v2) for v2 in p2.shapes)
-        fiber1 = p1.shape_fiber(v1)
-        phi = []
-        beta = []
-        for v2 in p2.shapes:
-            vpair = v1 * p2.shapes.size + v2
-            fiber2 = p2.shape_fiber(v2)
-            entries = m.betas[vpair]
-            phi.append(tuple(fiber2.index(u % nd2) for u in entries))
-            beta.extend(fiber1.index(u // nd2) for u in entries)
-        c = shape_of[(f_table, tuple(phi))]
-        alpha_table.append(c)
-        betas.append(tuple(fiber1[pos] for pos in beta))
+        row = v1 * n2
+        entries = m.betas[row:row + n2]
+        phi = tuple(tuple(fiber2.index(u % nd2) for u in vpair_entries)
+                    for fiber2, vpair_entries in zip(fibers2, entries))
+        alpha_table.append(shape_of[alpha[row:row + n2], phi])
+        betas.append(tuple(u // nd2 for vpair_entries in entries for u in vpair_entries))
     return DiagMorphism(p1, hd.diagram, FinMap(p1.shapes, hd.diagram.shapes,
                                                tuple(alpha_table)), tuple(betas))
+
+
+def _uncurry(m: DiagMorphism, p1: PolyDiagram, p2: PolyDiagram, p3: PolyDiagram,
+             hd: poly.HomData) -> DiagMorphism:
+    """uncurry_dm against a hom already built, hd = hom_data(p2, p3). The
+    directions of a hom shape (f, phi) run over v2, then f(v2)'s fiber, so
+    beta's answers at v1 split into one block per v2."""
+    tens = poly.tensor(p1, p2)
+    nd2 = p2.dirs.size
+    fibers2, fibers3 = p2.dir_shape.fibers(), p3.dir_shape.fibers()
+    alpha_table: list[int] = []
+    betas: list[tuple[int, ...]] = []
+    for c, answers in zip(m.alpha.table, m.betas):
+        f_table, phi = hd.shape_reps[c]
+        offset = 0
+        for fiber2, w, positions in zip(fibers2, f_table, phi):
+            end = offset + len(fibers3[w])
+            alpha_table.append(w)
+            betas.append(tuple(u1 * nd2 + fiber2[pos]
+                               for u1, pos in zip(answers[offset:end], positions)))
+            offset = end
+    return DiagMorphism(tens, p3, FinMap(tens.shapes, p3.shapes,
+                                         tuple(alpha_table)), tuple(betas))
+
+
+def curry_dm(m: DiagMorphism, p1: PolyDiagram, p2: PolyDiagram,
+             p3: PolyDiagram) -> DiagMorphism:
+    """Transpose a container morphism out of a tensor into one landing in
+    the internal hom. Single-sorted diagrams only.
+
+    Builds the hom afresh (hom_data) for the one morphism; to transpose
+    many morphisms against one hom, adjunction_count_check and the CLI's
+    curry build it once and share it over every step."""
+    if m.src != poly.tensor(p1, p2) or m.dst != p3:
+        raise ShapeMismatch("morphism must go from the tensor of the first two "
+                            "diagrams to the third")
+    hd = poly.hom_data(p2, p3)
+    return _curry(m, p1, p2, hd, _shape_index(hd))
 
 
 def uncurry_dm(m: DiagMorphism, p1: PolyDiagram, p2: PolyDiagram,
                p3: PolyDiagram) -> DiagMorphism:
     """Inverse transposition: a morphism into the internal hom becomes one
-    out of the tensor."""
+    out of the tensor. Builds the hom afresh, like curry_dm."""
     hd = poly.hom_data(p2, p3)
-    tens = poly.tensor(p1, p2)
     if m.src != p1 or m.dst != hd.diagram:
         raise ShapeMismatch("morphism must go from the first diagram to the "
                             "internal hom of the other two")
-    nd2 = p2.dirs.size
-    alpha_table = [0] * tens.shapes.size
-    betas: list[tuple[int, ...]] = [()] * tens.shapes.size
-    for v1 in p1.shapes:
-        c = m.alpha(v1)
-        f_table, phi = hd.shape_reps[c]
-        offset = 0
-        for v2 in p2.shapes:
-            vpair = v1 * p2.shapes.size + v2
-            alpha_table[vpair] = f_table[v2]
-            fiber2 = p2.shape_fiber(v2)
-            fiber3 = p3.shape_fiber(f_table[v2])
-            entries = []
-            for pos in range(len(fiber3)):
-                u1 = m.betas[v1][offset + pos]
-                u2 = fiber2[phi[v2][pos]]
-                entries.append(u1 * nd2 + u2)
-            betas[vpair] = tuple(entries)
-            offset += len(fiber3)
-    return DiagMorphism(tens, p3, FinMap(tens.shapes, p3.shapes,
-                                         tuple(alpha_table)), tuple(betas))
+    return _uncurry(m, p1, p2, p3, hd)
 
 
 def adjunction_count_check(p1: PolyDiagram, p2: PolyDiagram, p3: PolyDiagram,
                            roundtrip_limit: int = 512) -> Report:
     """Count transformations out of the tensor and into the internal hom;
     when both sides fit the limit, also round-trip the explicit currying
-    bijection on every member."""
+    bijection on every member.
+
+    The hom is built once (hom_data), with its shape index, and every
+    curry and uncurry step of the round trips transposes against it;
+    neither outlives the call."""
     for p in (p1, p2, p3):
         if not p.is_single_sorted():
             raise ValidationError("the currying adjunction is single-sorted only")
     tens = poly.tensor(p1, p2)
-    hom = poly.hom_single_sorted(p2, p3)
+    hd = poly.hom_data(p2, p3)
+    hom = hd.diagram
     n_left = nat.count_nat(tens, p3)
     n_right = nat.count_nat(p1, hom)
     lines = [f"transformations out of the tensor: {n_left}; "
@@ -315,12 +333,14 @@ def adjunction_count_check(p1: PolyDiagram, p2: PolyDiagram, p3: PolyDiagram,
     if n_left + n_right <= roundtrip_limit:
         left = nat.enumerate_dm(tens, p3)
         right = nat.enumerate_dm(p1, hom)
-        curried = [curry_dm(m, p1, p2, p3) for m in left]
+        shape_of = _shape_index(hd)
+        curried = [_curry(m, p1, p2, hd, shape_of) for m in left]
         round_left = all(
-            uncurry_dm(c, p1, p2, p3) == m for c, m in zip(curried, left)
+            _uncurry(c, p1, p2, p3, hd) == m for c, m in zip(curried, left)
         )
         round_right = all(
-            curry_dm(uncurry_dm(m, p1, p2, p3), p1, p2, p3) == m for m in right
+            _curry(_uncurry(m, p1, p2, p3, hd), p1, p2, hd, shape_of) == m
+            for m in right
         )
         distinct = len(set(curried)) == len(left)
         ok = ok and round_left and round_right and distinct

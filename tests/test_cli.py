@@ -239,6 +239,24 @@ def test_curry_round_trip_line(capsys):
     assert lines[2] == "uncurrying returns the original transformation"
 
 
+def test_curry_builds_the_hom_once(capsys, monkeypatch):
+    calls = []
+    hom_data = poly.hom_data
+
+    def counted(p2, p3):
+        calls.append((p2, p3))
+        return hom_data(p2, p3)
+
+    monkeypatch.setattr(poly, "hom_data", counted)
+    code, out, _ = run(capsys, "curry", LIST_DOC, "--p1", "two-x", "--p2", "square",
+                       "--p3", "list3", "--index", "5", "--limit", "1000")
+    assert code == 0
+    assert out == ("transformations: 225 out of the tensor, 225 into the hom\n"
+                   "transformation 5 of 225 curries to 5 of 225\n"
+                   "uncurrying returns the original transformation\n")
+    assert len(calls) == 1
+
+
 def test_curry_bad_index_is_validation_failure(capsys):
     code, _, err = run(capsys, "curry", LIST_DOC, "--p1", "two-x",
                        "--p2", "square", "--p3", "square", "--index", "999")

@@ -577,10 +577,10 @@ def test_hom_data_matches_the_two_pass_build():
 def test_hom_guards_keep_their_order_at_every_limit():
     # X^2 + X into 2X^2 + 1: 9 shape maps; S = 9 and D = 16 for X^2, S = 3
     # and D = 4 for X, so 9 * 3 = 27 hom shapes and 16 * 3 + 4 * 9 = 84
-    # directions
+    # directions; the 9 shape maps alone trip nothing
     p2, p3 = ss(2, 1), ss(2, 2, 0)
     assert _two_pass_hom(p2, p3)[:2] == (27, 84)
-    for limit, what in ((8, "hom shape search space"), (26, "hom shape carrier"),
+    for limit, what in ((8, "hom shape carrier"), (26, "hom shape carrier"),
                         (83, "hom direction carrier"), (84, None)):
         old = finset.set_guard_limit(limit)
         try:
@@ -595,15 +595,49 @@ def test_hom_guards_keep_their_order_at_every_limit():
 
 
 def test_hom_guards_refuse_a_wide_operand_at_once():
-    # 3^200000 hom shapes into the dualizing diagram, and 2^100000 shape
-    # maps into two shapes: every guard saturates at the limit
+    # 3^200000 hom shapes into the dualizing diagram, and 2^100000 into
+    # two shapes: every guard saturates at the limit
     for p2, p3, what in ((ss(*(3,) * 200000), poly.bottom_diagram(), "hom shape carrier"),
-                         (ss(*(1,) * 100000), ss(1, 1), "hom shape search space")):
+                         (ss(*(1,) * 100000), ss(1, 1), "hom shape carrier")):
         start = time.perf_counter()
         with pytest.raises(SizeGuardExceeded,
                            match=f"{what} has size more than 1000000, guard limit"):
             poly.hom_single_sorted(p2, p3)
         assert time.perf_counter() - start < 0.5
+
+
+def test_hom_with_many_shape_maps_and_one_shape_builds():
+    # 2^20 shape maps from 20 constants into 1 + X, but only the map onto
+    # the constant has a backward table
+    data = poly.hom_data(ss(*(0,) * 20), ss(0, 1))
+    assert data.shape_reps == (((0,) * 20, ((),) * 20),)
+    assert data.dir_reps == ()
+
+
+def test_hom_between_wide_operands_with_one_shape_builds_in_linear_time():
+    # n constants into 1 + (n - 1)X: n^n shape maps, one of which has a
+    # backward table; a build that lists the images of every shape
+    # separately takes n^2 steps. The operands' fibers are built with them.
+    n = 200000
+    p2, p3 = ss(*(0,) * n), ss(0, *(1,) * (n - 1))
+    p2.dir_shape.fibers(), p3.dir_shape.fibers()
+    start = time.perf_counter()
+    data = poly.hom_data(p2, p3)
+    assert time.perf_counter() - start < 0.5
+    assert data.shape_reps == (((0,) * n, ((),) * n),)
+    assert data.dir_reps == ()
+
+
+def test_hom_enumerates_no_more_shape_maps_than_shapes():
+    # the build visits the maps f with n2(v)^n3(f(v)) > 0 at every v; each
+    # has a backward table, so it shows among the shapes
+    for p2, p3 in _hom_pairs():
+        fibers2, fibers3 = p2.dir_shape.fibers(), p3.dir_shape.fibers()
+        visited = 1
+        for v in p2.shapes:
+            visited *= sum(1 for w in p3.shapes if fibers2[v] or not fibers3[w])
+        data = poly.hom_data(p2, p3)
+        assert len({f for f, _ in data.shape_reps}) == visited <= len(data.shape_reps)
 
 
 def test_hom_builds_no_backward_table_of_a_map_without_shapes():
@@ -721,6 +755,53 @@ def test_diag_morphism_validation():
         poly.DiagMorphism(p, p, fmap(2, 2, (1, 0)), ((0,), (1, 2)))
     with pytest.raises(ShapeMismatch):
         poly.DiagMorphism(p, p, fmap(2, 2, (0, 1)), ((0,),))
+
+
+def _two_sorted_pair() -> poly.PolyDiagram:
+    """One sort-0 shape whose two directions have sorts 0 and 1."""
+    return poly.PolyDiagram(
+        source=FinSet(2), dirs=FinSet(2), shapes=FinSet(1), target=FinSet(1),
+        dir_sort=fmap(2, 2, (0, 1)), dir_shape=fmap(2, 1, (0, 0)),
+        shape_sort=fmap(1, 1, (0,)))
+
+
+# X + X^2 (directions 0 | 1 2), the identity on two sorts, and a shape with
+# one direction of each of two sorts; each case may break later checks too,
+# so the first failing check, in the documented order, is the one reported
+_X_X2, _TWO, _PAIR = ss(1, 2), poly.identity_diagram(FinSet(2)), _two_sorted_pair()
+_DIAG_MORPHISM_FAULTS = [
+    ((_X_X2, _TWO, fmap(3, 2, (0, 0, 0)), ()),
+     ShapeMismatch, "morphism endpoints must share source and target"),
+    ((_X_X2, _X_X2, fmap(3, 2, (0, 0, 0)), ()),
+     ShapeMismatch, "alpha must map src shapes to dst shapes"),
+    ((_X_X2, _X_X2, fmap(2, 3, (0, 1)), ((0,), (1, 2))),
+     ShapeMismatch, "alpha must map src shapes to dst shapes"),
+    ((_TWO, _TWO, fmap(2, 2, (1, 0)), ()),
+     ValidationError, "alpha does not respect shape sorts"),
+    ((_X_X2, _X_X2, fmap(2, 2, (0, 1)), ((0,),)),
+     ShapeMismatch, "one beta table per src shape required"),
+    ((_X_X2, _X_X2, fmap(2, 2, (1, 1)), ((0,), (1, 7))),
+     ShapeMismatch, "beta table at shape 0 has the wrong length"),
+    ((_X_X2, _X_X2, fmap(2, 2, (0, 1)), ((0,), (1,))),
+     ShapeMismatch, "beta table at shape 1 has the wrong length"),
+    ((_X_X2, _X_X2, fmap(2, 2, (0, 1)), ((1,), (1, 0))),
+     ValidationError, "beta at shape 0 leaves the direction fiber"),
+    ((_X_X2, _X_X2, fmap(2, 2, (0, 1)), ((0,), (2, 3))),
+     ValidationError, "beta at shape 1 leaves the direction fiber"),
+    ((_X_X2, _X_X2, fmap(2, 2, (0, 1)), ((0,), (-1, 2))),
+     ValidationError, "beta at shape 1 leaves the direction fiber"),
+    ((_PAIR, _PAIR, fmap(1, 1, (0,)), ((1, 5),)),
+     ValidationError, "beta at shape 0 does not respect sorts"),
+    ((_PAIR, _PAIR, fmap(1, 1, (0,)), ((0, 0),)),
+     ValidationError, "beta at shape 0 does not respect sorts"),
+]
+
+
+@pytest.mark.parametrize("args, error, message", _DIAG_MORPHISM_FAULTS)
+def test_diag_morphism_reports_the_first_failing_check(args, error, message):
+    with pytest.raises(error) as info:
+        poly.DiagMorphism(*args)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_diag_morphism_compose_tables():

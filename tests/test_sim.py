@@ -8,6 +8,7 @@ product formula: one independent map choice per state.
 """
 import itertools
 import random
+import time
 
 import pytest
 
@@ -636,10 +637,28 @@ def test_extract_bad_endpoints():
 
 
 def test_enumerate_sim_guard():
+    # 6 pairs with 6 * 2^2 fillings each: 24^6 cells, counted exactly
     p = ss(*([2] * 6))
     span = singleton_span()
-    with pytest.raises(SizeGuardExceeded):
+    assert sim.count_sim(p, p, span) == 24**6
+    with pytest.raises(SizeGuardExceeded,
+                       match="cell search space has size more than 1000000, guard limit"):
         sim.enumerate_sim(p, p, span)
+
+
+def test_sim_guards_refuse_wide_cells_at_once():
+    # 3^2000 fillings of the one pair of X^3 into X^2000, and 2000 pairs
+    # of X into 2X with 2 fillings each
+    span = singleton_span()
+    for call, what in ((lambda: sim.random_cell(random.Random(0), ss(3), ss(2000), span),
+                        "cell table options at one \\(state, shape\\) pair"),
+                       (lambda: sim.enumerate_sim(ss(*[1] * 2000), ss(1, 1), span),
+                        "cell search space")):
+        start = time.perf_counter()
+        with pytest.raises(SizeGuardExceeded,
+                           match=f"{what} has size more than 1000000, guard limit"):
+            call()
+        assert time.perf_counter() - start < 0.5
 
 
 # -- equivalence --------------------------------------------------------------
@@ -692,8 +711,12 @@ def test_equivalence_guard():
     beta = {(rho, 0, 0): 0 for rho in carrier}
     gamma = {(rho, 0, 0): rho for rho in carrier}
     c = sim.SimCell(span, p, p, alpha, beta, gamma)
-    with pytest.raises(SizeGuardExceeded):
+    # 10! = 3628800 state bijections
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardExceeded,
+                       match="span isomorphism search has size more than 1000000, guard"):
         sim.equivalence_check(c, c)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_equivalence_requires_same_endpoints():

@@ -448,6 +448,51 @@ def test_adjunction_random_grid():
     assert agreed >= 40
 
 
+def test_adjunction_check_builds_the_hom_once(monkeypatch):
+    calls = []
+    hom_data = poly.hom_data
+
+    def counted(p2, p3):
+        calls.append((p2, p3))
+        return hom_data(p2, p3)
+
+    monkeypatch.setattr(poly, "hom_data", counted)
+    # 4 + 4 members round-tripped, and 65536 + 65536 counted only
+    for p1, p2, p3 in ((ss((1,)), ss((2,)), ss((1, 1))), (ss((2, 2)), ss((2, 2)), ss((2, 2)))):
+        calls.clear()
+        assert smcc.adjunction_count_check(p1, p2, p3).ok
+        assert calls == [(p2, p3)]
+
+
+def _curry_triples(count):
+    """Seeded single-sorted triples whose transformations out of the
+    tensor number 1 to 64."""
+    rng = random.Random(20261018)
+    one = FinSet(1)
+    triples = []
+    while len(triples) < count:
+        p1, p2, p3 = (randgen.random_diagram(rng, one, one, max_shapes=2, max_fiber=2)
+                      for _ in range(3))
+        if 0 < nat.count_nat(poly.tensor(p1, p2), p3) <= 64:
+            triples.append((p1, p2, p3))
+    return triples
+
+
+def test_curry_dm_and_uncurry_dm_equal_the_shared_step():
+    for p1, p2, p3 in _curry_triples(30):
+        hd = poly.hom_data(p2, p3)
+        shape_of = smcc._shape_index(hd)
+        for m in nat.enumerate_dm(poly.tensor(p1, p2), p3):
+            curried = smcc._curry(m, p1, p2, hd, shape_of)
+            assert curried.dst is hd.diagram
+            assert smcc.curry_dm(m, p1, p2, p3) == curried
+            assert smcc._uncurry(curried, p1, p2, p3, hd) == m
+        for m in nat.enumerate_dm(p1, hd.diagram):
+            uncurried = smcc._uncurry(m, p1, p2, p3, hd)
+            assert smcc.uncurry_dm(m, p1, p2, p3) == uncurried
+            assert smcc._curry(uncurried, p1, p2, hd, shape_of) == m
+
+
 def test_adjunction_large_counts_skip_round_trip():
     rep = smcc.adjunction_count_check(ss((2, 2)), ss((2, 2)), ss((2, 2)),
                                       roundtrip_limit=16)

@@ -196,10 +196,6 @@ class FamIso:
             raise ValidationError("backward;forward is not the identity")
 
 
-def iso_from_forward(forward: FamMorphism) -> FamIso:
-    return FamIso(forward, forward.inverse())
-
-
 @dataclass(frozen=True)
 class Span:
     """Two maps out of a common carrier; the relation-like shape that
@@ -648,14 +644,6 @@ def family_sum(x: Family, y: Family) -> Family:
     cop_total = finset.coproduct(x.total, y.total)
     proj = finset.copair(x.proj.then(cop_base.inl), y.proj.then(cop_base.inr), cop_total)
     return Family(cop_total.carrier, cop_base.carrier, proj)
-
-
-def copower(a: FinSet, x: Family) -> Family:
-    """Fiberwise product with a constant set: fiber over i becomes
-    a x (fiber over i). Elements are pairs (j, t), j major."""
-    total = FinSet(a.size * x.total.size)
-    table = tuple(x.proj.table[k % x.total.size] for k in range(total.size))
-    return Family(total, x.base, FinMap(total, x.base, table))
 
 
 def tr_family(y: Family, z: Family) -> Family:

@@ -1,16 +1,17 @@
 """Finite sets and total maps, the ground floor of every construction.
 
 Carriers are canonical initial segments 0..n-1. Maps are lookup tables.
-Derived carriers (pullbacks, products, exponentials, ...) are renumbered
-back to 0..n-1 with their provenance kept next to them, so every element
-of a constructed set can be decoded to the data it stands for.
+Derived carriers (pullbacks, equalizers, products, coproducts) are
+renumbered back to 0..n-1 with their provenance kept next to them, so
+every element of a constructed set can be decoded to the data it stands
+for.
 
-Enumerations that can explode (all maps between two sets, exponential
-carriers) honor a configurable global size guard.
+The configurable global size guard lives here: every enumeration in the
+package that can explode checks it, with the saturating sums and
+products below.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -355,11 +356,6 @@ def coproduct(a: FinSet, b: FinSet) -> Coproduct:
     return Coproduct(carrier, inl, inr, a, b)
 
 
-def product_coproduct(a: FinSet, b: FinSet) -> tuple[Product, Coproduct]:
-    """Both binary (co)limits at once, bijections included."""
-    return product(a, b), coproduct(a, b)
-
-
 def copair(f: FinMap, g: FinMap, cop: Coproduct) -> FinMap:
     """The map out of a coproduct determined by maps out of both parts."""
     if f.dom != cop.left_part or g.dom != cop.right_part or f.cod != g.cod:
@@ -370,43 +366,3 @@ def copair(f: FinMap, g: FinMap, cop: Coproduct) -> FinMap:
 def map_count(a: FinSet, b: FinSet) -> int:
     """Number of total maps a -> b (with 0^0 = 1). Exact and unguarded."""
     return b.size**a.size
-
-
-def enumerate_maps(a: FinSet, b: FinSet) -> list[FinMap]:
-    """All maps a -> b in lexicographic table order. Guarded by their
-    number, cut at the limit plus one (capped_power)."""
-    check_guard(capped_power(b.size, a.size, _guard_limit + 1),
-                f"map space {b.size}^{a.size}")
-    return [
-        FinMap(a, b, table) for table in itertools.product(range(b.size), repeat=a.size)
-    ]
-
-
-def exponential(a: FinSet, b: FinSet) -> FinSet:
-    """Carrier for the map space b^a; element k decodes via map_from_index.
-
-    The numbering agrees with enumerate_maps: index k reads as the base-b
-    digits of k, most significant digit first. Guarded by the carrier's
-    size, cut at the limit plus one, so a refused exponential quotes "more
-    than <limit>" and its power is never built.
-    """
-    check_guard(capped_power(b.size, a.size, _guard_limit + 1),
-                f"exponential {b.size}^{a.size}")
-    return FinSet(map_count(a, b))
-
-
-def map_from_index(a: FinSet, b: FinSet, k: int) -> FinMap:
-    if not 0 <= k < map_count(a, b):
-        raise ShapeMismatch(f"map index {k} out of range")
-    digits = []
-    for _ in range(a.size):
-        k, r = divmod(k, b.size)
-        digits.append(r)
-    return FinMap(a, b, tuple(reversed(digits)))
-
-
-def index_of_map(f: FinMap) -> int:
-    k = 0
-    for y in f.table:
-        k = k * f.cod.size + y
-    return k

@@ -356,25 +356,20 @@ def compose_bijection(q: PolyDiagram, p: PolyDiagram, x: Family) -> FamMorphism:
     inner_index = extension_index(p, x)
     outer_index = extension_index(q, inner)
     src = eval_extension(comp.diagram, x)
+    arity = [len(fiber) for fiber in p.dir_shape.fibers()]
 
-    # positions of each composite shape's directions, grouped by outer direction
-    groups: list[dict[int, list[int]]] = [dict() for _ in comp.shape_reps]
-    for m, (c, e, _) in enumerate(comp.dir_reps):
-        groups[c].setdefault(e, []).append(m)
-    starts = [0] * len(comp.shape_reps)
-    for c in range(len(comp.shape_reps)):
-        first = min((ms[0] for ms in groups[c].values()), default=0)
-        starts[c] = first
-
+    # a composite shape's directions are its inner shapes' directions, one
+    # block per outer direction in order (compose_data), so a payload
+    # splits into consecutive blocks
     table = []
     for c, payload in extension_elements(comp.diagram, x):
         w, assignment = comp.shape_reps[c]
-        es = q.shape_fiber(w)
         qpayload = []
-        for pos, e in enumerate(es):
-            ms = groups[c].get(e, [])
-            sub = tuple(payload[m - starts[c]] for m in ms)
-            qpayload.append(inner_index[(assignment[pos], sub)])
+        offset = 0
+        for v in assignment:
+            end = offset + arity[v]
+            qpayload.append(inner_index[(v, payload[offset:end])])
+            offset = end
         table.append(outer_index[(w, tuple(qpayload))])
     dst = eval_extension(q, inner)
     return FamMorphism(src, dst, FinMap(src.total, dst.total, tuple(table)))
@@ -456,7 +451,8 @@ def tensor(p1: PolyDiagram, p2: PolyDiagram) -> PolyDiagram:
     The result is kept in a dict on p1 keyed by p2's fields, so every
     call with a p2 of the same value shares one read-only diagram (and so
     its extension carriers) for as long as p1 lives. Keying by the fields
-    keeps p2 itself and its carriers out of p1's cache."""
+    keeps p2 itself and its carriers out of p1's cache. A build is guarded
+    by the sum of its four carriers before any is materialized."""
     cache = getattr(p1, "_tensor", None)
     if cache is None:
         cache = {}
@@ -464,6 +460,9 @@ def tensor(p1: PolyDiagram, p2: PolyDiagram) -> PolyDiagram:
     key = (p2.source, p2.dirs, p2.shapes, p2.target, p2.dir_sort, p2.dir_shape, p2.shape_sort)
     tens = cache.get(key)
     if tens is None:
+        finset.check_guard_sum((a.size * b.size for a, b in zip(
+            (p1.source, p1.target, p1.shapes, p1.dirs),
+            (p2.source, p2.target, p2.shapes, p2.dirs))), "tensor carrier")
         tens = PolyDiagram(
             source=finset.product(p1.source, p2.source).carrier,
             dirs=finset.product(p1.dirs, p2.dirs).carrier,
@@ -713,11 +712,6 @@ class DiagMorphism:
                 if dir_sort[u1] != dst_dir_sort[u2]:
                     raise ValidationError(f"beta at shape {v} does not respect sorts")
 
-    def beta_at(self, v: int, u2: int) -> int:
-        """The src direction assigned to dst direction u2 of alpha(v)."""
-        fiber2 = self.dst.shape_fiber(self.alpha(v))
-        return self.betas[v][fiber2.index(u2)]
-
 
 def identity_dm(p: PolyDiagram) -> DiagMorphism:
     return DiagMorphism(
@@ -914,32 +908,33 @@ def bang_truncated(p: PolyDiagram, k: int) -> PolyDiagram:
     return bang_data(p, k).diagram
 
 
+def _multiset_diagram(base: FinSet, k: int) -> PolyDiagram:
+    """The diagram whose value at a family over base is its multiset
+    power: a shape per multiset of size at most k (multisets_up_to), over
+    itself, with a direction per entry, of the entry's sort."""
+    reps = multisets_up_to(base, k)
+    entries = fam.family_from_fibers(FinSet(len(reps)), [len(m) for m in reps])
+    return PolyDiagram(base, entries.total, entries.base, entries.base,
+                       FinMap(entries.total, base, tuple(itertools.chain.from_iterable(reps))),
+                       entries.proj, finset.identity(entries.base))
+
+
 def multiset_power(x: Family, k: int) -> Family:
     """Lift a family over I to the family over size-at-most-k multisets
     of I whose fiber at a multiset is the product of the fibers at its
-    entries (with multiplicity)."""
-    reps = multisets_up_to(x.base, k)
-    sizes = x.fiber_sizes()
-    fiber_sizes = []
-    for m in reps:
-        n = 1
-        for i in m:
-            n *= sizes[i]
-        fiber_sizes.append(n)
-    check_guard(sum(fiber_sizes), "multiset power carrier")
-    return fam.family_from_fibers(FinSet(len(reps)), fiber_sizes)
+    entries (with multiplicity): the value of _multiset_diagram at x,
+    counted, not materialized."""
+    p = _multiset_diagram(x.base, k)
+    sizes = extension_fiber_sizes(p, x)
+    check_guard(sum(sizes), "multiset power carrier")
+    return fam.family_from_fibers(p.target, sizes)
 
 
 def multiset_power_elements(x: Family, k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Elements of the multiset power: (multiset index, entry picks),
-    picks in odometer order over the sorted multiset's positions."""
-    reps = multisets_up_to(x.base, k)
-    xfibs = x.proj.fibers()
-    out: list[tuple[int, tuple[int, ...]]] = []
-    for mi, m in enumerate(reps):
-        for picks in itertools.product(*[xfibs[i] for i in m]):
-            out.append((mi, picks))
-    return tuple(out)
+    picks in odometer order over the sorted multiset's positions; the
+    extension elements of _multiset_diagram at x. Guarded."""
+    return extension_elements(_multiset_diagram(x.base, k), x)
 
 
 # ---------------------------------------------------------------------------

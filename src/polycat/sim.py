@@ -208,9 +208,14 @@ def sum_sim(c1: SimCell, c2: SimCell) -> SimCell:
 
 def compose_sim(c2: SimCell, c1: SimCell) -> SimCell:
     """Composite simulation over the pullback span: run c1, feed its
-    assigned shape to c2, pull directions back through both."""
+    assigned shape to c2, pull directions back through both. The span's
+    states, the pairs of states over a common middle sort, are guarded by
+    their count, a sum over the middle sorts cut at the limit plus one,
+    before the pullback is built."""
     if c1.dst != c2.src:
         raise ShapeMismatch("cannot compose: middle diagrams differ")
+    finset.check_guard_sum((len(f1) * len(f2) for f1, f2 in zip(
+        c1.span.right.fibers(), c2.span.left.fibers())), "composite span carrier")
     pb = finset.pullback(c1.span.right, c2.span.left)
     span = Span(pb.carrier, pb.left.then(c1.span.left), pb.right.then(c2.span.right))
     alpha: dict = {}

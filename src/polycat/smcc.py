@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -110,54 +111,60 @@ def _check_rho_natural(rho, p1: PolyDiagram, p2: PolyDiagram,
     return len(squares)
 
 
-def theta(rho, p1: PolyDiagram, p2: PolyDiagram, f_diag: PolyDiagram,
-          r: Family, check_naturality: bool = True) -> FamMorphism:
-    """The mediating component at r induced by a binatural family rho:
-    probe rho at the representing families of the two shapes, then push
-    the result forward along the payload map. rho's naturality is
-    verified post hoc at fiber bound 2 unless disabled, on the squares of
-    the generating morphisms only: naturality squares paste, so these
-    give every square between families with fibers at most 2."""
+def _tensor_into(p1: PolyDiagram, p2: PolyDiagram, f_diag: PolyDiagram) -> PolyDiagram:
+    """The tensor of p1 and p2, checked to share f_diag's sorts."""
     tens = poly.tensor(p1, p2)
     if f_diag.source != tens.source or f_diag.target != tens.target:
         raise ShapeMismatch("target diagram must share the tensor's sorts")
+    return tens
+
+
+def _mediator(rho, p1: PolyDiagram, p2: PolyDiagram, f_diag: PolyDiagram) -> DiagMorphism:
+    """The container morphism from the tensor into f_diag that a binatural
+    family rho induces, by Yoneda on each tensor shape (v1, v2): rho is
+    probed once, at the generic families e1 and e2 of v1 and v2, on the
+    pair of generic elements. The image (w, payload) gives alpha = w, and
+    each payload entry k, an element of the external product of e1 and
+    e2, names the tensor direction order1[k // n2] * |p2 dirs| +
+    order2[k % n2], with n2 = |e2|."""
+    tens = _tensor_into(p1, p2, f_diag)
+    nd2 = p2.dirs.size
+    alpha_table: list[int] = []
+    betas: list[tuple[int, ...]] = []
+    for v1 in p1.shapes:
+        e1, order1 = nat.generic_family(p1, v1)
+        for v2 in p2.shapes:
+            e2, order2 = nat.generic_family(p2, v2)
+            comp = rho(e1, e2)
+            ext2 = poly.eval_extension(p2, e2)
+            bx = fam.box(e1, e2)
+            if comp.src != fam.box(poly.eval_extension(p1, e1), ext2) or \
+                    comp.dst != poly.eval_extension(f_diag, bx):
+                raise ValidationError("rho component has the wrong endpoints")
+            val = comp(fam.box_pair(ext2, nat.generic_element(p1, v1),
+                                    nat.generic_element(p2, v2)))
+            w, payload = poly.extension_elements(f_diag, bx)[val]
+            n2 = e2.total.size
+            alpha_table.append(w)
+            betas.append(tuple(order1[k // n2] * nd2 + order2[k % n2] for k in payload))
+    return DiagMorphism(tens, f_diag, FinMap(tens.shapes, f_diag.shapes,
+                                             tuple(alpha_table)), tuple(betas))
+
+
+def theta(rho, p1: PolyDiagram, p2: PolyDiagram, f_diag: PolyDiagram,
+          r: Family, check_naturality: bool = True) -> FamMorphism:
+    """The mediating component at r induced by a binatural family rho:
+    the component at r of the mediating container morphism (_mediator),
+    which probes rho once per tensor shape. rho's naturality is verified
+    post hoc at fiber bound 2 unless disabled, on the squares of the
+    generating morphisms only: naturality squares paste, so these give
+    every square between families with fibers at most 2."""
+    tens = _tensor_into(p1, p2, f_diag)
     if r.base != tens.source:
         raise ShapeMismatch("family must live over the tensor's source sorts")
     if check_naturality:
         _check_rho_natural(rho, p1, p2, f_diag, 2)
-    dom = poly.eval_extension(tens, r)
-    cod = poly.eval_extension(f_diag, r)
-    cod_index = poly.extension_index(f_diag, r)
-    cache: dict = {}
-    table = []
-    for vpair, payload in poly.extension_elements(tens, r):
-        if vpair not in cache:
-            v1, v2 = divmod(vpair, p2.shapes.size)
-            e1, order1 = nat.generic_family(p1, v1)
-            e2, order2 = nat.generic_family(p2, v2)
-            comp = rho(e1, e2)
-            ext1 = poly.eval_extension(p1, e1)
-            ext2 = poly.eval_extension(p2, e2)
-            bx = fam.box(e1, e2)
-            if comp.src != fam.box(ext1, ext2) or comp.dst != poly.eval_extension(f_diag, bx):
-                raise ValidationError("rho component has the wrong endpoints")
-            g1 = nat.generic_element(p1, v1)
-            g2 = nat.generic_element(p2, v2)
-            val = comp(fam.box_pair(ext2, g1, g2))
-            w, wpayload = poly.extension_elements(f_diag, bx)[val]
-            # where each element of the generic external product sits in
-            # the tensor shape's direction fiber
-            fiber1 = p1.shape_fiber(v1)
-            fiber2 = p2.shape_fiber(v2)
-            positions = tuple(
-                fiber1.index(order1[k // e2.total.size]) * len(fiber2)
-                + fiber2.index(order2[k % e2.total.size])
-                for k in range(bx.total.size)
-            )
-            cache[vpair] = (w, wpayload, positions)
-        w, wpayload, positions = cache[vpair]
-        table.append(cod_index[(w, tuple(payload[positions[t]] for t in wpayload))])
-    return FamMorphism(dom, cod, FinMap(dom.total, cod.total, tuple(table)))
+    return nat.eval_dm(_mediator(rho, p1, p2, f_diag), r)
 
 
 def theta_check(p1: PolyDiagram, p2: PolyDiagram, f_diag: PolyDiagram, rho,
@@ -166,61 +173,46 @@ def theta_check(p1: PolyDiagram, p2: PolyDiagram, f_diag: PolyDiagram, rho,
     transformation composed with the comparison map reproduces rho at
     every small argument pair, and it is the only container morphism
     that does so (sampled when the candidate count is within the limit).
+    The mediator (_mediator) is built once. Once it reproduces rho, it is
+    itself a candidate, so the one matching candidate must equal it.
     rho and the comparison map are evaluated once per argument pair: the
-    naturality check, every mediating component and every candidate share
-    the values, kept for this call only."""
+    naturality check, the mediator and every candidate share the values,
+    kept for this call only."""
     tens = poly.tensor(p1, p2)
     rho = functools.cache(rho)
     comparison = functools.cache(lambda x, y: epsilon(p1, p2, x, y))
     _check_rho_natural(rho, p1, p2, f_diag, 2)
+    mediator = _mediator(rho, p1, p2, f_diag)
     xs = list(fam.families_up_to(p1.source, 2))
     ys = list(fam.families_up_to(p2.source, 2))
-    lines = []
-    ok = True
-    pairs = 0
-    for x in xs:
-        for y in ys:
-            bx = fam.box(x, y)
-            med = theta(rho, p1, p2, f_diag, bx, check_naturality=False)
-            lhs = comparison(x, y).then(med)
-            pairs += 1
-            if lhs.map.table != rho(x, y).map.table:
-                ok = False
-                lines.append(
-                    f"mediating map fails after the comparison map at fibers "
-                    f"{x.fiber_sizes()} and {y.fiber_sizes()}")
-                break
-        if not ok:
-            break
+
+    def reproduces(m: DiagMorphism) -> tuple[Family, Family] | None:
+        # the first argument pair where m after the comparison map is not rho
+        for x in xs:
+            for y in ys:
+                got = comparison(x, y).then(nat.eval_dm(m, fam.box(x, y)))
+                if got.map.table != rho(x, y).map.table:
+                    return x, y
+        return None
+
+    failure = reproduces(mediator)
+    ok = failure is None
     if ok:
-        lines.append(f"mediating map reproduces rho after the comparison map "
-                     f"at {pairs} argument pairs")
+        lines = [f"mediating map reproduces rho after the comparison map "
+                 f"at {len(xs) * len(ys)} argument pairs"]
+    else:
+        x, y = failure
+        lines = [f"mediating map fails after the comparison map at fibers "
+                 f"{x.fiber_sizes()} and {y.fiber_sizes()}"]
     count = nat.count_nat(tens, f_diag)
     if count <= candidate_limit:
-        matches = []
-        for m in nat.enumerate_dm(tens, f_diag):
-            good = True
-            for x in xs:
-                for y in ys:
-                    bx = fam.box(x, y)
-                    got = comparison(x, y).then(nat.eval_dm(m, bx))
-                    if got.map.table != rho(x, y).map.table:
-                        good = False
-                        break
-                if not good:
-                    break
-            if good:
-                matches.append(m)
+        matches = [m for m in nat.enumerate_dm(tens, f_diag) if reproduces(m) is None]
         unique = len(matches) == 1
         ok = ok and unique
         lines.append(f"{len(matches)} of {count} candidate transformations "
                      f"satisfy the equation (want exactly 1)")
         if unique:
-            same = True
-            for r in fam.families_up_to(tens.source, 2):
-                med = theta(rho, p1, p2, f_diag, r, check_naturality=False)
-                if med.map.table != nat.eval_dm(matches[0], r).map.table:
-                    same = False
+            same = matches[0] == mediator
             ok = ok and same
             lines.append("the matching candidate reproduces the mediating "
                          f"components: {'yes' if same else 'NO'}")
@@ -393,14 +385,11 @@ def rectangle_decomposition(p1: PolyDiagram, p2: PolyDiagram,
     return tuple(out)
 
 
-def _set_elements(p: PolyDiagram, a: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Elements of the value of a single-sorted diagram at an a-element
-    set: shape plus a payload of positions below a."""
-    out = []
-    for v in p.shapes:
-        out.extend((v, pay) for pay in
-                   itertools.product(range(a), repeat=len(p.shape_fiber(v))))
-    return out
+def _set_value(p: PolyDiagram, a: int) -> poly.Extension:
+    """The extension of a single-sorted diagram at an a-element set: its
+    elements are a shape plus a payload of positions below a, kept on p
+    with their index like every extension."""
+    return poly._extension(p, fam.family_from_fibers(p.source, (a,)))
 
 
 def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
@@ -482,8 +471,8 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
     else:
         lines.append("mode: factorization with sampled relation checks")
         rng = random.Random(seed)
-        elems1 = {a: _set_elements(p1, a) for a in range(s + 1)}
-        elems2 = {b: _set_elements(p2, b) for b in range(s + 1)}
+        elems1 = [_set_value(p1, a).elements for a in range(s + 1)]
+        elems2 = [_set_value(p2, b).elements for b in range(s + 1)]
 
         # every tuple reduces along its payloads to a canonical rectangle
         reductions_ok = True
@@ -590,13 +579,14 @@ def _coend_exact(p1, p2, s, nx):
     that numbers a tuple (a, b, phi, e1, e2), with e1 and e2 elements of
     the two diagrams' values at a and at b. Tuples are numbered by the
     sizes (a, b) in lexicographic order, then by phi as a base-nx
-    numeral, then by the positions of e1 and e2 in `_set_elements`."""
-    elems1 = [_set_elements(p1, a) for a in range(s + 1)]
-    elems2 = [_set_elements(p2, b) for b in range(s + 1)]
-    index1 = [{e: k for k, e in enumerate(es)} for es in elems1]
-    index2 = [{e: k for k, e in enumerate(es)} for es in elems2]
-    n1 = [len(es) for es in elems1]
-    n2 = [len(es) for es in elems2]
+    numeral, then by the positions of e1 and e2 in the diagrams' values
+    at a and at b (`_set_value`)."""
+    values1 = [_set_value(p1, a) for a in range(s + 1)]
+    values2 = [_set_value(p2, b) for b in range(s + 1)]
+    index1 = [value.index() for value in values1]
+    index2 = [value.index() for value in values2]
+    n1 = [len(index) for index in index1]
+    n2 = [len(index) for index in index2]
     offsets = {}
     total = 0
     for a in range(s + 1):
@@ -626,7 +616,7 @@ def _coend_exact(p1, p2, s, nx):
 
     for n, m, f in fam.elementary_maps(s):
         # f on the left set: (m, b, phi2, f e1, e2) ~ (n, b, phi2 (f x 1), e1, e2)
-        pushed1 = [index1[m][(v, tuple(f[t] for t in pay))] for v, pay in elems1[n]]
+        pushed1 = [index1[m][(v, tuple(f[t] for t in pay))] for v, pay in values1[n].elements]
         for b in range(s + 1):
             if not pushed1 or not n2[b]:
                 continue
@@ -637,7 +627,7 @@ def _coend_exact(p1, p2, s, nx):
                     for e2k in range(n2[b]):
                         union(hi + pushed * n2[b] + e2k, lo + e1k * n2[b] + e2k)
         # f on the right set: (a, m, phi2, e1, f e2) ~ (a, n, phi2 (1 x f), e1, e2)
-        pushed2 = [index2[m][(v, tuple(f[t] for t in pay))] for v, pay in elems2[n]]
+        pushed2 = [index2[m][(v, tuple(f[t] for t in pay))] for v, pay in values2[n].elements]
         for a in range(s + 1):
             if not pushed2 or not n1[a]:
                 continue
@@ -664,7 +654,11 @@ def bang_extension_check(p: PolyDiagram, x: Family, k: int,
     the blockwise tensor powers of p on external powers of x, summed over
     sort tuples along sorting. Fiber counts are compared arithmetically
     (exact big integers, any size); when the carrier fits the limit the
-    elementwise bijection between the two pipelines is exhibited too."""
+    elementwise bijection between the two pipelines is exhibited too.
+    At a shape tuple l, each of the N = Π_j arity(l_j) direction tuples
+    takes one payload entry, and each direction of l_j lies in N /
+    arity(l_j) of them, so the payloads number Π_j payloads(l_j)^(N /
+    arity(l_j)) (poly.payload_sizes): no direction tuple is walked."""
     if not p.is_endo():
         raise ValidationError("the exponential needs source = target")
     if x.base != p.source:
@@ -673,29 +667,21 @@ def bang_extension_check(p: PolyDiagram, x: Family, k: int,
     bang = bd.diagram
     xhat = poly.multiset_power(x, k)
     lhs_sizes = poly.extension_fiber_sizes(bang, xhat)
-    xsizes = x.fiber_sizes()
-    shapes_by_sort = [
-        [v for v in p.shapes if p.shape_sort(v) == i] for i in p.source
-    ]
     check_guard(len(bd.shape_reps), "tensor power shape carrier")
-
+    tuples = _shape_tuples(p, bd)
+    payloads = poly.payload_sizes(p, x)
+    arity = [len(fiber) for fiber in p.dir_shape.fibers()]
     rhs_sizes = [0] * len(bd.base_reps)
-    for mi, m in enumerate(bd.base_reps):
-        for w in sorted(set(itertools.permutations(m))):
-            for l in itertools.product(*[shapes_by_sort[i] for i in w]):
-                check_guard(_dir_tuple_count(p, l), "tensor power fiber")
-                block = 1
-                for u in itertools.product(*[p.shape_fiber(v) for v in l]):
-                    for uj in u:
-                        block *= xsizes[p.dir_sort(uj)]
-                rhs_sizes[mi] += block
+    for mi, l in tuples:
+        n = math.prod(arity[v] for v in l)
+        rhs_sizes[mi] += math.prod(payloads[v] ** (n // arity[v]) for v in l if arity[v])
     sizes_ok = lhs_sizes == tuple(rhs_sizes)
     lines = [f"fibers over size-at-most-{k} multisets: {lhs_sizes} vs "
              f"{tuple(rhs_sizes)}"]
 
     total = sum(lhs_sizes)
     if total <= materialize_limit and sum(rhs_sizes) <= materialize_limit:
-        good = _bang_bijection(p, x, k, bd, bang, xhat)
+        good = _bang_bijection(p, x, k, bd, bang, xhat, tuples)
         lines.append(f"blockwise tensor powers match the exponential "
                      f"fiberwise: {'yes' if good else 'NO'}")
     else:
@@ -707,50 +693,46 @@ def bang_extension_check(p: PolyDiagram, x: Family, k: int,
                   bool(sizes_ok and good), tuple(lines))
 
 
-def _dir_tuple_count(p: PolyDiagram, l: tuple) -> int:
-    n = 1
-    for v in l:
-        n *= len(p.shape_fiber(v))
-    return n
+def _shape_tuples(p: PolyDiagram, bd: poly.BangData) -> list[tuple[int, tuple[int, ...]]]:
+    """The blocks of the tensor powers: for each multiset of sorts m (its
+    index mi in bd.base_reps), each distinct ordering w of m and each
+    shape tuple l with l_j over the sort w_j, the pair (mi, l)."""
+    shapes_by_sort = p.shape_sort.fibers()
+    return [(mi, l) for mi, m in enumerate(bd.base_reps)
+            for w in sorted(set(itertools.permutations(m)))
+            for l in itertools.product(*[shapes_by_sort[i] for i in w])]
 
 
-def _bang_bijection(p, x, k, bd, bang, xhat) -> bool:
+def _bang_bijection(p, x, k, bd, bang, xhat, tuples) -> bool:
     """Materialize both pipelines and verify the elementwise bijection:
     the tensor power's directions at a shape tuple are tuples of member
     directions, each payload entry drawn from the external power of x at
     the direction tuple's sorts, matched to the multiset power along the
-    stable sort of positions."""
+    stable sort of positions. tuples are the blocks (_shape_tuples)."""
     lhs = poly.eval_extension(bang, xhat)
     lhs_index = poly.extension_index(bang, xhat)
     mp_index = {e: t for t, e in enumerate(poly.multiset_power_elements(x, k))}
     base_index = {m: i for i, m in enumerate(bd.base_reps)}
     shape_index = {l: i for i, l in enumerate(bd.shape_reps)}
     xfibs = x.proj.fibers()
-    shapes_by_sort = [
-        [v for v in p.shapes if p.shape_sort(v) == i] for i in p.source
-    ]
     rhs_sizes = [0] * len(bd.base_reps)
     table = []
-    for mi, m in enumerate(bd.base_reps):
-        n = len(m)
-        for w in sorted(set(itertools.permutations(m))):
-            for l in itertools.product(*[shapes_by_sort[i] for i in w]):
-                dir_tuples = list(itertools.product(
-                    *[p.shape_fiber(v) for v in l]))
-                entry_options = [
-                    list(itertools.product(*[xfibs[p.dir_sort(uj)] for uj in u]))
-                    for u in dir_tuples
-                ]
-                for payload_choice in itertools.product(*entry_options):
-                    rhs_sizes[mi] += 1
-                    entries = []
-                    for u, picks in zip(dir_tuples, payload_choice):
-                        order = sorted(range(n),
-                                       key=lambda j: (p.dir_sort(u[j]), j))
-                        ms = tuple(p.dir_sort(u[j]) for j in order)
-                        sp = tuple(picks[j] for j in order)
-                        entries.append(mp_index[(base_index[ms], sp)])
-                    table.append(lhs_index[(shape_index[l], tuple(entries))])
+    for mi, l in tuples:
+        n = len(l)
+        dir_tuples = list(itertools.product(*[p.shape_fiber(v) for v in l]))
+        entry_options = [
+            list(itertools.product(*[xfibs[p.dir_sort(uj)] for uj in u]))
+            for u in dir_tuples
+        ]
+        for payload_choice in itertools.product(*entry_options):
+            rhs_sizes[mi] += 1
+            entries = []
+            for u, picks in zip(dir_tuples, payload_choice):
+                order = sorted(range(n), key=lambda j: (p.dir_sort(u[j]), j))
+                ms = tuple(p.dir_sort(u[j]) for j in order)
+                sp = tuple(picks[j] for j in order)
+                entries.append(mp_index[(base_index[ms], sp)])
+            table.append(lhs_index[(shape_index[l], tuple(entries))])
     rhs = fam.family_from_fibers(FinSet(len(bd.base_reps)), rhs_sizes)
     bij = FamMorphism(rhs, lhs, FinMap(rhs.total, lhs.total, tuple(table)))
     return bij.is_iso()

@@ -278,6 +278,49 @@ def test_day_oracle_reports_ok(capsys):
     assert out.startswith("coend oracle: ok")
 
 
+def test_day_oracle_prints_the_same_report_in_both_modes(capsys, tmp_path):
+    # the whole stdout of both modes; the sampled counts below 2000 count
+    # the draws that survive the skips, so they pin the seeded draws too
+    sampled = ("  mode: factorization with sampled relation checks\n"
+               "  sampled tuples reduce to canonical rectangles: yes (2000 samples)\n"
+               "  separating comparison respects sampled relations: yes ({} samples)\n")
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps({
+        "diagrams": {"one-plus-x": {"source": 1, "target": 1, "shapes": [
+                         {"sort": 0, "dir_sorts": []}, {"sort": 0, "dir_sorts": [0]}]},
+                     "x": {"source": 1, "target": 1, "shapes": [{"sort": 0, "dir_sorts": [0]}]}},
+        "families": {"empty": {"base": 1, "fibers": [0]}}}))
+    sparse = (str(path), "--left", "one-plus-x", "--right", "x", "--family", "empty",
+              "--skeleton", "8")
+    cases = [
+        ((LIST_DOC, "--left", "square", "--right", "two-x", "--family", "two",
+          "--skeleton", "2"),
+         "coend oracle: ok\n"
+         "  skeleton 0..2: 308 tuples, 2864 generating relations\n"
+         "  mode: exact union-find over all tuples\n"
+         "  equivalence classes: 8; extension elements: 8\n"
+         "  each class contains exactly one canonical rectangle: yes\n"),
+        ((LIST_DOC, "--left", "square", "--right", "square", "--family", "two",
+          "--skeleton", "4"),
+         "coend oracle: ok\n"
+         "  skeleton 0..4: 18036658 tuples, 10525338888 generating relations\n"
+         + sampled.format(2000)
+         + "  canonical rectangles: 16 (one per extension element: yes)\n"),
+        (sparse,
+         "coend oracle: ok\n"
+         "  skeleton 0..8: 36 tuples, 223589208 generating relations\n"
+         + sampled.format(1988)
+         + "  canonical rectangles: 1 (one per extension element: yes)\n"),
+        (sparse + ("--seed", "3"),
+         "coend oracle: ok\n"
+         "  skeleton 0..8: 36 tuples, 223589208 generating relations\n"
+         + sampled.format(1948)
+         + "  canonical rectangles: 1 (one per extension element: yes)\n"),
+    ]
+    for argv, expected in cases:
+        assert run(capsys, "day-oracle", *argv) == (0, expected, "")
+
+
 def test_day_oracle_skeleton_too_small_is_validation_failure(capsys):
     code, _, err = run(capsys, "day-oracle", LIST_DOC, "--left", "square",
                        "--right", "two-x", "--family", "two", "--skeleton", "1")

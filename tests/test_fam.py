@@ -383,12 +383,6 @@ def test_family_sum():
     assert s.fiber_sizes() == (1, 2, 3)
 
 
-def test_copower_example():
-    x = blocks(2, (1, 3))
-    c = fam.copower(FinSet(2), x)
-    assert c.fiber_sizes() == (2, 6)
-
-
 def test_tr_family_example():
     y = blocks(1, (2,))
     z = blocks(1, (3,))

@@ -5,7 +5,6 @@ import os
 import pickle
 import subprocess
 import sys
-import time
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -216,7 +215,7 @@ def test_equalizer_needs_parallel_pair():
 
 
 def test_product_coproduct_example():
-    prod, cop = finset.product_coproduct(FinSet(2), FinSet(3))
+    prod, cop = finset.product(FinSet(2), FinSet(3)), finset.coproduct(FinSet(2), FinSet(3))
     assert prod.carrier.size == 6
     assert cop.carrier.size == 5
     assert prod.pair(1, 2) == 5
@@ -236,36 +235,17 @@ def test_coproduct_tagging():
     assert h.table == (1, 0, 0, 0, 1)
 
 
-# --- map enumeration and exponentials ---------------------------------------
-
-
-def test_enumerate_maps_example():
-    maps = finset.enumerate_maps(FinSet(2), FinSet(3))
-    assert len(maps) == 9
-    assert len({m.table for m in maps}) == 9
-    assert maps[0].table == (0, 0)
-    assert maps[-1].table == (2, 2)
-    # lexicographic in the table
-    tables = [m.table for m in maps]
-    assert tables == sorted(tables)
-
-
-def test_enumerate_maps_degenerate():
-    assert [m.table for m in finset.enumerate_maps(FinSet(0), FinSet(3))] == [()]
-    assert finset.enumerate_maps(FinSet(1), FinSet(0)) == []
-
-
-def test_enumerate_maps_guard():
-    with pytest.raises(SizeGuardExceeded):
-        finset.enumerate_maps(FinSet(10), FinSet(10))
+# --- map counts and the guard ----------------------------------------------
 
 
 def test_guard_is_configurable():
+    # the 4^2 and 3^2 maps of a two-element set into four and three
     old = finset.set_guard_limit(10)
     try:
         with pytest.raises(SizeGuardExceeded):
-            finset.enumerate_maps(FinSet(2), FinSet(4))
-        assert len(finset.enumerate_maps(FinSet(2), FinSet(3))) == 9
+            finset.check_guard_product([4, 4], "map space")
+        finset.check_guard_product([3, 3], "map space")
+        assert finset.guard_limit() == 10
     finally:
         finset.set_guard_limit(old)
 
@@ -333,31 +313,9 @@ def test_capped_power_is_the_exact_power_cut_at_the_cap(base, exponent, cap):
     assert finset.capped_power(base, exponent, cap) == min(base**exponent, cap)
 
 
-def test_map_space_guards_refuse_a_huge_exponent_at_once():
-    # 3^(10^7) maps: the guard never builds the power
-    a, b = FinSet(10**7), FinSet(3)
-    for build, what in ((finset.exponential, "exponential"),
-                        (finset.enumerate_maps, "map space")):
-        start = time.perf_counter()
-        with pytest.raises(SizeGuardExceeded,
-                           match=f"{what} 3\\^10000000 has size more than 1000000,"):
-            build(a, b)
-        assert time.perf_counter() - start < 0.5
-    # pure counting never guards
-    assert finset.map_count(FinSet(2000), FinSet(3)) == 3**2000
-
-
 def test_exponential_sizes():
-    assert finset.exponential(FinSet(3), FinSet(2)).size == 8
-    assert finset.exponential(FinSet(0), FinSet(5)).size == 1
-    assert finset.exponential(FinSet(1), FinSet(0)).size == 0
-
-
-def test_exponential_indexing_matches_enumeration():
-    a, b = FinSet(2), FinSet(3)
-    maps = finset.enumerate_maps(a, b)
-    for k, m in enumerate(maps):
-        assert finset.map_from_index(a, b, k) == m
-        assert finset.index_of_map(m) == k
-    with pytest.raises(ShapeMismatch):
-        finset.map_from_index(a, b, 9)
+    # the map space b^a, counted: exact, unguarded, with 0^0 = 1
+    assert finset.map_count(FinSet(3), FinSet(2)) == 8
+    assert finset.map_count(FinSet(0), FinSet(5)) == 1
+    assert finset.map_count(FinSet(1), FinSet(0)) == 0
+    assert finset.map_count(FinSet(2000), FinSet(3)) == 3**2000

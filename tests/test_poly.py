@@ -5,6 +5,7 @@ evaluating sums, over each shape, the product of the chosen fiber sizes.
 """
 import gc
 import itertools
+import math
 import random
 import time
 import weakref
@@ -394,6 +395,26 @@ def test_tensor_frozen():
     assert poly.notation(poly.tensor(ss(1), ss(2))) == "X^2"
 
 
+def test_tensor_guard_refuses_wide_operands_at_once():
+    # 2000 * 2000 directions: refused before any product carrier is built
+    p = ss(2000)
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardExceeded,
+                       match="tensor carrier has size more than 1000000, guard limit"):
+        poly.tensor(p, p)
+    assert time.perf_counter() - start < 0.5
+    # 2X^2 from X^2 and 2X: one sort at each end, 2 shapes, 4 directions
+    p1, p2 = ss(2), ss(1, 1)
+    old = finset.set_guard_limit(7)
+    try:
+        with pytest.raises(SizeGuardExceeded, match="tensor carrier has size more than 7"):
+            poly.tensor(p1, p2)
+        finset.set_guard_limit(8)
+        assert poly.notation(poly.tensor(p1, p2)) == "2X^2"
+    finally:
+        finset.set_guard_limit(old)
+
+
 def test_tensor_unit_literal():
     unit = poly.tensor_unit()
     for p in [ss(2, 1), poly.identity_diagram(FinSet(3)),
@@ -519,24 +540,22 @@ def _two_pass_hom(p2, p3):
     fibers2 = [p2.shape_fiber(v) for v in a1]
     fibers3 = [p3.shape_fiber(w) for w in a2]
     shape_count = dir_count = 0
-    for k in range(finset.map_count(a1, a2)):
-        f = finset.map_from_index(a1, a2, k)
+    for f in itertools.product(a2, repeat=a1.size):
         block, dirs_here = 1, 0
         for v in a1:
-            block *= len(fibers2[v]) ** len(fibers3[f(v)])
-            dirs_here += len(fibers3[f(v)])
+            block *= len(fibers2[v]) ** len(fibers3[f[v]])
+            dirs_here += len(fibers3[f[v]])
         shape_count += block
         dir_count += block * dirs_here
     shape_reps, dir_reps = [], []
-    for k in range(finset.map_count(a1, a2)):
-        f = finset.map_from_index(a1, a2, k)
-        tables = [list(itertools.product(range(len(fibers2[v])), repeat=len(fibers3[f(v)])))
+    for f in itertools.product(a2, repeat=a1.size):
+        tables = [list(itertools.product(range(len(fibers2[v])), repeat=len(fibers3[f[v]])))
                   for v in a1]
         for phi in itertools.product(*tables):
             c = len(shape_reps)
-            shape_reps.append((f.table, tuple(phi)))
+            shape_reps.append((f, tuple(phi)))
             for v in a1:
-                for e in fibers3[f(v)]:
+                for e in fibers3[f[v]]:
                     dir_reps.append((c, v, e))
     shapes, dirs, one = FinSet(len(shape_reps)), FinSet(len(dir_reps)), FinSet(1)
     diagram = poly.PolyDiagram(
@@ -896,6 +915,19 @@ def test_multiset_power_elements():
     assert elems[0] == (0, ())
     assert (4, (0, 1)) in elems and (4, (0, 2)) in elems
     assert len(elems) == m.total.size
+    # the odometer over each multiset's entries, multisets in canonical order
+    rng = random.Random(8)
+    for _ in range(10):
+        n = rng.randint(0, 3)
+        x = fams(n, [rng.randint(0, 3) for _ in range(n)])
+        k = rng.randint(0, 3)
+        xfibs = x.proj.fibers()
+        reps = poly.multisets_up_to(x.base, k)
+        expected = [(mi, picks) for mi, m in enumerate(reps)
+                    for picks in itertools.product(*[xfibs[i] for i in m])]
+        assert poly.multiset_power_elements(x, k) == tuple(expected)
+        assert poly.multiset_power(x, k).fiber_sizes() == tuple(
+            math.prod(len(xfibs[i]) for i in m) for m in reps)
 
 
 # -- span lifts ---------------------------------------------------------------

@@ -661,6 +661,32 @@ def test_sim_guards_refuse_wide_cells_at_once():
         assert time.perf_counter() - start < 0.5
 
 
+def _constant_cell(states: int) -> sim.SimCell:
+    # the cell on the constant 1 whose states all sit over the one sort
+    p, carrier = ss(0), FinSet(states)
+    leg = FinMap(carrier, FinSet(1), (0,) * states)
+    return sim.SimCell(Span(carrier, leg, leg), p, p, {(rho, 0): 0 for rho in carrier}, {}, {})
+
+
+def test_compose_sim_guards_the_pullback_span():
+    # two 2000-state cells over one sort: 4 * 10^6 composite states
+    c = _constant_cell(2000)
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardExceeded,
+                       match="composite span carrier has size more than 1000000, guard limit"):
+        sim.compose_sim(c, c)
+    assert time.perf_counter() - start < 0.5
+    c3, c4 = _constant_cell(3), _constant_cell(4)
+    old = finset.set_guard_limit(11)
+    try:
+        with pytest.raises(SizeGuardExceeded, match="composite span carrier has size more than 11"):
+            sim.compose_sim(c4, c3)
+        finset.set_guard_limit(12)
+        assert sim.compose_sim(c4, c3).span.carrier.size == 12
+    finally:
+        finset.set_guard_limit(old)
+
+
 # -- equivalence --------------------------------------------------------------
 
 

@@ -137,6 +137,27 @@ def test_theta_recovers_container_morphism():
         assert med.map.table == nat.eval_dm(m, r).map.table
 
 
+def test_mediator_of_a_members_rho_is_the_member():
+    # rho = epsilon then m's components, for every member m of small
+    # single- and two-sorted hom sets out of the tensor
+    rng = random.Random(1)
+    members = 0
+    for _ in range(12):
+        k1, k2 = rng.randint(1, 2), rng.randint(1, 2)
+        p1 = randgen.random_diagram(rng, FinSet(k1), FinSet(1), 2, 2)
+        p2 = randgen.random_diagram(rng, FinSet(k2), FinSet(1), 2, 2)
+        tens = poly.tensor(p1, p2)
+        target = randgen.random_diagram(rng, tens.source, tens.target, 3, 2)
+        if nat.count_nat(tens, target) > 64:
+            continue
+        for m in nat.enumerate_dm(tens, target):
+            def rho(x, y, m=m):
+                return smcc.epsilon(p1, p2, x, y).then(nat.eval_dm(m, fam.box(x, y)))
+            assert smcc._mediator(rho, p1, p2, target) == m
+            members += 1
+    assert members >= 50
+
+
 def test_theta_check_uniqueness_for_derived_rho():
     p1, p2 = ss((1,)), ss((2,))
     tens = poly.tensor(p1, p2)
@@ -149,6 +170,27 @@ def test_theta_check_uniqueness_for_derived_rho():
     rep = smcc.theta_check(p1, p2, target, rho, candidate_limit=8)
     assert rep.ok
     assert "1 of 4 candidate transformations" in rep.lines[1]
+
+
+def test_theta_check_reports_a_mediator_probed_beyond_the_naturality_bound():
+    # rho is epsilon at fibers up to 2, where naturality is checked, but
+    # reads a rotation at the generic family of X^3, so the mediator is the
+    # rotation while the one candidate reproducing rho is the identity
+    p1, p2 = ss((3,)), ss((1,))
+    tens = poly.tensor(p1, p2)
+    rotation = next(m for m in nat.enumerate_dm(tens, tens) if m.betas == ((1, 2, 0),))
+
+    def rho(x, y):
+        e = smcc.epsilon(p1, p2, x, y)
+        return e.then(nat.eval_dm(rotation, fam.box(x, y))) if x.total.size == 3 else e
+
+    assert smcc._mediator(rho, p1, p2, tens) == rotation
+    rep = smcc.theta_check(p1, p2, tens, rho, candidate_limit=27)
+    assert not rep.ok
+    assert rep.lines == (
+        "mediating map fails after the comparison map at fibers (2,) and (1,)",
+        "1 of 27 candidate transformations satisfy the equation (want exactly 1)",
+        "the matching candidate reproduces the mediating components: NO")
 
 
 def test_theta_rejects_unnatural_oracle():

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+import weakref
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -34,7 +36,13 @@ class Family:
     proj) in its __dict__ from the first call on, so it is hashed once
     however often it is looked up as a key, as every family handed to an
     extension is. The hash is read-only, lives as long as the family and
-    is not pickled; equality still compares the fields."""
+    is not pickled; equality still compares the fields.
+
+    Block families are interned (see family_from_fibers): while one is
+    alive, every request for its value returns that object, so a dict
+    keyed by block families finds them by identity. A family built with
+    this constructor is never interned; it equals, hashes like and finds
+    the same dict entries as the block family of its value."""
 
     total: FinSet
     base: FinSet
@@ -64,18 +72,36 @@ class Family:
         return tuple(sizes)
 
 
+# the live block families by (base, sizes); weak, so the table pins no
+# family that nothing else holds
+_blocks: weakref.WeakValueDictionary[tuple[FinSet, tuple[int, ...]], Family] = \
+    weakref.WeakValueDictionary()
+
+
 def family_from_fibers(base: FinSet, sizes: tuple[int, ...] | list[int]) -> Family:
     """The block family with the given fiber sizes: elements of the fiber
-    over b are numbered contiguously, bases in ascending order."""
+    over b are numbered contiguously, bases in ascending order.
+
+    Interned: while a block family of this base and these sizes is alive,
+    the call returns that same object, so every extension, generic and
+    check family of one value is one object and a dict lookup on it stops
+    at the identity check. The table holds the families weakly, and keys
+    them by the base's value, labels included. Sizes are validated before
+    the lookup, with the same errors as a build."""
     if len(sizes) != base.size:
         raise ShapeMismatch("one fiber size per base point required")
-    proj: list[int] = []
-    for b, n in enumerate(sizes):
-        if n < 0:
-            raise ShapeMismatch("fiber sizes must be nonnegative")
-        proj.extend([b] * n)
-    total = FinSet(len(proj))
-    return Family(total, base, FinMap(total, base, tuple(proj)))
+    if min(sizes, default=0) < 0:
+        raise ShapeMismatch("fiber sizes must be nonnegative")
+    # index() refuses a non-integral size, as the build's [b] * n would
+    key = (base, tuple(map(operator.index, sizes)))
+    x = _blocks.get(key)
+    if x is None:
+        proj: list[int] = []
+        for b, n in enumerate(key[1]):
+            proj.extend([b] * n)
+        total = FinSet(len(proj))
+        x = _blocks[key] = Family(total, base, FinMap(total, base, tuple(proj)))
+    return x
 
 
 def families_up_to(base: FinSet, max_fiber: int) -> Iterator[Family]:

@@ -201,10 +201,16 @@ class FinMap:
         # cached: maps are immutable and fibers are asked for in hot loops
         cached = getattr(self, "_fibers", None)
         if cached is None:
-            out: list[list[int]] = [[] for _ in range(self.cod.size)]
+            # a list only on a point's first hit; a point never hit keeps
+            # the shared empty tuple, which tuple() hands back as is
+            out: list = [()] * self.cod.size
             for x, y in enumerate(self.table):
-                out[y].append(x)
-            cached = tuple(tuple(f) for f in out)
+                fiber = out[y]
+                if fiber:
+                    fiber.append(x)
+                else:
+                    out[y] = [x]
+            cached = tuple(map(tuple, out))
             object.__setattr__(self, "_fibers", cached)
         return cached
 

@@ -145,9 +145,10 @@ def generic_family(p: PolyDiagram, v: int) -> tuple[Family, tuple[int, ...]]:
     collects v's directions of that sort. Returns the family and the
     direction order, so that order[t] is the direction at total element t.
 
-    Both are built on the first request for v and kept on p, so every
-    call for v returns the same Family object (its hash computed once)
-    for as long as p lives; they are shared and read-only."""
+    Both are built on the first request for v and kept on p, shared and
+    read-only. The family is a block family, interned like every one
+    (fam.family_from_fibers), so it is the same object as any other
+    block family of its value alive at the time."""
     y, order, _ = _generic(p, v)
     return y, order
 
@@ -162,15 +163,11 @@ def generic_element(p: PolyDiagram, v: int) -> int:
 
 def check_families(p: PolyDiagram) -> tuple[Family, ...]:
     """The block families over p's source with every fiber at most 3, on
-    which extraction checks its round trip. Built on the first request
-    and kept on p, so the same Family objects (their hashes computed
-    once) reach every extension lookup for as long as p lives; shared and
-    read-only."""
-    cached = getattr(p, "_check_families", None)
-    if cached is None:
-        cached = tuple(fam.families_up_to(p.source, 3))
-        object.__setattr__(p, "_check_families", cached)
-    return cached
+    which extraction checks its round trip. Guarded by their number on
+    every call. Block families are interned (fam.family_from_fibers), so
+    while an extension of one is kept on a diagram, every call returns
+    that same object, found by identity in the extension's dict."""
+    return tuple(fam.families_up_to(p.source, 3))
 
 
 def yoneda_extract(oracle, p: PolyDiagram, q: PolyDiagram) -> DiagMorphism:

@@ -174,7 +174,13 @@ def _extension(p: PolyDiagram, x: Family) -> Extension:
     """The extension of p at x, built on the first request for a family
     of x's value and kept in a dict on p, so it lives as long as p. The
     guard is checked on every request, so a limit lowered after the build
-    still refuses the carrier."""
+    still refuses the carrier.
+
+    The value family is a block family, interned (fam.family_from_fibers),
+    and so are the generic and check families of nat. Each dict key is
+    then the one live object of its value, so a lookup with a block
+    family stops at the identity check; a value-equal family built with
+    the Family constructor finds the same record by equality."""
     cache = getattr(p, "_ext", None)
     if cache is None:
         cache = {}

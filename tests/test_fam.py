@@ -1,12 +1,14 @@
 import dataclasses
+import gc
 import itertools
 import pickle
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polycat import fam, finset
+from polycat import fam, finset, poly
 from polycat.errors import ShapeMismatch, SizeGuardExceeded, ValidationError
 from polycat.fam import Family, FamMorphism, family_from_fibers
 from polycat.finset import FinMap, FinSet
@@ -64,7 +66,8 @@ def test_family_hashes_like_a_fresh_equal_family(sizes, labelled):
     assert hash(x) == fields_hash
     keyed = {x: "x"}
     assert hash(x) == fields_hash
-    y = named_blocks(sizes, labelled)
+    # block families are interned; the constructor builds a fresh equal value
+    y = Family(x.total, x.base, x.proj)
     assert y is not x and y == x and hash(y) == hash(x)
     assert keyed[y] == "x"
     # a replaced field gives a new value, hashed as that value
@@ -74,6 +77,69 @@ def test_family_hashes_like_a_fresh_equal_family(sizes, labelled):
     assert hash(r) == hash(Family(x.total, x.base, flipped)) == hash((r.total, r.base, flipped))
     copied = pickle.loads(pickle.dumps(x))
     assert "_hash" not in copied.__dict__ and copied == x and hash(copied) == hash(x)
+
+
+# --- interning of block families --------------------------------------------
+
+
+@given(st.lists(st.integers(0, 3), max_size=3), st.booleans())
+def test_block_families_are_interned(sizes, labelled):
+    x = named_blocks(sizes, labelled)
+    base = FinSet(x.base.size, x.base.labels)
+    assert base is not x.base
+    assert family_from_fibers(base, tuple(sizes)) is x
+    assert family_from_fibers(base, list(sizes)) is x
+    assert family_from_fibers(x.base, sizes) is x
+
+
+def test_labels_are_part_of_the_intern_key():
+    plain = family_from_fibers(FinSet(2), (1, 2))
+    ab = family_from_fibers(FinSet(2, ("a", "b")), (1, 2))
+    ba = family_from_fibers(FinSet(2, ("b", "a")), (1, 2))
+    assert len({id(plain), id(ab), id(ba)}) == 3
+    assert plain != ab and ab != ba and plain != ba
+    assert family_from_fibers(FinSet(2, ("a", "b")), [1, 2]) is ab
+    assert family_from_fibers(FinSet(2), (2, 1)) is not plain
+
+
+def test_interned_sizes_are_still_validated():
+    alive = family_from_fibers(FinSet(2), (1, 1))
+    with pytest.raises(ShapeMismatch, match="^one fiber size per base point required$"):
+        family_from_fibers(FinSet(2), (1,))
+    with pytest.raises(ShapeMismatch, match="^one fiber size per base point required$"):
+        family_from_fibers(FinSet(1), (1, 1))
+    with pytest.raises(ShapeMismatch, match="^fiber sizes must be nonnegative$"):
+        family_from_fibers(FinSet(2), (1, -1))
+    with pytest.raises(ShapeMismatch, match="^fiber sizes must be nonnegative$"):
+        family_from_fibers(FinSet(2), [-1, 1])
+    # a non-integral size is refused whether or not its value is interned
+    with pytest.raises(TypeError):
+        family_from_fibers(FinSet(2), (1.0, 1))
+    assert family_from_fibers(FinSet(2), (1, 1)) is alive
+
+
+def test_intern_table_holds_families_weakly():
+    gc.disable()
+    try:
+        x = family_from_fibers(FinSet(3), (7, 0, 5))
+        x.fiber(0)
+        ref = weakref.ref(x)
+        del x
+        assert ref() is None
+        fresh = family_from_fibers(FinSet(3), (7, 0, 5))
+        assert fresh.fiber_sizes() == (7, 0, 5)
+    finally:
+        gc.enable()
+
+
+def test_pickled_block_family_hits_the_same_extension_record():
+    p = poly.single_sorted((2, 1))
+    x = family_from_fibers(FinSet(1), (3,))
+    ext = poly._extension(p, x)
+    copied = pickle.loads(pickle.dumps(x))
+    assert copied == x and hash(copied) == hash(x)
+    assert poly._extension(p, copied) is ext
+    assert family_from_fibers(FinSet(1), (3,)) is x
 
 
 def test_morphism_needs_common_base():

@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -123,6 +124,41 @@ def test_fibers():
     assert f.fiber(0) == (0, 1)
     assert f.fiber(1) == (2,)
     assert f.fibers() == ((0, 1), (2,))
+
+
+def list_per_point_fibers(f: FinMap) -> tuple[tuple[int, ...], ...]:
+    """The fibers built with one list per codomain point."""
+    out: list[list[int]] = [[] for _ in range(f.cod.size)]
+    for x, y in enumerate(f.table):
+        out[y].append(x)
+    return tuple(tuple(fiber) for fiber in out)
+
+
+@given(st.integers(0, 6), st.integers(0, 8), st.data())
+def test_fibers_match_the_list_per_point_construction(dom, cod, data):
+    table = [data.draw(st.integers(0, cod - 1)) for _ in range(dom)] if cod else []
+    f = FinMap(FinSet(len(table)), FinSet(cod), tuple(table))
+    assert f.fibers() == list_per_point_fibers(f)
+    assert all(type(fiber) is tuple for fiber in f.fibers())
+
+
+def test_fibers_of_wide_maps_build_in_linear_time():
+    # the operands of n constants into 1 + (n - 1)X: no direction into n
+    # shapes, and one direction on each shape but the first. Measured at
+    # 0.04 s and 1.0 s on a 2-vCPU host; one list per codomain point
+    # took 0.55 s on the first
+    n = 10**6
+    shapes = FinSet(n)
+    none_hit = FinMap(FinSet(0), shapes, ())
+    one_hit = FinMap(FinSet(n - 1), shapes, tuple(range(1, n)))
+    start = time.perf_counter()
+    fibers = none_hit.fibers()
+    assert time.perf_counter() - start < 0.25
+    assert len(fibers) == n and fibers[0] == fibers[-1] == ()
+    start = time.perf_counter()
+    fibers = one_hit.fibers()
+    assert time.perf_counter() - start < 2.0
+    assert fibers[0] == () and fibers[1] == (0,) and fibers[-1] == (n - 2,)
 
 
 def test_bijection_inverse():

@@ -151,11 +151,14 @@ def test_extension_lookups_share_one_record():
     assert poly.extension_elements(p, x) is elems
     assert poly.extension_index(p, x) is index
     assert poly.eval_extension(p, x) is poly.eval_extension(p, x)
-    # a family of the same value built separately hits the same record
-    again = fams(1, (3,))
-    assert again is not x
+    # a family of the same value built by the constructor, which does not
+    # intern, hits the same record by equality
+    again = fam.Family(x.total, x.base, x.proj)
+    assert again is not x and again == x
     assert poly.extension_elements(p, again) is elems
     assert poly.extension_index(p, again) is index
+    # a second request for the block family returns the same object
+    assert fams(1, (3,)) is x
 
 
 def test_extension_guard_is_checked_on_every_cached_access():
@@ -181,17 +184,24 @@ def test_extension_index_is_read_only():
 
 
 def test_caches_make_no_reference_cycles():
-    # with the cyclic collector off, an object in a cycle would outlive del
+    # with the cyclic collector off, an object in a cycle would outlive
+    # del, and the collector would then find it unreachable. Interned
+    # block families may be held by live objects elsewhere (sharing, not
+    # a cycle), so death is asserted only for objects nothing can share:
+    # diagrams, spans, cells and a family of a size used nowhere else
+    gc.collect()
     gc.disable()
     try:
         p = ss(2, 1)
         x = fams(1, (2,))
         poly.extension_index(p, x)
         poly.extension_index(poly.tensor(p, p), fam.box(x, x))
+        lone = fams(1, (13,))
+        poly.extension_index(p, lone)
         r = Span(FinSet(3), fmap(3, 2, (0, 1, 1)), fmap(3, 2, (0, 0, 1)))
         poly.extension_index(poly.au_lift(r), fams(2, (2, 3)))
-        # the generic and check families kept on a diagram, and the
-        # evaluation plan kept on a cell
+        # the generic families kept on a diagram, the interned check
+        # families, and the evaluation plan kept on a cell
         e = ss(2, 0)
         generic, _ = nat.generic_family(e, 0)
         nat.generic_element(e, 0)
@@ -199,12 +209,14 @@ def test_caches_make_no_reference_cycles():
         cell = sim.identity_sim(e)
         extracted = sim.extract_sim(lambda y: sim.eval_sim(cell, y), cell.span, e, e)
         sim.eval_sim(extracted, fams(1, (2,)))
-        assert {"_generic", "_check_families"} <= vars(e).keys()
+        assert "_generic" in vars(e) and "_check_families" not in vars(e)
         assert "_plan" in vars(cell) and "_plan" in vars(extracted)
-        objects = [p, x, r, e, generic, checks, cell, extracted]
+        assert "_ext" in vars(p) and lone in vars(p)["_ext"]
+        objects = [p, lone, r, e, cell, extracted]
         dead = [weakref.ref(o) for o in objects]
-        del p, x, r, e, generic, checks, cell, extracted, objects
+        del p, x, lone, r, e, generic, checks, cell, extracted, objects
         assert [ref() for ref in dead] == [None] * len(dead)
+        assert gc.collect() == 0
     finally:
         gc.enable()
 

@@ -589,14 +589,42 @@ def test_extraction_probes_are_kept_on_the_diagram():
     generic = [nat.generic_family(p, v) for v in p.shapes]
     assert len(checks) == 4 and checks == tuple(fam.families_up_to(p.source, 3))
     sim.extract_sim(lambda x: sim.eval_sim(c, x), c.span, p, c.dst)
-    # the same Family objects are handed out again, so every extension
-    # lookup finds them with their hash already computed
-    assert nat.check_families(p) is checks
+    # block families are interned, so the same Family objects are handed
+    # out again and every extension lookup finds them by identity, with
+    # their hash already computed
+    again = nat.check_families(p)
+    assert len(again) == len(checks)
+    assert all(a is b for a, b in zip(again, checks))
     for v in p.shapes:
         y, order = nat.generic_family(p, v)
         assert y is generic[v][0] and order == generic[v][1]
         assert "_hash" in vars(y)
     assert all("_hash" in vars(x) for x in checks)
+
+
+def test_round_trip_lookups_never_compare_distinct_families(monkeypatch):
+    # two diagrams over one shared span: the shared sum lift is probed by
+    # both source diagrams, each diagram's extensions by both directions.
+    # Every family on the way is an interned block family, so each
+    # extension lookup stops at the identity check, before __eq__
+    p1, p2 = ss(0, 2), ss(1, 1)
+    leg = FinMap(FinSet(2), FinSet(1), (0, 0))
+    span = Span(FinSet(2), leg, leg)
+    cells = [c for src, dst in ((p2, p1), (p1, p1), (p2, p2))
+             for c in sim.enumerate_sim(src, dst, span)[:6]]
+    assert len(cells) == 18
+    calls = []
+    original = fam.Family.__eq__
+
+    def eq(self, other):
+        calls.append(self is other)
+        return original(self, other)
+
+    monkeypatch.setattr(fam.Family, "__eq__", eq)
+    for c in cells:
+        got = sim.extract_sim(lambda x, c=c: sim.eval_sim(c, x), span, c.src, c.dst)
+        assert got == c
+    assert calls.count(False) == 0
 
 
 def test_extract_bijection_on_enumerated_cells():

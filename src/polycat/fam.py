@@ -216,9 +216,9 @@ class FamIso:
     def __post_init__(self) -> None:
         round1 = self.forward.then(self.backward)
         round2 = self.backward.then(self.forward)
-        if round1.map.table != finset.identity(self.forward.src.total).table:
+        if round1.map.table != tuple(range(self.forward.src.total.size)):
             raise ValidationError("forward;backward is not the identity")
-        if round2.map.table != finset.identity(self.backward.src.total).table:
+        if round2.map.table != tuple(range(self.backward.src.total.size)):
             raise ValidationError("backward;forward is not the identity")
 
 
@@ -512,8 +512,10 @@ def beck_chevalley_check(square: PullbackSquare, z: Family) -> Report:
     )
 
     # product side: (x, section over top^-1(x)) |-> (x, section over bottom^-1(right x))
-    dlz = delta(left, z)
-    dl_pairs = delta_pairs(left, z)
+    # delta(left, z), on the pairs of the sum side
+    dl_total = FinSet(len(lhs_pairs))
+    dlz = Family(dl_total, left.dom,
+                 FinMap(dl_total, left.dom, tuple(p for p, _ in lhs_pairs)))
     lhs_secs = pi_sections(top, dlz)
     pbz = pi(bottom, z)
     p_index = pi_index(bottom, z)
@@ -526,7 +528,7 @@ def beck_chevalley_check(square: PullbackSquare, z: Family) -> Report:
         for y in bottom.fiber(zb):
             p = corner[(x, y)]
             position = top_fiber.index(p)
-            section.append(dl_pairs[phi[position]][1])
+            section.append(lhs_pairs[phi[position]][1])
         s = p_index[(zb, tuple(section))]
         images2.append(rhs_index2[(x, s)])
     ok_prod = _verify_bijection(len(lhs_secs), images2, len(rhs_index2))
@@ -564,10 +566,9 @@ class DistributivitySquare:
 def distributivity_square(a: FinMap, b: FinMap) -> DistributivitySquare:
     if b.cod != a.dom:
         raise ShapeMismatch("need composable maps: cod(b) = dom(a)")
-    fam_b = Family(b.dom, b.cod, b)
-    u_fam = pi(a, fam_b)
-    u_secs = pi_sections(a, fam_b)
-    pb = finset.pullback(a, u_fam.proj)
+    u_secs = pi_sections(a, Family(b.dom, b.cod, b))
+    u = FinMap(FinSet(len(u_secs)), a.cod, tuple(t for t, _ in u_secs))
+    pb = finset.pullback(a, u)
     eps_table = []
     for point, s in pb.pairs:
         t, section = u_secs[s]
@@ -577,7 +578,7 @@ def distributivity_square(a: FinMap, b: FinMap) -> DistributivitySquare:
     return DistributivitySquare(
         b=b,
         a=a,
-        u=u_fam.proj,
+        u=u,
         u_sections=u_secs,
         w_pairs=pb.pairs,
         a_prime=pb.right,
@@ -633,15 +634,13 @@ def distributivity_check(a: FinMap, b: FinMap, x: Family) -> Report:
 def box(x: Family, y: Family) -> Family:
     """External product: the family over base1 x base2 whose fiber over a
     pair is the product of the fibers. Elements are the pairs (t1, t2),
-    encoded as t1 * |total2| + t2."""
-    prod_base = finset.product(x.base, y.base)
-    n2 = y.total.size
-    total = FinSet(x.total.size * n2)
-    table = tuple(
-        prod_base.pair(x.proj.table[k // n2], y.proj.table[k % n2])
-        for k in range(total.size)
-    )
-    return Family(total, prod_base.carrier, FinMap(total, prod_base.carrier, table))
+    encoded as t1 * |total2| + t2, over the base pair (i1, i2), encoded
+    as i1 * |base2| + i2 (finset.product's pairing)."""
+    n = y.base.size
+    total = FinSet(x.total.size * y.total.size)
+    base = FinSet(x.base.size * n)
+    table = tuple(i1 * n + i2 for i1 in x.proj.table for i2 in y.proj.table)
+    return Family(total, base, FinMap(total, base, table))
 
 
 def box_pair(y: Family, t1: int, t2: int) -> int:

@@ -2,9 +2,10 @@
 
 Carriers are canonical initial segments 0..n-1. Maps are lookup tables.
 Derived carriers (pullbacks, equalizers, products, coproducts) are
-renumbered back to 0..n-1 with their provenance kept next to them, so
-every element of a constructed set can be decoded to the data it stands
-for.
+renumbered back to 0..n-1, so every element of a constructed set can be
+decoded to the data it stands for: pullbacks and equalizers keep their
+provenance next to them, a product decodes by unpair and a coproduct by
+untag.
 
 The configurable global size guard lives here: every enumeration in the
 package that can explode checks it, with the saturating sums and
@@ -303,17 +304,14 @@ class Product:
     """Binary product with the lexicographic pairing bijection.
 
     pair(x, y) = x * |right factor| + y, so pairs enumerate with the left
-    coordinate most significant.
+    coordinate most significant; unpair decodes an element back to its
+    pair. No projection table is built: a product costs constant time
+    however large its carrier.
     """
 
     carrier: FinSet
-    left: FinMap
-    right: FinMap
     left_factor: FinSet
     right_factor: FinSet
-
-    def __iter__(self):
-        return iter((self.carrier, self.left, self.right))
 
     def pair(self, x: int, y: int) -> int:
         if x not in self.left_factor or y not in self.right_factor:
@@ -327,10 +325,7 @@ class Product:
 
 
 def product(a: FinSet, b: FinSet) -> Product:
-    carrier = FinSet(a.size * b.size)
-    left = FinMap(carrier, a, tuple(k // b.size for k in range(carrier.size)))
-    right = FinMap(carrier, b, tuple(k % b.size for k in range(carrier.size)))
-    return Product(carrier, left, right, a, b)
+    return Product(FinSet(a.size * b.size), a, b)
 
 
 @dataclass(frozen=True)

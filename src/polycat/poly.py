@@ -280,17 +280,17 @@ def extension_agreement(p: PolyDiagram, x: Family) -> Report:
 
 @dataclass(frozen=True)
 class Composite:
-    """A composite diagram together with the decoding of its carriers.
+    """A composite diagram together with the decoding of its shapes.
 
     shape_reps[c] = (w, assignment): w is the outer shape, and the
     assignment picks, for each outer direction of w (ascending), an inner
-    shape over that direction's sort. dir_reps[m] = (c, e, u): composite
-    shape, outer direction, inner direction.
+    shape over that direction's sort. The directions of c are the pairs
+    (e, u) of an outer direction e of w and an inner direction u of its
+    inner shape, e then u ascending.
     """
 
     diagram: PolyDiagram
     shape_reps: tuple[tuple[int, tuple[int, ...]], ...]
-    dir_reps: tuple[tuple[int, int, int], ...]
 
 
 def _compose_guard(q: PolyDiagram, p: PolyDiagram) -> None:
@@ -322,30 +322,31 @@ def compose_data(q: PolyDiagram, p: PolyDiagram) -> Composite:
         raise ShapeMismatch("composition needs p.target = q.source")
     _compose_guard(q, p)
     shape_reps: list[tuple[int, tuple[int, ...]]] = []
-    dir_reps: list[tuple[int, int, int]] = []
     shape_sort_table: list[int] = []
+    dir_sort_table: list[int] = []
+    dir_shape_table: list[int] = []
     for w in q.shapes:
-        es = q.shape_fiber(w)
-        choices = [p.shape_sort.fiber(q.dir_sort(e)) for e in es]
+        choices = [p.shape_sort.fiber(q.dir_sort(e)) for e in q.shape_fiber(w)]
         for assignment in itertools.product(*choices):
             c = len(shape_reps)
             shape_reps.append((w, assignment))
             shape_sort_table.append(q.shape_sort(w))
-            for pos, e in enumerate(es):
-                for u in p.shape_fiber(assignment[pos]):
-                    dir_reps.append((c, e, u))
+            for v in assignment:
+                us = p.shape_fiber(v)
+                dir_sort_table.extend(map(p.dir_sort, us))
+                dir_shape_table.extend([c] * len(us))
     shapes = FinSet(len(shape_reps))
-    dirs = FinSet(len(dir_reps))
+    dirs = FinSet(len(dir_shape_table))
     diagram = PolyDiagram(
         source=p.source,
         dirs=dirs,
         shapes=shapes,
         target=q.target,
-        dir_sort=FinMap(dirs, p.source, tuple(p.dir_sort(u) for _, _, u in dir_reps)),
-        dir_shape=FinMap(dirs, shapes, tuple(c for c, _, _ in dir_reps)),
+        dir_sort=FinMap(dirs, p.source, tuple(dir_sort_table)),
+        dir_shape=FinMap(dirs, shapes, tuple(dir_shape_table)),
         shape_sort=FinMap(shapes, q.target, tuple(shape_sort_table)),
     )
-    return Composite(diagram, tuple(shape_reps), tuple(dir_reps))
+    return Composite(diagram, tuple(shape_reps))
 
 
 def compose_direct(q: PolyDiagram, p: PolyDiagram) -> PolyDiagram:
@@ -440,13 +441,11 @@ def compose_structural(q: PolyDiagram, p: PolyDiagram) -> PolyDiagram:
 
 
 def _product_map(f1: FinMap, f2: FinMap) -> FinMap:
-    dom = finset.product(f1.dom, f2.dom)
-    cod = finset.product(f1.cod, f2.cod)
-    table = tuple(
-        cod.pair(f1.table[k // f2.dom.size], f2.table[k % f2.dom.size])
-        for k in range(dom.carrier.size)
-    )
-    return FinMap(dom.carrier, cod.carrier, table)
+    """f1 x f2 between the products of the domains and of the codomains,
+    both paired lexicographically (finset.product)."""
+    m2 = f2.cod.size
+    table = tuple(y1 * m2 + y2 for y1 in f1.table for y2 in f2.table)
+    return FinMap(FinSet(f1.dom.size * f2.dom.size), FinSet(f1.cod.size * m2), table)
 
 
 def tensor(p1: PolyDiagram, p2: PolyDiagram) -> PolyDiagram:
@@ -469,14 +468,16 @@ def tensor(p1: PolyDiagram, p2: PolyDiagram) -> PolyDiagram:
         finset.check_guard_sum((a.size * b.size for a, b in zip(
             (p1.source, p1.target, p1.shapes, p1.dirs),
             (p2.source, p2.target, p2.shapes, p2.dirs))), "tensor carrier")
+        dir_sort = _product_map(p1.dir_sort, p2.dir_sort)
+        shape_sort = _product_map(p1.shape_sort, p2.shape_sort)
         tens = PolyDiagram(
-            source=finset.product(p1.source, p2.source).carrier,
-            dirs=finset.product(p1.dirs, p2.dirs).carrier,
-            shapes=finset.product(p1.shapes, p2.shapes).carrier,
-            target=finset.product(p1.target, p2.target).carrier,
-            dir_sort=_product_map(p1.dir_sort, p2.dir_sort),
+            source=dir_sort.cod,
+            dirs=dir_sort.dom,
+            shapes=shape_sort.dom,
+            target=shape_sort.cod,
+            dir_sort=dir_sort,
             dir_shape=_product_map(p1.dir_shape, p2.dir_shape),
-            shape_sort=_product_map(p1.shape_sort, p2.shape_sort),
+            shape_sort=shape_sort,
         )
         cache[key] = tens
     return tens
@@ -555,19 +556,18 @@ def plus_eval_report(p1: PolyDiagram, p2: PolyDiagram, x: Family, y: Family) -> 
 
 @dataclass(frozen=True)
 class HomData:
-    """The single-sorted hom diagram with its carrier decodings.
+    """The single-sorted hom diagram with the decoding of its shapes.
 
     shape_reps[c] = (f_table, phi): f_table maps first-operand shapes to
     second-operand shapes; phi[a] is the backward table of the c-th shape
     at first-operand shape a, giving for each direction of f(a)
-    (by position) a position in a's direction fiber.
-    dir_reps[m] = (c, a, e): hom shape, first-operand shape, absolute
-    second-operand direction of f(a).
+    (by position) a position in a's direction fiber. The directions of c
+    are the pairs (a, e) of a first-operand shape a and a direction e of
+    f(a), a then e ascending.
     """
 
     diagram: PolyDiagram
     shape_reps: tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]
-    dir_reps: tuple[tuple[int, int, int], ...]
 
 
 def _hom_sizes(by_arity2: Mapping[int, int], by_arity3: Mapping[int, int],
@@ -610,8 +610,7 @@ def hom_data(p2: PolyDiagram, p3: PolyDiagram) -> HomData:
     block."""
     if not (p2.is_single_sorted() and p3.is_single_sorted()):
         raise ValidationError("general hom not implemented: single-sorted diagrams only")
-    fibers2, fibers3 = p2.dir_shape.fibers(), p3.dir_shape.fibers()
-    arity2, arity3 = list(map(len, fibers2)), list(map(len, fibers3))
+    arity2, arity3 = (list(map(len, p.dir_shape.fibers())) for p in (p2, p3))
     by_arity2, by_arity3 = Counter(arity2), Counter(arity3)
     shape_count, dir_count = _hom_sizes(by_arity2, by_arity3, finset.guard_limit() + 1)
     check_guard(shape_count, "hom shape carrier")
@@ -629,27 +628,27 @@ def hom_data(p2: PolyDiagram, p3: PolyDiagram) -> HomData:
               for n2 in by_arity2 for n3 in by_arity3} if shape_count else {}
     one = FinSet(1)
     shape_reps: list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = []
-    dir_reps: list[tuple[int, int, int]] = []
+    dir_shape: list[int] = []
     for f in itertools.product(*images):
         # the table list of each v at (n2(v), n3(f(v))), looked up in C
         blocks = map(tables.__getitem__, zip(arity2, map(arity3.__getitem__, f)))
         start = len(shape_reps)
         shape_reps.extend((f, phi) for phi in itertools.product(*blocks))
-        dirs_of_f = [(v, e) for v, w in enumerate(f) for e in fibers3[w]]
-        dir_reps.extend((c, v, e) for c in range(start, len(shape_reps))
-                        for v, e in dirs_of_f)
+        n = sum(map(arity3.__getitem__, f))
+        for c in range(start, len(shape_reps)):
+            dir_shape.extend([c] * n)
     shapes = FinSet(len(shape_reps))
-    dirs = FinSet(len(dir_reps))
+    dirs = FinSet(len(dir_shape))
     diagram = PolyDiagram(
         source=one,
         dirs=dirs,
         shapes=shapes,
         target=one,
         dir_sort=finset.constant(dirs, one, 0) if dirs.size else FinMap(dirs, one, ()),
-        dir_shape=FinMap(dirs, shapes, tuple(c for c, _, _ in dir_reps)),
+        dir_shape=FinMap(dirs, shapes, tuple(dir_shape)),
         shape_sort=finset.constant(shapes, one, 0) if shapes.size else FinMap(shapes, one, ()),
     )
-    return HomData(diagram, tuple(shape_reps), tuple(dir_reps))
+    return HomData(diagram, tuple(shape_reps))
 
 
 def hom_single_sorted(p2: PolyDiagram, p3: PolyDiagram) -> PolyDiagram:
@@ -756,9 +755,9 @@ class DiagIso:
             raise ShapeMismatch("iso directions do not match up")
         alpha_fb = self.forward.alpha.then(self.backward.alpha)
         alpha_bf = self.backward.alpha.then(self.forward.alpha)
-        if alpha_fb.table != finset.identity(self.forward.src.shapes).table:
+        if alpha_fb.table != tuple(range(self.forward.src.shapes.size)):
             raise ValidationError("shape maps are not mutually inverse")
-        if alpha_bf.table != finset.identity(self.backward.src.shapes).table:
+        if alpha_bf.table != tuple(range(self.backward.src.shapes.size)):
             raise ValidationError("shape maps are not mutually inverse")
         for v in self.forward.src.shapes:
             w = self.forward.alpha(v)
@@ -853,14 +852,14 @@ def multisets_up_to(s: FinSet, k: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class BangData:
-    """The truncated exponential with its carrier decodings: base_reps
-    are the multisets (sorted tuples) indexing source and target,
-    shape_reps the shape lists, dir_reps the direction lists."""
+    """The truncated exponential with the decodings of its sorts and
+    shapes: base_reps are the multisets (sorted tuples) indexing source
+    and target, shape_reps the shape lists. Its directions are the
+    direction lists of length at most k, in lists_up_to order."""
 
     diagram: PolyDiagram
     base_reps: tuple[tuple[int, ...], ...]
     shape_reps: tuple[tuple[int, ...], ...]
-    dir_reps: tuple[tuple[int, ...], ...]
 
 
 def bang_data(p: PolyDiagram, k: int) -> BangData:
@@ -907,7 +906,7 @@ def bang_data(p: PolyDiagram, k: int) -> BangData:
             ),
         ),
     )
-    return BangData(diagram, base_reps, shape_reps, dir_reps)
+    return BangData(diagram, base_reps, shape_reps)
 
 
 def bang_truncated(p: PolyDiagram, k: int) -> PolyDiagram:

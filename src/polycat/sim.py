@@ -85,8 +85,14 @@ def cell_pairs(span: Span, src: PolyDiagram) -> list[tuple[int, int]]:
 @dataclass(frozen=True)
 class SimCell:
     """A valid simulation cell, frozen. Construction checks shapes, ranges
-    and the four equations, raising ValidationError at the first
-    violation, and keeps read-only copies of the tables."""
+    and the four equations in one pass over the pairs and one over the
+    triples, raising ValidationError at the first violation: key sets and
+    ranges first, then each pair's shape sort, then the direction
+    equations triple by triple. It keeps read-only copies of the tables
+    and, from the same pass, the plan eval_sim reads, _plan[rho][v]: the
+    assigned shape w and, per direction u of w, the successor
+    gamma[rho, v, u] and the position of beta[rho, v, u] in v's direction
+    fiber (None off the pairs)."""
 
     span: Span
     src: PolyDiagram
@@ -96,39 +102,70 @@ class SimCell:
     gamma: Mapping
     pairs: list = field(init=False, compare=False)
     triples: list = field(init=False, compare=False)
+    _plan: tuple = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         span, src, dst = self.span, self.src, self.dst
-        alpha, beta, gamma = self.alpha, self.beta, self.gamma
         require_endo(src, dst)
         if span.left.cod != src.source or span.right.cod != dst.source:
             raise ShapeMismatch("span legs must land in the two sort sets")
+        left, right = span.left.table, span.right.table
         pairs = cell_pairs(span, src)
-        if set(alpha) != set(pairs):
+        if set(self.alpha) != set(pairs):
             raise ValidationError("shape table must be indexed by exactly the (state, shape) pairs")
-        for key in pairs:
-            if alpha[key] not in dst.shapes:
-                raise ValidationError(f"shape table value out of range at {key}")
-        triples = [
-            (rho, v, u) for rho, v in pairs for u in dst.shape_fiber(alpha[rho, v])
-        ]
-        if set(beta) != set(triples) or set(gamma) != set(triples):
+        alpha = dict(self.alpha)
+        # the first equation fault is kept, not raised, until every range
+        # is checked
+        fault = None
+        triples = []
+        for rho, v in pairs:
+            w = alpha[rho, v]
+            if w not in dst.shapes:
+                raise ValidationError(f"shape table value out of range at {(rho, v)}")
+            if fault is None and dst.shape_sort.table[w] != right[rho]:
+                fault = (f"assigned shape sits over the wrong sort at (state {rho}, shape {v}):"
+                         f" got {dst.shape_sort.table[w]}, the state's right end is {right[rho]}")
+            triples.extend((rho, v, u) for u in dst.shape_fiber(w))
+        keys = set(triples)
+        if set(self.beta) != keys or set(self.gamma) != keys:
             raise ValidationError(
                 "direction and state tables must be indexed by exactly the "
                 "(state, shape, direction) triples"
             )
-        for key in triples:
-            if beta[key] not in src.dirs:
-                raise ValidationError(f"direction table value out of range at {key}")
-            if gamma[key] not in span.carrier:
-                raise ValidationError(f"state table value out of range at {key}")
+        beta, gamma = dict(self.beta), dict(self.gamma)
+        src_fibers = src.dir_shape.fibers()
+        rows = [[None] * src.shapes.size for _ in span.carrier]
+        for rho, v in pairs:
+            w = alpha[rho, v]
+            position = {b: k for k, b in enumerate(src_fibers[v])}
+            moves = []
+            for u in dst.shape_fiber(w):
+                key = (rho, v, u)
+                b, g = beta[key], gamma[key]
+                if b not in src.dirs:
+                    raise ValidationError(f"direction table value out of range at {key}")
+                if g not in span.carrier:
+                    raise ValidationError(f"state table value out of range at {key}")
+                k = position.get(b)
+                if fault is None:
+                    if k is None:
+                        fault = ("backward direction leaves the shape's fiber at "
+                                 f"(state {rho}, shape {v}, direction {u})")
+                    elif right[g] != dst.dir_sort.table[u]:
+                        fault = ("successor state's right end disagrees with the direction "
+                                 f"sort at (state {rho}, shape {v}, direction {u})")
+                    elif src.dir_sort.table[b] != left[g]:
+                        fault = ("backward direction's sort disagrees with the successor "
+                                 f"state's left end at (state {rho}, shape {v}, direction {u})")
+                moves.append((g, k))
+            rows[rho][v] = (w, tuple(moves))
+        if fault is not None:
+            raise ValidationError(fault)
         for name, table in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
-            object.__setattr__(self, name, MappingProxyType(dict(table)))
+            object.__setattr__(self, name, MappingProxyType(table))
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "triples", triples)
-        rep = validate(self)
-        if not rep.ok:
-            raise ValidationError(rep.lines[0])
+        object.__setattr__(self, "_plan", tuple(map(tuple, rows)))
 
     def __repr__(self) -> str:
         return (f"SimCell(states={self.span.carrier.size}, "
@@ -136,30 +173,10 @@ class SimCell:
 
 
 def validate(c: SimCell) -> Report:
-    """Check the four cell equations on every entry; the first violation
-    is reported with its coordinates. The constructor runs it, so on a
-    built cell the report is always ok."""
-    for rho, v in c.pairs:
-        w = c.alpha[rho, v]
-        if c.dst.shape_sort(w) != c.span.right(rho):
-            return Report("simulation cell equations", False, (
-                f"assigned shape sits over the wrong sort at (state {rho}, shape {v}):"
-                f" got {c.dst.shape_sort(w)}, the state's right end is {c.span.right(rho)}",))
-    for rho, v, u in c.triples:
-        b = c.beta[rho, v, u]
-        g = c.gamma[rho, v, u]
-        if c.src.dir_shape(b) != v:
-            return Report("simulation cell equations", False, (
-                f"backward direction leaves the shape's fiber at "
-                f"(state {rho}, shape {v}, direction {u})",))
-        if c.span.right(g) != c.dst.dir_sort(u):
-            return Report("simulation cell equations", False, (
-                f"successor state's right end disagrees with the direction sort at "
-                f"(state {rho}, shape {v}, direction {u})",))
-        if c.src.dir_sort(b) != c.span.left(g):
-            return Report("simulation cell equations", False, (
-                f"backward direction's sort disagrees with the successor state's "
-                f"left end at (state {rho}, shape {v}, direction {u})",))
+    """The report of the four cell equations. The constructor checks them
+    on every entry and raises ValidationError at the first violation,
+    with its coordinates, so every built cell satisfies them: the report
+    is always ok and only counts the entries, walking no table."""
     return Report("simulation cell equations", True,
                   (f"{len(c.pairs)} shape entries and {len(c.triples)} "
                    f"direction entries satisfy all four equations",))
@@ -237,36 +254,13 @@ def compose_sim(c2: SimCell, c1: SimCell) -> SimCell:
     return SimCell(span, c1.src, c2.dst, alpha, beta, gamma)
 
 
-def _eval_plan(c: SimCell) -> tuple[tuple, ...]:
-    """What eval_sim reads of the cell, indexed [rho][v]: for each
-    (state, shape) pair, the assigned shape w and, per direction u of w,
-    the successor state gamma[rho, v, u] and the position of the
-    backward direction beta[rho, v, u] in v's direction fiber (None off
-    the pairs). Built on the first call and kept on the cell."""
-    try:
-        return c._plan
-    except AttributeError:
-        src_fibers = c.src.dir_shape.fibers()
-        rows = [[None] * c.src.shapes.size for _ in c.span.carrier]
-        for rho, v in c.pairs:
-            w = c.alpha[rho, v]
-            position = {b: k for k, b in enumerate(src_fibers[v])}
-            rows[rho][v] = (w, tuple((c.gamma[rho, v, u], position[c.beta[rho, v, u]])
-                                     for u in c.dst.shape_fiber(w)))
-        plan = tuple(tuple(row) for row in rows)
-        object.__setattr__(c, "_plan", plan)
-        return plan
-
-
 def eval_sim(c: SimCell, x: Family) -> FamMorphism:
     """The cell's component at x: a morphism from the sum lift of the src
     value to the dst value of the sum lift.
 
-    The cell's tables are read through one evaluation plan: per (state,
-    shape) pair, the assigned shape and the (successor, position) pair
-    of each of its directions. It is built on the first call and kept on
-    the cell, shared by every later call, read-only like the cell, and
-    lives as long as the cell."""
+    The cell's tables are read through the evaluation plan that its
+    constructor laid out (SimCell): per (state, shape) pair, the assigned
+    shape and the (successor, position) pair of each of its directions."""
     if x.base != c.src.source:
         raise ShapeMismatch("family must live over the source sorts")
     au = au_lift(c.span)
@@ -277,7 +271,7 @@ def eval_sim(c: SimCell, x: Family) -> FamMorphism:
     aux_index = aux.index()
     cod_index = cod.index()
     inner_elems = inner.elements
-    plan = _eval_plan(c)
+    plan = c._plan
     table = []
     for rho, (t,) in dom.elements:
         v, h = inner_elems[t]

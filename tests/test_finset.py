@@ -258,7 +258,15 @@ def test_product_coproduct_example():
     assert prod.unpair(5) == (1, 2)
     for k in range(6):
         assert prod.pair(*prod.unpair(k)) == k
-        assert (prod.left.table[k], prod.right.table[k]) == prod.unpair(k)
+
+
+def test_product_builds_no_projection_tables():
+    # a product decodes by unpair, so its 4 * 10^6 elements cost nothing
+    start = time.perf_counter()
+    prod = finset.product(FinSet(2000), FinSet(2000))
+    assert time.perf_counter() - start < 0.05
+    assert prod.carrier.size == 4 * 10**6
+    assert prod.unpair(prod.pair(1999, 1998)) == (1999, 1998)
 
 
 def test_coproduct_tagging():

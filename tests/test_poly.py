@@ -8,6 +8,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 import weakref
 
 import pytest
@@ -514,7 +515,7 @@ def test_hom_shape_decodings():
     for f_table, phi in data.shape_reps:
         assert len(f_table) == 1 and f_table[0] in (0, 1)
         assert len(phi) == 1 and phi[0] in ((0,), (1,))
-    assert len(data.dir_reps) == 4
+    assert data.diagram.dirs.size == 4
 
 
 def test_hom_requires_single_sorted():
@@ -559,7 +560,7 @@ def _two_pass_hom(p2, p3):
             dirs_here += len(fibers3[f[v]])
         shape_count += block
         dir_count += block * dirs_here
-    shape_reps, dir_reps = [], []
+    shape_reps, dir_shape = [], []
     for f in itertools.product(a2, repeat=a1.size):
         tables = [list(itertools.product(range(len(fibers2[v])), repeat=len(fibers3[f[v]])))
                   for v in a1]
@@ -568,14 +569,14 @@ def _two_pass_hom(p2, p3):
             shape_reps.append((f, tuple(phi)))
             for v in a1:
                 for e in fibers3[f[v]]:
-                    dir_reps.append((c, v, e))
-    shapes, dirs, one = FinSet(len(shape_reps)), FinSet(len(dir_reps)), FinSet(1)
+                    dir_shape.append(c)
+    shapes, dirs, one = FinSet(len(shape_reps)), FinSet(len(dir_shape)), FinSet(1)
     diagram = poly.PolyDiagram(
         source=one, dirs=dirs, shapes=shapes, target=one,
         dir_sort=FinMap(dirs, one, (0,) * dirs.size),
-        dir_shape=FinMap(dirs, shapes, tuple(c for c, _, _ in dir_reps)),
+        dir_shape=FinMap(dirs, shapes, tuple(dir_shape)),
         shape_sort=FinMap(shapes, one, (0,) * shapes.size))
-    return shape_count, dir_count, poly.HomData(diagram, tuple(shape_reps), tuple(dir_reps))
+    return shape_count, dir_count, poly.HomData(diagram, tuple(shape_reps))
 
 
 def _hom_pairs():
@@ -594,7 +595,7 @@ def test_hom_counts_in_closed_form_match_the_built_carriers():
     for p2, p3 in _hom_pairs():
         shape_count, dir_count, _ = _two_pass_hom(p2, p3)
         data = poly.hom_data(p2, p3)
-        assert (shape_count, dir_count) == (len(data.shape_reps), len(data.dir_reps))
+        assert (shape_count, dir_count) == (len(data.shape_reps), data.diagram.dirs.size)
         for cap in (1, 2, 7, 10**30):
             assert poly._hom_sizes(poly.arity_counts(p2), poly.arity_counts(p3), cap) == \
                 (min(shape_count, cap), min(dir_count, cap))
@@ -642,7 +643,7 @@ def test_hom_with_many_shape_maps_and_one_shape_builds():
     # the constant has a backward table
     data = poly.hom_data(ss(*(0,) * 20), ss(0, 1))
     assert data.shape_reps == (((0,) * 20, ((),) * 20),)
-    assert data.dir_reps == ()
+    assert data.diagram.dirs.size == 0
 
 
 def test_hom_between_wide_operands_with_one_shape_builds_in_linear_time():
@@ -656,7 +657,7 @@ def test_hom_between_wide_operands_with_one_shape_builds_in_linear_time():
     data = poly.hom_data(p2, p3)
     assert time.perf_counter() - start < 0.5
     assert data.shape_reps == (((0,) * n, ((),) * n),)
-    assert data.dir_reps == ()
+    assert data.diagram.dirs.size == 0
 
 
 def test_hom_enumerates_no_more_shape_maps_than_shapes():
@@ -676,8 +677,22 @@ def test_hom_builds_no_backward_table_of_a_map_without_shapes():
     # no hom shapes, and the 1000^5 backward tables of X^1000 are never built
     start = time.perf_counter()
     data = poly.hom_data(ss(1000, 0), ss(5))
-    assert data.shape_reps == () and data.dir_reps == ()
+    assert data.shape_reps == () and data.diagram.dirs.size == 0
     assert time.perf_counter() - start < 0.5
+
+
+def test_hom_keeps_no_decoding_of_its_directions():
+    # the dual of 3X^40: 64,000 shapes with 3 directions each, whose
+    # decoding triples alone took about 13 MiB
+    p2 = ss(40, 40, 40)
+    tracemalloc.start()
+    try:
+        data = poly.hom_data(p2, poly.bottom_diagram())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (data.diagram.shapes.size, data.diagram.dirs.size) == (64000, 192000)
+    assert peak < 20 * 2**20
 
 
 # -- morphisms and isomorphism search -----------------------------------------

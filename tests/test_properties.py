@@ -113,7 +113,9 @@ NAMES = {
     "simulation.json": {"diagram": ["p", "q"], "family": ["pair"],
                         "cell": ["embed", "ident-p"]},
 }
-number = st.integers(-1, 3).map(str)
+# small values, and values past every default limit and size guard
+number = st.one_of(st.integers(-1, 3),
+                   st.sampled_from([-10**12, 40, 10**6 + 1, 10**12])).map(str)
 FLAGS = {
     "eval": {"--diagram": "diagram", "--family": "family"},
     "compose": {"--outer": "diagram", "--inner": "diagram", "--family": "family",

@@ -217,6 +217,39 @@ def test_validate_locates_corrupt_alpha():
     assert "assigned shape sits over the wrong sort at (state 0, shape 0)" in str(exc.value)
 
 
+def test_range_faults_are_found_before_equation_faults():
+    c = sim.identity_sim(two_sorted_endo())
+    # the pair (0, 0) sits over the wrong sort, as in the test above, and
+    # the later triple (1, 1, 1) names a state out of range
+    alpha, beta, gamma = corrupt(c, alpha={(0, 0): 1}, gamma={(1, 1, 1): 7})
+    del beta[0, 0, 0], gamma[0, 0, 0]
+    beta[0, 0, 1] = 0
+    gamma[0, 0, 1] = 1
+    with pytest.raises(ValidationError,
+                       match=r"^state table value out of range at \(1, 1, 1\)$"):
+        sim.SimCell(c.span, c.src, c.dst, alpha, beta, gamma)
+    # a direction equation fault before it is found after it too
+    c = sim.identity_sim(list_diagram())
+    with pytest.raises(ValidationError,
+                       match=r"^direction table value out of range at \(0, 3, 5\)$"):
+        sim.SimCell(c.span, c.src, c.dst, *corrupt(c, beta={(0, 2, 1): 0, (0, 3, 5): 99}))
+    # among equation faults, the first triple's
+    with pytest.raises(ValidationError, match=r"\(state 0, shape 2, direction 1\)$"):
+        sim.SimCell(c.span, c.src, c.dst, *corrupt(c, beta={(0, 2, 1): 0, (0, 3, 5): 0}))
+
+
+def test_validate_walks_no_table_and_the_plan_is_laid_out_on_construction(monkeypatch):
+    c = sim.identity_sim(list_diagram())
+    assert "_plan" in vars(c)
+    calls = []
+    call = FinMap.__call__
+    monkeypatch.setattr(FinMap, "__call__", lambda f, x: calls.append(x) or call(f, x))
+    rep = sim.validate(c)
+    assert calls == []
+    assert rep.ok and rep.lines == (
+        "4 shape entries and 6 direction entries satisfy all four equations",)
+
+
 def test_cells_and_their_tables_are_read_only():
     c = sim.identity_sim(list_diagram())
     for table, key, value in ((c.alpha, (0, 0), 1), (c.beta, (0, 2, 1), 0),
@@ -262,9 +295,10 @@ def test_non_endo_cells_are_validation_errors_at_every_entry(entry):
 
 
 def test_each_cell_is_validated_once(monkeypatch):
+    # the constructor checks the equations; evaluation builds no cell
     calls = []
-    validate = sim.validate
-    monkeypatch.setattr(sim, "validate", lambda c: calls.append(c) or validate(c))
+    check = sim.SimCell.__post_init__
+    monkeypatch.setattr(sim.SimCell, "__post_init__", lambda c: calls.append(c) or check(c))
     d = doc.load_document("docs/examples/simulation.json")
     cells = list(d.simulations.values())
     assert len(calls) == len(cells)
@@ -558,10 +592,10 @@ def test_eval_plan_agrees_with_the_tables_and_is_kept_on_the_cell():
     families = list(fam.families_up_to(FinSet(2), 2))
     for cells in two_sorted_cells(53, 20):
         for c in cells:
-            plan = sim._eval_plan(c)
+            plan = c._plan
             for x in families:
                 assert sim.eval_sim(c, x).map.table == eval_from_the_tables(c, x)
-            assert sim._eval_plan(c) is plan
+            assert c._plan is plan
     c = prefix_cell()
     assert sim.eval_sim(c, fams(1, [3])).map.table == eval_from_the_tables(c, fams(1, [3]))
 

@@ -3,11 +3,17 @@ law suite, print a deterministic report.
 
 Exit codes: 0 success, 1 parse error (document or command line),
 2 validation failure, 3 size guard exceeded, 4 law violation found.
-The environment variable POLYCAT_GUARD overrides the enumeration bound.
+The environment variable POLYCAT_GUARD overrides the enumeration bound;
+it is read on every call.
+
+The argument parser is built once per process, on the first call of
+main, and reused by every later call: parsing keeps no state between
+calls (each makes a new namespace, and help is formatted when asked for).
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -27,6 +33,7 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="polycat",
                      description="exact checks for polynomial diagrams over finite sets")

@@ -124,12 +124,16 @@ class FamMorphism:
     map: FinMap
 
     def __post_init__(self) -> None:
-        if self.src.base != self.dst.base:
+        # identity first: the endpoints are mostly the very same objects,
+        # and a dataclass == compares them field by field
+        src, dst, m = self.src, self.dst, self.map
+        if src.base is not dst.base and src.base != dst.base:
             raise ShapeMismatch("family morphism needs a common base")
-        if self.map.dom != self.src.total or self.map.cod != self.dst.total:
+        if ((m.dom is not src.total and m.dom != src.total)
+                or (m.cod is not dst.total and m.cod != dst.total)):
             raise ShapeMismatch("morphism endpoints do not match the families")
-        dst_proj = self.dst.proj.table
-        if tuple([dst_proj[t] for t in self.map.table]) != self.src.proj.table:
+        dst_proj = dst.proj.table
+        if tuple([dst_proj[t] for t in m.table]) != src.proj.table:
             raise ShapeMismatch("morphism does not commute with the projections")
 
     def __call__(self, t: int) -> int:

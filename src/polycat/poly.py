@@ -592,6 +592,17 @@ def _hom_sizes(by_arity2: Mapping[int, int], by_arity3: Mapping[int, int],
     return finset.capped_product_rule(blocks, cap)
 
 
+def _check_hom_guards(by_arity2: Mapping[int, int], by_arity3: Mapping[int, int]) -> int:
+    """Guard the hom from p2 to p3 before it is built, given the operands'
+    positive shape counts per arity: its shape carrier, then its direction
+    carrier (_hom_sizes, cut at the limit plus one). Returns the shape
+    count."""
+    shape_count, dir_count = _hom_sizes(by_arity2, by_arity3, finset.guard_limit() + 1)
+    check_guard(shape_count, "hom shape carrier")
+    check_guard(dir_count, "hom direction carrier")
+    return shape_count
+
+
 def hom_data(p2: PolyDiagram, p3: PolyDiagram) -> HomData:
     """The internal hom of single-sorted diagrams: a shape is a forward
     map f on shapes with a backward table on direction fibers, a direction
@@ -612,9 +623,7 @@ def hom_data(p2: PolyDiagram, p3: PolyDiagram) -> HomData:
         raise ValidationError("general hom not implemented: single-sorted diagrams only")
     arity2, arity3 = (list(map(len, p.dir_shape.fibers())) for p in (p2, p3))
     by_arity2, by_arity3 = Counter(arity2), Counter(arity3)
-    shape_count, dir_count = _hom_sizes(by_arity2, by_arity3, finset.guard_limit() + 1)
-    check_guard(shape_count, "hom shape carrier")
-    check_guard(dir_count, "hom direction carrier")
+    shape_count = _check_hom_guards(by_arity2, by_arity3)
 
     # the images w of v that leave v a backward table, n2(v)^n3(w) > 0: every
     # shape when v has directions, else the shapes without; as tuples, which

@@ -745,13 +745,24 @@ def _bang_bijection(p, x, k, bd, bang, xhat, tuples) -> bool:
 def double_dual_report(a_size: int, b_size: int) -> Report:
     """Build the a-fold sum of b-th powers, dualize twice, compare the
     carrier counts with the closed formulas, and search for an
-    isomorphism with the original."""
+    isomorphism with the original.
+
+    Both duals are guarded in closed form before either is built, with
+    the labels and in the order that building them would check: the
+    first dual is the hom from a shapes of arity b into the bottom
+    diagram, the second the hom from its b^a shapes of arity a, checked
+    once the first has passed, so b^a is within the guard limit. A
+    refusal therefore costs no construction."""
     if a_size < 0 or b_size < 0:
         raise ValidationError("sizes must be nonnegative")
+    bottom = poly.arity_counts(poly.bottom_diagram())
+    # _hom_sizes takes positive counts: a zero count is no shape at all
+    poly._check_hom_guards({b_size: a_size} if a_size else {}, bottom)
+    ba = b_size ** a_size
+    poly._check_hom_guards({a_size: ba} if ba else {}, bottom)
     p = poly.single_sorted((b_size,) * a_size)
     pd = poly.dualize(p)
     pdd = poly.dualize(pd)
-    ba = b_size ** a_size
     # one pass over each dual's fibers gives both the check and the notation
     dual, double = poly.arity_counts(pd), poly.arity_counts(pdd)
     dual_ok = pd.shapes.size == ba and set(dual) <= {a_size}

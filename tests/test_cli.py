@@ -1,13 +1,16 @@
 """Command line behavior: output lines, exit codes, JSON round trips,
 and determinism. All invocations run in-process through main()."""
 import json
+import shlex
 import subprocess
 import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
-from polycat import cli, doc, poly, suites
+from polycat import cli, doc, finset, poly, suites
 from polycat.report import Report, decimal
 
 LIST_DOC = "docs/examples/list.json"
@@ -396,6 +399,13 @@ def test_guard_env_var_overrides_bound(capsys, monkeypatch):
     assert "guard" in err
     monkeypatch.setenv("POLYCAT_GUARD", "not-a-number")
     assert run(capsys, "eval", LIST_DOC, "--diagram", "list3", "--family", "two")[0] == 1
+    # the variable is read on every call, and the limit it set is undone
+    monkeypatch.delenv("POLYCAT_GUARD")
+    code, out, _ = run(capsys, "curry", LIST_DOC, "--p1", "two-x",
+                       "--p2", "square", "--p3", "list3")
+    assert code == 0
+    assert out.startswith("transformations: 225 out of the tensor")
+    assert finset.guard_limit() == finset.DEFAULT_GUARD_LIMIT
 
 
 def test_document_dump_load_round_trip(tmp_path):
@@ -415,3 +425,81 @@ def test_subprocess_runs_are_byte_identical():
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.startswith("double dual comparison: ok")
+
+
+def test_the_parser_is_built_once_per_process():
+    # a fresh interpreter, so that no earlier call has built it; each build
+    # adds the subcommands once
+    script = textwrap.dedent("""
+        import argparse, contextlib, io
+        builds = 0
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+        def counted(self, **kwargs):
+            global builds
+            builds += 1
+            return add_subparsers(self, **kwargs)
+        argparse.ArgumentParser.add_subparsers = counted
+        from polycat import cli
+        print(builds)
+        calls = [["double-dual", "--a", "2", "--b", "2"], ["no-such-command"],
+                 ["eval", "%s", "--diagram", "list3", "--family", "two"],
+                 ["double-dual", "--a", "3", "--b", "40"]]
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            codes = [cli.main(argv) for argv in 5 * calls]
+        print(builds, *codes)
+    """ % LIST_DOC)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60)
+    assert done.stderr == ""
+    assert done.stdout == "0\n1" + 5 * " 0 1 0 3" + "\n"
+
+
+# each call differs from the one before it in a flag that a parser keeping
+# state between calls would carry over
+INTERLEAVED = [
+    ("eval", LIST_DOC, "--family", "two"),
+    ("compose", LIST_DOC, "--outer", "two-x", "--inner", "square", "--both"),
+    ("compose", LIST_DOC, "--outer", "two-x", "--inner", "square", "--structural"),
+    ("tensor", LIST_DOC, "--left", "square", "--right", "two-x", "--json"),
+    ("tensor", LIST_DOC, "--left", "square", "--right", "two-x"),
+    ("check-laws", "--suite", "adjunction", "--seed", "1"),
+    ("check-laws", "--suite", "adjunction"),
+]
+
+
+def test_calls_in_one_process_match_calls_in_their_own(capsys):
+    shared = [run(capsys, *argv) for argv in INTERLEAVED]
+    alone = []
+    for argv in INTERLEAVED:
+        done = subprocess.run([sys.executable, "-m", "polycat.cli", *argv],
+                              capture_output=True, text=True, timeout=60)
+        alone.append((done.returncode, done.stdout, done.stderr))
+    assert shared == alone
+    assert [code for code, _, _ in shared] == [1, 0, 0, 0, 0, 0, 0]
+    assert shared[0][2] == "parse error: the following arguments are required: --diagram\n"
+
+
+def _readme_examples():
+    """The $ polycat lines of the README's command line section, each with
+    the output lines that follow it."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    examples, output = [], None
+    for line in section.splitlines():
+        if line.startswith("$ polycat "):
+            output = []
+            examples.append((shlex.split(line)[2:], output))
+        elif line.startswith("```"):
+            output = None
+        elif output is not None:
+            output.append(line)
+    return [(argv, "\n".join(out).rstrip("\n") + "\n") for argv, out in examples]
+
+
+def test_readme_command_examples_print_what_they_show(capsys):
+    examples = _readme_examples()
+    assert len(examples) >= 8
+    for argv, expected in examples:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, expected, ""), argv

@@ -3,13 +3,14 @@ currying adjunction, the coend oracle, the truncated exponential
 identity, and double dualization."""
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycat import fam, nat, poly, randgen, smcc
+from polycat import fam, finset, nat, poly, randgen, smcc
 from polycat.errors import (
     OracleNotNatural,
     ShapeMismatch,
@@ -17,6 +18,7 @@ from polycat.errors import (
     ValidationError,
 )
 from polycat.finset import FinMap, FinSet
+from polycat.report import Report
 
 ss = poly.single_sorted
 
@@ -816,3 +818,63 @@ def test_double_dual_empty_sum():
 def test_double_dual_rejects_negative():
     with pytest.raises(ValidationError):
         smcc.double_dual_report(-1, 2)
+
+
+def _double_dual_built_first(a_size, b_size):
+    """double_dual_report as it reads without the closed-form refusal:
+    build both duals, then compare."""
+    p = ss((b_size,) * a_size)
+    pd = poly.dualize(p)
+    pdd = poly.dualize(pd)
+    ba = b_size ** a_size
+    dual, double = poly.arity_counts(pd), poly.arity_counts(pdd)
+    dual_ok = pd.shapes.size == ba and set(dual) <= {a_size}
+    dd_ok = pdd.shapes.size == a_size ** ba and set(double) <= {ba}
+    verdict = "ISO" if poly.iso_check(p, pdd) is not None else "NOT ISO"
+    lines = (
+        f"diagram: {poly.notation(p)}",
+        f"dual: {poly.monomials(dual)} (closed form: {ba} shapes of arity "
+        f"{a_size}: {'yes' if dual_ok else 'NO'})",
+        f"double dual: {poly.monomials(double)} (closed form: {a_size ** ba} "
+        f"shapes of arity {ba}: {'yes' if dd_ok else 'NO'})",
+        f"{poly.notation(p)} vs {poly.monomials(double)} : {verdict}",
+    )
+    return Report("double dualization", bool(dual_ok and dd_ok), lines)
+
+
+def _outcome(build, *args):
+    try:
+        rep = build(*args)
+    except SizeGuardExceeded as e:
+        return "refused", str(e)
+    return rep.ok, rep.lines
+
+
+def test_double_dual_refuses_exactly_where_building_would():
+    # a, b and the limit range over cases where either dual's shapes or
+    # directions trip first, or nothing trips, zero counts included
+    outcomes = Counter()
+    for limit in (1, 2, 3, 5, 8, 16, 30, 100, 1000, 10**4, 10**6):
+        previous = finset.set_guard_limit(limit)
+        try:
+            for a, b in itertools.product(range(5), range(7)):
+                expected = _outcome(_double_dual_built_first, a, b)
+                assert _outcome(smcc.double_dual_report, a, b) == expected, (limit, a, b)
+                outcomes[expected[1].split(" has ")[0] if expected[0] == "refused"
+                         else "built"] += 1
+        finally:
+            finset.set_guard_limit(previous)
+    assert sum(outcomes.values()) == 385
+    assert set(outcomes) == {"built", "search too large: hom shape carrier",
+                             "search too large: hom direction carrier"}
+
+
+def test_double_dual_over_the_guard_refuses_before_building():
+    # 3X^40 has a dual of 40^3 = 64,000 shapes; refusing its double dual
+    # (3^64000 shapes) must not build it
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardExceeded) as refused:
+        smcc.double_dual_report(3, 40)
+    assert time.perf_counter() - start < 0.02
+    assert str(refused.value) == ("search too large: hom shape carrier has size "
+                                  "more than 1000000, guard limit is 1000000")

@@ -47,13 +47,15 @@ class Family:
     total: FinSet
     base: FinSet
     proj: FinMap
+    _hash = None  # not a field: the default until __hash__ stores the hash
 
     def __post_init__(self) -> None:
         if self.proj.dom != self.total or self.proj.cod != self.base:
             raise ShapeMismatch("projection endpoints do not match total/base")
 
     def __hash__(self) -> int:
-        h = getattr(self, "_hash", None)
+        # one attribute load, as in FinMap.__hash__
+        h = self._hash
         if h is None:
             h = hash((self.total, self.base, self.proj))
             object.__setattr__(self, "_hash", h)

@@ -158,6 +158,7 @@ class FinMap:
     dom: FinSet
     cod: FinSet
     table: tuple[int, ...]
+    _hash = None  # not a field: the default until __hash__ stores the hash
 
     def __post_init__(self) -> None:
         if not isinstance(self.table, tuple):
@@ -175,8 +176,9 @@ class FinMap:
 
     def __hash__(self) -> int:
         # cached like fibers: the value never changes, and dict lookups
-        # would otherwise rehash the whole table every time
-        h = getattr(self, "_hash", None)
+        # would otherwise rehash the whole table every time. One attribute
+        # load: the class default None stands in until the hash is stored
+        h = self._hash
         if h is None:
             h = hash((self.dom, self.cod, self.table))
             object.__setattr__(self, "_hash", h)

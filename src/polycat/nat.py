@@ -11,6 +11,7 @@ give the square of every morphism between families within the bound.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -170,21 +171,32 @@ def check_families(p: PolyDiagram) -> tuple[Family, ...]:
     return tuple(fam.families_up_to(p.source, 3))
 
 
+def _check_endpoints(comp: FamMorphism, src: Family, dst: Family) -> None:
+    """Raise ValidationError unless an oracle's component runs from src to
+    dst, comparing by identity first (as FamMorphism does)."""
+    if (comp.src is not src and comp.src != src) or (comp.dst is not dst and comp.dst != dst):
+        raise ValidationError("oracle component has the wrong endpoints")
+
+
 def yoneda_extract(oracle, p: PolyDiagram, q: PolyDiagram) -> DiagMorphism:
     """Read a container morphism off a black-box component assignment by
     probing it at each representing family on the generic element, then
-    verify the round trip on every family with fibers at most 3."""
+    verify the round trip on every family with fibers at most 3.
+
+    The oracle is asked once per family value, in the order of the first
+    request: the probes' families, then the check families. A component's
+    endpoints are checked wherever it is compared, at the probes and in
+    the round trip, before its table is read."""
     if p.source != q.source or p.target != q.target:
         raise ShapeMismatch("transformations need diagrams over the same sorts")
+    # the oracle's components, one per family value, for this call only
+    ask = functools.cache(oracle)
     alpha_table: list[int] = []
     betas: list[tuple[int, ...]] = []
     for v in p.shapes:
         y, order = generic_family(p, v)
-        comp = oracle(y)
-        expected_src = poly.eval_extension(p, y)
-        expected_dst = poly.eval_extension(q, y)
-        if comp.src != expected_src or comp.dst != expected_dst:
-            raise ValidationError("oracle component has the wrong endpoints")
+        comp = ask(y)
+        _check_endpoints(comp, poly.eval_extension(p, y), poly.eval_extension(q, y))
         image = comp(generic_element(p, v))
         w, payload = poly.extension_elements(q, y)[image]
         alpha_table.append(w)
@@ -196,7 +208,10 @@ def yoneda_extract(oracle, p: PolyDiagram, q: PolyDiagram) -> DiagMorphism:
     except (ValidationError, ShapeMismatch) as exc:
         raise OracleNotNatural("oracle not natural") from exc
     for x in check_families(p):
-        if eval_dm(m, x).map.table != oracle(x).map.table:
+        expected = eval_dm(m, x)
+        comp = ask(x)
+        _check_endpoints(comp, expected.src, expected.dst)
+        if expected.map.table != comp.map.table:
             raise OracleNotNatural("oracle not natural")
     return m
 

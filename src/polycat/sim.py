@@ -28,6 +28,7 @@ decomposition are composites with them, added by sum_sim.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Mapping
@@ -295,28 +296,41 @@ def sim_naturality_check(c: SimCell, bound: int) -> Report:
 def extract_sim(oracle, span: Span, p1: PolyDiagram, p2: PolyDiagram) -> SimCell:
     """Read the cell tables off a black-box component assignment by
     probing each (state, shape) pair at the shape's representing family,
-    then verify the round trip on every family with fibers at most 3."""
+    then verify the round trip on every family with fibers at most 3.
+
+    The oracle is asked once per family value, in the order of the first
+    request: the probes' families in cell_pairs order, then the check
+    families. Each src shape is probed once: its component, extension
+    records and generic element are read at its first pair, and every
+    state over its sort then costs one index lookup. A component's
+    endpoints are checked wherever it is compared, at the probes and in
+    the round trip, before its table is read."""
     require_endo(p1, p2)
     if span.left.cod != p1.source or span.right.cod != p2.source:
         raise ShapeMismatch("span legs must land in the two sort sets")
     au = au_lift(span)
+    # the oracle's components, one per family value, for this call only
+    ask = functools.cache(oracle)
+    probes: dict = {}
     alpha: dict = {}
     beta: dict = {}
     gamma: dict = {}
     for rho, v in cell_pairs(span, p1):
-        y, order = nat.generic_family(p1, v)
-        comp = oracle(y)
-        src_ext = poly._extension(au, poly.eval_extension(p1, y))
-        aux = poly._extension(au, y)
-        dst_ext = poly._extension(p2, aux.family)
-        if comp.src != src_ext.family or comp.dst != dst_ext.family:
-            raise ValidationError("oracle component has the wrong endpoints")
-        gen = nat.generic_element(p1, v)
-        probe = src_ext.index()[(rho, (gen,))]
-        w, payload = dst_ext.elements[comp(probe)]
+        probe = probes.get(v)
+        if probe is None:
+            y, order = nat.generic_family(p1, v)
+            comp = ask(y)
+            src_ext = poly._extension(au, poly.eval_extension(p1, y))
+            aux = poly._extension(au, y)
+            dst_ext = poly._extension(p2, aux.family)
+            nat._check_endpoints(comp, src_ext.family, dst_ext.family)
+            probe = probes[v] = (comp, nat.generic_element(p1, v), src_ext.index(),
+                                 dst_ext.elements, aux.elements, order)
+        comp, gen, index, dst_elems, aux_elems, order = probe
+        w, payload = dst_elems[comp(index[(rho, (gen,))])]
         alpha[rho, v] = w
         for pos, u in enumerate(p2.shape_fiber(w)):
-            g, (t,) = aux.elements[payload[pos]]
+            g, (t,) = aux_elems[payload[pos]]
             gamma[rho, v, u] = g
             beta[rho, v, u] = order[t]
     try:
@@ -324,7 +338,10 @@ def extract_sim(oracle, span: Span, p1: PolyDiagram, p2: PolyDiagram) -> SimCell
     except ValidationError as exc:
         raise OracleNotNatural("oracle not natural") from exc
     for x in nat.check_families(p1):
-        if eval_sim(c, x).map.table != oracle(x).map.table:
+        expected = eval_sim(c, x)
+        comp = ask(x)
+        nat._check_endpoints(comp, expected.src, expected.dst)
+        if expected.map.table != comp.map.table:
             raise OracleNotNatural("oracle not natural")
     return c
 

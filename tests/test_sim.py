@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from polycat import doc, fam, finset, nat, poly, randgen, sim
+from polycat import doc, fam, finset, nat, poly, randgen, sim, suites
 from polycat.errors import (OracleNotNatural, ShapeMismatch,
                             SizeGuardExceeded, ValidationError)
 from polycat.fam import FamMorphism, Span
@@ -696,6 +696,105 @@ def test_extract_bad_endpoints():
 
     with pytest.raises(ValidationError, match="wrong endpoints"):
         sim.extract_sim(wrong, c.span, p, p)
+
+
+def test_extract_checks_the_endpoints_of_every_compared_component():
+    # at the check-only family (3,) the oracle's component keeps the
+    # table but lands in a larger codomain: a wrong component all the same
+    p = ss(1)
+    c = sim.identity_sim(p)
+    bigger = fams(1, [4])
+
+    def enlarged(x):
+        comp = sim.eval_sim(c, x)
+        if x.fiber_sizes() != (3,):
+            return comp
+        return FamMorphism(comp.src, bigger, FinMap(comp.src.total, bigger.total, comp.map.table))
+
+    assert fams(1, [3]) not in {nat.generic_family(p, v)[0] for v in p.shapes}
+    with pytest.raises(ValidationError, match="oracle component has the wrong endpoints"):
+        sim.extract_sim(enlarged, c.span, p, p)
+
+
+def recorded(oracle):
+    """The oracle with a log of the families it is asked at."""
+    asked = []
+
+    def ask(x):
+        asked.append(x)
+        return oracle(x)
+
+    return ask, asked
+
+
+def first_requests(families) -> list:
+    """The families in the order of their first occurrence."""
+    out = []
+    for x in families:
+        if x not in out:
+            out.append(x)
+    return out
+
+
+def probe_then_check_order(span: Span, p: poly.PolyDiagram) -> list:
+    """The families a probe per (state, shape) pair and then the round
+    trip ask at, repeats kept: one per pair, then the check families."""
+    return ([nat.generic_family(p, v)[0] for _, v in sim.cell_pairs(span, p)]
+            + list(nat.check_families(p)))
+
+
+def two_state_span() -> Span:
+    leg = FinMap(FinSet(2), FinSet(1), (0, 0))
+    return Span(FinSet(2), leg, leg)
+
+
+@pytest.mark.parametrize("p, calls", [(list_diagram(), 4), (ss(4, 1), 5)],
+                         ids=["arities-to-3", "arity-4"])
+def test_extract_asks_the_oracle_once_per_family(p, calls):
+    # 2 states by every shape: the probes alone would ask 8 and 4 times.
+    # The generic families of arities up to 3 are check families too;
+    # that of arity 4 is not
+    span = two_state_span()
+    rng = random.Random(15)
+    for _ in range(10):
+        c = sim.random_cell(rng, p, p, span)
+        oracle, asked = recorded(lambda x, c=c: sim.eval_sim(c, x))
+        assert sim.extract_sim(oracle, span, p, p) == c
+        assert len(asked) == calls
+        assert asked == first_requests(probe_then_check_order(span, p))
+
+
+def test_extract_asks_once_per_family_on_two_sorted_samples():
+    rng = random.Random(15)
+    extracted = 0
+    for p1, p2 in itertools.product(suites._two_sorted_samples(), repeat=2):
+        for _ in range(4):
+            c = randgen.random_sim_cell(rng, p1, p2, max_states=2)
+            if c is None:
+                continue
+            oracle, asked = recorded(lambda x, c=c: sim.eval_sim(c, x))
+            assert sim.extract_sim(oracle, c.span, p1, p2) == c
+            assert len(asked) == len(set(asked))
+            assert asked == first_requests(probe_then_check_order(c.span, p1))
+            extracted += 1
+    assert extracted == 16
+
+
+def test_extract_refuses_an_oracle_unnatural_at_a_probed_check_family():
+    # the component at (2,), the generic family of the 2-entry shape and a
+    # check family, comes from another cell; every other one is the
+    # identity's. The answer read at the probe is the one compared
+    p = list_diagram()
+    a, b = sim.identity_sim(p), prefix_cell()
+
+    def mixed(x):
+        return sim.eval_sim(b if x.fiber_sizes() == (2,) else a, x)
+
+    assert fams(1, [2]) in nat.check_families(p)
+    oracle, asked = recorded(mixed)
+    with pytest.raises(OracleNotNatural, match="oracle not natural"):
+        sim.extract_sim(oracle, a.span, p, p)
+    assert len(asked) == len(set(asked))
 
 
 def test_enumerate_sim_guard():

@@ -392,6 +392,46 @@ def _set_value(p: PolyDiagram, a: int) -> poly.Extension:
     return poly._extension(p, fam.family_from_fibers(p.source, (a,)))
 
 
+def _draws(rng: random.Random):
+    """Draws below n taken straight from `rng.getrandbits`: `below(n)` is
+    one draw and `below_each(n, m)` a tuple of m draws. Both run the
+    rejection loop of CPython's `Random._randbelow_with_getrandbits`
+    (k = n.bit_length(), then k random bits until they are below n),
+    through which `rng.randrange(n)` and `rng.choice(seq)` draw. So
+    `below(n)` is `rng.randrange(n)`, `seq[below(len(seq))]` is
+    `rng.choice(seq)`, and the seeded stream is the same draw for draw,
+    without `randrange`'s two Python frames per draw. As with
+    `randrange`, a draw below n <= 0 raises ValueError: `getrandbits(0)`
+    is 0, so the loop would never end. `below_each(n, 0)` is () for
+    every n, as no `randrange` call is made."""
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        if n <= 0:
+            raise ValueError(f"no draw below {n}")
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    def below_each(n: int, m: int) -> tuple[int, ...]:
+        if m <= 0:
+            return ()
+        if n <= 0:
+            raise ValueError(f"no draw below {n}")
+        k = n.bit_length()
+        out = []
+        for _ in range(m):
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            out.append(r)
+        return tuple(out)
+
+    return below, below_each
+
+
 def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
                      skeleton_bound: int, budget: int = 20000,
                      samples: int = 2000, seed: int = 0) -> Report:
@@ -412,7 +452,12 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
     steps) to a canonical rectangle, canonical rectangles decode
     bijectively to extension elements, and the separating comparison is
     checked to respect a seeded sample of the generating relations.
-    The skeleton bound is guarded before anything is counted."""
+    The sampled mode's seeded draws are exactly those of
+    `random.Random(seed)`'s `randrange` and `choice`, taken through its
+    `getrandbits` (see `_draws`). The sample count must be positive, and
+    the skeleton bound is guarded before anything is counted."""
+    if samples < 1:
+        raise ValidationError(f"the coend oracle needs at least one sample, not {samples}")
     if not (p1.is_single_sorted() and p2.is_single_sorted()):
         raise ValidationError("the coend oracle is single-sorted only")
     if x.base.size != 1:
@@ -450,7 +495,7 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
         v1, pay1 = e1
         v2, pay2 = e2
         return (v1 * p2.shapes.size + v2,
-                tuple(phi[i * b + j] for i in pay1 for j in pay2))
+                tuple([phi[i * b + j] for i in pay1 for j in pay2]))
 
     rects = rectangle_decomposition(p1, p2, x)
     lines = [f"skeleton 0..{s}: {decimal(total_tuples)} tuples, "
@@ -471,6 +516,7 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
     else:
         lines.append("mode: factorization with sampled relation checks")
         rng = random.Random(seed)
+        below, below_each = _draws(rng)
         elems1 = [_set_value(p1, a).elements for a in range(s + 1)]
         elems2 = [_set_value(p2, b).elements for b in range(s + 1)]
 
@@ -481,16 +527,16 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
         weighted = [(a, b) for a in range(s + 1) for b in range(s + 1)
                     if p1_counts[a] * p2_counts[b] > 0 and (nx > 0 or a * b == 0)]
         for _ in range(samples if weighted else 0):
-            a, b = rng.choice(weighted)
+            a, b = weighted[below(len(weighted))]
             if not elems1[a] or not elems2[b]:
                 continue
             reduced += 1
-            e1 = rng.choice(elems1[a])
-            e2 = rng.choice(elems2[b])
-            phi = tuple(rng.randrange(nx) for _ in range(a * b)) if a * b else ()
+            e1 = elems1[a][below(len(elems1[a]))]
+            e2 = elems2[b][below(len(elems2[b]))]
+            phi = below_each(nx, a * b)
             v1, pay1 = e1
             v2, pay2 = e2
-            psi = tuple(phi[i * b + j] for i in pay1 for j in pay2)
+            psi = tuple([phi[i * b + j] for i in pay1 for j in pay2])
             reduct = RectangleDecomposition(v1, v2, fibers1[v1], fibers2[v2], psi)
             if reduct not in rect_set:
                 reductions_ok = False
@@ -511,35 +557,35 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
         while tried < samples and attempts < 20 * samples:
             attempts += 1
             left_side = rng.random() < 0.5
-            a = rng.randrange(s + 1)
-            a2 = rng.randrange(s + 1)
-            b = rng.randrange(s + 1)
+            a = below(s + 1)
+            a2 = below(s + 1)
+            b = below(s + 1)
             if left_side:
                 if (a > 0 and a2 == 0) or not elems1[a] or not elems2[b]:
                     continue
-                f = tuple(rng.randrange(a2) for _ in range(a))
+                f = below_each(a2, a)
                 if nx == 0 and a2 * b > 0:
                     continue
-                phi2 = tuple(rng.randrange(nx) for _ in range(a2 * b))
-                v1, pay1 = rng.choice(elems1[a])
-                e2 = rng.choice(elems2[b])
-                pushed = (v1, tuple(f[t] for t in pay1))
-                pulled = tuple(phi2[f[i] * b + j]
-                               for i in range(a) for j in range(b))
+                phi2 = below_each(nx, a2 * b)
+                v1, pay1 = elems1[a][below(len(elems1[a]))]
+                e2 = elems2[b][below(len(elems2[b]))]
+                pushed = (v1, tuple([f[t] for t in pay1]))
+                pulled = tuple([phi2[f[i] * b + j]
+                                for i in range(a) for j in range(b)])
                 same = cocone(a2, b, phi2, pushed, e2) == \
                     cocone(a, b, pulled, (v1, pay1), e2)
             else:
                 if (b > 0 and a2 == 0) or not elems1[a] or not elems2[b]:
                     continue
-                g = tuple(rng.randrange(a2) for _ in range(b))
+                g = below_each(a2, b)
                 if nx == 0 and a * a2 > 0:
                     continue
-                phi2 = tuple(rng.randrange(nx) for _ in range(a * a2))
-                e1 = rng.choice(elems1[a])
-                v2, pay2 = rng.choice(elems2[b])
-                pushed = (v2, tuple(g[t] for t in pay2))
-                pulled = tuple(phi2[i * a2 + g[j]]
-                               for i in range(a) for j in range(b))
+                phi2 = below_each(nx, a * a2)
+                e1 = elems1[a][below(len(elems1[a]))]
+                v2, pay2 = elems2[b][below(len(elems2[b]))]
+                pushed = (v2, tuple([g[t] for t in pay2]))
+                pulled = tuple([phi2[i * a2 + g[j]]
+                                for i in range(a) for j in range(b)])
                 same = cocone(a, a2, phi2, e1, pushed) == \
                     cocone(a, b, pulled, e1, (v2, pay2))
             if not same:

@@ -596,6 +596,90 @@ def test_day_oracle_sampled_deterministic():
     assert c.ok
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_coend_draws_are_randrange_and_choice_draws(seed):
+    # the sampled mode's draws must be random.Random's, draw for draw, on
+    # every interpreter the suite runs on; both twins draw in one
+    # sequence, so a draw taken or skipped out of turn shows up later
+    ours, ref = random.Random(seed), random.Random(seed)
+    below, below_each = smcc._draws(ours)
+    sizes = list(range(1, 71)) + [10 ** 30, 2 ** 64]
+    for n in sizes:
+        assert below(n) == ref.randrange(n)
+    for n in sizes:
+        for m in (0, 1, 5):
+            assert below_each(n, m) == tuple(ref.randrange(n) for _ in range(m))
+    for length in range(1, 41):
+        seq = [(length, i) for i in range(length)]
+        assert seq[below(len(seq))] == ref.choice(seq)
+    assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("n", [0, -1, -8])
+def test_coend_draws_refuse_an_empty_range(n):
+    below, below_each = smcc._draws(random.Random(0))
+    with pytest.raises(ValueError):
+        random.Random(0).randrange(n)
+    with pytest.raises(ValueError):
+        below(n)
+    with pytest.raises(ValueError):
+        below_each(n, 1)
+    with pytest.raises(ValueError):
+        below_each(n, 3)
+    # no draw is asked for, as with zero randrange calls
+    assert below_each(n, 0) == ()
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_day_oracle_refuses_fewer_than_one_sample(samples):
+    # a sampled mode with no samples would report ok having checked
+    # nothing; the refusal comes before any work, even the skeleton guards
+    with pytest.raises(ValidationError, match="sample"):
+        smcc.day_coend_oracle(ss((2, 2)), ss((2, 2)), fams(1, [2]), 4,
+                              samples=samples)
+    with pytest.raises(ValidationError, match="sample"):
+        smcc.day_coend_oracle(ss((2,)), ss((1,)), fams(1, [2]), 10 ** 6,
+                              samples=samples)
+
+
+# sampled reports at an empty family with a constant operand, recorded
+# from the randrange and choice draws: most relation draws are skipped,
+# and the counts below the sample count pin the stream
+_SKIPPING_REPORTS = [
+    ((0,), (1,), 0, "78 tuples, 175057590111132", 274),
+    ((0,), (1,), 3, "78 tuples, 175057590111132", 300),
+    ((2,), (0,), 0, "650 tuples, 2085483863886292", 291),
+    ((2,), (0,), 3, "650 tuples, 2085483863886292", 275),
+]
+
+
+@pytest.mark.parametrize("f1, f2, seed, counts, tried", _SKIPPING_REPORTS)
+def test_day_oracle_sampled_reports_keep_their_seeded_draws(f1, f2, seed, counts, tried):
+    rep = smcc.day_coend_oracle(ss(f1), ss(f2), fams(1, [0]), 12,
+                                samples=400, seed=seed)
+    assert rep.render() == (
+        "coend oracle: ok\n"
+        f"  skeleton 0..12: {counts} generating relations\n"
+        "  mode: factorization with sampled relation checks\n"
+        "  sampled tuples reduce to canonical rectangles: yes (400 samples)\n"
+        f"  separating comparison respects sampled relations: yes ({tried} samples)\n"
+        "  canonical rectangles: 1 (one per extension element: yes)")
+
+
+def test_day_oracle_sampled_mode_draws_through_getrandbits(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("randrange or choice was called")
+
+    monkeypatch.setattr(random.Random, "randrange", refuse)
+    monkeypatch.setattr(random.Random, "choice", refuse)
+    rep = smcc.day_coend_oracle(ss((0,)), ss((1,)), fams(1, [0]), 12,
+                                samples=400, seed=3)
+    assert "separating comparison respects sampled relations: yes (300 samples)" \
+        in rep.lines
+    rep = smcc.day_coend_oracle(ss((2, 1)), ss((2, 0)), fams(1, [2]), 4)
+    assert rep.ok and "mode: factorization with sampled relation checks" in rep.lines
+
+
 def test_day_oracle_skeleton_too_small():
     with pytest.raises(ValidationError, match="skeleton"):
         smcc.day_coend_oracle(ss((2,)), ss((1,)), fams(1, [1]), 1)

@@ -63,18 +63,21 @@ def random_endo(rng: random.Random, max_sorts: int = 2,
 
 def random_span(rng: random.Random, left: FinSet, right: FinSet,
                 max_states: int = 2) -> Span:
-    carrier = FinSet(rng.randint(0, max_states))
+    """A span with 1..max_states states and random legs; max_states 0
+    asks for the empty span."""
+    carrier = FinSet(rng.randint(min(1, max_states), max_states))
     return Span(carrier, random_finmap(rng, carrier, left),
                 random_finmap(rng, carrier, right))
 
 
 def random_sim_cell(rng: random.Random, p1: PolyDiagram, p2: PolyDiagram,
                     max_states: int = 2, attempts: int = 40) -> SimCell | None:
-    """A random cell over a random span, or None when none of `attempts`
-    drawn spans admits one. Given the drawn span, the cell is uniform
-    over the cells on it (sim.random_cell). The span draw is not uniform:
-    a span that admits no cell is redrawn, and the empty span always
-    admits one."""
+    """A random cell over a random span (random_span: nonempty unless
+    max_states is 0), or None when none of `attempts` drawn spans admits
+    one. Given the drawn span, the cell is uniform over the cells on it
+    (sim.random_cell). The span draw is not uniform: a span that admits
+    no cell is redrawn. Many diagram pairs admit no cell over any
+    nonempty span, so callers count the None draws they skip."""
     require_endo(p1, p2)
     for _ in range(attempts):
         span = random_span(rng, p1.source, p2.source, max_states)

@@ -15,11 +15,18 @@ with three tables:
 
 Four equations tie the tables together: the assigned shape sits over
 the state's right end; beta stays in v's direction fiber; beta's sort is
-the successor's left end; the successor's right end is u's sort. A
-SimCell checks them once, when it is built, and its tables are
-read-only, so every cell is valid. Evaluation turns a cell into a
-natural family of morphisms relating the two extensions across the
-span's sum lift.
+the successor's left end; the successor's right end is u's sort.
+
+A SimCell stores the tables as rows, one per state: _plan[rho][v] is
+None off the (state, shape) pairs and otherwise (w, ((g, k), ...)), the
+assigned shape w and, per direction u of w, the successor
+gamma[rho, v, u] and the position k of beta[rho, v, u] in v's direction
+fiber. Every cell passes one validator, which checks the four equations
+once, so every cell is valid; the functions here that make cells hand
+it rows, and the public constructor turns the three tables into rows
+first. The tables themselves are read-only views built from the rows on
+first read. Evaluation turns a cell into a natural family of morphisms
+relating the two extensions across the span's sum lift.
 
 Parallel cells add: sum_sim takes the coproduct of their spans, and
 zero_sim, the empty span, is its unit. On a sum of diagrams only the
@@ -30,9 +37,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 from . import fam, finset, nat, poly
@@ -72,6 +78,13 @@ def require_endo(*diagrams: PolyDiagram) -> None:
         raise ValidationError("simulations relate endo diagrams")
 
 
+def _check_ends(span: Span, src: PolyDiagram, dst: PolyDiagram) -> None:
+    """Raise unless both diagrams are endo and the legs land in their sorts."""
+    require_endo(src, dst)
+    if span.left.cod != src.source or span.right.cod != dst.source:
+        raise ShapeMismatch("span legs must land in the two sort sets")
+
+
 def cell_pairs(span: Span, src: PolyDiagram) -> list[tuple[int, int]]:
     """The index set of the shape table: states paired with the src
     shapes whose sort is the state's left end."""
@@ -83,119 +96,194 @@ def cell_pairs(span: Span, src: PolyDiagram) -> list[tuple[int, int]]:
     ]
 
 
-@dataclass(frozen=True)
+_PAIR_KEYS = "shape table must be indexed by exactly the (state, shape) pairs"
+_TRIPLE_KEYS = ("direction and state tables must be indexed by exactly the "
+                "(state, shape, direction) triples")
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class SimCell:
-    """A valid simulation cell, frozen. Construction checks shapes, ranges
-    and the four equations in one pass over the pairs and one over the
-    triples, raising ValidationError at the first violation: key sets and
-    ranges first, then each pair's shape sort, then the direction
-    equations triple by triple. It keeps read-only copies of the tables
-    and, from the same pass, the plan eval_sim reads, _plan[rho][v]: the
-    assigned shape w and, per direction u of w, the successor
-    gamma[rho, v, u] and the position of beta[rho, v, u] in v's direction
-    fiber (None off the pairs)."""
+    """A valid simulation cell, frozen, stored as its rows _plan (see the
+    module docstring), which eval_sim reads. Equality compares the span,
+    the two diagrams and the rows, which is equality of the tables.
+
+    SimCell(span, src, dst, alpha, beta, gamma) checks the span's ends
+    and the tables' key sets, turns the tables into rows and hands them
+    to the one validator, which every cell passes (_settle). It raises
+    ValidationError at the first violation: key sets and ranges first,
+    then each pair's shape sort, then the direction equations triple by
+    triple. alpha, beta, gamma, pairs and triples are built from the rows
+    the first time they are read and kept, read-only."""
 
     span: Span
     src: PolyDiagram
     dst: PolyDiagram
-    alpha: Mapping
-    beta: Mapping
-    gamma: Mapping
-    pairs: list = field(init=False, compare=False)
-    triples: list = field(init=False, compare=False)
-    _plan: tuple = field(init=False, compare=False)
+    _plan: tuple
 
-    def __post_init__(self) -> None:
-        span, src, dst = self.span, self.src, self.dst
-        require_endo(src, dst)
-        if span.left.cod != src.source or span.right.cod != dst.source:
-            raise ShapeMismatch("span legs must land in the two sort sets")
-        left, right = span.left.table, span.right.table
+    def __init__(self, span: Span, src: PolyDiagram, dst: PolyDiagram,
+                 alpha: Mapping, beta: Mapping, gamma: Mapping) -> None:
+        _check_ends(span, src, dst)
         pairs = cell_pairs(span, src)
-        if set(self.alpha) != set(pairs):
-            raise ValidationError("shape table must be indexed by exactly the (state, shape) pairs")
-        alpha = dict(self.alpha)
-        # the first equation fault is kept, not raised, until every range
-        # is checked
+        if set(alpha) != set(pairs):
+            raise ValidationError(_PAIR_KEYS)
+        entries = [(alpha[pair], ()) for pair in pairs]
+        # with a shape out of range the validator refuses it before it
+        # reads a direction, so the triples are neither keyed nor read
+        if all(w in dst.shapes for w, _ in entries):
+            dst_fibers, src_fibers = dst.dir_shape.fibers(), src.dir_shape.fibers()
+            keys = {(rho, v, u) for (rho, v), (w, _) in zip(pairs, entries)
+                    for u in dst_fibers[w]}
+            if set(beta) != keys or set(gamma) != keys:
+                raise ValidationError(_TRIPLE_KEYS)
+            for n, ((rho, v), (w, _)) in enumerate(zip(pairs, entries)):
+                # a backward direction off v's fiber has no position: None
+                # for a direction of src, which fails the fiber equation,
+                # and -1, out of range, for anything else
+                position = {b: k for k, b in enumerate(src_fibers[v])}
+                moves = []
+                for u in dst_fibers[w]:
+                    b = beta[rho, v, u]
+                    moves.append((gamma[rho, v, u],
+                                  position.get(b, None if b in src.dirs else -1)))
+                entries[n] = (w, tuple(moves))
+        self._settle(span, src, dst, _layout(span, src, entries))
+
+    def _settle(self, span: Span, src: PolyDiagram, dst: PolyDiagram, rows) -> None:
+        """The one validator: check the rows and keep them as the plan.
+        Key coverage first (a row per state, an entry exactly at the
+        pairs, a move per direction of the assigned shape), then the
+        ranges of the shapes and then of the moves, then the first
+        equation fault: a pair's shape sort, else the first triple's. A
+        position k of None is a src direction off v's fiber."""
+        plan = tuple(map(tuple, rows))
+        left, right = span.left.table, span.right.table
+        src_sorts = src.shape_sort.table
+        if len(plan) != len(left) or any(
+                len(row) != len(src_sorts)
+                or any((e is None) != (s != i) for e, s in zip(row, src_sorts))
+                for row, i in zip(plan, left)):
+            raise ValidationError(_PAIR_KEYS)
+        entries = [(rho, v, e) for rho, row in enumerate(plan)
+                   for v, e in enumerate(row) if e is not None]
+        dst_sorts, n_shapes = dst.shape_sort.table, dst.shapes.size
         fault = None
-        triples = []
-        for rho, v in pairs:
-            w = alpha[rho, v]
-            if w not in dst.shapes:
+        for rho, v, (w, _) in entries:
+            if not 0 <= w < n_shapes:
                 raise ValidationError(f"shape table value out of range at {(rho, v)}")
-            if fault is None and dst.shape_sort.table[w] != right[rho]:
+            if fault is None and dst_sorts[w] != right[rho]:
                 fault = (f"assigned shape sits over the wrong sort at (state {rho}, shape {v}):"
-                         f" got {dst.shape_sort.table[w]}, the state's right end is {right[rho]}")
-            triples.extend((rho, v, u) for u in dst.shape_fiber(w))
-        keys = set(triples)
-        if set(self.beta) != keys or set(self.gamma) != keys:
-            raise ValidationError(
-                "direction and state tables must be indexed by exactly the "
-                "(state, shape, direction) triples"
-            )
-        beta, gamma = dict(self.beta), dict(self.gamma)
-        src_fibers = src.dir_shape.fibers()
-        rows = [[None] * src.shapes.size for _ in span.carrier]
-        for rho, v in pairs:
-            w = alpha[rho, v]
-            position = {b: k for k, b in enumerate(src_fibers[v])}
-            moves = []
-            for u in dst.shape_fiber(w):
-                key = (rho, v, u)
-                b, g = beta[key], gamma[key]
-                if b not in src.dirs:
-                    raise ValidationError(f"direction table value out of range at {key}")
-                if g not in span.carrier:
-                    raise ValidationError(f"state table value out of range at {key}")
-                k = position.get(b)
+                         f" got {dst_sorts[w]}, the state's right end is {right[rho]}")
+        dst_fibers = dst.dir_shape.fibers()
+        if any(len(moves) != len(dst_fibers[w]) for _, _, (w, moves) in entries):
+            raise ValidationError(_TRIPLE_KEYS)
+        src_fibers, src_dir_sorts = src.dir_shape.fibers(), src.dir_sort.table
+        dst_dir_sorts, n_states = dst.dir_sort.table, len(left)
+        for rho, v, (w, moves) in entries:
+            fiber = src_fibers[v]
+            for u, (g, k) in zip(dst_fibers[w], moves):
+                if k is not None and not 0 <= k < len(fiber):
+                    raise ValidationError(f"direction table value out of range at {(rho, v, u)}")
+                if not 0 <= g < n_states:
+                    raise ValidationError(f"state table value out of range at {(rho, v, u)}")
                 if fault is None:
                     if k is None:
                         fault = ("backward direction leaves the shape's fiber at "
                                  f"(state {rho}, shape {v}, direction {u})")
-                    elif right[g] != dst.dir_sort.table[u]:
+                    elif right[g] != dst_dir_sorts[u]:
                         fault = ("successor state's right end disagrees with the direction "
                                  f"sort at (state {rho}, shape {v}, direction {u})")
-                    elif src.dir_sort.table[b] != left[g]:
+                    elif src_dir_sorts[fiber[k]] != left[g]:
                         fault = ("backward direction's sort disagrees with the successor "
                                  f"state's left end at (state {rho}, shape {v}, direction {u})")
-                moves.append((g, k))
-            rows[rho][v] = (w, tuple(moves))
         if fault is not None:
             raise ValidationError(fault)
-        for name, table in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
-            object.__setattr__(self, name, MappingProxyType(table))
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "triples", triples)
-        object.__setattr__(self, "_plan", tuple(map(tuple, rows)))
+        for name, value in (("span", span), ("src", src), ("dst", dst), ("_plan", plan)):
+            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def pairs(self) -> tuple:
+        return tuple((rho, v) for rho, row in enumerate(self._plan)
+                     for v, e in enumerate(row) if e is not None)
+
+    @functools.cached_property
+    def triples(self) -> tuple:
+        return tuple(key for key, _ in self._moves())
+
+    @functools.cached_property
+    def alpha(self) -> Mapping:
+        return MappingProxyType({(rho, v): self._plan[rho][v][0] for rho, v in self.pairs})
+
+    @functools.cached_property
+    def beta(self) -> Mapping:
+        fibers = self.src.dir_shape.fibers()
+        return MappingProxyType({key: fibers[key[1]][k] for key, (_, k) in self._moves()})
+
+    @functools.cached_property
+    def gamma(self) -> Mapping:
+        return MappingProxyType({key: g for key, (g, _) in self._moves()})
+
+    def _moves(self):
+        """Each triple with its (successor, position) move, in order."""
+        fibers = self.dst.dir_shape.fibers()
+        for rho, v in self.pairs:
+            w, moves = self._plan[rho][v]
+            yield from zip([(rho, v, u) for u in fibers[w]], moves)
 
     def __repr__(self) -> str:
-        return (f"SimCell(states={self.span.carrier.size}, "
-                f"pairs={len(self.pairs)}, triples={len(self.triples)})")
+        pairs, triples = _counts(self)
+        return f"SimCell(states={self.span.carrier.size}, pairs={pairs}, triples={triples})"
+
+
+def _layout(span: Span, src: PolyDiagram, entries) -> tuple:
+    """The rows holding the given entries of the (state, shape) pairs, in
+    cell_pairs order, and None off the pairs."""
+    it = iter(entries)
+    sorts = src.shape_sort.table
+    return tuple(tuple([next(it) if s == i else None for s in sorts]) for i in span.left.table)
+
+
+def _cell(span: Span, src: PolyDiagram, dst: PolyDiagram, rows) -> SimCell:
+    """The cell with the given rows, checked by the validator."""
+    c = object.__new__(SimCell)
+    c._settle(span, src, dst, rows)
+    return c
+
+
+def _counts(c: SimCell) -> tuple[int, int]:
+    """The numbers of shape entries and direction entries in c's rows."""
+    entries = [e for row in c._plan for e in row if e is not None]
+    return len(entries), sum(len(moves) for _, moves in entries)
 
 
 def validate(c: SimCell) -> Report:
-    """The report of the four cell equations. The constructor checks them
-    on every entry and raises ValidationError at the first violation,
-    with its coordinates, so every built cell satisfies them: the report
-    is always ok and only counts the entries, walking no table."""
+    """The report of the four cell equations. Every cell passed the
+    validator, which checks them on every entry and raises
+    ValidationError at the first violation, with its coordinates: the
+    report is always ok and only counts the entries, off the rows."""
+    pairs, triples = _counts(c)
     return Report("simulation cell equations", True,
-                  (f"{len(c.pairs)} shape entries and {len(c.triples)} "
+                  (f"{pairs} shape entries and {triples} "
                    f"direction entries satisfy all four equations",))
 
 
+def _copying(span: Span, src: PolyDiagram, dst: PolyDiagram, p: PolyDiagram,
+             shift: int) -> SimCell:
+    """The cell over a span whose states are p's sorts that sends the
+    shape x of each pair to x + shift, the lower of the two being a shape
+    of p, and each direction of that shape to itself, with its sort as
+    the successor."""
+    fibers, sorts = p.dir_shape.fibers(), p.dir_sort.table
+    return _cell(span, src, dst, _layout(span, src, [
+        (x + shift, tuple([(sorts[u], k) for k, u in enumerate(fibers[min(x, x + shift)])]))
+        for _, x in cell_pairs(span, src)]))
+
+
 def identity_sim(p: PolyDiagram) -> SimCell:
-    """The identity simulation: the diagonal span, every table a copy."""
+    """The identity simulation: the diagonal span, every shape and
+    direction sent to itself."""
     require_endo(p)
     ident = finset.identity(p.source)
-    span = Span(p.source, ident, ident)
-    alpha = {(i, v): v for i, v in cell_pairs(span, p)}
-    beta = {}
-    gamma = {}
-    for (i, v), w in alpha.items():
-        for u in p.shape_fiber(w):
-            beta[i, v, u] = u
-            gamma[i, v, u] = p.dir_sort(u)
-    return SimCell(span, p, p, alpha, beta, gamma)
+    return _copying(Span(p.source, ident, ident), p, p, p, 0)
 
 
 def zero_sim(src: PolyDiagram, dst: PolyDiagram) -> SimCell:
@@ -207,21 +295,17 @@ def zero_sim(src: PolyDiagram, dst: PolyDiagram) -> SimCell:
 
 def sum_sim(c1: SimCell, c2: SimCell) -> SimCell:
     """The sum of two parallel cells: the coproduct of their spans, each
-    state keeping its own table entries, c2's states (and its successor
-    states) shifted past c1's. zero_sim is its unit."""
+    state keeping its own rows, c2's states (and its successor states)
+    shifted past c1's. zero_sim is its unit."""
     if c1.src != c2.src or c1.dst != c2.dst:
         raise ShapeMismatch("summing needs cells between the same diagrams")
     cop = finset.coproduct(c1.span.carrier, c2.span.carrier)
     span = Span(cop.carrier, finset.copair(c1.span.left, c2.span.left, cop),
                 finset.copair(c1.span.right, c2.span.right, cop))
     n = c1.span.carrier.size
-    alpha = dict(c1.alpha)
-    alpha.update({(rho + n, v): w for (rho, v), w in c2.alpha.items()})
-    beta = dict(c1.beta)
-    beta.update({(rho + n, v, u): b for (rho, v, u), b in c2.beta.items()})
-    gamma = dict(c1.gamma)
-    gamma.update({(rho + n, v, u): g + n for (rho, v, u), g in c2.gamma.items()})
-    return SimCell(span, c1.src, c1.dst, alpha, beta, gamma)
+    shifted = tuple(tuple([None if e is None else (e[0], tuple([(g + n, k) for g, k in e[1]]))
+                           for e in row]) for row in c2._plan)
+    return _cell(span, c1.src, c1.dst, c1._plan + shifted)
 
 
 def compose_sim(c2: SimCell, c1: SimCell) -> SimCell:
@@ -236,32 +320,33 @@ def compose_sim(c2: SimCell, c1: SimCell) -> SimCell:
         c1.span.right.fibers(), c2.span.left.fibers())), "composite span carrier")
     pb = finset.pullback(c1.span.right, c2.span.left)
     span = Span(pb.carrier, pb.left.then(c1.span.left), pb.right.then(c2.span.right))
-    alpha: dict = {}
-    beta: dict = {}
-    gamma: dict = {}
     pair_index = {pair: t for t, pair in enumerate(pb.pairs)}
-    for tau, (rho, sigma) in enumerate(pb.pairs):
-        for v in c1.src.shapes:
-            if c1.src.shape_sort(v) != span.left(tau):
+    rows = []
+    for rho, sigma in pb.pairs:
+        row2 = c2._plan[sigma]
+        row = []
+        for e in c1._plan[rho]:
+            if e is None:
+                row.append(None)
                 continue
-            mid = c1.alpha[rho, v]
-            w = c2.alpha[sigma, mid]
-            alpha[tau, v] = w
-            for u in c2.dst.shape_fiber(w):
-                b2 = c2.beta[sigma, mid, u]
-                g2 = c2.gamma[sigma, mid, u]
-                beta[tau, v, u] = c1.beta[rho, v, b2]
-                gamma[tau, v, u] = pair_index[(c1.gamma[rho, v, b2], g2)]
-    return SimCell(span, c1.src, c2.dst, alpha, beta, gamma)
+            # c2's move names the position k2 of its backward direction in
+            # the middle shape's fiber; c1's move for that direction is
+            # moves1[k2]
+            moves1 = e[1]
+            w, moves2 = row2[e[0]]
+            row.append((w, tuple([(pair_index[moves1[k2][0], g2], moves1[k2][1])
+                                  for g2, k2 in moves2])))
+        rows.append(row)
+    return _cell(span, c1.src, c2.dst, rows)
 
 
 def eval_sim(c: SimCell, x: Family) -> FamMorphism:
     """The cell's component at x: a morphism from the sum lift of the src
     value to the dst value of the sum lift.
 
-    The cell's tables are read through the evaluation plan that its
-    constructor laid out (SimCell): per (state, shape) pair, the assigned
-    shape and the (successor, position) pair of each of its directions."""
+    The cell is read through its rows (SimCell): per (state, shape) pair,
+    the assigned shape and the (successor, position) pair of each of its
+    directions."""
     if x.base != c.src.source:
         raise ShapeMismatch("family must live over the source sorts")
     au = au_lift(c.span)
@@ -294,27 +379,24 @@ def sim_naturality_check(c: SimCell, bound: int) -> Report:
 
 
 def extract_sim(oracle, span: Span, p1: PolyDiagram, p2: PolyDiagram) -> SimCell:
-    """Read the cell tables off a black-box component assignment by
+    """Read the cell's rows off a black-box component assignment by
     probing each (state, shape) pair at the shape's representing family,
     then verify the round trip on every family with fibers at most 3.
 
     The oracle is asked once per family value, in the order of the first
     request: the probes' families in cell_pairs order, then the check
     families. Each src shape is probed once: its component, extension
-    records and generic element are read at its first pair, and every
-    state over its sort then costs one index lookup. A component's
-    endpoints are checked wherever it is compared, at the probes and in
-    the round trip, before its table is read."""
-    require_endo(p1, p2)
-    if span.left.cod != p1.source or span.right.cod != p2.source:
-        raise ShapeMismatch("span legs must land in the two sort sets")
+    records, generic element and the fiber position of each of its
+    directions are read at its first pair, and every state over its sort
+    then costs one index lookup. A component's endpoints are checked
+    wherever it is compared, at the probes and in the round trip, before
+    its table is read."""
+    _check_ends(span, p1, p2)
     au = au_lift(span)
     # the oracle's components, one per family value, for this call only
     ask = functools.cache(oracle)
     probes: dict = {}
-    alpha: dict = {}
-    beta: dict = {}
-    gamma: dict = {}
+    entries = []
     for rho, v in cell_pairs(span, p1):
         probe = probes.get(v)
         if probe is None:
@@ -324,17 +406,16 @@ def extract_sim(oracle, span: Span, p1: PolyDiagram, p2: PolyDiagram) -> SimCell
             aux = poly._extension(au, y)
             dst_ext = poly._extension(p2, aux.family)
             nat._check_endpoints(comp, src_ext.family, dst_ext.family)
+            position = {b: k for k, b in enumerate(p1.shape_fiber(v))}
             probe = probes[v] = (comp, nat.generic_element(p1, v), src_ext.index(),
-                                 dst_ext.elements, aux.elements, order)
-        comp, gen, index, dst_elems, aux_elems, order = probe
+                                 dst_ext.elements, aux.elements,
+                                 tuple([position[b] for b in order]))
+        comp, gen, index, dst_elems, aux_elems, positions = probe
         w, payload = dst_elems[comp(index[(rho, (gen,))])]
-        alpha[rho, v] = w
-        for pos, u in enumerate(p2.shape_fiber(w)):
-            g, (t,) = aux_elems[payload[pos]]
-            gamma[rho, v, u] = g
-            beta[rho, v, u] = order[t]
+        entries.append((w, tuple([(g, positions[t])
+                                  for g, (t,) in map(aux_elems.__getitem__, payload)])))
     try:
-        c = SimCell(span, p1, p2, alpha, beta, gamma)
+        c = _cell(span, p1, p2, _layout(span, p1, entries))
     except ValidationError as exc:
         raise OracleNotNatural("oracle not natural") from exc
     for x in nat.check_families(p1):
@@ -348,15 +429,15 @@ def extract_sim(oracle, span: Span, p1: PolyDiagram, p2: PolyDiagram) -> SimCell
 
 def entry_options(p1: PolyDiagram, p2: PolyDiagram, span: Span,
                   v: int, u: int) -> list[tuple[int, int]]:
-    """The (direction, state) pairs that may fill direction u of the
-    destination at a (state, shape v) pair of a cell: a state over u's sort
-    on the right, and a direction of v over that state's sort on the left.
-    Ordered state-major."""
+    """The (state, position) moves that may fill direction u of the
+    destination at a (state, shape v) pair of a cell: a state g over u's
+    sort on the right, and the position in v's direction fiber of a
+    direction over g's left end. Ordered state-major."""
     return [
-        (b, g)
+        (g, k)
         for g in span.carrier
         if span.right(g) == p2.dir_sort(u)
-        for b in p1.shape_fiber(v)
+        for k, b in enumerate(p1.shape_fiber(v))
         if p1.dir_sort(b) == span.left(g)
     ]
 
@@ -397,9 +478,9 @@ def _fillings(option_counts: list, cap: int) -> int:
 
 
 def _pair_choices(p1: PolyDiagram, p2: PolyDiagram, span: Span,
-                  rho: int, v: int) -> list[tuple[int, dict, dict]]:
-    """Every way to fill one (state, shape) pair of a cell: an assigned
-    shape of the destination plus full direction/state tables for it.
+                  rho: int, v: int) -> list[tuple[int, tuple]]:
+    """Every way to fill one (state, shape) pair of a cell, as its row
+    entry: an assigned shape of the destination and a move per direction.
     The option count is guarded before materializing, cut at the limit
     plus one (_fillings)."""
     per_shape = [
@@ -409,14 +490,7 @@ def _pair_choices(p1: PolyDiagram, p2: PolyDiagram, span: Span,
     check_guard(_fillings([map(len, options) for _, options in per_shape],
                           finset.guard_limit() + 1),
                 "cell table options at one (state, shape) pair")
-    choices: list[tuple[int, dict, dict]] = []
-    for w, options in per_shape:
-        fiber = p2.shape_fiber(w)
-        for assignment in itertools.product(*options):
-            beta = {(rho, v, u): b for u, (b, _) in zip(fiber, assignment)}
-            gamma = {(rho, v, u): g for u, (_, g) in zip(fiber, assignment)}
-            choices.append((w, beta, gamma))
-    return choices
+    return [(w, moves) for w, options in per_shape for moves in itertools.product(*options)]
 
 
 def random_cell(rng, p1: PolyDiagram, p2: PolyDiagram, span: Span) -> SimCell | None:
@@ -426,91 +500,128 @@ def random_cell(rng, p1: PolyDiagram, p2: PolyDiagram, span: Span) -> SimCell | 
     its own options; useful for spot-checking laws on instances whose
     full cell space is too large to enumerate.
     """
-    require_endo(p1, p2)
-    pairs = cell_pairs(span, p1)
-    alpha: dict = {}
-    beta: dict = {}
-    gamma: dict = {}
-    for rho, v in pairs:
+    _check_ends(span, p1, p2)
+    entries = []
+    for rho, v in cell_pairs(span, p1):
         choices = _pair_choices(p1, p2, span, rho, v)
         if not choices:
             return None
-        w, b, g = rng.choice(choices)
-        alpha[rho, v] = w
-        beta.update(b)
-        gamma.update(g)
-    return SimCell(span, p1, p2, alpha, beta, gamma)
+        entries.append(rng.choice(choices))
+    return _cell(span, p1, p2, _layout(span, p1, entries))
 
 
 def enumerate_sim(p1: PolyDiagram, p2: PolyDiagram, span: Span) -> list[SimCell]:
     """All valid cells over the given span: per (state, shape) pair, a
-    choice of assigned shape plus a full direction/state table for it.
+    choice of assigned shape plus a move for each of its directions.
     The cell count is guarded up front, cut at the limit plus one: the
     product of every pair's _fillings (finset.check_guard_product)."""
-    require_endo(p1, p2)
+    _check_ends(span, p1, p2)
     pairs = cell_pairs(span, p1)
     cap = finset.guard_limit() + 1
     finset.check_guard_product(
         (_fillings(_option_counts(p1, p2, span, rho, v), cap) for rho, v in pairs),
         "cell search space")
     per_pair = [_pair_choices(p1, p2, span, rho, v) for rho, v in pairs]
-    out: list[SimCell] = []
-    for combo in itertools.product(*per_pair):
-        alpha = {pair: w for pair, (w, _, _) in zip(pairs, combo)}
-        beta: dict = {}
-        gamma: dict = {}
-        for _, b, g in combo:
-            beta.update(b)
-            gamma.update(g)
-        out.append(SimCell(span, p1, p2, alpha, beta, gamma))
-    return out
+    return [_cell(span, p1, p2, _layout(span, p1, combo))
+            for combo in itertools.product(*per_pair)]
+
+
+def _signatures(c: SimCell) -> list[tuple]:
+    """Per state: its two legs and its row with the successors left out."""
+    left, right = c.span.left.table, c.span.right.table
+    return [(left[rho], right[rho],
+             tuple([None if e is None else (e[0], tuple([k for _, k in e[1]])) for e in row]))
+            for rho, row in enumerate(c._plan)]
 
 
 def equivalence_check(c: SimCell, c2: SimCell) -> FinMap | None:
-    """Search for a span bijection commuting with both legs under which
-    the three tables agree; returns it, or None."""
+    """Find a bijection of span states, commuting with both legs, under
+    which the two cells' rows agree: the same shapes and positions, with
+    each successor carried along. Returns it, or None.
+
+    Where a state goes fixes where its successors go, through the aligned
+    moves of the two rows. So the search assigns, propagates with a
+    stack, fails at the first conflict and branches only at states with
+    moves that nothing has forced yet. The states it leaves have no moves
+    and no predecessors; those with the same legs and rows are
+    interchangeable and are matched by count. The guard counts branch
+    choices."""
     if c.src != c2.src or c.dst != c2.dst:
         raise ShapeMismatch("equivalent cells need the same endpoint diagrams")
-    r, r2 = c.span, c2.span
-    if r.carrier.size != r2.carrier.size:
+    n = c.span.carrier.size
+    if c2.span.carrier.size != n:
         return None
-    # the bijections of the carrier, |carrier|!, counted up to the limit
-    finset.check_guard_product(range(1, r.carrier.size + 1), "span isomorphism search")
-    by_legs: dict[tuple[int, int], list[int]] = {}
-    for rho in r2.carrier:
-        by_legs.setdefault((r2.left(rho), r2.right(rho)), []).append(rho)
+    plan, plan2 = c._plan, c2._plan
+    r, r2 = c.span, c2.span
+    if plan == plan2 and r.left.table == r2.left.table and r.right.table == r2.right.table:
+        # equal rows over equal legs: the identity carries every successor
+        return FinMap(r.carrier, r2.carrier, tuple(range(n)))
+    sig, sig2 = _signatures(c), _signatures(c2)
+    # a state's image has its signature (and sorting never compares None
+    # with an entry, as equal left ends put None at the same places)
+    if sorted(sig) != sorted(sig2):
+        return None
+    eps: list = [None] * n
+    inv: list = [None] * n
 
-    def transported_ok(eps: list[int]) -> bool:
-        for (rho, v), w in c.alpha.items():
-            if c2.alpha[eps[rho], v] != w:
+    def assign(rho: int, sigma: int, trail: list) -> bool:
+        stack = [(rho, sigma)]
+        while stack:
+            a, b = stack.pop()
+            if eps[a] is not None:
+                if eps[a] != b:
+                    return False
+                continue
+            if inv[b] is not None or sig[a] != sig2[b]:
                 return False
-        for (rho, v, u), b in c.beta.items():
-            if c2.beta[eps[rho], v, u] != b:
-                return False
-            if c2.gamma[eps[rho], v, u] != eps[c.gamma[rho, v, u]]:
-                return False
+            eps[a], inv[b] = b, a
+            trail.append(a)
+            for e, e2 in zip(plan[a], plan2[b]):
+                if e is not None:
+                    stack.extend((g, g2) for (g, _), (g2, _) in zip(e[1], e2[1]))
         return True
 
-    used = [False] * r2.carrier.size
-    eps: list[int] = []
-
-    def backtrack(rho: int) -> bool:
-        if rho == r.carrier.size:
-            return transported_ok(eps)
-        for cand in by_legs.get((r.left(rho), r.right(rho)), ()):
-            if used[cand]:
+    candidates: dict = {}
+    for b in range(n):
+        candidates.setdefault(sig2[b], []).append(b)
+    branching = [a for a in range(n) if any(e and e[1] for e in plan[a])]
+    limit, choices = finset.guard_limit(), 0
+    # open branch points: position in branching, candidates left, and the
+    # states assigned by the current choice
+    points: list = []
+    pos = 0
+    while True:
+        while pos < len(branching) and eps[branching[pos]] is not None:
+            pos += 1
+        if pos == len(branching):
+            break
+        points.append((pos, iter(candidates[sig[branching[pos]]]), []))
+        while True:
+            if not points:
+                return None
+            p, cands, trail = points[-1]
+            for a in trail:
+                inv[eps[a]] = None
+                eps[a] = None
+            trail.clear()
+            b = next((b for b in cands if inv[b] is None), None)
+            if b is None:
+                points.pop()
                 continue
-            used[cand] = True
-            eps.append(cand)
-            if backtrack(rho + 1):
-                return True
-            eps.pop()
-            used[cand] = False
-        return False
-
-    if backtrack(0):
-        return FinMap(r.carrier, r2.carrier, tuple(eps))
-    return None
+            choices += 1
+            if choices > limit:
+                check_guard(choices, "span isomorphism search")
+            if assign(branching[p], b, trail):
+                pos = p + 1
+                break
+    spare: dict = {}
+    for b in reversed(range(n)):
+        if inv[b] is None:
+            spare.setdefault(sig2[b], []).append(b)
+    for a in range(n):
+        if eps[a] is None:
+            eps[a] = spare[sig[a]].pop()
+    return FinMap(r.carrier, r2.carrier, tuple(eps))
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +761,6 @@ class PlusStructure:
         embed1 = FinMap(p1.source, total, tuple(range(n1)))
         embed2 = FinMap(p2.source, total, tuple(range(n1, n1 + n2)))
         self._shape_shift = p1.shapes.size
-        self._dir_shift = p1.dirs.size
         self.inl = self._injection(p1, embed1, left=True)
         self.inr = self._injection(p2, embed2, left=False)
         self.proj1 = self._projection(p1, embed1, left=True)
@@ -658,34 +768,12 @@ class PlusStructure:
 
     def _injection(self, p: PolyDiagram, embed: FinMap, left: bool) -> SimCell:
         span = Span(p.source, finset.identity(p.source), embed)
-        vs = 0 if left else self._shape_shift
-        us = 0 if left else self._dir_shift
-        alpha = {}
-        beta = {}
-        gamma = {}
-        for i, v in cell_pairs(span, p):
-            w = v + vs
-            alpha[i, v] = w
-            for u in self.sum.shape_fiber(w):
-                beta[i, v, u] = u - us
-                gamma[i, v, u] = p.dir_sort(u - us)
-        return SimCell(span, p, self.sum, alpha, beta, gamma)
+        return _copying(span, p, self.sum, p, 0 if left else self._shape_shift)
 
     def _projection(self, p: PolyDiagram, embed: FinMap, left: bool) -> SimCell:
+        # only shapes of the chosen part sit over embedded sorts
         span = Span(p.source, embed, finset.identity(p.source))
-        vs = 0 if left else self._shape_shift
-        us = 0 if left else self._dir_shift
-        alpha = {}
-        beta = {}
-        gamma = {}
-        for rho, w in cell_pairs(span, self.sum):
-            # only shapes of the chosen part sit over embedded sorts
-            v = w - vs
-            alpha[rho, w] = v
-            for u in p.shape_fiber(v):
-                beta[rho, w, u] = u + us
-                gamma[rho, w, u] = p.dir_sort(u)
-        return SimCell(span, self.sum, p, alpha, beta, gamma)
+        return _copying(span, self.sum, p, p, 0 if left else -self._shape_shift)
 
     def pair(self, c1: SimCell, c2: SimCell) -> SimCell:
         """The cell into the sum determined by cells into both parts:

@@ -329,11 +329,12 @@ def sim_roundtrip_suite(seed: int = 0, cell_budget: int = 256,
                                 f"over {states} states")
                         break
                     cells_checked += 1
-    spot = 0
+    spot = skipped = 0
     for p1, p2 in itertools.product(_two_sorted_samples(), repeat=2):
         for _ in range(4):
             c = randgen.random_sim_cell(rng, p1, p2, max_states=2)
             if c is None:
+                skipped += 1
                 continue
             extracted = sim.extract_sim(
                 lambda x, cc=c: sim.eval_sim(cc, x), c.span, p1, p2)
@@ -347,7 +348,7 @@ def sim_roundtrip_suite(seed: int = 0, cell_budget: int = 256,
         f"{instances} grid instances (13 x 13 diagram pairs, spans of 0..2 states), "
         f"{sampled_instances} too large to enumerate",
         f"{cells_checked} cells round-tripped exactly, plus {spot} seeded "
-        "two-sorted spot checks",
+        f"two-sorted spot checks ({skipped} draws skipped: no cell on a drawn span)",
         "every extracted cell is equivalent to the cell it came from",
     ]
     lines.extend(detail)
@@ -435,7 +436,7 @@ def additive_suite(seed: int = 0, cases: int = 60) -> Report:
                 detail.extend(f"first failure: {line}" for line in rep.lines[:2])
 
     biproduct = 0
-    mediators = 0
+    mediators = mediators_skipped = 0
     for _ in range(12):
         p1 = randgen.random_endo(rng, max_sorts=1, max_shapes=2, max_fiber=2)
         p2 = randgen.random_endo(rng, max_sorts=1, max_shapes=2, max_fiber=2)
@@ -459,7 +460,9 @@ def additive_suite(seed: int = 0, cases: int = 60) -> Report:
         q = randgen.random_endo(rng, max_sorts=1, max_shapes=2, max_fiber=2)
         c1 = randgen.random_sim_cell(rng, q, p1)
         c2 = randgen.random_sim_cell(rng, q, p2)
-        if c1 is not None and c2 is not None:
+        if c1 is None or c2 is None:
+            mediators_skipped += 1
+        else:
             paired = ps.pair(c1, c2)
             if sim.equivalence_check(sim.compose_sim(ps.proj1, paired), c1) is None or \
                     sim.equivalence_check(sim.compose_sim(ps.proj2, paired), c2) is None:
@@ -470,7 +473,9 @@ def additive_suite(seed: int = 0, cases: int = 60) -> Report:
                 mediators += 1
         d1 = randgen.random_sim_cell(rng, p1, q)
         d2 = randgen.random_sim_cell(rng, p2, q)
-        if d1 is not None and d2 is not None:
+        if d1 is None or d2 is None:
+            mediators_skipped += 1
+        else:
             cop = ps.copair(d1, d2)
             e1, e2 = ps.decompose(cop)
             if sim.equivalence_check(e1, d1) is None or \
@@ -481,7 +486,7 @@ def additive_suite(seed: int = 0, cases: int = 60) -> Report:
             else:
                 mediators += 1
 
-    unique = 0
+    unique = unique_skipped = 0
     for _ in range(20):
         p1 = randgen.random_endo(rng, max_sorts=1, max_shapes=2, max_fiber=1)
         p2 = randgen.random_endo(rng, max_sorts=1, max_shapes=2, max_fiber=1)
@@ -489,6 +494,7 @@ def additive_suite(seed: int = 0, cases: int = 60) -> Report:
         ps = sim.plus_structure(p1, p2)
         d = randgen.random_sim_cell(rng, q, ps.sum, max_states=3)
         if d is None:
+            unique_skipped += 1
             continue
         rebuilt = ps.pair(sim.compose_sim(ps.proj1, d), sim.compose_sim(ps.proj2, d))
         if sim.equivalence_check(rebuilt, d) is None:
@@ -501,9 +507,11 @@ def additive_suite(seed: int = 0, cases: int = 60) -> Report:
     lines = [
         f"{fiberwise} random instances: sum evaluation is the fiberwise sum",
         f"{biproduct} seeded sums satisfy all four injection/projection equations",
-        f"{mediators} pairing/copairing mediators recovered their components",
+        f"{mediators} pairing/copairing mediators recovered their components "
+        f"({mediators_skipped} skipped: no cell on a drawn span for an operand)",
         f"{unique} sampled cells into a sum (spans up to 3 states) equal the "
-        "pairing of their projections",
+        f"pairing of their projections ({unique_skipped} draws skipped: no cell "
+        "on a drawn span)",
     ]
     lines.extend(detail)
     return Report("additive structure laws", ok, tuple(lines))

@@ -11,11 +11,10 @@ give the square of every morphism between families within the bound.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
-from . import fam, poly
+from . import fam, finset, poly
 from .errors import OracleNotNatural, ShapeMismatch, ValidationError
 from .fam import FamMorphism, Family
 from .finset import FinMap, check_guard
@@ -44,6 +43,13 @@ __all__ = [
 def eval_dm(m: DiagMorphism, x: Family) -> FamMorphism:
     """The component at x: keep the payload, recorded through the backward
     tables, under the forward shape map."""
+    src, dst, table = _eval_table(m, x)
+    return FamMorphism(src, dst, FinMap(src.total, dst.total, table))
+
+
+def _eval_table(m: DiagMorphism, x: Family) -> tuple[Family, Family, tuple[int, ...]]:
+    """The component at x as its two endpoint families and its table, the
+    parts eval_dm wraps in a FamMorphism."""
     if x.base != m.src.source:
         raise ShapeMismatch("family must live over the transformation's source")
     src_ext = poly.eval_extension(m.src, x)
@@ -54,7 +60,7 @@ def eval_dm(m: DiagMorphism, x: Family) -> FamMorphism:
         index[(m.alpha(v), tuple(payload[k] for k in positions[v]))]
         for v, payload in poly.extension_elements(m.src, x)
     )
-    return FamMorphism(src_ext, dst_ext, FinMap(src_ext.total, dst_ext.total, table))
+    return src_ext, dst_ext, table
 
 
 def compose_dm(m2: DiagMorphism, m1: DiagMorphism) -> DiagMorphism:
@@ -162,13 +168,27 @@ def generic_element(p: PolyDiagram, v: int) -> int:
     return poly.extension_index(p, y)[(v, payload)]
 
 
+# the fiber bound of the check families
+_CHECK_FIBER = 3
+
+
 def check_families(p: PolyDiagram) -> tuple[Family, ...]:
     """The block families over p's source with every fiber at most 3, on
-    which extraction checks its round trip. Guarded by their number on
-    every call. Block families are interned (fam.family_from_fibers), so
-    while an extension of one is kept on a diagram, every call returns
-    that same object, found by identity in the extension's dict."""
-    return tuple(fam.families_up_to(p.source, 3))
+    which extraction checks its round trip. Built on the first call and
+    held on p, so every later call returns the same tuple; their number
+    is still guarded on every call, so a limit lowered after the build
+    refuses them. The families are interned (fam.family_from_fibers), and
+    an extraction evaluates p at each of them, so holding them keeps
+    alive no family that p's extension dict does not hold already."""
+    held = getattr(p, "_check_families", None)
+    if held is None:
+        held = tuple(fam.families_up_to(p.source, _CHECK_FIBER))
+        object.__setattr__(p, "_check_families", held)
+    else:
+        check_guard(finset.capped_power(_CHECK_FIBER + 1, p.source.size,
+                                        finset.guard_limit() + 1),
+                    "families with bounded fibers")
+    return held
 
 
 def _check_endpoints(comp: FamMorphism, src: Family, dst: Family) -> None:
@@ -176,6 +196,37 @@ def _check_endpoints(comp: FamMorphism, src: Family, dst: Family) -> None:
     dst, comparing by identity first (as FamMorphism does)."""
     if (comp.src is not src and comp.src != src) or (comp.dst is not dst and comp.dst != dst):
         raise ValidationError("oracle component has the wrong endpoints")
+
+
+def _memo(oracle):
+    """The oracle asked at most once per family value: its components kept
+    in a dict for one extraction. A component is never None, so a missing
+    key and a kept answer are told apart by get."""
+    answers: dict = {}
+
+    def ask(x: Family) -> FamMorphism:
+        comp = answers.get(x)
+        if comp is None:
+            comp = answers[x] = oracle(x)
+        return comp
+
+    return ask
+
+
+def _check_round_trip(ask, p: PolyDiagram, table_of, extracted) -> None:
+    """The round trip of an extraction: at every check family x of p, in
+    order, compute table_of(extracted, x), the expected endpoints and
+    table, then ask the oracle at x. Raise ValidationError if its
+    component has other endpoints, and OracleNotNatural if it has another
+    table. The component was validated when it was built, so equal
+    endpoints and tables make it the expected morphism, and no morphism
+    is built for the expected side."""
+    for x in check_families(p):
+        src, dst, table = table_of(extracted, x)
+        comp = ask(x)
+        _check_endpoints(comp, src, dst)
+        if comp.map.table != table:
+            raise OracleNotNatural("oracle not natural")
 
 
 def yoneda_extract(oracle, p: PolyDiagram, q: PolyDiagram) -> DiagMorphism:
@@ -186,11 +237,13 @@ def yoneda_extract(oracle, p: PolyDiagram, q: PolyDiagram) -> DiagMorphism:
     The oracle is asked once per family value, in the order of the first
     request: the probes' families, then the check families. A component's
     endpoints are checked wherever it is compared, at the probes and in
-    the round trip, before its table is read."""
+    the round trip, before its table is read. The round trip runs on the
+    check families held on p (check_families) and compares the
+    components' tables with the extracted morphism's (_check_round_trip),
+    which it computes without building a morphism."""
     if p.source != q.source or p.target != q.target:
         raise ShapeMismatch("transformations need diagrams over the same sorts")
-    # the oracle's components, one per family value, for this call only
-    ask = functools.cache(oracle)
+    ask = _memo(oracle)
     alpha_table: list[int] = []
     betas: list[tuple[int, ...]] = []
     for v in p.shapes:
@@ -207,12 +260,7 @@ def yoneda_extract(oracle, p: PolyDiagram, q: PolyDiagram) -> DiagMorphism:
         )
     except (ValidationError, ShapeMismatch) as exc:
         raise OracleNotNatural("oracle not natural") from exc
-    for x in check_families(p):
-        expected = eval_dm(m, x)
-        comp = ask(x)
-        _check_endpoints(comp, expected.src, expected.dst)
-        if expected.map.table != comp.map.table:
-            raise OracleNotNatural("oracle not natural")
+    _check_round_trip(ask, p, _eval_table, m)
     return m
 
 

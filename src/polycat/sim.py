@@ -88,12 +88,11 @@ def _check_ends(span: Span, src: PolyDiagram, dst: PolyDiagram) -> None:
 def cell_pairs(span: Span, src: PolyDiagram) -> list[tuple[int, int]]:
     """The index set of the shape table: states paired with the src
     shapes whose sort is the state's left end."""
-    return [
-        (rho, v)
-        for rho in span.carrier
-        for v in src.shapes
-        if src.shape_sort(v) == span.left(rho)
-    ]
+    fibers = src.shape_sort.fibers()
+    # count_sim reads the pairs without checking the span's ends: a left
+    # end off src's sorts has no shapes
+    n = len(fibers)
+    return [(rho, v) for rho, i in enumerate(span.left.table) if i < n for v in fibers[i]]
 
 
 _PAIR_KEYS = "shape table must be indexed by exactly the (state, shape) pairs"
@@ -346,15 +345,24 @@ def eval_sim(c: SimCell, x: Family) -> FamMorphism:
 
     The cell is read through its rows (SimCell): per (state, shape) pair,
     the assigned shape and the (successor, position) pair of each of its
-    directions."""
-    if x.base != c.src.source:
+    directions. A move's element of the sum lift at x is found in that
+    extension's per-state view (poly.Extension.index_by_shape), kept on
+    its record."""
+    dom, cod, table = _eval_table(c, x)
+    return FamMorphism(dom, cod, FinMap(dom.total, cod.total, table))
+
+
+def _eval_table(c: SimCell, x: Family) -> tuple[Family, Family, tuple[int, ...]]:
+    """The component at x as its two endpoint families and its table, the
+    parts eval_sim wraps in a FamMorphism."""
+    if x.base is not c.src.source and x.base != c.src.source:
         raise ShapeMismatch("family must live over the source sorts")
     au = au_lift(c.span)
     inner = poly._extension(c.src, x)
     dom = poly._extension(au, inner.family)
     aux = poly._extension(au, x)
     cod = poly._extension(c.dst, aux.family)
-    aux_index = aux.index()
+    by_state = aux.index_by_shape()
     cod_index = cod.index()
     inner_elems = inner.elements
     plan = c._plan
@@ -362,10 +370,8 @@ def eval_sim(c: SimCell, x: Family) -> FamMorphism:
     for rho, (t,) in dom.elements:
         v, h = inner_elems[t]
         w, moves = plan[rho][v]
-        payload = tuple([aux_index[(g, (h[k],))] for g, k in moves])
-        table.append(cod_index[(w, payload)])
-    return FamMorphism(dom.family, cod.family,
-                       FinMap(dom.family.total, cod.family.total, tuple(table)))
+        table.append(cod_index[(w, tuple([by_state[g][h[k]] for g, k in moves]))])
+    return dom.family, cod.family, tuple(table)
 
 
 def sim_naturality_check(c: SimCell, bound: int) -> Report:
@@ -390,11 +396,13 @@ def extract_sim(oracle, span: Span, p1: PolyDiagram, p2: PolyDiagram) -> SimCell
     directions are read at its first pair, and every state over its sort
     then costs one index lookup. A component's endpoints are checked
     wherever it is compared, at the probes and in the round trip, before
-    its table is read."""
+    its table is read. The round trip runs on the check families held on
+    p1 (nat.check_families) and compares the components' tables with the
+    extracted cell's (nat._check_round_trip), which it computes without
+    building a morphism."""
     _check_ends(span, p1, p2)
     au = au_lift(span)
-    # the oracle's components, one per family value, for this call only
-    ask = functools.cache(oracle)
+    ask = nat._memo(oracle)
     probes: dict = {}
     entries = []
     for rho, v in cell_pairs(span, p1):
@@ -418,12 +426,7 @@ def extract_sim(oracle, span: Span, p1: PolyDiagram, p2: PolyDiagram) -> SimCell
         c = _cell(span, p1, p2, _layout(span, p1, entries))
     except ValidationError as exc:
         raise OracleNotNatural("oracle not natural") from exc
-    for x in nat.check_families(p1):
-        expected = eval_sim(c, x)
-        comp = ask(x)
-        nat._check_endpoints(comp, expected.src, expected.dst)
-        if expected.map.table != comp.map.table:
-            raise OracleNotNatural("oracle not natural")
+    nat._check_round_trip(ask, p1, _eval_table, c)
     return c
 
 

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from polycat import fam, nat, poly, randgen, suites
+from polycat import fam, finset, nat, poly, randgen, suites
 from polycat.errors import (OracleNotNatural, ShapeMismatch, SizeGuardExceeded,
                             ValidationError)
 from polycat.finset import FinMap, FinSet
@@ -223,6 +223,22 @@ def test_check_families_refuse_many_sorts_quickly():
     with pytest.raises(SizeGuardExceeded, match="families with bounded fibers"):
         nat.check_families(poly.identity_diagram(FinSet(10)))
     assert time.perf_counter() - start < 1.0
+
+
+def test_check_families_are_held_and_guarded_on_every_call():
+    # 2 sorts: 4^2 = 16 families with fibers at most 3
+    p = poly.identity_diagram(FinSet(2))
+    first = nat.check_families(p)
+    assert len(first) == 16 and first == tuple(fam.families_up_to(p.source, 3))
+    assert nat.check_families(p) is first
+    old = finset.set_guard_limit(15)
+    try:
+        with pytest.raises(SizeGuardExceeded, match="families with bounded fibers"):
+            nat.check_families(p)
+        finset.set_guard_limit(16)
+        assert nat.check_families(p) is first
+    finally:
+        finset.set_guard_limit(old)
 
 
 def test_yoneda_extract_bad_component_endpoints():

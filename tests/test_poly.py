@@ -201,8 +201,9 @@ def test_caches_make_no_reference_cycles():
         poly.extension_index(p, lone)
         r = Span(FinSet(3), fmap(3, 2, (0, 1, 1)), fmap(3, 2, (0, 0, 1)))
         poly.extension_index(poly.au_lift(r), fams(2, (2, 3)))
-        # the generic families kept on a diagram, the interned check
-        # families, and the evaluation plan kept on a cell
+        # the generic families and the check families held on a diagram,
+        # the evaluation plan kept on a cell and the per-state view kept on
+        # its sum lift's extension record
         e = ss(2, 0)
         generic, _ = nat.generic_family(e, 0)
         nat.generic_element(e, 0)
@@ -210,7 +211,10 @@ def test_caches_make_no_reference_cycles():
         cell = sim.identity_sim(e)
         extracted = sim.extract_sim(lambda y: sim.eval_sim(cell, y), cell.span, e, e)
         sim.eval_sim(extracted, fams(1, (2,)))
-        assert "_generic" in vars(e) and "_check_families" not in vars(e)
+        assert "_generic" in vars(e) and vars(e)["_check_families"][-1] is checks
+        au_records = vars(poly.au_lift(cell.span))["_ext"].values()
+        assert any("_index_by_shape" in vars(ext) for ext in au_records)
+        del au_records
         assert "_plan" in vars(cell) and "_plan" in vars(extracted)
         assert "_ext" in vars(p) and lone in vars(p)["_ext"]
         objects = [p, lone, r, e, cell, extracted]

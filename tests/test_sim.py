@@ -759,6 +759,47 @@ def test_eval_plan_agrees_with_the_tables_and_is_kept_on_the_cell():
     assert sim.eval_sim(c, fams(1, [3])).map.table == eval_from_the_tables(c, fams(1, [3]))
 
 
+def shuffled_family(rng: random.Random, base: FinSet, sizes) -> fam.Family:
+    """A family with the given fiber sizes built with the Family
+    constructor from a shuffled projection: not a block family, so its
+    elements are not numbered fiber by fiber and it is not interned."""
+    proj = [b for b, n in enumerate(sizes) for _ in range(n)]
+    rng.shuffle(proj)
+    total = FinSet(len(proj))
+    return fam.Family(total, base, FinMap(total, base, tuple(proj)))
+
+
+def test_eval_agrees_with_the_tables_at_non_block_families():
+    rng = random.Random(67)
+    checked = 0
+    for sorts in (1, 2):
+        base = FinSet(sorts)
+        done = 0
+        while done < 15:
+            p1, p2 = (randgen.random_diagram(rng, base, base, 3, 2) for _ in range(2))
+            c = randgen.random_sim_cell(rng, p1, p2, max_states=3)
+            if c is None:
+                continue
+            for _ in range(4):
+                x = shuffled_family(rng, base, [rng.randint(0, 3) for _ in base])
+                assert sim.eval_sim(c, x).map.table == eval_from_the_tables(c, x)
+                checked += 1
+            done += 1
+    assert checked == 120
+    # a block family and a value-equal family built with the constructor
+    # find one sum-lift record, whose per-state view the second call reuses
+    c = two_sorted_cells(71, 1)[0][0]
+    block = fams(2, (2, 1))
+    copy = fam.Family(block.total, block.base, block.proj)
+    assert copy == block and copy is not block
+    record = poly._extension(poly.au_lift(c.span), block)
+    assert sim.eval_sim(c, block).map.table == eval_from_the_tables(c, block)
+    view = record.index_by_shape()
+    assert sim.eval_sim(c, copy).map.table == eval_from_the_tables(c, copy)
+    assert poly._extension(poly.au_lift(c.span), copy) is record
+    assert record.index_by_shape() is view
+
+
 # -- extraction ---------------------------------------------------------------
 
 
@@ -873,6 +914,39 @@ def test_extract_checks_the_endpoints_of_every_compared_component():
     assert fams(1, [3]) not in {nat.generic_family(p, v)[0] for v in p.shapes}
     with pytest.raises(ValidationError, match="oracle component has the wrong endpoints"):
         sim.extract_sim(enlarged, c.span, p, p)
+
+
+def permuted_within_a_fiber(comp: FamMorphism) -> FamMorphism:
+    """comp with the images of the first two elements of a source fiber
+    swapped: the same endpoints and a valid morphism, with another table."""
+    t1, t2 = next(f for f in comp.src.proj.fibers() if len(f) >= 2)[:2]
+    table = list(comp.map.table)
+    table[t1], table[t2] = table[t2], table[t1]
+    assert tuple(table) != comp.map.table
+    return FamMorphism(comp.src, comp.dst, FinMap(comp.map.dom, comp.map.cod, tuple(table)))
+
+
+def test_round_trips_refuse_a_table_permuted_at_the_check_only_family():
+    # the round trips compare tables only: at (3,), a check family and no
+    # probe's, a component with the right endpoints and a wrong table is
+    # refused by both extractors as unnatural
+    p = ss(1)
+    assert fams(1, [3]) not in {nat.generic_family(p, v)[0] for v in p.shapes}
+    assert fams(1, [3]) in nat.check_families(p)
+    c, m = sim.identity_sim(p), nat.identity_dm(p)
+
+    def permuted_at_3(component):
+        def oracle(x):
+            comp = component(x)
+            return permuted_within_a_fiber(comp) if x.fiber_sizes() == (3,) else comp
+        return oracle
+
+    assert sim.extract_sim(lambda x: sim.eval_sim(c, x), c.span, p, p) == c
+    assert nat.yoneda_extract(lambda x: nat.eval_dm(m, x), p, p) == m
+    with pytest.raises(OracleNotNatural, match="oracle not natural"):
+        sim.extract_sim(permuted_at_3(lambda x: sim.eval_sim(c, x)), c.span, p, p)
+    with pytest.raises(OracleNotNatural, match="oracle not natural"):
+        nat.yoneda_extract(permuted_at_3(lambda x: nat.eval_dm(m, x)), p, p)
 
 
 def recorded(oracle):

@@ -1,6 +1,6 @@
-"""Microbenchmarks of the simulation-cell kernels on one fixed instance
-of the simcells grid: evaluation, extraction with a precomputed oracle,
-and building a cell from its rows.
+"""Microbenchmarks of the simulation-cell kernels on fixed instances of
+the simcells grid: evaluation, extraction with a precomputed oracle,
+building a cell from its rows, counting and enumerating cells.
 
 These cases sit outside the tier-1 test paths and need pytest-benchmark:
 
@@ -24,6 +24,8 @@ pytest.importorskip("pytest_benchmark")
 P = poly.single_sorted((1, 2))
 LEG = FinMap(FinSet(2), FinSet(1), (0, 0))
 SPAN = Span(FinSet(2), LEG, LEG)
+# the same pair over the one-state span has 12 cells
+ONE = Span(FinSet(1), FinMap(FinSet(1), FinSet(1), (0,)), FinMap(FinSet(1), FinSet(1), (0,)))
 CELL = sim.random_cell(random.Random(18), P, P, SPAN)
 FAMILIES = tuple(nat.check_families(P)) + tuple(nat.generic_family(P, v)[0] for v in P.shapes)
 COMPONENTS = {x: sim.eval_sim(CELL, x) for x in FAMILIES}
@@ -45,3 +47,12 @@ def test_extract_sim(benchmark):
 
 def test_cell_from_rows(benchmark):
     assert benchmark(sim._cell, SPAN, P, P, CELL._plan) == CELL
+
+
+def test_count_sim(benchmark):
+    assert benchmark(sim.count_sim, P, P, SPAN) == 14_400
+
+
+def test_enumerate_sim(benchmark):
+    cells = benchmark(sim.enumerate_sim, P, P, ONE)
+    assert len(cells) == sim.count_sim(P, P, ONE) == 12

@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import doc as docmod
-from . import fam, finset, nat, poly, sim, smcc, suites
+from . import finset, nat, poly, sim, smcc, suites
 from .errors import (OracleNotNatural, ParseError, SizeGuardExceeded,
                      ValidationError)
 from .poly import PolyDiagram

@@ -385,7 +385,7 @@ def pi_untranspose(f: FinMap, x: Family, y: Family, h: FamMorphism) -> FamMorphi
     secs = pi_sections(f, x)
     dfy = delta(f, y)
     table = []
-    for k, (a, s) in enumerate(pairs):
+    for a, s in pairs:
         b = f.table[a]
         _, section = secs[h.map.table[s]]
         position = f.fiber(b).index(a)

@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -53,7 +55,6 @@ __all__ = [
     "SimCell",
     "require_endo",
     "cell_pairs",
-    "entry_options",
     "validate",
     "identity_sim",
     "zero_sim",
@@ -89,10 +90,7 @@ def cell_pairs(span: Span, src: PolyDiagram) -> list[tuple[int, int]]:
     """The index set of the shape table: states paired with the src
     shapes whose sort is the state's left end."""
     fibers = src.shape_sort.fibers()
-    # count_sim reads the pairs without checking the span's ends: a left
-    # end off src's sorts has no shapes
-    n = len(fibers)
-    return [(rho, v) for rho, i in enumerate(span.left.table) if i < n for v in fibers[i]]
+    return [(rho, v) for rho, i in enumerate(span.left.table) for v in fibers[i]]
 
 
 _PAIR_KEYS = "shape table must be indexed by exactly the (state, shape) pairs"
@@ -430,70 +428,75 @@ def extract_sim(oracle, span: Span, p1: PolyDiagram, p2: PolyDiagram) -> SimCell
     return c
 
 
-def entry_options(p1: PolyDiagram, p2: PolyDiagram, span: Span,
-                  v: int, u: int) -> list[tuple[int, int]]:
-    """The (state, position) moves that may fill direction u of the
-    destination at a (state, shape v) pair of a cell: a state g over u's
-    sort on the right, and the position in v's direction fiber of a
-    direction over g's left end. Ordered state-major."""
-    return [
-        (g, k)
-        for g in span.carrier
-        if span.right(g) == p2.dir_sort(u)
-        for k, b in enumerate(p1.shape_fiber(v))
-        if p1.dir_sort(b) == span.left(g)
-    ]
+def _fill_table(p1: PolyDiagram, p2: PolyDiagram, span: Span):
+    """The moves that may fill the cells from p1 to p2 over the span, as
+    fills(v, j) for a src shape v and a right end j: per dst shape w over
+    j, the (successor, position) moves of each direction u of w at a
+    (state, shape v) pair whose state's right end is j. A move pairs a
+    state g over u's sort on the right with the position k in v's fiber
+    of a direction over g's left end, state first, then position. The
+    moves are built once per shape v and direction sort, and every
+    direction of that sort shares the list."""
+    left, by_right = span.left.table, span.right.fibers()
+    src_fibers, src_sorts = p1.dir_shape.fibers(), p1.dir_sort.table
+    dst_fibers, dst_sorts, over = p2.dir_shape.fibers(), p2.dir_sort.table, p2.shape_sort.fibers()
+    by_shape: dict = {}
+    table: dict = {}
+
+    def fills(v: int, j: int) -> list:
+        got = table.get((v, j))
+        if got is None:
+            by_sort = by_shape.get(v)
+            if by_sort is None:
+                positions: list = [[] for _ in p1.source]
+                for k, b in enumerate(src_fibers[v]):
+                    positions[src_sorts[b]].append(k)
+                by_sort = by_shape[v] = [[(g, k) for g in states for k in positions[left[g]]]
+                                         for states in by_right]
+            got = table[v, j] = [(w, [by_sort[dst_sorts[u]] for u in dst_fibers[w]])
+                                 for w in over[j]]
+        return got
+    return fills
+
+
+def _pair_fills(p1: PolyDiagram, p2: PolyDiagram, span: Span) -> list:
+    """The fill table's entry of each (state, shape) pair, in cell_pairs
+    order."""
+    fills, right = _fill_table(p1, p2, span), span.right.table
+    return [fills(v, right[rho]) for rho, v in cell_pairs(span, p1)]
 
 
 def count_sim(p1: PolyDiagram, p2: PolyDiagram, span: Span) -> int:
-    """Number of valid cells over the given span, computed arithmetically.
-
-    No guard: the count is a product of per-pair weights and is safe to
-    compute even when enumerating the cells themselves would not be.
-    """
-    require_endo(p1, p2)
+    """Number of valid cells over the given span, in closed form: the
+    (state, shape v) pairs fill independently, each in weight(v, j) =
+    Σ_w Π_u |moves| ways read off the fill table, j the state's right
+    end. So the count is Π_{(i,j)} Π_{v over i} weight(v, j)^n(i,j), with
+    n(i, j) states over the ends (i, j). No guard: it is arithmetic, safe
+    even where enumerate_sim, which checks the same ends, would refuse."""
+    _check_ends(span, p1, p2)
+    fills, shapes_over = _fill_table(p1, p2, span), p1.shape_sort.fibers()
     total = 1
-    for rho, v in cell_pairs(span, p1):
-        weight = 0
-        for w in p2.shape_sort.fiber(span.right(rho)):
-            branch = 1
-            for u in p2.shape_fiber(w):
-                branch *= len(entry_options(p1, p2, span, v, u))
-            weight += branch
-        total *= weight
+    for (i, j), n in Counter(zip(span.left.table, span.right.table)).items():
+        for v in shapes_over[i]:
+            total *= sum(math.prod(map(len, moves)) for _, moves in fills(v, j)) ** n
     return total
 
 
-def _option_counts(p1: PolyDiagram, p2: PolyDiagram, span: Span,
-                   rho: int, v: int) -> list[list[int]]:
-    """At the (state, shape) pair (rho, v) of a cell, per destination shape
-    w over rho's right leg, the numbers of entry options of w's directions:
-    the factors of count_sim, for a guard that cuts them."""
-    return [[len(entry_options(p1, p2, span, v, u)) for u in p2.shape_fiber(w)]
-            for w in p2.shape_sort.fiber(span.right(rho))]
+def _fillings(options: list, cap: int) -> int:
+    """The number of ways to fill one (state, shape) pair from its fill
+    table entry, with every product and the sum cut at cap
+    (finset.capped_product)."""
+    return min(sum(finset.capped_product(map(len, moves), cap) for _, moves in options), cap)
 
 
-def _fillings(option_counts: list, cap: int) -> int:
-    """The number of ways to fill one (state, shape) pair, the sum over the
-    destination shapes of the product of their option counts, with every
-    product and the sum cut at cap (finset.capped_product)."""
-    return min(sum(finset.capped_product(counts, cap) for counts in option_counts), cap)
-
-
-def _pair_choices(p1: PolyDiagram, p2: PolyDiagram, span: Span,
-                  rho: int, v: int) -> list[tuple[int, tuple]]:
-    """Every way to fill one (state, shape) pair of a cell, as its row
-    entry: an assigned shape of the destination and a move per direction.
-    The option count is guarded before materializing, cut at the limit
-    plus one (_fillings)."""
-    per_shape = [
-        (w, [entry_options(p1, p2, span, v, u) for u in p2.shape_fiber(w)])
-        for w in p2.shape_sort.fiber(span.right(rho))
-    ]
-    check_guard(_fillings([map(len, options) for _, options in per_shape],
-                          finset.guard_limit() + 1),
+def _pair_choices(options: list) -> list[tuple[int, tuple]]:
+    """Every way to fill one (state, shape) pair of a cell from its fill
+    table entry, as its row entry: an assigned shape of the destination
+    and a move per direction. The count is guarded before materializing,
+    cut at the limit plus one (_fillings)."""
+    check_guard(_fillings(options, finset.guard_limit() + 1),
                 "cell table options at one (state, shape) pair")
-    return [(w, moves) for w, options in per_shape for moves in itertools.product(*options)]
+    return [(w, moves) for w, lists in options for moves in itertools.product(*lists)]
 
 
 def random_cell(rng, p1: PolyDiagram, p2: PolyDiagram, span: Span) -> SimCell | None:
@@ -505,8 +508,8 @@ def random_cell(rng, p1: PolyDiagram, p2: PolyDiagram, span: Span) -> SimCell | 
     """
     _check_ends(span, p1, p2)
     entries = []
-    for rho, v in cell_pairs(span, p1):
-        choices = _pair_choices(p1, p2, span, rho, v)
+    for options in _pair_fills(p1, p2, span):
+        choices = _pair_choices(options)
         if not choices:
             return None
         entries.append(rng.choice(choices))
@@ -519,12 +522,11 @@ def enumerate_sim(p1: PolyDiagram, p2: PolyDiagram, span: Span) -> list[SimCell]
     The cell count is guarded up front, cut at the limit plus one: the
     product of every pair's _fillings (finset.check_guard_product)."""
     _check_ends(span, p1, p2)
-    pairs = cell_pairs(span, p1)
+    pair_fills = _pair_fills(p1, p2, span)
     cap = finset.guard_limit() + 1
-    finset.check_guard_product(
-        (_fillings(_option_counts(p1, p2, span, rho, v), cap) for rho, v in pairs),
-        "cell search space")
-    per_pair = [_pair_choices(p1, p2, span, rho, v) for rho, v in pairs]
+    finset.check_guard_product((_fillings(options, cap) for options in pair_fills),
+                               "cell search space")
+    per_pair = [_pair_choices(options) for options in pair_fills]
     return [_cell(span, p1, p2, _layout(span, p1, combo))
             for combo in itertools.product(*per_pair)]
 
@@ -679,11 +681,6 @@ def au_du_adjunction_check(r: Span, y: Family, z: Family) -> Report:
     tr_elems = fam.tr_elements(y, z)
     tr_index = {elem: k for k, elem in enumerate(tr_elems)}
     yfibs = y.proj.fibers()
-    zoff = [0] * z.base.size
-    run = 0
-    for j, n in enumerate(zsizes):
-        zoff[j] = run
-        run += n
 
     def transpose12(m: FamMorphism) -> FamMorphism:
         table = []
@@ -706,7 +703,6 @@ def au_du_adjunction_check(r: Span, y: Family, z: Family) -> Report:
     def transpose13(m: FamMorphism) -> FamMorphism:
         table = []
         for rho in r.carrier:
-            i2 = r.right(rho)
             entries = tuple(
                 m(au_index[(rho, (t,))]) for t in yfibs[r.left(rho)]
             )

@@ -1032,6 +1032,139 @@ def test_extract_refuses_an_oracle_unnatural_at_a_probed_check_family():
     assert len(asked) == len(set(asked))
 
 
+# -- counting and filling ------------------------------------------------------
+
+
+def options_oracle(p1, p2, span, v, u) -> list:
+    """The (state, position) moves that may fill direction u of p2 at a
+    (state, shape v) pair, found by scanning every state, state-major:
+    the reference for the fill table that sim builds once per call."""
+    return [(g, k) for g in span.carrier if span.right(g) == p2.dir_sort(u)
+            for k, b in enumerate(p1.shape_fiber(v)) if p1.dir_sort(b) == span.left(g)]
+
+
+def count_oracle(p1, p2, span) -> int:
+    """The cell count as a product of per-pair weights, pair by pair."""
+    total = 1
+    for rho, v in sim.cell_pairs(span, p1):
+        weight = 0
+        for w in p2.shape_sort.fiber(span.right(rho)):
+            branch = 1
+            for u in p2.shape_fiber(w):
+                branch *= len(options_oracle(p1, p2, span, v, u))
+            weight += branch
+        total *= weight
+    return total
+
+
+def choices_oracle(p1, p2, span) -> list:
+    """Per (state, shape) pair, in cell_pairs order, every row entry that
+    fills it, in the order the sampler and the enumeration use."""
+    return [[(w, moves) for w in p2.shape_sort.fiber(span.right(rho))
+             for moves in itertools.product(*[options_oracle(p1, p2, span, v, u)
+                                              for u in p2.shape_fiber(w)])]
+            for rho, v in sim.cell_pairs(span, p1)]
+
+
+def entries(c: sim.SimCell) -> list:
+    """The cell's row entries in cell_pairs order."""
+    return [c._plan[rho][v] for rho, v in sim.cell_pairs(c.span, c.src)]
+
+
+def counting_instances(seed: int, n: int) -> list:
+    """Seeded endo pairs on one or two sorts with spans of 0 to 4 states,
+    whose legs need not reach every sort."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        base = FinSet(rng.randint(1, 2))
+        p1, p2 = (randgen.random_diagram(rng, base, base, 3, 2) for _ in range(2))
+        out.append((p1, p2, randgen.random_span(rng, base, base, rng.randint(0, 4))))
+    return out
+
+
+def test_count_sim_agrees_with_the_per_pair_count():
+    counts = [sim.count_sim(p1, p2, span) for p1, p2, span in counting_instances(19, 400)]
+    assert counts == [count_oracle(*case) for case in counting_instances(19, 400)]
+    # the draw reaches zero, one and large counts alike
+    assert counts.count(0) > 20 and counts.count(1) > 20 and max(counts) > 10**6
+
+
+def test_sampler_and_enumeration_fill_pairs_as_before():
+    sampled = enumerated = 0
+    for seed, (p1, p2, span) in enumerate(counting_instances(190, 300)):
+        choices = choices_oracle(p1, p2, span)
+        rng, twin = random.Random(seed), random.Random(seed)
+        c = sim.random_cell(rng, p1, p2, span)
+        want = []
+        for options in choices:
+            if not options:
+                want = None
+                break
+            want.append(twin.choice(options))
+        assert (c if c is None else entries(c)) == want
+        assert rng.getstate() == twin.getstate()
+        sampled += c is not None and span.carrier.size > 0
+        if sim.count_sim(p1, p2, span) <= 64:
+            got = [entries(c) for c in sim.enumerate_sim(p1, p2, span)]
+            assert got == [list(combo) for combo in itertools.product(*choices)]
+            enumerated += len(got)
+    assert sampled > 100 and enumerated > 500
+
+
+def test_count_sim_on_the_identity_span_counts_transformations():
+    rng = random.Random(3)
+    for _ in range(200):
+        p = randgen.random_endo(rng, 2, 3, 2)
+        q = randgen.random_diagram(rng, p.source, p.source, 3, 2)
+        ident = finset.identity(p.source)
+        assert sim.count_sim(p, q, Span(p.source, ident, ident)) == nat.count_nat(p, q)
+
+
+def test_count_sim_counts_the_grid_enumerations():
+    grid, counted = suites._grid(), 0
+    for states in range(3):
+        span = suites._const_span(states)
+        for p1, p2 in itertools.product(grid, repeat=2):
+            count = sim.count_sim(p1, p2, span)
+            assert count == count_oracle(p1, p2, span)
+            if count <= 256:
+                assert len(sim.enumerate_sim(p1, p2, span)) == count
+                counted += 1
+    assert counted > 300
+
+
+def test_count_sim_refuses_the_ends_enumerate_sim_refuses():
+    # a left leg into a 2-element set for a one-sorted diagram, and a
+    # right leg off p2's sorts
+    p, two = ss(1), FinSet(2)
+    for left, right in ((fmap(2, 2, (0, 1)), fmap(2, 1, (0, 0))),
+                        (fmap(2, 1, (0, 0)), fmap(2, 2, (0, 1)))):
+        span = Span(two, left, right)
+        messages = []
+        for call in (sim.count_sim, sim.enumerate_sim,
+                     lambda *args: sim.random_cell(random.Random(0), *args)):
+            with pytest.raises(ShapeMismatch) as exc:
+                call(p, p, span)
+            messages.append(str(exc.value))
+        assert messages == ["span legs must land in the two sort sets"] * 3
+
+
+def test_wide_spans_count_and_refuse_at_once():
+    # 20·X² into itself over 50 states: 1000 pairs of 20 · 100² fillings
+    p, carrier = ss(*[2] * 20), FinSet(50)
+    leg = FinMap(carrier, FinSet(1), (0,) * 50)
+    span = Span(carrier, leg, leg)
+    start = time.perf_counter()
+    assert sim.count_sim(p, p, span) == (20 * 100**2) ** 1000
+    assert time.perf_counter() - start < 0.5
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardExceeded,
+                       match="cell search space has size more than 1000000, guard limit"):
+        sim.enumerate_sim(p, p, span)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_enumerate_sim_guard():
     # 6 pairs with 6 * 2^2 fillings each: 24^6 cells, counted exactly
     p = ss(*([2] * 6))

@@ -1,6 +1,9 @@
 """Microbenchmarks of the simulation-cell kernels on fixed instances of
 the simcells grid: evaluation, extraction with a precomputed oracle,
-building a cell from its rows, counting and enumerating cells.
+the round trip of every cell of one instance over one span (the frame
+held on the span serves them all) and of one cell over a fresh span
+(the frame is built anew), building a cell from its rows, counting and
+enumerating cells.
 
 These cases sit outside the tier-1 test paths and need pytest-benchmark:
 
@@ -27,6 +30,8 @@ SPAN = Span(FinSet(2), LEG, LEG)
 # the same pair over the one-state span has 12 cells
 ONE = Span(FinSet(1), FinMap(FinSet(1), FinSet(1), (0,)), FinMap(FinSet(1), FinSet(1), (0,)))
 CELL = sim.random_cell(random.Random(18), P, P, SPAN)
+# the grid instance (1, 2) -> (0, 1) over the same span: 225 cells
+GRID_CELLS = sim.enumerate_sim(P, poly.single_sorted((0, 1)), SPAN)
 FAMILIES = tuple(nat.check_families(P)) + tuple(nat.generic_family(P, v)[0] for v in P.shapes)
 COMPONENTS = {x: sim.eval_sim(CELL, x) for x in FAMILIES}
 
@@ -43,6 +48,25 @@ def test_eval_sim(benchmark):
 def test_extract_sim(benchmark):
     got = benchmark(sim.extract_sim, COMPONENTS.__getitem__, SPAN, P, P)
     assert got == CELL
+
+
+def round_trip(c: sim.SimCell, span: Span) -> sim.SimCell:
+    return sim.extract_sim(lambda x: sim.eval_sim(c, x), span, c.src, c.dst)
+
+
+def test_round_trip_warm(benchmark):
+    def run():
+        return [round_trip(c, SPAN) for c in GRID_CELLS]
+
+    assert benchmark(run) == GRID_CELLS
+
+
+def test_round_trip_cold(benchmark):
+    def run():
+        span = Span(SPAN.carrier, SPAN.left, SPAN.right)
+        return round_trip(sim._cell(span, P, P, CELL._plan), span)
+
+    assert benchmark(run) == CELL
 
 
 def test_cell_from_rows(benchmark):

@@ -26,6 +26,7 @@ import math
 from collections import Counter, deque
 from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import itemgetter
 from types import MappingProxyType
 
 from . import fam, finset
@@ -151,14 +152,19 @@ def extension_fiber_sizes(p: PolyDiagram, x: Family) -> tuple[int, ...]:
     return tuple(sizes)
 
 
+# the label of every guard check on an extension's carrier
+_CARRIER = "extension carrier"
+
+
 @dataclass(frozen=True, eq=False)
 class Extension:
     """The extension of a diagram evaluated at one family: the value
     family over the target and its elements in canonical order, with the
-    rank of each element built on first use, and for a diagram whose
-    shapes have one direction each, such as a span's sum lift, a view of
-    those ranks per shape. One record per diagram and family value,
-    shared by every caller; treat it as read-only."""
+    rank of each element built on first use, the payloads grouped by
+    shape, and for a diagram whose shapes have one direction each, such
+    as a span's sum lift, a view of those ranks per shape. One record per
+    diagram and family value, shared by every caller; treat it as
+    read-only."""
 
     family: Family
     elements: tuple[tuple[int, tuple[int, ...]], ...]
@@ -185,6 +191,18 @@ class Extension:
             object.__setattr__(self, "_index_by_shape", cached)
         return cached
 
+    def payloads_by_shape(self) -> MappingProxyType:
+        """Per shape v with elements, the payloads of its elements in
+        order: the elements of one shape are a run of the canonical
+        order. Built from the elements on first use and kept, read-only,
+        like index()."""
+        cached = getattr(self, "_payloads_by_shape", None)
+        if cached is None:
+            cached = MappingProxyType({v: tuple(map(itemgetter(1), run)) for v, run
+                                       in itertools.groupby(self.elements, itemgetter(0))})
+            object.__setattr__(self, "_payloads_by_shape", cached)
+        return cached
+
 
 def _extension(p: PolyDiagram, x: Family) -> Extension:
     """The extension of p at x, built on the first request for a family
@@ -203,10 +221,10 @@ def _extension(p: PolyDiagram, x: Family) -> Extension:
         object.__setattr__(p, "_ext", cache)
     ext = cache.get(x)
     if ext is not None:
-        check_guard(ext.family.total.size, "extension carrier")
+        check_guard(ext.family.total.size, _CARRIER)
         return ext
     sizes = extension_fiber_sizes(p, x)
-    check_guard(sum(sizes), "extension carrier")
+    check_guard(sum(sizes), _CARRIER)
     xfibs = x.proj.fibers()
     dir_sort = p.dir_sort.table
     shape_fibers = p.dir_shape.fibers()

@@ -47,7 +47,7 @@ from . import fam, finset, nat, poly
 from .errors import OracleNotNatural, ShapeMismatch, ValidationError
 from .fam import FamMorphism, Family, Span
 from .finset import FinMap, FinSet, check_guard
-from .poly import PolyDiagram, au_lift, du_lift
+from .poly import _CARRIER, PolyDiagram, au_lift, du_lift
 from .report import Report
 
 __all__ = [
@@ -343,9 +343,14 @@ def eval_sim(c: SimCell, x: Family) -> FamMorphism:
 
     The cell is read through its rows (SimCell): per (state, shape) pair,
     the assigned shape and the (successor, position) pair of each of its
-    directions. A move's element of the sum lift at x is found in that
-    extension's per-state view (poly.Extension.index_by_shape), kept on
-    its record."""
+    directions, each row entry once per block of the domain. Everything
+    else the component needs at x is read from the frame held on the
+    cell's span (_Frame), which is built at the first evaluation or
+    extraction over the span between the cell's two diagrams and kept on
+    the span until a call over another pair of diagrams replaces it; a
+    span without states holds none, as its components are empty. The
+    guard is checked on every call, on the four extension carriers, as
+    when the frame was built."""
     dom, cod, table = _eval_table(c, x)
     return FamMorphism(dom, cod, FinMap(dom.total, cod.total, table))
 
@@ -353,23 +358,142 @@ def eval_sim(c: SimCell, x: Family) -> FamMorphism:
 def _eval_table(c: SimCell, x: Family) -> tuple[Family, Family, tuple[int, ...]]:
     """The component at x as its two endpoint families and its table, the
     parts eval_sim wraps in a FamMorphism."""
-    if x.base is not c.src.source and x.base != c.src.source:
-        raise ShapeMismatch("family must live over the source sorts")
-    au = au_lift(c.span)
-    inner = poly._extension(c.src, x)
-    dom = poly._extension(au, inner.family)
-    aux = poly._extension(au, x)
-    cod = poly._extension(c.dst, aux.family)
-    by_state = aux.index_by_shape()
-    cod_index = cod.index()
-    inner_elems = inner.elements
+    span = c.span
+    if not span.carrier.size:
+        # no states: the component is the empty map between its
+        # endpoints, and no frame is held for the span
+        _, dom, _, cod = _records(au_lift(span), c.src, c.dst, x)
+        return dom.family, cod.family, ()
+    frame = _frame(span, c.src, c.dst)
+    at = frame.at.get(id(x))
+    if at is None:
+        at = frame.evaluation(x)
+    else:
+        check_guard(at[1], _CARRIER)
+        check_guard(at[2], _CARRIER)
+        check_guard(at[3], _CARRIER)
+        check_guard(at[4], _CARRIER)
+    _, _, _, _, _, dom, cod, blocks, by_state, cod_index = at
     plan = c._plan
     table = []
-    for rho, (t,) in dom.elements:
-        v, h = inner_elems[t]
+    for rho, v, payloads in blocks:
         w, moves = plan[rho][v]
-        table.append(cod_index[(w, tuple([by_state[g][h[k]] for g, k in moves]))])
-    return dom.family, cod.family, tuple(table)
+        # the shapes without directions and those with one, most of them,
+        # skip the inner loop over the moves
+        if not moves:
+            table += [cod_index[(w, ())]] * len(payloads)
+        elif len(moves) == 1:
+            ((g, k),) = moves
+            d = by_state[g]
+            table += [cod_index[(w, (d[h[k]],))] for h in payloads]
+        else:
+            table += [cod_index[(w, tuple([by_state[g][h[k]] for g, k in moves]))]
+                      for h in payloads]
+    return dom, cod, tuple(table)
+
+
+class _Frame:
+    """What evaluating and extracting cells over one span from src to dst
+    reads that no cell changes. A span with states holds the frame of the
+    last (src, dst) pair evaluated or extracted over it, found by the
+    identity of the two diagrams (_frame); the frame holds both diagrams,
+    and a call over another pair replaces it.
+
+    at[id(x)], per family x, holds the component's two endpoint
+    families, the domain's elements as (state, shape, payloads) blocks in
+    their order, the sum lift's per-state view at x and the codomain's
+    ranks (evaluation). It holds x too, so the id names no other family
+    while the frame lives; a family value-equal to x, such as one built
+    with the Family constructor, gets its own entry, equal to x's.
+    probes[v], per src shape v, holds what extract_sim reads off the
+    oracle's component at v's representing family (probe). Each entry
+    is built at its first request from the extension records
+    (poly._extension), whose guard checks it makes, and keeps the sizes
+    of their carriers. A later request checks the guard on them, with
+    the same label and in the same order, so a limit lowered after the
+    build still refuses."""
+
+    __slots__ = ("src", "dst", "au", "states", "at", "probes")
+
+    def __init__(self, span: Span, src: PolyDiagram, dst: PolyDiagram) -> None:
+        self.src, self.dst, self.au = src, dst, au_lift(span)
+        # the sum lift's shapes are the states, in the order of its
+        # elements: right end major, then ascending
+        over, left = src.shape_sort.fibers(), span.left.table
+        self.states = [(rho, over[left[rho]]) for states in span.right.fibers()
+                       for rho in states]
+        self.at: dict = {}
+        self.probes: dict = {}
+
+    def evaluation(self, x: Family) -> tuple:
+        """Build and keep at[id(x)]: x, the sizes of the four carriers in
+        the order of their guard checks, the endpoint families, the
+        domain's blocks, the sum lift's per-state view at x and the
+        codomain's ranks."""
+        inner, dom, aux, cod = _records(self.au, self.src, self.dst, x)
+        # the domain's elements over a state are those of inner over the
+        # state's left end: shape by shape, each one's payloads in order
+        payloads = inner.payloads_by_shape()
+        blocks = tuple([(rho, v, payloads[v]) for rho, vs in self.states for v in vs
+                        if v in payloads])
+        at = self.at[id(x)] = (x, len(inner.elements), len(dom.elements), len(aux.elements),
+                               len(cod.elements), dom.family, cod.family, blocks,
+                               aux.index_by_shape(), cod.index())
+        return at
+
+    def probe(self, v: int, ask) -> tuple:
+        """The component ask gives at the representing family of src shape
+        v, and what reads the extracted entry of a pair (rho, v) off it:
+        the ranks of its domain, v's generic element, its codomain's
+        elements and, per element of the sum lift at that family, the
+        (successor, position) move it stands for. The component's
+        endpoints are checked on every call."""
+        held = self.probes.get(v)
+        if held is None:
+            src = self.src
+            y, order = nat.generic_family(src, v)
+            comp = ask(y)
+            inner, src_ext, aux, dst_ext = _records(self.au, src, self.dst, y)
+            nat._check_endpoints(comp, src_ext.family, dst_ext.family)
+            gen = nat.generic_element(src, v)
+            position = {b: k for k, b in enumerate(src.shape_fiber(v))}
+            positions = [position[b] for b in order]
+            reads = (src_ext.index(), gen, dst_ext.elements,
+                     tuple([(g, positions[t]) for g, (t,) in aux.elements]))
+            self.probes[v] = (y, (len(inner.elements), len(src_ext.elements),
+                                  len(aux.elements), len(dst_ext.elements)),
+                              src_ext.family, dst_ext.family, reads)
+            return comp, reads
+        y, sizes, src_family, dst_family, reads = held
+        comp = ask(y)
+        for n in sizes:
+            check_guard(n, _CARRIER)
+        nat._check_endpoints(comp, src_family, dst_family)
+        # the generic element's lookup in the extension at y
+        check_guard(sizes[0], _CARRIER)
+        return comp, reads
+
+
+def _records(au: PolyDiagram, src: PolyDiagram, dst: PolyDiagram, x: Family) -> tuple:
+    """The four extension records the component at x reads, in the order
+    of their guard checks: src at x, the sum lift au at its value (the
+    domain), au at x, and dst at that value (the codomain)."""
+    if x.base is not src.source and x.base != src.source:
+        raise ShapeMismatch("family must live over the source sorts")
+    inner = poly._extension(src, x)
+    dom = poly._extension(au, inner.family)
+    aux = poly._extension(au, x)
+    return inner, dom, aux, poly._extension(dst, aux.family)
+
+
+def _frame(span: Span, src: PolyDiagram, dst: PolyDiagram) -> _Frame:
+    """The frame of cells over the span from src to dst, held on the span
+    (_Frame)."""
+    frame = getattr(span, "_frame", None)
+    if frame is None or frame.src is not src or frame.dst is not dst:
+        frame = _Frame(span, src, dst)
+        object.__setattr__(span, "_frame", frame)
+    return frame
 
 
 def sim_naturality_check(c: SimCell, bound: int) -> Report:
@@ -389,37 +513,30 @@ def extract_sim(oracle, span: Span, p1: PolyDiagram, p2: PolyDiagram) -> SimCell
 
     The oracle is asked once per family value, in the order of the first
     request: the probes' families in cell_pairs order, then the check
-    families. Each src shape is probed once: its component, extension
-    records, generic element and the fiber position of each of its
-    directions are read at its first pair, and every state over its sort
-    then costs one index lookup. A component's endpoints are checked
-    wherever it is compared, at the probes and in the round trip, before
-    its table is read. The round trip runs on the check families held on
-    p1 (nat.check_families) and compares the components' tables with the
-    extracted cell's (nat._check_round_trip), which it computes without
-    building a morphism."""
+    families. Each src shape is probed once, at its first pair, and every
+    state over its sort then costs one index lookup. What a probe reads
+    besides the component (the generic family and element, the extension
+    records and the fiber position of each direction) is held in the
+    frame on the span (_Frame), the one eval_sim reads: built at the
+    first probe of the shape over the span from p1 to p2, kept until a
+    call over another pair of diagrams replaces the frame, and checked
+    against the guard on every call. A component's
+    endpoints are checked wherever it is compared, at the probes and in
+    the round trip, before its table is read. The round trip runs on the
+    check families held on p1 (nat.check_families) and compares the
+    components' tables with the extracted cell's (nat._check_round_trip),
+    which it computes without building a morphism."""
     _check_ends(span, p1, p2)
-    au = au_lift(span)
     ask = nat._memo(oracle)
     probes: dict = {}
     entries = []
     for rho, v in cell_pairs(span, p1):
         probe = probes.get(v)
         if probe is None:
-            y, order = nat.generic_family(p1, v)
-            comp = ask(y)
-            src_ext = poly._extension(au, poly.eval_extension(p1, y))
-            aux = poly._extension(au, y)
-            dst_ext = poly._extension(p2, aux.family)
-            nat._check_endpoints(comp, src_ext.family, dst_ext.family)
-            position = {b: k for k, b in enumerate(p1.shape_fiber(v))}
-            probe = probes[v] = (comp, nat.generic_element(p1, v), src_ext.index(),
-                                 dst_ext.elements, aux.elements,
-                                 tuple([position[b] for b in order]))
-        comp, gen, index, dst_elems, aux_elems, positions = probe
+            probe = probes[v] = _frame(span, p1, p2).probe(v, ask)
+        comp, (index, gen, dst_elems, moves) = probe
         w, payload = dst_elems[comp(index[(rho, (gen,))])]
-        entries.append((w, tuple([(g, positions[t])
-                                  for g, (t,) in map(aux_elems.__getitem__, payload)])))
+        entries.append((w, tuple(map(moves.__getitem__, payload))))
     try:
         c = _cell(span, p1, p2, _layout(span, p1, entries))
     except ValidationError as exc:
@@ -489,14 +606,32 @@ def _fillings(options: list, cap: int) -> int:
     return min(sum(finset.capped_product(map(len, moves), cap) for _, moves in options), cap)
 
 
+_PAIR_OPTIONS = "cell table options at one (state, shape) pair"
+
+
 def _pair_choices(options: list) -> list[tuple[int, tuple]]:
     """Every way to fill one (state, shape) pair of a cell from its fill
     table entry, as its row entry: an assigned shape of the destination
     and a move per direction. The count is guarded before materializing,
     cut at the limit plus one (_fillings)."""
-    check_guard(_fillings(options, finset.guard_limit() + 1),
-                "cell table options at one (state, shape) pair")
+    check_guard(_fillings(options, finset.guard_limit() + 1), _PAIR_OPTIONS)
     return [(w, moves) for w, lists in options for moves in itertools.product(*lists)]
+
+
+def _pair_choice(options: list, i: int) -> tuple[int, tuple]:
+    """_pair_choices(options)[i], for i below the number of choices,
+    decoded without listing them: the shapes' blocks in order, and within
+    a block the index in itertools.product order, the last direction's
+    move fastest."""
+    for w, lists in options:
+        n = math.prod(map(len, lists))
+        if i < n:
+            moves = []
+            for listed in reversed(lists):
+                i, k = divmod(i, len(listed))
+                moves.append(listed[k])
+            return w, tuple(reversed(moves))
+        i -= n
 
 
 def random_cell(rng, p1: PolyDiagram, p2: PolyDiagram, span: Span) -> SimCell | None:
@@ -504,15 +639,20 @@ def random_cell(rng, p1: PolyDiagram, p2: PolyDiagram, span: Span) -> SimCell | 
 
     Each (state, shape) pair is filled independently and uniformly over
     its own options; useful for spot-checking laws on instances whose
-    full cell space is too large to enumerate.
+    full cell space is too large to enumerate. A pair's filling is drawn
+    by its index, rng.randrange(n) over its n fillings, the draw that
+    rng.choice makes on the list of them, and decoded without listing
+    them (_pair_choice): the same cell and the same generator state as
+    drawing from the list.
     """
     _check_ends(span, p1, p2)
     entries = []
     for options in _pair_fills(p1, p2, span):
-        choices = _pair_choices(options)
-        if not choices:
+        n = _fillings(options, finset.guard_limit() + 1)
+        check_guard(n, _PAIR_OPTIONS)
+        if not n:
             return None
-        entries.append(rng.choice(choices))
+        entries.append(_pair_choice(options, rng.randrange(n)))
     return _cell(span, p1, p2, _layout(span, p1, entries))
 
 

@@ -202,8 +202,9 @@ def test_caches_make_no_reference_cycles():
         r = Span(FinSet(3), fmap(3, 2, (0, 1, 1)), fmap(3, 2, (0, 0, 1)))
         poly.extension_index(poly.au_lift(r), fams(2, (2, 3)))
         # the generic families and the check families held on a diagram,
-        # the evaluation plan kept on a cell and the per-state view kept on
-        # its sum lift's extension record
+        # the evaluation plan kept on a cell, the per-state view kept on
+        # its sum lift's extension record, and the frame of evaluation and
+        # extraction held on its span, which holds both diagrams
         e = ss(2, 0)
         generic, _ = nat.generic_family(e, 0)
         nat.generic_element(e, 0)
@@ -215,11 +216,15 @@ def test_caches_make_no_reference_cycles():
         au_records = vars(poly.au_lift(cell.span))["_ext"].values()
         assert any("_index_by_shape" in vars(ext) for ext in au_records)
         del au_records
+        span = cell.span
+        frame = vars(span)["_frame"]
+        assert frame.src is e and frame.dst is e and frame.at and frame.probes
+        del frame
         assert "_plan" in vars(cell) and "_plan" in vars(extracted)
         assert "_ext" in vars(p) and lone in vars(p)["_ext"]
-        objects = [p, lone, r, e, cell, extracted]
+        objects = [p, lone, r, e, cell, extracted, span]
         dead = [weakref.ref(o) for o in objects]
-        del p, x, lone, r, e, generic, checks, cell, extracted, objects
+        del p, x, lone, r, e, generic, checks, cell, extracted, span, objects
         assert [ref() for ref in dead] == [None] * len(dead)
         assert gc.collect() == 0
     finally:

@@ -1032,6 +1032,125 @@ def test_extract_refuses_an_oracle_unnatural_at_a_probed_check_family():
     assert len(asked) == len(set(asked))
 
 
+# -- the frame held on a span --------------------------------------------------
+
+
+def probe_and_check_components(c: sim.SimCell) -> dict:
+    """The cell's components at the probe and check families of its src,
+    computed once, for an oracle that evaluates nothing."""
+    p = c.src
+    families = (*nat.check_families(p), *(nat.generic_family(p, v)[0] for v in p.shapes))
+    return {y: sim.eval_sim(c, y) for y in families}
+
+
+def test_a_held_frame_still_checks_the_guard():
+    # X + X² over two states: the probe of X² reaches a carrier of 20
+    # elements (X + X² at a family of 4), and the round trip one of 42
+    # (at 6), from the check family (3,). Once the span holds the frame,
+    # a lowered limit refuses them as it would refuse a first call
+    p, span = ss(1, 2), two_state_span()
+    c = sim.random_cell(random.Random(3), p, p, span)
+    components = probe_and_check_components(c)
+    assert sim.extract_sim(components.__getitem__, span, p, p) == c
+    frame = vars(span)["_frame"]
+    assert frame.src is p and frame.dst is p
+    old = finset.set_guard_limit(40)
+    try:
+        # the evaluation, and the round trip after every probe passed
+        for call in (lambda: sim.eval_sim(c, fams(1, [3])),
+                     lambda: sim.extract_sim(components.__getitem__, span, p, p)):
+            with pytest.raises(SizeGuardExceeded,
+                               match="extension carrier has size 42, guard limit is 40"):
+                call()
+        # the probe of X², before the round trip asks anything
+        finset.set_guard_limit(18)
+        oracle, asked = recorded(components.__getitem__)
+        with pytest.raises(SizeGuardExceeded,
+                           match="extension carrier has size 20, guard limit is 18"):
+            sim.extract_sim(oracle, span, p, p)
+        assert asked == [nat.generic_family(p, v)[0] for v in p.shapes]
+        finset.set_guard_limit(42)
+        assert sim.extract_sim(components.__getitem__, span, p, p) == c
+    finally:
+        finset.set_guard_limit(old)
+    assert vars(span)["_frame"] is frame
+
+
+def test_a_held_frame_checks_the_guard_as_a_first_call_does(monkeypatch):
+    # every guard check of an evaluation and an extraction, with its size
+    # and label, in order: over a fresh copy of the span, which holds no
+    # frame, and again over the same copy, which now holds one
+    checks = []
+    original = finset.check_guard
+
+    def recorded(size, what):
+        checks.append((size, what))
+        original(size, what)
+
+    for module in (fam, poly, nat, sim):
+        monkeypatch.setattr(module, "check_guard", recorded)
+    for cells in two_sorted_cells(83, 3):
+        c = cells[0]
+        components = probe_and_check_components(c)
+        copy = Span(c.span.carrier, c.span.left, c.span.right)
+        c_copy = sim._cell(copy, c.src, c.dst, c._plan)
+        seen = []
+        for _ in range(2):
+            checks.clear()
+            for x in nat.check_families(c.src):
+                sim.eval_sim(c_copy, x)
+            assert sim.extract_sim(components.__getitem__, copy, c.src, c.dst) == c_copy
+            seen.append(list(checks))
+        assert seen[0] == seen[1]
+        assert sum(what == "extension carrier" for _, what in seen[0]) > 100
+
+
+def test_frames_are_found_by_identity():
+    # value-equal but distinct diagrams over one span, evaluated in turn;
+    # diagrams made and dropped in a loop over one span; and families of
+    # other values made and dropped in a loop over one frame, so that an
+    # id may be reused: every table is the one read off the cell's tables
+    rng = random.Random(89)
+    span = two_state_span()
+    p, p_copy = ss(1, 2), ss(1, 2)
+    assert p == p_copy and p is not p_copy
+    c, c_copy = (sim.random_cell(rng, q, q, span) for q in (p, p_copy))
+    for x in nat.check_families(p):
+        for d in (c, c_copy, c):
+            assert sim.eval_sim(d, x).map.table == eval_from_the_tables(d, x)
+    one = FinSet(1)
+    for _ in range(40):
+        q = randgen.random_diagram(rng, one, one, 3, 3)
+        d = sim.random_cell(rng, q, q, span)
+        if d is None:
+            continue
+        assert sim.extract_sim(lambda y, d=d: sim.eval_sim(d, y), span, q, q) == d
+        del q, d
+    # a family built with the constructor and dropped at once: the next
+    # one, of another value, is likely to take its place in memory
+    blocks = [fams(1, [n]) for n in (1, 2, 3)]
+    want = [eval_from_the_tables(c, x) for x in blocks]
+    assert len(set(want)) == 3
+    for k in range(60):
+        block = blocks[k % 3]
+        assert sim.eval_sim(c, fam.Family(block.total, block.base, block.proj)).map.table == \
+            want[k % 3]
+
+
+def test_a_frame_is_replaced_by_a_call_over_another_pair():
+    span = two_state_span()
+    p, q = ss(1, 2), ss(1, 1)
+    c = sim.random_cell(random.Random(5), p, q, span)
+    d = sim.random_cell(random.Random(5), q, p, span)
+    x = fams(1, [2])
+    sim.eval_sim(c, x)
+    frame = vars(span)["_frame"]
+    sim.eval_sim(c, fams(1, [3]))
+    assert vars(span)["_frame"] is frame
+    assert sim.eval_sim(d, x).map.table == eval_from_the_tables(d, x)
+    assert vars(span)["_frame"].src is q and vars(span)["_frame"] is not frame
+
+
 # -- counting and filling ------------------------------------------------------
 
 
@@ -1188,6 +1307,21 @@ def test_sim_guards_refuse_wide_cells_at_once():
                            match=f"{what} has size more than 1000000, guard limit"):
             call()
         assert time.perf_counter() - start < 0.5
+
+
+def test_random_cell_draws_a_wide_pair_without_listing_it():
+    # X³ into X¹² over one state: one pair with 3^12 = 531,441 fillings,
+    # drawn by the index rng.choice would draw from their list
+    p1, p2, span = ss(3), ss(12), singleton_span()
+    rng, twin = random.Random(7), random.Random(7)
+    start = time.perf_counter()
+    c = sim.random_cell(rng, p1, p2, span)
+    assert time.perf_counter() - start < 0.5
+    i = twin.randrange(3**12)
+    assert rng.getstate() == twin.getstate()
+    # the index in itertools.product order: the last direction fastest
+    digits = [(i // 3**(11 - n)) % 3 for n in range(12)]
+    assert c._plan == (((0, tuple([(0, k) for k in digits])),),)
 
 
 def _constant_cell(states: int) -> sim.SimCell:

@@ -231,7 +231,7 @@ class FamIso:
 @dataclass(frozen=True)
 class Span:
     """Two maps out of a common carrier; the relation-like shape that
-    simulation cells and the relational lifts are built on."""
+    simulation cells and the sum lift (poly.au_lift) are built on."""
 
     carrier: FinSet
     left: FinMap
@@ -240,9 +240,6 @@ class Span:
     def __post_init__(self) -> None:
         if self.left.dom != self.carrier or self.right.dom != self.carrier:
             raise ShapeMismatch("span legs must share the carrier as domain")
-
-    def reversed(self) -> "Span":
-        return Span(self.carrier, self.right, self.left)
 
 
 # ---------------------------------------------------------------------------
@@ -346,92 +343,6 @@ def hom_enumerate(x: Family, y: Family) -> list[FamMorphism]:
     for table in itertools.product(*choices):
         out.append(FamMorphism(x, y, FinMap(x.total, y.total, table)))
     return out
-
-
-# ---------------------------------------------------------------------------
-# adjunction witnesses
-
-
-def sigma_transpose(f: FinMap, x: Family, y: Family, m: FamMorphism) -> FamMorphism:
-    """Hom(sum_f x, y) -> Hom(x, pullback_f y), t |-> (proj_x(t), m(t))."""
-    dfy = delta(f, y)
-    index = delta_index(f, y)
-    table = tuple(index[(x.proj.table[t], m.map.table[t])] for t in range(x.total.size))
-    return FamMorphism(x, dfy, FinMap(x.total, dfy.total, table))
-
-
-def sigma_untranspose(f: FinMap, x: Family, y: Family, h: FamMorphism) -> FamMorphism:
-    pairs = delta_pairs(f, y)
-    sfx = sigma(f, x)
-    table = tuple(pairs[h.map.table[t]][1] for t in range(x.total.size))
-    return FamMorphism(sfx, y, FinMap(sfx.total, y.total, table))
-
-
-def pi_transpose(f: FinMap, x: Family, y: Family, m: FamMorphism) -> FamMorphism:
-    """Hom(pullback_f y, x) -> Hom(y, prod_f x): currying along f."""
-    dindex = delta_index(f, y)
-    pindex = pi_index(f, x)
-    pfx = pi(f, x)
-    table = []
-    for s in range(y.total.size):
-        b = y.proj.table[s]
-        section = tuple(m.map.table[dindex[(a, s)]] for a in f.fiber(b))
-        table.append(pindex[(b, section)])
-    return FamMorphism(y, pfx, FinMap(y.total, pfx.total, tuple(table)))
-
-
-def pi_untranspose(f: FinMap, x: Family, y: Family, h: FamMorphism) -> FamMorphism:
-    pairs = delta_pairs(f, y)
-    secs = pi_sections(f, x)
-    dfy = delta(f, y)
-    table = []
-    for a, s in pairs:
-        b = f.table[a]
-        _, section = secs[h.map.table[s]]
-        position = f.fiber(b).index(a)
-        table.append(section[position])
-    return FamMorphism(dfy, x, FinMap(dfy.total, x.total, tuple(table)))
-
-
-def adjunction_witness(f: FinMap, x: Family, y: Family) -> Report:
-    """Exhibit both adjunction bijections on fully enumerated hom sets:
-    Hom(sum_f x, y) = Hom(x, pullback_f y) and
-    Hom(pullback_f y, x) = Hom(y, prod_f x), verified by round trips."""
-    if x.base != f.dom or y.base != f.cod:
-        raise ShapeMismatch("adjunction witness: x must live over dom(f), y over cod(f)")
-    lines = []
-    ok = True
-
-    sfx, dfy, pfx = sigma(f, x), delta(f, y), pi(f, x)
-    left = hom_enumerate(sfx, y)
-    right = hom_enumerate(x, dfy)
-    lines.append(f"hom(sum_f x, y) size {len(left)}; hom(x, pullback_f y) size {len(right)}")
-    ok &= len(left) == len(right)
-    seen = set()
-    for m in left:
-        h = sigma_transpose(f, x, y, m)
-        back = sigma_untranspose(f, x, y, h)
-        ok &= back.map.table == m.map.table
-        seen.add(h.map.table)
-    ok &= seen == {h.map.table for h in right}
-    lines.append(f"sum/pullback transposes round-trip: {'yes' if ok else 'NO'}")
-
-    left2 = hom_enumerate(dfy, x)
-    right2 = hom_enumerate(y, pfx)
-    lines.append(
-        f"hom(pullback_f y, x) size {len(left2)}; hom(y, prod_f x) size {len(right2)}"
-    )
-    ok2 = len(left2) == len(right2)
-    seen2 = set()
-    for m in left2:
-        h = pi_transpose(f, x, y, m)
-        back = pi_untranspose(f, x, y, h)
-        ok2 &= back.map.table == m.map.table
-        seen2.add(h.map.table)
-    ok2 &= seen2 == {h.map.table for h in right2}
-    lines.append(f"pullback/prod transposes round-trip: {'yes' if ok2 else 'NO'}")
-
-    return Report("adjunction witness", bool(ok and ok2), tuple(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -675,33 +586,3 @@ def family_sum(x: Family, y: Family) -> Family:
     cop_total = finset.coproduct(x.total, y.total)
     proj = finset.copair(x.proj.then(cop_base.inl), y.proj.then(cop_base.inr), cop_total)
     return Family(cop_total.carrier, cop_base.carrier, proj)
-
-
-def tr_family(y: Family, z: Family) -> Family:
-    """The two-variable hom family: over the product of the bases, the
-    fiber over (i2, i3) is the full map space fiber(i2) -> fiber(i3).
-    Use tr_elements for the decoding. Guarded."""
-    elems = tr_elements(y, z)
-    prod_base = finset.product(y.base, z.base)
-    total = FinSet(len(elems))
-    table = tuple(pair for pair, _ in elems)
-    return Family(total, prod_base.carrier, FinMap(total, prod_base.carrier, table))
-
-
-def tr_elements(y: Family, z: Family) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Pairs (base pair index, table): the table lists an absolute
-    z-element for each element of the y-fiber (ascending), tables in
-    lexicographic order."""
-    prod_base = finset.product(y.base, z.base)
-    cap = finset.guard_limit() + 1
-    finset.check_guard_sum((finset.capped_power(n3, n2, cap)
-                            for n2 in y.fiber_sizes() for n3 in z.fiber_sizes()),
-                           "two-variable hom family")
-    out: list[tuple[int, tuple[int, ...]]] = []
-    for i2 in range(y.base.size):
-        yfib = y.fiber(i2)
-        for i3 in range(z.base.size):
-            zfib = z.fiber(i3)
-            for table in itertools.product(zfib, repeat=len(yfib)):
-                out.append((prod_base.pair(i2, i3), table))
-    return tuple(out)

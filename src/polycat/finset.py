@@ -1,11 +1,10 @@
 """Finite sets and total maps, the ground floor of every construction.
 
 Carriers are canonical initial segments 0..n-1. Maps are lookup tables.
-Derived carriers (pullbacks, equalizers, products, coproducts) are
-renumbered back to 0..n-1, so every element of a constructed set can be
-decoded to the data it stands for: pullbacks and equalizers keep their
-provenance next to them, a product decodes by unpair and a coproduct by
-untag.
+Derived carriers (pullbacks, products, coproducts) are renumbered back
+to 0..n-1, so every element of a constructed set can be decoded to the
+data it stands for: a pullback keeps its provenance next to it, a
+product decodes by unpair and a coproduct by untag.
 
 The configurable global size guard lives here: every enumeration in the
 package that can explode checks it, with the saturating sums and
@@ -281,27 +280,6 @@ def pullback(f: FinMap, g: FinMap) -> Pullback:
 
 
 @dataclass(frozen=True)
-class Equalizer:
-    """Equalizer of a parallel pair, with its inclusion map."""
-
-    carrier: FinSet
-    include: FinMap
-    elements: tuple[int, ...]
-
-    def __iter__(self):
-        return iter((self.carrier, self.include))
-
-
-def equalizer(f: FinMap, g: FinMap) -> Equalizer:
-    if f.dom != g.dom or f.cod != g.cod:
-        raise ShapeMismatch("equalizer needs a parallel pair")
-    elements = tuple(x for x in range(f.dom.size) if f.table[x] == g.table[x])
-    carrier = FinSet(len(elements))
-    include = FinMap(carrier, f.dom, elements)
-    return Equalizer(carrier, include, elements)
-
-
-@dataclass(frozen=True)
 class Product:
     """Binary product with the lexicographic pairing bijection.
 
@@ -364,8 +342,3 @@ def copair(f: FinMap, g: FinMap, cop: Coproduct) -> FinMap:
     if f.dom != cop.left_part or g.dom != cop.right_part or f.cod != g.cod:
         raise ShapeMismatch("copairing legs do not match the coproduct")
     return FinMap(cop.carrier, f.cod, f.table + g.table)
-
-
-def map_count(a: FinSet, b: FinSet) -> int:
-    """Number of total maps a -> b (with 0^0 = 1). Exact and unguarded."""
-    return b.size**a.size

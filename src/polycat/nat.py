@@ -3,11 +3,12 @@
 A transformation is represented by a container morphism (DiagMorphism,
 defined alongside the diagrams): a forward map on shapes and a backward
 table on directions. This module evaluates such morphisms to components,
-composes them vertically, counts them exactly, enumerates them, extracts
-one from a black-box component assignment by probing generic families,
-and verifies naturality up to a fiber bound on the squares of the
-generating morphisms (fam.generating_morphisms): squares paste, so these
-give the square of every morphism between families within the bound.
+composes them vertically, counts them exactly, enumerates them, builds
+the generic families and the check families on which sim.extract_sim
+probes an oracle and checks its round trip, and verifies naturality up
+to a fiber bound on the squares of the generating morphisms
+(fam.generating_morphisms): squares paste, so these give the square of
+every morphism between families within the bound.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import itertools
 import math
 
 from . import fam, finset, poly
-from .errors import OracleNotNatural, ShapeMismatch, ValidationError
+from .errors import ShapeMismatch, ValidationError
 from .fam import FamMorphism, Family
 from .finset import FinMap, check_guard
 from .poly import DiagIso, DiagMorphism, PolyDiagram, identity_dm
@@ -34,7 +35,6 @@ __all__ = [
     "generic_family",
     "generic_element",
     "check_families",
-    "yoneda_extract",
     "naturality_check",
     "transformation_check",
 ]
@@ -43,13 +43,6 @@ __all__ = [
 def eval_dm(m: DiagMorphism, x: Family) -> FamMorphism:
     """The component at x: keep the payload, recorded through the backward
     tables, under the forward shape map."""
-    src, dst, table = _eval_table(m, x)
-    return FamMorphism(src, dst, FinMap(src.total, dst.total, table))
-
-
-def _eval_table(m: DiagMorphism, x: Family) -> tuple[Family, Family, tuple[int, ...]]:
-    """The component at x as its two endpoint families and its table, the
-    parts eval_dm wraps in a FamMorphism."""
     if x.base != m.src.source:
         raise ShapeMismatch("family must live over the transformation's source")
     src_ext = poly.eval_extension(m.src, x)
@@ -60,7 +53,7 @@ def _eval_table(m: DiagMorphism, x: Family) -> tuple[Family, Family, tuple[int, 
         index[(m.alpha(v), tuple(payload[k] for k in positions[v]))]
         for v, payload in poly.extension_elements(m.src, x)
     )
-    return src_ext, dst_ext, table
+    return FamMorphism(src_ext, dst_ext, FinMap(src_ext.total, dst_ext.total, table))
 
 
 def compose_dm(m2: DiagMorphism, m1: DiagMorphism) -> DiagMorphism:
@@ -123,7 +116,7 @@ def enumerate_dm(p: PolyDiagram, q: PolyDiagram) -> list[DiagMorphism]:
 
 
 # ---------------------------------------------------------------------------
-# generic families and extraction
+# generic families and the check families of extraction
 
 
 def _generic(p: PolyDiagram, v: int) -> tuple[Family, tuple[int, ...], tuple[int, ...]]:
@@ -189,79 +182,6 @@ def check_families(p: PolyDiagram) -> tuple[Family, ...]:
                                         finset.guard_limit() + 1),
                     "families with bounded fibers")
     return held
-
-
-def _check_endpoints(comp: FamMorphism, src: Family, dst: Family) -> None:
-    """Raise ValidationError unless an oracle's component runs from src to
-    dst, comparing by identity first (as FamMorphism does)."""
-    if (comp.src is not src and comp.src != src) or (comp.dst is not dst and comp.dst != dst):
-        raise ValidationError("oracle component has the wrong endpoints")
-
-
-def _memo(oracle):
-    """The oracle asked at most once per family value: its components kept
-    in a dict for one extraction. A component is never None, so a missing
-    key and a kept answer are told apart by get."""
-    answers: dict = {}
-
-    def ask(x: Family) -> FamMorphism:
-        comp = answers.get(x)
-        if comp is None:
-            comp = answers[x] = oracle(x)
-        return comp
-
-    return ask
-
-
-def _check_round_trip(ask, p: PolyDiagram, table_of, extracted) -> None:
-    """The round trip of an extraction: at every check family x of p, in
-    order, compute table_of(extracted, x), the expected endpoints and
-    table, then ask the oracle at x. Raise ValidationError if its
-    component has other endpoints, and OracleNotNatural if it has another
-    table. The component was validated when it was built, so equal
-    endpoints and tables make it the expected morphism, and no morphism
-    is built for the expected side."""
-    for x in check_families(p):
-        src, dst, table = table_of(extracted, x)
-        comp = ask(x)
-        _check_endpoints(comp, src, dst)
-        if comp.map.table != table:
-            raise OracleNotNatural("oracle not natural")
-
-
-def yoneda_extract(oracle, p: PolyDiagram, q: PolyDiagram) -> DiagMorphism:
-    """Read a container morphism off a black-box component assignment by
-    probing it at each representing family on the generic element, then
-    verify the round trip on every family with fibers at most 3.
-
-    The oracle is asked once per family value, in the order of the first
-    request: the probes' families, then the check families. A component's
-    endpoints are checked wherever it is compared, at the probes and in
-    the round trip, before its table is read. The round trip runs on the
-    check families held on p (check_families) and compares the
-    components' tables with the extracted morphism's (_check_round_trip),
-    which it computes without building a morphism."""
-    if p.source != q.source or p.target != q.target:
-        raise ShapeMismatch("transformations need diagrams over the same sorts")
-    ask = _memo(oracle)
-    alpha_table: list[int] = []
-    betas: list[tuple[int, ...]] = []
-    for v in p.shapes:
-        y, order = generic_family(p, v)
-        comp = ask(y)
-        _check_endpoints(comp, poly.eval_extension(p, y), poly.eval_extension(q, y))
-        image = comp(generic_element(p, v))
-        w, payload = poly.extension_elements(q, y)[image]
-        alpha_table.append(w)
-        betas.append(tuple(order[t] for t in payload))
-    try:
-        m = DiagMorphism(
-            p, q, FinMap(p.shapes, q.shapes, tuple(alpha_table)), tuple(betas)
-        )
-    except (ValidationError, ShapeMismatch) as exc:
-        raise OracleNotNatural("oracle not natural") from exc
-    _check_round_trip(ask, p, _eval_table, m)
-    return m
 
 
 # ---------------------------------------------------------------------------

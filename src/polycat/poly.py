@@ -15,9 +15,10 @@ The module provides two independent composition algorithms (a direct
 substitution formula and a structural pipeline of pullbacks plus one
 distributivity square), the pointwise tensor and sum, the single-sorted
 internal hom and dualization, the truncated multiset exponential, the
-span lifts, and a witness-producing isomorphism check. Element-level
-constructions keep explicit decodings so that every claimed bijection is
-checked on actual elements, never just on cardinalities.
+sum lift of a span, and a witness-producing isomorphism check.
+Element-level constructions keep explicit decodings so that every
+claimed bijection is checked on actual elements, never just on
+cardinalities.
 """
 from __future__ import annotations
 
@@ -105,8 +106,10 @@ def arity_counts(p: PolyDiagram) -> dict[int, int]:
 
 
 def notation(p: PolyDiagram) -> str:
-    """Sum-of-monomials rendering of a single-sorted diagram, e.g. 2X^2."""
-    assert p.is_single_sorted()
+    """Sum-of-monomials rendering of a single-sorted diagram, e.g. 2X^2.
+    Raise ValidationError for a diagram with more sorts."""
+    if not p.is_single_sorted():
+        raise ValidationError("notation is single-sorted only")
     return monomials(arity_counts(p))
 
 
@@ -986,7 +989,7 @@ def multiset_power_elements(x: Family, k: int) -> tuple[tuple[int, tuple[int, ..
 
 
 # ---------------------------------------------------------------------------
-# span lifts
+# the sum lift of a span
 
 
 def au_lift(r: Span) -> PolyDiagram:
@@ -1008,18 +1011,3 @@ def au_lift(r: Span) -> PolyDiagram:
         )
         object.__setattr__(r, "_au", cached)
     return cached
-
-
-def du_lift(r: Span) -> PolyDiagram:
-    """Lift a span to the diagram whose right map is the identity: its
-    extension takes products over the right leg of values at the left
-    leg."""
-    return PolyDiagram(
-        source=r.left.cod,
-        dirs=r.carrier,
-        shapes=r.right.cod,
-        target=r.right.cod,
-        dir_sort=r.left,
-        dir_shape=r.right,
-        shape_sort=finset.identity(r.right.cod),
-    )

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 
-from . import fam, poly
+from . import fam
 from .fam import Family, Span
 from .finset import FinMap, FinSet
 from .poly import PolyDiagram

@@ -36,11 +36,3 @@ def decimal(n: int) -> str:
         parts.append(str(low).zfill(4000))
     parts.append(str(n))
     return "".join(reversed(parts))
-
-
-def merge(title: str, parts: list[Report]) -> Report:
-    """Combine sub-reports; ok iff every part is ok."""
-    lines: list[str] = []
-    for part in parts:
-        lines.extend(part.render().splitlines())
-    return Report(title, all(p.ok for p in parts), tuple(lines))

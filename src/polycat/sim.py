@@ -1,6 +1,6 @@
 """Simulations between endo diagrams: spans of state indices with cell
 tables, their validation, evaluation to components, composition,
-extraction, equivalence, the span-lift adjunction, and the biproduct
+counting, enumeration, extraction, equivalence, and the biproduct
 structure on sums of diagrams.
 
 A simulation from an endo diagram src (on sorts I1) to an endo diagram
@@ -43,11 +43,11 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from . import fam, finset, nat, poly
+from . import finset, nat, poly
 from .errors import OracleNotNatural, ShapeMismatch, ValidationError
 from .fam import FamMorphism, Family, Span
 from .finset import FinMap, FinSet, check_guard
-from .poly import _CARRIER, PolyDiagram, au_lift, du_lift
+from .poly import _CARRIER, PolyDiagram, au_lift
 from .report import Report
 
 __all__ = [
@@ -63,10 +63,10 @@ __all__ = [
     "eval_sim",
     "sim_naturality_check",
     "extract_sim",
+    "count_sim",
+    "random_cell",
     "enumerate_sim",
     "equivalence_check",
-    "au_du_adjunction_check",
-    "span_family",
     "PlusStructure",
     "plus_structure",
 ]
@@ -454,7 +454,7 @@ class _Frame:
             y, order = nat.generic_family(src, v)
             comp = ask(y)
             inner, src_ext, aux, dst_ext = _records(self.au, src, self.dst, y)
-            nat._check_endpoints(comp, src_ext.family, dst_ext.family)
+            _check_endpoints(comp, src_ext.family, dst_ext.family)
             gen = nat.generic_element(src, v)
             position = {b: k for k, b in enumerate(src.shape_fiber(v))}
             positions = [position[b] for b in order]
@@ -468,7 +468,7 @@ class _Frame:
         comp = ask(y)
         for n in sizes:
             check_guard(n, _CARRIER)
-        nat._check_endpoints(comp, src_family, dst_family)
+        _check_endpoints(comp, src_family, dst_family)
         # the generic element's lookup in the extension at y
         check_guard(sizes[0], _CARRIER)
         return comp, reads
@@ -524,10 +524,10 @@ def extract_sim(oracle, span: Span, p1: PolyDiagram, p2: PolyDiagram) -> SimCell
     endpoints are checked wherever it is compared, at the probes and in
     the round trip, before its table is read. The round trip runs on the
     check families held on p1 (nat.check_families) and compares the
-    components' tables with the extracted cell's (nat._check_round_trip),
+    components' tables with the extracted cell's (_check_round_trip),
     which it computes without building a morphism."""
     _check_ends(span, p1, p2)
-    ask = nat._memo(oracle)
+    ask = _memo(oracle)
     probes: dict = {}
     entries = []
     for rho, v in cell_pairs(span, p1):
@@ -541,8 +541,46 @@ def extract_sim(oracle, span: Span, p1: PolyDiagram, p2: PolyDiagram) -> SimCell
         c = _cell(span, p1, p2, _layout(span, p1, entries))
     except ValidationError as exc:
         raise OracleNotNatural("oracle not natural") from exc
-    nat._check_round_trip(ask, p1, _eval_table, c)
+    _check_round_trip(ask, c)
     return c
+
+
+def _check_endpoints(comp: FamMorphism, src: Family, dst: Family) -> None:
+    """Raise ValidationError unless an oracle's component runs from src to
+    dst, comparing by identity first (as FamMorphism does)."""
+    if (comp.src is not src and comp.src != src) or (comp.dst is not dst and comp.dst != dst):
+        raise ValidationError("oracle component has the wrong endpoints")
+
+
+def _memo(oracle):
+    """The oracle asked at most once per family value: its components kept
+    in a dict for one extraction. A component is never None, so a missing
+    key and a kept answer are told apart by get."""
+    answers: dict = {}
+
+    def ask(x: Family) -> FamMorphism:
+        comp = answers.get(x)
+        if comp is None:
+            comp = answers[x] = oracle(x)
+        return comp
+
+    return ask
+
+
+def _check_round_trip(ask, c: SimCell) -> None:
+    """The round trip of an extraction: at every check family x of the
+    cell's src, in order, compute the component's endpoints and table
+    (_eval_table), then ask the oracle at x. Raise ValidationError if its
+    component has other endpoints, and OracleNotNatural if it has another
+    table. The component was validated when it was built, so equal
+    endpoints and tables make it the expected morphism, and no morphism
+    is built for the expected side."""
+    for x in nat.check_families(c.src):
+        src, dst, table = _eval_table(c, x)
+        comp = ask(x)
+        _check_endpoints(comp, src, dst)
+        if comp.map.table != table:
+            raise OracleNotNatural("oracle not natural")
 
 
 def _fill_table(p1: PolyDiagram, p2: PolyDiagram, span: Span):
@@ -767,116 +805,6 @@ def equivalence_check(c: SimCell, c2: SimCell) -> FinMap | None:
         if eps[a] is None:
             eps[a] = spare[sig[a]].pop()
     return FinMap(r.carrier, r2.carrier, tuple(eps))
-
-
-# ---------------------------------------------------------------------------
-# the adjunction between the two span lifts
-
-
-def span_family(r: Span) -> Family:
-    """The span's carrier as a family over the product of its ends."""
-    prod = finset.product(r.left.cod, r.right.cod)
-    table = tuple(prod.pair(r.left(rho), r.right(rho)) for rho in r.carrier)
-    return Family(r.carrier, prod.carrier, FinMap(r.carrier, prod.carrier, table))
-
-
-def au_du_adjunction_check(r: Span, y: Family, z: Family) -> Report:
-    """Exhibit the two adjunction bijections of the span lifts:
-    morphisms out of the sum lift's value correspond to morphisms into
-    the product lift of the reversed span, and to families of maps
-    indexed by the span itself. All three hom sets are enumerated, the
-    transposes are computed elementwise, and the round trips are checked
-    to be identities."""
-    if y.base != r.left.cod:
-        raise ShapeMismatch("first family must live over the span's left end")
-    if z.base != r.right.cod:
-        raise ShapeMismatch("second family must live over the span's right end")
-    au = au_lift(r)
-    du_rev = du_lift(r.reversed())
-    au_y = poly.eval_extension(au, y)
-    du_z = poly.eval_extension(du_rev, z)
-    homs1 = fam.hom_enumerate(au_y, z)
-    homs2 = fam.hom_enumerate(y, du_z)
-    rf = span_family(r)
-    trf = fam.tr_family(y, z)
-    homs3 = fam.hom_enumerate(rf, trf)
-
-    closed = 1
-    zsizes = z.fiber_sizes()
-    ysizes = y.fiber_sizes()
-    for rho in r.carrier:
-        closed *= zsizes[r.right(rho)] ** ysizes[r.left(rho)]
-    counts = (len(homs1), len(homs2), len(homs3))
-    lines = [
-        f"hom(sum-lift y, z) size {counts[0]}; hom(y, product-lift z) size {counts[1]}; "
-        f"hom(span family, map family) size {counts[2]}",
-        f"closed product formula gives {closed}",
-    ]
-    ok = counts[0] == counts[1] == counts[2] == closed
-
-    au_index = poly.extension_index(au, y)
-    au_elems = poly.extension_elements(au, y)
-    du_index = poly.extension_index(du_rev, z)
-    du_elems = poly.extension_elements(du_rev, z)
-    tr_elems = fam.tr_elements(y, z)
-    tr_index = {elem: k for k, elem in enumerate(tr_elems)}
-    yfibs = y.proj.fibers()
-
-    def transpose12(m: FamMorphism) -> FamMorphism:
-        table = []
-        for t in range(y.total.size):
-            i1 = y.proj(t)
-            section = tuple(
-                m(au_index[(rho, (t,))]) for rho in r.left.fiber(i1)
-            )
-            table.append(du_index[(i1, section)])
-        return FamMorphism(y, du_z, FinMap(y.total, du_z.total, tuple(table)))
-
-    def untranspose12(h: FamMorphism) -> FamMorphism:
-        table = []
-        for rho, (t,) in au_elems:
-            _, section = du_elems[h(t)]
-            position = r.left.fiber(y.proj(t)).index(rho)
-            table.append(section[position])
-        return FamMorphism(au_y, z, FinMap(au_y.total, z.total, tuple(table)))
-
-    def transpose13(m: FamMorphism) -> FamMorphism:
-        table = []
-        for rho in r.carrier:
-            entries = tuple(
-                m(au_index[(rho, (t,))]) for t in yfibs[r.left(rho)]
-            )
-            pair = rf.proj(rho)
-            table.append(tr_index[(pair, entries)])
-        return FamMorphism(rf, trf, FinMap(rf.total, trf.total, tuple(table)))
-
-    def untranspose13(h: FamMorphism) -> FamMorphism:
-        table = []
-        for rho, (t,) in au_elems:
-            _, entries = tr_elems[h(rho)]
-            position = yfibs[r.left(rho)].index(t)
-            table.append(entries[position])
-        return FamMorphism(au_y, z, FinMap(au_y.total, z.total, tuple(table)))
-
-    round_ok = True
-    seen2 = set()
-    seen3 = set()
-    for m in homs1:
-        h2 = transpose12(m)
-        h3 = transpose13(m)
-        seen2.add(h2.map.table)
-        seen3.add(h3.map.table)
-        if untranspose12(h2).map.table != m.map.table:
-            round_ok = False
-            break
-        if untranspose13(h3).map.table != m.map.table:
-            round_ok = False
-            break
-    surjective = len(seen2) == len(homs2) and len(seen3) == len(homs3)
-    lines.append(f"round trips are identities: {'yes' if round_ok else 'NO'}")
-    lines.append(f"transposes are bijections: {'yes' if surjective else 'NO'}")
-    return Report("span lift adjunction", bool(ok and round_ok and surjective),
-                  tuple(lines))
 
 
 # ---------------------------------------------------------------------------

@@ -320,43 +320,6 @@ def test_families_up_to_is_guarded_when_called():
         fam.families_up_to(FinSet(20), 1)
 
 
-# --- adjunctions --------------------------------------------------------------
-
-
-def test_adjunction_witness_example():
-    # both hom-sets have 3^(1+2) = 27 elements and the transposes invert
-    f = fmap(2, 1, (0, 0))
-    x = blocks(2, (1, 2))
-    y = blocks(1, (3,))
-    rep = fam.adjunction_witness(f, x, y)
-    assert rep.ok
-    assert "size 27" in rep.lines[0]
-
-
-def test_adjunction_witness_small_sweep():
-    # exhaustive over a few (f, x, y) with tiny carriers
-    for ftab in itertools.product(range(2), repeat=2):
-        f = fmap(2, 2, ftab)
-        for xs in itertools.product(range(3), repeat=2):
-            for ys in itertools.product(range(2), repeat=2):
-                rep = fam.adjunction_witness(f, blocks(2, xs), blocks(2, ys))
-                assert rep.ok, rep.render()
-
-
-def test_transposes_are_morphism_level():
-    f = fmap(2, 1, (0, 0))
-    x = blocks(2, (1, 2))
-    y = blocks(1, (2,))
-    for m in fam.hom_enumerate(fam.sigma(f, x), y):
-        h = fam.sigma_transpose(f, x, y, m)
-        assert h.src == x and h.dst == fam.delta(f, y)
-        assert fam.sigma_untranspose(f, x, y, h).map.table == m.map.table
-    for m in fam.hom_enumerate(fam.delta(f, y), x):
-        h = fam.pi_transpose(f, x, y, m)
-        assert h.src == y and h.dst == fam.pi(f, x)
-        assert fam.pi_untranspose(f, x, y, h).map.table == m.map.table
-
-
 # --- pullback squares ----------------------------------------------------------
 
 
@@ -449,24 +412,6 @@ def test_family_sum():
     assert s.fiber_sizes() == (1, 2, 3)
 
 
-def test_tr_family_example():
-    y = blocks(1, (2,))
-    z = blocks(1, (3,))
-    t = fam.tr_family(y, z)
-    assert t.base.size == 1
-    assert t.fiber_sizes() == (9,)
-    elems = fam.tr_elements(y, z)
-    assert elems[0] == (0, (0, 0))
-    assert len(elems) == 9
-
-
-def test_tr_family_guard():
-    y = blocks(1, (10,))
-    z = blocks(1, (10,))
-    with pytest.raises(SizeGuardExceeded):
-        fam.tr_family(y, z)
-
-
 # --- property tests ---------------------------------------------------------------
 
 
@@ -502,64 +447,3 @@ def test_delta_and_pi_fiber_formulas(data):
             n *= xsizes[a]
         expected.append(n)
     assert p.fiber_sizes() == tuple(expected)
-
-
-# --- naturality of the adjunction transposes --------------------------------------
-
-
-def delta_on_morphism(f: fam.FinMap, k: fam.FamMorphism) -> fam.FamMorphism:
-    """Functorial action of the pullback on a morphism of families."""
-    pairs = fam.delta_pairs(f, k.src)
-    index = fam.delta_index(f, k.dst)
-    table = tuple(index[(a, k(s))] for a, s in pairs)
-    src, dst = fam.delta(f, k.src), fam.delta(f, k.dst)
-    return fam.FamMorphism(src, dst, fam.FinMap(src.total, dst.total, table))
-
-
-def sigma_on_morphism(f: fam.FinMap, g: fam.FamMorphism) -> fam.FamMorphism:
-    """Functorial action of the dependent sum: same table, rebased."""
-    src, dst = fam.sigma(f, g.src), fam.sigma(f, g.dst)
-    return fam.FamMorphism(src, dst, fam.FinMap(src.total, dst.total, g.map.table))
-
-
-def pi_on_morphism(f: fam.FinMap, k: fam.FamMorphism) -> fam.FamMorphism:
-    """Functorial action of the dependent product: map sections pointwise."""
-    secs = fam.pi_sections(f, k.src)
-    index = fam.pi_index(f, k.dst)
-    table = tuple(index[(b, tuple(k(t) for t in sec))] for b, sec in secs)
-    src, dst = fam.pi(f, k.src), fam.pi(f, k.dst)
-    return fam.FamMorphism(src, dst, fam.FinMap(src.total, dst.total, table))
-
-
-def test_transpose_naturality_exhaustive():
-    """The adjunction bijections commute with morphisms on either side,
-    exhaustively over every map f: 3 -> 2 and every morphism between the
-    fixed test families (all fibers at most 3)."""
-    x = blocks(3, (1, 2, 1))
-    x2 = blocks(3, (2, 1, 1))
-    y = blocks(2, (2, 1))
-    y2 = blocks(2, (1, 2))
-    for table in itertools.product(range(2), repeat=3):
-        f = fmap(3, 2, table)
-
-        for m in fam.hom_enumerate(fam.sigma(f, x), y):
-            # in the second slot: postcompose before or after transposing
-            for k in fam.hom_enumerate(y, y2):
-                lhs = fam.sigma_transpose(f, x, y2, m.then(k))
-                rhs = fam.sigma_transpose(f, x, y, m).then(delta_on_morphism(f, k))
-                assert lhs.map.table == rhs.map.table
-            # in the first slot: precompose before or after transposing
-            for g in fam.hom_enumerate(x2, x):
-                lhs = fam.sigma_transpose(f, x2, y, sigma_on_morphism(f, g).then(m))
-                rhs = g.then(fam.sigma_transpose(f, x, y, m))
-                assert lhs.map.table == rhs.map.table
-
-        for m in fam.hom_enumerate(fam.delta(f, y), x):
-            for k in fam.hom_enumerate(x, x2):
-                lhs = fam.pi_transpose(f, x2, y, m.then(k))
-                rhs = fam.pi_transpose(f, x, y, m).then(pi_on_morphism(f, k))
-                assert lhs.map.table == rhs.map.table
-            for g in fam.hom_enumerate(y2, y):
-                lhs = fam.pi_transpose(f, x, y2, delta_on_morphism(f, g).then(m))
-                rhs = g.then(fam.pi_transpose(f, x, y, m))
-                assert lhs.map.table == rhs.map.table

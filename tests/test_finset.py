@@ -183,7 +183,7 @@ def test_compose_associative(a, b, c, data):
     assert finset.compose(finset.identity(f.cod), f) == f
 
 
-# --- pullbacks and equalizers ----------------------------------------------
+# --- pullbacks -------------------------------------------------------------
 
 
 def test_pullback_of_terminal_cospan():
@@ -231,20 +231,6 @@ def test_pullback_universal_property_exhaustive():
                     and finset.compose(pb.right, m).table == c2.table
                 ]
                 assert len(mediators) == 1
-
-
-def test_equalizer_example():
-    f = fmap(2, 2, (0, 0))
-    g = fmap(2, 2, (0, 1))
-    eq = finset.equalizer(f, g)
-    assert eq.elements == (0,)
-    carrier, include = eq
-    assert carrier.size == 1 and include.table == (0,)
-
-
-def test_equalizer_needs_parallel_pair():
-    with pytest.raises(ShapeMismatch):
-        finset.equalizer(fmap(2, 2, (0, 1)), fmap(2, 3, (0, 1)))
 
 
 # --- products, coproducts ---------------------------------------------------
@@ -355,11 +341,3 @@ def test_product_rule_is_the_exact_count_cut_at_the_cap(pairs, cap):
 @example(1, 10**9, 1)
 def test_capped_power_is_the_exact_power_cut_at_the_cap(base, exponent, cap):
     assert finset.capped_power(base, exponent, cap) == min(base**exponent, cap)
-
-
-def test_exponential_sizes():
-    # the map space b^a, counted: exact, unguarded, with 0^0 = 1
-    assert finset.map_count(FinSet(3), FinSet(2)) == 8
-    assert finset.map_count(FinSet(0), FinSet(5)) == 1
-    assert finset.map_count(FinSet(1), FinSet(0)) == 0
-    assert finset.map_count(FinSet(2000), FinSet(3)) == 3**2000

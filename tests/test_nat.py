@@ -1,5 +1,5 @@
 """Tests for strong transformations: evaluation, counting, enumeration,
-extraction, and naturality checking.
+the check families of extraction, and naturality checking.
 
 The brute-force oracle below counts arbitrary component assignments over
 all families with small fibers, filtered by naturality; on single-sorted
@@ -12,9 +12,8 @@ import time
 
 import pytest
 
-from polycat import fam, finset, nat, poly, randgen, suites
-from polycat.errors import (OracleNotNatural, ShapeMismatch, SizeGuardExceeded,
-                            ValidationError)
+from polycat import fam, finset, nat, poly, randgen
+from polycat.errors import ShapeMismatch, SizeGuardExceeded, ValidationError
 from polycat.finset import FinMap, FinSet
 
 
@@ -183,38 +182,7 @@ def test_count_and_enumeration_match_shape_map_search_on_random_pairs():
     assert enumerated >= 100
 
 
-# -- extraction ------------------------------------------------------------------
-
-
-def test_yoneda_extract_identity():
-    p = ss(2, 1)
-    m = nat.yoneda_extract(lambda x: fam.identity_morphism(poly.eval_extension(p, x)),
-                           p, p)
-    assert m == nat.identity_dm(p)
-
-
-def test_yoneda_extract_roundtrip_injective():
-    p, q = ss(2), ss(1, 1)
-    members = nat.enumerate_dm(p, q)
-    assert len(members) == 4
-    extracted = []
-    for m in members:
-        got = nat.yoneda_extract(lambda x, m=m: nat.eval_dm(m, x), p, q)
-        assert got == m
-        extracted.append(got)
-    assert len(set(extracted)) == 4
-
-
-def test_yoneda_extract_not_natural():
-    p, q = ss(2), ss(1, 1)
-    m1, m2 = nat.enumerate_dm(p, q)[0], nat.enumerate_dm(p, q)[3]
-
-    def mixed(x: fam.Family) -> fam.FamMorphism:
-        pick = m1 if x.total.size % 2 == 0 else m2
-        return nat.eval_dm(pick, x)
-
-    with pytest.raises(OracleNotNatural, match="oracle not natural"):
-        nat.yoneda_extract(mixed, p, q)
+# -- the check families of extraction --------------------------------------------
 
 
 def test_check_families_refuse_many_sorts_quickly():
@@ -239,93 +207,6 @@ def test_check_families_are_held_and_guarded_on_every_call():
         assert nat.check_families(p) is first
     finally:
         finset.set_guard_limit(old)
-
-
-def test_yoneda_extract_bad_component_endpoints():
-    p = ss(2)
-    with pytest.raises(ValidationError):
-        nat.yoneda_extract(lambda x: fam.identity_morphism(x), p, p)
-
-
-def test_yoneda_extract_checks_the_endpoints_of_every_compared_component():
-    # at the check-only family (3,) the component keeps the identity table
-    # but lands in a larger codomain
-    p = ss(1)
-    bigger = fams(1, [4])
-
-    def enlarged(x):
-        ext = poly.eval_extension(p, x)
-        if x.fiber_sizes() != (3,):
-            return fam.identity_morphism(ext)
-        return fam.FamMorphism(ext, bigger, FinMap(ext.total, bigger.total, tuple(ext.total)))
-
-    assert fams(1, [3]) != nat.generic_family(p, 0)[0]
-    with pytest.raises(ValidationError, match="oracle component has the wrong endpoints"):
-        nat.yoneda_extract(enlarged, p, p)
-
-
-def recorded(oracle):
-    """The oracle with a log of the families it is asked at."""
-    asked = []
-
-    def ask(x):
-        asked.append(x)
-        return oracle(x)
-
-    return ask, asked
-
-
-def first_requests(p: poly.PolyDiagram) -> list:
-    """The families that a probe per shape and then the round trip ask
-    at, each at its first occurrence."""
-    out = []
-    for x in [nat.generic_family(p, v)[0] for v in p.shapes] + list(nat.check_families(p)):
-        if x not in out:
-            out.append(x)
-    return out
-
-
-@pytest.mark.parametrize("p, q, calls", [(ss(1, 1, 3), ss(1, 2), 4), (ss(4, 1), ss(1, 2), 5)],
-                         ids=["arities-to-3", "arity-4"])
-def test_yoneda_extract_asks_the_oracle_once_per_family(p, q, calls):
-    # the two arity-1 shapes share their generic family, a check family
-    # like every generic family of arity up to 3; that of arity 4 is not
-    members = nat.enumerate_dm(p, q)
-    assert members
-    for m in members[:: max(1, len(members) // 20)]:
-        oracle, asked = recorded(lambda x, m=m: nat.eval_dm(m, x))
-        assert nat.yoneda_extract(oracle, p, q) == m
-        assert len(asked) == calls
-        assert asked == first_requests(p)
-
-
-def test_yoneda_extract_asks_once_per_family_on_two_sorted_samples():
-    extracted = 0
-    for p, q in itertools.product(suites._two_sorted_samples(), repeat=2):
-        for m in nat.enumerate_dm(p, q):
-            oracle, asked = recorded(lambda x, m=m: nat.eval_dm(m, x))
-            assert nat.yoneda_extract(oracle, p, q) == m
-            assert len(asked) == len(set(asked))
-            assert asked == first_requests(p)
-            extracted += 1
-    assert extracted == 5
-
-
-def test_yoneda_extract_refuses_an_oracle_unnatural_at_a_probed_check_family():
-    # the component at (2,), the generic family of the one shape and a
-    # check family, comes from another morphism; the answer read at the
-    # probe is the one compared
-    p, q = ss(2), ss(1, 1)
-    m1, m2 = nat.enumerate_dm(p, q)[0], nat.enumerate_dm(p, q)[3]
-
-    def mixed(x):
-        return nat.eval_dm(m2 if x.fiber_sizes() == (2,) else m1, x)
-
-    assert fams(1, [2]) in nat.check_families(p)
-    oracle, asked = recorded(mixed)
-    with pytest.raises(OracleNotNatural, match="oracle not natural"):
-        nat.yoneda_extract(oracle, p, q)
-    assert len(asked) == len(set(asked))
 
 
 # -- naturality checking ----------------------------------------------------------

@@ -69,6 +69,12 @@ def test_notation():
     assert poly.notation(ss(3, 0, 3, 1)) == "2X^3 + X + 1"
 
 
+def test_notation_refuses_a_diagram_with_more_sorts():
+    # checked by a raise, not an assert, so python -O refuses it too
+    with pytest.raises(ValidationError, match="single-sorted"):
+        poly.notation(poly.identity_diagram(FinSet(2)))
+
+
 def test_diagram_validation():
     one = FinSet(1)
     with pytest.raises(ShapeMismatch):
@@ -966,7 +972,7 @@ def test_multiset_power_elements():
             math.prod(len(xfibs[i]) for i in m) for m in reps)
 
 
-# -- span lifts ---------------------------------------------------------------
+# -- the sum lift of a span ---------------------------------------------------
 
 
 def test_au_lift_eval():
@@ -977,21 +983,11 @@ def test_au_lift_eval():
     assert poly.extension_fiber_sizes(p, x) == (5, 3)
 
 
-def test_du_lift_eval():
-    r = Span(FinSet(3), fmap(3, 2, (0, 1, 1)), fmap(3, 2, (0, 0, 1)))
-    p = poly.du_lift(r)
-    x = fams(2, (2, 3))
-    # products along the span: fiber 0 gets x0 * x1 = 6, fiber 1 gets 3
-    assert poly.extension_fiber_sizes(p, x) == (6, 3)
-
-
 def test_lift_shapes():
     r = Span(FinSet(3), fmap(3, 2, (0, 1, 1)), fmap(3, 2, (0, 0, 1)))
-    au, du = poly.au_lift(r), poly.du_lift(r)
+    au = poly.au_lift(r)
     assert au.shapes.size == 3 and au.dirs.size == 3
-    assert du.shapes.size == 2 and du.dirs.size == 3
     assert poly.extension_agreement(au, fams(2, (2, 2))).ok
-    assert poly.extension_agreement(du, fams(2, (2, 2))).ok
 
 
 # -- properties ---------------------------------------------------------------

@@ -94,15 +94,12 @@ def family_from_fibers(base: FinSet, sizes: tuple[int, ...] | list[int]) -> Fami
         raise ShapeMismatch("one fiber size per base point required")
     if min(sizes, default=0) < 0:
         raise ShapeMismatch("fiber sizes must be nonnegative")
-    # index() refuses a non-integral size, as the build's [b] * n would
+    # index() refuses a non-integral size, as finset.blocks would
     key = (base, tuple(map(operator.index, sizes)))
     x = _blocks.get(key)
     if x is None:
-        proj: list[int] = []
-        for b, n in enumerate(key[1]):
-            proj.extend([b] * n)
-        total = FinSet(len(proj))
-        x = _blocks[key] = Family(total, base, FinMap(total, base, tuple(proj)))
+        proj = finset.blocks(base, key[1])
+        x = _blocks[key] = Family(proj.dom, base, proj)
     return x
 
 
@@ -395,17 +392,6 @@ def square_from_cospan(f: FinMap, g: FinMap) -> PullbackSquare:
     return PullbackSquare(top=pb.left, left=pb.right, bottom=g, right=f)
 
 
-def _verify_bijection(total: int, images: list[int], target: int) -> bool:
-    if total != target:
-        return False
-    marks = bytearray(target)
-    for i in images:
-        if marks[i]:
-            return False
-        marks[i] = 1
-    return True
-
-
 def beck_chevalley_check(square: PullbackSquare, z: Family) -> Report:
     """Build the canonical comparisons across a pullback square and verify
     both are isomorphisms of families over the top-right corner:
@@ -423,7 +409,7 @@ def beck_chevalley_check(square: PullbackSquare, z: Family) -> Report:
     lhs_pairs = delta_pairs(left, z)
     rhs_index = delta_index(right, sigma(bottom, z))
     images = [rhs_index[(top.table[p], t)] for p, t in lhs_pairs]
-    ok_sum = _verify_bijection(len(lhs_pairs), images, len(rhs_index))
+    ok_sum = FinMap(FinSet(len(lhs_pairs)), FinSet(len(rhs_index)), images).is_bijection()
     lines.append(
         f"sum comparison: {len(lhs_pairs)} elements, bijection {'yes' if ok_sum else 'NO'}"
     )
@@ -448,7 +434,7 @@ def beck_chevalley_check(square: PullbackSquare, z: Family) -> Report:
             section.append(lhs_pairs[phi[position]][1])
         s = p_index[(zb, tuple(section))]
         images2.append(rhs_index2[(x, s)])
-    ok_prod = _verify_bijection(len(lhs_secs), images2, len(rhs_index2))
+    ok_prod = FinMap(FinSet(len(lhs_secs)), FinSet(len(rhs_index2)), images2).is_bijection()
     lines.append(
         f"product comparison: {len(lhs_secs)} elements, bijection {'yes' if ok_prod else 'NO'}"
     )
@@ -534,7 +520,7 @@ def distributivity_check(a: FinMap, b: FinMap, x: Family) -> Report:
         # matching the order of `points`
         assert tuple(sq.w_pairs[w][0] for w in sq.a_prime.fiber(s)) == points
         images.append(rhs_index[(s, tuple(psi))])
-    ok = _verify_bijection(len(lhs_secs), images, len(rhs_secs))
+    ok = FinMap(FinSet(len(lhs_secs)), FinSet(len(rhs_secs)), images).is_bijection()
     lines = (
         f"section family size {len(sq.u_sections)}",
         f"both sides have {len(lhs_secs)} elements: "
@@ -552,12 +538,9 @@ def box(x: Family, y: Family) -> Family:
     """External product: the family over base1 x base2 whose fiber over a
     pair is the product of the fibers. Elements are the pairs (t1, t2),
     encoded as t1 * |total2| + t2, over the base pair (i1, i2), encoded
-    as i1 * |base2| + i2 (finset.product's pairing)."""
-    n = y.base.size
-    total = FinSet(x.total.size * y.total.size)
-    base = FinSet(x.base.size * n)
-    table = tuple(i1 * n + i2 for i1 in x.proj.table for i2 in y.proj.table)
-    return Family(total, base, FinMap(total, base, table))
+    as i1 * |base2| + i2 (the pairing of finset.product_map)."""
+    proj = finset.product_map(x.proj, y.proj)
+    return Family(proj.dom, proj.cod, proj)
 
 
 def box_pair(y: Family, t1: int, t2: int) -> int:
@@ -570,19 +553,11 @@ def box_unpair(y: Family, k: int) -> tuple[int, int]:
 
 def box_morphism(h1: FamMorphism, h2: FamMorphism) -> FamMorphism:
     """External product of two family morphisms."""
-    src = box(h1.src, h2.src)
-    dst = box(h1.dst, h2.dst)
-    n2 = h2.src.total.size
-    table = tuple(
-        box_pair(h2.dst, h1.map.table[k // n2], h2.map.table[k % n2])
-        for k in range(src.total.size)
-    )
-    return FamMorphism(src, dst, FinMap(src.total, dst.total, table))
+    return FamMorphism(box(h1.src, h2.src), box(h1.dst, h2.dst),
+                       finset.product_map(h1.map, h2.map))
 
 
 def family_sum(x: Family, y: Family) -> Family:
     """Disjoint union over the coproduct of the bases (left part first)."""
-    cop_base = finset.coproduct(x.base, y.base)
-    cop_total = finset.coproduct(x.total, y.total)
-    proj = finset.copair(x.proj.then(cop_base.inl), y.proj.then(cop_base.inr), cop_total)
-    return Family(cop_total.carrier, cop_base.carrier, proj)
+    proj = finset.sum_map(x.proj, y.proj)
+    return Family(proj.dom, proj.cod, proj)

@@ -4,7 +4,9 @@ Carriers are canonical initial segments 0..n-1. Maps are lookup tables.
 Derived carriers (pullbacks, products, coproducts) are renumbered back
 to 0..n-1, so every element of a constructed set can be decoded to the
 data it stands for: a pullback keeps its provenance next to it, a
-product decodes by unpair and a coproduct by untag.
+product pairs (x, y) as x * |Y| + y and decodes by divmod, and a
+coproduct puts the left part first. Every product, sum and block map of
+the package is built here: product_map, sum_map and blocks.
 
 The configurable global size guard lives here: every enumeration in the
 package that can explode checks it, with the saturating sums and
@@ -280,35 +282,6 @@ def pullback(f: FinMap, g: FinMap) -> Pullback:
 
 
 @dataclass(frozen=True)
-class Product:
-    """Binary product with the lexicographic pairing bijection.
-
-    pair(x, y) = x * |right factor| + y, so pairs enumerate with the left
-    coordinate most significant; unpair decodes an element back to its
-    pair. No projection table is built: a product costs constant time
-    however large its carrier.
-    """
-
-    carrier: FinSet
-    left_factor: FinSet
-    right_factor: FinSet
-
-    def pair(self, x: int, y: int) -> int:
-        if x not in self.left_factor or y not in self.right_factor:
-            raise ShapeMismatch("pairing outside the factors")
-        return x * self.right_factor.size + y
-
-    def unpair(self, k: int) -> tuple[int, int]:
-        if k not in self.carrier:
-            raise ShapeMismatch("unpair outside the product carrier")
-        return divmod(k, self.right_factor.size)
-
-
-def product(a: FinSet, b: FinSet) -> Product:
-    return Product(FinSet(a.size * b.size), a, b)
-
-
-@dataclass(frozen=True)
 class Coproduct:
     """Binary coproduct with left-then-right tagging."""
 
@@ -317,17 +290,6 @@ class Coproduct:
     inr: FinMap
     left_part: FinSet
     right_part: FinSet
-
-    def __iter__(self):
-        return iter((self.carrier, self.inl, self.inr))
-
-    def untag(self, k: int) -> tuple[int, int]:
-        """Decode to (tag, element): tag 0 = left part, 1 = right part."""
-        if k not in self.carrier:
-            raise ShapeMismatch("untag outside the coproduct carrier")
-        if k < self.left_part.size:
-            return (0, k)
-        return (1, k - self.left_part.size)
 
 
 def coproduct(a: FinSet, b: FinSet) -> Coproduct:
@@ -342,3 +304,34 @@ def copair(f: FinMap, g: FinMap, cop: Coproduct) -> FinMap:
     if f.dom != cop.left_part or g.dom != cop.right_part or f.cod != g.cod:
         raise ShapeMismatch("copairing legs do not match the coproduct")
     return FinMap(cop.carrier, f.cod, f.table + g.table)
+
+
+def product_map(f1: FinMap, f2: FinMap) -> FinMap:
+    """f1 x f2 between the products of the domains and of the codomains,
+    both paired lexicographically: (x1, x2) is x1 * |dom f2| + x2 and goes
+    to f1(x1) * |cod f2| + f2(x2)."""
+    m2 = f2.cod.size
+    table = tuple([y1 * m2 + y2 for y1 in f1.table for y2 in f2.table])
+    return FinMap(FinSet(f1.dom.size * f2.dom.size), FinSet(f1.cod.size * m2), table)
+
+
+def sum_map(f1: FinMap, f2: FinMap) -> FinMap:
+    """f1 + f2 between the coproducts of the domains and of the
+    codomains, left part first: f1's table, then f2's shifted past f1's
+    codomain."""
+    m1 = f1.cod.size
+    table = f1.table + tuple([m1 + y for y in f2.table])
+    return FinMap(FinSet(f1.dom.size + f2.dom.size), FinSet(m1 + f2.cod.size), table)
+
+
+def blocks(cod: FinSet, sizes: tuple[int, ...] | list[int]) -> FinMap:
+    """The block map onto cod: its domain is numbered block by block, and
+    the b-th block, of sizes[b] points, goes to b."""
+    if len(sizes) != cod.size:
+        raise ShapeMismatch("one fiber size per codomain point required")
+    if min(sizes, default=0) < 0:
+        raise ShapeMismatch("fiber sizes must be nonnegative")
+    table: list[int] = []
+    for b, n in enumerate(sizes):
+        table.extend([b] * n)  # a non-integral n raises TypeError here
+    return FinMap(FinSet(len(table)), cod, tuple(table))

@@ -77,17 +77,15 @@ def single_sorted(fiber_sizes: tuple[int, ...] | list[int]) -> PolyDiagram:
     """The one-variable polynomial with one shape per entry, of the given
     direction counts: sizes (2, 1) builds X^2 + X."""
     one = FinSet(1)
-    shapes = FinSet(len(fiber_sizes))
-    dfam = fam.family_from_fibers(shapes, tuple(fiber_sizes))
-    dirs = dfam.total
+    dir_shape = finset.blocks(FinSet(len(fiber_sizes)), fiber_sizes)
     return PolyDiagram(
         source=one,
-        dirs=dirs,
-        shapes=shapes,
+        dirs=dir_shape.dom,
+        shapes=dir_shape.cod,
         target=one,
-        dir_sort=finset.constant(dirs, one, 0) if dirs.size else FinMap(dirs, one, ()),
-        dir_shape=dfam.proj,
-        shape_sort=finset.constant(shapes, one, 0) if shapes.size else FinMap(shapes, one, ()),
+        dir_sort=finset.constant(dir_shape.dom, one, 0),
+        dir_shape=dir_shape,
+        shape_sort=finset.constant(dir_shape.cod, one, 0),
     )
 
 
@@ -422,12 +420,11 @@ def compose_bijection(q: PolyDiagram, p: PolyDiagram, x: Family) -> FamMorphism:
 def compose_witness(q: PolyDiagram, p: PolyDiagram, x: Family) -> Report:
     """Verify that evaluating the composite equals evaluating in stages,
     with an explicit element bijection."""
-    comp = compose_direct(q, p)
-    lhs = extension_fiber_sizes(comp, x)
+    m = compose_bijection(q, p, x)
+    lhs = m.src.fiber_sizes()
     rhs = extension_fiber_sizes(q, eval_extension(p, x))
     lines = [f"fiber sizes {lhs} vs {rhs}"]
     ok = lhs == rhs
-    m = compose_bijection(q, p, x)
     bij = m.is_iso()
     lines.append(f"canonical comparison bijective: {'yes' if bij else 'NO'}")
     return Report("composition agrees with evaluation in stages", bool(ok and bij), tuple(lines))
@@ -477,12 +474,21 @@ def compose_structural(q: PolyDiagram, p: PolyDiagram) -> PolyDiagram:
 # tensor and sum
 
 
-def _product_map(f1: FinMap, f2: FinMap) -> FinMap:
-    """f1 x f2 between the products of the domains and of the codomains,
-    both paired lexicographically (finset.product)."""
-    m2 = f2.cod.size
-    table = tuple(y1 * m2 + y2 for y1 in f1.table for y2 in f2.table)
-    return FinMap(FinSet(f1.dom.size * f2.dom.size), FinSet(f1.cod.size * m2), table)
+def _pointwise(op, p1: PolyDiagram, p2: PolyDiagram) -> PolyDiagram:
+    """The diagram whose three structure maps are op of the operands'
+    (finset.product_map or finset.sum_map); its carriers are the maps'
+    domains and codomains."""
+    dir_sort = op(p1.dir_sort, p2.dir_sort)
+    shape_sort = op(p1.shape_sort, p2.shape_sort)
+    return PolyDiagram(
+        source=dir_sort.cod,
+        dirs=dir_sort.dom,
+        shapes=shape_sort.dom,
+        target=shape_sort.cod,
+        dir_sort=dir_sort,
+        dir_shape=op(p1.dir_shape, p2.dir_shape),
+        shape_sort=shape_sort,
+    )
 
 
 def tensor(p1: PolyDiagram, p2: PolyDiagram) -> PolyDiagram:
@@ -493,8 +499,13 @@ def tensor(p1: PolyDiagram, p2: PolyDiagram) -> PolyDiagram:
     The result is kept in a dict on p1 keyed by p2's fields, so every
     call with a p2 of the same value shares one read-only diagram (and so
     its extension carriers) for as long as p1 lives. Keying by the fields
-    keeps p2 itself and its carriers out of p1's cache. A build is guarded
-    by the sum of its four carriers before any is materialized."""
+    keeps p2 itself and its carriers out of p1's cache. Every call is
+    guarded by the sum of the four carriers, before the cache lookup, so
+    a limit lowered after the build still refuses the held diagram, and a
+    build materializes nothing first."""
+    finset.check_guard_sum((a.size * b.size for a, b in zip(
+        (p1.source, p1.target, p1.shapes, p1.dirs),
+        (p2.source, p2.target, p2.shapes, p2.dirs))), "tensor carrier")
     cache = getattr(p1, "_tensor", None)
     if cache is None:
         cache = {}
@@ -502,21 +513,7 @@ def tensor(p1: PolyDiagram, p2: PolyDiagram) -> PolyDiagram:
     key = (p2.source, p2.dirs, p2.shapes, p2.target, p2.dir_sort, p2.dir_shape, p2.shape_sort)
     tens = cache.get(key)
     if tens is None:
-        finset.check_guard_sum((a.size * b.size for a, b in zip(
-            (p1.source, p1.target, p1.shapes, p1.dirs),
-            (p2.source, p2.target, p2.shapes, p2.dirs))), "tensor carrier")
-        dir_sort = _product_map(p1.dir_sort, p2.dir_sort)
-        shape_sort = _product_map(p1.shape_sort, p2.shape_sort)
-        tens = PolyDiagram(
-            source=dir_sort.cod,
-            dirs=dir_sort.dom,
-            shapes=shape_sort.dom,
-            target=shape_sort.cod,
-            dir_sort=dir_sort,
-            dir_shape=_product_map(p1.dir_shape, p2.dir_shape),
-            shape_sort=shape_sort,
-        )
-        cache[key] = tens
+        tens = cache[key] = _pointwise(finset.product_map, p1, p2)
     return tens
 
 
@@ -541,29 +538,16 @@ def reindex_diagram(p: PolyDiagram, src_iso: FinMap, tgt_iso: FinMap) -> PolyDia
     )
 
 
-def _coproduct_map(f1: FinMap, f2: FinMap) -> FinMap:
-    dom = finset.coproduct(f1.dom, f2.dom)
-    cod = finset.coproduct(f1.cod, f2.cod)
-    return finset.copair(f1.then(cod.inl), f2.then(cod.inr), dom)
-
-
 def plus(p1: PolyDiagram, p2: PolyDiagram) -> PolyDiagram:
     """Pointwise sum of diagrams: carriers add, maps act by parts."""
-    return PolyDiagram(
-        source=finset.coproduct(p1.source, p2.source).carrier,
-        dirs=finset.coproduct(p1.dirs, p2.dirs).carrier,
-        shapes=finset.coproduct(p1.shapes, p2.shapes).carrier,
-        target=finset.coproduct(p1.target, p2.target).carrier,
-        dir_sort=_coproduct_map(p1.dir_sort, p2.dir_sort),
-        dir_shape=_coproduct_map(p1.dir_shape, p2.dir_shape),
-        shape_sort=_coproduct_map(p1.shape_sort, p2.shape_sort),
-    )
+    return _pointwise(finset.sum_map, p1, p2)
 
 
 def plus_eval_report(p1: PolyDiagram, p2: PolyDiagram, x: Family, y: Family) -> Report:
     """Verify that the sum diagram evaluated on the sum family is the sum
     of the separate evaluations, with an explicit bijection."""
-    combined = eval_extension(plus(p1, p2), fam.family_sum(x, y))
+    both, xy = plus(p1, p2), fam.family_sum(x, y)
+    combined = eval_extension(both, xy)
     left = eval_extension(p1, x)
     right = eval_extension(p2, y)
     split = fam.family_sum(left, right)
@@ -573,7 +557,7 @@ def plus_eval_report(p1: PolyDiagram, p2: PolyDiagram, x: Family, y: Family) -> 
     index1 = extension_index(p1, x)
     index2 = extension_index(p2, y)
     table = []
-    for v, payload in extension_elements(plus(p1, p2), fam.family_sum(x, y)):
+    for v, payload in extension_elements(both, xy):
         if v < p1.shapes.size:
             table.append(index1[(v, payload)])
         else:
@@ -672,29 +656,15 @@ def hom_data(p2: PolyDiagram, p3: PolyDiagram) -> HomData:
     # S_v is at least 1, so n2^n3 <= S_v <= shape_count is within the guard
     tables = {(n2, n3): tuple(itertools.product(range(n2), repeat=n3))
               for n2 in by_arity2 for n3 in by_arity3} if shape_count else {}
-    one = FinSet(1)
     shape_reps: list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = []
-    dir_shape: list[int] = []
+    arities: list[int] = []
     for f in itertools.product(*images):
         # the table list of each v at (n2(v), n3(f(v))), looked up in C
         blocks = map(tables.__getitem__, zip(arity2, map(arity3.__getitem__, f)))
         start = len(shape_reps)
         shape_reps.extend((f, phi) for phi in itertools.product(*blocks))
-        n = sum(map(arity3.__getitem__, f))
-        for c in range(start, len(shape_reps)):
-            dir_shape.extend([c] * n)
-    shapes = FinSet(len(shape_reps))
-    dirs = FinSet(len(dir_shape))
-    diagram = PolyDiagram(
-        source=one,
-        dirs=dirs,
-        shapes=shapes,
-        target=one,
-        dir_sort=finset.constant(dirs, one, 0) if dirs.size else FinMap(dirs, one, ()),
-        dir_shape=FinMap(dirs, shapes, tuple(dir_shape)),
-        shape_sort=finset.constant(shapes, one, 0) if shapes.size else FinMap(shapes, one, ()),
-    )
-    return HomData(diagram, tuple(shape_reps))
+        arities.extend([sum(map(arity3.__getitem__, f))] * (len(shape_reps) - start))
+    return HomData(single_sorted(arities), tuple(shape_reps))
 
 
 def hom_single_sorted(p2: PolyDiagram, p3: PolyDiagram) -> PolyDiagram:
@@ -964,10 +934,10 @@ def _multiset_diagram(base: FinSet, k: int) -> PolyDiagram:
     power: a shape per multiset of size at most k (multisets_up_to), over
     itself, with a direction per entry, of the entry's sort."""
     reps = multisets_up_to(base, k)
-    entries = fam.family_from_fibers(FinSet(len(reps)), [len(m) for m in reps])
-    return PolyDiagram(base, entries.total, entries.base, entries.base,
-                       FinMap(entries.total, base, tuple(itertools.chain.from_iterable(reps))),
-                       entries.proj, finset.identity(entries.base))
+    entries = finset.blocks(FinSet(len(reps)), [len(m) for m in reps])
+    return PolyDiagram(base, entries.dom, entries.cod, entries.cod,
+                       FinMap(entries.dom, base, tuple(itertools.chain.from_iterable(reps))),
+                       entries, finset.identity(entries.cod))
 
 
 def multiset_power(x: Family, k: int) -> Family:

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import random
 
-from . import fam
+from . import fam, finset
+from .errors import ShapeMismatch
 from .fam import Family, Span
 from .finset import FinMap, FinSet
 from .poly import PolyDiagram
@@ -22,7 +23,10 @@ __all__ = [
 
 
 def random_finmap(rng: random.Random, dom: FinSet, cod: FinSet) -> FinMap:
-    assert cod.size > 0 or dom.size == 0
+    """A uniform map, one draw per point of dom. Refuses a nonempty dom
+    into an empty cod, which has no map."""
+    if dom.size and not cod.size:
+        raise ShapeMismatch(f"no map from a set of size {dom.size} to the empty set")
     return FinMap(dom, cod, tuple(rng.randrange(cod.size) for _ in dom))
 
 
@@ -34,23 +38,18 @@ def random_family(rng: random.Random, base: FinSet,
 
 def random_diagram(rng: random.Random, src: FinSet, tgt: FinSet,
                    max_shapes: int = 3, max_fiber: int = 2) -> PolyDiagram:
-    """A random diagram between the given sort sets."""
-    assert tgt.size > 0
-    n_shapes = rng.randint(1, max_shapes)
-    shapes = FinSet(n_shapes)
-    fiber_sizes = [rng.randint(0, max_fiber) for _ in shapes]
-    dirs = FinSet(sum(fiber_sizes))
-    dir_shape_table = []
-    for v, n in enumerate(fiber_sizes):
-        dir_shape_table.extend([v] * n)
-    dir_sort = random_finmap(rng, dirs, src) if src.size > 0 else FinMap(dirs, src, ())
+    """A random diagram between the given sort sets. Refuses an empty
+    target, which no shape can sit over, and an empty source when a
+    direction is drawn (random_finmap)."""
+    shapes = FinSet(rng.randint(1, max_shapes))
+    dir_shape = finset.blocks(shapes, [rng.randint(0, max_fiber) for _ in shapes])
     return PolyDiagram(
         source=src,
-        dirs=dirs,
+        dirs=dir_shape.dom,
         shapes=shapes,
         target=tgt,
-        dir_sort=dir_sort,
-        dir_shape=FinMap(dirs, shapes, tuple(dir_shape_table)),
+        dir_sort=random_finmap(rng, dir_shape.dom, src),
+        dir_shape=dir_shape,
         shape_sort=random_finmap(rng, shapes, tgt),
     )
 

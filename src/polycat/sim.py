@@ -823,15 +823,12 @@ class PlusStructure:
         self.p1 = p1
         self.p2 = p2
         self.sum = poly.plus(p1, p2)
-        n1, n2 = p1.source.size, p2.source.size
-        total = self.sum.source
-        embed1 = FinMap(p1.source, total, tuple(range(n1)))
-        embed2 = FinMap(p2.source, total, tuple(range(n1, n1 + n2)))
+        cop = finset.coproduct(p1.source, p2.source)
         self._shape_shift = p1.shapes.size
-        self.inl = self._injection(p1, embed1, left=True)
-        self.inr = self._injection(p2, embed2, left=False)
-        self.proj1 = self._projection(p1, embed1, left=True)
-        self.proj2 = self._projection(p2, embed2, left=False)
+        self.inl = self._injection(p1, cop.inl, left=True)
+        self.inr = self._injection(p2, cop.inr, left=False)
+        self.proj1 = self._projection(p1, cop.inl, left=True)
+        self.proj2 = self._projection(p2, cop.inr, left=False)
 
     def _injection(self, p: PolyDiagram, embed: FinMap, left: bool) -> SimCell:
         span = Span(p.source, finset.identity(p.source), embed)

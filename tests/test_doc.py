@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from polycat import doc, fam, finset, poly, randgen, sim
+from polycat import doc, finset, poly, randgen, sim
 from polycat.errors import ParseError, ValidationError
 
 

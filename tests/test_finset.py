@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import pickle
+import random
 import subprocess
 import sys
 import time
@@ -237,32 +238,57 @@ def test_pullback_universal_property_exhaustive():
 
 
 def test_product_coproduct_example():
-    prod, cop = finset.product(FinSet(2), FinSet(3)), finset.coproduct(FinSet(2), FinSet(3))
-    assert prod.carrier.size == 6
+    prod = finset.product_map(fmap(2, 2, (1, 0)), fmap(3, 2, (0, 0, 1)))
+    cop = finset.coproduct(FinSet(2), FinSet(3))
+    assert (prod.dom.size, prod.cod.size) == (6, 4)
+    # (x1, x2) is x1 * 3 + x2, and goes to f1(x1) * 2 + f2(x2)
+    assert prod.table == (2, 2, 3, 0, 0, 1)
     assert cop.carrier.size == 5
-    assert prod.pair(1, 2) == 5
-    assert prod.unpair(5) == (1, 2)
-    for k in range(6):
-        assert prod.pair(*prod.unpair(k)) == k
-
-
-def test_product_builds_no_projection_tables():
-    # a product decodes by unpair, so its 4 * 10^6 elements cost nothing
-    start = time.perf_counter()
-    prod = finset.product(FinSet(2000), FinSet(2000))
-    assert time.perf_counter() - start < 0.05
-    assert prod.carrier.size == 4 * 10**6
-    assert prod.unpair(prod.pair(1999, 1998)) == (1999, 1998)
 
 
 def test_coproduct_tagging():
     cop = finset.coproduct(FinSet(2), FinSet(3))
     assert cop.inl.table == (0, 1)
     assert cop.inr.table == (2, 3, 4)
-    assert cop.untag(0) == (0, 0)
-    assert cop.untag(4) == (1, 2)
     h = finset.copair(fmap(2, 2, (1, 0)), fmap(3, 2, (0, 0, 1)), cop)
     assert h.table == (1, 0, 0, 0, 1)
+
+
+def random_map(rng, max_size=3):
+    dom, cod = rng.randint(0, max_size), rng.randint(1, max_size)
+    return fmap(dom, cod, [rng.randrange(cod) for _ in range(dom)])
+
+
+def test_product_and_sum_maps_follow_the_pairing_and_tagging_formulas():
+    rng = random.Random(0)
+    empty = fmap(0, 2, ())
+    pairs = [(random_map(rng), random_map(rng)) for _ in range(200)]
+    pairs += [(empty, random_map(rng)), (random_map(rng), empty), (empty, empty)]
+    for f1, f2 in pairs:
+        n2, m2 = f2.dom.size, f2.cod.size
+        prod = finset.product_map(f1, f2)
+        assert prod.dom == FinSet(f1.dom.size * n2)
+        assert prod.cod == FinSet(f1.cod.size * m2)
+        assert prod.table == tuple(f1.table[k // n2] * m2 + f2.table[k % n2]
+                                   for k in range(f1.dom.size * n2))
+        dom = finset.coproduct(f1.dom, f2.dom)
+        cod = finset.coproduct(f1.cod, f2.cod)
+        assert finset.sum_map(f1, f2) == finset.copair(f1.then(cod.inl), f2.then(cod.inr), dom)
+
+
+def test_blocks_number_each_block_in_turn():
+    m = finset.blocks(FinSet(4), (2, 0, 1, 3))
+    assert m.dom == FinSet(6) and m.cod == FinSet(4)
+    assert m.table == (0, 0, 2, 3, 3, 3)
+    assert m.fibers() == ((0, 1), (), (2,), (3, 4, 5))
+    assert finset.blocks(FinSet(2), [0, 0]).table == ()
+    assert finset.blocks(FinSet(0), ()).dom == FinSet(0)
+    with pytest.raises(ShapeMismatch, match="fiber sizes must be nonnegative"):
+        finset.blocks(FinSet(2), (1, -1))
+    with pytest.raises(ShapeMismatch, match="one fiber size per codomain point"):
+        finset.blocks(FinSet(2), (1,))
+    with pytest.raises(TypeError):
+        finset.blocks(FinSet(2), (1.0, 1))
 
 
 # --- map counts and the guard ----------------------------------------------

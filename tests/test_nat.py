@@ -7,7 +7,11 @@ diagrams whose direction fibers fit under the bound this is the whole
 transformation set, computed without the container representation.
 """
 import itertools
+import os
 import random
+import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -180,6 +184,43 @@ def test_count_and_enumeration_match_shape_map_search_on_random_pairs():
             assert [(m.alpha.table, m.betas) for m in ms] == shape_map_enumeration(p, q)
             enumerated += 1
     assert enumerated >= 100
+
+
+REFUSE_EMPTY_CODOMAINS = """
+import random
+from polycat import randgen
+from polycat.errors import ShapeMismatch
+from polycat.finset import FinSet
+for draw in (lambda rng: randgen.random_finmap(rng, FinSet(2), FinSet(0)),
+             lambda rng: randgen.random_diagram(rng, FinSet(1), FinSet(0))):
+    try:
+        draw(random.Random(0))
+    except ShapeMismatch as e:
+        print(type(e).__name__, e)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_random_maps_into_the_empty_set_are_refused(flags):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (os.path.dirname(nat.__file__) + "/..",
+                                                     env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, *flags, "-c", REFUSE_EMPTY_CODOMAINS],
+                         capture_output=True, text=True, env=env, check=True)
+    # the diagram's shapes are drawn first, so their number varies with the seed
+    lines = out.stdout.splitlines()
+    assert lines[0] == "ShapeMismatch no map from a set of size 2 to the empty set"
+    assert len(lines) == 2 and re.fullmatch(
+        r"ShapeMismatch no map from a set of size \d+ to the empty set", lines[1])
+
+
+def test_random_maps_out_of_the_empty_set_draw_nothing():
+    rng = random.Random(0)
+    state = rng.getstate()
+    assert randgen.random_finmap(rng, FinSet(0), FinSet(0)).table == ()
+    assert rng.getstate() == state
+    p = randgen.random_diagram(rng, FinSet(0), FinSet(1), max_fiber=0)
+    assert p.dirs == FinSet(0) and p.source == FinSet(0)
 
 
 # -- the check families of extraction --------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the package surface: the export lists of the modules and the
 README's quick start."""
+import ast
 import doctest
 import importlib
 import inspect
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import polycat
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def modules_with_all():
@@ -29,6 +31,42 @@ def test_every_export_list_resolves_and_names_every_public_definition():
                    and obj.__module__ == m.__name__]
         unlisted = [name for name in defined if name not in m.__all__]
         assert unlisted == [], m.__name__
+
+
+def unread_imports(source: str) -> list[str]:
+    """The names a module imports and never reads. A name counts as read
+    when it is loaded anywhere in the module, annotations included, or
+    listed in __all__; __future__ imports bind nothing to read."""
+    tree = ast.parse(source)
+    imported: list[str] = []
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    paths = [path for folder in ("src/polycat", "tests", "bench")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert len(paths) > 20
+    unread = {str(path.relative_to(ROOT)): names for path in paths
+              if (names := unread_imports(path.read_text()))}
+    assert unread == {}
+
+
+def test_the_import_check_finds_an_unread_import():
+    assert unread_imports("import os\nimport sys as system\nfrom a import b, c\n"
+                          "__all__ = ['c']\nprint(b)\n") == ["os", "system"]
+    assert unread_imports("from __future__ import annotations\nimport os.path\n"
+                          "def f(x: 'int') -> None:\n    os.sep\n") == []
 
 
 def test_readme_quick_start_runs_as_a_doctest():

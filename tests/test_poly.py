@@ -443,6 +443,28 @@ def test_tensor_guard_refuses_wide_operands_at_once():
         finset.set_guard_limit(old)
 
 
+def test_tensor_guard_refuses_a_held_tensor_under_a_lowered_limit():
+    # 3 * 2 shapes and 6 * 6 directions, 1 sort at each end: 44 in all
+    p, q = ss(2, 2, 2), ss(3, 3)
+    t = poly.tensor(p, q)
+    old = finset.set_guard_limit(3)
+    try:
+        with pytest.raises(SizeGuardExceeded, match="tensor carrier has size more than 3"):
+            poly.tensor(p, q)
+        with pytest.raises(SizeGuardExceeded, match="tensor carrier has size more than 3"):
+            poly.tensor(ss(2, 2, 2), q)
+    finally:
+        finset.set_guard_limit(old)
+    assert poly.tensor(p, q) is t
+
+
+def test_single_sorted_refuses_a_negative_arity():
+    with pytest.raises(ShapeMismatch, match="fiber sizes must be nonnegative"):
+        poly.single_sorted((-1,))
+    with pytest.raises(ShapeMismatch, match="fiber sizes must be nonnegative"):
+        poly.single_sorted((2, -1, 0))
+
+
 def test_tensor_unit_literal():
     unit = poly.tensor_unit()
     for p in [ss(2, 1), poly.identity_diagram(FinSet(3)),
@@ -497,6 +519,20 @@ def test_plus_eval_report():
     assert combined.fiber_sizes() == (4, 6)
     rep = poly.plus_eval_report(p1, p2, x, y)
     assert rep.ok, rep.render()
+
+
+def test_compose_witness_builds_the_composite_once(monkeypatch):
+    calls = []
+    compose_data = poly.compose_data
+
+    def counted(q, p):
+        calls.append((q, p))
+        return compose_data(q, p)
+
+    monkeypatch.setattr(poly, "compose_data", counted)
+    q, p = ss(2, 0), ss(1, 3)
+    assert poly.compose_witness(q, p, fams(1, (2,))).ok
+    assert len(calls) == 1
 
 
 def test_plus_eval_report_multisorted():

@@ -503,9 +503,9 @@ def tensor(p1: PolyDiagram, p2: PolyDiagram) -> PolyDiagram:
     guarded by the sum of the four carriers, before the cache lookup, so
     a limit lowered after the build still refuses the held diagram, and a
     build materializes nothing first."""
-    finset.check_guard_sum((a.size * b.size for a, b in zip(
-        (p1.source, p1.target, p1.shapes, p1.dirs),
-        (p2.source, p2.target, p2.shapes, p2.dirs))), "tensor carrier")
+    finset.check_guard_sum((p1.source.size * p2.source.size, p1.target.size * p2.target.size,
+                            p1.shapes.size * p2.shapes.size, p1.dirs.size * p2.dirs.size),
+                           "tensor carrier")
     cache = getattr(p1, "_tensor", None)
     if cache is None:
         cache = {}

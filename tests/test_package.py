@@ -1,5 +1,5 @@
-"""Tests for the package surface: the export lists of the modules and the
-README's quick start."""
+"""Tests for the package surface: the export lists of the modules, the
+imports every module reads, and the README's quick start."""
 import ast
 import doctest
 import importlib

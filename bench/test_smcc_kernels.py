@@ -1,0 +1,63 @@
+"""Microbenchmarks of the kernels of the tensor's universal property on
+one fixed pair of the tensor-universal grid, X + 1 against X^2 + X: the
+coend oracle in sampled mode (|x| = 2) and in exact mode (|x| = 0), the
+binaturality check of the comparison map (the squares that theta and
+epsilon_naturality_check walk), and the comparison map alone at every
+argument pair with fibers at most 2.
+
+These cases sit outside the tier-1 test paths and need pytest-benchmark:
+
+    PYTHONPATH=src python -m pytest bench
+
+With --benchmark-disable each case runs once, as a smoke check; its
+timings are not a gate.
+"""
+import pytest
+
+from polycat import fam, poly, smcc
+from polycat.finset import FinSet
+
+pytest.importorskip("pytest_benchmark")
+
+# the grid pair (0, 1) x (1, 2), one of the pairs the universal workload runs
+P1, P2 = poly.single_sorted((0, 1)), poly.single_sorted((1, 2))
+FAMILIES = list(fam.families_up_to(P1.source, 2))
+
+
+def coend(n: int):
+    x = fam.family_from_fibers(FinSet(1), (n,))
+    return smcc.day_coend_oracle(P1, P2, x, 4, samples=400, seed=0)
+
+
+def test_coend_sampled(benchmark):
+    rep = benchmark(coend, 2)
+    assert rep.ok and rep.lines[1:] == (
+        "mode: factorization with sampled relation checks",
+        "sampled tuples reduce to canonical rectangles: yes (400 samples)",
+        "separating comparison respects sampled relations: yes (400 samples)",
+        "canonical rectangles: 8 (one per extension element: yes)")
+
+
+def test_coend_exact(benchmark):
+    rep = benchmark(coend, 0)
+    assert rep.ok and rep.lines[1:3] == (
+        "mode: exact union-find over all tuples",
+        "equivalence classes: 2; extension elements: 2")
+
+
+def test_rho_natural_epsilon(benchmark):
+    tens = poly.tensor(P1, P2)
+
+    def run():
+        return smcc._check_rho_natural(lambda x, y: smcc.epsilon(P1, P2, x, y),
+                                       P1, P2, tens, 2)
+
+    assert benchmark(run) == 30
+
+
+def test_epsilon(benchmark):
+    def run():
+        return [smcc.epsilon(P1, P2, x, y) for x in FAMILIES for y in FAMILIES]
+
+    got = benchmark(run)
+    assert [m.map.dom.size for m in got] == [0, 2, 6, 0, 4, 12, 0, 6, 18]

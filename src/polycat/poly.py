@@ -271,10 +271,9 @@ def extension_map(p: PolyDiagram, h: FamMorphism) -> FamMorphism:
     src = eval_extension(p, h.src)
     dst = eval_extension(p, h.dst)
     index = extension_index(p, h.dst)
-    table = tuple(
-        index[(v, tuple(h(t) for t in payload))]
-        for v, payload in extension_elements(p, h.src)
-    )
+    ht = h.map.table
+    table = tuple([index[(v, tuple([ht[t] for t in payload]))]
+                   for v, payload in extension_elements(p, h.src)])
     return FamMorphism(src, dst, FinMap(src.total, dst.total, table))
 
 
@@ -634,15 +633,17 @@ def hom_data(p2: PolyDiagram, p3: PolyDiagram) -> HomData:
     Guarded, in this order, by the sizes of both carriers in closed form
     (_hom_sizes), each cut at the limit plus one: a refusal quotes "more
     than <limit>", costs time linear in the operands' directions and
-    visits no shape map. The build reads each operand's fibers once and
-    visits only the shape maps f with n2(v)^n3(f(v)) > 0 at every v. Each
-    of them has at least one hom shape, so the maps visited are at most
+    visits no shape map. The build counts each operand's arities in one
+    pass over its direction table, building no fibers, and visits only
+    the shape maps f with n2(v)^n3(f(v)) > 0 at every v. Each of them
+    has at least one hom shape, so the maps visited are at most
     the guarded shape count, however many maps there are between the
     shape sets; the shapes and directions of each map are emitted as one
     block."""
     if not (p2.is_single_sorted() and p3.is_single_sorted()):
         raise ValidationError("general hom not implemented: single-sorted diagrams only")
-    arity2, arity3 = (list(map(len, p.dir_shape.fibers())) for p in (p2, p3))
+    arity2, arity3 = (list(map(Counter(p.dir_shape.table).__getitem__, p.shapes))
+                      for p in (p2, p3))
     by_arity2, by_arity3 = Counter(arity2), Counter(arity3)
     shape_count = _check_hom_guards(by_arity2, by_arity3)
 

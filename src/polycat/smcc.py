@@ -86,20 +86,28 @@ def _check_rho_natural(rho, p1: PolyDiagram, p2: PolyDiagram,
     Squares paste: the square of (f, g) is the square of (f, id) beside
     the square of (id, g), and the square of a composite is the squares
     of its factors side by side. So only the squares (f, id_y) and
-    (id_x, g) with f and g generating morphisms are checked. rho is
-    evaluated once per argument pair."""
+    (id_x, g) with f and g generating morphisms are checked, in that
+    order. rho is evaluated once per argument pair, and each factor's
+    functorial action (poly.extension_map of p1 or p2) once per
+    generating morphism and once per identity, shared by every square
+    it sits in; only the tensor's action is computed per square."""
     xs = list(fam.families_up_to(p1.source, bound))
     ys = list(fam.families_up_to(p2.source, bound))
     fs = fam.generating_morphisms(p1.source, bound)
     gs = fam.generating_morphisms(p2.source, bound)
     check_guard(len(fs) * len(ys) + len(xs) * len(gs), "binaturality square count")
-    squares = [(f, fam.identity_morphism(y)) for f in fs for y in ys]
-    squares += [(fam.identity_morphism(x), g) for x in xs for g in gs]
     comps = {(x, y): rho(x, y) for x in xs for y in ys}
-    for f, g in squares:
-        lhs = fam.box_morphism(
-            poly.extension_map(p1, f), poly.extension_map(p2, g)
-        ).then(comps[f.dst, g.dst])
+
+    def actions(p, morphisms):
+        return [(h, poly.extension_map(p, h)) for h in morphisms]
+
+    ids_y = actions(p2, [fam.identity_morphism(y) for y in ys])
+    ids_x = actions(p1, [fam.identity_morphism(x) for x in xs])
+    gens_x, gens_y = actions(p1, fs), actions(p2, gs)
+    squares = [(f, g) for f in gens_x for g in ids_y]
+    squares += [(f, g) for f in ids_x for g in gens_y]
+    for (f, f_ext), (g, g_ext) in squares:
+        lhs = fam.box_morphism(f_ext, g_ext).then(comps[f.dst, g.dst])
         rhs = comps[f.src, g.src].then(
             poly.extension_map(f_diag, fam.box_morphism(f, g))
         )
@@ -403,7 +411,9 @@ def _draws(rng: random.Random):
     without `randrange`'s two Python frames per draw. As with
     `randrange`, a draw below n <= 0 raises ValueError: `getrandbits(0)`
     is 0, so the loop would never end. `below_each(n, 0)` is () for
-    every n, as no `randrange` call is made."""
+    every n, as no `randrange` call is made. The oracle takes every draw
+    in the order the pairings and elements are built, so a check made
+    cheaper must still take the draws it no longer reads."""
     getrandbits = rng.getrandbits
 
     def below(n: int) -> int:
@@ -454,8 +464,13 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
     checked to respect a seeded sample of the generating relations.
     The sampled mode's seeded draws are exactly those of
     `random.Random(seed)`'s `randrange` and `choice`, taken through its
-    `getrandbits` (see `_draws`). The sample count must be positive, and
-    the skeleton bound is guarded before anything is counted."""
+    `getrandbits` (see `_draws`). Each sample compares the cocone's
+    payload tuples, read off the drawn pairing inline: a reduction is
+    looked up by its (left shape, right shape, pairing) key among the
+    rectangles', and both sides of a relation share the shape v1 * |S2|
+    + v2. Every draw is taken as a full cocone would take it, the whole
+    pairing included. The sample count must be positive, and the
+    skeleton bound is guarded before anything is counted."""
     if samples < 1:
         raise ValidationError(f"the coend oracle needs at least one sample, not {samples}")
     if not (p1.is_single_sorted() and p2.is_single_sorted()):
@@ -491,12 +506,6 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
                     + _horner(p2_counts, a2) * _horner(p1_counts, nx ** a2)
                     for a2 in range(s + 1))
 
-    def cocone(a, b, phi, e1, e2):
-        v1, pay1 = e1
-        v2, pay2 = e2
-        return (v1 * p2.shapes.size + v2,
-                tuple([phi[i * b + j] for i in pay1 for j in pay2]))
-
     rects = rectangle_decomposition(p1, p2, x)
     lines = [f"skeleton 0..{s}: {decimal(total_tuples)} tuples, "
              f"{decimal(gen_total)} generating relations"]
@@ -520,10 +529,12 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
         elems1 = [_set_value(p1, a).elements for a in range(s + 1)]
         elems2 = [_set_value(p2, b).elements for b in range(s + 1)]
 
-        # every tuple reduces along its payloads to a canonical rectangle
+        # every tuple reduces along its payloads to a canonical rectangle:
+        # the cocone's payload at (a, b, phi, e1, e2) is psi, and at the
+        # rectangle it is psi read through the two generic payloads
         reductions_ok = True
         reduced = 0
-        rect_set = set(rects)
+        rect_keys = {(r.left_shape, r.right_shape, r.pairing) for r in rects}
         weighted = [(a, b) for a in range(s + 1) for b in range(s + 1)
                     if p1_counts[a] * p2_counts[b] > 0 and (nx > 0 or a * b == 0)]
         for _ in range(samples if weighted else 0):
@@ -531,35 +542,28 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
             if not elems1[a] or not elems2[b]:
                 continue
             reduced += 1
-            e1 = elems1[a][below(len(elems1[a]))]
-            e2 = elems2[b][below(len(elems2[b]))]
+            v1, pay1 = elems1[a][below(len(elems1[a]))]
+            v2, pay2 = elems2[b][below(len(elems2[b]))]
             phi = below_each(nx, a * b)
-            v1, pay1 = e1
-            v2, pay2 = e2
             psi = tuple([phi[i * b + j] for i in pay1 for j in pay2])
-            reduct = RectangleDecomposition(v1, v2, fibers1[v1], fibers2[v2], psi)
-            if reduct not in rect_set:
-                reductions_ok = False
-                break
-            if cocone(a, b, phi, e1, e2) != cocone(
-                    fibers1[v1], fibers2[v2], psi,
-                    (v1, tuple(range(fibers1[v1]))),
-                    (v2, tuple(range(fibers2[v2])))):
+            f2 = fibers2[v2]
+            if (v1, v2, psi) not in rect_keys or psi != tuple(
+                    [psi[i * f2 + j] for i in range(fibers1[v1]) for j in range(f2)]):
                 reductions_ok = False
                 break
         lines.append(f"sampled tuples reduce to canonical rectangles: "
                      f"{'yes' if reductions_ok else 'NO'} ({reduced} samples)")
 
-        # the comparison map respects sampled generating relations
+        # the comparison map respects sampled generating relations: both
+        # sides of a relation have the shape v1 * |S2| + v2, so their
+        # cocone payloads are compared
         relations_ok = True
         tried = 0
         attempts = 0
         while tried < samples and attempts < 20 * samples:
             attempts += 1
             left_side = rng.random() < 0.5
-            a = below(s + 1)
-            a2 = below(s + 1)
-            b = below(s + 1)
+            a, a2, b = below_each(s + 1, 3)
             if left_side:
                 if (a > 0 and a2 == 0) or not elems1[a] or not elems2[b]:
                     continue
@@ -567,13 +571,11 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
                 if nx == 0 and a2 * b > 0:
                     continue
                 phi2 = below_each(nx, a2 * b)
-                v1, pay1 = elems1[a][below(len(elems1[a]))]
-                e2 = elems2[b][below(len(elems2[b]))]
-                pushed = (v1, tuple([f[t] for t in pay1]))
-                pulled = tuple([phi2[f[i] * b + j]
-                                for i in range(a) for j in range(b)])
-                same = cocone(a2, b, phi2, pushed, e2) == \
-                    cocone(a, b, pulled, (v1, pay1), e2)
+                pay1 = elems1[a][below(len(elems1[a]))][1]
+                pay2 = elems2[b][below(len(elems2[b]))][1]
+                pulled = [phi2[f[i] * b + j] for i in range(a) for j in range(b)]
+                same = [phi2[f[t] * b + j] for t in pay1 for j in pay2] == \
+                    [pulled[i * b + j] for i in pay1 for j in pay2]
             else:
                 if (b > 0 and a2 == 0) or not elems1[a] or not elems2[b]:
                     continue
@@ -581,13 +583,11 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
                 if nx == 0 and a * a2 > 0:
                     continue
                 phi2 = below_each(nx, a * a2)
-                e1 = elems1[a][below(len(elems1[a]))]
-                v2, pay2 = elems2[b][below(len(elems2[b]))]
-                pushed = (v2, tuple([g[t] for t in pay2]))
-                pulled = tuple([phi2[i * a2 + g[j]]
-                                for i in range(a) for j in range(b)])
-                same = cocone(a, a2, phi2, e1, pushed) == \
-                    cocone(a, b, pulled, e1, (v2, pay2))
+                pay1 = elems1[a][below(len(elems1[a]))][1]
+                pay2 = elems2[b][below(len(elems2[b]))][1]
+                pulled = [phi2[i * a2 + g[j]] for i in range(a) for j in range(b)]
+                same = [phi2[i * a2 + g[t]] for i in pay1 for t in pay2] == \
+                    [pulled[i * b + j] for i in pay1 for j in pay2]
             if not same:
                 relations_ok = False
                 break

@@ -1,6 +1,7 @@
 """Tests for the tensor's comparison map and universal property, the
 currying adjunction, the coend oracle, the truncated exponential
 identity, and double dualization."""
+import hashlib
 import itertools
 import random
 import time
@@ -354,6 +355,34 @@ def test_rho_check_evaluates_rho_once_per_argument_pair():
     assert sorted(calls) == [((a,), (b,)) for a in range(3) for b in range(3)]
 
 
+@pytest.mark.parametrize("p1, p2, bound", [
+    (ss((1, 0)), ss((2,)), 2),
+    (ss((2, 1)), ss((0, 1, 2)), 2),
+    (randgen.random_diagram(random.Random(3), FinSet(2), FinSet(1), 2, 2), ss((1, 2)), 1),
+])
+def test_rho_check_computes_each_factor_action_once(monkeypatch, p1, p2, bound):
+    # one action per generating morphism and per identity of each factor,
+    # shared by the squares, and one tensor action per square (rebuilding
+    # both factor actions in every square makes 3 calls a square)
+    extension_map = poly.extension_map
+    calls = Counter()
+
+    def counted(p, h):
+        calls[p] += 1
+        return extension_map(p, h)
+
+    monkeypatch.setattr(poly, "extension_map", counted)
+    tens = poly.tensor(p1, p2)
+    squares = smcc._check_rho_natural(_eps_oracle(p1, p2), p1, p2, tens, bound)
+    xs = list(fam.families_up_to(p1.source, bound))
+    ys = list(fam.families_up_to(p2.source, bound))
+    fs = fam.generating_morphisms(p1.source, bound)
+    gs = fam.generating_morphisms(p2.source, bound)
+    assert squares == len(fs) * len(ys) + len(xs) * len(gs)
+    assert calls == Counter({p1: len(fs) + len(xs), p2: len(gs) + len(ys),
+                             tens: squares})
+
+
 def test_theta_check_evaluates_rho_and_epsilon_once_per_argument_pair(monkeypatch):
     p1, p2 = ss((1, 0)), ss((2,))
     rho_calls, epsilon_calls = Counter(), Counter()
@@ -678,6 +707,50 @@ def test_day_oracle_sampled_mode_draws_through_getrandbits(monkeypatch):
         in rep.lines
     rep = smcc.day_coend_oracle(ss((2, 1)), ss((2, 0)), fams(1, [2]), 4)
     assert rep.ok and "mode: factorization with sampled relation checks" in rep.lines
+
+
+# sampled reports on pairs of the tensor-universal grid at skeleton bound
+# 4, and one at an empty family, with a SHA-256 of the generator's state
+# after the call. At |x| = 1 and 2 every report reads "(400 samples)",
+# so only the state shows a draw taken or skipped out of turn.
+_SAMPLED_STREAMS = [
+    ((2,), (1, 2), 1, 4, 0, "1200 tuples, 522160", 400, 2,
+     "0e745737f4f6cdcd08fa1260467ca9e3b2871d38537b8540421698e485f42a16"),
+    ((0, 1), (2, 2), 2, 4, 0, "11457948 tuples, 6881973260", 400, 10,
+     "e32a91059f72ca0068bb71cab9c4455b9d4ca7c31d586ada27e74f1a6fef84c5"),
+    ((1, 1), (0, 2), 1, 4, 9, "700 tuples, 268880", 400, 4,
+     "0447cf0d0b3674b323d1e21ac677b8c6e0a6f64f5f77bd99afbfa769bc9b280c"),
+    ((2, 0), (1,), 2, 4, 3, "4861346 tuples, 2908507990", 400, 5,
+     "5f6d99a0c92ddad98dbede4b276867f24a2f9028adc3fd36b47d95654b2e867a"),
+    ((2, 2), (2, 2), 2, 4, 7, "72146632 tuples, 42101355552", 400, 64,
+     "92ba9d4395e8f6b223b314899089caaf9c57448184d74682dc30a95eff89b4d0"),
+    ((1,), (0, 1), 0, 12, 5, "78 tuples, 175057590111132", 250, 1,
+     "6e0cee7b0a548b169258c48c7a6ee10086e26624e021b1eb26d5b52f154a5c44"),
+]
+
+
+@pytest.mark.parametrize("f1, f2, n, s, seed, counts, tried, rects, state",
+                         _SAMPLED_STREAMS)
+def test_day_oracle_sampled_stream_is_pinned(monkeypatch, f1, f2, n, s, seed, counts,
+                                             tried, rects, state):
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, x=None):
+            super().__init__(x)
+            made.append(self)
+
+    monkeypatch.setattr(random, "Random", Recorded)
+    rep = smcc.day_coend_oracle(ss(f1), ss(f2), fams(1, [n]), s, samples=400, seed=seed)
+    assert rep.render() == (
+        "coend oracle: ok\n"
+        f"  skeleton 0..{s}: {counts} generating relations\n"
+        "  mode: factorization with sampled relation checks\n"
+        "  sampled tuples reduce to canonical rectangles: yes (400 samples)\n"
+        f"  separating comparison respects sampled relations: yes ({tried} samples)\n"
+        f"  canonical rectangles: {rects} (one per extension element: yes)")
+    [rng] = made
+    assert hashlib.sha256(repr(rng.getstate()).encode()).hexdigest() == state
 
 
 def test_day_oracle_skeleton_too_small():

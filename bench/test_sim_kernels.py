@@ -1,9 +1,10 @@
 """Microbenchmarks of the simulation-cell kernels on fixed instances of
-the simcells grid: evaluation, extraction with a precomputed oracle,
-the round trip of every cell of one instance over one span (the frame
-held on the span serves them all) and of one cell over a fresh span
-(the frame is built anew), building a cell from its rows, counting and
-enumerating cells.
+the simcells grid: evaluation, evaluation of every cell of one instance
+over one span (the table slices held in the span's frame serve them
+all), extraction with a precomputed oracle, the round trip of every
+cell of one instance over one span (the frame held on the span serves
+them all) and of one cell over a fresh span (the frame is built anew),
+building a cell from its rows, counting and enumerating cells.
 
 These cases sit outside the tier-1 test paths and need pytest-benchmark:
 
@@ -43,6 +44,18 @@ def test_eval_sim(benchmark):
         return [sim.eval_sim(CELL, x) for x in checks]
 
     assert benchmark(run) == [COMPONENTS[x] for x in checks]
+
+
+def test_eval_enumeration(benchmark):
+    checks = nat.check_families(P)
+    fresh = [sim._cell(Span(SPAN.carrier, SPAN.left, SPAN.right), c.src, c.dst, c._plan)
+             for c in GRID_CELLS]
+
+    def run():
+        return [sim.eval_sim(c, x) for c in GRID_CELLS for x in checks]
+
+    want = [sim.eval_sim(c, x) for c in fresh for x in checks]
+    assert benchmark(run) == want
 
 
 def test_extract_sim(benchmark):

@@ -349,15 +349,20 @@ def eval_sim(c: SimCell, x: Family) -> FamMorphism:
     extraction over the span between the cell's two diagrams and kept on
     the span until a call over another pair of diagrams replaces it; a
     span without states holds none, as its components are empty. The
-    guard is checked on every call, on the four extension carriers, as
-    when the frame was built."""
+    frame's record at x also holds each (shape, row entry) pair's slice of
+    the table, computed at its first request by any cell over the span.
+    The guard is checked on every call, on the four extension carriers,
+    as when the frame was built."""
     dom, cod, table = _eval_table(c, x)
     return FamMorphism(dom, cod, FinMap(dom.total, cod.total, table))
 
 
 def _eval_table(c: SimCell, x: Family) -> tuple[Family, Family, tuple[int, ...]]:
     """The component at x as its two endpoint families and its table, the
-    parts eval_sim wraps in a FamMorphism."""
+    parts eval_sim wraps in a FamMorphism. The table concatenates, block
+    by block, the codomain ranks that the block's shape v and row entry e
+    give at x: a slice held in the frame's record at x under (v, e),
+    computed and kept at its first request."""
     span = c.span
     if not span.carrier.size:
         # no states: the component is the empty map between its
@@ -373,22 +378,19 @@ def _eval_table(c: SimCell, x: Family) -> tuple[Family, Family, tuple[int, ...]]
         check_guard(at[2], _CARRIER)
         check_guard(at[3], _CARRIER)
         check_guard(at[4], _CARRIER)
-    _, _, _, _, _, dom, cod, blocks, by_state, cod_index = at
+    _, _, _, _, _, dom, cod, blocks, by_state, cod_index, slices = at
     plan = c._plan
     table = []
     for rho, v, payloads in blocks:
-        w, moves = plan[rho][v]
-        # the shapes without directions and those with one, most of them,
-        # skip the inner loop over the moves
-        if not moves:
-            table += [cod_index[(w, ())]] * len(payloads)
-        elif len(moves) == 1:
-            ((g, k),) = moves
-            d = by_state[g]
-            table += [cod_index[(w, (d[h[k]],))] for h in payloads]
-        else:
-            table += [cod_index[(w, tuple([by_state[g][h[k]] for g, k in moves]))]
-                      for h in payloads]
+        # a block's part of the table depends on its shape's payloads at x
+        # and its row entry, not on its state: cells over the span share it
+        e = plan[rho][v]
+        part = slices.get((v, e))
+        if part is None:
+            w, moves = e
+            part = slices[v, e] = [cod_index[(w, tuple([by_state[g][h[k]] for g, k in moves]))]
+                                   for h in payloads]
+        table += part
     return dom, cod, tuple(table)
 
 
@@ -401,10 +403,14 @@ class _Frame:
 
     at[id(x)], per family x, holds the component's two endpoint
     families, the domain's elements as (state, shape, payloads) blocks in
-    their order, the sum lift's per-state view at x and the codomain's
-    ranks (evaluation). It holds x too, so the id names no other family
-    while the frame lives; a family value-equal to x, such as one built
-    with the Family constructor, gets its own entry, equal to x's.
+    their order, the sum lift's per-state view at x, the codomain's ranks
+    (evaluation) and, per (shape, row entry) pair, the slice of codomain
+    ranks that a block of the shape with that entry contributes to a
+    table, computed at its first request (_eval_table) and held for every
+    cell over the span, as it depends on neither the state nor the cell.
+    It holds x too, so the id names no other family while the frame
+    lives; a family value-equal to x, such as one built with the Family
+    constructor, gets its own entry, equal to x's.
     probes[v], per src shape v, holds what extract_sim reads off the
     oracle's component at v's representing family (probe). Each entry
     is built at its first request from the extension records
@@ -428,8 +434,8 @@ class _Frame:
     def evaluation(self, x: Family) -> tuple:
         """Build and keep at[id(x)]: x, the sizes of the four carriers in
         the order of their guard checks, the endpoint families, the
-        domain's blocks, the sum lift's per-state view at x and the
-        codomain's ranks."""
+        domain's blocks, the sum lift's per-state view at x, the
+        codomain's ranks and the slices computed so far, none yet."""
         inner, dom, aux, cod = _records(self.au, self.src, self.dst, x)
         # the domain's elements over a state are those of inner over the
         # state's left end: shape by shape, each one's payloads in order
@@ -438,7 +444,7 @@ class _Frame:
                         if v in payloads])
         at = self.at[id(x)] = (x, len(inner.elements), len(dom.elements), len(aux.elements),
                                len(cod.elements), dom.family, cod.family, blocks,
-                               aux.index_by_shape(), cod.index())
+                               aux.index_by_shape(), cod.index(), {})
         return at
 
     def probe(self, v: int, ask) -> tuple:

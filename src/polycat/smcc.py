@@ -469,8 +469,13 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
     looked up by its (left shape, right shape, pairing) key among the
     rectangles', and both sides of a relation share the shape v1 * |S2|
     + v2. Every draw is taken as a full cocone would take it, the whole
-    pairing included. The sample count must be positive, and the
-    skeleton bound is guarded before anything is counted."""
+    pairing included. Two of the sampled checks hold by construction:
+    the two sides of a compared relation are the same expression in the
+    drawn pairing, and the reduction's re-read of psi over its own
+    f1 × f2 indices is psi. So in sampled mode only the rectangle-key
+    lookup and the decode count can read NO. The sample count must be
+    positive, and the skeleton bound is guarded before anything is
+    counted."""
     if samples < 1:
         raise ValidationError(f"the coend oracle needs at least one sample, not {samples}")
     if not (p1.is_single_sorted() and p2.is_single_sorted()):

@@ -1146,6 +1146,78 @@ def test_a_frame_is_replaced_by_a_call_over_another_pair():
     assert vars(span)["_frame"].src is q and vars(span)["_frame"] is not frame
 
 
+def slices_at(span: Span, x: fam.Family) -> dict:
+    """The (shape, row entry) slices held in the frame's record at x."""
+    return vars(span)["_frame"].at[id(x)][-1]
+
+
+def test_shared_slices_give_the_tables_of_fresh_frames():
+    # X + X² -> 1 + X over two states: both src shapes take the entries
+    # (0, ()) and (1, ((g, 0),)), with different payloads, and the 225
+    # cells share their entries across states and cells. Over the shared
+    # span every cell, at every check family, reads the slices the others
+    # left; over a fresh copy of the span each reads only its own
+    p1, p2, span = ss(1, 2), ss(0, 1), two_state_span()
+    cells = sim.enumerate_sim(p1, p2, span)
+    assert len(cells) == 225
+    checks = nat.check_families(p1)
+    for c in cells:
+        copy = Span(span.carrier, span.left, span.right)
+        fresh = sim._cell(copy, p1, p2, c._plan)
+        for x in checks:
+            assert sim.eval_sim(c, x) == sim.eval_sim(fresh, x)
+    # a slice per src shape and entry that some cell takes
+    entries = {(v, e) for c in cells for row in c._plan for v, e in enumerate(row)
+               if e is not None}
+    assert all(set(slices_at(span, x)) == entries for x in checks if x.total.size)
+
+
+def test_cells_with_the_same_rows_add_no_slice():
+    # a second cell with the same rows, and a round trip's extracted cell,
+    # read the slices the first cell's evaluation left, and add none
+    p, span = ss(1, 2), two_state_span()
+    c = sim.random_cell(random.Random(7), p, p, span)
+    checks = nat.check_families(p)
+    tables = [sim.eval_sim(c, x).map.table for x in checks]
+    held = [dict(slices_at(span, x)) for x in checks]
+    assert all(held[1:])
+    twin = sim._cell(span, p, p, c._plan)
+    assert twin is not c
+    assert [sim.eval_sim(twin, x).map.table for x in checks] == tables
+    assert [dict(slices_at(span, x)) for x in checks] == held
+    components = probe_and_check_components(c)
+    assert sim.extract_sim(components.__getitem__, span, p, p) == c
+    for x, before in zip(checks, held):
+        after = slices_at(span, x)
+        assert after == before
+        assert all(after[key] is part for key, part in before.items())
+
+
+def test_warm_slices_still_check_the_guard():
+    # X + X² over two states at the check family (3,), whose four carriers
+    # have sizes 12, 24, 6 and 42 in the order of their checks: once every
+    # slice is held, a limit lowered below any of them refuses with the
+    # first carrier above it, as a first call would, and the limit raised
+    # again gives the same table
+    p, span = ss(1, 2), two_state_span()
+    c = sim.random_cell(random.Random(3), p, p, span)
+    x = fams(1, [3])
+    table = sim.eval_sim(c, x).map.table
+    assert sim.eval_sim(c, x).map.table == table
+    assert vars(span)["_frame"].at[id(x)][1:5] == (12, 24, 6, 42)
+    old = finset.guard_limit()
+    try:
+        for limit, size in ((10, 12), (22, 24), (5, 12), (40, 42)):
+            finset.set_guard_limit(limit)
+            with pytest.raises(SizeGuardExceeded,
+                               match=f"extension carrier has size {size}, guard limit is {limit}"):
+                sim.eval_sim(c, x)
+        finset.set_guard_limit(42)
+        assert sim.eval_sim(c, x).map.table == table
+    finally:
+        finset.set_guard_limit(old)
+
+
 # -- counting and filling ------------------------------------------------------
 
 

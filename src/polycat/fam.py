@@ -250,20 +250,22 @@ def sigma(f: FinMap, x: Family) -> Family:
     return Family(x.total, f.cod, x.proj.then(f))
 
 
-def delta_pairs(f: FinMap, y: Family) -> tuple[tuple[int, int], ...]:
-    """Canonical carrier of the base change: pairs (a, t) with
-    f(a) = proj(t), lexicographically ordered."""
+def _base_change(f: FinMap, y: Family) -> finset.Pullback:
     if y.base != f.cod:
         raise ShapeMismatch("base change: family not over the map's codomain")
-    fibs = y.proj.fibers()
-    return tuple((a, t) for a in range(f.dom.size) for t in fibs[f.table[a]])
+    return finset.pullback(f, y.proj)
+
+
+def delta_pairs(f: FinMap, y: Family) -> tuple[tuple[int, int], ...]:
+    """Canonical carrier of the base change: pairs (a, t) with
+    f(a) = proj(t), lexicographically ordered (finset.pullback's pairs)."""
+    return _base_change(f, y).pairs
 
 
 def delta(f: FinMap, y: Family) -> Family:
     """Base change along f, on the canonical carrier of delta_pairs."""
-    pairs = delta_pairs(f, y)
-    total = FinSet(len(pairs))
-    return Family(total, f.dom, FinMap(total, f.dom, tuple(a for a, _ in pairs)))
+    pb = _base_change(f, y)
+    return Family(pb.carrier, f.dom, pb.left)
 
 
 def delta_index(f: FinMap, y: Family) -> dict[tuple[int, int], int]:
@@ -372,10 +374,9 @@ class PullbackSquare:
             raise ShapeMismatch("square corner Z: bottom/right codomains differ")
         if self.top.then(self.right).table != self.left.then(self.bottom).table:
             raise ValidationError("square does not commute")
-        want = {(x, y) for x in range(self.right.dom.size) for y in range(self.bottom.dom.size)
-                if self.right.table[x] == self.bottom.table[y]}
-        got = [(self.top.table[p], self.left.table[p]) for p in range(self.top.dom.size)]
-        if len(got) != len(set(got)) or set(got) != want:
+        # a pullback's corner lists each pair of the canonical one exactly once
+        got = sorted(zip(self.top.table, self.left.table))
+        if got != list(finset.pullback(self.right, self.bottom).pairs):
             raise ValidationError("square is not a pullback")
 
     def corner_index(self) -> dict[tuple[int, int], int]:
@@ -423,15 +424,13 @@ def beck_chevalley_check(square: PullbackSquare, z: Family) -> Report:
     pbz = pi(bottom, z)
     p_index = pi_index(bottom, z)
     rhs_index2 = delta_index(right, pbz)
+    top_positions = top.positions()
     images2 = []
     for x, phi in lhs_secs:
         zb = right.table[x]
         section = []
-        top_fiber = top.fiber(x)
         for y in bottom.fiber(zb):
-            p = corner[(x, y)]
-            position = top_fiber.index(p)
-            section.append(lhs_pairs[phi[position]][1])
+            section.append(lhs_pairs[phi[top_positions[corner[(x, y)]]]][1])
         s = p_index[(zb, tuple(section))]
         images2.append(rhs_index2[(x, s)])
     ok_prod = FinMap(FinSet(len(lhs_secs)), FinSet(len(rhs_index2)), images2).is_bijection()
@@ -472,12 +471,9 @@ def distributivity_square(a: FinMap, b: FinMap) -> DistributivitySquare:
     u_secs = pi_sections(a, Family(b.dom, b.cod, b))
     u = FinMap(FinSet(len(u_secs)), a.cod, tuple(t for t, _ in u_secs))
     pb = finset.pullback(a, u)
-    eps_table = []
-    for point, s in pb.pairs:
-        t, section = u_secs[s]
-        position = a.fiber(t).index(point)
-        eps_table.append(section[position])
-    eps = FinMap(pb.carrier, b.dom, tuple(eps_table))
+    positions = a.positions()
+    eps = FinMap(pb.carrier, b.dom,
+                 tuple([u_secs[s][1][positions[point]] for point, s in pb.pairs]))
     return DistributivitySquare(
         b=b,
         a=a,
@@ -506,6 +502,10 @@ def distributivity_check(a: FinMap, b: FinMap, x: Family) -> Report:
     w_index = {pair: k for k, pair in enumerate(sq.w_pairs)}
     rhs_secs = pi_sections(sq.a_prime, dex)
     rhs_index = {sec: k for k, sec in enumerate(rhs_secs)}
+    # psi lists its entries in the order of a's fiber over t; the a'-fiber
+    # over s must list the W-elements (point, s) in that order
+    aligned = all(tuple(sq.w_pairs[w][0] for w in fiber) == a.fiber(t)
+                  for fiber, t in zip(sq.a_prime.fibers(), sq.u.table))
 
     images = []
     for t, phi in lhs_secs:
@@ -516,11 +516,8 @@ def distributivity_check(a: FinMap, b: FinMap, x: Family) -> Report:
         for position, point in enumerate(points):
             w = w_index[(point, s)]
             psi.append(dex_index[(w, phi[position])])
-        # a'-fiber over s lists W-elements (point, s) by ascending point,
-        # matching the order of `points`
-        assert tuple(sq.w_pairs[w][0] for w in sq.a_prime.fiber(s)) == points
         images.append(rhs_index[(s, tuple(psi))])
-    ok = FinMap(FinSet(len(lhs_secs)), FinSet(len(rhs_secs)), images).is_bijection()
+    ok = aligned and FinMap(FinSet(len(lhs_secs)), FinSet(len(rhs_secs)), images).is_bijection()
     lines = (
         f"section family size {len(sq.u_sections)}",
         f"both sides have {len(lhs_secs)} elements: "

@@ -1,12 +1,13 @@
 """Finite sets and total maps, the ground floor of every construction.
 
-Carriers are canonical initial segments 0..n-1. Maps are lookup tables.
+Carriers are canonical initial segments 0..n-1. Maps are lookup tables
+that keep their fibers and each point's position in its fiber.
 Derived carriers (pullbacks, products, coproducts) are renumbered back
 to 0..n-1, so every element of a constructed set can be decoded to the
-data it stands for: a pullback keeps its provenance next to it, a
-product pairs (x, y) as x * |Y| + y and decodes by divmod, and a
-coproduct puts the left part first. Every product, sum and block map of
-the package is built here: product_map, sum_map and blocks.
+data it stands for: a pullback keeps its pairs next to it, a product
+pairs (x, y) as x * |Y| + y and decodes by divmod, and a coproduct puts
+the left part first. Every fiber position, pullback pair, product, sum
+and block map of the package is built here.
 
 The configurable global size guard lives here: every enumeration in the
 package that can explode checks it, with the saturating sums and
@@ -149,12 +150,13 @@ class FinSet:
 class FinMap:
     """A total map between finite sets, stored as a lookup table.
 
-    Two values are computed on first use and kept on the map, in its
-    __dict__: the fibers and the hash of the field tuple (dom, cod,
-    table), so a map used as a dict key, or inside one, hashes its table
-    once and not on every lookup. Both are shared by every caller, are
-    read-only like the map and live as long as it does. Equality still
-    compares the fields, and pickling drops the hash."""
+    Three values are computed on first use and kept on the map, in its
+    __dict__: the fibers, each point's position in its fiber, and the
+    hash of the field tuple (dom, cod, table), so a map used as a dict
+    key, or inside one, hashes its table once and not on every lookup.
+    All three are shared by every caller, are read-only like the map and
+    live as long as it does. Equality still compares the fields, and
+    pickling drops the hash."""
 
     dom: FinSet
     cod: FinSet
@@ -216,6 +218,20 @@ class FinMap:
                     out[y] = [x]
             cached = tuple(map(tuple, out))
             object.__setattr__(self, "_fibers", cached)
+        return cached
+
+    def positions(self) -> tuple[int, ...]:
+        """Each point's position in its fiber, so that
+        fibers()[f(x)][positions()[x]] == x. Cached like fibers."""
+        cached = getattr(self, "_positions", None)
+        if cached is None:
+            seen = [0] * self.cod.size
+            out = []
+            for y in self.table:
+                out.append(seen[y])
+                seen[y] += 1
+            cached = tuple(out)
+            object.__setattr__(self, "_positions", cached)
         return cached
 
     def is_bijection(self) -> bool:

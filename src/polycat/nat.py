@@ -48,9 +48,11 @@ def eval_dm(m: DiagMorphism, x: Family) -> FamMorphism:
     src_ext = poly.eval_extension(m.src, x)
     dst_ext = poly.eval_extension(m.dst, x)
     index = poly.extension_index(m.dst, x)
-    positions = [poly._beta_positions(m, v) for v in m.src.shapes]
+    # per src shape v, the position in v's fiber of each backward answer
+    position = m.src.dir_shape.positions()
+    reads = [tuple([position[u] for u in table]) for table in m.betas]
     table = tuple(
-        index[(m.alpha(v), tuple(payload[k] for k in positions[v]))]
+        index[(m.alpha(v), tuple(payload[k] for k in reads[v]))]
         for v, payload in poly.extension_elements(m.src, x)
     )
     return FamMorphism(src_ext, dst_ext, FinMap(src_ext.total, dst_ext.total, table))

@@ -745,19 +745,12 @@ def _compose_dm_tables(
     m2: DiagMorphism, m1: DiagMorphism
 ) -> tuple[FinMap, tuple[tuple[int, ...], ...]]:
     alpha = m1.alpha.then(m2.alpha)
-    betas = []
-    for v in m1.src.shapes:
-        w = m1.alpha(v)
-        table = tuple(m1.betas[v][pos2] for pos2 in _beta_positions(m2, w))
-        betas.append(table)
-    return alpha, tuple(betas)
-
-
-def _beta_positions(m: DiagMorphism, v: int) -> tuple[int, ...]:
-    """For shape v of m.src: for each direction of alpha(v) (ascending),
-    the position of beta's answer within v's own fiber."""
-    fiber1 = m.src.shape_fiber(v)
-    return tuple(fiber1.index(u1) for u1 in m.betas[v])
+    # m2's answer at w names a direction of w; m1's table at v reads it by
+    # its position in w's fiber
+    positions = m2.src.dir_shape.positions()
+    betas = tuple(tuple([m1.betas[v][positions[u]] for u in m2.betas[w]])
+                  for v, w in enumerate(m1.alpha.table))
+    return alpha, betas
 
 
 @dataclass(frozen=True)
@@ -776,17 +769,12 @@ class DiagIso:
             raise ValidationError("shape maps are not mutually inverse")
         if alpha_bf.table != tuple(range(self.backward.src.shapes.size)):
             raise ValidationError("shape maps are not mutually inverse")
-        for v in self.forward.src.shapes:
-            w = self.forward.alpha(v)
-            fiber1 = self.forward.src.shape_fiber(v)
+        positions = self.forward.dst.dir_shape.positions()
+        for v, w in enumerate(self.forward.alpha.table):
             # backward.betas[w] sends v's fiber to w's; forward.betas[v] back
-            round_trip = tuple(
-                self.forward.betas[v][
-                    self.forward.dst.shape_fiber(w).index(self.backward.betas[w][pos])
-                ]
-                for pos in range(len(fiber1))
-            )
-            if round_trip != fiber1:
+            round_trip = tuple([self.forward.betas[v][positions[u]]
+                                for u in self.backward.betas[w]])
+            if round_trip != self.forward.src.shape_fiber(v):
                 raise ValidationError("direction tables are not mutually inverse")
 
 
@@ -821,13 +809,13 @@ def iso_check(p1: PolyDiagram, p2: PolyDiagram) -> DiagIso | None:
     betas_b: list[tuple[int, ...]] = [() for _ in range(p2.shapes.size)]
     for v in p1.shapes:
         w = theta[v]
-        by_sort: dict[int, list[int]] = {}
+        by_sort: dict[int, deque[int]] = {}
         for u1 in p1.shape_fiber(v):
-            by_sort.setdefault(p1.dir_sort(u1), []).append(u1)
+            by_sort.setdefault(p1.dir_sort(u1), deque()).append(u1)
         fwd = []
         back = {}
         for u2 in p2.shape_fiber(w):
-            u1 = by_sort[p2.dir_sort(u2)].pop(0)
+            u1 = by_sort[p2.dir_sort(u2)].popleft()
             fwd.append(u1)
             back[u1] = u2
         betas_f.append(tuple(fwd))

@@ -127,21 +127,21 @@ class SimCell:
         # with a shape out of range the validator refuses it before it
         # reads a direction, so the triples are neither keyed nor read
         if all(w in dst.shapes for w, _ in entries):
-            dst_fibers, src_fibers = dst.dir_shape.fibers(), src.dir_shape.fibers()
+            dst_fibers = dst.dir_shape.fibers()
             keys = {(rho, v, u) for (rho, v), (w, _) in zip(pairs, entries)
                     for u in dst_fibers[w]}
             if set(beta) != keys or set(gamma) != keys:
                 raise ValidationError(_TRIPLE_KEYS)
+            shape_of, position = src.dir_shape.table, src.dir_shape.positions()
             for n, ((rho, v), (w, _)) in enumerate(zip(pairs, entries)):
                 # a backward direction off v's fiber has no position: None
                 # for a direction of src, which fails the fiber equation,
                 # and -1, out of range, for anything else
-                position = {b: k for k, b in enumerate(src_fibers[v])}
                 moves = []
                 for u in dst_fibers[w]:
                     b = beta[rho, v, u]
-                    moves.append((gamma[rho, v, u],
-                                  position.get(b, None if b in src.dirs else -1)))
+                    k = (position[b] if shape_of[b] == v else None) if b in src.dirs else -1
+                    moves.append((gamma[rho, v, u], k))
                 entries[n] = (w, tuple(moves))
         self._settle(span, src, dst, _layout(span, src, entries))
 
@@ -462,10 +462,9 @@ class _Frame:
             inner, src_ext, aux, dst_ext = _records(self.au, src, self.dst, y)
             _check_endpoints(comp, src_ext.family, dst_ext.family)
             gen = nat.generic_element(src, v)
-            position = {b: k for k, b in enumerate(src.shape_fiber(v))}
-            positions = [position[b] for b in order]
+            position = src.dir_shape.positions()
             reads = (src_ext.index(), gen, dst_ext.elements,
-                     tuple([(g, positions[t]) for g, (t,) in aux.elements]))
+                     tuple([(g, position[order[t]]) for g, (t,) in aux.elements]))
             self.probes[v] = (y, (len(inner.elements), len(src_ext.elements),
                                   len(aux.elements), len(dst_ext.elements)),
                               src_ext.family, dst_ext.family, reads)

@@ -11,7 +11,6 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
 
 from . import fam, finset, nat, poly
 from .errors import OracleNotNatural, ShapeMismatch, ValidationError
@@ -28,8 +27,6 @@ __all__ = [
     "curry_dm",
     "uncurry_dm",
     "adjunction_count_check",
-    "RectangleDecomposition",
-    "rectangle_decomposition",
     "day_coend_oracle",
     "bang_extension_check",
     "double_dual_report",
@@ -246,15 +243,15 @@ def _curry(m: DiagMorphism, p1: PolyDiagram, p2: PolyDiagram, hd: poly.HomData,
     A direction u1 * |p2 dirs| + u2 of a tensor shape (v1, v2) answers with
     u1, and its u2 gives the backward table phi at v2 by position."""
     n2, nd2 = p2.shapes.size, p2.dirs.size
-    fibers2 = p2.dir_shape.fibers()
+    positions2 = p2.dir_shape.positions()
     alpha = m.alpha.table
     alpha_table = []
     betas = []
     for v1 in p1.shapes:
         row = v1 * n2
         entries = m.betas[row:row + n2]
-        phi = tuple(tuple(fiber2.index(u % nd2) for u in vpair_entries)
-                    for fiber2, vpair_entries in zip(fibers2, entries))
+        phi = tuple(tuple([positions2[u % nd2] for u in vpair_entries])
+                    for vpair_entries in entries)
         alpha_table.append(shape_of[alpha[row:row + n2], phi])
         betas.append(tuple(u // nd2 for vpair_entries in entries for u in vpair_entries))
     return DiagMorphism(p1, hd.diagram, FinMap(p1.shapes, hd.diagram.shapes,
@@ -357,42 +354,6 @@ def adjunction_count_check(p1: PolyDiagram, p2: PolyDiagram, p3: PolyDiagram,
 # the coend oracle
 
 
-@dataclass(frozen=True)
-class RectangleDecomposition:
-    """Canonical coend representative of one element of the tensor's
-    value: the two direction fibers as skeleton sets, the pairing map
-    from their product into the family, and the two generic elements
-    (identity payloads at the named shapes)."""
-
-    left_shape: int
-    right_shape: int
-    left_size: int
-    right_size: int
-    pairing: tuple
-
-    def __repr__(self) -> str:
-        return (f"RectangleDecomposition(shapes=({self.left_shape}, "
-                f"{self.right_shape}), sizes=({self.left_size}, "
-                f"{self.right_size}), pairing={self.pairing})")
-
-
-def rectangle_decomposition(p1: PolyDiagram, p2: PolyDiagram,
-                            x: Family) -> tuple[RectangleDecomposition, ...]:
-    """One canonical representative per element of the tensor's value at
-    x, in element order."""
-    if not (p1.is_single_sorted() and p2.is_single_sorted()):
-        raise ValidationError("the coend oracle is single-sorted only")
-    if x.base.size != 1:
-        raise ShapeMismatch("family must live over the single sort")
-    tens = poly.tensor(p1, p2)
-    out = []
-    for vpair, payload in poly.extension_elements(tens, x):
-        v1, v2 = divmod(vpair, p2.shapes.size)
-        out.append(RectangleDecomposition(
-            v1, v2, len(p1.shape_fiber(v1)), len(p2.shape_fiber(v2)), payload))
-    return tuple(out)
-
-
 def _set_value(p: PolyDiagram, a: int) -> poly.Extension:
     """The extension of a single-sorted diagram at an a-element set: its
     elements are a shape plus a payload of positions below a, kept on p
@@ -462,20 +423,24 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
     steps) to a canonical rectangle, canonical rectangles decode
     bijectively to extension elements, and the separating comparison is
     checked to respect a seeded sample of the generating relations.
+    A canonical rectangle at shapes (v1, v2) with a pairing is the
+    tensor's element (v1 * |S2| + v2, pairing), so both modes read the
+    rectangles as the tensor's extension elements at x.
     The sampled mode's seeded draws are exactly those of
     `random.Random(seed)`'s `randrange` and `choice`, taken through its
     `getrandbits` (see `_draws`). Each sample compares the cocone's
     payload tuples, read off the drawn pairing inline: a reduction is
-    looked up by its (left shape, right shape, pairing) key among the
-    rectangles', and both sides of a relation share the shape v1 * |S2|
-    + v2. Every draw is taken as a full cocone would take it, the whole
-    pairing included. Two of the sampled checks hold by construction:
-    the two sides of a compared relation are the same expression in the
-    drawn pairing, and the reduction's re-read of psi over its own
-    f1 × f2 indices is psi. So in sampled mode only the rectangle-key
-    lookup and the decode count can read NO. The sample count must be
-    positive, and the skeleton bound is guarded before anything is
-    counted."""
+    looked up in the tensor's extension index at x, and both sides of a
+    relation share the shape v1 * |S2| + v2. Every draw is taken as a
+    full cocone would take it, the whole pairing included. Two of the
+    sampled checks hold by construction: the two sides of a compared
+    relation are the same expression in the drawn pairing, and the
+    reduction's re-read of psi over its own f1 × f2 indices is psi. So
+    in sampled mode only the lookup and the decode count can read NO,
+    and the lookup reads NO only if the tensor's extension at x misses a
+    payload, since every psi has f1 · f2 entries below |x|. The sample
+    count must be positive, and the skeleton bound is guarded before
+    anything is counted."""
     if samples < 1:
         raise ValidationError(f"the coend oracle needs at least one sample, not {samples}")
     if not (p1.is_single_sorted() and p2.is_single_sorted()):
@@ -511,16 +476,19 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
                     + _horner(p2_counts, a2) * _horner(p1_counts, nx ** a2)
                     for a2 in range(s + 1))
 
-    rects = rectangle_decomposition(p1, p2, x)
+    n2 = p2.shapes.size
+    rects = poly.extension_elements(tens, x)
     lines = [f"skeleton 0..{s}: {decimal(total_tuples)} tuples, "
              f"{decimal(gen_total)} generating relations"]
     if total_tuples <= budget and gen_total <= 10 * budget:
         roots, number = _coend_exact(p1, p2, s, nx)
         classes = sum(1 for k, root in enumerate(roots) if k == root)
-        found = {roots[number(r.left_size, r.right_size, r.pairing,
-                              (r.left_shape, tuple(range(r.left_size))),
-                              (r.right_shape, tuple(range(r.right_size))))]
-                 for r in rects}
+        found = set()
+        for vpair, pairing in rects:
+            v1, v2 = divmod(vpair, n2)
+            f1, f2 = fibers1[v1], fibers2[v2]
+            found.add(roots[number(f1, f2, pairing, (v1, tuple(range(f1))),
+                                   (v2, tuple(range(f2))))])
         canon_ok = len(found) == len(rects) == classes
         lines.append("mode: exact union-find over all tuples")
         lines.append(f"equivalence classes: {classes}; extension elements: {expected}")
@@ -539,7 +507,7 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
         # rectangle it is psi read through the two generic payloads
         reductions_ok = True
         reduced = 0
-        rect_keys = {(r.left_shape, r.right_shape, r.pairing) for r in rects}
+        rect_index = poly.extension_index(tens, x)
         weighted = [(a, b) for a in range(s + 1) for b in range(s + 1)
                     if p1_counts[a] * p2_counts[b] > 0 and (nx > 0 or a * b == 0)]
         for _ in range(samples if weighted else 0):
@@ -552,7 +520,7 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
             phi = below_each(nx, a * b)
             psi = tuple([phi[i * b + j] for i in pay1 for j in pay2])
             f2 = fibers2[v2]
-            if (v1, v2, psi) not in rect_keys or psi != tuple(
+            if (v1 * n2 + v2, psi) not in rect_index or psi != tuple(
                     [psi[i * f2 + j] for i in range(fibers1[v1]) for j in range(f2)]):
                 reductions_ok = False
                 break
@@ -601,7 +569,7 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
                      f"{'yes' if relations_ok else 'NO'} ({tried} samples)")
 
         # canonical rectangles decode bijectively to extension elements
-        decode_ok = len(set(rects)) == len(rects) == expected
+        decode_ok = len(rect_index) == len(rects) == expected
         lines.append(f"canonical rectangles: {len(rects)} "
                      f"(one per extension element: {'yes' if decode_ok else 'NO'})")
         ok = reductions_ok and relations_ok and decode_ok

@@ -166,6 +166,23 @@ def test_iso_check_verdicts(capsys):
     assert out == "X^2 vs X^2 : ISO\n"
 
 
+@pytest.mark.parametrize("argv", [("iso-check", "{doc}", "--left", "p", "--right", "p"),
+                                  ("double-dual", "--a", "1", "--b", "40000")])
+def test_wide_shapes_are_matched_in_linear_time(argv, tmp_path):
+    # in a subprocess, so that a quadratic matching fails on the timeout
+    # instead of hanging the suite; one took more than 10 s on a 2-vCPU host
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"diagrams": {"p": {"source": 1, "target": 1, "shapes": [
+        {"sort": 0, "dir_sorts": [0] * 40000}]}}}))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "polycat.cli",
+                           *(arg.format(doc=path) for arg in argv)],
+                          capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - start < 3.0
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "X^40000 vs X^40000 : ISO\n"
+
+
 def test_iso_check_has_no_shape_bound_flag(capsys):
     code, _, err = run(capsys, "iso-check", LIST_DOC, "--left", "square",
                        "--right", "square", "--max-shapes", "8")

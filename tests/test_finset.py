@@ -162,6 +162,21 @@ def test_fibers_of_wide_maps_build_in_linear_time():
     assert fibers[0] == () and fibers[1] == (0,) and fibers[-1] == (n - 2,)
 
 
+def test_positions_place_each_point_in_its_fiber():
+    # seeded maps, with an empty domain and an empty codomain among them
+    rng = random.Random(29)
+    maps = [fmap(0, 0, ()), fmap(0, 4, ()), fmap(5, 1, (0,) * 5)]
+    for _ in range(300):
+        cod = rng.randint(1, 6)
+        dom = rng.randint(0, 12)
+        maps.append(fmap(dom, cod, [rng.randrange(cod) for _ in range(dom)]))
+    for f in maps:
+        fibers, positions = f.fibers(), f.positions()
+        assert len(positions) == f.dom.size
+        assert [fibers[y][k] for y, k in zip(f.table, positions)] == list(f.dom)
+        assert f.positions() is positions
+
+
 def test_bijection_inverse():
     g = fmap(2, 2, (1, 0))
     assert g.is_bijection()

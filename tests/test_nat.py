@@ -57,6 +57,17 @@ def test_eval_dm_square_to_double():
     assert set(comp.map.table) == {0, 1, 2}
 
 
+def test_eval_dm_of_a_wide_shape_runs_in_linear_time():
+    # a search of each backward answer in its shape's fiber took more
+    # than 10 s on a 2-vCPU host
+    n = 40000
+    m = nat.identity_dm(poly.single_sorted((n,)))
+    start = time.perf_counter()
+    comp = nat.eval_dm(m, fams(1, (1,)))
+    assert time.perf_counter() - start < 1.0
+    assert comp.map.table == (0,)
+
+
 def test_eval_dm_base_mismatch():
     with pytest.raises(ShapeMismatch):
         nat.eval_dm(pick_first(), fams(2, (1, 1)))

@@ -1,5 +1,6 @@
 """Tests for the package surface: the export lists of the modules, the
-imports every module reads, and the README's quick start."""
+imports every module reads, the library's freedom from assert
+statements, and the README's quick start."""
 import ast
 import doctest
 import importlib
@@ -67,6 +68,16 @@ def test_the_import_check_finds_an_unread_import():
                           "__all__ = ['c']\nprint(b)\n") == ["os", "system"]
     assert unread_imports("from __future__ import annotations\nimport os.path\n"
                           "def f(x: 'int') -> None:\n    os.sep\n") == []
+
+
+def test_library_has_no_assert_statements():
+    # python -O drops every assert, so a check written as one would pass
+    # silently there
+    asserts = {str(path.relative_to(ROOT)): lines
+               for path in sorted((ROOT / "src/polycat").rglob("*.py"))
+               if (lines := [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                             if isinstance(node, ast.Assert)])}
+    assert asserts == {}
 
 
 def test_readme_quick_start_runs_as_a_doctest():

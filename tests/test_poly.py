@@ -7,6 +7,8 @@ import gc
 import itertools
 import math
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 import weakref
@@ -786,6 +788,31 @@ def test_iso_check_many_shapes():
     start = time.perf_counter()
     assert poly.iso_check(ss(*([1] * 10 + [2, 0])), ss(*([1] * 12))) is None
     assert time.perf_counter() - start < 1.0
+
+
+def test_iso_check_of_a_wide_shape_runs_in_linear_time():
+    # in a subprocess, so that a quadratic matching fails on the timeout
+    # instead of hanging the suite; a search of each direction among the
+    # unmatched ones took more than 10 s on a 2-vCPU host
+    script = ("from polycat import poly\n"
+              "p = poly.single_sorted((40000,))\n"
+              "iso = poly.iso_check(p, p)\n"
+              "print(iso.forward.betas == iso.backward.betas == (tuple(range(40000)),))\n")
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=10)
+    assert time.perf_counter() - start < 3.0
+    assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
+
+
+def test_diag_iso_refuses_direction_tables_that_are_not_inverse():
+    p = ss(1, 2)
+    swap = poly.DiagMorphism(p, p, finset.identity(p.shapes), ((0,), (2, 1)))
+    assert poly.DiagIso(swap, swap).forward == swap
+    with pytest.raises(ValidationError, match="^direction tables are not mutually inverse$"):
+        poly.DiagIso(poly.identity_dm(p), swap)
+    with pytest.raises(ValidationError, match="^direction tables are not mutually inverse$"):
+        poly.DiagIso(swap, poly.identity_dm(p))
 
 
 def signatures(p: poly.PolyDiagram) -> list:

@@ -578,10 +578,13 @@ def test_adjunction_large_counts_skip_round_trip():
 
 
 def test_rectangles_decode_tensor_elements():
-    rects = smcc.rectangle_decomposition(ss((1,)), ss((2,)), fams(1, [2]))
+    # a canonical rectangle of X tensor X^2 is the tensor's element at its
+    # one shape pair, with a pairing of its 1 x 2 directions as payload
+    tens = poly.tensor(ss((1,)), ss((2,)))
+    rects = poly.extension_elements(tens, fams(1, [2]))
     assert len(rects) == 4
-    assert all(r.left_size == 1 and r.right_size == 2 for r in rects)
-    assert [r.pairing for r in rects] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert all(v == 0 and len(pairing) == 1 * 2 for v, pairing in rects)
+    assert [pairing for _, pairing in rects] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_day_oracle_exact_two_classes():

@@ -19,7 +19,7 @@ from .errors import (
     SizeGuardExceeded,
     ValidationError,
 )
-from .fam import FamIso, FamMorphism, Family, Span, family_from_fibers
+from .fam import FamMorphism, Family, Span, family_from_fibers
 from .finset import FinMap, FinSet, guard_limit, set_guard_limit
 from .poly import (
     DiagIso,
@@ -47,7 +47,6 @@ from .suites import run_suite, suite_names
 __all__ = [
     "DiagIso",
     "DiagMorphism",
-    "FamIso",
     "FamMorphism",
     "Family",
     "FinMap",

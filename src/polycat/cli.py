@@ -168,9 +168,9 @@ def _run(args: argparse.Namespace) -> int:
         x = document.family(args.family)
         sizes = poly.extension_fiber_sizes(p, x)
         if p.target.size == 1:
-            print(f"fiber size {sizes[0]}")
+            print(f"fiber size {decimal(sizes[0])}")
         else:
-            print("fiber sizes: " + " ".join(str(n) for n in sizes))
+            print("fiber sizes: " + " ".join(map(decimal, sizes)))
         return 0
 
     if command == "compose":

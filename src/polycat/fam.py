@@ -35,8 +35,8 @@ class Family:
     Like FinMap, a family keeps the hash of its field tuple (total, base,
     proj) in its __dict__ from the first call on, so it is hashed once
     however often it is looked up as a key, as every family handed to an
-    extension is. The hash is read-only, lives as long as the family and
-    is not pickled; equality still compares the fields.
+    extension is. The hash is read-only and lives as long as the family,
+    and a pickle holds the fields only (finset.field_state).
 
     Block families are interned (see family_from_fibers): while one is
     alive, every request for its value returns that object, so a dict
@@ -61,8 +61,7 @@ class Family:
             object.__setattr__(self, "_hash", h)
         return h
 
-    def __getstate__(self) -> dict:
-        return finset.without_hash(self.__dict__)
+    __getstate__ = finset.field_state
 
     def fiber(self, b: int) -> tuple[int, ...]:
         return self.proj.fiber(b)
@@ -210,22 +209,6 @@ def generating_morphisms(base: FinSet, bound: int) -> list[FamMorphism]:
 
 
 @dataclass(frozen=True)
-class FamIso:
-    """A verified invertible family morphism (both directions stored)."""
-
-    forward: FamMorphism
-    backward: FamMorphism
-
-    def __post_init__(self) -> None:
-        round1 = self.forward.then(self.backward)
-        round2 = self.backward.then(self.forward)
-        if round1.map.table != tuple(range(self.forward.src.total.size)):
-            raise ValidationError("forward;backward is not the identity")
-        if round2.map.table != tuple(range(self.backward.src.total.size)):
-            raise ValidationError("backward;forward is not the identity")
-
-
-@dataclass(frozen=True)
 class Span:
     """Two maps out of a common carrier; the relation-like shape that
     simulation cells and the sum lift (poly.au_lift) are built on."""
@@ -233,6 +216,8 @@ class Span:
     carrier: FinSet
     left: FinMap
     right: FinMap
+
+    __getstate__ = finset.field_state
 
     def __post_init__(self) -> None:
         if self.left.dom != self.carrier or self.right.dom != self.carrier:

@@ -11,10 +11,11 @@ and block map of the package is built here.
 
 The configurable global size guard lives here: every enumeration in the
 package that can explode checks it, with the saturating sums and
-products below.
+products below. A value pickles its dataclass fields only (field_state).
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -112,10 +113,11 @@ def check_guard_product(factors: Iterable[int], what: str) -> None:
     check_guard(capped_product(factors, _guard_limit + 1), what)
 
 
-def without_hash(state: dict) -> dict:
-    """A value's pickling state without its cached hash: string labels
-    hash differently in another process."""
-    return {k: v for k, v in state.items() if k != "_hash"}
+def field_state(value) -> dict:
+    """A dataclass value's pickling state: its fields only. What else it
+    keeps (a hash, which string labels change in another process, and
+    caches, which grow and may hold unpicklable views) is rebuilt on use."""
+    return {f.name: value.__dict__[f.name] for f in dataclasses.fields(value)}
 
 
 @dataclass(frozen=True)
@@ -155,8 +157,8 @@ class FinMap:
     hash of the field tuple (dom, cod, table), so a map used as a dict
     key, or inside one, hashes its table once and not on every lookup.
     All three are shared by every caller, are read-only like the map and
-    live as long as it does. Equality still compares the fields, and
-    pickling drops the hash."""
+    live as long as it does. Equality still compares the fields, and a
+    pickle holds the fields only (field_state)."""
 
     dom: FinSet
     cod: FinSet
@@ -187,8 +189,7 @@ class FinMap:
             object.__setattr__(self, "_hash", h)
         return h
 
-    def __getstate__(self) -> dict:
-        return without_hash(self.__dict__)
+    __getstate__ = field_state
 
     def __call__(self, x: int) -> int:
         return self.table[x]

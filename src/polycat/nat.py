@@ -16,7 +16,7 @@ import itertools
 import math
 
 from . import fam, finset, poly
-from .errors import ShapeMismatch, ValidationError
+from .errors import ShapeMismatch
 from .fam import FamMorphism, Family
 from .finset import FinMap, check_guard
 from .poly import DiagIso, DiagMorphism, PolyDiagram, identity_dm
@@ -67,49 +67,59 @@ def compose_dm(m2: DiagMorphism, m1: DiagMorphism) -> DiagMorphism:
     return DiagMorphism(m1.src, m2.dst, alpha, betas)
 
 
-def _beta_choice_lists(p: PolyDiagram, q: PolyDiagram, v: int, w: int) -> list[tuple[int, ...]]:
-    """For src shape v and dst shape w: per direction of w (ascending),
-    the src directions of v with the matching sort."""
-    by_sort: dict[int, list[int]] = {}
-    for u1 in p.shape_fiber(v):
-        by_sort.setdefault(p.dir_sort(u1), []).append(u1)
-    return [tuple(by_sort.get(q.dir_sort(u2), ())) for u2 in q.shape_fiber(w)]
+def _by_sort(p: PolyDiagram) -> list[dict[int, list[int]]]:
+    """Per shape of p, its directions grouped by sort, each group
+    ascending, in one pass over p's directions."""
+    groups: list[dict[int, list[int]]] = [{} for _ in p.shapes]
+    for u, (v, i) in enumerate(zip(p.dir_shape.table, p.dir_sort.table)):
+        groups[v].setdefault(i, []).append(u)
+    return groups
 
 
-def _alpha_candidates(p: PolyDiagram, q: PolyDiagram) -> list[tuple[int, ...]]:
+def _table_counts(p: PolyDiagram, q: PolyDiagram,
+                  groups: list[dict[int, list[int]]]) -> list[dict[int, int]]:
+    """Per src shape v (groups is _by_sort(p)), the sort-compatible dst
+    shapes w, ascending, that leave v a backward table, with their numbers
+    of tables: Π_i n_v(i)^n_w(i) over the sorts i of w's directions, n
+    counting a shape's directions of sort i, one power per sort."""
     if p.source != q.source or p.target != q.target:
         raise ShapeMismatch("transformations need diagrams over the same sorts")
-    return [q.shape_sort.fiber(p.shape_sort(v)) for v in p.shapes]
+    dst = [[(i, len(us)) for i, us in by.items()] for by in _by_sort(q)]
+    over, sorts = q.shape_sort.fibers(), p.shape_sort.table
+    out = []
+    for v, by in enumerate(groups):
+        counts = ((w, math.prod(len(by.get(i, ())) ** m for i, m in dst[w]))
+                  for w in over[sorts[v]])
+        out.append({w: n for w, n in counts if n})
+    return out
 
 
 def count_nat(p: PolyDiagram, q: PolyDiagram) -> int:
     """Exact number of strong transformations, by Yoneda
     Nat(sum_v X^{A_v}, q) = prod_v q(A_v): the product over source shapes
-    v of the sum over sort-compatible target shapes w of the product, over
-    w's directions, of the matching-direction counts. Pure arithmetic,
-    never guarded."""
-    total = 1
-    for v, ws in zip(p.shapes, _alpha_candidates(p, q)):
-        total *= sum(
-            math.prod(len(c) for c in _beta_choice_lists(p, q, v, w)) for w in ws
-        )
-    return total
+    v of the sum over sort-compatible target shapes w of their numbers of
+    backward tables (_table_counts), counted from the sizes of the
+    directions' sort groups. Pure arithmetic, never guarded."""
+    return math.prod(sum(counts.values()) for counts in _table_counts(p, q, _by_sort(p)))
 
 
 def enumerate_dm(p: PolyDiagram, q: PolyDiagram) -> list[DiagMorphism]:
     """All strong transformations, shape-map major, then backward tables
-    in odometer order. Guarded by the exact count. The backward tables of
-    each (source shape, target shape) pair are listed once, and target
-    shapes with no tables are dropped, so no shape map is visited that
-    yields nothing."""
-    check_guard(count_nat(p, q), "transformation enumeration")
-    tables = [
-        {w: list(itertools.product(*_beta_choice_lists(p, q, v, w))) for w in ws}
-        for v, ws in zip(p.shapes, _alpha_candidates(p, q))
-    ]
-    cand = [[w for w, ts in by_w.items() if ts] for by_w in tables]
+    in odometer order. Guarded by the exact count; with none, no table is
+    listed. The backward tables of each (source shape, target shape) pair
+    are listed once, and target shapes with no tables are dropped, so no
+    shape map is visited that yields nothing."""
+    groups = _by_sort(p)
+    counts = _table_counts(p, q, groups)
+    total = math.prod(sum(c.values()) for c in counts)
+    check_guard(total, "transformation enumeration")
+    if not total:
+        return []
+    fibers, dst_sorts = q.dir_shape.fibers(), q.dir_sort.table
+    tables = [{w: list(itertools.product(*[by[dst_sorts[u]] for u in fibers[w]]))
+               for w in c} for by, c in zip(groups, counts)]
     out: list[DiagMorphism] = []
-    for combo in itertools.product(*cand):
+    for combo in itertools.product(*tables):
         alpha = FinMap(p.shapes, q.shapes, combo)
         per_shape = [tables[v][w] for v, w in enumerate(combo)]
         for betas in itertools.product(*per_shape):
@@ -250,15 +260,9 @@ def transformation_check(f, g, component, bound: int) -> Report:
     )
 
 
-def naturality_check(subject, bound: int, p: PolyDiagram | None = None,
-                     q: PolyDiagram | None = None) -> Report:
-    """Verify naturality of a container morphism, or of a black-box
-    component assignment between the extensions of p and q."""
-    if isinstance(subject, DiagMorphism):
-        p, q = subject.src, subject.dst
-        component = lambda x: eval_dm(subject, x)
-    else:
-        if p is None or q is None:
-            raise ValidationError("a black-box subject needs both diagrams")
-        component = subject
-    return transformation_check(ExtFunctor(p), ExtFunctor(q), component, bound)
+def naturality_check(m: DiagMorphism, bound: int) -> Report:
+    """Verify naturality of a container morphism's components (eval_dm)
+    by transformation_check; a black-box component assignment goes to
+    transformation_check itself, with two ExtFunctors."""
+    return transformation_check(ExtFunctor(m.src), ExtFunctor(m.dst),
+                                lambda x: eval_dm(m, x), bound)

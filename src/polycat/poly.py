@@ -49,6 +49,8 @@ class PolyDiagram:
     dir_shape: FinMap
     shape_sort: FinMap
 
+    __getstate__ = finset.field_state
+
     def __post_init__(self) -> None:
         if self.dir_sort.dom != self.dirs or self.dir_sort.cod != self.source:
             raise ShapeMismatch("dir_sort must map dirs to source")
@@ -95,12 +97,14 @@ def zero_diagram() -> PolyDiagram:
     return PolyDiagram(empty, empty, empty, empty, e, e, e)
 
 
+def _arities(p: PolyDiagram) -> list[int]:
+    """Each shape's arity, in one pass over the direction table."""
+    return list(map(Counter(p.dir_shape.table).__getitem__, p.shapes))
+
+
 def arity_counts(p: PolyDiagram) -> dict[int, int]:
-    """How many shapes have each arity, read off the fibers in one pass."""
-    counts: dict[int, int] = {}
-    for fiber in p.dir_shape.fibers():
-        counts[len(fiber)] = counts.get(len(fiber), 0) + 1
-    return counts
+    """How many shapes have each arity (_arities)."""
+    return Counter(_arities(p))
 
 
 def notation(p: PolyDiagram) -> str:
@@ -169,6 +173,8 @@ class Extension:
 
     family: Family
     elements: tuple[tuple[int, tuple[int, ...]], ...]
+
+    __getstate__ = finset.field_state
 
     def index(self) -> MappingProxyType:
         # cached like FinMap.fibers; the proxy keeps the shared dict read-only
@@ -642,8 +648,7 @@ def hom_data(p2: PolyDiagram, p3: PolyDiagram) -> HomData:
     block."""
     if not (p2.is_single_sorted() and p3.is_single_sorted()):
         raise ValidationError("general hom not implemented: single-sorted diagrams only")
-    arity2, arity3 = (list(map(Counter(p.dir_shape.table).__getitem__, p.shapes))
-                      for p in (p2, p3))
+    arity2, arity3 = _arities(p2), _arities(p3)
     by_arity2, by_arity3 = Counter(arity2), Counter(arity3)
     shape_count = _check_hom_guards(by_arity2, by_arity3)
 
@@ -755,7 +760,9 @@ def _compose_dm_tables(
 
 @dataclass(frozen=True)
 class DiagIso:
-    """A pair of mutually inverse container morphisms."""
+    """A pair of mutually inverse container morphisms, checked on
+    construction: both composites of the shape maps are identities, and
+    so are the direction tables of forward then backward (_compose_dm_tables)."""
 
     forward: DiagMorphism
     backward: DiagMorphism
@@ -763,19 +770,14 @@ class DiagIso:
     def __post_init__(self) -> None:
         if self.forward.src != self.backward.dst or self.forward.dst != self.backward.src:
             raise ShapeMismatch("iso directions do not match up")
-        alpha_fb = self.forward.alpha.then(self.backward.alpha)
+        alpha_fb, betas = _compose_dm_tables(self.backward, self.forward)
         alpha_bf = self.backward.alpha.then(self.forward.alpha)
         if alpha_fb.table != tuple(range(self.forward.src.shapes.size)):
             raise ValidationError("shape maps are not mutually inverse")
         if alpha_bf.table != tuple(range(self.backward.src.shapes.size)):
             raise ValidationError("shape maps are not mutually inverse")
-        positions = self.forward.dst.dir_shape.positions()
-        for v, w in enumerate(self.forward.alpha.table):
-            # backward.betas[w] sends v's fiber to w's; forward.betas[v] back
-            round_trip = tuple([self.forward.betas[v][positions[u]]
-                                for u in self.backward.betas[w]])
-            if round_trip != self.forward.src.shape_fiber(v):
-                raise ValidationError("direction tables are not mutually inverse")
+        if betas != self.forward.src.dir_shape.fibers():
+            raise ValidationError("direction tables are not mutually inverse")
 
 
 def _dir_signature(p: PolyDiagram, v: int) -> tuple[tuple[int, ...], int]:

@@ -70,15 +70,15 @@ def random_span(rng: random.Random, left: FinSet, right: FinSet,
 
 
 def random_sim_cell(rng: random.Random, p1: PolyDiagram, p2: PolyDiagram,
-                    max_states: int = 2, attempts: int = 40) -> SimCell | None:
+                    max_states: int = 2) -> SimCell | None:
     """A random cell over a random span (random_span: nonempty unless
-    max_states is 0), or None when none of `attempts` drawn spans admits
-    one. Given the drawn span, the cell is uniform over the cells on it
+    max_states is 0), or None when none of 40 drawn spans admits one.
+    Given the drawn span, the cell is uniform over the cells on it
     (sim.random_cell). The span draw is not uniform: a span that admits
     no cell is redrawn. Many diagram pairs admit no cell over any
     nonempty span, so callers count the None draws they skip."""
     require_endo(p1, p2)
-    for _ in range(attempts):
+    for _ in range(40):
         span = random_span(rng, p1.source, p2.source, max_states)
         c = random_cell(rng, p1, p2, span)
         if c is not None:

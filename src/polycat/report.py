@@ -26,13 +26,16 @@ class Report:
         return self.render()
 
 
+# built once: building it costs far more than printing a small count
+_CHUNK = 10**4000
+
+
 def decimal(n: int) -> str:
     """The exact decimal digits of a count. str() refuses integers of
     more than 4300 digits, so the digits are made 4000 at a time."""
-    chunk = 10**4000
     parts = []
-    while n >= chunk:
-        n, low = divmod(n, chunk)
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
         parts.append(str(low).zfill(4000))
     parts.append(str(n))
     return "".join(reversed(parts))

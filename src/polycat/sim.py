@@ -117,6 +117,8 @@ class SimCell:
     dst: PolyDiagram
     _plan: tuple
 
+    __getstate__ = finset.field_state
+
     def __init__(self, span: Span, src: PolyDiagram, dst: PolyDiagram,
                  alpha: Mapping, beta: Mapping, gamma: Mapping) -> None:
         _check_ends(span, src, dst)
@@ -652,20 +654,12 @@ def _fillings(options: list, cap: int) -> int:
 _PAIR_OPTIONS = "cell table options at one (state, shape) pair"
 
 
-def _pair_choices(options: list) -> list[tuple[int, tuple]]:
-    """Every way to fill one (state, shape) pair of a cell from its fill
-    table entry, as its row entry: an assigned shape of the destination
-    and a move per direction. The count is guarded before materializing,
-    cut at the limit plus one (_fillings)."""
-    check_guard(_fillings(options, finset.guard_limit() + 1), _PAIR_OPTIONS)
-    return [(w, moves) for w, lists in options for moves in itertools.product(*lists)]
-
-
 def _pair_choice(options: list, i: int) -> tuple[int, tuple]:
-    """_pair_choices(options)[i], for i below the number of choices,
-    decoded without listing them: the shapes' blocks in order, and within
-    a block the index in itertools.product order, the last direction's
-    move fastest."""
+    """The i-th filling of one (state, shape) pair from its fill table
+    entry, for i below their number (_fillings), as a row entry: the
+    shapes' blocks in order, and within a block itertools.product order,
+    the last direction's move fastest. The one filling order: random_cell
+    decodes a drawn index, and enumerate_sim lists every index."""
     for w, lists in options:
         n = math.prod(map(len, lists))
         if i < n:
@@ -686,7 +680,7 @@ def random_cell(rng, p1: PolyDiagram, p2: PolyDiagram, span: Span) -> SimCell | 
     by its index, rng.randrange(n) over its n fillings, the draw that
     rng.choice makes on the list of them, and decoded without listing
     them (_pair_choice): the same cell and the same generator state as
-    drawing from the list.
+    drawing from enumerate_sim's list of the pair's fillings.
     """
     _check_ends(span, p1, p2)
     entries = []
@@ -703,13 +697,18 @@ def enumerate_sim(p1: PolyDiagram, p2: PolyDiagram, span: Span) -> list[SimCell]
     """All valid cells over the given span: per (state, shape) pair, a
     choice of assigned shape plus a move for each of its directions.
     The cell count is guarded up front, cut at the limit plus one: the
-    product of every pair's _fillings (finset.check_guard_product)."""
+    product of every pair's _fillings (finset.check_guard_product), then
+    each pair's, before it is listed by index (_pair_choice)."""
     _check_ends(span, p1, p2)
     pair_fills = _pair_fills(p1, p2, span)
     cap = finset.guard_limit() + 1
     finset.check_guard_product((_fillings(options, cap) for options in pair_fills),
                                "cell search space")
-    per_pair = [_pair_choices(options) for options in pair_fills]
+    per_pair = []
+    for options in pair_fills:
+        n = _fillings(options, cap)
+        check_guard(n, _PAIR_OPTIONS)
+        per_pair.append([_pair_choice(options, i) for i in range(n)])
     return [_cell(span, p1, p2, _layout(span, p1, combo))
             for combo in itertools.product(*per_pair)]
 

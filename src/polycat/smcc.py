@@ -157,18 +157,17 @@ def _mediator(rho, p1: PolyDiagram, p2: PolyDiagram, f_diag: PolyDiagram) -> Dia
 
 
 def theta(rho, p1: PolyDiagram, p2: PolyDiagram, f_diag: PolyDiagram,
-          r: Family, check_naturality: bool = True) -> FamMorphism:
+          r: Family) -> FamMorphism:
     """The mediating component at r induced by a binatural family rho:
     the component at r of the mediating container morphism (_mediator),
-    which probes rho once per tensor shape. rho's naturality is verified
-    post hoc at fiber bound 2 unless disabled, on the squares of the
-    generating morphisms only: naturality squares paste, so these give
-    every square between families with fibers at most 2."""
+    which probes rho once per tensor shape. rho's naturality is always
+    verified first, at fiber bound 2, on the squares of the generating
+    morphisms only: naturality squares paste, so these give every square
+    between families with fibers at most 2."""
     tens = _tensor_into(p1, p2, f_diag)
     if r.base != tens.source:
         raise ShapeMismatch("family must live over the tensor's source sorts")
-    if check_naturality:
-        _check_rho_natural(rho, p1, p2, f_diag, 2)
+    _check_rho_natural(rho, p1, p2, f_diag, 2)
     return nat.eval_dm(_mediator(rho, p1, p2, f_diag), r)
 
 
@@ -324,8 +323,8 @@ def adjunction_count_check(p1: PolyDiagram, p2: PolyDiagram, p3: PolyDiagram,
     hom = hd.diagram
     n_left = nat.count_nat(tens, p3)
     n_right = nat.count_nat(p1, hom)
-    lines = [f"transformations out of the tensor: {n_left}; "
-             f"into the internal hom: {n_right}"]
+    lines = [f"transformations out of the tensor: {decimal(n_left)}; "
+             f"into the internal hom: {decimal(n_right)}"]
     ok = n_left == n_right
     if n_left + n_right <= roundtrip_limit:
         left = nat.enumerate_dm(tens, p3)
@@ -345,7 +344,7 @@ def adjunction_count_check(p1: PolyDiagram, p2: PolyDiagram, p3: PolyDiagram,
                      f"{'yes' if round_left and round_right else 'NO'}")
         lines.append(f"currying is injective: {'yes' if distinct else 'NO'}")
     else:
-        lines.append(f"{n_left} + {n_right} members exceed the round-trip "
+        lines.append(f"{decimal(n_left)} + {decimal(n_right)} members exceed the round-trip "
                      f"limit {roundtrip_limit}; bijection not enumerated")
     return Report("tensor-hom adjunction", bool(ok), tuple(lines))
 
@@ -667,12 +666,14 @@ def _coend_exact(p1, p2, s, nx):
 # the truncated exponential identity
 
 
-def bang_extension_check(p: PolyDiagram, x: Family, k: int,
-                         materialize_limit: int = 100000) -> Report:
+_MATERIALIZE_LIMIT = 100000
+
+
+def bang_extension_check(p: PolyDiagram, x: Family, k: int) -> Report:
     """Compare the truncated exponential at the multiset power of x with
     the blockwise tensor powers of p on external powers of x, summed over
     sort tuples along sorting. Fiber counts are compared arithmetically
-    (exact big integers, any size); when the carrier fits the limit the
+    (exact big integers, any size); within _MATERIALIZE_LIMIT elements the
     elementwise bijection between the two pipelines is exhibited too.
     At a shape tuple l, each of the N = Π_j arity(l_j) direction tuples
     takes one payload entry, and each direction of l_j lies in N /
@@ -695,21 +696,26 @@ def bang_extension_check(p: PolyDiagram, x: Family, k: int,
         n = math.prod(arity[v] for v in l)
         rhs_sizes[mi] += math.prod(payloads[v] ** (n // arity[v]) for v in l if arity[v])
     sizes_ok = lhs_sizes == tuple(rhs_sizes)
-    lines = [f"fibers over size-at-most-{k} multisets: {lhs_sizes} vs "
-             f"{tuple(rhs_sizes)}"]
+    lines = [f"fibers over size-at-most-{k} multisets: {_decimals(lhs_sizes)} vs "
+             f"{_decimals(rhs_sizes)}"]
 
     total = sum(lhs_sizes)
-    if total <= materialize_limit and sum(rhs_sizes) <= materialize_limit:
+    if total <= _MATERIALIZE_LIMIT and sum(rhs_sizes) <= _MATERIALIZE_LIMIT:
         good = _bang_bijection(p, x, k, bd, bang, xhat, tuples)
         lines.append(f"blockwise tensor powers match the exponential "
                      f"fiberwise: {'yes' if good else 'NO'}")
     else:
         good = True
-        lines.append(f"carrier of {total} elements exceeds the "
-                     f"materialization limit {materialize_limit}; fiber "
+        lines.append(f"carrier of {decimal(total)} elements exceeds the "
+                     f"materialization limit {_MATERIALIZE_LIMIT}; fiber "
                      f"counts compared arithmetically only")
     return Report("exponential extension identity",
                   bool(sizes_ok and good), tuple(lines))
+
+
+def _decimals(counts) -> str:
+    """The counts printed as their tuple prints, each by report.decimal."""
+    return f"({', '.join(map(decimal, counts))}{',' * (len(counts) == 1)})"
 
 
 def _shape_tuples(p: PolyDiagram, bd: poly.BangData) -> list[tuple[int, tuple[int, ...]]]:
@@ -782,7 +788,7 @@ def double_dual_report(a_size: int, b_size: int) -> Report:
     p = poly.single_sorted((b_size,) * a_size)
     pd = poly.dualize(p)
     pdd = poly.dualize(pd)
-    # one pass over each dual's fibers gives both the check and the notation
+    # one pass over each dual's direction table gives the check and the notation
     dual, double = poly.arity_counts(pd), poly.arity_counts(pdd)
     dual_ok = pd.shapes.size == ba and set(dual) <= {a_size}
     dd_ok = pdd.shapes.size == a_size ** ba and set(double) <= {ba}

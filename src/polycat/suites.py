@@ -43,13 +43,14 @@ def _const_span(states: int) -> Span:
     return Span(FinSet(states), leg, leg)
 
 
-def _drawn(make: Callable, attempts: int = 64):
-    """Evaluate make() and redraw when it trips the size guard.
+def _drawn(make: Callable):
+    """Evaluate make() and redraw when it trips the size guard, at most
+    64 times.
 
     The generator state advances on every attempt, so results stay
     deterministic for a fixed seed even when redraws happen.
     """
-    for _ in range(attempts):
+    for _ in range(64):
         try:
             return make()
         except SizeGuardExceeded:
@@ -237,8 +238,7 @@ def adjunction_suite(seed: int = 0, cases: int = 100) -> Report:
     return Report("tensor-hom adjunction counting", ok, tuple(lines))
 
 
-def tensor_universal_suite(seed: int = 0, day_budget: int = 20000,
-                           day_samples: int = 400) -> Report:
+def tensor_universal_suite(seed: int = 0) -> Report:
     """Universal property of the tensor on the full small grid: the
     mediating morphism rebuilt from the canonical comparison map
     reproduces it, and the coend-style rectangle count agrees with the
@@ -269,8 +269,8 @@ def tensor_universal_suite(seed: int = 0, day_budget: int = 20000,
             for n in range(3):
                 x = family_from_fibers(FinSet(1), (n,))
                 rep = smcc.day_coend_oracle(p1, p2, x, skeleton_bound=4,
-                                            budget=day_budget,
-                                            samples=day_samples, seed=seed)
+                                            budget=20000, samples=400,
+                                            seed=seed)
                 day_total += 1
                 if rep.ok:
                     day_ok += 1

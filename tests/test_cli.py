@@ -43,6 +43,27 @@ def test_eval_multi_target_prints_all_sizes(capsys, tmp_path):
     assert out == "fiber sizes: 3 10\n"
 
 
+@pytest.mark.parametrize("target", [1, 2])
+def test_eval_prints_fiber_sizes_of_more_than_4300_digits(target, tmp_path):
+    # X^5000 at a 10-element family has 10^5000 elements, beyond str()'s
+    # digit limit; in a subprocess, so that the exit code is the real one
+    path = tmp_path / "huge.json"
+    shapes = [{"sort": 0, "dir_sorts": [0] * 5000}]
+    line = "fiber size 1" + "0" * 5000
+    if target == 2:
+        shapes.append({"sort": 1, "dir_sorts": [0]})
+        line = "fiber sizes: 1" + "0" * 5000 + " 10"
+    path.write_text(json.dumps({
+        "diagrams": {"p": {"source": 1, "target": target, "shapes": shapes}},
+        "families": {"x": {"base": 1, "fibers": [10]}},
+    }))
+    done = subprocess.run([sys.executable, "-m", "polycat.cli", "eval", str(path),
+                           "--diagram", "p", "--family", "x"],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == line + "\n"
+
+
 def test_double_dual_prints_exact_counterexample_line(capsys):
     code, out, _ = run(capsys, "double-dual", "--a", "2", "--b", "2")
     assert code == 0

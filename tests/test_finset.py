@@ -107,6 +107,17 @@ def test_a_pickled_map_is_hashed_afresh_in_another_process():
     assert out.stdout.strip() == b"True"
 
 
+def test_a_used_map_pickles_to_the_size_of_a_fresh_one():
+    # the cached fibers and positions stay behind, with the hash
+    table = tuple(x % 10 for x in range(1000))
+    fresh, used = (FinMap(FinSet(1000), FinSet(10), table) for _ in range(2))
+    hash(used)
+    fibers, positions = used.fibers(), used.positions()
+    assert len(pickle.dumps(used)) == len(pickle.dumps(fresh))
+    copied = pickle.loads(pickle.dumps(used))
+    assert copied == used and (copied.fibers(), copied.positions()) == (fibers, positions)
+
+
 def test_compose_example():
     f = fmap(3, 2, (0, 0, 1))
     g = fmap(2, 2, (1, 0))  # swap

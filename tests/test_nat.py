@@ -13,11 +13,12 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
 from polycat import fam, finset, nat, poly, randgen
-from polycat.errors import ShapeMismatch, SizeGuardExceeded, ValidationError
+from polycat.errors import ShapeMismatch, SizeGuardExceeded
 from polycat.finset import FinMap, FinSet
 
 
@@ -142,6 +143,35 @@ def test_count_nat_mismatch_and_large_counts():
     # counting is arithmetic: 8^8 and 2^25 shape maps are never walked
     assert nat.count_nat(ss(*([1] * 8)), ss(*([1] * 8))) == 8**8
     assert nat.count_nat(ss(*([1] * 25)), ss(1, 1)) == 2**25
+
+
+def test_count_and_enumeration_of_wide_pairs_run_in_linear_time():
+    # regrouping the source shape's 20000 directions per target shape took
+    # 9.3 s at 1600 target shapes on a 2-vCPU host, and 0.03 s here at 16000
+    wide = ss(20000)
+    start = time.perf_counter()
+    n = nat.count_nat(wide, ss(*([1] * 16000)))
+    assert time.perf_counter() - start < 0.5
+    assert n == 16000 * 20000
+    constants = ss(*([0] * 1600))
+    start = time.perf_counter()
+    ms = nat.enumerate_dm(wide, constants)
+    assert time.perf_counter() - start < 0.5
+    assert [m.alpha.table for m in ms] == [(w,) for w in range(1600)]
+    assert all(m.betas == ((),) for m in ms)
+
+
+def test_enumeration_with_no_transformations_lists_no_tables():
+    # X^7 has 7^7 backward tables into X^7, but the constant shape has none,
+    # so there is no transformation and no table need be listed
+    tracemalloc.start()
+    try:
+        ms = nat.enumerate_dm(ss(7, 0), ss(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ms == []
+    assert peak < 10**6
 
 
 def matching_dirs(p, q, v: int, w: int) -> list[list[int]]:
@@ -289,7 +319,8 @@ def test_naturality_check_evaluates_each_family_once():
         seen.append(x.fiber_sizes())
         return nat.eval_dm(pick_first(), x)
 
-    assert nat.naturality_check(component, 2, p=ss(2), q=ss(1, 1)).ok
+    f, g = nat.ExtFunctor(ss(2)), nat.ExtFunctor(ss(1, 1))
+    assert nat.transformation_check(f, g, component, 2).ok
     assert sorted(seen) == [(0,), (1,), (2,)]
 
 
@@ -301,7 +332,7 @@ def test_naturality_check_rejects_mixed_oracle():
         pick = ms[0] if x.total.size % 2 == 0 else ms[3]
         return nat.eval_dm(pick, x)
 
-    rep = nat.naturality_check(mixed, 2, p=p, q=q)
+    rep = nat.transformation_check(nat.ExtFunctor(p), nat.ExtFunctor(q), mixed, 2)
     assert not rep.ok
     assert rep.lines[0].startswith("counterexample: fibers (")
     assert "morphism table" in rep.lines[0]
@@ -310,11 +341,6 @@ def test_naturality_check_rejects_mixed_oracle():
 def test_naturality_check_bound_zero_vacuous():
     rep = nat.naturality_check(pick_first(), 0)
     assert rep.ok
-
-
-def test_naturality_check_needs_diagrams_for_oracles():
-    with pytest.raises(ValidationError):
-        nat.naturality_check(lambda x: x, 2)
 
 
 def test_composed_functor_protocol():

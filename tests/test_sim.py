@@ -8,6 +8,7 @@ product formula: one independent map choice per state.
 """
 import functools
 import itertools
+import pickle
 import random
 import time
 
@@ -757,6 +758,30 @@ def test_eval_plan_agrees_with_the_tables_and_is_kept_on_the_cell():
             assert c._plan is plan
     c = prefix_cell()
     assert sim.eval_sim(c, fams(1, [3])).map.table == eval_from_the_tables(c, fams(1, [3]))
+
+
+def test_used_values_pickle_to_their_fields_and_evaluate_the_same():
+    # evaluation leaves read-only views on the cell, the span, the
+    # diagrams and their extension records, which do not pickle
+    cells = [prefix_cell(), next(iter(two_sorted_cells(53, 1)))[0]]
+    for c in cells:
+        p, x = c.src, fam.family_from_fibers(c.src.source, (2,) * c.src.source.size)
+        fresh = {"cell": pickle.dumps(c), "diagram": pickle.dumps(p)}
+        comp = sim.eval_sim(c, x)
+        tables = (c.alpha, c.beta, c.gamma, c.pairs, c.triples)
+        index = poly.extension_index(p, x)
+        poly.tensor(p, c.dst)
+        assert pickle.dumps(c) == fresh["cell"]
+        assert pickle.dumps(p) == fresh["diagram"]
+        copied = pickle.loads(pickle.dumps(c))
+        assert copied == c and copied.span == c.span
+        assert sim.eval_sim(copied, x) == comp
+        assert (copied.alpha, copied.beta, copied.gamma, copied.pairs, copied.triples) == tables
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and poly.extension_index(q, x) == index
+        ext = pickle.loads(pickle.dumps(poly._extension(p, x)))
+        assert (ext.family, ext.elements, ext.index()) == (poly.eval_extension(p, x),
+                                                          poly.extension_elements(p, x), index)
 
 
 def shuffled_family(rng: random.Random, base: FinSet, sizes) -> fam.Family:

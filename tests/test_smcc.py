@@ -215,17 +215,20 @@ def test_theta_rejects_unnatural_oracle():
 
 
 def test_theta_rejects_wrong_endpoints():
-    # the generic probe of X^2 has two elements, so an identity oracle
-    # cannot have the comparison endpoints
-    p1, p2 = ss((2,)), ss((1,))
+    # rho is the comparison map on fibers of at most 2, so it passes the
+    # naturality check at bound 2; the generic probe of X^3 has three
+    # elements, where the identity oracle has the wrong endpoints
+    p1, p2 = ss((3,)), ss((1,))
     tens = poly.tensor(p1, p2)
+    eps = _eps_oracle(p1, p2)
 
     def rho(x, y):
+        if max(x.fiber_sizes() + y.fiber_sizes()) <= 2:
+            return eps(x, y)
         return fam.identity_morphism(x)
 
-    with pytest.raises(ValidationError):
-        smcc.theta(rho, p1, p2, tens, fam.box(fams(1, [1]), fams(1, [1])),
-                   check_naturality=False)
+    with pytest.raises(ValidationError, match="rho component has the wrong endpoints"):
+        smcc.theta(rho, p1, p2, tens, fam.box(fams(1, [1]), fams(1, [1])))
 
 
 def test_theta_family_base_mismatch():
@@ -571,6 +574,18 @@ def test_adjunction_large_counts_skip_round_trip():
                                       roundtrip_limit=16)
     assert rep.ok
     assert "bijection not enumerated" in rep.lines[-1]
+
+
+def test_adjunction_prints_counts_of_more_than_4300_digits():
+    # X^10 ⊗ X into X^5000, and X^10 into the hom X^5000: 10^5000 each,
+    # beyond str()'s digit limit
+    rep = smcc.adjunction_count_check(ss((10,)), ss((1,)), ss((5000,)))
+    huge = "1" + "0" * 5000
+    assert rep.ok
+    assert rep.lines == (
+        f"transformations out of the tensor: {huge}; into the internal hom: {huge}",
+        f"{huge} + {huge} members exceed the round-trip limit 512; bijection not enumerated",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -929,6 +944,17 @@ def test_bang_extension_arithmetic_mode_on_huge_carrier():
     assert rep.ok
     assert "(1, 8, 1024, 134217728) vs (1, 8, 1024, 134217728)" in rep.lines[0]
     assert "compared arithmetically only" in rep.lines[1]
+
+
+def test_bang_extension_prints_counts_of_more_than_4300_digits():
+    # X^2200 at |x| = 100, depth 1: 100^2200 = 10^4400 elements at the
+    # singleton multiset, beyond str()'s digit limit
+    rep = smcc.bang_extension_check(ss((2200,)), fams(1, [100]), 1)
+    huge = "1" + "0" * 4400
+    assert rep.ok
+    assert rep.lines[0] == f"fibers over size-at-most-1 multisets: (1, {huge}) vs (1, {huge})"
+    assert rep.lines[1] == (f"carrier of {huge[:-1]}1 elements exceeds the materialization "
+                            "limit 100000; fiber counts compared arithmetically only")
 
 
 def test_bang_extension_rejects_non_endo():

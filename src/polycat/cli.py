@@ -4,7 +4,8 @@ law suite, print a deterministic report.
 Exit codes: 0 success, 1 parse error (document or command line),
 2 validation failure, 3 size guard exceeded, 4 law violation found.
 The environment variable POLYCAT_GUARD overrides the enumeration bound;
-it is read on every call.
+it is read on every call, and a value that is not a nonnegative integer
+is a parse error.
 
 The argument parser is built once per process, on the first call of
 main, and reused by every later call: parsing keeps no state between
@@ -328,9 +329,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if guard is not None:
             try:
-                finset.set_guard_limit(int(guard))
+                limit = int(guard)
             except ValueError as e:
                 raise ParseError(f"POLYCAT_GUARD must be an integer: {guard!r}") from e
+            if limit < 0:
+                raise ParseError(f"POLYCAT_GUARD must be nonnegative: {guard!r}")
+            finset.set_guard_limit(limit)
         args = _build_parser().parse_args(argv)
         return _run(args)
     except ParseError as e:
@@ -339,13 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     except SizeGuardExceeded as e:
         print(f"size guard exceeded: {e}", file=sys.stderr)
         return 3
-    except OracleNotNatural as e:
-        print(f"validation failure: {e}", file=sys.stderr)
-        return 2
-    except ValidationError as e:
-        print(f"validation failure: {e}", file=sys.stderr)
-        return 2
-    except AssertionError as e:
+    except (OracleNotNatural, ValidationError, AssertionError) as e:
         print(f"validation failure: {e}", file=sys.stderr)
         return 2
     finally:

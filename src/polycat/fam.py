@@ -529,10 +529,6 @@ def box_pair(y: Family, t1: int, t2: int) -> int:
     return t1 * y.total.size + t2
 
 
-def box_unpair(y: Family, k: int) -> tuple[int, int]:
-    return divmod(k, y.total.size)
-
-
 def box_morphism(h1: FamMorphism, h2: FamMorphism) -> FamMorphism:
     """External product of two family morphisms."""
     return FamMorphism(box(h1.src, h2.src), box(h1.dst, h2.dst),

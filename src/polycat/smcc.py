@@ -11,6 +11,7 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 
 from . import fam, finset, nat, poly
 from .errors import OracleNotNatural, ShapeMismatch, ValidationError
@@ -35,32 +36,35 @@ __all__ = [
 
 def epsilon(p1: PolyDiagram, p2: PolyDiagram, x: Family, y: Family) -> FamMorphism:
     """The comparison map from the external product of two values to the
-    tensor's value on the external product: pair the shapes, pair the
-    payloads entrywise."""
+    tensor's value on the external product: the cocone (_cocone) at the
+    box pairing, which sends the point pair (t1, t2) to the point t1 *
+    |y| + t2 of the external product of x and y."""
     if x.base != p1.source:
         raise ShapeMismatch("first family must live over the first diagram's sorts")
     if y.base != p2.source:
         raise ShapeMismatch("second family must live over the second diagram's sorts")
     tens = poly.tensor(p1, p2)
-    ext1 = poly.eval_extension(p1, x)
-    ext2 = poly.eval_extension(p2, y)
-    dom = fam.box(ext1, ext2)
+    dom = fam.box(poly.eval_extension(p1, x), poly.eval_extension(p2, y))
     bx = fam.box(x, y)
     cod = poly.eval_extension(tens, bx)
     index = poly.extension_index(tens, bx)
     elems1 = poly.extension_elements(p1, x)
     elems2 = poly.extension_elements(p2, y)
-    table = []
-    for k in range(dom.total.size):
-        t1, t2 = fam.box_unpair(ext2, k)
-        v1, h1 = elems1[t1]
-        v2, h2 = elems2[t2]
-        vpair = v1 * p2.shapes.size + v2
-        payload = tuple(
-            fam.box_pair(y, e1, e2) for e1 in h1 for e2 in h2
-        )
-        table.append(index[(vpair, payload)])
-    return FamMorphism(dom, cod, FinMap(dom.total, cod.total, tuple(table)))
+    b, n2 = y.total.size, p2.shapes.size
+    pairing = range(bx.total.size)
+    table = tuple([index[_cocone(b, pairing, e1, e2, n2)] for e1 in elems1 for e2 in elems2])
+    return FamMorphism(dom, cod, FinMap(dom.total, cod.total, table))
+
+
+def _cocone(b: int, phi, e1, e2, n2: int) -> tuple[int, tuple[int, ...]]:
+    """The tensor's element of e1 = (v1, pay1) and e2 = (v2, pay2), elements
+    of the two diagrams' values at an a-set and a b-set, under a pairing
+    phi of the two sets, which sends the point pair (u, t) to phi[u * b +
+    t]: the shape v1 * n2 + v2, with n2 = |S2|, and the payload of phi
+    read at pay1 × pay2, pay1 outer."""
+    v1, pay1 = e1
+    v2, pay2 = e2
+    return v1 * n2 + v2, tuple([phi[u * b + t] for u in pay1 for t in pay2])
 
 
 def epsilon_naturality_check(p1: PolyDiagram, p2: PolyDiagram, bound: int) -> Report:
@@ -425,21 +429,27 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
     A canonical rectangle at shapes (v1, v2) with a pairing is the
     tensor's element (v1 * |S2| + v2, pairing), so both modes read the
     rectangles as the tensor's extension elements at x.
+    Each mode writes its relations once, for a map f on either side: the
+    tuple with a pairing phi2 and f's push of that side's element is
+    related to the tuple with that side's element and phi2 pulled back
+    along f x 1 (left) or 1 x f (right). The exact mode unions the two
+    tuples' numbers; the sampled mode compares their cocones (`_cocone`).
     The sampled mode's seeded draws are exactly those of
     `random.Random(seed)`'s `randrange` and `choice`, taken through its
-    `getrandbits` (see `_draws`). Each sample compares the cocone's
-    payload tuples, read off the drawn pairing inline: a reduction is
-    looked up in the tensor's extension index at x, and both sides of a
-    relation share the shape v1 * |S2| + v2. Every draw is taken as a
-    full cocone would take it, the whole pairing included. Two of the
-    sampled checks hold by construction: the two sides of a compared
-    relation are the same expression in the drawn pairing, and the
-    reduction's re-read of psi over its own f1 × f2 indices is psi. So
-    in sampled mode only the lookup and the decode count can read NO,
-    and the lookup reads NO only if the tensor's extension at x misses a
-    payload, since every psi has f1 · f2 entries below |x|. The sample
-    count must be positive, and the skeleton bound is guarded before
-    anything is counted."""
+    `getrandbits` (see `_draws`): per relation sample, the side, the
+    three sizes, f, the pairing and the two elements, in that order, and
+    each draw in full, the whole pairing included. A reduction's cocone
+    is looked up in the tensor's extension index at x. The compared
+    relation holds by construction: the pushed cocone reads phi2 at f's
+    image of the payload, which is what the pulled-back pairing holds
+    there, so the line reads yes until the pushed side is computed by
+    another route than the pull-back. So in sampled mode only the
+    reduction lookup and the decode count can read NO, and the lookup
+    reads NO only if the tensor's extension at x misses a payload, since
+    every cocone payload has f1 · f2 entries below |x|. The sample count
+    must be positive. The skeleton bound is guarded before the per-size
+    element counts are computed, once, and their sum before anything is
+    listed."""
     if samples < 1:
         raise ValidationError(f"the coend oracle needs at least one sample, not {samples}")
     if not (p1.is_single_sorted() and p2.is_single_sorted()):
@@ -457,15 +467,14 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
     # the counts multiply numbers of up to s^2 log(nx) digits about s^2
     # times, and both modes list the elements of both diagrams at every size
     check_guard((s + 1) ** 3, "coend oracle skeleton size triples")
-    finset.check_guard_sum(
-        (sum(a ** d for d in fibers) for fibers in (fibers1, fibers2)
-         for a in range(s + 1)),
-        "coend oracle skeleton elements")
+    # a diagram's elements at an a-set number the sum of a^arity over its
+    # shapes, summed by arity so that wide diagrams count in O(s^2) steps
+    p1_counts, p2_counts = [[sum(k * a ** d for d, k in arities) for a in range(s + 1)]
+                            for arities in (Counter(fibers1).items(), Counter(fibers2).items())]
+    finset.check_guard_sum(p1_counts + p2_counts, "coend oracle skeleton elements")
     nx = x.total.size
     tens = poly.tensor(p1, p2)
     expected = poly.eval_extension(tens, x).total.size
-    p1_counts = [sum(a ** d for d in fibers1) for a in range(s + 1)]
-    p2_counts = [sum(b ** d for d in fibers2) for b in range(s + 1)]
     # tuples at sizes (a, b): nx^(a b) P1[a] P2[b]; relations along a map
     # a -> a2 on the left: a2^a nx^(a2 b) P1[a] P2[b], and the mirror term.
     # Summed with P1 and P2 as polynomials in the skeleton size:
@@ -501,9 +510,8 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
         elems1 = [_set_value(p1, a).elements for a in range(s + 1)]
         elems2 = [_set_value(p2, b).elements for b in range(s + 1)]
 
-        # every tuple reduces along its payloads to a canonical rectangle:
-        # the cocone's payload at (a, b, phi, e1, e2) is psi, and at the
-        # rectangle it is psi read through the two generic payloads
+        # every tuple reduces along its payloads to the canonical rectangle
+        # of its cocone, which is an element of the tensor's extension at x
         reductions_ok = True
         reduced = 0
         rect_index = poly.extension_index(tens, x)
@@ -511,56 +519,42 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
                     if p1_counts[a] * p2_counts[b] > 0 and (nx > 0 or a * b == 0)]
         for _ in range(samples if weighted else 0):
             a, b = weighted[below(len(weighted))]
-            if not elems1[a] or not elems2[b]:
-                continue
             reduced += 1
-            v1, pay1 = elems1[a][below(len(elems1[a]))]
-            v2, pay2 = elems2[b][below(len(elems2[b]))]
-            phi = below_each(nx, a * b)
-            psi = tuple([phi[i * b + j] for i in pay1 for j in pay2])
-            f2 = fibers2[v2]
-            if (v1 * n2 + v2, psi) not in rect_index or psi != tuple(
-                    [psi[i * f2 + j] for i in range(fibers1[v1]) for j in range(f2)]):
+            e1 = elems1[a][below(len(elems1[a]))]
+            e2 = elems2[b][below(len(elems2[b]))]
+            if _cocone(b, below_each(nx, a * b), e1, e2, n2) not in rect_index:
                 reductions_ok = False
                 break
         lines.append(f"sampled tuples reduce to canonical rectangles: "
                      f"{'yes' if reductions_ok else 'NO'} ({reduced} samples)")
 
-        # the comparison map respects sampled generating relations: both
-        # sides of a relation have the shape v1 * |S2| + v2, so their
-        # cocone payloads are compared
+        # the comparison map respects sampled generating relations: a map
+        # f from the n-set on one side to an a2-set, o the other side's size
         relations_ok = True
         tried = 0
         attempts = 0
         while tried < samples and attempts < 20 * samples:
             attempts += 1
-            left_side = rng.random() < 0.5
+            left = rng.random() < 0.5
             a, a2, b = below_each(s + 1, 3)
-            if left_side:
-                if (a > 0 and a2 == 0) or not elems1[a] or not elems2[b]:
-                    continue
-                f = below_each(a2, a)
-                if nx == 0 and a2 * b > 0:
-                    continue
-                phi2 = below_each(nx, a2 * b)
-                pay1 = elems1[a][below(len(elems1[a]))][1]
-                pay2 = elems2[b][below(len(elems2[b]))][1]
+            n, o = (a, b) if left else (b, a)
+            if (n > 0 and a2 == 0) or not elems1[a] or not elems2[b]:
+                continue
+            f = below_each(a2, n)
+            if nx == 0 and a2 * o > 0:
+                continue
+            phi2 = below_each(nx, a2 * o)
+            e1 = elems1[a][below(len(elems1[a]))]
+            e2 = elems2[b][below(len(elems2[b]))]
+            if left:
+                # (a2, b, phi2, f e1, e2) ~ (a, b, phi2 (f x 1), e1, e2)
                 pulled = [phi2[f[i] * b + j] for i in range(a) for j in range(b)]
-                same = [phi2[f[t] * b + j] for t in pay1 for j in pay2] == \
-                    [pulled[i * b + j] for i in pay1 for j in pay2]
+                pushed = _cocone(b, phi2, (e1[0], [f[t] for t in e1[1]]), e2, n2)
             else:
-                if (b > 0 and a2 == 0) or not elems1[a] or not elems2[b]:
-                    continue
-                g = below_each(a2, b)
-                if nx == 0 and a * a2 > 0:
-                    continue
-                phi2 = below_each(nx, a * a2)
-                pay1 = elems1[a][below(len(elems1[a]))][1]
-                pay2 = elems2[b][below(len(elems2[b]))][1]
-                pulled = [phi2[i * a2 + g[j]] for i in range(a) for j in range(b)]
-                same = [phi2[i * a2 + g[t]] for i in pay1 for t in pay2] == \
-                    [pulled[i * b + j] for i in pay1 for j in pay2]
-            if not same:
+                # (a, a2, phi2, e1, f e2) ~ (a, b, phi2 (1 x f), e1, e2)
+                pulled = [phi2[i * a2 + f[j]] for i in range(a) for j in range(b)]
+                pushed = _cocone(a2, phi2, e1, (e2[0], [f[t] for t in e2[1]]), n2)
+            if pushed != _cocone(b, pulled, e1, e2, n2):
                 relations_ok = False
                 break
             tried += 1
@@ -598,26 +592,26 @@ def _coend_exact(p1, p2, s, nx):
     the two diagrams' values at a and at b. Tuples are numbered by the
     sizes (a, b) in lexicographic order, then by phi as a base-nx
     numeral, then by the positions of e1 and e2 in the diagrams' values
-    at a and at b (`_set_value`)."""
-    values1 = [_set_value(p1, a) for a in range(s + 1)]
-    values2 = [_set_value(p2, b) for b in range(s + 1)]
-    index1 = [value.index() for value in values1]
-    index2 = [value.index() for value in values2]
-    n1 = [len(index) for index in index1]
-    n2 = [len(index) for index in index2]
+    at a and at b (`_set_value`). Both sides' relations run through one
+    loop: only the pairing's pull-back and the places of the pushed and
+    the other element in a pairing's block depend on the side."""
+    values = [[_set_value(p, a) for a in range(s + 1)] for p in (p1, p2)]
+    index1, index2 = index = [[value.index() for value in side] for side in values]
     offsets = {}
     total = 0
     for a in range(s + 1):
         for b in range(s + 1):
-            offsets[a, b] = total
-            total += nx ** (a * b) * n1[a] * n2[b]
+            block = len(index1[a]) * len(index2[b])
+            offsets[a, b] = total, block
+            total += nx ** (a * b) * block
 
     def first(a, b, phi):
         # the number of the first tuple with sizes (a, b) and pairing phi
+        offset, block = offsets[a, b]
         k = 0
         for entry in phi:
             k = k * nx + entry
-        return offsets[a, b] + k * n1[a] * n2[b]
+        return offset + k * block
 
     parent = list(range(total))
 
@@ -633,31 +627,36 @@ def _coend_exact(p1, p2, s, nx):
             parent[ri] = rj
 
     for n, m, f in fam.elementary_maps(s):
-        # f on the left set: (m, b, phi2, f e1, e2) ~ (n, b, phi2 (f x 1), e1, e2)
-        pushed1 = [index1[m][(v, tuple(f[t] for t in pay))] for v, pay in values1[n].elements]
-        for b in range(s + 1):
-            if not pushed1 or not n2[b]:
-                continue
-            for phi2 in itertools.product(range(nx), repeat=m * b):
-                pulled = tuple(phi2[f[i] * b + j] for i in range(n) for j in range(b))
-                hi, lo = first(m, b, phi2), first(n, b, pulled)
-                for e1k, pushed in enumerate(pushed1):
-                    for e2k in range(n2[b]):
-                        union(hi + pushed * n2[b] + e2k, lo + e1k * n2[b] + e2k)
-        # f on the right set: (a, m, phi2, e1, f e2) ~ (a, n, phi2 (1 x f), e1, e2)
-        pushed2 = [index2[m][(v, tuple(f[t] for t in pay))] for v, pay in values2[n].elements]
-        for a in range(s + 1):
-            if not pushed2 or not n1[a]:
-                continue
-            for phi2 in itertools.product(range(nx), repeat=a * m):
-                pulled = tuple(phi2[i * m + f[j]] for i in range(a) for j in range(n))
-                hi, lo = first(a, m, phi2), first(a, n, pulled)
-                for e2k, pushed in enumerate(pushed2):
-                    for e1k in range(n1[a]):
-                        union(hi + e1k * n2[m] + pushed, lo + e1k * n2[n] + e2k)
+        for side in (0, 1):
+            # f on one side's set, an o-set on the other: the tuple with
+            # pairing phi2 and f's push of that side's element ~ the tuple
+            # with phi2 pulled back along f x 1 (left) or 1 x f (right)
+            pushed = [index[side][m][(v, tuple(f[t] for t in pay))]
+                      for v, pay in values[side][n].elements]
+            for o in range(s + 1):
+                others = len(index[1 - side][o])
+                if not pushed or not others or (nx == 0 and m * o > 0):
+                    continue
+                # a tuple's place in its pairing's block is i1 * |P2[b]| + i2,
+                # so the strides of the moved element and of the other one
+                if side == 0:
+                    src, dst = (n, o), (m, o)
+                    pull = [f[i] * o + j for i in range(n) for j in range(o)]
+                    stride, other_src, other_dst = others, 1, 1
+                else:
+                    src, dst = (o, n), (o, m)
+                    pull = [i * m + f[j] for i in range(o) for j in range(n)]
+                    stride, other_src, other_dst = 1, len(index2[n]), len(index2[m])
+                for phi2 in itertools.product(range(nx), repeat=m * o):
+                    lo = first(*src, tuple([phi2[t] for t in pull]))
+                    hi = first(*dst, phi2)
+                    for k, e in enumerate(pushed):
+                        lo_k, hi_e = lo + k * stride, hi + e * stride
+                        for j in range(others):
+                            union(hi_e + j * other_dst, lo_k + j * other_src)
 
     def number(a, b, phi, e1, e2):
-        return first(a, b, phi) + index1[a][e1] * n2[b] + index2[b][e2]
+        return first(a, b, phi) + index1[a][e1] * len(index2[b]) + index2[b][e2]
 
     return [find(k) for k in range(total)], number
 

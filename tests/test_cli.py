@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from polycat import cli, doc, finset, poly, suites
+from polycat.errors import OracleNotNatural
 from polycat.report import Report, decimal
 
 LIST_DOC = "docs/examples/list.json"
@@ -444,6 +445,24 @@ def test_guard_env_var_overrides_bound(capsys, monkeypatch):
     assert code == 0
     assert out.startswith("transformations: 225 out of the tensor")
     assert finset.guard_limit() == finset.DEFAULT_GUARD_LIMIT
+
+
+def test_negative_guard_env_var_is_reported_as_negative(capsys, monkeypatch):
+    monkeypatch.setenv("POLYCAT_GUARD", "-5")
+    code, out, err = run(capsys, "double-dual", "--a", "1", "--b", "1")
+    assert (code, out) == (1, "")
+    assert err == "parse error: POLYCAT_GUARD must be nonnegative: '-5'\n"
+    assert finset.guard_limit() == finset.DEFAULT_GUARD_LIMIT
+
+
+def test_oracle_not_natural_is_validation_failure(capsys, monkeypatch):
+    def unnatural(suite, seed):
+        raise OracleNotNatural("rho not natural: counterexample")
+
+    monkeypatch.setattr(suites, "run_suite", unnatural)
+    code, out, err = run(capsys, "check-laws", "--suite", "tensor-universal")
+    assert (code, out) == (2, "")
+    assert err == "validation failure: rho not natural: counterexample\n"
 
 
 def test_document_dump_load_round_trip(tmp_path):

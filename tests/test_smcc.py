@@ -96,6 +96,32 @@ def test_epsilon_naturality_multi_sorted():
     assert rep.lines == ("12 generating squares commute at fiber bound 1",)
 
 
+def test_epsilon_on_a_two_sorted_pair_whose_box_is_no_block_family():
+    # X_1 + X_0 over two sorts, and X_0 X_1 + 1; the box of x = (2, 1) and
+    # y = (1, 1) holds the points 0 and 2 over the sort pair (0, 0)
+    src = FinSet(2)
+    p1 = poly.PolyDiagram(src, FinSet(2), FinSet(2), src,
+                          fmap(2, 2, (1, 0)), fmap(2, 2, (0, 1)),
+                          fmap(2, 2, (0, 1)))
+    p2 = poly.PolyDiagram(src, FinSet(2), FinSet(2), FinSet(1),
+                          fmap(2, 2, (0, 1)), fmap(2, 2, (0, 0)),
+                          fmap(2, 1, (0, 0)))
+    x, y = fams(2, [2, 1]), fams(2, [1, 1])
+    bx = fam.box(x, y)
+    assert bx != fam.family_from_fibers(bx.base, bx.fiber_sizes())
+    index = poly.extension_index(poly.tensor(p1, p2), bx)
+    want = tuple(index[(v1 * p2.shapes.size + v2,
+                        tuple(t1 * y.total.size + t2 for t1 in pay1 for t2 in pay2))]
+                 for v1, pay1 in poly.extension_elements(p1, x)
+                 for v2, pay2 in poly.extension_elements(p2, y))
+    e = smcc.epsilon(p1, p2, x, y)
+    assert e.src == fam.box(poly.eval_extension(p1, x), poly.eval_extension(p2, y))
+    assert e.dst == poly.eval_extension(poly.tensor(p1, p2), bx)
+    assert e.map.table == want
+    # the two payloads of the constant right shape forget x
+    assert want == (0, 1, 2, 6, 5, 6)
+
+
 # ---------------------------------------------------------------------------
 # the mediating transformation
 

@@ -2,8 +2,9 @@
 one fixed pair of the tensor-universal grid, X + 1 against X^2 + X: the
 coend oracle in sampled mode (|x| = 2) and in exact mode (|x| = 0), the
 binaturality check of the comparison map (the squares that theta and
-epsilon_naturality_check walk), and the comparison map alone at every
-argument pair with fibers at most 2.
+epsilon_naturality_check walk), the comparison map alone at every
+argument pair with fibers at most 2, and the whole universal-property
+check of the comparison map (theta_check, the workload's theta op).
 
 These cases sit outside the tier-1 test paths and need pytest-benchmark:
 
@@ -61,3 +62,16 @@ def test_epsilon(benchmark):
 
     got = benchmark(run)
     assert [m.map.dom.size for m in got] == [0, 2, 6, 0, 4, 12, 0, 6, 18]
+
+
+def test_theta_check(benchmark):
+    tens = poly.tensor(P1, P2)
+
+    def run():
+        return smcc.theta_check(P1, P2, tens, lambda x, y: smcc.epsilon(P1, P2, x, y))
+
+    rep = benchmark(run)
+    assert rep.ok and rep.lines == (
+        "mediating map reproduces rho after the comparison map at 9 argument pairs",
+        "128 candidate transformations exceed the sampling limit 8; "
+        "uniqueness not sampled")

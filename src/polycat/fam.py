@@ -38,11 +38,14 @@ class Family:
     extension is. The hash is read-only and lives as long as the family,
     and a pickle holds the fields only (finset.field_state).
 
-    Block families are interned (see family_from_fibers): while one is
-    alive, every request for its value returns that object, so a dict
-    keyed by block families finds them by identity. A family built with
-    this constructor is never interned; it equals, hashes like and finds
-    the same dict entries as the block family of its value."""
+    Block families and external products are interned (see
+    family_from_fibers and box): while one is alive, every request for
+    its value returns that object, so a dict keyed by them finds them by
+    identity. Each is kept in a weak table keyed by value: the base and
+    fiber sizes of a block family, the two factors of a box. A family
+    built with this constructor is never interned; it equals, hashes like
+    and finds the same dict entries as the interned family of its
+    value."""
 
     total: FinSet
     base: FinSet
@@ -138,8 +141,7 @@ class FamMorphism:
         return self.map.table[t]
 
     def then(self, g: "FamMorphism") -> "FamMorphism":
-        if self.dst != g.src:
-            raise ShapeMismatch("cannot compose family morphisms: endpoints differ")
+        _check_composable(self.dst, g.src)
         return FamMorphism(self.src, g.dst, self.map.then(g.map))
 
     def is_iso(self) -> bool:
@@ -147,6 +149,13 @@ class FamMorphism:
 
     def inverse(self) -> "FamMorphism":
         return FamMorphism(self.dst, self.src, self.map.inverse())
+
+
+def _check_composable(dst: Family, src: Family) -> None:
+    """The endpoint check of a composite of family morphisms, shared by
+    FamMorphism.then and the composites that are read on tables only."""
+    if dst is not src and dst != src:
+        raise ShapeMismatch("cannot compose family morphisms: endpoints differ")
 
 
 def identity_morphism(x: Family) -> FamMorphism:
@@ -516,13 +525,30 @@ def distributivity_check(a: FinMap, b: FinMap, x: Family) -> Report:
 # pointwise external constructions
 
 
+# the live external products by their factors' values; weak like _blocks
+_boxes: weakref.WeakValueDictionary[tuple[Family, Family], Family] = \
+    weakref.WeakValueDictionary()
+
+
 def box(x: Family, y: Family) -> Family:
     """External product: the family over base1 x base2 whose fiber over a
     pair is the product of the fibers. Elements are the pairs (t1, t2),
     encoded as t1 * |total2| + t2, over the base pair (i1, i2), encoded
-    as i1 * |base2| + i2 (the pairing of finset.product_map)."""
-    proj = finset.product_map(x.proj, y.proj)
-    return Family(proj.dom, proj.cod, proj)
+    as i1 * |base2| + i2 (the pairing of finset.product_map).
+
+    Interned like a block family: while the box of factors of these
+    values is alive, the call returns that same object, so the
+    extension records and morphism endpoints keyed by it are found by
+    identity and the pairing is built once per pair of values. The
+    table holds the boxes weakly and keys them by the factors' values. A
+    box equals and hashes like Family(finset.product_map(x.proj,
+    y.proj)), and pickles as one."""
+    key = (x, y)
+    z = _boxes.get(key)
+    if z is None:
+        proj = finset.product_map(x.proj, y.proj)
+        z = _boxes[key] = Family(proj.dom, proj.cod, proj)
+    return z
 
 
 def box_pair(y: Family, t1: int, t2: int) -> int:

@@ -91,7 +91,17 @@ def _check_rho_natural(rho, p1: PolyDiagram, p2: PolyDiagram,
     order. rho is evaluated once per argument pair, and each factor's
     functorial action (poly.extension_map of p1 or p2) once per
     generating morphism and once per identity, shared by every square
-    it sits in; only the tensor's action is computed per square."""
+    it sits in; only the tensor's action is computed per square.
+
+    The two composites of a square are read on tables and not built:
+    the left side is rho's table at (f.dst, g.dst) read at F[i1] * m2 +
+    G[i2], with F and G the factor actions' tables and m2 the size of
+    g's action's target, and the right side the tensor's action read at
+    rho's table at (f.src, g.src). Their endpoints are checked as
+    FamMorphism.then checks them, with its message ("cannot compose
+    family morphisms: endpoints differ") and in the order that composing
+    them would: the left side's before the tensor's action is built,
+    the right side's after."""
     xs = list(fam.families_up_to(p1.source, bound))
     ys = list(fam.families_up_to(p2.source, bound))
     fs = fam.generating_morphisms(p1.source, bound)
@@ -108,11 +118,15 @@ def _check_rho_natural(rho, p1: PolyDiagram, p2: PolyDiagram,
     squares = [(f, g) for f in gens_x for g in ids_y]
     squares += [(f, g) for f in ids_x for g in gens_y]
     for (f, f_ext), (g, g_ext) in squares:
-        lhs = fam.box_morphism(f_ext, g_ext).then(comps[f.dst, g.dst])
-        rhs = comps[f.src, g.src].then(
-            poly.extension_map(f_diag, fam.box_morphism(f, g))
-        )
-        if lhs.map.table != rhs.map.table:
+        after = comps[f.dst, g.dst]
+        fam._check_composable(fam.box(f_ext.dst, g_ext.dst), after.src)
+        table, gt, m2 = after.map.table, g_ext.map.table, g_ext.dst.total.size
+        lhs = [table[y1 * m2 + y2] for y1 in f_ext.map.table for y2 in gt]
+        before = comps[f.src, g.src]
+        action = poly.extension_map(f_diag, fam.box_morphism(f, g))
+        fam._check_composable(before.dst, action.src)
+        table = action.map.table
+        if lhs != [table[t] for t in before.map.table]:
             raise OracleNotNatural(
                 f"rho not natural: counterexample at fibers {f.src.fiber_sizes()}"
                 f"->{f.dst.fiber_sizes()} and {g.src.fiber_sizes()}"
@@ -185,7 +199,10 @@ def theta_check(p1: PolyDiagram, p2: PolyDiagram, f_diag: PolyDiagram, rho,
     itself a candidate, so the one matching candidate must equal it.
     rho and the comparison map are evaluated once per argument pair: the
     naturality check, the mediator and every candidate share the values,
-    kept for this call only."""
+    kept for this call only. A candidate's composite with the comparison
+    map is read on tables, the candidate's component at the box read at
+    the comparison map's table, after the endpoint check that composing
+    them would make, with the same message."""
     tens = poly.tensor(p1, p2)
     rho = functools.cache(rho)
     comparison = functools.cache(lambda x, y: epsilon(p1, p2, x, y))
@@ -198,8 +215,11 @@ def theta_check(p1: PolyDiagram, p2: PolyDiagram, f_diag: PolyDiagram, rho,
         # the first argument pair where m after the comparison map is not rho
         for x in xs:
             for y in ys:
-                got = comparison(x, y).then(nat.eval_dm(m, fam.box(x, y)))
-                if got.map.table != rho(x, y).map.table:
+                c = comparison(x, y)
+                component = nat.eval_dm(m, fam.box(x, y))
+                fam._check_composable(c.dst, component.src)
+                ct = component.map.table
+                if tuple([ct[t] for t in c.map.table]) != rho(x, y).map.table:
                     return x, y
         return None
 

@@ -395,6 +395,48 @@ def test_box_sizes():
     assert fam.box_pair(y, 1, 1) == 5
 
 
+def test_boxes_are_interned():
+    x = blocks(2, (1, 2))
+    y = blocks(2, (3, 1))
+    b = fam.box(x, y)
+    assert fam.box(x, y) is b
+    # value-equal factors built with the constructor find the same box
+    x2 = Family(x.total, x.base, x.proj)
+    y2 = Family(FinSet(y.total.size), FinSet(2), fmap(4, 2, y.proj.table))
+    assert x2 is not x and y2 is not y
+    assert fam.box(x2, y2) is b and fam.box(x, y2) is b
+    assert fam.box(y, x) is not b
+
+
+def test_box_equals_and_hashes_like_a_fresh_product_family():
+    # over two sorts, x = (2, 1) and y = (1, 1): the points 0 and 2 of the
+    # box lie over the sort pair (0, 0), so the box is no block family
+    x, y = blocks(2, (2, 1)), blocks(2, (1, 1))
+    b = fam.box(x, y)
+    fresh = Family(b.total, b.base, finset.product_map(x.proj, y.proj))
+    assert fresh is not b and fresh == b and hash(fresh) == hash(b)
+    assert b.proj.table == (0, 1, 0, 1, 2, 3)
+    assert b != family_from_fibers(b.base, b.fiber_sizes())
+    assert {fresh: "box"}[b] == "box"
+    copied = pickle.loads(pickle.dumps(b))
+    assert "_hash" not in copied.__dict__
+    assert copied == b and hash(copied) == hash(b) and fam.box(x, y) is b
+
+
+def test_box_table_holds_boxes_weakly():
+    x, y = blocks(2, (3, 0)), blocks(3, (1, 4, 1))
+    gc.collect()
+    before = len(fam._boxes)
+    b = fam.box(x, y)
+    ref = weakref.ref(b)
+    assert len(fam._boxes) == before + 1 and (x, y) in fam._boxes
+    del b
+    gc.collect()
+    assert ref() is None
+    assert len(fam._boxes) == before and (x, y) not in fam._boxes
+    assert fam.box(x, y).fiber_sizes() == (3, 12, 3, 0, 0, 0)
+
+
 def test_box_morphism():
     x = blocks(1, (2,))
     y = blocks(1, (2,))

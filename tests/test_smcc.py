@@ -257,6 +257,33 @@ def test_theta_rejects_wrong_endpoints():
         smcc.theta(rho, p1, p2, tens, fam.box(fams(1, [1]), fams(1, [1])))
 
 
+@pytest.mark.parametrize("wrong", ["src", "dst"])
+def test_theta_check_refuses_a_component_with_wrong_endpoints_within_the_bound(wrong):
+    # X^2 (x) X; at x = (1,) and y = (2,) the box of the values has 2
+    # points and the tensor's value at the box has 4, so an identity on
+    # either one has the other endpoint wrong. The component is a square's
+    # left-hand end where its source is wrong, and a right-hand end where
+    # its target is
+    p1, p2 = ss((2,)), ss((1,))
+    tens = poly.tensor(p1, p2)
+    eps = _eps_oracle(p1, p2)
+
+    def rho(x, y):
+        e = eps(x, y)
+        if (x.fiber_sizes(), y.fiber_sizes()) != ((1,), (2,)):
+            return e
+        return fam.identity_morphism(e.dst if wrong == "src" else e.src)
+
+    assert eps(fams(1, [1]), fams(1, [2])).src.total.size == 2
+    assert eps(fams(1, [1]), fams(1, [2])).dst.total.size == 4
+    with pytest.raises(ShapeMismatch,
+                       match="^cannot compose family morphisms: endpoints differ$"):
+        smcc.theta_check(p1, p2, tens, rho)
+    with pytest.raises(ShapeMismatch,
+                       match="^cannot compose family morphisms: endpoints differ$"):
+        smcc._check_rho_natural(rho, p1, p2, tens, 2)
+
+
 def test_theta_family_base_mismatch():
     p1 = p2 = ss((1,))
     with pytest.raises(ShapeMismatch):

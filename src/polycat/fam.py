@@ -42,7 +42,8 @@ class Family:
     family_from_fibers and box): while one is alive, every request for
     its value returns that object, so a dict keyed by them finds them by
     identity. Each is kept in a weak table keyed by value: the base and
-    fiber sizes of a block family, the two factors of a box. A family
+    fiber sizes of a block family, the two factors of a box. A box whose
+    value is a block family is that block family, in both tables. A family
     built with this constructor is never interned; it equals, hashes like
     and finds the same dict entries as the interned family of its
     value."""
@@ -542,12 +543,21 @@ def box(x: Family, y: Family) -> Family:
     identity and the pairing is built once per pair of values. The
     table holds the boxes weakly and keys them by the factors' values. A
     box equals and hashes like Family(finset.product_map(x.proj,
-    y.proj)), and pickles as one."""
+    y.proj)), and pickles as one. A box whose projection is a block map
+    (its table is nondecreasing, as when both factors are single-sorted)
+    is the live block family of its value (family_from_fibers), whichever
+    of the two was asked for first."""
     key = (x, y)
     z = _boxes.get(key)
     if z is None:
         proj = finset.product_map(x.proj, y.proj)
-        z = _boxes[key] = Family(proj.dom, proj.cod, proj)
+        t = proj.table
+        if all(map(operator.le, t, t[1:])):
+            z = family_from_fibers(proj.cod, [a * b for a in x.fiber_sizes()
+                                              for b in y.fiber_sizes()])
+        else:
+            z = Family(proj.dom, proj.cod, proj)
+        _boxes[key] = z
     return z
 
 

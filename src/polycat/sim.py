@@ -534,7 +534,7 @@ def extract_sim(oracle, span: Span, p1: PolyDiagram, p2: PolyDiagram) -> SimCell
     components' tables with the extracted cell's (_check_round_trip),
     which it computes without building a morphism."""
     _check_ends(span, p1, p2)
-    ask = _memo(oracle)
+    ask = functools.cache(oracle)
     probes: dict = {}
     entries = []
     for rho, v in cell_pairs(span, p1):
@@ -557,21 +557,6 @@ def _check_endpoints(comp: FamMorphism, src: Family, dst: Family) -> None:
     dst, comparing by identity first (as FamMorphism does)."""
     if (comp.src is not src and comp.src != src) or (comp.dst is not dst and comp.dst != dst):
         raise ValidationError("oracle component has the wrong endpoints")
-
-
-def _memo(oracle):
-    """The oracle asked at most once per family value: its components kept
-    in a dict for one extraction. A component is never None, so a missing
-    key and a kept answer are told apart by get."""
-    answers: dict = {}
-
-    def ask(x: Family) -> FamMorphism:
-        comp = answers.get(x)
-        if comp is None:
-            comp = answers[x] = oracle(x)
-        return comp
-
-    return ask
 
 
 def _check_round_trip(ask, c: SimCell) -> None:

@@ -437,6 +437,25 @@ def test_box_table_holds_boxes_weakly():
     assert fam.box(x, y).fiber_sizes() == (3, 12, 3, 0, 0, 0)
 
 
+@pytest.mark.parametrize("box_first", [True, False])
+@pytest.mark.parametrize("x_sizes, y_sizes, sizes", [
+    ((5,), (7,), (35,)),
+    ((1, 5), (7,), (7, 35)),  # the box's table (0, ..., 0, 1, ..., 1) is a block map
+])
+def test_a_box_that_is_a_block_family_is_the_live_block_family(box_first, x_sizes,
+                                                               y_sizes, sizes):
+    x, y = blocks(len(x_sizes), x_sizes), blocks(len(y_sizes), y_sizes)
+    gc.collect()
+    assert (x, y) not in fam._boxes and (FinSet(len(sizes)), sizes) not in fam._blocks
+    if box_first:
+        b = fam.box(x, y)
+        assert family_from_fibers(FinSet(len(sizes)), sizes) is b
+    else:
+        z = family_from_fibers(FinSet(len(sizes)), sizes)
+        assert fam.box(x, y) is z
+    assert fam.box(x, y) is family_from_fibers(FinSet(len(sizes)), sizes)
+
+
 def test_box_morphism():
     x = blocks(1, (2,))
     y = blocks(1, (2,))

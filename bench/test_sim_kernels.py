@@ -4,7 +4,8 @@ over one span (the table slices held in the span's frame serve them
 all), extraction with a precomputed oracle, the round trip of every
 cell of one instance over one span (the frame held on the span serves
 them all) and of one cell over a fresh span (the frame is built anew),
-building a cell from its rows, counting and enumerating cells.
+building a cell from its rows, counting and enumerating cells (the
+grid instance's 225 too).
 
 These cases sit outside the tier-1 test paths and need pytest-benchmark:
 
@@ -88,6 +89,11 @@ def test_cell_from_rows(benchmark):
 
 def test_count_sim(benchmark):
     assert benchmark(sim.count_sim, P, P, SPAN) == 14_400
+
+
+def test_enumerate_grid(benchmark):
+    cells = benchmark(sim.enumerate_sim, P, poly.single_sorted((0, 1)), SPAN)
+    assert cells == GRID_CELLS and len(cells) == 225
 
 
 def test_enumerate_sim(benchmark):

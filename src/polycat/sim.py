@@ -21,11 +21,14 @@ A SimCell stores the tables as rows, one per state: _plan[rho][v] is
 None off the (state, shape) pairs and otherwise (w, ((g, k), ...)), the
 assigned shape w and, per direction u of w, the successor
 gamma[rho, v, u] and the position k of beta[rho, v, u] in v's direction
-fiber. Every cell passes one validator, which checks the four equations
-once, so every cell is valid; the functions here that make cells hand
-it rows, and the public constructor turns the three tables into rows
-first. The tables themselves are read-only views built from the rows on
-first read. Evaluation turns a cell into a natural family of morphisms
+fiber. Every cell is valid: each of its entries passed the entry check
+(the four equations) and its rows the layout check. The validator
+(SimCell._settle) runs both on each cell it builds, from the rows that
+the public constructor and the functions here hand it, so it checks an
+entry once per built cell. The cells enumerate_sim lists are choices of
+one option per (state, shape) pair: it runs the entry check once per
+option and gives each cell the layout check only. The tables
+themselves are read-only views built from the rows on first read. Evaluation turns a cell into a natural family of morphisms
 relating the two extensions across the span's sum lift.
 
 Parallel cells add: sum_sim takes the coproduct of their spans, and
@@ -106,11 +109,13 @@ class SimCell:
 
     SimCell(span, src, dst, alpha, beta, gamma) checks the span's ends
     and the tables' key sets, turns the tables into rows and hands them
-    to the one validator, which every cell passes (_settle). It raises
-    ValidationError at the first violation: key sets and ranges first,
-    then each pair's shape sort, then the direction equations triple by
-    triple. alpha, beta, gamma, pairs and triples are built from the rows
-    the first time they are read and kept, read-only."""
+    to the validator (_settle), which checks their layout and then each
+    of their entries once (_check_layout, _check_entries); enumerate_sim
+    checks each of its options' entries once and each cell's layout. It
+    raises ValidationError at the first violation: key sets and ranges
+    first, then each pair's shape sort, then the direction equations
+    triple by triple. alpha, beta, gamma, pairs and triples are built
+    from the rows the first time they are read and kept, read-only."""
 
     span: Span
     src: PolyDiagram
@@ -148,54 +153,17 @@ class SimCell:
         self._settle(span, src, dst, _layout(span, src, entries))
 
     def _settle(self, span: Span, src: PolyDiagram, dst: PolyDiagram, rows) -> None:
-        """The one validator: check the rows and keep them as the plan.
-        Key coverage first (a row per state, an entry exactly at the
-        pairs, a move per direction of the assigned shape), then the
-        ranges of the shapes and then of the moves, then the first
-        equation fault: a pair's shape sort, else the first triple's. A
-        position k of None is a src direction off v's fiber."""
+        """The validator: check the rows' layout (_check_layout), then
+        each of their entries (_check_entries), and keep them as the
+        plan."""
         plan = tuple(map(tuple, rows))
-        left, right = span.left.table, span.right.table
-        src_sorts = src.shape_sort.table
-        if len(plan) != len(left) or any(
-                len(row) != len(src_sorts)
-                or any((e is None) != (s != i) for e, s in zip(row, src_sorts))
-                for row, i in zip(plan, left)):
-            raise ValidationError(_PAIR_KEYS)
-        entries = [(rho, v, e) for rho, row in enumerate(plan)
-                   for v, e in enumerate(row) if e is not None]
-        dst_sorts, n_shapes = dst.shape_sort.table, dst.shapes.size
-        fault = None
-        for rho, v, (w, _) in entries:
-            if not 0 <= w < n_shapes:
-                raise ValidationError(f"shape table value out of range at {(rho, v)}")
-            if fault is None and dst_sorts[w] != right[rho]:
-                fault = (f"assigned shape sits over the wrong sort at (state {rho}, shape {v}):"
-                         f" got {dst_sorts[w]}, the state's right end is {right[rho]}")
-        dst_fibers = dst.dir_shape.fibers()
-        if any(len(moves) != len(dst_fibers[w]) for _, _, (w, moves) in entries):
-            raise ValidationError(_TRIPLE_KEYS)
-        src_fibers, src_dir_sorts = src.dir_shape.fibers(), src.dir_sort.table
-        dst_dir_sorts, n_states = dst.dir_sort.table, len(left)
-        for rho, v, (w, moves) in entries:
-            fiber = src_fibers[v]
-            for u, (g, k) in zip(dst_fibers[w], moves):
-                if k is not None and not 0 <= k < len(fiber):
-                    raise ValidationError(f"direction table value out of range at {(rho, v, u)}")
-                if not 0 <= g < n_states:
-                    raise ValidationError(f"state table value out of range at {(rho, v, u)}")
-                if fault is None:
-                    if k is None:
-                        fault = ("backward direction leaves the shape's fiber at "
-                                 f"(state {rho}, shape {v}, direction {u})")
-                    elif right[g] != dst_dir_sorts[u]:
-                        fault = ("successor state's right end disagrees with the direction "
-                                 f"sort at (state {rho}, shape {v}, direction {u})")
-                    elif src_dir_sorts[fiber[k]] != left[g]:
-                        fault = ("backward direction's sort disagrees with the successor "
-                                 f"state's left end at (state {rho}, shape {v}, direction {u})")
-        if fault is not None:
-            raise ValidationError(fault)
+        _check_layout(span, src, plan)
+        _check_entries(span, src, dst, [(rho, v, e) for rho, row in enumerate(plan)
+                                        for v, e in enumerate(row) if e is not None])
+        self._keep(span, src, dst, plan)
+
+    def _keep(self, span: Span, src: PolyDiagram, dst: PolyDiagram, plan: tuple) -> None:
+        """Set the fields to a checked plan and its span and diagrams."""
         for name, value in (("span", span), ("src", src), ("dst", dst), ("_plan", plan)):
             object.__setattr__(self, name, value)
 
@@ -231,6 +199,65 @@ class SimCell:
     def __repr__(self) -> str:
         pairs, triples = _counts(self)
         return f"SimCell(states={self.span.carrier.size}, pairs={pairs}, triples={triples})"
+
+
+def _check_layout(span: Span, src: PolyDiagram, plan: tuple) -> None:
+    """Raise unless the plan has a row per state whose entries sit exactly
+    at the state's pairs: the row of a state over left end i is None at
+    the shapes off i and nowhere else."""
+    left, sorts = span.left.table, src.shape_sort.table
+    if len(plan) != len(left):
+        raise ValidationError(_PAIR_KEYS)
+    masks: dict = {}
+    for row, i in zip(plan, left):
+        mask = masks.get(i)
+        if mask is None:
+            mask = masks[i] = [s != i for s in sorts]
+        if [e is None for e in row] != mask:
+            raise ValidationError(_PAIR_KEYS)
+
+
+def _check_entries(span: Span, src: PolyDiagram, dst: PolyDiagram, entries: list) -> None:
+    """Raise ValidationError unless every (rho, v, e), the row entry e of
+    the pair (state rho, src shape v), satisfies the four equations, in
+    three passes over the entries: the ranges of the shapes, the number
+    of moves per direction of the assigned shape, then the ranges of the
+    moves. A range or count fault raises at once; the first equation
+    fault (a pair's shape sort, else the first triple's) is raised after
+    the passes. A position k of None is a src direction off v's fiber."""
+    left, right = span.left.table, span.right.table
+    dst_sorts, n_shapes = dst.shape_sort.table, dst.shapes.size
+    fault = None
+    for rho, v, (w, _) in entries:
+        if not 0 <= w < n_shapes:
+            raise ValidationError(f"shape table value out of range at {(rho, v)}")
+        if fault is None and dst_sorts[w] != right[rho]:
+            fault = (f"assigned shape sits over the wrong sort at (state {rho}, shape {v}):"
+                     f" got {dst_sorts[w]}, the state's right end is {right[rho]}")
+    dst_fibers = dst.dir_shape.fibers()
+    if any(len(moves) != len(dst_fibers[w]) for _, _, (w, moves) in entries):
+        raise ValidationError(_TRIPLE_KEYS)
+    src_fibers, src_dir_sorts = src.dir_shape.fibers(), src.dir_sort.table
+    dst_dir_sorts, n_states = dst.dir_sort.table, len(left)
+    for rho, v, (w, moves) in entries:
+        fiber = src_fibers[v]
+        for u, (g, k) in zip(dst_fibers[w], moves):
+            if k is not None and not 0 <= k < len(fiber):
+                raise ValidationError(f"direction table value out of range at {(rho, v, u)}")
+            if not 0 <= g < n_states:
+                raise ValidationError(f"state table value out of range at {(rho, v, u)}")
+            if fault is None:
+                if k is None:
+                    fault = ("backward direction leaves the shape's fiber at "
+                             f"(state {rho}, shape {v}, direction {u})")
+                elif right[g] != dst_dir_sorts[u]:
+                    fault = ("successor state's right end disagrees with the direction "
+                             f"sort at (state {rho}, shape {v}, direction {u})")
+                elif src_dir_sorts[fiber[k]] != left[g]:
+                    fault = ("backward direction's sort disagrees with the successor "
+                             f"state's left end at (state {rho}, shape {v}, direction {u})")
+    if fault is not None:
+        raise ValidationError(fault)
 
 
 def _layout(span: Span, src: PolyDiagram, entries) -> tuple:
@@ -534,7 +561,16 @@ def extract_sim(oracle, span: Span, p1: PolyDiagram, p2: PolyDiagram) -> SimCell
     components' tables with the extracted cell's (_check_round_trip),
     which it computes without building a morphism."""
     _check_ends(span, p1, p2)
-    ask = functools.cache(oracle)
+    # each family value's component, kept for this extraction; a
+    # component is never None, so get tells a missing key from a kept one
+    answers: dict = {}
+
+    def ask(x: Family) -> FamMorphism:
+        comp = answers.get(x)
+        if comp is None:
+            comp = answers[x] = oracle(x)
+        return comp
+
     probes: dict = {}
     entries = []
     for rho, v in cell_pairs(span, p1):
@@ -683,7 +719,10 @@ def enumerate_sim(p1: PolyDiagram, p2: PolyDiagram, span: Span) -> list[SimCell]
     choice of assigned shape plus a move for each of its directions.
     The cell count is guarded up front, cut at the limit plus one: the
     product of every pair's _fillings (finset.check_guard_product), then
-    each pair's, before it is listed by index (_pair_choice)."""
+    each pair's, before it is listed by index (_pair_choice). A cell is
+    a choice of one listed option per pair, so the entry check runs once
+    per option, at its pair (_check_entries), and each cell gets only
+    the layout check (_check_layout)."""
     _check_ends(span, p1, p2)
     pair_fills = _pair_fills(p1, p2, span)
     cap = finset.guard_limit() + 1
@@ -694,8 +733,16 @@ def enumerate_sim(p1: PolyDiagram, p2: PolyDiagram, span: Span) -> list[SimCell]
         n = _fillings(options, cap)
         check_guard(n, _PAIR_OPTIONS)
         per_pair.append([_pair_choice(options, i) for i in range(n)])
-    return [_cell(span, p1, p2, _layout(span, p1, combo))
-            for combo in itertools.product(*per_pair)]
+    _check_entries(span, p1, p2, [(rho, v, e) for (rho, v), listed
+                                  in zip(cell_pairs(span, p1), per_pair) for e in listed])
+    cells = []
+    for combo in itertools.product(*per_pair):
+        plan = _layout(span, p1, combo)
+        _check_layout(span, p1, plan)
+        c = object.__new__(SimCell)
+        c._keep(span, p1, p2, plan)
+        cells.append(c)
+    return cells
 
 
 def _signatures(c: SimCell) -> list[tuple]:

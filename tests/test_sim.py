@@ -1361,6 +1361,79 @@ def test_count_sim_refuses_the_ends_enumerate_sim_refuses():
         assert messages == ["span legs must land in the two sort sets"] * 3
 
 
+def enumeration_instances(seed: int) -> list:
+    """Seeded grid pairs over the constant spans of 0, 1 and 2 states,
+    and every pair of the two-sorted samples over seeded spans of 0, 1
+    and 2 states, each with at most 256 cells."""
+    rng = random.Random(seed)
+    grid, two = suites._grid(), FinSet(2)
+    out = []
+    for states in range(3):
+        span = suites._const_span(states)
+        out += [(p1, p2, span) for p1, p2 in (rng.choices(grid, k=2) for _ in range(30))]
+        for p1, p2 in itertools.product(suites._two_sorted_samples(), repeat=2):
+            for _ in range(4):
+                carrier = FinSet(states)
+                out.append((p1, p2, Span(carrier, randgen.random_finmap(rng, carrier, two),
+                                         randgen.random_finmap(rng, carrier, two))))
+    return [case for case in out if sim.count_sim(*case) <= 256]
+
+
+def test_enumerated_cells_pass_the_full_validator():
+    # enumeration checks each pair's options once and lays each cell out;
+    # the validator that _cell runs accepts every cell and rebuilds it
+    listed = 0
+    for p1, p2, span in enumeration_instances(30):
+        cells = sim.enumerate_sim(p1, p2, span)
+        assert len(cells) == sim.count_sim(p1, p2, span)
+        for c in cells:
+            assert (c.span, c.src, c.dst) == (span, p1, p2)
+            assert sim._cell(c.span, c.src, c.dst, c._plan) == c
+        listed += len(cells)
+    assert listed == 782
+
+
+def test_enumeration_order_is_pinned():
+    # the grid instance (1, 2) -> (0, 1) over the constant two-state span
+    span = suites._const_span(2)
+    cells = sim.enumerate_sim(ss(1, 2), ss(0, 1), span)
+    assert len(cells) == 225
+    assert cells[0]._plan == (((0, ()), (0, ())),) * 2
+    assert cells[112]._plan == (((1, ((0, 0),)), (1, ((0, 1),))),) * 2
+    assert cells[-1]._plan == (((1, ((1, 0),)), (1, ((1, 1),))),) * 2
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((1, 0), "successor state's right end disagrees with the direction sort "
+             "at (state 1, shape 1, direction 1)"),
+    ((0, 1), "direction table value out of range at (1, 1, 1)"),
+], ids=["successor-over-the-wrong-sort", "position-off-the-fiber"])
+def test_enumerate_sim_refuses_a_bad_option(monkeypatch, bad, message):
+    # over the identity span, the fill table gives the one direction at
+    # the pair (state 1, shape 1) a second move: its good one is (0, 0)
+    p = two_sorted_endo()
+    ident = finset.identity(p.source)
+    span = Span(p.source, ident, ident)
+    assert [c._plan for c in sim.enumerate_sim(p, p, span)] == [
+        (((0, ((1, 0),)), None), (None, (1, ((0, 0),))))]
+    fill_table = sim._fill_table
+
+    def with_a_bad_move(p1, p2, span):
+        fills = fill_table(p1, p2, span)
+
+        def patched(v, j):
+            options = fills(v, j)
+            if (v, j) != (1, 1):
+                return options
+            return [(w, [[*moves, bad] for moves in lists]) for w, lists in options]
+        return patched
+
+    monkeypatch.setattr(sim, "_fill_table", with_a_bad_move)
+    with pytest.raises(ValidationError) as exc:
+        sim.enumerate_sim(p, p, span)
+    assert str(exc.value) == message
+
+
 def test_wide_spans_count_and_refuse_at_once():
     # 20·X² into itself over 50 states: 1000 pairs of 20 · 100² fillings
     p, carrier = ss(*[2] * 20), FinSet(50)

@@ -5,6 +5,9 @@ binaturality check of the comparison map (the squares that theta and
 epsilon_naturality_check walk), the comparison map alone at every
 argument pair with fibers at most 2, and the whole universal-property
 check of the comparison map (theta_check, the workload's theta op).
+Also the currying kernel: the adjunction check on X^2 + X, X^2 + 1 and
+X^2 + X + 1, which counts both sides and round-trips all 147 + 147
+members (the adjunction workload's triple op).
 
 These cases sit outside the tier-1 test paths and need pytest-benchmark:
 
@@ -75,3 +78,10 @@ def test_theta_check(benchmark):
         "mediating map reproduces rho after the comparison map at 9 argument pairs",
         "128 candidate transformations exceed the sampling limit 8; "
         "uniqueness not sampled")
+
+
+def test_adjunction_round_trips(benchmark):
+    p1, p2, p3 = (poly.single_sorted(a) for a in ((2, 1), (2, 0), (2, 1, 0)))
+    rep = benchmark(smcc.adjunction_count_check, p1, p2, p3)
+    assert rep.ok and rep.lines[0] == ("transformations out of the tensor: 147; "
+                                       "into the internal hom: 147")

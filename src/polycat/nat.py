@@ -108,7 +108,12 @@ def enumerate_dm(p: PolyDiagram, q: PolyDiagram) -> list[DiagMorphism]:
     in odometer order. Guarded by the exact count; with none, no table is
     listed. The backward tables of each (source shape, target shape) pair
     are listed once, and target shapes with no tables are dropped, so no
-    shape map is visited that yields nothing."""
+    shape map is visited that yields nothing.
+
+    A member is a choice of one listed table per source shape, so each
+    option is checked once: every (v, w, table) by DiagMorphism's beta
+    check and every shape map by its alpha check. The members are then
+    assembled from these checked parts without checking them again."""
     groups = _by_sort(p)
     counts = _table_counts(p, q, groups)
     total = math.prod(sum(c.values()) for c in counts)
@@ -118,12 +123,15 @@ def enumerate_dm(p: PolyDiagram, q: PolyDiagram) -> list[DiagMorphism]:
     fibers, dst_sorts = q.dir_shape.fibers(), q.dir_sort.table
     tables = [{w: list(itertools.product(*[by[dst_sorts[u]] for u in fibers[w]]))
                for w in c} for by, c in zip(groups, counts)]
+    poly._check_betas(p, q, ((v, w, table) for v, listed in enumerate(tables)
+                             for w, options in listed.items() for table in options))
     out: list[DiagMorphism] = []
     for combo in itertools.product(*tables):
         alpha = FinMap(p.shapes, q.shapes, combo)
+        poly._check_alpha(p, q, alpha)
         per_shape = [tables[v][w] for v, w in enumerate(combo)]
-        for betas in itertools.product(*per_shape):
-            out.append(DiagMorphism(p, q, alpha, betas))
+        out.extend(poly._assembled(p, q, alpha, betas)
+                   for betas in itertools.product(*per_shape))
     return out
 
 

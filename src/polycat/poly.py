@@ -703,11 +703,15 @@ class DiagMorphism:
     direction of shape v with the same sort.
 
     Checked on construction, in one pass that reads alpha's table, the
-    beta tables and the endpoints' structure tables once: the endpoints,
-    alpha's domain, codomain and sorts, the number of beta tables, then
-    shape by shape the table's length and, entry by entry, that it stays
-    in shape v's direction fiber and keeps the sort. The first failing
-    check raises.
+    beta tables and the endpoints' structure tables once: the shape map
+    (_check_alpha: the endpoints, alpha's domain, codomain and sorts),
+    the number of beta tables, then the beta tables (_check_betas: shape
+    by shape the table's length and, entry by entry, that it stays in
+    shape v's direction fiber and keeps the sort). The first failing
+    check raises. nat.enumerate_dm runs the same two checks once per
+    option, the beta check once per (shape, target shape, table) and the
+    alpha check once per shape map, and assembles its members from
+    checked parts without checking them again (_assembled).
     """
 
     src: PolyDiagram
@@ -716,28 +720,51 @@ class DiagMorphism:
     betas: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        src, dst, alpha = self.src, self.dst, self.alpha
-        if src.source != dst.source or src.target != dst.target:
-            raise ShapeMismatch("morphism endpoints must share source and target")
-        if alpha.dom != src.shapes or alpha.cod != dst.shapes:
-            raise ShapeMismatch("alpha must map src shapes to dst shapes")
-        dst_shape_sort = dst.shape_sort.table
-        if tuple(dst_shape_sort[w] for w in alpha.table) != src.shape_sort.table:
-            raise ValidationError("alpha does not respect shape sorts")
-        if len(self.betas) != src.shapes.size:
+        src, alpha, betas = self.src, self.alpha, self.betas
+        _check_alpha(src, self.dst, alpha)
+        if len(betas) != src.shapes.size:
             raise ShapeMismatch("one beta table per src shape required")
-        fibers2 = dst.dir_shape.fibers()
-        n_dirs, dir_shape, dir_sort = src.dirs.size, src.dir_shape.table, src.dir_sort.table
-        dst_dir_sort = dst.dir_sort.table
-        for v, (w, table) in enumerate(zip(alpha.table, self.betas)):
-            fiber2 = fibers2[w]
-            if len(table) != len(fiber2):
-                raise ShapeMismatch(f"beta table at shape {v} has the wrong length")
-            for u1, u2 in zip(table, fiber2):
-                if not 0 <= u1 < n_dirs or dir_shape[u1] != v:
-                    raise ValidationError(f"beta at shape {v} leaves the direction fiber")
-                if dir_sort[u1] != dst_dir_sort[u2]:
-                    raise ValidationError(f"beta at shape {v} does not respect sorts")
+        _check_betas(src, self.dst, zip(range(len(betas)), alpha.table, betas))
+
+
+def _check_alpha(src: PolyDiagram, dst: PolyDiagram, alpha: FinMap) -> None:
+    """Raise unless the endpoints share source and target and alpha maps
+    src shapes to dst shapes, keeping each shape's sort."""
+    if src.source != dst.source or src.target != dst.target:
+        raise ShapeMismatch("morphism endpoints must share source and target")
+    if alpha.dom != src.shapes or alpha.cod != dst.shapes:
+        raise ShapeMismatch("alpha must map src shapes to dst shapes")
+    dst_shape_sort = dst.shape_sort.table
+    if tuple(dst_shape_sort[w] for w in alpha.table) != src.shape_sort.table:
+        raise ValidationError("alpha does not respect shape sorts")
+
+
+def _check_betas(src: PolyDiagram, dst: PolyDiagram, options) -> None:
+    """Raise unless each (v, w, table) of options is a backward table of
+    src shape v at dst shape w: one entry per direction of w, each a
+    direction of v with that direction's sort. The first failing entry
+    raises."""
+    fibers2 = dst.dir_shape.fibers()
+    n_dirs, dir_shape, dir_sort = src.dirs.size, src.dir_shape.table, src.dir_sort.table
+    dst_dir_sort = dst.dir_sort.table
+    for v, w, table in options:
+        fiber2 = fibers2[w]
+        if len(table) != len(fiber2):
+            raise ShapeMismatch(f"beta table at shape {v} has the wrong length")
+        for u1, u2 in zip(table, fiber2):
+            if not 0 <= u1 < n_dirs or dir_shape[u1] != v:
+                raise ValidationError(f"beta at shape {v} leaves the direction fiber")
+            if dir_sort[u1] != dst_dir_sort[u2]:
+                raise ValidationError(f"beta at shape {v} does not respect sorts")
+
+
+def _assembled(src: PolyDiagram, dst: PolyDiagram, alpha: FinMap, betas: tuple) -> DiagMorphism:
+    """The morphism with these fields, set without the construction
+    check, for parts that have passed _check_alpha and _check_betas."""
+    m = object.__new__(DiagMorphism)
+    for name, value in (("src", src), ("dst", dst), ("alpha", alpha), ("betas", betas)):
+        object.__setattr__(m, name, value)
+    return m
 
 
 def identity_dm(p: PolyDiagram) -> DiagMorphism:

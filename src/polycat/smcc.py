@@ -259,39 +259,39 @@ def _shape_index(hd: poly.HomData) -> dict:
     return {rep: c for c, rep in enumerate(hd.shape_reps)}
 
 
-def _curry(m: DiagMorphism, p1: PolyDiagram, p2: PolyDiagram, hd: poly.HomData,
-           shape_of: dict) -> DiagMorphism:
-    """curry_dm against a hom already built, hd = hom_data(p2, p3) with
-    shape_of = _shape_index(hd); the result lands in hd.diagram itself.
-    A direction u1 * |p2 dirs| + u2 of a tensor shape (v1, v2) answers with
-    u1, and its u2 gives the backward table phi at v2 by position."""
+def _curry_tables(tables: tuple, p1: PolyDiagram, p2: PolyDiagram,
+                  shape_of: dict) -> tuple:
+    """The (alpha table, betas) of a morphism out of the tensor, given by
+    its own, transposed into the hom whose shape index is shape_of
+    (_shape_index). A direction u1 * |p2 dirs| + u2 of a tensor shape
+    (v1, v2) answers with u1, and its u2 gives the backward table phi at
+    v2 by position."""
+    alpha, m_betas = tables
     n2, nd2 = p2.shapes.size, p2.dirs.size
     positions2 = p2.dir_shape.positions()
-    alpha = m.alpha.table
     alpha_table = []
     betas = []
     for v1 in p1.shapes:
         row = v1 * n2
-        entries = m.betas[row:row + n2]
+        entries = m_betas[row:row + n2]
         phi = tuple(tuple([positions2[u % nd2] for u in vpair_entries])
                     for vpair_entries in entries)
         alpha_table.append(shape_of[alpha[row:row + n2], phi])
         betas.append(tuple(u // nd2 for vpair_entries in entries for u in vpair_entries))
-    return DiagMorphism(p1, hd.diagram, FinMap(p1.shapes, hd.diagram.shapes,
-                                               tuple(alpha_table)), tuple(betas))
+    return tuple(alpha_table), tuple(betas)
 
 
-def _uncurry(m: DiagMorphism, p1: PolyDiagram, p2: PolyDiagram, p3: PolyDiagram,
-             hd: poly.HomData) -> DiagMorphism:
-    """uncurry_dm against a hom already built, hd = hom_data(p2, p3). The
-    directions of a hom shape (f, phi) run over v2, then f(v2)'s fiber, so
-    beta's answers at v1 split into one block per v2."""
-    tens = poly.tensor(p1, p2)
+def _uncurry_tables(tables: tuple, p2: PolyDiagram, p3: PolyDiagram,
+                    hd: poly.HomData) -> tuple:
+    """The (alpha table, betas) of a morphism into the hom hd =
+    hom_data(p2, p3), given by its own, transposed out of the tensor. The
+    directions of a hom shape (f, phi) run over v2, then f(v2)'s fiber,
+    so beta's answers at v1 split into one block per v2."""
     nd2 = p2.dirs.size
     fibers2, fibers3 = p2.dir_shape.fibers(), p3.dir_shape.fibers()
     alpha_table: list[int] = []
     betas: list[tuple[int, ...]] = []
-    for c, answers in zip(m.alpha.table, m.betas):
+    for c, answers in zip(*tables):
         f_table, phi = hd.shape_reps[c]
         offset = 0
         for fiber2, w, positions in zip(fibers2, f_table, phi):
@@ -300,8 +300,28 @@ def _uncurry(m: DiagMorphism, p1: PolyDiagram, p2: PolyDiagram, p3: PolyDiagram,
             betas.append(tuple(u1 * nd2 + fiber2[pos]
                                for u1, pos in zip(answers[offset:end], positions)))
             offset = end
-    return DiagMorphism(tens, p3, FinMap(tens.shapes, p3.shapes,
-                                         tuple(alpha_table)), tuple(betas))
+    return tuple(alpha_table), tuple(betas)
+
+
+def _built(src: PolyDiagram, dst: PolyDiagram, tables: tuple) -> DiagMorphism:
+    """The morphism with the given (alpha table, betas), checked on
+    construction."""
+    alpha, betas = tables
+    return DiagMorphism(src, dst, FinMap(src.shapes, dst.shapes, alpha), betas)
+
+
+def _curry(m: DiagMorphism, p1: PolyDiagram, p2: PolyDiagram, hd: poly.HomData,
+           shape_of: dict) -> DiagMorphism:
+    """curry_dm against a hom already built, hd = hom_data(p2, p3) with
+    shape_of = _shape_index(hd); the result lands in hd.diagram itself."""
+    return _built(p1, hd.diagram, _curry_tables((m.alpha.table, m.betas), p1, p2, shape_of))
+
+
+def _uncurry(m: DiagMorphism, p1: PolyDiagram, p2: PolyDiagram, p3: PolyDiagram,
+             hd: poly.HomData) -> DiagMorphism:
+    """uncurry_dm against a hom already built, hd = hom_data(p2, p3)."""
+    tables = _uncurry_tables((m.alpha.table, m.betas), p2, p3, hd)
+    return _built(poly.tensor(p1, p2), p3, tables)
 
 
 def curry_dm(m: DiagMorphism, p1: PolyDiagram, p2: PolyDiagram,
@@ -338,7 +358,12 @@ def adjunction_count_check(p1: PolyDiagram, p2: PolyDiagram, p3: PolyDiagram,
 
     The hom is built once (hom_data), with its shape index, and every
     curry and uncurry step of the round trips transposes against it;
-    neither outlives the call."""
+    neither outlives the call. The round trips and the injectivity check
+    compare (alpha table, betas) pairs (_curry_tables, _uncurry_tables)
+    and build no morphism: a transpose that is a member of the other
+    side's enumeration has passed every construction check, since
+    enumerate_dm lists exactly the valid morphisms, and one that is not
+    is built, and so checked, where its morphism would be."""
     for p in (p1, p2, p3):
         if not p.is_single_sorted():
             raise ValidationError("the currying adjunction is single-sorted only")
@@ -351,17 +376,26 @@ def adjunction_count_check(p1: PolyDiagram, p2: PolyDiagram, p3: PolyDiagram,
              f"into the internal hom: {decimal(n_right)}"]
     ok = n_left == n_right
     if n_left + n_right <= roundtrip_limit:
-        left = nat.enumerate_dm(tens, p3)
-        right = nat.enumerate_dm(p1, hom)
+        left = [(m.alpha.table, m.betas) for m in nat.enumerate_dm(tens, p3)]
+        right = [(m.alpha.table, m.betas) for m in nat.enumerate_dm(p1, hom)]
+        into_hom, out_of_tensor = set(right), set(left)
         shape_of = _shape_index(hd)
-        curried = [_curry(m, p1, p2, hd, shape_of) for m in left]
-        round_left = all(
-            _uncurry(c, p1, p2, p3, hd) == m for c, m in zip(curried, left)
-        )
-        round_right = all(
-            _curry(_uncurry(m, p1, p2, p3, hd), p1, p2, hd, shape_of) == m
-            for m in right
-        )
+
+        def curry(tables):
+            tables = _curry_tables(tables, p1, p2, shape_of)
+            if tables not in into_hom:
+                _built(p1, hom, tables)
+            return tables
+
+        def uncurry(tables):
+            tables = _uncurry_tables(tables, p2, p3, hd)
+            if tables not in out_of_tensor:
+                _built(tens, p3, tables)
+            return tables
+
+        curried = [curry(m) for m in left]
+        round_left = all(uncurry(c) == m for c, m in zip(curried, left))
+        round_right = all(curry(uncurry(m)) == m for m in right)
         distinct = len(set(curried)) == len(left)
         ok = ok and round_left and round_right and distinct
         lines.append(f"currying round trips on {n_left} + {n_right} members: "

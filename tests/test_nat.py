@@ -18,7 +18,7 @@ import tracemalloc
 import pytest
 
 from polycat import fam, finset, nat, poly, randgen
-from polycat.errors import ShapeMismatch, SizeGuardExceeded
+from polycat.errors import ShapeMismatch, SizeGuardExceeded, ValidationError
 from polycat.finset import FinMap, FinSet
 
 
@@ -226,6 +226,74 @@ def test_count_and_enumeration_match_shape_map_search_on_random_pairs():
             enumerated += 1
     assert enumerated >= 100
 
+
+
+def test_enumerated_transformations_pass_the_full_check():
+    # enumerate_dm checks each option once and assembles its members
+    # unchecked; every member must be one that construction accepts.
+    # Two-sorted pairs seldom admit a transformation, so each drawn pair
+    # is also tried reversed and each diagram into itself
+    rng = random.Random(20261019)
+    checked = {1: 0, 2: 0}
+    for max_sorts, draws in ((1, 60), (2, 250)):
+        for _ in range(draws):
+            p = randgen.random_endo(rng, max_sorts=max_sorts, max_shapes=3, max_fiber=2)
+            q = randgen.random_diagram(rng, p.source, p.target, max_shapes=3, max_fiber=2)
+            for d1, d2 in ((p, q), (q, p), (p, p)):
+                if nat.count_nat(d1, d2) > 400:
+                    continue
+                for m in nat.enumerate_dm(d1, d2):
+                    assert m.src is d1 and m.dst is d2
+                    alpha = FinMap(d1.shapes, d2.shapes, m.alpha.table)
+                    assert nat.DiagMorphism(d1, d2, alpha, m.betas) == m
+                    checked[d1.source.size] += 1
+    assert checked[1] >= 2000 and checked[2] >= 500, checked
+
+
+def test_enumeration_order_is_pinned():
+    # X^2 + X (x) X^2 + 1 = X^4 + X^2 + 2 into X^2 + X + 1: shape maps in
+    # odometer order, each with its backward tables in odometer order
+    ms = nat.enumerate_dm(poly.tensor(ss(2, 1), ss(2, 0)), ss(2, 1, 0))
+    assert len(ms) == 147
+    runs = [(alpha, len(list(group)))
+            for alpha, group in itertools.groupby(m.alpha.table for m in ms)]
+    assert runs == [((0, 2, 0, 2), 64), ((0, 2, 1, 2), 32), ((0, 2, 2, 2), 16),
+                    ((1, 2, 0, 2), 16), ((1, 2, 1, 2), 8), ((1, 2, 2, 2), 4),
+                    ((2, 2, 0, 2), 4), ((2, 2, 1, 2), 2), ((2, 2, 2, 2), 1)]
+    assert [ms[i].betas for i in (0, 1, 73, 146)] == [
+        ((0, 0), (), (4, 4), ()), ((0, 0), (), (4, 5), ()), ((1, 0), (), (5,), ()),
+        ((), (), (), ())]
+
+
+def _two_sorted(shape_sorts, dir_shape, dir_sort) -> poly.PolyDiagram:
+    two = FinSet(2)
+    shapes, dirs = FinSet(len(shape_sorts)), FinSet(len(dir_shape))
+    return poly.PolyDiagram(source=two, dirs=dirs, shapes=shapes, target=two,
+                            dir_sort=FinMap(dirs, two, tuple(dir_sort)),
+                            dir_shape=FinMap(dirs, shapes, tuple(dir_shape)),
+                            shape_sort=FinMap(shapes, two, tuple(shape_sorts)))
+
+
+@pytest.mark.parametrize("p, q, message", [
+    # X + X into X, with shape 1's direction listed in shape 0's group
+    (ss(1, 1), ss(1), "beta at shape 0 leaves the direction fiber"),
+    # a shape reading sorts 0 and 1 into one reading sort 0, with the
+    # direction of sort 1 listed among those of sort 0
+    (_two_sorted((0,), (0, 0), (0, 1)), _two_sorted((0,), (0,), (0,)),
+     "beta at shape 0 does not respect sorts"),
+], ids=["off-the-fiber", "wrong-sort"])
+def test_enumerate_dm_refuses_a_bad_option(monkeypatch, p, q, message):
+    by_sort = nat._by_sort
+
+    def corrupted(d):
+        groups = by_sort(d)
+        if d is p:
+            groups[0][0] = groups[0][0] + [1]
+        return groups
+
+    monkeypatch.setattr(nat, "_by_sort", corrupted)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        nat.enumerate_dm(p, q)
 
 REFUSE_EMPTY_CODOMAINS = """
 import random

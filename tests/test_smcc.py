@@ -622,6 +622,54 @@ def test_curry_dm_and_uncurry_dm_equal_the_shared_step():
             assert smcc._curry(uncurried, p1, p2, hd, shape_of) == m
 
 
+
+# X^2 + X, X^2 + 1 and X^2 + X + 1: 147 transformations on each side, all
+# round-tripped
+ROUND_TRIP_TRIPLE = (ss((2, 1)), ss((2, 0)), ss((2, 1, 0)))
+
+
+def _first_entry_moved(transpose, direction):
+    """A mutant of a table-level transpose: the first entry of the first
+    beta table, where there is one, becomes the given direction."""
+    def mutant(tables, *args):
+        alpha, betas = transpose(tables, *args)
+        if betas and betas[0]:
+            betas = ((direction,) + betas[0][1:],) + betas[1:]
+        return alpha, betas
+    return mutant
+
+
+@pytest.mark.parametrize("name, direction", [
+    # X^2 + X's direction 2 belongs to its shape 1
+    ("_curry_tables", 2),
+    # the tensor X^4 + X^2 + 2's direction 4 belongs to its shape 2
+    ("_uncurry_tables", 4),
+])
+def test_adjunction_check_refuses_an_invalid_transpose(monkeypatch, name, direction):
+    # a transpose outside the other side's enumeration is built, so it is
+    # refused by the construction check, with its message
+    monkeypatch.setattr(smcc, name, _first_entry_moved(getattr(smcc, name), direction))
+    with pytest.raises(ValidationError, match="^beta at shape 0 leaves the direction fiber$"):
+        smcc.adjunction_count_check(*ROUND_TRIP_TRIPLE)
+
+
+def test_adjunction_check_reports_a_transpose_that_merges_two_members(monkeypatch):
+    p1, p2, p3 = ss((1,)), ss((2,)), ss((1, 1))
+    first, second = [(m.alpha.table, m.betas)
+                     for m in nat.enumerate_dm(poly.tensor(p1, p2), p3)[:2]]
+    curry_tables = smcc._curry_tables
+
+    def merged(tables, *args):
+        return curry_tables(first if tables == second else tables, *args)
+
+    monkeypatch.setattr(smcc, "_curry_tables", merged)
+    rep = smcc.adjunction_count_check(p1, p2, p3)
+    assert not rep.ok
+    assert rep.lines == ("transformations out of the tensor: 4; into the internal hom: 4",
+                         "currying round trips on 4 + 4 members: NO",
+                         "currying is injective: NO")
+
+
 def test_adjunction_large_counts_skip_round_trip():
     rep = smcc.adjunction_count_check(ss((2, 2)), ss((2, 2)), ss((2, 2)),
                                       roundtrip_limit=16)

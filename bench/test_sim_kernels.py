@@ -5,7 +5,8 @@ all), extraction with a precomputed oracle, the round trip of every
 cell of one instance over one span (the frame held on the span serves
 them all) and of one cell over a fresh span (the frame is built anew),
 building a cell from its rows, counting and enumerating cells (the
-grid instance's 225 too).
+grid instance's 225 too), and evaluating the zero cell, whose span has
+no states, through its frame.
 
 These cases sit outside the tier-1 test paths and need pytest-benchmark:
 
@@ -57,6 +58,14 @@ def test_eval_enumeration(benchmark):
 
     want = [sim.eval_sim(c, x) for c in fresh for x in checks]
     assert benchmark(run) == want
+
+
+def test_eval_zero_sim(benchmark):
+    zero = sim.zero_sim(P, P)
+    x = nat.check_families(P)[-1]
+    m = benchmark(sim.eval_sim, zero, x)
+    assert x.total.size and (m.src.fiber_sizes(), m.dst.fiber_sizes(), m.map.table) == \
+        ((0,), (0,), ())
 
 
 def test_extract_sim(benchmark):

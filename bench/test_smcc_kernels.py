@@ -5,9 +5,11 @@ binaturality check of the comparison map (the squares that theta and
 epsilon_naturality_check walk), the comparison map alone at every
 argument pair with fibers at most 2, and the whole universal-property
 check of the comparison map (theta_check, the workload's theta op).
-Also the currying kernel: the adjunction check on X^2 + X, X^2 + 1 and
+Also the currying kernels: the adjunction check on X^2 + X, X^2 + 1 and
 X^2 + X + 1, which counts both sides and round-trips all 147 + 147
-members (the adjunction workload's triple op).
+members (the adjunction workload's triple op), and the curry command,
+called in-process, on the example document's 2X, X^2 and
+X^3 + X^2 + X + 1 (225 members on each side).
 
 These cases sit outside the tier-1 test paths and need pytest-benchmark:
 
@@ -16,9 +18,11 @@ These cases sit outside the tier-1 test paths and need pytest-benchmark:
 With --benchmark-disable each case runs once, as a smoke check; its
 timings are not a gate.
 """
+from pathlib import Path
+
 import pytest
 
-from polycat import fam, poly, smcc
+from polycat import cli, fam, poly, smcc
 from polycat.finset import FinSet
 
 pytest.importorskip("pytest_benchmark")
@@ -85,3 +89,14 @@ def test_adjunction_round_trips(benchmark):
     rep = benchmark(smcc.adjunction_count_check, p1, p2, p3)
     assert rep.ok and rep.lines[0] == ("transformations out of the tensor: 147; "
                                        "into the internal hom: 147")
+
+
+def test_curry_command(benchmark, capsys):
+    document = Path(__file__).resolve().parent.parent / "docs" / "examples" / "list.json"
+    argv = ["curry", str(document), "--p1", "two-x", "--p2", "square", "--p3", "list3",
+            "--index", "5", "--limit", "1000"]
+    assert benchmark(cli.main, argv) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[:3] == ["transformations: 225 out of the tensor, 225 into the hom",
+                                    "transformation 5 of 225 curries to 5 of 225",
+                                    "uncurrying returns the original transformation"]

@@ -401,21 +401,18 @@ def beck_chevalley_check(square: PullbackSquare, z: Family) -> Report:
     corner = square.corner_index()
     lines = []
 
-    # sum side: (p, t) |-> (top(p), t)
-    lhs_pairs = delta_pairs(left, z)
+    # sum side: (p, t) |-> (top(p), t), on the pairs of delta(left, z)
+    base_change = _base_change(left, z)
+    lhs_pairs = base_change.pairs
     rhs_index = delta_index(right, sigma(bottom, z))
     images = [rhs_index[(top.table[p], t)] for p, t in lhs_pairs]
-    ok_sum = FinMap(FinSet(len(lhs_pairs)), FinSet(len(rhs_index)), images).is_bijection()
+    ok_sum = FinMap(base_change.carrier, FinSet(len(rhs_index)), images).is_bijection()
     lines.append(
         f"sum comparison: {len(lhs_pairs)} elements, bijection {'yes' if ok_sum else 'NO'}"
     )
 
     # product side: (x, section over top^-1(x)) |-> (x, section over bottom^-1(right x))
-    # delta(left, z), on the pairs of the sum side
-    dl_total = FinSet(len(lhs_pairs))
-    dlz = Family(dl_total, left.dom,
-                 FinMap(dl_total, left.dom, tuple(p for p, _ in lhs_pairs)))
-    lhs_secs = pi_sections(top, dlz)
+    lhs_secs = pi_sections(top, Family(base_change.carrier, left.dom, base_change.left))
     pbz = pi(bottom, z)
     p_index = pi_index(bottom, z)
     rhs_index2 = delta_index(right, pbz)

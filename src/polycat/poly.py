@@ -165,11 +165,9 @@ _CARRIER = "extension carrier"
 class Extension:
     """The extension of a diagram evaluated at one family: the value
     family over the target and its elements in canonical order, with the
-    rank of each element built on first use, the payloads grouped by
-    shape, and for a diagram whose shapes have one direction each, such
-    as a span's sum lift, a view of those ranks per shape. One record per
-    diagram and family value, shared by every caller; treat it as
-    read-only."""
+    rank of each element and the payloads grouped by shape, each built on
+    first use. One record per diagram and family value, shared by every
+    caller; treat it as read-only."""
 
     family: Family
     elements: tuple[tuple[int, tuple[int, ...]], ...]
@@ -182,20 +180,6 @@ class Extension:
         if cached is None:
             cached = MappingProxyType({elem: k for k, elem in enumerate(self.elements)})
             object.__setattr__(self, "_index", cached)
-        return cached
-
-    def index_by_shape(self) -> MappingProxyType:
-        """For a diagram whose shapes have one direction each: per shape v
-        with elements, the rank of (v, (y,)) keyed by y. Built from the
-        elements on first use and kept, read-only, like index(); it needs
-        nothing of the family but its elements."""
-        cached = getattr(self, "_index_by_shape", None)
-        if cached is None:
-            view: dict = {}
-            for k, (v, (y,)) in enumerate(self.elements):
-                view.setdefault(v, {})[y] = k
-            cached = MappingProxyType({v: MappingProxyType(d) for v, d in view.items()})
-            object.__setattr__(self, "_index_by_shape", cached)
         return cached
 
     def payloads_by_shape(self) -> MappingProxyType:

@@ -376,8 +376,7 @@ def eval_sim(c: SimCell, x: Family) -> FamMorphism:
     else the component needs at x is read from the frame held on the
     cell's span (_Frame), which is built at the first evaluation or
     extraction over the span between the cell's two diagrams and kept on
-    the span until a call over another pair of diagrams replaces it; a
-    span without states holds none, as its components are empty. The
+    the span until a call over another pair of diagrams replaces it. The
     frame's record at x also holds each (shape, row entry) pair's slice of
     the table, computed at its first request by any cell over the span.
     The guard is checked on every call, on the four extension carriers,
@@ -392,13 +391,7 @@ def _eval_table(c: SimCell, x: Family) -> tuple[Family, Family, tuple[int, ...]]
     by block, the codomain ranks that the block's shape v and row entry e
     give at x: a slice held in the frame's record at x under (v, e),
     computed and kept at its first request."""
-    span = c.span
-    if not span.carrier.size:
-        # no states: the component is the empty map between its
-        # endpoints, and no frame is held for the span
-        _, dom, _, cod = _records(au_lift(span), c.src, c.dst, x)
-        return dom.family, cod.family, ()
-    frame = _frame(span, c.src, c.dst)
+    frame = _frame(c.span, c.src, c.dst)
     at = frame.at.get(id(x))
     if at is None:
         at = frame.evaluation(x)
@@ -407,7 +400,7 @@ def _eval_table(c: SimCell, x: Family) -> tuple[Family, Family, tuple[int, ...]]
         check_guard(at[2], _CARRIER)
         check_guard(at[3], _CARRIER)
         check_guard(at[4], _CARRIER)
-    _, _, _, _, _, dom, cod, blocks, by_state, cod_index, slices = at
+    _, _, _, _, _, dom, cod, blocks, start, position, cod_index, slices = at
     plan = c._plan
     table = []
     for rho, v, payloads in blocks:
@@ -417,26 +410,30 @@ def _eval_table(c: SimCell, x: Family) -> tuple[Family, Family, tuple[int, ...]]
         part = slices.get((v, e))
         if part is None:
             w, moves = e
-            part = slices[v, e] = [cod_index[(w, tuple([by_state[g][h[k]] for g, k in moves]))]
-                                   for h in payloads]
+            part = slices[v, e] = [
+                cod_index[(w, tuple([start[g] + position[h[k]] for g, k in moves]))]
+                for h in payloads]
         table += part
     return dom, cod, tuple(table)
 
 
 class _Frame:
     """What evaluating and extracting cells over one span from src to dst
-    reads that no cell changes. A span with states holds the frame of the
-    last (src, dst) pair evaluated or extracted over it, found by the
-    identity of the two diagrams (_frame); the frame holds both diagrams,
-    and a call over another pair replaces it.
+    reads that no cell changes. A span holds the frame of the last (src,
+    dst) pair evaluated or extracted over it, found by the identity of the
+    two diagrams (_frame); the frame holds both diagrams, and a call over
+    another pair replaces it. A span without states has one too: it has
+    no blocks, so its components' tables are empty.
 
     at[id(x)], per family x, holds the component's two endpoint
     families, the domain's elements as (state, shape, payloads) blocks in
-    their order, the sum lift's per-state view at x, the codomain's ranks
-    (evaluation) and, per (shape, row entry) pair, the slice of codomain
-    ranks that a block of the shape with that entry contributes to a
-    table, computed at its first request (_eval_table) and held for every
-    cell over the span, as it depends on neither the state nor the cell.
+    their order, what ranks the sum lift's elements at x (the start of
+    each state's run and the position of each element of x in its
+    fiber), the codomain's ranks (evaluation) and, per (shape, row entry)
+    pair, the slice of codomain ranks that a block of the shape with that
+    entry contributes to a table, computed at its first request
+    (_eval_table) and held for every cell over the span, as it depends on
+    neither the state nor the cell.
     It holds x too, so the id names no other family while the frame
     lives; a family value-equal to x, such as one built with the Family
     constructor, gets its own entry, equal to x's.
@@ -452,28 +449,36 @@ class _Frame:
 
     def __init__(self, span: Span, src: PolyDiagram, dst: PolyDiagram) -> None:
         self.src, self.dst, self.au = src, dst, au_lift(span)
-        # the sum lift's shapes are the states, in the order of its
-        # elements: right end major, then ascending
-        over, left = src.shape_sort.fibers(), span.left.table
-        self.states = [(rho, over[left[rho]]) for states in span.right.fibers()
-                       for rho in states]
+        # the sum lift's shapes are the states, with their left ends, in
+        # the order of its elements: right end major, then ascending
+        left = span.left.table
+        self.states = [(rho, left[rho]) for states in span.right.fibers() for rho in states]
         self.at: dict = {}
         self.probes: dict = {}
 
     def evaluation(self, x: Family) -> tuple:
         """Build and keep at[id(x)]: x, the sizes of the four carriers in
         the order of their guard checks, the endpoint families, the
-        domain's blocks, the sum lift's per-state view at x, the
-        codomain's ranks and the slices computed so far, none yet."""
+        domain's blocks, the rank in the sum lift at x of each state's
+        first element and the position of each element of x in its fiber,
+        the codomain's ranks and the slices computed so far, none yet."""
         inner, dom, aux, cod = _records(self.au, self.src, self.dst, x)
         # the domain's elements over a state are those of inner over the
         # state's left end: shape by shape, each one's payloads in order
         payloads = inner.payloads_by_shape()
-        blocks = tuple([(rho, v, payloads[v]) for rho, vs in self.states for v in vs
-                        if v in payloads])
+        over, xfibers = self.src.shape_sort.fibers(), x.proj.fibers()
+        blocks = []
+        # the sum lift's elements over a state g are (g, (y,)) for y in x's
+        # fiber over g's left end, in order: their run starts at start[g]
+        start = [0] * len(self.states)
+        n = 0
+        for rho, i in self.states:
+            start[rho] = n
+            n += len(xfibers[i])
+            blocks.extend([(rho, v, payloads[v]) for v in over[i] if v in payloads])
         at = self.at[id(x)] = (x, len(inner.elements), len(dom.elements), len(aux.elements),
-                               len(cod.elements), dom.family, cod.family, blocks,
-                               aux.index_by_shape(), cod.index(), {})
+                               len(cod.elements), dom.family, cod.family, tuple(blocks),
+                               start, x.proj.positions(), cod.index(), {})
         return at
 
     def probe(self, v: int, ask) -> tuple:

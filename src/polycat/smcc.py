@@ -310,20 +310,6 @@ def _built(src: PolyDiagram, dst: PolyDiagram, tables: tuple) -> DiagMorphism:
     return DiagMorphism(src, dst, FinMap(src.shapes, dst.shapes, alpha), betas)
 
 
-def _curry(m: DiagMorphism, p1: PolyDiagram, p2: PolyDiagram, hd: poly.HomData,
-           shape_of: dict) -> DiagMorphism:
-    """curry_dm against a hom already built, hd = hom_data(p2, p3) with
-    shape_of = _shape_index(hd); the result lands in hd.diagram itself."""
-    return _built(p1, hd.diagram, _curry_tables((m.alpha.table, m.betas), p1, p2, shape_of))
-
-
-def _uncurry(m: DiagMorphism, p1: PolyDiagram, p2: PolyDiagram, p3: PolyDiagram,
-             hd: poly.HomData) -> DiagMorphism:
-    """uncurry_dm against a hom already built, hd = hom_data(p2, p3)."""
-    tables = _uncurry_tables((m.alpha.table, m.betas), p2, p3, hd)
-    return _built(poly.tensor(p1, p2), p3, tables)
-
-
 def curry_dm(m: DiagMorphism, p1: PolyDiagram, p2: PolyDiagram,
              p3: PolyDiagram) -> DiagMorphism:
     """Transpose a container morphism out of a tensor into one landing in
@@ -336,7 +322,8 @@ def curry_dm(m: DiagMorphism, p1: PolyDiagram, p2: PolyDiagram,
         raise ShapeMismatch("morphism must go from the tensor of the first two "
                             "diagrams to the third")
     hd = poly.hom_data(p2, p3)
-    return _curry(m, p1, p2, hd, _shape_index(hd))
+    return _built(p1, hd.diagram,
+                  _curry_tables((m.alpha.table, m.betas), p1, p2, _shape_index(hd)))
 
 
 def uncurry_dm(m: DiagMorphism, p1: PolyDiagram, p2: PolyDiagram,
@@ -347,7 +334,8 @@ def uncurry_dm(m: DiagMorphism, p1: PolyDiagram, p2: PolyDiagram,
     if m.src != p1 or m.dst != hd.diagram:
         raise ShapeMismatch("morphism must go from the first diagram to the "
                             "internal hom of the other two")
-    return _uncurry(m, p1, p2, p3, hd)
+    return _built(poly.tensor(p1, p2), p3,
+                  _uncurry_tables((m.alpha.table, m.betas), p2, p3, hd))
 
 
 def adjunction_count_check(p1: PolyDiagram, p2: PolyDiagram, p3: PolyDiagram,

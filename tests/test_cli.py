@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from polycat import cli, doc, finset, poly, suites
+from polycat import cli, doc, finset, nat, poly, smcc, suites
 from polycat.errors import OracleNotNatural
 from polycat.report import Report, decimal
 
@@ -313,6 +313,53 @@ def test_curry_over_limit_is_size_guard(capsys):
     assert "exceed" in err
 
 
+# 2X ⊗ X² = 2X² into 2X: 16 transformations on each side
+CURRY_ARGS = ("curry", LIST_DOC, "--p1", "two-x", "--p2", "square", "--p3", "two-x",
+              "--index", "1")
+CURRY_COUNTS = "transformations: 16 out of the tensor, 16 into the hom\n"
+
+
+def _first_entry_set(tables, direction):
+    """The tables with the first entry of the first beta table replaced."""
+    alpha, betas = tables
+    return alpha, ((direction,) + betas[0][1:],) + betas[1:]
+
+
+def test_curry_refuses_a_transpose_off_the_fiber(capsys, monkeypatch):
+    # 2X's direction 1 belongs to its shape 1: the curried morphism is
+    # refused by its construction check before the position is printed
+    curry_tables = smcc._curry_tables
+    monkeypatch.setattr(smcc, "_curry_tables",
+                        lambda *args: _first_entry_set(curry_tables(*args), 1))
+    code, out, err = run(capsys, *CURRY_ARGS)
+    assert code == 2
+    assert out == CURRY_COUNTS
+    assert err == "validation failure: beta at shape 0 leaves the direction fiber\n"
+
+
+def test_curry_reports_an_uncurry_to_another_member(capsys, monkeypatch):
+    tens = poly.tensor(poly.single_sorted((1, 1)), poly.single_sorted((2,)))
+    first = nat.enumerate_dm(tens, poly.single_sorted((1, 1)))[0]
+    monkeypatch.setattr(smcc, "_uncurry_tables",
+                        lambda *args: (first.alpha.table, first.betas))
+    code, out, _ = run(capsys, *CURRY_ARGS)
+    assert code == 4
+    assert out == (CURRY_COUNTS + "transformation 1 of 16 curries to 1 of 16\n"
+                   "uncurrying does not return the original: LAW VIOLATION\n")
+
+
+def test_curry_refuses_an_invalid_uncurry(capsys, monkeypatch):
+    # 2X²'s direction 2 belongs to its shape 1: the uncurried morphism is
+    # refused by its construction check after the position is printed
+    uncurry_tables = smcc._uncurry_tables
+    monkeypatch.setattr(smcc, "_uncurry_tables",
+                        lambda *args: _first_entry_set(uncurry_tables(*args), 2))
+    code, out, err = run(capsys, *CURRY_ARGS)
+    assert code == 2
+    assert out == CURRY_COUNTS + "transformation 1 of 16 curries to 1 of 16\n"
+    assert err == "validation failure: beta at shape 0 leaves the direction fiber\n"
+
+
 def test_day_oracle_reports_ok(capsys):
     code, out, _ = run(capsys, "day-oracle", LIST_DOC, "--left", "square",
                        "--right", "two-x", "--family", "two", "--skeleton", "2")
@@ -463,6 +510,17 @@ def test_oracle_not_natural_is_validation_failure(capsys, monkeypatch):
     code, out, err = run(capsys, "check-laws", "--suite", "tensor-universal")
     assert (code, out) == (2, "")
     assert err == "validation failure: rho not natural: counterexample\n"
+
+
+def test_an_assertion_error_is_not_a_validation_failure(capsys, monkeypatch):
+    # the library states its checks as ValidationError, never as assert: an
+    # AssertionError is an internal fault and propagates out of main
+    def broken(left, right):
+        raise AssertionError("internal fault")
+
+    monkeypatch.setattr(poly, "tensor", broken)
+    with pytest.raises(AssertionError, match="^internal fault$"):
+        cli.main(["tensor", LIST_DOC, "--left", "square", "--right", "two-x"])
 
 
 def test_document_dump_load_round_trip(tmp_path):

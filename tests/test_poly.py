@@ -210,9 +210,8 @@ def test_caches_make_no_reference_cycles():
         r = Span(FinSet(3), fmap(3, 2, (0, 1, 1)), fmap(3, 2, (0, 0, 1)))
         poly.extension_index(poly.au_lift(r), fams(2, (2, 3)))
         # the generic families and the check families held on a diagram,
-        # the evaluation plan kept on a cell, the per-state view kept on
-        # its sum lift's extension record, and the frame of evaluation and
-        # extraction held on its span, which holds both diagrams
+        # the evaluation plan kept on a cell, and the frame of evaluation
+        # and extraction held on its span, which holds both diagrams
         e = ss(2, 0)
         generic, _ = nat.generic_family(e, 0)
         nat.generic_element(e, 0)
@@ -221,9 +220,6 @@ def test_caches_make_no_reference_cycles():
         extracted = sim.extract_sim(lambda y: sim.eval_sim(cell, y), cell.span, e, e)
         sim.eval_sim(extracted, fams(1, (2,)))
         assert "_generic" in vars(e) and vars(e)["_check_families"][-1] is checks
-        au_records = vars(poly.au_lift(cell.span))["_ext"].values()
-        assert any("_index_by_shape" in vars(ext) for ext in au_records)
-        del au_records
         span = cell.span
         frame = vars(span)["_frame"]
         assert frame.src is e and frame.dst is e and frame.at and frame.probes
@@ -657,6 +653,30 @@ def test_hom_counts_in_closed_form_match_the_built_carriers():
 def test_hom_data_matches_the_two_pass_build():
     for p2, p3 in _hom_pairs():
         assert poly.hom_data(p2, p3) == _two_pass_hom(p2, p3)[2]
+
+
+def test_the_hom_shapes_are_the_transformations_in_order():
+    # the c-th hom shape is the c-th member of enumerate_dm(p2, p3), read
+    # as its shape table and its backward tables as positions in the
+    # fibers, and its arity is the number of backward entries
+    checked = 0
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for _ in range(200):
+            p2, p3 = (ss(*(rng.randint(0, 3) for _ in range(rng.randint(0, 3))))
+                      for _ in range(2))
+            if nat.count_nat(p2, p3) > 5000:
+                continue
+            data = poly.hom_data(p2, p3)
+            position = p2.dir_shape.positions()
+            members = nat.enumerate_dm(p2, p3)
+            assert list(data.shape_reps) == [
+                (m.alpha.table, tuple(tuple(position[u] for u in beta) for beta in m.betas))
+                for m in members]
+            assert [len(fiber) for fiber in data.diagram.dir_shape.fibers()] == \
+                [sum(map(len, m.betas)) for m in members]
+            checked += 1
+    assert checked == 591
 
 
 def test_hom_guards_keep_their_order_at_every_limit():

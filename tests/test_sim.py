@@ -812,17 +812,15 @@ def test_eval_agrees_with_the_tables_at_non_block_families():
             done += 1
     assert checked == 120
     # a block family and a value-equal family built with the constructor
-    # find one sum-lift record, whose per-state view the second call reuses
+    # find one sum-lift record
     c = two_sorted_cells(71, 1)[0][0]
     block = fams(2, (2, 1))
     copy = fam.Family(block.total, block.base, block.proj)
     assert copy == block and copy is not block
     record = poly._extension(poly.au_lift(c.span), block)
     assert sim.eval_sim(c, block).map.table == eval_from_the_tables(c, block)
-    view = record.index_by_shape()
     assert sim.eval_sim(c, copy).map.table == eval_from_the_tables(c, copy)
     assert poly._extension(poly.au_lift(c.span), copy) is record
-    assert record.index_by_shape() is view
 
 
 # -- extraction ---------------------------------------------------------------

@@ -611,15 +611,20 @@ def test_curry_dm_and_uncurry_dm_equal_the_shared_step():
     for p1, p2, p3 in _curry_triples(30):
         hd = poly.hom_data(p2, p3)
         shape_of = smcc._shape_index(hd)
-        for m in nat.enumerate_dm(poly.tensor(p1, p2), p3):
-            curried = smcc._curry(m, p1, p2, hd, shape_of)
+        tens = poly.tensor(p1, p2)
+        for m in nat.enumerate_dm(tens, p3):
+            curried = smcc._built(p1, hd.diagram, smcc._curry_tables(
+                (m.alpha.table, m.betas), p1, p2, shape_of))
             assert curried.dst is hd.diagram
             assert smcc.curry_dm(m, p1, p2, p3) == curried
-            assert smcc._uncurry(curried, p1, p2, p3, hd) == m
+            assert smcc._built(tens, p3, smcc._uncurry_tables(
+                (curried.alpha.table, curried.betas), p2, p3, hd)) == m
         for m in nat.enumerate_dm(p1, hd.diagram):
-            uncurried = smcc._uncurry(m, p1, p2, p3, hd)
+            uncurried = smcc._built(tens, p3, smcc._uncurry_tables(
+                (m.alpha.table, m.betas), p2, p3, hd))
             assert smcc.uncurry_dm(m, p1, p2, p3) == uncurried
-            assert smcc._curry(uncurried, p1, p2, hd, shape_of) == m
+            assert smcc._built(p1, hd.diagram, smcc._curry_tables(
+                (uncurried.alpha.table, uncurried.betas), p1, p2, shape_of)) == m
 
 
 

@@ -67,22 +67,22 @@ class Document:
         return f"Document({counts or 'empty'})"
 
     def family(self, name: str) -> Family:
-        return self._pick("families", name)
+        return self._pick(self.families, "family", name)
 
     def diagram(self, name: str) -> PolyDiagram:
-        return self._pick("diagrams", name)
+        return self._pick(self.diagrams, "diagram", name)
 
     def span(self, name: str) -> Span:
-        return self._pick("spans", name)
+        return self._pick(self.spans, "span", name)
 
     def simulation(self, name: str) -> SimCell:
-        return self._pick("simulations", name)
+        return self._pick(self.simulations, "simulation", name)
 
-    def _pick(self, section: str, name: str):
-        table = getattr(self, section)
+    @staticmethod
+    def _pick(table: dict, kind: str, name: str):
         if name not in table:
             known = ", ".join(sorted(table)) or "none defined"
-            raise ParseError(f"no {section[:-1]} named {name!r} ({known})")
+            raise ParseError(f"no {kind} named {name!r} ({known})")
         return table[name]
 
 

@@ -31,6 +31,9 @@ option and gives each cell the layout check only. The tables
 themselves are read-only views built from the rows on first read. Evaluation turns a cell into a natural family of morphisms
 relating the two extensions across the span's sum lift.
 
+A container morphism is the cell over the diagonal span of its sorts
+(from_dm).
+
 Parallel cells add: sum_sim takes the coproduct of their spans, and
 zero_sim, the empty span, is its unit. On a sum of diagrams only the
 injections and projections are built by hand; pairing, copairing and
@@ -60,6 +63,7 @@ __all__ = [
     "cell_pairs",
     "validate",
     "identity_sim",
+    "from_dm",
     "zero_sim",
     "sum_sim",
     "compose_sim",
@@ -310,6 +314,21 @@ def identity_sim(p: PolyDiagram) -> SimCell:
     require_endo(p)
     ident = finset.identity(p.source)
     return _copying(Span(p.source, ident, ident), p, p, p, 0)
+
+
+def from_dm(m: poly.DiagMorphism) -> SimCell:
+    """The container morphism m as the cell over the diagonal span of its
+    sorts: at state i, each shape v of sort i goes to alpha(v), and each
+    direction of alpha(v) to its backward direction's sort and that
+    direction's position in v's fiber."""
+    p = m.src
+    require_endo(p, m.dst)
+    ident = finset.identity(p.source)
+    span = Span(p.source, ident, ident)
+    alpha, sorts, positions = m.alpha.table, p.dir_sort.table, p.dir_shape.positions()
+    return _cell(span, p, m.dst, _layout(span, p, [
+        (alpha[v], tuple([(sorts[b], positions[b]) for b in m.betas[v]]))
+        for _, v in cell_pairs(span, p)]))
 
 
 def zero_sim(src: PolyDiagram, dst: PolyDiagram) -> SimCell:

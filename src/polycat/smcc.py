@@ -274,10 +274,10 @@ def _curry_tables(tables: tuple, p1: PolyDiagram, p2: PolyDiagram,
     for v1 in p1.shapes:
         row = v1 * n2
         entries = m_betas[row:row + n2]
-        phi = tuple(tuple([positions2[u % nd2] for u in vpair_entries])
-                    for vpair_entries in entries)
+        phi = tuple([tuple([positions2[u % nd2] for u in vpair_entries])
+                     for vpair_entries in entries])
         alpha_table.append(shape_of[alpha[row:row + n2], phi])
-        betas.append(tuple(u // nd2 for vpair_entries in entries for u in vpair_entries))
+        betas.append(tuple([u // nd2 for vpair_entries in entries for u in vpair_entries]))
     return tuple(alpha_table), tuple(betas)
 
 
@@ -297,8 +297,8 @@ def _uncurry_tables(tables: tuple, p2: PolyDiagram, p3: PolyDiagram,
         for fiber2, w, positions in zip(fibers2, f_table, phi):
             end = offset + len(fibers3[w])
             alpha_table.append(w)
-            betas.append(tuple(u1 * nd2 + fiber2[pos]
-                               for u1, pos in zip(answers[offset:end], positions)))
+            betas.append(tuple([u1 * nd2 + fiber2[pos]
+                                for u1, pos in zip(answers[offset:end], positions)]))
             offset = end
     return tuple(alpha_table), tuple(betas)
 
@@ -346,7 +346,13 @@ def adjunction_count_check(p1: PolyDiagram, p2: PolyDiagram, p3: PolyDiagram,
 
     The hom is built once (hom_data), with its shape index, and every
     curry and uncurry step of the round trips transposes against it;
-    neither outlives the call. The round trips and the injectivity check
+    neither outlives the call. Each direction transposes each member
+    once: curry and uncurry keep, for the call, every input's transpose,
+    and its construction check runs with the transpose. So the right
+    round trip reads the transposes that the left one made, and
+    transposes afresh only a right member outside the curried set; both
+    transposes are pure, so each verdict is the one that transposing
+    again would give. The round trips and the injectivity check
     compare (alpha table, betas) pairs (_curry_tables, _uncurry_tables)
     and build no morphism: a transpose that is a member of the other
     side's enumeration has passed every construction check, since
@@ -368,18 +374,23 @@ def adjunction_count_check(p1: PolyDiagram, p2: PolyDiagram, p3: PolyDiagram,
         right = [(m.alpha.table, m.betas) for m in nat.enumerate_dm(p1, hom)]
         into_hom, out_of_tensor = set(right), set(left)
         shape_of = _shape_index(hd)
+        curried_of, uncurried_of = {}, {}
 
         def curry(tables):
-            tables = _curry_tables(tables, p1, p2, shape_of)
-            if tables not in into_hom:
-                _built(p1, hom, tables)
-            return tables
+            out = curried_of.get(tables)
+            if out is None:
+                out = curried_of[tables] = _curry_tables(tables, p1, p2, shape_of)
+                if out not in into_hom:
+                    _built(p1, hom, out)
+            return out
 
         def uncurry(tables):
-            tables = _uncurry_tables(tables, p2, p3, hd)
-            if tables not in out_of_tensor:
-                _built(tens, p3, tables)
-            return tables
+            out = uncurried_of.get(tables)
+            if out is None:
+                out = uncurried_of[tables] = _uncurry_tables(tables, p2, p3, hd)
+                if out not in out_of_tensor:
+                    _built(tens, p3, out)
+            return out
 
         curried = [curry(m) for m in left]
         round_left = all(uncurry(c) == m for c, m in zip(curried, left))

@@ -90,6 +90,13 @@ def test_double_dual_over_the_guard_refuses_in_one_line(capsys):
                    "more than 1000000, guard limit is 1000000\n")
 
 
+def test_eval_names_an_unknown_family_in_the_singular(capsys):
+    code, out, err = run(capsys, "eval", LIST_DOC, "--diagram", "list3", "--family", "x")
+    assert code == 1
+    assert out == ""
+    assert err == "parse error: no family named 'x' (three, two)\n"
+
+
 def test_check_laws_tensor_unit_exits_zero(capsys):
     code, out, _ = run(capsys, "check-laws", "--suite", "tensor-unit")
     assert code == 0

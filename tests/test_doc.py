@@ -154,6 +154,19 @@ def test_unknown_name_lookup_is_a_parse_error():
     assert "no diagram named" in str(exc.value)
 
 
+@pytest.mark.parametrize("kind, known", [
+    ("family", "pair"),
+    ("diagram", "p, q"),
+    ("span", "ident"),
+    ("simulation", "embed, ident-p"),
+])
+def test_unknown_name_lookup_names_the_kind_in_the_singular(kind, known):
+    with open("docs/examples/simulation.json") as f:
+        d = doc.parse_document(f.read())
+    with pytest.raises(ParseError, match=f"^no {kind} named 'ghost' \\({known}\\)$"):
+        getattr(d, kind)("ghost")
+
+
 def test_random_document_round_trips_exactly():
     rng = random.Random(20260819)
     d = doc.Document()

@@ -823,6 +823,48 @@ def test_eval_agrees_with_the_tables_at_non_block_families():
     assert poly._extension(poly.au_lift(c.span), copy) is record
 
 
+# -- container morphisms as cells ---------------------------------------------
+
+
+def test_from_dm_is_the_cell_over_the_diagonal_span():
+    # seeded triples of endo diagrams on equal sorts: from_dm keeps
+    # identities and composites on the nose, evaluates as the morphism
+    # does, and the cells over the diagonal span number the morphisms
+    rng = random.Random(1)
+    identities = composites = evaluations = counts = 0
+    for _ in range(300):
+        p, q, r = (randgen.random_endo(rng, 2, 2, 2) for _ in range(3))
+        if not p.source == q.source == r.source:
+            continue
+        assert sim.from_dm(poly.identity_dm(p)) == sim.identity_sim(p)
+        identities += 1
+        diagonal = Span(p.source, finset.identity(p.source), finset.identity(p.source))
+        assert nat.count_nat(p, q) == sim.count_sim(p, q, diagonal)
+        counts += 1
+        ms, ns = nat.enumerate_dm(p, q), nat.enumerate_dm(q, r)
+        if ms and ns:
+            m, n = ms[-1], ns[-1]
+            assert sim.from_dm(nat.compose_dm(n, m)) == \
+                sim.compose_sim(sim.from_dm(n), sim.from_dm(m))
+            composites += 1
+        if ms:
+            m = ms[-1]
+            c = sim.from_dm(m)
+            for x in nat.check_families(p)[:4]:
+                by_dm, by_sim = nat.eval_dm(m, x), sim.eval_sim(c, x)
+                assert by_dm.map.table == by_sim.map.table
+                assert by_dm.src.fiber_sizes() == by_sim.src.fiber_sizes()
+                evaluations += 1
+    assert (identities, composites, evaluations, counts) == (66, 17, 100, 66)
+
+
+def test_from_dm_refuses_a_diagram_that_is_not_endo():
+    rng = random.Random(2)
+    p = randgen.random_diagram(rng, FinSet(1), FinSet(2))
+    with pytest.raises(ValidationError, match="^simulations relate endo diagrams$"):
+        sim.from_dm(poly.identity_dm(p))
+
+
 # -- extraction ---------------------------------------------------------------
 
 

@@ -675,6 +675,24 @@ def test_adjunction_check_reports_a_transpose_that_merges_two_members(monkeypatc
                          "currying is injective: NO")
 
 
+def test_adjunction_check_transposes_each_member_once(monkeypatch):
+    # the right round trip reads the left one's transposes: every right
+    # member is a curried left member, so each side is transposed once
+    calls = Counter()
+    for name in ("_curry_tables", "_uncurry_tables"):
+        def counted(tables, *args, name=name, transpose=getattr(smcc, name)):
+            calls[name] += 1
+            return transpose(tables, *args)
+
+        monkeypatch.setattr(smcc, name, counted)
+    rep = smcc.adjunction_count_check(*ROUND_TRIP_TRIPLE)
+    assert rep.ok
+    assert rep.lines == ("transformations out of the tensor: 147; into the internal hom: 147",
+                         "currying round trips on 147 + 147 members: yes",
+                         "currying is injective: yes")
+    assert calls == {"_curry_tables": 147, "_uncurry_tables": 147}
+
+
 def test_adjunction_large_counts_skip_round_trip():
     rep = smcc.adjunction_count_check(ss((2, 2)), ss((2, 2)), ss((2, 2)),
                                       roundtrip_limit=16)

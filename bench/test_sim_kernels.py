@@ -5,8 +5,9 @@ all), extraction with a precomputed oracle, the round trip of every
 cell of one instance over one span (the frame held on the span serves
 them all) and of one cell over a fresh span (the frame is built anew),
 building a cell from its rows, counting and enumerating cells (the
-grid instance's 225 too), and evaluating the zero cell, whose span has
-no states, through its frame.
+grid instance's 225 too), evaluating the zero cell, whose span has
+no states, through its frame, and building the tensor of two cells and
+the symmetry of a tensor of grid diagrams.
 
 These cases sit outside the tier-1 test paths and need pytest-benchmark:
 
@@ -108,3 +109,16 @@ def test_enumerate_grid(benchmark):
 def test_enumerate_sim(benchmark):
     cells = benchmark(sim.enumerate_sim, P, P, ONE)
     assert len(cells) == sim.count_sim(P, P, ONE) == 12
+
+
+def test_tensor_sim(benchmark):
+    # the seeded cell with itself: 4 states, from and to P ⊗ P
+    got = benchmark(sim.tensor_sim, CELL, CELL)
+    assert got.span.carrier.size == 4 and got.src == got.dst == poly.tensor(P, P)
+
+
+def test_symmetry_sim(benchmark):
+    # from (P ⊗ P) ⊗ P to P ⊗ (P ⊗ P): 8 shapes of up to 8 directions
+    pp = poly.tensor(P, P)
+    got = benchmark(sim.symmetry_sim, pp, P)
+    assert sim.compose_sim(sim.symmetry_sim(P, pp), got) == sim.identity_sim(poly.tensor(pp, P))

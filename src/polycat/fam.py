@@ -152,6 +152,20 @@ class FamMorphism:
         return FamMorphism(self.dst, self.src, self.map.inverse())
 
 
+def _assembled(dom: Family, cod: Family, table: tuple[int, ...]) -> FamMorphism:
+    """The morphism FamMorphism(dom, cod, FinMap(dom.total, cod.total,
+    table)), its fields and its map's fields written into their
+    instance dicts without the two constructors' checks. The caller
+    guarantees what they would check: dom and cod lie over a common
+    base, and the table is a tuple of |dom.total| entries below
+    |cod.total| that commutes with the projections."""
+    m = object.__new__(FinMap)
+    m.__dict__.update(dom=dom.total, cod=cod.total, table=table)
+    h = object.__new__(FamMorphism)
+    h.__dict__.update(src=dom, dst=cod, map=m)
+    return h
+
+
 def _check_composable(dst: Family, src: Family) -> None:
     """The endpoint check of a composite of family morphisms, shared by
     FamMorphism.then and the composites that are read on tables only."""

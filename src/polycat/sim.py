@@ -1,7 +1,7 @@
 """Simulations between endo diagrams: spans of state indices with cell
 tables, their validation, evaluation to components, composition,
-counting, enumeration, extraction, equivalence, and the biproduct
-structure on sums of diagrams.
+tensor and symmetry, counting, enumeration, extraction, equivalence,
+and the biproduct structure on sums of diagrams.
 
 A simulation from an endo diagram src (on sorts I1) to an endo diagram
 dst (on sorts I2) is a span of finite sets R between I1 and I2 together
@@ -28,11 +28,20 @@ the public constructor and the functions here hand it, so it checks an
 entry once per built cell. The cells enumerate_sim lists are choices of
 one option per (state, shape) pair: it runs the entry check once per
 option and gives each cell the layout check only. The tables
-themselves are read-only views built from the rows on first read. Evaluation turns a cell into a natural family of morphisms
-relating the two extensions across the span's sum lift.
+themselves are read-only views built from the rows on first read.
+
+Evaluation turns a cell into a natural family of morphisms relating the
+two extensions across the span's sum lift. As the cell is valid, each
+component is assembled without re-running the morphism constructors'
+checks (eval_sim).
 
 A container morphism is the cell over the diagonal span of its sorts
 (from_dm).
+
+Cells tensor (tensor_sim) over the product of their spans, paired as
+poly.tensor pairs sorts, shapes and directions; the tensor of diagrams
+is strict, so its unit and associativity hold on cells on the nose.
+symmetry_sim is the symmetry p1 ⊗ p2 -> p2 ⊗ p1.
 
 Parallel cells add: sum_sim takes the coproduct of their spans, and
 zero_sim, the empty span, is its unit. On a sum of diagrams only the
@@ -49,7 +58,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from . import finset, nat, poly
+from . import fam, finset, nat, poly
 from .errors import OracleNotNatural, ShapeMismatch, ValidationError
 from .fam import FamMorphism, Family, Span
 from .finset import FinMap, FinSet, check_guard
@@ -67,6 +76,8 @@ __all__ = [
     "zero_sim",
     "sum_sim",
     "compose_sim",
+    "tensor_sim",
+    "symmetry_sim",
     "eval_sim",
     "sim_naturality_check",
     "extract_sim",
@@ -385,6 +396,64 @@ def compose_sim(c2: SimCell, c1: SimCell) -> SimCell:
     return _cell(span, c1.src, c2.dst, rows)
 
 
+def tensor_sim(c1: SimCell, c2: SimCell) -> SimCell:
+    """The tensor of two cells, from src1 ⊗ src2 to dst1 ⊗ dst2 over the
+    product of their spans, paired as poly.tensor pairs sorts and shapes:
+    state (r1, r2) is r1 * n2 + r2, for n2 states of c2. Its row entry at
+    shape v1 * |S2| + v2 is None where either factor's is; otherwise its
+    shape is w1 * |dst2's shapes| + w2, and its moves pair the factors'
+    moves (g1, k1) and (g2, k2) in lexicographic order, the order of the
+    tensor's direction fibers, as (g1 * n2 + g2, k1 * |fiber(v2)| + k2).
+    The span's carrier is guarded by its size before it is built."""
+    src, dst = poly.tensor(c1.src, c2.src), poly.tensor(c1.dst, c2.dst)
+    n2 = c2.span.carrier.size
+    check_guard(c1.span.carrier.size * n2, "tensor span carrier")
+    left = finset.product_map(c1.span.left, c2.span.left)
+    span = Span(left.dom, left, finset.product_map(c1.span.right, c2.span.right))
+    m2, fibers2 = c2.dst.shapes.size, c2.src.dir_shape.fibers()
+    rows = []
+    for row1 in c1._plan:
+        for row2 in c2._plan:
+            row = []
+            for e1 in row1:
+                for v2, e2 in enumerate(row2):
+                    if e1 is None or e2 is None:
+                        row.append(None)
+                        continue
+                    (w1, moves1), (w2, moves2), size = e1, e2, len(fibers2[v2])
+                    row.append((w1 * m2 + w2, tuple([(g1 * n2 + g2, k1 * size + k2)
+                                                     for g1, k1 in moves1
+                                                     for g2, k2 in moves2])))
+            rows.append(row)
+    return _cell(span, src, dst, rows)
+
+
+def symmetry_sim(p1: PolyDiagram, p2: PolyDiagram) -> SimCell:
+    """The symmetry from p1 ⊗ p2 to p2 ⊗ p1, over the graph of the swap
+    of sorts: state (i1, i2) is i1 * n2 + i2, its left end itself and its
+    right end i2 * n1 + i1. Shape v1 * |S2| + v2 goes to v2 * |S1| + v1,
+    whose directions (u2, u1) run over fiber(v2) × fiber(v1) in
+    lexicographic order; the move of (u2, u1) is (sort(u1) * n2 +
+    sort(u2), k1 * |fiber(v2)| + k2), with k1 and k2 the positions of u1
+    and u2 in their fibers."""
+    require_endo(p1, p2)
+    src, dst = poly.tensor(p1, p2), poly.tensor(p2, p1)
+    n1, n2, s1, s2 = p1.source.size, p2.source.size, p1.shapes.size, p2.shapes.size
+    swap = FinMap(src.source, dst.source,
+                  tuple([i2 * n1 + i1 for i1 in range(n1) for i2 in range(n2)]))
+    span = Span(src.source, finset.identity(src.source), swap)
+    fibers1, fibers2 = p1.dir_shape.fibers(), p2.dir_shape.fibers()
+    sorts1, sorts2 = p1.dir_sort.table, p2.dir_sort.table
+    entries = []
+    for _, v in cell_pairs(span, src):
+        v1, v2 = divmod(v, s2)
+        f1, f2 = fibers1[v1], fibers2[v2]
+        entries.append((v2 * s1 + v1, tuple([(sorts1[u1] * n2 + sorts2[u2], k1 * len(f2) + k2)
+                                             for k2, u2 in enumerate(f2)
+                                             for k1, u1 in enumerate(f1)])))
+    return _cell(span, src, dst, _layout(span, src, entries))
+
+
 def eval_sim(c: SimCell, x: Family) -> FamMorphism:
     """The cell's component at x: a morphism from the sum lift of the src
     value to the dst value of the sum lift.
@@ -399,9 +468,15 @@ def eval_sim(c: SimCell, x: Family) -> FamMorphism:
     frame's record at x also holds each (shape, row entry) pair's slice of
     the table, computed at its first request by any cell over the span.
     The guard is checked on every call, on the four extension carriers,
-    as when the frame was built."""
-    dom, cod, table = _eval_table(c, x)
-    return FamMorphism(dom, cod, FinMap(dom.total, cod.total, table))
+    as when the frame was built.
+
+    The component is assembled without the FinMap and FamMorphism
+    constructors' checks (fam._assembled). It would pass them: the cell
+    passed the validator, so every entry of its table is the rank of an
+    element of the codomain's extension, over the sort of the domain
+    element it comes from, and the table has one entry per domain
+    element."""
+    return fam._assembled(*_eval_table(c, x))
 
 
 def _eval_table(c: SimCell, x: Family) -> tuple[Family, Family, tuple[int, ...]]:
@@ -624,9 +699,10 @@ def _check_round_trip(ask, c: SimCell) -> None:
     cell's src, in order, compute the component's endpoints and table
     (_eval_table), then ask the oracle at x. Raise ValidationError if its
     component has other endpoints, and OracleNotNatural if it has another
-    table. The component was validated when it was built, so equal
-    endpoints and tables make it the expected morphism, and no morphism
-    is built for the expected side."""
+    table. The component was built through the checking constructors,
+    or assembled by eval_sim from a validated cell, so equal endpoints
+    and tables make it the expected morphism, and no morphism is built
+    for the expected side."""
     for x in nat.check_families(c.src):
         src, dst, table = _eval_table(c, x)
         comp = ask(x)

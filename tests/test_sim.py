@@ -823,6 +823,69 @@ def test_eval_agrees_with_the_tables_at_non_block_families():
     assert poly._extension(poly.au_lift(c.span), copy) is record
 
 
+def component_cells(seed: int) -> list:
+    """Seeded cells of every kind eval_sim meets, on one and two sorts:
+    every fourth enumerated cell of three grid pairs with 1 to 128 cells
+    over each constant span of 1 and 2 states, random_cell draws, their
+    composites and sums, the zero cell and from_dm of the last container
+    morphism listed."""
+    rng = random.Random(seed)
+    out: list = []
+    for states in (1, 2):
+        span, done = suites._const_span(states), 0
+        while done < 3:
+            p1, p2 = rng.choices(suites._grid(), k=2)
+            if 0 < sim.count_sim(p1, p2, span) <= 128:
+                out += sim.enumerate_sim(p1, p2, span)[::4]
+                done += 1
+    for sorts in (1, 2):
+        base, done = FinSet(sorts), 0
+        while done < 6:
+            p, q, r = (randgen.random_diagram(rng, base, base, 3, 2) for _ in range(3))
+            c, d = randgen.random_sim_cell(rng, p, q), randgen.random_sim_cell(rng, q, r)
+            ms = nat.enumerate_dm(p, q)
+            if c is None or d is None or not ms:
+                continue
+            out += [c, d, sim.compose_sim(d, c), sim.sum_sim(c, c), sim.zero_sim(p, r),
+                    sim.from_dm(ms[-1])]
+            done += 1
+    return out
+
+
+def test_eval_sim_components_pass_the_full_check():
+    # eval_sim assembles its components without the constructors' checks;
+    # built through them, each component is accepted and equal
+    cases = 0
+    for c in component_cells(83):
+        generic = [nat.generic_family(c.src, v)[0] for v in c.src.shapes]
+        for x in (*nat.check_families(c.src), *generic):
+            got = sim.eval_sim(c, x)
+            dom, cod, table = sim._eval_table(c, x)
+            assert type(table) is tuple
+            assert got == FamMorphism(dom, cod, FinMap(dom.total, cod.total, table))
+            cases += 1
+    assert cases == 920
+
+
+def test_eval_sim_builds_no_checked_morphism(monkeypatch):
+    cases = [(c, x) for c in component_cells(89) for x in (*nat.check_families(c.src), *(
+        nat.generic_family(c.src, v)[0] for v in c.src.shapes))]
+    calls: list = []
+    for cls in (FamMorphism, FinMap):
+        def counted(self, check=cls.__post_init__, name=cls.__name__):
+            calls.append(name)
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    # a first evaluation builds the frame's extension records, whose
+    # families hold checked maps, but no morphism
+    first = [sim.eval_sim(c, x) for c, x in cases]
+    assert "FamMorphism" not in calls
+    calls.clear()
+    # a later one builds neither
+    again = [sim.eval_sim(c, x) for c, x in cases]
+    assert calls == [] and again == first and len(again) == 954
+
+
 # -- container morphisms as cells ---------------------------------------------
 
 
@@ -1897,6 +1960,147 @@ def test_composition_distributes_over_the_sum_of_cells():
                           sim.sum_sim(compose(d1, c1), compose(d1, c2)))
         assert equivalent(compose(sim.sum_sim(d1, d2), c1),
                           sim.sum_sim(compose(d1, c1), compose(d2, c1)))
+
+
+# -- the tensor of cells and its symmetry --------------------------------------
+
+
+def endo(rng: random.Random) -> poly.PolyDiagram:
+    return randgen.random_endo(rng, 2, 2, 2)
+
+
+def test_the_tensor_of_identities_is_the_identity():
+    rng = random.Random(0)
+    for _ in range(200):
+        p, q = endo(rng), endo(rng)
+        assert sim.tensor_sim(sim.identity_sim(p), sim.identity_sim(q)) == \
+            sim.identity_sim(poly.tensor(p, q))
+
+
+def test_the_tensor_with_the_zero_cell_is_zero():
+    rng = random.Random(0)
+    cases = skipped = 0
+    for _ in range(200):
+        p1, q1, p2, q2 = (endo(rng) for _ in range(4))
+        c, zero = randgen.random_sim_cell(rng, p1, q1), sim.zero_sim(p2, q2)
+        if c is None:
+            skipped += 1
+            continue
+        tens = poly.tensor
+        assert sim.tensor_sim(c, zero) == sim.zero_sim(tens(p1, p2), tens(q1, q2))
+        assert sim.tensor_sim(zero, c) == sim.zero_sim(tens(p2, p1), tens(q2, q1))
+        cases += 1
+    assert (cases, skipped) == (162, 38)
+
+
+def test_the_tensor_of_cells_is_strict():
+    # the unit and the associator are identity cells, on the nose
+    rng = random.Random(12)
+    unit = sim.identity_sim(poly.tensor_unit())
+    tensor = sim.tensor_sim
+    units = associations = skipped = 0
+    for _ in range(200):
+        ps = [endo(rng) for _ in range(6)]
+        a, b, c = (randgen.random_sim_cell(rng, ps[k], ps[k + 1]) for k in (0, 2, 4))
+        if a is not None:
+            assert tensor(a, unit) == a == tensor(unit, a)
+            units += 1
+        if None in (a, b, c):
+            skipped += 1
+            continue
+        assert tensor(tensor(a, b), c) == tensor(a, tensor(b, c))
+        associations += 1
+    assert (units, associations, skipped) == (167, 119, 81)
+
+
+def test_the_tensor_of_cells_is_functorial():
+    rng = random.Random(0)
+    compose, tensor = sim.compose_sim, sim.tensor_sim
+    cases = skipped = 0
+    for _ in range(200):
+        p1, q1, r1, p2, q2, r2 = (endo(rng) for _ in range(6))
+        c1, d1, c2, d2 = (randgen.random_sim_cell(rng, a, b)
+                          for a, b in ((p1, q1), (q1, r1), (p2, q2), (q2, r2)))
+        if None in (c1, d1, c2, d2):
+            skipped += 1
+            continue
+        assert equivalent(tensor(compose(d1, c1), compose(d2, c2)),
+                       compose(tensor(d1, d2), tensor(c1, c2)))
+        cases += 1
+    assert (cases, skipped) == (76, 124)
+
+
+def test_the_tensor_of_cells_is_bilinear():
+    rng = random.Random(0)
+    add, tensor = sim.sum_sim, sim.tensor_sim
+    cases = skipped = 0
+    for _ in range(200):
+        p1, q1, p2, q2 = (endo(rng) for _ in range(4))
+        c, d1, d2 = (randgen.random_sim_cell(rng, a, b)
+                     for a, b in ((p1, q1), (p2, q2), (p2, q2)))
+        if None in (c, d1, d2):
+            skipped += 1
+            continue
+        assert equivalent(tensor(c, add(d1, d2)), add(tensor(c, d1), tensor(c, d2)))
+        assert equivalent(tensor(add(d1, d2), c), add(tensor(d1, c), tensor(d2, c)))
+        cases += 1
+    assert (cases, skipped) == (129, 71)
+
+
+def test_the_symmetry_is_an_involution_and_satisfies_the_hexagon():
+    rng = random.Random(11)
+    compose, tensor, sigma = sim.compose_sim, sim.tensor_sim, sim.symmetry_sim
+    on_the_nose = 0
+    for _ in range(200):
+        p, q, r = (endo(rng) for _ in range(3))
+        twice, ident = compose(sigma(q, p), sigma(p, q)), sim.identity_sim(poly.tensor(p, q))
+        assert equivalent(twice, ident)
+        on_the_nose += twice == ident
+        assert equivalent(sigma(p, poly.tensor(q, r)),
+                       compose(tensor(sim.identity_sim(q), sigma(p, r)),
+                               tensor(sigma(p, q), sim.identity_sim(r))))
+    assert on_the_nose == 200
+
+
+def test_the_symmetry_is_natural():
+    rng = random.Random(11)
+    compose, tensor, sigma = sim.compose_sim, sim.tensor_sim, sim.symmetry_sim
+    cases = skipped = 0
+    for _ in range(200):
+        p1, q1, p2, q2 = (endo(rng) for _ in range(4))
+        c1, c2 = randgen.random_sim_cell(rng, p1, q1), randgen.random_sim_cell(rng, p2, q2)
+        if c1 is None or c2 is None:
+            skipped += 1
+            continue
+        assert equivalent(compose(sigma(q1, q2), tensor(c1, c2)),
+                       compose(tensor(c2, c1), sigma(p1, p2)))
+        cases += 1
+    assert (cases, skipped) == (128, 72)
+
+
+def test_tensor_sim_guards_the_product_span():
+    # two 2000-state cells: 4 * 10^6 product states
+    c = _constant_cell(2000)
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardExceeded,
+                       match="tensor span carrier has size 4000000, guard limit"):
+        sim.tensor_sim(c, c)
+    assert time.perf_counter() - start < 0.5
+    c3, c4 = _constant_cell(3), _constant_cell(4)
+    old = finset.set_guard_limit(10)
+    try:
+        with pytest.raises(SizeGuardExceeded, match="tensor span carrier has size 12,"):
+            sim.tensor_sim(c3, c4)
+        finset.set_guard_limit(12)
+        assert sim.tensor_sim(c3, c4).span.carrier.size == 12
+    finally:
+        finset.set_guard_limit(old)
+
+
+def test_symmetry_sim_refuses_a_diagram_that_is_not_endo():
+    p = randgen.random_diagram(random.Random(2), FinSet(1), FinSet(2))
+    with pytest.raises(ValidationError, match="^simulations relate endo diagrams$"):
+        sim.symmetry_sim(p, ss(1))
 
 
 # -- the validity/naturality equivalence --------------------------------------

@@ -1,6 +1,8 @@
 """Microbenchmarks of the kernels of the tensor's universal property on
 one fixed pair of the tensor-universal grid, X + 1 against X^2 + X: the
-coend oracle in sampled mode (|x| = 2) and in exact mode (|x| = 0), the
+coend oracle in sampled mode (|x| = 2) and in exact mode (|x| = 0), and
+in sampled mode at the grid's heaviest pair, 2X^2 against itself, also
+at |x| = 2; the
 binaturality check of the comparison map (the squares that theta and
 epsilon_naturality_check walk), the comparison map alone at every
 argument pair with fibers at most 2, and the whole universal-property
@@ -32,9 +34,9 @@ P1, P2 = poly.single_sorted((0, 1)), poly.single_sorted((1, 2))
 FAMILIES = list(fam.families_up_to(P1.source, 2))
 
 
-def coend(n: int):
+def coend(n: int, p1=P1, p2=P2):
     x = fam.family_from_fibers(FinSet(1), (n,))
-    return smcc.day_coend_oracle(P1, P2, x, 4, samples=400, seed=0)
+    return smcc.day_coend_oracle(p1, p2, x, 4, samples=400, seed=0)
 
 
 def test_coend_sampled(benchmark):
@@ -44,6 +46,18 @@ def test_coend_sampled(benchmark):
         "sampled tuples reduce to canonical rectangles: yes (400 samples)",
         "separating comparison respects sampled relations: yes (400 samples)",
         "canonical rectangles: 8 (one per extension element: yes)")
+
+
+def test_coend_sampled_heaviest(benchmark):
+    # the grid pair (2, 2) x (2, 2): the most elements at every skeleton size
+    square = poly.single_sorted((2, 2))
+    rep = benchmark(coend, 2, square, square)
+    assert rep.ok and rep.lines == (
+        "skeleton 0..4: 72146632 tuples, 42101355552 generating relations",
+        "mode: factorization with sampled relation checks",
+        "sampled tuples reduce to canonical rectangles: yes (400 samples)",
+        "separating comparison respects sampled relations: yes (400 samples)",
+        "canonical rectangles: 64 (one per extension element: yes)")
 
 
 def test_coend_exact(benchmark):

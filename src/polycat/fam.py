@@ -36,7 +36,9 @@ class Family:
     proj) in its __dict__ from the first call on, so it is hashed once
     however often it is looked up as a key, as every family handed to an
     extension is. The hash is read-only and lives as long as the family,
-    and a pickle holds the fields only (finset.field_state).
+    and a pickle holds the fields only (finset.field_state). Its fiber
+    sizes are kept the same way: a block family keeps the sizes it was
+    built from, and any other family counts them at the first call.
 
     Block families and external products are interned (see
     family_from_fibers and box): while one is alive, every request for
@@ -52,6 +54,7 @@ class Family:
     base: FinSet
     proj: FinMap
     _hash = None  # not a field: the default until __hash__ stores the hash
+    _sizes = None  # not a field: the default until the sizes are kept
 
     def __post_init__(self) -> None:
         if self.proj.dom != self.total or self.proj.cod != self.base:
@@ -71,10 +74,14 @@ class Family:
         return self.proj.fiber(b)
 
     def fiber_sizes(self) -> tuple[int, ...]:
-        sizes = [0] * self.base.size
-        for b in self.proj.table:
-            sizes[b] += 1
-        return tuple(sizes)
+        sizes = self._sizes
+        if sizes is None:
+            counts = [0] * self.base.size
+            for b in self.proj.table:
+                counts[b] += 1
+            sizes = tuple(counts)
+            object.__setattr__(self, "_sizes", sizes)
+        return sizes
 
 
 # the live block families by (base, sizes); weak, so the table pins no
@@ -92,7 +99,8 @@ def family_from_fibers(base: FinSet, sizes: tuple[int, ...] | list[int]) -> Fami
     check family of one value is one object and a dict lookup on it stops
     at the identity check. The table holds the families weakly, and keys
     them by the base's value, labels included. Sizes are validated before
-    the lookup, with the same errors as a build."""
+    the lookup, with the same errors as a build. The family keeps the
+    sizes, so fiber_sizes() returns them without counting."""
     if len(sizes) != base.size:
         raise ShapeMismatch("one fiber size per base point required")
     if min(sizes, default=0) < 0:
@@ -103,6 +111,7 @@ def family_from_fibers(base: FinSet, sizes: tuple[int, ...] | list[int]) -> Fami
     if x is None:
         proj = finset.blocks(base, key[1])
         x = _blocks[key] = Family(proj.dom, base, proj)
+        object.__setattr__(x, "_sizes", key[1])
     return x
 
 

@@ -486,17 +486,22 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
     tuple with a pairing phi2 and f's push of that side's element is
     related to the tuple with that side's element and phi2 pulled back
     along f x 1 (left) or 1 x f (right). The exact mode unions the two
-    tuples' numbers; the sampled mode compares their cocones (`_cocone`).
+    tuples' numbers. The sampled mode compares the two tuples' cocones
+    without building them: both have the shape v1 * |S2| + v2, so it
+    compares their payloads, phi2 read at the pushed side's payload
+    (`moved`, f's image of that side's payload) against the pulled-back
+    pairing read at pay1 × pay2. `_cocone` reads the tensor's element
+    for the reductions, the exact mode and `epsilon`.
     The sampled mode's seeded draws are exactly those of
     `random.Random(seed)`'s `randrange` and `choice`, taken through its
     `getrandbits` (see `_draws`): per relation sample, the side, the
     three sizes, f, the pairing and the two elements, in that order, and
     each draw in full, the whole pairing included. A reduction's cocone
     is looked up in the tensor's extension index at x. The compared
-    relation holds by construction: the pushed cocone reads phi2 at f's
-    image of the payload, which is what the pulled-back pairing holds
-    there, so the line reads yes until the pushed side is computed by
-    another route than the pull-back. So in sampled mode only the
+    relation holds by construction: the pushed payload reads phi2 at
+    `moved`, f's image of the payload, which is what the pulled-back
+    pairing holds there, so the line reads yes until `moved` is computed
+    by another route than the pull-back. So in sampled mode only the
     reduction lookup and the decode count can read NO, and the lookup
     reads NO only if the tensor's extension at x misses a payload, since
     every cocone payload has f1 · f2 entries below |x|. The sample count
@@ -568,14 +573,16 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
         reductions_ok = True
         reduced = 0
         rect_index = poly.extension_index(tens, x)
-        weighted = [(a, b) for a in range(s + 1) for b in range(s + 1)
+        # per size pair: both element lists, their lengths, b and a * b
+        weighted = [(es1, len(es1), es2, len(es2), b, a * b)
+                    for a, es1 in enumerate(elems1) for b, es2 in enumerate(elems2)
                     if p1_counts[a] * p2_counts[b] > 0 and (nx > 0 or a * b == 0)]
         for _ in range(samples if weighted else 0):
-            a, b = weighted[below(len(weighted))]
+            es1, k1, es2, k2, b, ab = weighted[below(len(weighted))]
             reduced += 1
-            e1 = elems1[a][below(len(elems1[a]))]
-            e2 = elems2[b][below(len(elems2[b]))]
-            if _cocone(b, below_each(nx, a * b), e1, e2, n2) not in rect_index:
+            e1 = es1[below(k1)]
+            e2 = es2[below(k2)]
+            if _cocone(b, below_each(nx, ab), e1, e2, n2) not in rect_index:
                 reductions_ok = False
                 break
         lines.append(f"sampled tuples reduce to canonical rectangles: "
@@ -586,28 +593,36 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
         relations_ok = True
         tried = 0
         attempts = 0
+        coin = rng.random
+        lens1 = [len(es) for es in elems1]
+        lens2 = [len(es) for es in elems2]
         while tried < samples and attempts < 20 * samples:
             attempts += 1
-            left = rng.random() < 0.5
+            left = coin() < 0.5
             a, a2, b = below_each(s + 1, 3)
             n, o = (a, b) if left else (b, a)
-            if (n > 0 and a2 == 0) or not elems1[a] or not elems2[b]:
+            if (n > 0 and a2 == 0) or not lens1[a] or not lens2[b]:
                 continue
             f = below_each(a2, n)
             if nx == 0 and a2 * o > 0:
                 continue
             phi2 = below_each(nx, a2 * o)
-            e1 = elems1[a][below(len(elems1[a]))]
-            e2 = elems2[b][below(len(elems2[b]))]
+            pay1 = elems1[a][below(lens1[a])][1]
+            pay2 = elems2[b][below(lens2[b])][1]
+            # both tuples' cocones have the shape v1 * |S2| + v2, so they
+            # agree when their payloads, read over pay1 x pay2, do
             if left:
                 # (a2, b, phi2, f e1, e2) ~ (a, b, phi2 (f x 1), e1, e2)
                 pulled = [phi2[f[i] * b + j] for i in range(a) for j in range(b)]
-                pushed = _cocone(b, phi2, (e1[0], [f[t] for t in e1[1]]), e2, n2)
+                moved = [f[t] for t in pay1]
+                rows, cols, width = moved, pay2, b
             else:
                 # (a, a2, phi2, e1, f e2) ~ (a, b, phi2 (1 x f), e1, e2)
                 pulled = [phi2[i * a2 + f[j]] for i in range(a) for j in range(b)]
-                pushed = _cocone(a2, phi2, e1, (e2[0], [f[t] for t in e2[1]]), n2)
-            if pushed != _cocone(b, pulled, e1, e2, n2):
+                moved = [f[t] for t in pay2]
+                rows, cols, width = pay1, moved, a2
+            if [phi2[u * width + t] for u in rows for t in cols] != \
+                    [pulled[u * b + t] for u in pay1 for t in pay2]:
                 relations_ok = False
                 break
             tried += 1

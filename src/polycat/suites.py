@@ -353,6 +353,150 @@ def sim_roundtrip_suite(seed: int = 0, cell_budget: int = 256,
         "every extracted cell is equivalent to the cell it came from")
 
 
+def _lifted_box(s1: Span, s2: Span, s12: Span, a: Family, b: Family) -> fam.FamMorphism:
+    """The isomorphism from box(AU1 a, AU2 b) to AU12(box(a, b)), with AU
+    the sum lift of a span (poly.au_lift) and s12 the product of s1 and
+    s2, its states paired as tensor_sim pairs them: the pair of (r1, t1)
+    and (r2, t2) goes to (r1 * |s2| + r2, t1 * |b| + t2)."""
+    au1, au2, au12 = (poly.au_lift(s) for s in (s1, s2, s12))
+    n2, size_b, ab = s2.carrier.size, b.total.size, fam.box(a, b)
+    index = poly.extension_index(au12, ab)
+    elems2 = poly.extension_elements(au2, b)
+    table = tuple([index[(r1 * n2 + r2, (t1 * size_b + t2,))]
+                   for r1, (t1,) in poly.extension_elements(au1, a)
+                   for r2, (t2,) in elems2])
+    dom = fam.box(poly.eval_extension(au1, a), poly.eval_extension(au2, b))
+    cod = poly.eval_extension(au12, ab)
+    return fam.FamMorphism(dom, cod, FinMap(dom.total, cod.total, table))
+
+
+def sim_tensor_suite(seed: int = 0, cases: int = 40) -> Report:
+    """The tensor of simulation cells and its symmetry, on seeded cells
+    between random endo diagrams (up to 2 sorts and 2 shapes, fibers of
+    at most 2) over nonempty spans; a draw in which an operand has no
+    cell is skipped and counted. The tensor of diagrams is strict, so
+    identities, the zero cell, the unit and associativity hold on cells
+    on the nose; functoriality, bilinearity and the symmetry's laws hold
+    up to equivalence. The component of c1 (x) c2 at box(x, y) is the
+    external product of the components of c1 at x and c2 at y, through
+    the comparison maps (smcc.epsilon) of both ends and the sum lifts'
+    pairing (_lifted_box)."""
+    rng = random.Random(seed)
+    verdict = _Verdict("tensor of simulation cells")
+    compose, tensor, sigma, add = sim.compose_sim, sim.tensor_sim, sim.symmetry_sim, sim.sum_sim
+    unit = sim.identity_sim(poly.tensor_unit())
+    skipped = 0
+
+    def endo() -> PolyDiagram:
+        return randgen.random_endo(rng, max_sorts=2, max_shapes=2, max_fiber=2)
+
+    def cells(n: int, *pairs: tuple[int, int]) -> list[sim.SimCell]:
+        # n diagrams and a cell between each pair of them, all redrawn
+        # from the first pair without a cell
+        nonlocal skipped
+        while True:
+            ps = [endo() for _ in range(n)]
+            drawn = []
+            for i, j in pairs:
+                c = randgen.random_sim_cell(rng, ps[i], ps[j])
+                if c is None:
+                    skipped += 1
+                    break
+                drawn.append(c)
+            else:
+                return drawn
+
+    def law(holds: bool, failure: str) -> Report:
+        return Report("cell law", holds, () if holds else (failure,))
+
+    def identities() -> Report:
+        p, q = endo(), endo()
+        return law(tensor(sim.identity_sim(p), sim.identity_sim(q))
+                   == sim.identity_sim(poly.tensor(p, q)),
+                   "id (x) id is not the identity of the tensor")
+
+    def zero() -> Report:
+        c, z = cells(2, (0, 1)) + [sim.zero_sim(endo(), endo())]
+        return law(tensor(c, z) == sim.zero_sim(poly.tensor(c.src, z.src),
+                                                poly.tensor(c.dst, z.dst))
+                   and tensor(z, c) == sim.zero_sim(poly.tensor(z.src, c.src),
+                                                    poly.tensor(z.dst, c.dst)),
+                   "c (x) 0 or 0 (x) c is not the zero cell")
+
+    def strict() -> Report:
+        a, b, c = cells(6, (0, 1), (2, 3), (4, 5))
+        return law(all(tensor(d, unit) == d == tensor(unit, d) for d in (a, b, c))
+                   and tensor(tensor(a, b), c) == tensor(a, tensor(b, c)),
+                   "the unit or associativity fails on cells")
+
+    def functorial() -> Report:
+        c1, d1, c2, d2 = cells(6, (0, 1), (1, 2), (3, 4), (4, 5))
+        return law(_equivalent(tensor(compose(d1, c1), compose(d2, c2)),
+                               compose(tensor(d1, d2), tensor(c1, c2))),
+                   "the tensor of composites is not the composite of tensors")
+
+    def bilinear() -> Report:
+        c, d1, d2 = cells(4, (0, 1), (2, 3), (2, 3))
+        return law(_equivalent(tensor(c, add(d1, d2)), add(tensor(c, d1), tensor(c, d2)))
+                   and _equivalent(tensor(add(d1, d2), c), add(tensor(d1, c), tensor(d2, c))),
+                   "the tensor does not distribute over a sum of cells")
+
+    def symmetric() -> Report:
+        p, q, r = endo(), endo(), endo()
+        return law(_equivalent(compose(sigma(q, p), sigma(p, q)),
+                               sim.identity_sim(poly.tensor(p, q)))
+                   and _equivalent(sigma(p, poly.tensor(q, r)),
+                                   compose(tensor(sim.identity_sim(q), sigma(p, r)),
+                                           tensor(sigma(p, q), sim.identity_sim(r)))),
+                   "the symmetry is not an involution or fails the hexagon")
+
+    def natural() -> Report:
+        c1, c2 = cells(4, (0, 1), (2, 3))
+        return law(_equivalent(compose(sigma(c1.dst, c2.dst), tensor(c1, c2)),
+                               compose(tensor(c2, c1), sigma(c1.src, c2.src))),
+                   "the symmetry is not natural")
+
+    def external() -> Report:
+        c1, c2 = cells(4, (0, 1), (2, 3))
+        x = randgen.random_family(rng, c1.src.source, max_fiber=2)
+        y = randgen.random_family(rng, c2.src.source, max_fiber=2)
+        c12 = tensor(c1, c2)
+        inner = poly.eval_extension(c1.src, x), poly.eval_extension(c2.src, y)
+        lifted = (poly.eval_extension(poly.au_lift(c.span), z) for c, z in ((c1, x), (c2, y)))
+        direct = _lifted_box(c1.span, c2.span, c12.span, *inner).then(
+            poly.extension_map(poly.au_lift(c12.span), smcc.epsilon(c1.src, c2.src, x, y))
+        ).then(sim.eval_sim(c12, fam.box(x, y)))
+        paired = fam.box_morphism(sim.eval_sim(c1, x), sim.eval_sim(c2, y)).then(
+            smcc.epsilon(c1.dst, c2.dst, *lifted)
+        ).then(poly.extension_map(c12.dst, _lifted_box(c1.span, c2.span, c12.span, x, y)))
+        return law(direct == paired,
+                   f"the component at the box of fibers {x.fiber_sizes()} and "
+                   f"{y.fiber_sizes()} is not the external product of the components")
+
+    lines = [f"{_agreements(cases, one, verdict, 'first failure', 1)} of {cases} {what}"
+             for one, what in [
+                 (identities, "seeded diagram pairs: id (x) id is the identity of the "
+                              "tensor on the nose"),
+                 (symmetric, "seeded diagram triples: the symmetry is an involution and "
+                             "satisfies the hexagon up to equivalence")]]
+    for one, what in [
+            (zero, "seeded cells: c (x) 0 = 0 = 0 (x) c on the nose"),
+            (strict, "seeded triples of cells: the unit and associativity hold on the nose"),
+            (functorial, "seeded composable pairs of pairs: the tensor of composites is "
+                         "equivalent to the composite of tensors"),
+            (bilinear, "seeded triples of cells: the tensor is bilinear over sums of cells "
+                       "up to equivalence"),
+            (natural, "seeded pairs of cells: the symmetry is natural up to equivalence"),
+            (external, "seeded pairs of cells at families with fibers <= 2: the component "
+                       "at a box is the external product of the components through the "
+                       "comparison maps")]:
+        before = skipped
+        agreed = _agreements(cases, one, verdict, "first failure", 1)
+        lines.append(f"{agreed} of {cases} {what} "
+                     f"({skipped - before} draws skipped: no cell on a drawn span)")
+    return verdict.report(*lines)
+
+
 def sim_category_suite(seed: int = 0, cases: int = 40) -> Report:
     """Categorical laws for cells: identity cells are units for
     composition, and composition is associative up to span equivalence."""
@@ -614,6 +758,7 @@ SUITES: dict[str, Callable[..., Report]] = {
     "adjunction": adjunction_suite,
     "tensor-universal": tensor_universal_suite,
     "sim-roundtrip": sim_roundtrip_suite,
+    "sim-tensor": sim_tensor_suite,
     "sim-category": sim_category_suite,
     "additive": additive_suite,
     "exponential": exponential_suite,

@@ -34,6 +34,21 @@ def test_family_from_fibers():
     assert x.fiber(2) == (2,)
 
 
+def test_a_block_family_keeps_its_fiber_sizes():
+    x = blocks(3, (2, 0, 1))
+    kept = x.fiber_sizes()
+    assert kept == tuple(len(x.fiber(b)) for b in range(3)) == (2, 0, 1)
+    assert all(x.fiber_sizes() is kept for _ in range(3))
+    # a family built with the constructor counts once and keeps the count;
+    # neither the kept sizes nor the count is compared or pickled
+    y = Family(x.total, x.base, x.proj)
+    assert "_sizes" not in y.__dict__
+    assert y.fiber_sizes() == kept and y.fiber_sizes() is y.fiber_sizes()
+    copied = pickle.loads(pickle.dumps(x))
+    assert "_sizes" not in copied.__dict__ and copied == x == y
+    assert copied.fiber_sizes() == kept
+
+
 def test_family_validation():
     with pytest.raises(ShapeMismatch):
         Family(FinSet(2), FinSet(2), fmap(2, 3, (0, 1)))

@@ -24,6 +24,7 @@ def test_registry_names_are_stable():
         "adjunction",
         "tensor-universal",
         "sim-roundtrip",
+        "sim-tensor",
         "sim-category",
         "additive",
         "exponential",
@@ -66,6 +67,14 @@ def test_sim_roundtrip_suite_reduced_budget():
     rep = suites.sim_roundtrip_suite(seed=2, cell_budget=16, samples_over=2)
     assert rep.ok, rep.render()
     assert "507 grid instances" in rep.lines[0]
+
+
+def test_sim_tensor_suite_reduced():
+    rep = suites.sim_tensor_suite(seed=1, cases=5)
+    assert rep.ok, rep.render()
+    assert all(line.startswith("5 of 5 seeded") for line in rep.lines)
+    assert [line.rsplit("(", 1)[-1] for line in rep.lines[2:]] == [
+        f"{n} draws skipped: no cell on a drawn span)" for n in (0, 0, 12, 4, 2, 1)]
 
 
 def test_suites_are_deterministic_per_seed():
@@ -184,4 +193,29 @@ def test_sim_category_suite_stops_each_section_at_its_first_failure(monkeypatch)
         "  0 seeded cells: identity cells act as units under composition",
         "  0 seeded triples: both bracketings of a triple composite are equivalent",
         "  first failure: identity cell is not a unit",
+    ])
+
+
+def test_sim_tensor_suite_keeps_the_first_failure(monkeypatch):
+    # no two cells are equivalent: the four laws read up to equivalence
+    # fail, and the laws read on the nose still hold
+    monkeypatch.setattr(sim, "equivalence_check", lambda c1, c2: None)
+    skipped = "draws skipped: no cell on a drawn span"
+    assert suites.sim_tensor_suite(cases=2).render() == "\n".join([
+        "tensor of simulation cells: FAIL",
+        "  2 of 2 seeded diagram pairs: id (x) id is the identity of the tensor on the nose",
+        "  0 of 2 seeded diagram triples: the symmetry is an involution and satisfies "
+        "the hexagon up to equivalence",
+        f"  2 of 2 seeded cells: c (x) 0 = 0 = 0 (x) c on the nose (2 {skipped})",
+        "  2 of 2 seeded triples of cells: the unit and associativity hold on the nose "
+        f"(1 {skipped})",
+        "  0 of 2 seeded composable pairs of pairs: the tensor of composites is "
+        f"equivalent to the composite of tensors (0 {skipped})",
+        "  0 of 2 seeded triples of cells: the tensor is bilinear over sums of cells "
+        f"up to equivalence (2 {skipped})",
+        f"  0 of 2 seeded pairs of cells: the symmetry is natural up to equivalence (0 {skipped})",
+        "  2 of 2 seeded pairs of cells at families with fibers <= 2: the component at a "
+        "box is the external product of the components through the comparison maps "
+        f"(0 {skipped})",
+        "  first failure: the symmetry is not an involution or fails the hexagon",
     ])

@@ -1,0 +1,223 @@
+"""Paired comparison of two versions of polycat's sim code in one process.
+
+    python3 bench/ab.py [--rev REV] [--rounds N] [--seed S]
+
+Exports ``src/polycat`` at the git revision REV (default HEAD) with
+``git archive`` into a temporary directory, and loads it beside the
+working tree's ``src/polycat`` in this process: each side is imported
+once, and the ``polycat`` entries of ``sys.modules`` are swapped before
+each side's set-up, so that everything a side builds is bound to its own
+modules.
+
+Before timing, both sides run one round on the first seed and must give
+equal results: the answers of the ``simcells`` workload's ops
+(perfbench/catalog.py, imported read-only) and the results of the kernels
+of bench/test_sim_kernels.py, compared as plain values. Then it runs N
+rounds. Each round sets up the simcells workload afresh on its own seed
+on both sides and times one round of its ops and a fixed number of calls
+of each kernel, the side that goes first alternating from round to
+round. The answers are compared again in every round.
+
+Per timed item it prints the median ratio of the working tree's time to
+REV's, the quartiles of the ratios, and the number of rounds in which
+the working tree is faster. With the working tree at REV it is an A/A
+comparison, whose ratios should sit near 1. The exit code is 0 when the
+two sides agree throughout and 1 when they differ.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import gc
+import importlib
+import importlib.util
+import inspect
+import io
+import math
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
+KERNELS = HERE / "test_sim_kernels.py"
+KERNEL_SECONDS = 0.02  # the calls of one kernel per round take about this long
+ROUND = "simcells round"
+
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench.catalog import Simcells  # noqa: E402
+
+
+def _polycat_names() -> list[str]:
+    return [n for n in sys.modules if n == "polycat" or n.startswith("polycat.")]
+
+
+class Side:
+    """One version of polycat: its modules, held out of sys.modules while
+    the other side runs, and its kernels."""
+
+    def __init__(self, label: str, src: Path) -> None:
+        self.label, self.modules = label, {}
+        for name in _polycat_names():
+            del sys.modules[name]
+        sys.path.insert(0, str(src))
+        try:
+            polycat = importlib.import_module("polycat")
+            importlib.import_module("polycat.cli")
+        finally:
+            sys.path.remove(str(src))
+        if Path(polycat.__file__).resolve().parent != (src / "polycat").resolve():
+            raise SystemExit(f"imported polycat from {polycat.__file__}, not from {src}")
+        self.modules = {name: sys.modules.pop(name) for name in _polycat_names()}
+        with self.active():
+            self.kernels = _load_kernels(label)
+
+    @contextlib.contextmanager
+    def active(self):
+        """Run with this side's modules as the polycat of sys.modules; a
+        submodule first imported meanwhile stays with this side."""
+        for name in _polycat_names():
+            del sys.modules[name]
+        sys.modules.update(self.modules)
+        try:
+            yield
+        finally:
+            self.modules = {name: sys.modules.pop(name) for name in _polycat_names()}
+
+
+class _Benchmark:
+    """Stands in for pytest-benchmark's fixture: calls the kernel a fixed
+    number of times, and keeps the time they took and the last result."""
+
+    def __init__(self, calls: int) -> None:
+        self.calls, self.took, self.result = calls, 0.0, None
+
+    def __call__(self, fn, *args, **kwargs):
+        start = time.perf_counter()
+        for _ in range(self.calls):
+            result = fn(*args, **kwargs)
+        self.took, self.result = time.perf_counter() - start, result
+        return result
+
+
+def _load_kernels(label: str) -> dict:
+    """The kernels of bench/test_sim_kernels.py, imported under the active
+    side's polycat: every test function whose one argument is the
+    benchmark fixture, by name. None without pytest or pytest-benchmark."""
+    try:
+        import pytest
+    except ImportError:
+        return {}
+    spec = importlib.util.spec_from_file_location(f"_ab_sim_kernels_{label}", KERNELS)
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    except pytest.skip.Exception:
+        return {}
+    return {name: fn for name, fn in vars(module).items()
+            if name.startswith("test_") and callable(fn)
+            and list(inspect.signature(fn).parameters) == ["benchmark"]}
+
+
+def export(rev: str, into: Path) -> Path:
+    """src/polycat at rev, written under into; returns its src directory."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src/polycat"],
+                         check=True, capture_output=True).stdout
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(into, **safe)
+    return into / "src"
+
+
+def plain(value):
+    """A result as plain values, comparable across the two sides: a cell
+    as its legs and rows, a morphism as its endpoints' fibers and table."""
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    if hasattr(value, "_plan"):
+        return ("cell", value.span.left.table, value.span.right.table, value._plan)
+    if hasattr(value, "map") and hasattr(value, "src"):
+        return ("morphism", value.src.fiber_sizes(), value.dst.fiber_sizes(), value.map.table)
+    return value
+
+
+def run_side(side: Side, seed: int, calls: dict) -> tuple[dict, list]:
+    """One round on a side: the simcells ops of a fresh set-up on the seed,
+    then each kernel its number of calls. Returns the time of each timed
+    item and the plain results, in order."""
+    times, results = {}, []
+    with side.active():
+        ops = Simcells().setup(seed, None)
+        gc.collect()
+        answers = []
+        start = time.perf_counter()
+        for op in ops:
+            answers.append(op.call())
+        times[ROUND] = time.perf_counter() - start
+        results.append(answers)
+        for name, kernel in side.kernels.items():
+            bench = _Benchmark(calls.get(name, 1))
+            gc.collect()
+            kernel(bench)
+            times[name] = bench.took
+            results.append((name, plain(bench.result)))
+    return times, results
+
+
+def summary(ratios: list[float]) -> str:
+    quartiles = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    lower = sum(r < 1 for r in ratios)
+    return (f"ratio {statistics.median(ratios):.3f} [{quartiles[0]:.3f}, {quartiles[2]:.3f}]"
+            f"  lower in {lower} of {len(ratios)}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--rev", default="HEAD", help="git revision to compare against")
+    ap.add_argument("--rounds", type=int, default=20, help="timed rounds")
+    ap.add_argument("--seed", type=int, default=1000, help="seed of the first round")
+    args = ap.parse_args(argv)
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
+    with tempfile.TemporaryDirectory(prefix="polycat-ab-") as tmp:
+        base = Side("base", export(args.rev, Path(tmp)))
+        change = Side("change", ROOT / "src")
+        if base.kernels.keys() != change.kernels.keys():
+            print("the two sides have different kernels", file=sys.stderr)
+            return 1
+        # the equality check, which also sizes each kernel's calls from the
+        # base side's first call
+        base_times, want = run_side(base, args.seed, {})
+        _, got = run_side(change, args.seed, {})
+        if got != want:
+            print("the two sides give different results", file=sys.stderr)
+            return 1
+        calls = {name: max(1, math.ceil(KERNEL_SECONDS / max(took, 1e-9)))
+                 for name, took in base_times.items() if name != ROUND}
+        ratios: dict = {name: [] for name in base_times}
+        for k in range(args.rounds):
+            seed = args.seed + k
+            order = (base, change) if k % 2 == 0 else (change, base)
+            runs = {side.label: run_side(side, seed, calls) for side in order}
+            if runs["base"][1] != runs["change"][1]:
+                print(f"the two sides give different results on seed {seed}", file=sys.stderr)
+                return 1
+            for name in ratios:
+                ratios[name].append(runs["change"][0][name] / runs["base"][0][name])
+    print(f"working tree against {args.rev}: {args.rounds} rounds from seed {args.seed},"
+          f" equal results on every round")
+    width = max(map(len, ratios))
+    for name, values in ratios.items():
+        calls_note = f"  ({calls[name]} calls)" if name in calls else ""
+        print(f"{name:<{width}}  {summary(values)}{calls_note}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -67,7 +67,7 @@ class PolyDiagram:
         return self.source.size == 1 and self.target.size == 1
 
     def is_endo(self) -> bool:
-        return self.source == self.target
+        return self.source is self.target or self.source == self.target
 
 
 def identity_diagram(i: FinSet) -> PolyDiagram:

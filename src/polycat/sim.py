@@ -25,10 +25,15 @@ fiber. Every cell is valid: each of its entries passed the entry check
 (the four equations) and its rows the layout check. The validator
 (SimCell._settle) runs both on each cell it builds, from the rows that
 the public constructor and the functions here hand it, so it checks an
-entry once per built cell. The cells enumerate_sim lists are choices of
-one option per (state, shape) pair: it runs the entry check once per
-option and gives each cell the layout check only. The tables
-themselves are read-only views built from the rows on first read.
+entry once per built cell. Two functions build many cells over one
+span, which share most of their entries, and check what they share
+once. The cells enumerate_sim lists are choices of one row per state,
+and a row a choice of one option per (state, shape) pair: it runs the
+entry check once per option and the layout check once per row.
+extract_sim runs the entry check once per entry it reads over the
+frame held on the span (_Frame), and gives each cell the layout check.
+The tables themselves are read-only views built from the rows on first
+read.
 
 Evaluation turns a cell into a natural family of morphisms relating the
 two extensions across the span's sum lift. As the cell is valid, each
@@ -98,9 +103,12 @@ def require_endo(*diagrams: PolyDiagram) -> None:
 
 
 def _check_ends(span: Span, src: PolyDiagram, dst: PolyDiagram) -> None:
-    """Raise unless both diagrams are endo and the legs land in their sorts."""
+    """Raise unless both diagrams are endo and the legs land in their
+    sorts, comparing by identity first (as FamMorphism does)."""
     require_endo(src, dst)
-    if span.left.cod != src.source or span.right.cod != dst.source:
+    left, right = span.left.cod, span.right.cod
+    if ((left is not src.source and left != src.source)
+            or (right is not dst.source and right != dst.source)):
         raise ShapeMismatch("span legs must land in the two sort sets")
 
 
@@ -126,11 +134,13 @@ class SimCell:
     and the tables' key sets, turns the tables into rows and hands them
     to the validator (_settle), which checks their layout and then each
     of their entries once (_check_layout, _check_entries); enumerate_sim
-    checks each of its options' entries once and each cell's layout. It
-    raises ValidationError at the first violation: key sets and ranges
-    first, then each pair's shape sort, then the direction equations
-    triple by triple. alpha, beta, gamma, pairs and triples are built
-    from the rows the first time they are read and kept, read-only."""
+    checks each of its options' entries once and each of its rows'
+    layout once, and extract_sim each entry once per frame and each
+    cell's layout. It raises ValidationError at the first violation:
+    key sets and ranges first, then each pair's shape sort, then the
+    direction equations triple by triple. alpha, beta, gamma, pairs and
+    triples are built from the rows the first time they are read and
+    kept, read-only."""
 
     span: Span
     src: PolyDiagram
@@ -532,14 +542,21 @@ class _Frame:
     lives; a family value-equal to x, such as one built with the Family
     constructor, gets its own entry, equal to x's.
     probes[v], per src shape v, holds what extract_sim reads off the
-    oracle's component at v's representing family (probe). Each entry
+    oracle's component at v's representing family (probe), among it the
+    rank of each state's element in the component's domain. Each entry
     is built at its first request from the extension records
     (poly._extension), whose guard checks it makes, and keeps the sizes
     of their carriers. A later request checks the guard on them, with
     the same label and in the same order, so a limit lowered after the
-    build still refuses."""
+    build still refuses.
+    entries[rho, v, r] holds the row entry that extract_sim read at the
+    pair (rho, v) from a component sending the pair's element to the
+    codomain element of rank r at the probe, once it passed the entry
+    check (_check_entries). The entry and its check depend on nothing
+    else that can change while the frame lives, so a later extraction
+    over the frame checks it no more."""
 
-    __slots__ = ("src", "dst", "au", "states", "at", "probes")
+    __slots__ = ("src", "dst", "au", "states", "at", "probes", "entries")
 
     def __init__(self, span: Span, src: PolyDiagram, dst: PolyDiagram) -> None:
         self.src, self.dst, self.au = src, dst, au_lift(span)
@@ -549,6 +566,7 @@ class _Frame:
         self.states = [(rho, left[rho]) for states in span.right.fibers() for rho in states]
         self.at: dict = {}
         self.probes: dict = {}
+        self.entries: dict = {}
 
     def evaluation(self, x: Family) -> tuple:
         """Build and keep at[id(x)]: x, the sizes of the four carriers in
@@ -576,10 +594,11 @@ class _Frame:
         return at
 
     def probe(self, v: int, ask) -> tuple:
-        """The component ask gives at the representing family of src shape
-        v, and what reads the extracted entry of a pair (rho, v) off it:
-        the ranks of its domain, v's generic element, its codomain's
-        elements and, per element of the sum lift at that family, the
+        """The table of the component ask gives at the representing family
+        of src shape v, and what reads the extracted entry of a pair
+        (rho, v) off it: per state rho, the rank in the component's domain
+        of (rho, v's generic element), None off v's sort; the elements of
+        its codomain; and, per element of the sum lift at that family, the
         (successor, position) move it stands for. The component's
         endpoints are checked on every call."""
         held = self.probes.get(v)
@@ -590,13 +609,14 @@ class _Frame:
             inner, src_ext, aux, dst_ext = _records(self.au, src, self.dst, y)
             _check_endpoints(comp, src_ext.family, dst_ext.family)
             gen = nat.generic_element(src, v)
-            position = src.dir_shape.positions()
-            reads = (src_ext.index(), gen, dst_ext.elements,
+            index, position = src_ext.index(), src.dir_shape.positions()
+            reads = ([index.get((rho, (gen,))) for rho in range(len(self.states))],
+                     dst_ext.elements,
                      tuple([(g, position[order[t]]) for g, (t,) in aux.elements]))
             self.probes[v] = (y, (len(inner.elements), len(src_ext.elements),
                                   len(aux.elements), len(dst_ext.elements)),
                               src_ext.family, dst_ext.family, reads)
-            return comp, reads
+            return comp.map.table, reads
         y, sizes, src_family, dst_family, reads = held
         comp = ask(y)
         for n in sizes:
@@ -604,7 +624,7 @@ class _Frame:
         _check_endpoints(comp, src_family, dst_family)
         # the generic element's lookup in the extension at y
         check_guard(sizes[0], _CARRIER)
-        return comp, reads
+        return comp.map.table, reads
 
 
 def _records(au: PolyDiagram, src: PolyDiagram, dst: PolyDiagram, x: Family) -> tuple:
@@ -647,18 +667,27 @@ def extract_sim(oracle, span: Span, p1: PolyDiagram, p2: PolyDiagram) -> SimCell
     The oracle is asked once per family value, in the order of the first
     request: the probes' families in cell_pairs order, then the check
     families. Each src shape is probed once, at its first pair, and every
-    state over its sort then costs one index lookup. What a probe reads
-    besides the component (the generic family and element, the extension
-    records and the fiber position of each direction) is held in the
-    frame on the span (_Frame), the one eval_sim reads: built at the
-    first probe of the shape over the span from p1 to p2, kept until a
-    call over another pair of diagrams replaces the frame, and checked
-    against the guard on every call. A component's
-    endpoints are checked wherever it is compared, at the probes and in
-    the round trip, before its table is read. The round trip runs on the
-    check families held on p1 (nat.check_families) and compares the
-    components' tables with the extracted cell's (_check_round_trip),
-    which it computes without building a morphism."""
+    state over its sort then costs one read of the component's table.
+    What a probe reads besides the component (the generic family and
+    element, the extension records, the rank of each state's element
+    and the fiber position of each direction) is held in the frame on
+    the span (_Frame), the one eval_sim reads: built at the first probe
+    of the shape over the span from p1 to p2, kept until a call over
+    another pair of diagrams replaces the frame, and checked against the
+    guard on every call. A component's endpoints are checked wherever it
+    is compared, at the probes and in the round trip, before its table
+    is read.
+
+    The entries read are checked (_check_entries) in one call, in
+    cell_pairs order, except those the frame holds as checked: each
+    passed every check, so leaving it out changes neither whether the
+    call raises nor which fault it raises first. The entries that pass
+    are held in the frame, the rows are laid out and given the layout
+    check, and the cell keeps them. A failed check raises
+    OracleNotNatural. The round trip runs on the check families held on
+    p1 (nat.check_families) and compares the components' tables with
+    the extracted cell's (_check_round_trip), which it computes without
+    building a morphism."""
     _check_ends(span, p1, p2)
     # each family value's component, kept for this extraction; a
     # component is never None, so get tells a missing key from a kept one
@@ -671,18 +700,30 @@ def extract_sim(oracle, span: Span, p1: PolyDiagram, p2: PolyDiagram) -> SimCell
         return comp
 
     probes: dict = {}
-    entries = []
+    entries, fresh = [], []
     for rho, v in cell_pairs(span, p1):
         probe = probes.get(v)
         if probe is None:
-            probe = probes[v] = _frame(span, p1, p2).probe(v, ask)
-        comp, (index, gen, dst_elems, moves) = probe
-        w, payload = dst_elems[comp(index[(rho, (gen,))])]
-        entries.append((w, tuple(map(moves.__getitem__, payload))))
+            frame = _frame(span, p1, p2)
+            probe = probes[v] = frame.probe(v, ask)
+        table, (ranks, dst_elems, moves) = probe
+        key = (rho, v, table[ranks[rho]])
+        e = frame.entries.get(key)
+        if e is None:
+            w, payload = dst_elems[key[2]]
+            e = (w, tuple(map(moves.__getitem__, payload)))
+            fresh.append((key, e))
+        entries.append(e)
     try:
-        c = _cell(span, p1, p2, _layout(span, p1, entries))
+        _check_entries(span, p1, p2, [(rho, v, e) for (rho, v, _), e in fresh])
+        plan = _layout(span, p1, entries)
+        _check_layout(span, p1, plan)
     except ValidationError as exc:
         raise OracleNotNatural("oracle not natural") from exc
+    if fresh:
+        frame.entries.update(fresh)
+    c = object.__new__(SimCell)
+    c._keep(span, p1, p2, plan)
     _check_round_trip(ask, c)
     return c
 
@@ -821,8 +862,13 @@ def enumerate_sim(p1: PolyDiagram, p2: PolyDiagram, span: Span) -> list[SimCell]
     product of every pair's _fillings (finset.check_guard_product), then
     each pair's, before it is listed by index (_pair_choice). A cell is
     a choice of one listed option per pair, so the entry check runs once
-    per option, at its pair (_check_entries), and each cell gets only
-    the layout check (_check_layout)."""
+    per option, at its pair (_check_entries). A state's rows are the
+    product of its pairs' option lists, with None at the shapes off its
+    left end; each is laid out once and checked once against the
+    state's layout (as _check_layout checks it), and a cell is a choice
+    of one row per state. In this order, the last pair's option varies
+    fastest, as in itertools.product over the pairs. If some pair has no
+    filling there is no cell, and no row is laid out."""
     _check_ends(span, p1, p2)
     pair_fills = _pair_fills(p1, p2, span)
     cap = finset.guard_limit() + 1
@@ -835,10 +881,20 @@ def enumerate_sim(p1: PolyDiagram, p2: PolyDiagram, span: Span) -> list[SimCell]
         per_pair.append([_pair_choice(options, i) for i in range(n)])
     _check_entries(span, p1, p2, [(rho, v, e) for (rho, v), listed
                                   in zip(cell_pairs(span, p1), per_pair) for e in listed])
+    # with every pair filled, a state's rows are at most the cells, which
+    # the guard bounds; with one empty, they are not
+    if not all(per_pair):
+        return []
+    it, sorts = iter(per_pair), p1.shape_sort.table
+    per_state = []
+    for i in span.left.table:
+        rows = list(itertools.product(*[next(it) if s == i else (None,) for s in sorts]))
+        mask = [s != i for s in sorts]
+        if any([e is None for e in row] != mask for row in rows):
+            raise ValidationError(_PAIR_KEYS)
+        per_state.append(rows)
     cells = []
-    for combo in itertools.product(*per_pair):
-        plan = _layout(span, p1, combo)
-        _check_layout(span, p1, plan)
+    for plan in itertools.product(*per_state):
         c = object.__new__(SimCell)
         c._keep(span, p1, p2, plan)
         cells.append(c)

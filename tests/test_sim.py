@@ -1228,6 +1228,56 @@ def test_a_held_frame_checks_the_guard_as_a_first_call_does(monkeypatch):
         assert sum(what == "extension carrier" for _, what in seen[0]) > 100
 
 
+def cross_sorted_cell() -> sim.SimCell:
+    """The one cell from a one-shape diagram on two sorts, whose shape sits
+    over sort 0 with a direction of each sort, to the diagram with a shape
+    over each sort and one direction of the other sort, over the span of
+    the states 0 -> 0 and 0 -> 1: both states pair with the one src shape
+    and take dst shapes over different sorts."""
+    two = FinSet(2)
+    p1 = poly.PolyDiagram(source=two, dirs=FinSet(2), shapes=FinSet(1), target=two,
+                          dir_sort=fmap(2, 2, (0, 1)), dir_shape=fmap(2, 1, (0, 0)),
+                          shape_sort=fmap(1, 2, (0,)))
+    p2 = two_sorted_endo()
+    span = Span(two, fmap(2, 2, (0, 0)), fmap(2, 2, (0, 1)))
+    (c,) = sim.enumerate_sim(p1, p2, span)
+    assert c._plan == (((0, ((1, 0),)),), ((1, ((0, 0),)),))
+    return c
+
+
+def state_one_takes_state_zeros_answer(c: sim.SimCell):
+    """An oracle that answers as the cell does, except that at the probe
+    of shape 0 it sends state 1's element where state 0's goes: a table
+    that mixes the sorts, assembled without the morphism checks."""
+    components = probe_and_check_components(c)
+    y = nat.generic_family(c.src, 0)[0]
+    index = poly.extension_index(poly.au_lift(c.span), poly.eval_extension(c.src, y))
+    gen = nat.generic_element(c.src, 0)
+    table = list(components[y].map.table)
+    table[index[1, (gen,)]] = table[index[0, (gen,)]]
+    bad = fam._assembled(components[y].src, components[y].dst, tuple(table))
+    return lambda x: bad if x == y else components[x]
+
+
+def test_a_held_frame_never_reuses_an_entry_checked_for_another_state():
+    # the faithful extraction leaves state 0's entry in the frame; the
+    # oracle then gives state 1 that same answer, a dst shape over the
+    # wrong sort for it. The entry check refuses it each time it is asked,
+    # and the faithful oracle is still read back
+    c = cross_sorted_cell()
+    components = probe_and_check_components(c)
+    assert sim.extract_sim(components.__getitem__, c.span, c.src, c.dst) == c
+    frame = vars(c.span)["_frame"]
+    for _ in range(2):
+        with pytest.raises(OracleNotNatural, match="oracle not natural") as exc:
+            sim.extract_sim(state_one_takes_state_zeros_answer(c), c.span, c.src, c.dst)
+        assert isinstance(exc.value.__cause__, ValidationError)
+        assert str(exc.value.__cause__) == ("assigned shape sits over the wrong sort at (state 1,"
+                                            " shape 0): got 0, the state's right end is 1")
+        assert sim.extract_sim(components.__getitem__, c.span, c.src, c.dst) == c
+    assert vars(c.span)["_frame"] is frame
+
+
 def test_frames_are_found_by_identity():
     # value-equal but distinct diagrams over one span, evaluated in turn;
     # diagrams made and dropped in a loop over one span; and families of
@@ -1448,6 +1498,43 @@ def test_count_sim_counts_the_grid_enumerations():
     assert counted > 300
 
 
+def split_span(span: Span, end: str, p: poly.PolyDiagram, q: poly.PolyDiagram) -> list:
+    """The span's states whose end ("left" or "right") lies in the sorts
+    of p ⊕ q, as two spans: those over p's sorts, and those over q's,
+    with that end renumbered in q's sorts."""
+    n, parts = p.source.size, []
+    for part, low in ((p, True), (q, False)):
+        states = [rho for rho, i in enumerate(getattr(span, end).table) if (i < n) == low]
+        carrier, legs = FinSet(len(states)), []
+        for name in ("left", "right"):
+            leg = getattr(span, name)
+            cod, shift = (part.source, 0 if low else n) if name == end else (leg.cod, 0)
+            legs.append(FinMap(carrier, cod, tuple([leg.table[rho] - shift for rho in states])))
+        parts.append(Span(carrier, *legs))
+    return parts
+
+
+def test_count_sim_factors_over_a_sum_of_diagrams():
+    # a cell into p ⊕ q is a pair of cells, into p over the states whose
+    # right end is a sort of p and into q over the others, as successors
+    # stay on their side; out of the sum, split by left end
+    rng = random.Random(2)
+    counts = []
+    for _ in range(400):
+        r, p, q = (randgen.random_endo(rng, 2, 3, 2) for _ in range(3))
+        pq = poly.plus(p, q)
+        into = randgen.random_span(rng, r.source, pq.source, 4)
+        span_p, span_q = split_span(into, "right", p, q)
+        count = sim.count_sim(r, pq, into)
+        assert count == sim.count_sim(r, p, span_p) * sim.count_sim(r, q, span_q)
+        out = randgen.random_span(rng, pq.source, r.source, 4)
+        span_p, span_q = split_span(out, "left", p, q)
+        counts += [count, sim.count_sim(pq, r, out)]
+        assert counts[-1] == sim.count_sim(p, r, span_p) * sim.count_sim(q, r, span_q)
+    # the draw reaches zero, one and large counts on both sides
+    assert counts.count(0) > 50 and counts.count(1) > 50 and max(counts) > 10**9
+
+
 def test_count_sim_refuses_the_ends_enumerate_sim_refuses():
     # a left leg into a 2-element set for a one-sorted diagram, and a
     # right leg off p2's sorts
@@ -1504,6 +1591,56 @@ def test_enumeration_order_is_pinned():
     assert cells[0]._plan == (((0, ()), (0, ())),) * 2
     assert cells[112]._plan == (((1, ((0, 0),)), (1, ((0, 1),))),) * 2
     assert cells[-1]._plan == (((1, ((1, 0),)), (1, ((1, 1),))),) * 2
+
+
+def test_enumeration_lays_out_the_per_pair_product():
+    # the cells in itertools.product order over the pairs' option lists,
+    # each laid out by _layout, on seeded pairs of one and two sorts
+    rng = random.Random(36)
+    listed, mixed = {1: 0, 2: 0}, 0
+    for _ in range(300):
+        base = FinSet(rng.randint(1, 2))
+        p1, p2 = (randgen.random_diagram(rng, base, base, 3, 2) for _ in range(2))
+        span = randgen.random_span(rng, base, base, rng.randint(0, 3))
+        if sim.count_sim(p1, p2, span) > 256:
+            continue
+        cells = sim.enumerate_sim(p1, p2, span)
+        want = [sim._layout(span, p1, combo)
+                for combo in itertools.product(*choices_oracle(p1, p2, span))]
+        assert [c._plan for c in cells] == want
+        assert all((c.span, c.src, c.dst) == (span, p1, p2) for c in cells)
+        listed[base.size] += len(cells)
+        mixed += sum(None in row and row.count(None) < len(row) for c in cells for row in c._plan)
+    # two-sorted rows hold None at the shapes off their state's left end
+    assert listed[1] > 2000 and listed[2] > 80 and mixed > 25
+
+
+def test_enumeration_lays_out_no_row_when_a_pair_has_no_filling(monkeypatch):
+    # state 0 (0 -> 0) pairs with the src shape over sort 0, and no dst
+    # shape sits over sort 0; state 1 (1 -> 1) has 3 pairs of 3 fillings,
+    # 27 rows over a limit of 5. Nothing is listed, and no row is built
+    two = FinSet(2)
+    p1 = poly.PolyDiagram(source=two, dirs=FinSet(6), shapes=FinSet(4), target=two,
+                          dir_sort=fmap(6, 2, (1,) * 6),
+                          dir_shape=fmap(6, 4, (1, 1, 2, 2, 3, 3)),
+                          shape_sort=fmap(4, 2, (0, 1, 1, 1)))
+    p2 = poly.PolyDiagram(source=two, dirs=FinSet(1), shapes=FinSet(2), target=two,
+                          dir_sort=fmap(1, 2, (1,)), dir_shape=fmap(1, 2, (0,)),
+                          shape_sort=fmap(2, 2, (1, 1)))
+    ident = finset.identity(two)
+    span = Span(two, ident, ident)
+    fillings = [len(options) for options in choices_oracle(p1, p2, span)]
+    assert fillings == [0, 3, 3, 3] and sim.count_sim(p1, p2, span) == 0
+
+    def no_product(*lists):
+        raise AssertionError("rows laid out")
+
+    monkeypatch.setattr(sim, "itertools", type("itertools", (), {"product": no_product}))
+    old = finset.set_guard_limit(5)
+    try:
+        assert sim.enumerate_sim(p1, p2, span) == []
+    finally:
+        finset.set_guard_limit(old)
 
 
 @pytest.mark.parametrize("bad, message", [

@@ -1,4 +1,5 @@
-"""Paired comparison of two versions of polycat's sim code in one process.
+"""Paired comparison of two versions of polycat's sim and smcc code in one
+process.
 
     python3 bench/ab.py [--rev REV] [--rounds N] [--seed S]
 
@@ -9,14 +10,17 @@ once, and the ``polycat`` entries of ``sys.modules`` are swapped before
 each side's set-up, so that everything a side builds is bound to its own
 modules.
 
-Before timing, both sides run one round on the first seed and must give
-equal results: the answers of the ``simcells`` workload's ops
-(perfbench/catalog.py, imported read-only) and the results of the kernels
-of bench/test_sim_kernels.py, compared as plain values. Then it runs N
-rounds. Each round sets up the simcells workload afresh on its own seed
-on both sides and times one round of its ops and a fixed number of calls
-of each kernel, the side that goes first alternating from round to
-round. The answers are compared again in every round.
+Two workloads are timed, each with its kernels: the ``simcells``
+workload with the kernels of bench/test_sim_kernels.py, and the
+``universal`` workload with those of bench/test_smcc_kernels.py (the
+workloads are perfbench/catalog.py's, imported read-only). Before
+timing, both sides run one round on the first seed and must give equal
+results: the answers of the workloads' ops and the kernels' results,
+compared as plain values. Then it runs N rounds. Each round sets up both
+workloads afresh on its own seed on both sides and times one round of
+each workload's ops and a fixed number of calls of each kernel, the side
+that goes first alternating from round to round. The answers are
+compared again in every round.
 
 Per timed item it prints the median ratio of the working tree's time to
 REV's, the quartiles of the ratios, and the number of rounds in which
@@ -44,14 +48,17 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-KERNELS = HERE / "test_sim_kernels.py"
 KERNEL_SECONDS = 0.02  # the calls of one kernel per round take about this long
-ROUND = "simcells round"
 
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
-from perfbench.catalog import Simcells  # noqa: E402
+from perfbench.catalog import Simcells, Universal  # noqa: E402
+
+# each workload with the file of its kernels
+WORKLOADS = [(Simcells, HERE / "test_sim_kernels.py"),
+             (Universal, HERE / "test_smcc_kernels.py")]
+ROUNDS = [f"{workload.name} round" for workload, _ in WORKLOADS]
 
 
 def _polycat_names() -> list[str]:
@@ -60,7 +67,7 @@ def _polycat_names() -> list[str]:
 
 class Side:
     """One version of polycat: its modules, held out of sys.modules while
-    the other side runs, and its kernels."""
+    the other side runs, and its kernels per workload."""
 
     def __init__(self, label: str, src: Path) -> None:
         self.label, self.modules = label, {}
@@ -76,7 +83,7 @@ class Side:
             raise SystemExit(f"imported polycat from {polycat.__file__}, not from {src}")
         self.modules = {name: sys.modules.pop(name) for name in _polycat_names()}
         with self.active():
-            self.kernels = _load_kernels(label)
+            self.kernels = [_load_kernels(label, path) for _, path in WORKLOADS]
 
     @contextlib.contextmanager
     def active(self):
@@ -106,15 +113,15 @@ class _Benchmark:
         return result
 
 
-def _load_kernels(label: str) -> dict:
-    """The kernels of bench/test_sim_kernels.py, imported under the active
-    side's polycat: every test function whose one argument is the
-    benchmark fixture, by name. None without pytest or pytest-benchmark."""
+def _load_kernels(label: str, path: Path) -> dict:
+    """The kernels of one bench file, imported under the active side's
+    polycat: every test function whose one argument is the benchmark
+    fixture, by name. None without pytest or pytest-benchmark."""
     try:
         import pytest
     except ImportError:
         return {}
-    spec = importlib.util.spec_from_file_location(f"_ab_sim_kernels_{label}", KERNELS)
+    spec = importlib.util.spec_from_file_location(f"_ab_{path.stem}_{label}", path)
     module = importlib.util.module_from_spec(spec)
     try:
         spec.loader.exec_module(module)
@@ -137,9 +144,12 @@ def export(rev: str, into: Path) -> Path:
 
 def plain(value):
     """A result as plain values, comparable across the two sides: a cell
-    as its legs and rows, a morphism as its endpoints' fibers and table."""
+    as its legs and rows, a morphism as its endpoints' fibers and table,
+    a report as its ok flag and lines."""
     if isinstance(value, (list, tuple)):
         return [plain(v) for v in value]
+    if hasattr(value, "lines") and hasattr(value, "ok"):
+        return ("report", value.ok, value.lines)
     if hasattr(value, "_plan"):
         return ("cell", value.span.left.table, value.span.right.table, value._plan)
     if hasattr(value, "map") and hasattr(value, "src"):
@@ -148,25 +158,26 @@ def plain(value):
 
 
 def run_side(side: Side, seed: int, calls: dict) -> tuple[dict, list]:
-    """One round on a side: the simcells ops of a fresh set-up on the seed,
-    then each kernel its number of calls. Returns the time of each timed
-    item and the plain results, in order."""
+    """One round on a side: per workload, its ops of a fresh set-up on the
+    seed, then each of its kernels its number of calls. Returns the time
+    of each timed item and the plain results, in order."""
     times, results = {}, []
     with side.active():
-        ops = Simcells().setup(seed, None)
-        gc.collect()
-        answers = []
-        start = time.perf_counter()
-        for op in ops:
-            answers.append(op.call())
-        times[ROUND] = time.perf_counter() - start
-        results.append(answers)
-        for name, kernel in side.kernels.items():
-            bench = _Benchmark(calls.get(name, 1))
+        for (workload, _), name, kernels in zip(WORKLOADS, ROUNDS, side.kernels):
+            ops = workload().setup(seed, None)
             gc.collect()
-            kernel(bench)
-            times[name] = bench.took
-            results.append((name, plain(bench.result)))
+            answers = []
+            start = time.perf_counter()
+            for op in ops:
+                answers.append(op.call())
+            times[name] = time.perf_counter() - start
+            results.append(plain(answers))
+            for kernel_name, kernel in kernels.items():
+                bench = _Benchmark(calls.get(kernel_name, 1))
+                gc.collect()
+                kernel(bench)
+                times[kernel_name] = bench.took
+                results.append((kernel_name, plain(bench.result)))
     return times, results
 
 
@@ -188,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="polycat-ab-") as tmp:
         base = Side("base", export(args.rev, Path(tmp)))
         change = Side("change", ROOT / "src")
-        if base.kernels.keys() != change.kernels.keys():
+        if [k.keys() for k in base.kernels] != [k.keys() for k in change.kernels]:
             print("the two sides have different kernels", file=sys.stderr)
             return 1
         # the equality check, which also sizes each kernel's calls from the
@@ -199,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
             print("the two sides give different results", file=sys.stderr)
             return 1
         calls = {name: max(1, math.ceil(KERNEL_SECONDS / max(took, 1e-9)))
-                 for name, took in base_times.items() if name != ROUND}
+                 for name, took in base_times.items() if name not in ROUNDS}
         ratios: dict = {name: [] for name in base_times}
         for k in range(args.rounds):
             seed = args.seed + k

@@ -1,8 +1,8 @@
 """Microbenchmarks of the kernels of the tensor's universal property on
 one fixed pair of the tensor-universal grid, X + 1 against X^2 + X: the
-coend oracle in sampled mode (|x| = 2) and in exact mode (|x| = 0), and
-in sampled mode at the grid's heaviest pair, 2X^2 against itself, also
-at |x| = 2; the
+coend oracle in sampled mode (|x| = 2) and in exact mode (|x| = 0), in
+sampled mode at the grid's heaviest pair, 2X^2 against itself, also at
+|x| = 2, and in exact mode at X^2 against X at |x| = 1 (300 tuples); the
 binaturality check of the comparison map (the squares that theta and
 epsilon_naturality_check walk), the comparison map alone at every
 argument pair with fibers at most 2, and the whole universal-property
@@ -65,6 +65,17 @@ def test_coend_exact(benchmark):
     assert rep.ok and rep.lines[1:3] == (
         "mode: exact union-find over all tuples",
         "equivalence classes: 2; extension elements: 2")
+
+
+def test_coend_exact_unit_family(benchmark):
+    # the grid pair (2,) x (1,) at |x| = 1: the exact mode at the sizes of
+    # the universal round's heaviest exact calls
+    rep = benchmark(coend, 1, poly.single_sorted((2,)), poly.single_sorted((1,)))
+    assert rep.ok and rep.lines == (
+        "skeleton 0..4: 300 tuples, 120520 generating relations",
+        "mode: exact union-find over all tuples",
+        "equivalence classes: 1; extension elements: 1",
+        "each class contains exactly one canonical rectangle: yes")
 
 
 def test_rho_natural_epsilon(benchmark):

@@ -859,32 +859,32 @@ def enumerate_sim(p1: PolyDiagram, p2: PolyDiagram, span: Span) -> list[SimCell]
     """All valid cells over the given span: per (state, shape) pair, a
     choice of assigned shape plus a move for each of its directions.
     The cell count is guarded up front, cut at the limit plus one: the
-    product of every pair's _fillings (finset.check_guard_product), then
-    each pair's, before it is listed by index (_pair_choice). A cell is
-    a choice of one listed option per pair, so the entry check runs once
+    product of every pair's _fillings (finset.check_guard_product). If
+    some pair has no filling there is no cell, and nothing more is
+    guarded, listed, checked or laid out. Otherwise each pair's count is
+    guarded before it is listed by index (_pair_choice). A cell is a
+    choice of one listed option per pair, so the entry check runs once
     per option, at its pair (_check_entries). A state's rows are the
     product of its pairs' option lists, with None at the shapes off its
     left end; each is laid out once and checked once against the
     state's layout (as _check_layout checks it), and a cell is a choice
     of one row per state. In this order, the last pair's option varies
-    fastest, as in itertools.product over the pairs. If some pair has no
-    filling there is no cell, and no row is laid out."""
+    fastest, as in itertools.product over the pairs. With every pair
+    filled, a pair's options and a state's rows are at most the cells,
+    which the guard bounds."""
     _check_ends(span, p1, p2)
     pair_fills = _pair_fills(p1, p2, span)
     cap = finset.guard_limit() + 1
-    finset.check_guard_product((_fillings(options, cap) for options in pair_fills),
-                               "cell search space")
+    fills = [_fillings(options, cap) for options in pair_fills]
+    finset.check_guard_product(fills, "cell search space")
+    if not all(fills):
+        return []
     per_pair = []
-    for options in pair_fills:
-        n = _fillings(options, cap)
+    for options, n in zip(pair_fills, fills):
         check_guard(n, _PAIR_OPTIONS)
         per_pair.append([_pair_choice(options, i) for i in range(n)])
     _check_entries(span, p1, p2, [(rho, v, e) for (rho, v), listed
                                   in zip(cell_pairs(span, p1), per_pair) for e in listed])
-    # with every pair filled, a state's rows are at most the cells, which
-    # the guard bounds; with one empty, they are not
-    if not all(per_pair):
-        return []
     it, sorts = iter(per_pair), p1.shape_sort.table
     per_state = []
     for i in span.left.table:
@@ -921,7 +921,8 @@ def equivalence_check(c: SimCell, c2: SimCell) -> FinMap | None:
     and no predecessors; those with the same legs and rows are
     interchangeable and are matched by count. The guard counts branch
     choices."""
-    if c.src != c2.src or c.dst != c2.dst:
+    if ((c.src is not c2.src and c.src != c2.src)
+            or (c.dst is not c2.dst and c.dst != c2.dst)):
         raise ShapeMismatch("equivalent cells need the same endpoint diagrams")
     n = c.span.carrier.size
     if c2.span.carrier.size != n:

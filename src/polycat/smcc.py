@@ -486,12 +486,15 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
     tuple with a pairing phi2 and f's push of that side's element is
     related to the tuple with that side's element and phi2 pulled back
     along f x 1 (left) or 1 x f (right). The exact mode unions the two
-    tuples' numbers. The sampled mode compares the two tuples' cocones
-    without building them: both have the shape v1 * |S2| + v2, so it
-    compares their payloads, phi2 read at the pushed side's payload
-    (`moved`, f's image of that side's payload) against the pulled-back
-    pairing read at pay1 × pay2. `_cocone` reads the tensor's element
-    for the reductions, the exact mode and `epsilon`.
+    tuples' numbers, building each table of pushed elements when a
+    relation first reads it. The sampled mode compares the two tuples'
+    cocones without building them: both have the shape v1 * |S2| + v2,
+    so it compares their payloads, both read directly off the drawn
+    pairing phi2: at the pushed side's payload (`moved`, f's image of
+    that side's payload) against pay1 × pay2 pulled back along f, that
+    is at (f u, t) on the left and (u, f t) on the right. No other entry
+    of the pulled-back pairing is built. `_cocone` reads the tensor's
+    element for the reductions, the exact mode and `epsilon`.
     The sampled mode's seeded draws are exactly those of
     `random.Random(seed)`'s `randrange` and `choice`, taken through its
     `getrandbits` (see `_draws`): per relation sample, the side, the
@@ -610,19 +613,19 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
             pay1 = elems1[a][below(lens1[a])][1]
             pay2 = elems2[b][below(lens2[b])][1]
             # both tuples' cocones have the shape v1 * |S2| + v2, so they
-            # agree when their payloads, read over pay1 x pay2, do
+            # agree when their payloads do; both are read off phi2, the
+            # pulled-back pairing only at pay1 x pay2
             if left:
                 # (a2, b, phi2, f e1, e2) ~ (a, b, phi2 (f x 1), e1, e2)
-                pulled = [phi2[f[i] * b + j] for i in range(a) for j in range(b)]
                 moved = [f[t] for t in pay1]
-                rows, cols, width = moved, pay2, b
+                pushed = [phi2[u * b + t] for u in moved for t in pay2]
+                pulled = [phi2[f[u] * b + t] for u in pay1 for t in pay2]
             else:
                 # (a, a2, phi2, e1, f e2) ~ (a, b, phi2 (1 x f), e1, e2)
-                pulled = [phi2[i * a2 + f[j]] for i in range(a) for j in range(b)]
                 moved = [f[t] for t in pay2]
-                rows, cols, width = pay1, moved, a2
-            if [phi2[u * width + t] for u in rows for t in cols] != \
-                    [pulled[u * b + t] for u in pay1 for t in pay2]:
+                pushed = [phi2[u * a2 + t] for u in pay1 for t in moved]
+                pulled = [phi2[u * a2 + f[t]] for u in pay1 for t in pay2]
+            if pushed != pulled:
                 relations_ok = False
                 break
             tried += 1
@@ -662,7 +665,12 @@ def _coend_exact(p1, p2, s, nx):
     numeral, then by the positions of e1 and e2 in the diagrams' values
     at a and at b (`_set_value`). Both sides' relations run through one
     loop: only the pairing's pull-back and the places of the pushed and
-    the other element in a pairing's block depend on the side."""
+    the other element in a pairing's block depend on the side. The
+    numbers of f's pushes of one side's elements are built when a
+    relation first reads them, at the first size o of the other side
+    whose relations are not skipped, and the o loop ends if there are
+    none. At |x| = 0 every o > 0 is skipped for a nonempty target set,
+    so against a diagram with no constant shape no push is built."""
     values = [[_set_value(p, a) for a in range(s + 1)] for p in (p1, p2)]
     index1, index2 = index = [[value.index() for value in side] for side in values]
     offsets = {}
@@ -699,12 +707,17 @@ def _coend_exact(p1, p2, s, nx):
             # f on one side's set, an o-set on the other: the tuple with
             # pairing phi2 and f's push of that side's element ~ the tuple
             # with phi2 pulled back along f x 1 (left) or 1 x f (right)
-            pushed = [index[side][m][(v, tuple(f[t] for t in pay))]
-                      for v, pay in values[side][n].elements]
+            # built at the first o whose relations read it
+            pushed = None
             for o in range(s + 1):
                 others = len(index[1 - side][o])
-                if not pushed or not others or (nx == 0 and m * o > 0):
+                if not others or (nx == 0 and m * o > 0):
                     continue
+                if pushed is None:
+                    pushed = [index[side][m][(v, tuple(f[t] for t in pay))]
+                              for v, pay in values[side][n].elements]
+                if not pushed:
+                    break
                 # a tuple's place in its pairing's block is i1 * |P2[b]| + i2,
                 # so the strides of the moved element and of the other one
                 if side == 0:

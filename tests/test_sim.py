@@ -1643,6 +1643,30 @@ def test_enumeration_lays_out_no_row_when_a_pair_has_no_filling(monkeypatch):
         finset.set_guard_limit(old)
 
 
+def test_enumeration_with_an_empty_pair_lists_nothing_under_the_guard():
+    # state 0 (0 -> 0) fills shape A (12 directions of sort 0) with C (3
+    # directions of sort 0) in 12³ = 1728 ways; state 1 (1 -> 1) cannot
+    # fill B (no directions) with D (one direction). No cell, so nothing
+    # is guarded past the cell count, under a limit below 1728
+    two = FinSet(2)
+    p1 = poly.PolyDiagram(source=two, dirs=FinSet(12), shapes=FinSet(2), target=two,
+                          dir_sort=fmap(12, 2, (0,) * 12), dir_shape=fmap(12, 2, (0,) * 12),
+                          shape_sort=fmap(2, 2, (0, 1)))
+    p2 = poly.PolyDiagram(source=two, dirs=FinSet(4), shapes=FinSet(2), target=two,
+                          dir_sort=fmap(4, 2, (0,) * 4), dir_shape=fmap(4, 2, (0, 0, 0, 1)),
+                          shape_sort=fmap(2, 2, (0, 1)))
+    ident = finset.identity(two)
+    span = Span(two, ident, ident)
+    assert sim.count_sim(p1, p2, span) == 0
+    assert sim.random_cell(random.Random(0), p1, p2, span) is None
+    old = finset.set_guard_limit(1000)
+    try:
+        assert sim.enumerate_sim(p1, p2, span) == []
+    finally:
+        finset.set_guard_limit(old)
+    assert sim.enumerate_sim(p1, p2, span) == []
+
+
 @pytest.mark.parametrize("bad, message", [
     ((1, 0), "successor state's right end disagrees with the direction sort "
              "at (state 1, shape 1, direction 1)"),

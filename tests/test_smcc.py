@@ -997,6 +997,27 @@ def test_coend_union_over_elementary_maps_gives_the_all_maps_classes():
         checked += 1
 
 
+@pytest.mark.parametrize("f1, f2, n, s", [
+    ((1,), (2, 1), 0, 2),
+    ((1,), (2, 0), 0, 2),
+    ((2, 0), (1,), 0, 3),
+    ((1,), (1,), 1, 2),
+    ((1,), (2, 0), 2, 2),
+], ids=["empty-x-no-constant", "empty-x-right-constant", "empty-x-left-constant",
+        "x-empty-at-size-0", "x-empty-at-size-0-mixed"])
+def test_coend_exact_reads_its_pushes_where_relations_do(f1, f2, n, s):
+    # at |x| = 0 only the other side's constant shapes are related, so
+    # against X or X² + X no push is read; X has no element at size 0,
+    # so its pushes along the cofaces out of 0 are empty
+    p1, p2 = ss(f1), ss(f2)
+    tuples, want = _all_maps_coend_classes(p1, p2, n, s)
+    roots, number = smcc._coend_exact(p1, p2, s, n)
+    assert [number(*t) for t in tuples] == list(range(len(tuples)))
+    assert _smallest_in_class(roots) == want
+    expected = poly.eval_extension(poly.tensor(p1, p2), fams(1, [n])).total.size
+    assert sum(1 for k, root in enumerate(roots) if k == root) == expected
+
+
 # ---------------------------------------------------------------------------
 # the truncated exponential identity
 

@@ -1,5 +1,5 @@
-"""Paired comparison of two versions of polycat's sim and smcc code in one
-process.
+"""Paired comparison of two versions of polycat's nat, sim and smcc code in
+one process.
 
     python3 bench/ab.py [--rev REV] [--rounds N] [--seed S]
 
@@ -10,17 +10,23 @@ once, and the ``polycat`` entries of ``sys.modules`` are swapped before
 each side's set-up, so that everything a side builds is bound to its own
 modules.
 
-Two workloads are timed, each with its kernels: the ``simcells``
-workload with the kernels of bench/test_sim_kernels.py, and the
-``universal`` workload with those of bench/test_smcc_kernels.py (the
-workloads are perfbench/catalog.py's, imported read-only). Before
-timing, both sides run one round on the first seed and must give equal
-results: the answers of the workloads' ops and the kernels' results,
-compared as plain values. Then it runs N rounds. Each round sets up both
-workloads afresh on its own seed on both sides and times one round of
-each workload's ops and a fixed number of calls of each kernel, the side
-that goes first alternating from round to round. The answers are
-compared again in every round.
+Three workloads are timed, each with its kernels: the ``simcells``
+workload with the kernels of bench/test_sim_kernels.py, the
+``universal`` workload with those of bench/test_smcc_kernels.py, and
+the ``adjunction`` workload with those of bench/test_nat_kernels.py
+(the workloads are perfbench/catalog.py's, imported read-only). A
+kernel is a bench function that takes the ``benchmark`` fixture, and
+perhaps ``capsys``, for which it gets a stand-in that captures what it
+prints; a kernel that takes any other argument stops the harness with
+exit code 1, naming it.
+
+Before timing, both sides run one round on the first seed and must give
+equal results: the answers of the workloads' ops and the kernels'
+results, compared as plain values. Then it runs N rounds. Each round
+sets up every workload afresh on its own seed on both sides and times
+one round of each workload's ops and a fixed number of calls of each
+kernel, the side that goes first alternating from round to round. The
+answers are compared again in every round.
 
 Per timed item it prints the median ratio of the working tree's time to
 REV's, the quartiles of the ratios, and the number of rounds in which
@@ -31,6 +37,7 @@ two sides agree throughout and 1 when they differ.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import gc
 import importlib
@@ -53,12 +60,16 @@ KERNEL_SECONDS = 0.02  # the calls of one kernel per round take about this long
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
-from perfbench.catalog import Simcells, Universal  # noqa: E402
+from perfbench.catalog import Adjunction, Simcells, Universal  # noqa: E402
 
 # each workload with the file of its kernels
 WORKLOADS = [(Simcells, HERE / "test_sim_kernels.py"),
-             (Universal, HERE / "test_smcc_kernels.py")]
+             (Universal, HERE / "test_smcc_kernels.py"),
+             (Adjunction, HERE / "test_nat_kernels.py")]
+# the fixtures a kernel may take
+FIXTURES = ("benchmark", "capsys")
 ROUNDS = [f"{workload.name} round" for workload, _ in WORKLOADS]
+_Captured = collections.namedtuple("_Captured", "out err")
 
 
 def _polycat_names() -> list[str]:
@@ -113,10 +124,33 @@ class _Benchmark:
         return result
 
 
+class _Capsys:
+    """Stands in for pytest's capsys fixture: while the kernel runs, its
+    stdout and stderr go to buffers, and readouterr returns what was
+    written since the last read."""
+
+    def __init__(self) -> None:
+        self.out, self.err = io.StringIO(), io.StringIO()
+
+    @contextlib.contextmanager
+    def capturing(self):
+        with contextlib.redirect_stdout(self.out), contextlib.redirect_stderr(self.err):
+            yield
+
+    def readouterr(self):
+        read = [buffer.getvalue() for buffer in (self.out, self.err)]
+        for buffer in (self.out, self.err):
+            buffer.seek(0)
+            buffer.truncate()
+        return _Captured(*read)
+
+
 def _load_kernels(label: str, path: Path) -> dict:
     """The kernels of one bench file, imported under the active side's
-    polycat: every test function whose one argument is the benchmark
-    fixture, by name. None without pytest or pytest-benchmark."""
+    polycat: every test function that takes the benchmark fixture, by
+    name, with its arguments. None without pytest or pytest-benchmark.
+    A kernel that takes an argument other than FIXTURES exits with code
+    1, naming it."""
     try:
         import pytest
     except ImportError:
@@ -127,9 +161,18 @@ def _load_kernels(label: str, path: Path) -> dict:
         spec.loader.exec_module(module)
     except pytest.skip.Exception:
         return {}
-    return {name: fn for name, fn in vars(module).items()
-            if name.startswith("test_") and callable(fn)
-            and list(inspect.signature(fn).parameters) == ["benchmark"]}
+    kernels = {}
+    for name, fn in vars(module).items():
+        if not (name.startswith("test_") and callable(fn)):
+            continue
+        params = list(inspect.signature(fn).parameters)
+        if "benchmark" not in params:
+            continue
+        if not set(params) <= set(FIXTURES):
+            raise SystemExit(f"cannot call kernel {path.name}::{name}: it takes "
+                             f"{', '.join(params)}; only {', '.join(FIXTURES)} are provided")
+        kernels[name] = (fn, params)
+    return kernels
 
 
 def export(rev: str, into: Path) -> Path:
@@ -145,13 +188,16 @@ def export(rev: str, into: Path) -> Path:
 def plain(value):
     """A result as plain values, comparable across the two sides: a cell
     as its legs and rows, a morphism as its endpoints' fibers and table,
-    a report as its ok flag and lines."""
+    a transformation as its shape table and backward tables, a report as
+    its ok flag and lines."""
     if isinstance(value, (list, tuple)):
         return [plain(v) for v in value]
     if hasattr(value, "lines") and hasattr(value, "ok"):
         return ("report", value.ok, value.lines)
     if hasattr(value, "_plan"):
         return ("cell", value.span.left.table, value.span.right.table, value._plan)
+    if hasattr(value, "alpha") and hasattr(value, "betas"):
+        return ("transformation", value.alpha.table, value.betas)
     if hasattr(value, "map") and hasattr(value, "src"):
         return ("morphism", value.src.fiber_sizes(), value.dst.fiber_sizes(), value.map.table)
     return value
@@ -172,10 +218,12 @@ def run_side(side: Side, seed: int, calls: dict) -> tuple[dict, list]:
                 answers.append(op.call())
             times[name] = time.perf_counter() - start
             results.append(plain(answers))
-            for kernel_name, kernel in kernels.items():
+            for kernel_name, (kernel, params) in kernels.items():
                 bench = _Benchmark(calls.get(kernel_name, 1))
+                fixtures = {"benchmark": bench, "capsys": _Capsys()}
                 gc.collect()
-                kernel(bench)
+                with fixtures["capsys"].capturing():
+                    kernel(**{param: fixtures[param] for param in params})
                 times[kernel_name] = bench.took
                 results.append((kernel_name, plain(bench.result)))
     return times, results

@@ -11,7 +11,9 @@ Also the currying kernels: the adjunction check on X^2 + X, X^2 + 1 and
 X^2 + X + 1, which counts both sides and round-trips all 147 + 147
 members (the adjunction workload's triple op), and the curry command,
 called in-process, on the example document's 2X, X^2 and
-X^3 + X^2 + X + 1 (225 members on each side).
+X^3 + X^2 + X + 1 (225 members on each side) and on its
+X^3 + X^2 + X + 1, X^2 and X^3 + X^2 + X + 1 (330,225 members on each
+side).
 
 These cases sit outside the tier-1 test paths and need pytest-benchmark:
 
@@ -116,12 +118,25 @@ def test_adjunction_round_trips(benchmark):
                                        "into the internal hom: 147")
 
 
+LIST_DOC = str(Path(__file__).resolve().parent.parent / "docs" / "examples" / "list.json")
+
+
 def test_curry_command(benchmark, capsys):
-    document = Path(__file__).resolve().parent.parent / "docs" / "examples" / "list.json"
-    argv = ["curry", str(document), "--p1", "two-x", "--p2", "square", "--p3", "list3",
+    argv = ["curry", LIST_DOC, "--p1", "two-x", "--p2", "square", "--p3", "list3",
             "--index", "5", "--limit", "1000"]
     assert benchmark(cli.main, argv) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[:3] == ["transformations: 225 out of the tensor, 225 into the hom",
                                     "transformation 5 of 225 curries to 5 of 225",
                                     "uncurrying returns the original transformation"]
+
+
+def test_curry_command_330225_members(benchmark, capsys):
+    argv = ["curry", LIST_DOC, "--p1", "list3", "--p2", "square", "--p3", "list3",
+            "--index", "165112", "--limit", "1000000"]
+    assert benchmark(cli.main, argv) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[:3] == [
+        "transformations: 330225 out of the tensor, 330225 into the hom",
+        "transformation 165112 of 330225 curries to 267567 of 330225",
+        "uncurrying returns the original transformation"]

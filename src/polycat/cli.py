@@ -280,14 +280,9 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if command == "curry":
-        p1 = document.diagram(args.p1)
-        p2 = document.diagram(args.p2)
-        p3 = document.diagram(args.p3)
-        tens = poly.tensor(p1, p2)
-        hd = poly.hom_data(p2, p3)
-        h = hd.diagram
-        n_left = nat.count_nat(tens, p3)
-        n_right = nat.count_nat(p1, h)
+        c = smcc.Currying(document.diagram(args.p1), document.diagram(args.p2),
+                          document.diagram(args.p3))
+        n_left, n_right = c.counts()
         print(f"transformations: {decimal(n_left)} out of the tensor, "
               f"{decimal(n_right)} into the hom")
         if n_left != n_right:
@@ -301,22 +296,14 @@ def _run(args: argparse.Namespace) -> int:
         if n_left > args.limit:
             raise SizeGuardExceeded(
                 f"{decimal(n_left)} transformations exceed the enumeration limit {args.limit}")
-        m = nat.enumerate_dm(tens, p3)[args.index]
-        # one hom for the count, both transpositions and the position. The
-        # transposes are (alpha table, betas) pairs, as in the adjunction
-        # check; one is built, and so checked, only where it may be
-        # invalid: off the enumeration, or other than the original
-        tables = (m.alpha.table, m.betas)
-        curried = smcc._curry_tables(tables, p1, p2, smcc._shape_index(hd))
-        right = [(r.alpha.table, r.betas) for r in nat.enumerate_dm(p1, h)]
-        if curried not in right:
-            smcc._built(p1, h, curried)
-        position = right.index(curried)
+        # both sides are listed before either transpose, so a transpose
+        # that is a listed member is not built again
+        tables = list(c.out_of_tensor)[args.index]
+        into_hom = c.into_hom
+        curried = c.curry(tables)
         print(f"transformation {args.index} of {n_left} curries to "
-              f"{position} of {n_right}")
-        back = smcc._uncurry_tables(curried, p2, p3, hd)
-        if back != tables:
-            smcc._built(tens, p3, back)
+              f"{into_hom[curried]} of {n_right}")
+        if c.uncurry(curried) != tables:
             print("uncurrying does not return the original: LAW VIOLATION")
             return 4
         print("uncurrying returns the original transformation")

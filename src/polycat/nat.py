@@ -3,7 +3,7 @@
 A transformation is represented by a container morphism (DiagMorphism,
 defined alongside the diagrams): a forward map on shapes and a backward
 table on directions. This module evaluates such morphisms to components,
-composes them vertically, counts them exactly, enumerates them, builds
+counts them exactly, enumerates them (as tables, or as morphisms), builds
 the generic families and the check families on which sim.extract_sim
 probes an oracle and checks its round trip, and verifies naturality up
 to a fiber bound on the squares of the generating morphisms
@@ -29,8 +29,8 @@ __all__ = [
     "ComposedFunctor",
     "identity_dm",
     "eval_dm",
-    "compose_dm",
     "count_nat",
+    "enumerate_tables",
     "enumerate_dm",
     "generic_family",
     "generic_element",
@@ -56,15 +56,6 @@ def eval_dm(m: DiagMorphism, x: Family) -> FamMorphism:
         for v, payload in poly.extension_elements(m.src, x)
     )
     return FamMorphism(src_ext, dst_ext, FinMap(src_ext.total, dst_ext.total, table))
-
-
-def compose_dm(m2: DiagMorphism, m1: DiagMorphism) -> DiagMorphism:
-    """Vertical composition: shape maps compose forward, direction tables
-    compose backward."""
-    if m1.dst != m2.src:
-        raise ShapeMismatch("cannot compose: middle diagrams differ")
-    alpha, betas = poly._compose_dm_tables(m2, m1)
-    return DiagMorphism(m1.src, m2.dst, alpha, betas)
 
 
 def _by_sort(p: PolyDiagram) -> list[dict[int, list[int]]]:
@@ -103,17 +94,18 @@ def count_nat(p: PolyDiagram, q: PolyDiagram) -> int:
     return math.prod(sum(counts.values()) for counts in _table_counts(p, q, _by_sort(p)))
 
 
-def enumerate_dm(p: PolyDiagram, q: PolyDiagram) -> list[DiagMorphism]:
-    """All strong transformations, shape-map major, then backward tables
-    in odometer order. Guarded by the exact count; with none, no table is
-    listed. The backward tables of each (source shape, target shape) pair
-    are listed once, and target shapes with no tables are dropped, so no
-    shape map is visited that yields nothing.
+def enumerate_tables(p: PolyDiagram, q: PolyDiagram) -> list[tuple[tuple[int, ...], tuple]]:
+    """All strong transformations as (alpha table, betas) pairs, shape-map
+    major, then backward tables in odometer order; the members of one
+    shape map share its table. Guarded by the exact count; with none, no
+    table is listed. The backward tables of each (source shape, target
+    shape) pair are listed once, and target shapes with no tables are
+    dropped, so no shape map is visited that yields nothing.
 
     A member is a choice of one listed table per source shape, so each
     option is checked once: every (v, w, table) by DiagMorphism's beta
-    check and every shape map by its alpha check. The members are then
-    assembled from these checked parts without checking them again."""
+    check and every shape map by its alpha check. So every listed pair
+    is one that DiagMorphism's construction accepts."""
     groups = _by_sort(p)
     counts = _table_counts(p, q, groups)
     total = math.prod(sum(c.values()) for c in counts)
@@ -125,13 +117,23 @@ def enumerate_dm(p: PolyDiagram, q: PolyDiagram) -> list[DiagMorphism]:
                for w in c} for by, c in zip(groups, counts)]
     poly._check_betas(p, q, ((v, w, table) for v, listed in enumerate(tables)
                              for w, options in listed.items() for table in options))
-    out: list[DiagMorphism] = []
+    out: list[tuple[tuple[int, ...], tuple]] = []
     for combo in itertools.product(*tables):
-        alpha = FinMap(p.shapes, q.shapes, combo)
-        poly._check_alpha(p, q, alpha)
+        poly._check_alpha(p, q, FinMap(p.shapes, q.shapes, combo))
         per_shape = [tables[v][w] for v, w in enumerate(combo)]
-        out.extend(poly._assembled(p, q, alpha, betas)
-                   for betas in itertools.product(*per_shape))
+        out.extend(zip(itertools.repeat(combo), itertools.product(*per_shape)))
+    return out
+
+
+def enumerate_dm(p: PolyDiagram, q: PolyDiagram) -> list[DiagMorphism]:
+    """enumerate_tables' members, in order, assembled from their checked
+    parts without checking them again, one shape map per shared table."""
+    out: list[DiagMorphism] = []
+    alpha = None
+    for table, betas in enumerate_tables(p, q):
+        if alpha is None or alpha.table is not table:
+            alpha = FinMap(p.shapes, q.shapes, table)
+        out.append(poly._assembled(p, q, alpha, betas))
     return out
 
 

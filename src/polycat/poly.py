@@ -692,10 +692,10 @@ class DiagMorphism:
     the number of beta tables, then the beta tables (_check_betas: shape
     by shape the table's length and, entry by entry, that it stays in
     shape v's direction fiber and keeps the sort). The first failing
-    check raises. nat.enumerate_dm runs the same two checks once per
+    check raises. nat.enumerate_tables runs the same two checks once per
     option, the beta check once per (shape, target shape, table) and the
-    alpha check once per shape map, and assembles its members from
-    checked parts without checking them again (_assembled).
+    alpha check once per shape map, and nat.enumerate_dm assembles its
+    members without checking them again (_assembled).
     """
 
     src: PolyDiagram

@@ -25,6 +25,7 @@ __all__ = [
     "epsilon_naturality_check",
     "theta",
     "theta_check",
+    "Currying",
     "curry_dm",
     "uncurry_dm",
     "adjunction_count_check",
@@ -254,18 +255,13 @@ def theta_check(p1: PolyDiagram, p2: PolyDiagram, f_diag: PolyDiagram, rho,
 # the currying adjunction
 
 
-def _shape_index(hd: poly.HomData) -> dict:
-    """The hom's shapes by their decodings: shape_reps[c] -> c."""
-    return {rep: c for c, rep in enumerate(hd.shape_reps)}
-
-
 def _curry_tables(tables: tuple, p1: PolyDiagram, p2: PolyDiagram,
                   shape_of: dict) -> tuple:
     """The (alpha table, betas) of a morphism out of the tensor, given by
-    its own, transposed into the hom whose shape index is shape_of
-    (_shape_index). A direction u1 * |p2 dirs| + u2 of a tensor shape
-    (v1, v2) answers with u1, and its u2 gives the backward table phi at
-    v2 by position."""
+    its own, transposed into the hom whose shapes shape_of indexes by
+    their decodings (Currying). A direction u1 * |p2 dirs| + u2 of a
+    tensor shape (v1, v2) answers with u1, and its u2 gives the backward
+    table phi at v2 by position."""
     alpha, m_betas = tables
     n2, nd2 = p2.shapes.size, p2.dirs.size
     positions2 = p2.dir_shape.positions()
@@ -303,98 +299,108 @@ def _uncurry_tables(tables: tuple, p2: PolyDiagram, p3: PolyDiagram,
     return tuple(alpha_table), tuple(betas)
 
 
-def _built(src: PolyDiagram, dst: PolyDiagram, tables: tuple) -> DiagMorphism:
-    """The morphism with the given (alpha table, betas), checked on
-    construction."""
-    alpha, betas = tables
-    return DiagMorphism(src, dst, FinMap(src.shapes, dst.shapes, alpha), betas)
+class Currying:
+    """The currying bijection Nat(p1 ⊗ p2, p3) ≅ Nat(p1, [p2, p3]) of
+    single-sorted diagrams, on (alpha table, betas) pairs, with one
+    tensor and one hom (hom_data), built in that order, for every step.
+
+    out_of_tensor and into_hom list each side's members on first use
+    (nat.enumerate_tables), each to its position. curry and uncurry
+    transpose each input once and keep the (pure) transpose. One that is
+    a listed member of the other side has passed every construction
+    check, since enumerate_tables lists exactly the valid morphisms; any
+    other is built as a DiagMorphism, and so checked, when it is made."""
+
+    def __init__(self, p1: PolyDiagram, p2: PolyDiagram, p3: PolyDiagram):
+        self.p1, self.p2, self.p3 = p1, p2, p3
+        self.tensor = poly.tensor(p1, p2)
+        self.hom_data = poly.hom_data(p2, p3)
+        self.hom = self.hom_data.diagram
+        self._curried: dict = {}
+        self._uncurried: dict = {}
+
+    @functools.cached_property
+    def _shape_of(self) -> dict:
+        return {rep: c for c, rep in enumerate(self.hom_data.shape_reps)}
+
+    @functools.cached_property
+    def out_of_tensor(self) -> dict:
+        return {m: k for k, m in enumerate(nat.enumerate_tables(self.tensor, self.p3))}
+
+    @functools.cached_property
+    def into_hom(self) -> dict:
+        return {m: k for k, m in enumerate(nat.enumerate_tables(self.p1, self.hom))}
+
+    def counts(self) -> tuple[int, int]:
+        return nat.count_nat(self.tensor, self.p3), nat.count_nat(self.p1, self.hom)
+
+    def curry(self, tables: tuple) -> tuple:
+        out = self._curried.get(tables)
+        if out is None:
+            out = self._curried[tables] = _curry_tables(tables, self.p1, self.p2,
+                                                        self._shape_of)
+            self._check(self.p1, self.hom, out, "into_hom")
+        return out
+
+    def uncurry(self, tables: tuple) -> tuple:
+        out = self._uncurried.get(tables)
+        if out is None:
+            out = self._uncurried[tables] = _uncurry_tables(tables, self.p2, self.p3,
+                                                            self.hom_data)
+            self._check(self.tensor, self.p3, out, "out_of_tensor")
+        return out
+
+    def _check(self, src: PolyDiagram, dst: PolyDiagram, tables: tuple, side: str) -> None:
+        # a cached_property keeps its listing in the instance dict once read
+        if tables not in self.__dict__.get(side, ()):
+            DiagMorphism(src, dst, FinMap(src.shapes, dst.shapes, tables[0]), tables[1])
 
 
 def curry_dm(m: DiagMorphism, p1: PolyDiagram, p2: PolyDiagram,
              p3: PolyDiagram) -> DiagMorphism:
     """Transpose a container morphism out of a tensor into one landing in
-    the internal hom. Single-sorted diagrams only.
-
-    Builds the hom afresh (hom_data) for the one morphism; to transpose
-    many morphisms against one hom, adjunction_count_check and the CLI's
-    curry build it once and share it over every step."""
+    the internal hom. Single-sorted diagrams only. Builds the hom for the
+    one morphism; many morphisms share one Currying."""
     if m.src != poly.tensor(p1, p2) or m.dst != p3:
         raise ShapeMismatch("morphism must go from the tensor of the first two "
                             "diagrams to the third")
-    hd = poly.hom_data(p2, p3)
-    return _built(p1, hd.diagram,
-                  _curry_tables((m.alpha.table, m.betas), p1, p2, _shape_index(hd)))
+    c = Currying(p1, p2, p3)
+    alpha, betas = c.curry((m.alpha.table, m.betas))
+    return poly._assembled(p1, c.hom, FinMap(p1.shapes, c.hom.shapes, alpha), betas)
 
 
 def uncurry_dm(m: DiagMorphism, p1: PolyDiagram, p2: PolyDiagram,
                p3: PolyDiagram) -> DiagMorphism:
     """Inverse transposition: a morphism into the internal hom becomes one
-    out of the tensor. Builds the hom afresh, like curry_dm."""
-    hd = poly.hom_data(p2, p3)
-    if m.src != p1 or m.dst != hd.diagram:
+    out of the tensor. Builds the hom for the one morphism, like curry_dm."""
+    c = Currying(p1, p2, p3)
+    if m.src != p1 or m.dst != c.hom:
         raise ShapeMismatch("morphism must go from the first diagram to the "
                             "internal hom of the other two")
-    return _built(poly.tensor(p1, p2), p3,
-                  _uncurry_tables((m.alpha.table, m.betas), p2, p3, hd))
+    alpha, betas = c.uncurry((m.alpha.table, m.betas))
+    return poly._assembled(c.tensor, p3, FinMap(c.tensor.shapes, p3.shapes, alpha), betas)
 
 
 def adjunction_count_check(p1: PolyDiagram, p2: PolyDiagram, p3: PolyDiagram,
                            roundtrip_limit: int = 512) -> Report:
     """Count transformations out of the tensor and into the internal hom;
     when both sides fit the limit, also round-trip the explicit currying
-    bijection on every member.
-
-    The hom is built once (hom_data), with its shape index, and every
-    curry and uncurry step of the round trips transposes against it;
-    neither outlives the call. Each direction transposes each member
-    once: curry and uncurry keep, for the call, every input's transpose,
-    and its construction check runs with the transpose. So the right
-    round trip reads the transposes that the left one made, and
-    transposes afresh only a right member outside the curried set; both
-    transposes are pure, so each verdict is the one that transposing
-    again would give. The round trips and the injectivity check
-    compare (alpha table, betas) pairs (_curry_tables, _uncurry_tables)
-    and build no morphism: a transpose that is a member of the other
-    side's enumeration has passed every construction check, since
-    enumerate_dm lists exactly the valid morphisms, and one that is not
-    is built, and so checked, where its morphism would be."""
+    bijection on every member, and check it injective, on tables (one
+    Currying): the right round trip reads the transposes that the left
+    one made, and no morphism is built for a listed member."""
     for p in (p1, p2, p3):
         if not p.is_single_sorted():
             raise ValidationError("the currying adjunction is single-sorted only")
-    tens = poly.tensor(p1, p2)
-    hd = poly.hom_data(p2, p3)
-    hom = hd.diagram
-    n_left = nat.count_nat(tens, p3)
-    n_right = nat.count_nat(p1, hom)
+    c = Currying(p1, p2, p3)
+    n_left, n_right = c.counts()
     lines = [f"transformations out of the tensor: {decimal(n_left)}; "
              f"into the internal hom: {decimal(n_right)}"]
     ok = n_left == n_right
     if n_left + n_right <= roundtrip_limit:
-        left = [(m.alpha.table, m.betas) for m in nat.enumerate_dm(tens, p3)]
-        right = [(m.alpha.table, m.betas) for m in nat.enumerate_dm(p1, hom)]
-        into_hom, out_of_tensor = set(right), set(left)
-        shape_of = _shape_index(hd)
-        curried_of, uncurried_of = {}, {}
-
-        def curry(tables):
-            out = curried_of.get(tables)
-            if out is None:
-                out = curried_of[tables] = _curry_tables(tables, p1, p2, shape_of)
-                if out not in into_hom:
-                    _built(p1, hom, out)
-            return out
-
-        def uncurry(tables):
-            out = uncurried_of.get(tables)
-            if out is None:
-                out = uncurried_of[tables] = _uncurry_tables(tables, p2, p3, hd)
-                if out not in out_of_tensor:
-                    _built(tens, p3, out)
-            return out
-
-        curried = [curry(m) for m in left]
-        round_left = all(uncurry(c) == m for c, m in zip(curried, left))
-        round_right = all(curry(uncurry(m)) == m for m in right)
+        left, right = c.out_of_tensor, c.into_hom
+        curried = [c.curry(m) for m in left]
+        round_left = all(c.uncurry(t) == m for t, m in zip(curried, left))
+        round_right = all(c.curry(c.uncurry(m)) == m for m in right)
         distinct = len(set(curried)) == len(left)
         ok = ok and round_left and round_right and distinct
         lines.append(f"currying round trips on {n_left} + {n_right} members: "

@@ -1,6 +1,7 @@
 """Command line behavior: output lines, exit codes, JSON round trips,
 and determinism. All invocations run in-process through main()."""
 import json
+import random
 import shlex
 import subprocess
 import sys
@@ -10,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from polycat import cli, doc, finset, nat, poly, smcc, suites
+from polycat import cli, doc, finset, nat, poly, randgen, smcc, suites
 from polycat.errors import OracleNotNatural
+from polycat.finset import FinSet
 from polycat.report import Report, decimal
 
 LIST_DOC = "docs/examples/list.json"
@@ -365,6 +367,35 @@ def test_curry_refuses_an_invalid_uncurry(capsys, monkeypatch):
     assert code == 2
     assert out == CURRY_COUNTS + "transformation 1 of 16 curries to 1 of 16\n"
     assert err == "validation failure: beta at shape 0 leaves the direction fiber\n"
+
+
+def test_curry_prints_the_position_of_the_curried_member(capsys, tmp_path):
+    # every index of seeded triples with at most 64 members a side
+    rng = random.Random(20261020)
+    one = FinSet(1)
+    triples = members = 0
+    while triples < 40:
+        p1, p2, p3 = (randgen.random_diagram(rng, one, one, max_shapes=2, max_fiber=2)
+                      for _ in range(3))
+        tens = poly.tensor(p1, p2)
+        n = nat.count_nat(tens, p3)
+        if not 0 < n <= 64:
+            continue
+        path = tmp_path / f"triple{triples}.json"
+        path.write_text(json.dumps({"diagrams": {
+            name: doc.encode_diagram(p) for name, p in (("a", p1), ("b", p2), ("c", p3))}}))
+        right = nat.enumerate_dm(p1, poly.hom_single_sorted(p2, p3))
+        for i, m in enumerate(nat.enumerate_dm(tens, p3)):
+            code, out, _ = run(capsys, "curry", str(path), "--p1", "a", "--p2", "b",
+                               "--p3", "c", "--index", str(i))
+            position = right.index(smcc.curry_dm(m, p1, p2, p3))
+            assert code == 0
+            assert out.splitlines()[1:] == [
+                f"transformation {i} of {n} curries to {position} of {n}",
+                "uncurrying returns the original transformation"]
+            members += 1
+        triples += 1
+    assert members >= 100
 
 
 def test_day_oracle_reports_ok(capsys):

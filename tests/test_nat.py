@@ -74,40 +74,6 @@ def test_eval_dm_base_mismatch():
         nat.eval_dm(pick_first(), fams(2, (1, 1)))
 
 
-def test_eval_respects_composition():
-    p, q = ss(2), ss(1, 1)
-    swap = nat.DiagMorphism(q, q, fmap(2, 2, (1, 0)), ((0,), (1,)))
-    m = pick_first()
-    comp = nat.compose_dm(swap, m)
-    assert comp.alpha.table == (1,)
-    for n in range(4):
-        x = fams(1, (n,))
-        lhs = nat.eval_dm(comp, x)
-        rhs = nat.eval_dm(m, x).then(nat.eval_dm(swap, x))
-        assert lhs.map.table == rhs.map.table
-
-
-def test_compose_dm_identity_and_associativity():
-    rng = random.Random(2)
-    p, q, r = ss(2, 1), ss(1, 1), ss(1, 0)
-    ms1 = nat.enumerate_dm(p, q)
-    ms2 = nat.enumerate_dm(q, r)
-    ms3 = nat.enumerate_dm(r, r)
-    for m in ms1:
-        assert nat.compose_dm(nat.identity_dm(q), m) == m
-        assert nat.compose_dm(m, nat.identity_dm(p)) == m
-    for _ in range(20):
-        m1, m2, m3 = rng.choice(ms1), rng.choice(ms2), rng.choice(ms3)
-        lhs = nat.compose_dm(m3, nat.compose_dm(m2, m1))
-        rhs = nat.compose_dm(nat.compose_dm(m3, m2), m1)
-        assert lhs == rhs
-
-
-def test_compose_dm_mismatch():
-    with pytest.raises(ShapeMismatch):
-        nat.compose_dm(pick_first(), pick_first())
-
-
 # -- counting and enumeration ---------------------------------------------------
 
 
@@ -263,6 +229,48 @@ def test_enumeration_order_is_pinned():
     assert [ms[i].betas for i in (0, 1, 73, 146)] == [
         ((0, 0), (), (4, 4), ()), ((0, 0), (), (4, 5), ()), ((1, 0), (), (5,), ()),
         ((), (), (), ())]
+
+
+def test_enumerate_dm_assembles_the_listed_tables_in_order():
+    # enumerate_dm is enumerate_tables' members, built as morphisms, in
+    # its order, on one-sorted, two-sorted and non-endo pairs
+    rng = random.Random(20261020)
+    one, two = FinSet(1), FinSet(2)
+    draws = {"one-sorted": (one, one), "two-sorted": (two, two), "non-endo": (two, one)}
+    listed = {kind: 0 for kind in draws}
+    for kind, (src, tgt) in draws.items():
+        for _ in range(120):
+            p, q = (randgen.random_diagram(rng, src, tgt, max_shapes=3, max_fiber=2)
+                    for _ in range(2))
+            for d1, d2 in ((p, q), (q, p), (p, p)):
+                n = nat.count_nat(d1, d2)
+                if n > 300:
+                    continue
+                tables = nat.enumerate_tables(d1, d2)
+                assert len(tables) == n
+                assert nat.enumerate_dm(d1, d2) == [
+                    nat.DiagMorphism(d1, d2, FinMap(d1.shapes, d2.shapes, alpha), betas)
+                    for alpha, betas in tables]
+                listed[kind] += n
+    assert min(listed.values()) >= 100, listed
+
+
+def test_enumerate_tables_refuses_as_enumerate_dm_does():
+    p, q = poly.tensor(ss(2, 1), ss(2, 0)), ss(2, 1, 0)
+    old = finset.set_guard_limit(100)
+    try:
+        for enumerate_ in (nat.enumerate_tables, nat.enumerate_dm):
+            with pytest.raises(SizeGuardExceeded,
+                               match="^search too large: transformation enumeration has size "
+                                     "147, guard limit is 100$"):
+                enumerate_(p, q)
+        finset.set_guard_limit(147)
+        assert len(nat.enumerate_tables(p, q)) == 147
+    finally:
+        finset.set_guard_limit(old)
+    # no transformation: nothing listed, and no table built
+    assert nat.enumerate_tables(ss(7, 0), ss(7)) == []
+    assert nat.enumerate_dm(ss(7, 0), ss(7)) == []
 
 
 def _two_sorted(shape_sorts, dir_shape, dir_sort) -> poly.PolyDiagram:

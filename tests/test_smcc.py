@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycat import fam, finset, nat, poly, randgen, smcc
+from polycat import cli, fam, finset, nat, poly, randgen, smcc
 from polycat.errors import (
     OracleNotNatural,
     ShapeMismatch,
@@ -607,25 +607,25 @@ def _curry_triples(count):
     return triples
 
 
+def built(src, dst, tables):
+    """The morphism with these (alpha table, betas), checked on construction."""
+    return nat.DiagMorphism(src, dst, FinMap(src.shapes, dst.shapes, tables[0]), tables[1])
+
+
 def test_curry_dm_and_uncurry_dm_equal_the_shared_step():
     for p1, p2, p3 in _curry_triples(30):
-        hd = poly.hom_data(p2, p3)
-        shape_of = smcc._shape_index(hd)
-        tens = poly.tensor(p1, p2)
-        for m in nat.enumerate_dm(tens, p3):
-            curried = smcc._built(p1, hd.diagram, smcc._curry_tables(
-                (m.alpha.table, m.betas), p1, p2, shape_of))
-            assert curried.dst is hd.diagram
+        c = smcc.Currying(p1, p2, p3)
+        for m in nat.enumerate_dm(c.tensor, p3):
+            tables = (m.alpha.table, m.betas)
+            curried = built(p1, c.hom, c.curry(tables))
+            assert curried.dst is c.hom
             assert smcc.curry_dm(m, p1, p2, p3) == curried
-            assert smcc._built(tens, p3, smcc._uncurry_tables(
-                (curried.alpha.table, curried.betas), p2, p3, hd)) == m
-        for m in nat.enumerate_dm(p1, hd.diagram):
-            uncurried = smcc._built(tens, p3, smcc._uncurry_tables(
-                (m.alpha.table, m.betas), p2, p3, hd))
+            assert c.uncurry(c.curry(tables)) == tables
+        for m in nat.enumerate_dm(p1, c.hom):
+            tables = (m.alpha.table, m.betas)
+            uncurried = built(c.tensor, p3, c.uncurry(tables))
             assert smcc.uncurry_dm(m, p1, p2, p3) == uncurried
-            assert smcc._built(p1, hd.diagram, smcc._curry_tables(
-                (uncurried.alpha.table, uncurried.betas), p1, p2, shape_of)) == m
-
+            assert c.curry(c.uncurry(tables)) == tables
 
 
 # X^2 + X, X^2 + 1 and X^2 + X + 1: 147 transformations on each side, all
@@ -691,6 +691,49 @@ def test_adjunction_check_transposes_each_member_once(monkeypatch):
                          "currying round trips on 147 + 147 members: yes",
                          "currying is injective: yes")
     assert calls == {"_curry_tables": 147, "_uncurry_tables": 147}
+
+
+def counted_builds(monkeypatch) -> Counter:
+    """Counts, from now on, the morphisms assembled unchecked
+    (poly._assembled) and those built with the construction check."""
+    counts = Counter()
+    assembled, check = poly._assembled, poly.DiagMorphism.__post_init__
+
+    def counted_assembled(*args):
+        counts["assembled"] += 1
+        return assembled(*args)
+
+    def counted_check(self):
+        counts["checked"] += 1
+        check(self)
+
+    monkeypatch.setattr(poly, "_assembled", counted_assembled)
+    monkeypatch.setattr(poly.DiagMorphism, "__post_init__", counted_check)
+    return counts
+
+
+def test_adjunction_check_builds_no_morphism(monkeypatch):
+    # both sides are listed as tables, and every transpose is a member
+    counts = counted_builds(monkeypatch)
+    assert smcc.adjunction_count_check(*ROUND_TRIP_TRIPLE).ok
+    assert counts == Counter()
+    # the counters see the morphisms that enumerating one side builds
+    p1, p2, p3 = ROUND_TRIP_TRIPLE
+    assert len(nat.enumerate_dm(poly.tensor(p1, p2), p3)) == 147
+    assert counts == Counter(assembled=147)
+
+
+def test_curry_command_builds_no_morphism(capsys, monkeypatch):
+    # the 225-member case of the curry command, in-process
+    counts = counted_builds(monkeypatch)
+    assert cli.main(["curry", "docs/examples/list.json", "--p1", "two-x", "--p2", "square",
+                     "--p3", "list3", "--index", "5", "--limit", "1000"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == \
+        "transformation 5 of 225 curries to 5 of 225"
+    assert counts == Counter()
+    tens = poly.tensor(poly.single_sorted((1, 1)), poly.single_sorted((2,)))
+    assert len(nat.enumerate_dm(tens, poly.single_sorted((3, 2, 1, 0)))) == 225
+    assert counts == Counter(assembled=225)
 
 
 def test_adjunction_large_counts_skip_round_trip():

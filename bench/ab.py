@@ -186,16 +186,18 @@ def export(rev: str, into: Path) -> Path:
 
 
 def plain(value):
-    """A result as plain values, comparable across the two sides: a cell
-    as its legs and rows, a morphism as its endpoints' fibers and table,
+    """A result as plain values, comparable across the two sides whatever
+    their storage: a cell as its legs and the items of its three tables,
+    a morphism as its endpoints' fibers and table,
     a transformation as its shape table and backward tables, a report as
     its ok flag and lines."""
     if isinstance(value, (list, tuple)):
         return [plain(v) for v in value]
     if hasattr(value, "lines") and hasattr(value, "ok"):
         return ("report", value.ok, value.lines)
-    if hasattr(value, "_plan"):
-        return ("cell", value.span.left.table, value.span.right.table, value._plan)
+    if hasattr(value, "gamma") and hasattr(value, "span"):
+        return ("cell", value.span.left.table, value.span.right.table,
+                *(sorted(table.items()) for table in (value.alpha, value.beta, value.gamma)))
     if hasattr(value, "alpha") and hasattr(value, "betas"):
         return ("transformation", value.alpha.table, value.betas)
     if hasattr(value, "map") and hasattr(value, "src"):

@@ -6,8 +6,10 @@ cell of one instance over one span (the frame held on the span serves
 them all) and of one cell over a fresh span (the frame is built anew),
 building a cell from its rows, counting and enumerating cells (the
 grid instance's 225 too), evaluating the zero cell, whose span has
-no states, through its frame, and building the tensor of two cells and
-the symmetry of a tensor of grid diagrams.
+no states, through its frame, building the tensor of two cells and
+the symmetry of a tensor of grid diagrams, and composing seeded cells
+between two-sorted diagrams, whose rows hold fewer entries than there
+are shapes.
 
 These cases sit outside the tier-1 test paths and need pytest-benchmark:
 
@@ -20,7 +22,7 @@ import random
 
 import pytest
 
-from polycat import nat, poly, sim
+from polycat import nat, poly, randgen, sim, suites
 from polycat.fam import Span
 from polycat.finset import FinMap, FinSet
 
@@ -38,6 +40,12 @@ CELL = sim.random_cell(random.Random(18), P, P, SPAN)
 GRID_CELLS = sim.enumerate_sim(P, poly.single_sorted((0, 1)), SPAN)
 FAMILIES = tuple(nat.check_families(P)) + tuple(nat.generic_family(P, v)[0] for v in P.shapes)
 COMPONENTS = {x: sim.eval_sim(CELL, x) for x in FAMILIES}
+# 20 seeded composable pairs of cells, mixed -> mixed -> with_empty, on the
+# suites' two-sorted samples: each sort carries some shapes, not all
+MIXED, WITH_EMPTY = suites._two_sorted_samples()
+_RNG = random.Random(39)
+TWO_SORTED = [(randgen.random_sim_cell(_RNG, MIXED, WITH_EMPTY, max_states=3),
+               randgen.random_sim_cell(_RNG, MIXED, MIXED, max_states=3)) for _ in range(20)]
 
 
 def test_eval_sim(benchmark):
@@ -122,3 +130,13 @@ def test_symmetry_sim(benchmark):
     pp = poly.tensor(P, P)
     got = benchmark(sim.symmetry_sim, pp, P)
     assert sim.compose_sim(sim.symmetry_sim(P, pp), got) == sim.identity_sim(poly.tensor(pp, P))
+
+
+def test_compose_two_sorted(benchmark):
+    def run():
+        return [sim.compose_sim(c2, c1) for c2, c1 in TWO_SORTED]
+
+    got = benchmark(run)
+    # the composites' rows hold 44 entries, where states times shapes is 88
+    assert sum(len(c.pairs) for c in got) == 44
+    assert sum(c.span.carrier.size * c.src.shapes.size for c in got) == 88

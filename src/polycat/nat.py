@@ -94,47 +94,54 @@ def count_nat(p: PolyDiagram, q: PolyDiagram) -> int:
     return math.prod(sum(counts.values()) for counts in _table_counts(p, q, _by_sort(p)))
 
 
-def enumerate_tables(p: PolyDiagram, q: PolyDiagram) -> list[tuple[tuple[int, ...], tuple]]:
-    """All strong transformations as (alpha table, betas) pairs, shape-map
-    major, then backward tables in odometer order; the members of one
-    shape map share its table. Guarded by the exact count; with none, no
-    table is listed. The backward tables of each (source shape, target
-    shape) pair are listed once, and target shapes with no tables are
-    dropped, so no shape map is visited that yields nothing.
+def _blocks(p: PolyDiagram, q: PolyDiagram):
+    """The checked blocks of the strong transformations from p to q, shape
+    map major: per shape map, its FinMap and, per source shape, the list
+    of its backward tables into its target shape, in odometer order. The
+    members of a block are the product of its table lists. Guarded by the
+    exact count; with none, no table is listed. The backward tables of
+    each (source shape, target shape) pair are listed once, and target
+    shapes with no tables are dropped, so no shape map is visited that
+    yields nothing.
 
     A member is a choice of one listed table per source shape, so each
     option is checked once: every (v, w, table) by DiagMorphism's beta
-    check and every shape map by its alpha check. So every listed pair
-    is one that DiagMorphism's construction accepts."""
+    check and every shape map by its alpha check. So every member is one
+    that DiagMorphism's construction accepts."""
     groups = _by_sort(p)
     counts = _table_counts(p, q, groups)
     total = math.prod(sum(c.values()) for c in counts)
     check_guard(total, "transformation enumeration")
     if not total:
-        return []
+        return
     fibers, dst_sorts = q.dir_shape.fibers(), q.dir_sort.table
     tables = [{w: list(itertools.product(*[by[dst_sorts[u]] for u in fibers[w]]))
                for w in c} for by, c in zip(groups, counts)]
     poly._check_betas(p, q, ((v, w, table) for v, listed in enumerate(tables)
                              for w, options in listed.items() for table in options))
-    out: list[tuple[tuple[int, ...], tuple]] = []
     for combo in itertools.product(*tables):
-        poly._check_alpha(p, q, FinMap(p.shapes, q.shapes, combo))
-        per_shape = [tables[v][w] for v, w in enumerate(combo)]
-        out.extend(zip(itertools.repeat(combo), itertools.product(*per_shape)))
+        alpha = FinMap(p.shapes, q.shapes, combo)
+        poly._check_alpha(p, q, alpha)
+        yield alpha, [tables[v][w] for v, w in enumerate(combo)]
+
+
+def enumerate_tables(p: PolyDiagram, q: PolyDiagram) -> list[tuple[tuple[int, ...], tuple]]:
+    """All strong transformations as (alpha table, betas) pairs, shape-map
+    major, then backward tables in odometer order, guarded by their exact
+    count: the members of the checked blocks (_blocks). The members of one
+    shape map share its table."""
+    out: list[tuple[tuple[int, ...], tuple]] = []
+    for alpha, per_shape in _blocks(p, q):
+        out.extend(zip(itertools.repeat(alpha.table), itertools.product(*per_shape)))
     return out
 
 
 def enumerate_dm(p: PolyDiagram, q: PolyDiagram) -> list[DiagMorphism]:
     """enumerate_tables' members, in order, assembled from their checked
-    parts without checking them again, one shape map per shared table."""
-    out: list[DiagMorphism] = []
-    alpha = None
-    for table, betas in enumerate_tables(p, q):
-        if alpha is None or alpha.table is not table:
-            alpha = FinMap(p.shapes, q.shapes, table)
-        out.append(poly._assembled(p, q, alpha, betas))
-    return out
+    blocks (_blocks) without checking them again, the members of one
+    shape map sharing its FinMap."""
+    return [poly._assembled(p, q, alpha, betas) for alpha, per_shape in _blocks(p, q)
+            for betas in itertools.product(*per_shape)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,20 +17,21 @@ Four equations tie the tables together: the assigned shape sits over
 the state's right end; beta stays in v's direction fiber; beta's sort is
 the successor's left end; the successor's right end is u's sort.
 
-A SimCell stores the tables as rows, one per state: _plan[rho][v] is
-None off the (state, shape) pairs and otherwise (w, ((g, k), ...)), the
-assigned shape w and, per direction u of w, the successor
-gamma[rho, v, u] and the position k of beta[rho, v, u] in v's direction
-fiber. Every cell is valid: each of its entries passed the entry check
-(the four equations) and its rows the layout check. The validator
-(SimCell._settle) runs both on each cell it builds, from the rows that
-the public constructor and the functions here hand it, so it checks an
-entry once per built cell. Two functions build many cells over one
-span, which share most of their entries, and check what they share
+A SimCell stores the tables as rows, one per state: _plan[rho] holds one
+entry per src shape v over the state's left end, in ascending order, and
+the entry is (w, ((g, k), ...)), the assigned shape w and, per direction
+u of w, the successor gamma[rho, v, u] and the position k of beta[rho,
+v, u] in v's direction fiber. So the rows, concatenated, are the entries
+in cell_pairs order. Every cell is valid: each of its entries passed the
+entry check (the four equations) and its rows the layout check. The
+validator (SimCell._settle) runs both on each cell it builds, from the
+rows that the public constructor and the functions here hand it, so it
+checks an entry once per built cell. Two functions build many cells over
+one span, which share most of their entries, and check what they share
 once. The cells enumerate_sim lists are choices of one row per state,
 and a row a choice of one option per (state, shape) pair: it runs the
-entry check once per option and the layout check once per row.
-extract_sim runs the entry check once per entry it reads over the
+entry check once per option and the layout check once, on one row per
+state. extract_sim runs the entry check once per entry it reads over the
 frame held on the span (_Frame), and gives each cell the layout check.
 The tables themselves are read-only views built from the rows on first
 read.
@@ -126,21 +127,22 @@ _TRIPLE_KEYS = ("direction and state tables must be indexed by exactly the "
 
 @dataclass(frozen=True, init=False, repr=False)
 class SimCell:
-    """A valid simulation cell, frozen, stored as its rows _plan (see the
-    module docstring), which eval_sim reads. Equality compares the span,
-    the two diagrams and the rows, which is equality of the tables.
+    """A valid simulation cell, frozen, stored as its rows _plan, which
+    eval_sim reads: one row per state, holding the entries of the state's
+    (state, shape) pairs and nothing else (see the module docstring).
+    Equality compares the span, the two diagrams and the rows, which is
+    equality of the tables.
 
-    SimCell(span, src, dst, alpha, beta, gamma) checks the span's ends
-    and the tables' key sets, turns the tables into rows and hands them
-    to the validator (_settle), which checks their layout and then each
-    of their entries once (_check_layout, _check_entries); enumerate_sim
-    checks each of its options' entries once and each of its rows'
-    layout once, and extract_sim each entry once per frame and each
-    cell's layout. It raises ValidationError at the first violation:
-    key sets and ranges first, then each pair's shape sort, then the
-    direction equations triple by triple. alpha, beta, gamma, pairs and
-    triples are built from the rows the first time they are read and
-    kept, read-only."""
+    SimCell(span, src, dst, alpha, beta, gamma) checks the span's ends and
+    the tables' key sets, turns the tables into rows and hands them to the
+    validator (_settle), which checks their layout and then each of their
+    entries once (_check_layout, _check_entries); enumerate_sim checks
+    each of its options' entries once and its rows' layout once, and
+    extract_sim each entry once per frame and each cell's layout. It
+    raises ValidationError at the first violation: key sets and ranges
+    first, then each pair's shape sort, then the direction equations
+    triple by triple. alpha, beta, gamma, pairs and triples are built from
+    the rows the first time they are read and kept, read-only."""
 
     span: Span
     src: PolyDiagram
@@ -183,8 +185,9 @@ class SimCell:
         plan."""
         plan = tuple(map(tuple, rows))
         _check_layout(span, src, plan)
+        left, fibers = span.left.table, src.shape_sort.fibers()
         _check_entries(span, src, dst, [(rho, v, e) for rho, row in enumerate(plan)
-                                        for v, e in enumerate(row) if e is not None])
+                                        for v, e in zip(fibers[left[rho]], row)])
         self._keep(span, src, dst, plan)
 
     def _keep(self, span: Span, src: PolyDiagram, dst: PolyDiagram, plan: tuple) -> None:
@@ -194,8 +197,7 @@ class SimCell:
 
     @functools.cached_property
     def pairs(self) -> tuple:
-        return tuple((rho, v) for rho, row in enumerate(self._plan)
-                     for v, e in enumerate(row) if e is not None)
+        return tuple(cell_pairs(self.span, self.src))
 
     @functools.cached_property
     def triples(self) -> tuple:
@@ -203,7 +205,8 @@ class SimCell:
 
     @functools.cached_property
     def alpha(self) -> Mapping:
-        return MappingProxyType({(rho, v): self._plan[rho][v][0] for rho, v in self.pairs})
+        return MappingProxyType({pair: w for pair, (w, _)
+                                 in zip(self.pairs, itertools.chain(*self._plan))})
 
     @functools.cached_property
     def beta(self) -> Mapping:
@@ -217,8 +220,7 @@ class SimCell:
     def _moves(self):
         """Each triple with its (successor, position) move, in order."""
         fibers = self.dst.dir_shape.fibers()
-        for rho, v in self.pairs:
-            w, moves = self._plan[rho][v]
+        for (rho, v), (w, moves) in zip(self.pairs, itertools.chain(*self._plan)):
             yield from zip([(rho, v, u) for u in fibers[w]], moves)
 
     def __repr__(self) -> str:
@@ -227,19 +229,11 @@ class SimCell:
 
 
 def _check_layout(span: Span, src: PolyDiagram, plan: tuple) -> None:
-    """Raise unless the plan has a row per state whose entries sit exactly
-    at the state's pairs: the row of a state over left end i is None at
-    the shapes off i and nowhere else."""
-    left, sorts = span.left.table, src.shape_sort.table
-    if len(plan) != len(left):
+    """Raise unless the plan has one row per state, of one entry per src
+    shape over the state's left end."""
+    left, fibers = span.left.table, src.shape_sort.fibers()
+    if len(plan) != len(left) or any(len(row) != len(fibers[i]) for row, i in zip(plan, left)):
         raise ValidationError(_PAIR_KEYS)
-    masks: dict = {}
-    for row, i in zip(plan, left):
-        mask = masks.get(i)
-        if mask is None:
-            mask = masks[i] = [s != i for s in sorts]
-        if [e is None for e in row] != mask:
-            raise ValidationError(_PAIR_KEYS)
 
 
 def _check_entries(span: Span, src: PolyDiagram, dst: PolyDiagram, entries: list) -> None:
@@ -286,11 +280,11 @@ def _check_entries(span: Span, src: PolyDiagram, dst: PolyDiagram, entries: list
 
 
 def _layout(span: Span, src: PolyDiagram, entries) -> tuple:
-    """The rows holding the given entries of the (state, shape) pairs, in
-    cell_pairs order, and None off the pairs."""
-    it = iter(entries)
-    sorts = src.shape_sort.table
-    return tuple(tuple([next(it) if s == i else None for s in sorts]) for i in span.left.table)
+    """The given entries of the (state, shape) pairs, in cell_pairs order,
+    cut into rows: each state's row takes one entry per src shape over
+    its left end."""
+    it, fibers = iter(entries), src.shape_sort.fibers()
+    return tuple(tuple(itertools.islice(it, len(fibers[i]))) for i in span.left.table)
 
 
 def _cell(span: Span, src: PolyDiagram, dst: PolyDiagram, rows) -> SimCell:
@@ -302,7 +296,7 @@ def _cell(span: Span, src: PolyDiagram, dst: PolyDiagram, rows) -> SimCell:
 
 def _counts(c: SimCell) -> tuple[int, int]:
     """The numbers of shape entries and direction entries in c's rows."""
-    entries = [e for row in c._plan for e in row if e is not None]
+    entries = list(itertools.chain(*c._plan))
     return len(entries), sum(len(moves) for _, moves in entries)
 
 
@@ -369,8 +363,8 @@ def sum_sim(c1: SimCell, c2: SimCell) -> SimCell:
     span = Span(cop.carrier, finset.copair(c1.span.left, c2.span.left, cop),
                 finset.copair(c1.span.right, c2.span.right, cop))
     n = c1.span.carrier.size
-    shifted = tuple(tuple([None if e is None else (e[0], tuple([(g + n, k) for g, k in e[1]]))
-                           for e in row]) for row in c2._plan)
+    shifted = tuple(tuple([(w, tuple([(g + n, k) for g, k in moves])) for w, moves in row])
+                    for row in c2._plan)
     return _cell(span, c1.src, c1.dst, c1._plan + shifted)
 
 
@@ -387,19 +381,18 @@ def compose_sim(c2: SimCell, c1: SimCell) -> SimCell:
     pb = finset.pullback(c1.span.right, c2.span.left)
     span = Span(pb.carrier, pb.left.then(c1.span.left), pb.right.then(c2.span.right))
     pair_index = {pair: t for t, pair in enumerate(pb.pairs)}
+    # c1's assigned shape w sits over the left end of c2's state, whose
+    # row holds w's entry at w's position in its sort's shape fiber
+    position = c2.src.shape_sort.positions()
     rows = []
     for rho, sigma in pb.pairs:
         row2 = c2._plan[sigma]
         row = []
-        for e in c1._plan[rho]:
-            if e is None:
-                row.append(None)
-                continue
+        for w1, moves1 in c1._plan[rho]:
             # c2's move names the position k2 of its backward direction in
             # the middle shape's fiber; c1's move for that direction is
             # moves1[k2]
-            moves1 = e[1]
-            w, moves2 = row2[e[0]]
+            w, moves2 = row2[position[w1]]
             row.append((w, tuple([(pair_index[moves1[k2][0], g2], moves1[k2][1])
                                   for g2, k2 in moves2])))
         rows.append(row)
@@ -409,32 +402,30 @@ def compose_sim(c2: SimCell, c1: SimCell) -> SimCell:
 def tensor_sim(c1: SimCell, c2: SimCell) -> SimCell:
     """The tensor of two cells, from src1 ⊗ src2 to dst1 ⊗ dst2 over the
     product of their spans, paired as poly.tensor pairs sorts and shapes:
-    state (r1, r2) is r1 * n2 + r2, for n2 states of c2. Its row entry at
-    shape v1 * |S2| + v2 is None where either factor's is; otherwise its
-    shape is w1 * |dst2's shapes| + w2, and its moves pair the factors'
-    moves (g1, k1) and (g2, k2) in lexicographic order, the order of the
-    tensor's direction fibers, as (g1 * n2 + g2, k1 * |fiber(v2)| + k2).
-    The span's carrier is guarded by its size before it is built."""
+    state (r1, r2) is r1 * n2 + r2, for n2 states of c2. Its row pairs the
+    factors' rows entry by entry, r1's entry major, which is the order of
+    the tensor's shapes v1 * |S2| + v2 over its left end. The entry of
+    (v1, v2) has the shape w1 * |dst2's shapes| + w2, and its moves pair
+    the factors' moves (g1, k1) and (g2, k2) in lexicographic order, the
+    order of the tensor's direction fibers, as (g1 * n2 + g2, k1 *
+    |fiber(v2)| + k2). The span's carrier is guarded by its size before
+    it is built."""
     src, dst = poly.tensor(c1.src, c2.src), poly.tensor(c1.dst, c2.dst)
     n2 = c2.span.carrier.size
     check_guard(c1.span.carrier.size * n2, "tensor span carrier")
     left = finset.product_map(c1.span.left, c2.span.left)
     span = Span(left.dom, left, finset.product_map(c1.span.right, c2.span.right))
     m2, fibers2 = c2.dst.shapes.size, c2.src.dir_shape.fibers()
+    # c2's rows, each entry with the fiber size of its src shape v2
+    over2 = c2.src.shape_sort.fibers()
+    rows2 = [[(w2, moves2, len(fibers2[v2])) for (w2, moves2), v2 in zip(row2, over2[i2])]
+             for row2, i2 in zip(c2._plan, c2.span.left.table)]
     rows = []
     for row1 in c1._plan:
-        for row2 in c2._plan:
-            row = []
-            for e1 in row1:
-                for v2, e2 in enumerate(row2):
-                    if e1 is None or e2 is None:
-                        row.append(None)
-                        continue
-                    (w1, moves1), (w2, moves2), size = e1, e2, len(fibers2[v2])
-                    row.append((w1 * m2 + w2, tuple([(g1 * n2 + g2, k1 * size + k2)
-                                                     for g1, k1 in moves1
-                                                     for g2, k2 in moves2])))
-            rows.append(row)
+        for row2 in rows2:
+            rows.append([(w1 * m2 + w2, tuple([(g1 * n2 + g2, k1 * size + k2)
+                                               for g1, k1 in moves1 for g2, k2 in moves2]))
+                         for w1, moves1 in row1 for w2, moves2, size in row2])
     return _cell(span, src, dst, rows)
 
 
@@ -507,10 +498,10 @@ def _eval_table(c: SimCell, x: Family) -> tuple[Family, Family, tuple[int, ...]]
     _, _, _, _, _, dom, cod, blocks, start, position, cod_index, slices = at
     plan = c._plan
     table = []
-    for rho, v, payloads in blocks:
+    for rho, k, v, payloads in blocks:
         # a block's part of the table depends on its shape's payloads at x
         # and its row entry, not on its state: cells over the span share it
-        e = plan[rho][v]
+        e = plan[rho][k]
         part = slices.get((v, e))
         if part is None:
             w, moves = e
@@ -529,15 +520,15 @@ class _Frame:
     another pair replaces it. A span without states has one too: it has
     no blocks, so its components' tables are empty.
 
-    at[id(x)], per family x, holds the component's two endpoint
-    families, the domain's elements as (state, shape, payloads) blocks in
-    their order, what ranks the sum lift's elements at x (the start of
-    each state's run and the position of each element of x in its
-    fiber), the codomain's ranks (evaluation) and, per (shape, row entry)
-    pair, the slice of codomain ranks that a block of the shape with that
-    entry contributes to a table, computed at its first request
-    (_eval_table) and held for every cell over the span, as it depends on
-    neither the state nor the cell.
+    at[id(x)], per family x, holds the component's two endpoint families,
+    the domain's elements as (state, position of the shape in the state's
+    row, shape, payloads) blocks in their order, what ranks the sum lift's
+    elements at x (the start of each state's run and the position of each
+    element of x in its fiber), the codomain's ranks (evaluation) and, per
+    (shape, row entry) pair, the slice of codomain ranks that a block of
+    the shape with that entry contributes to a table, computed at its
+    first request (_eval_table) and held for every cell over the span, as
+    it depends on neither the state nor the cell.
     It holds x too, so the id names no other family while the frame
     lives; a family value-equal to x, such as one built with the Family
     constructor, gets its own entry, equal to x's.
@@ -587,7 +578,8 @@ class _Frame:
         for rho, i in self.states:
             start[rho] = n
             n += len(xfibers[i])
-            blocks.extend([(rho, v, payloads[v]) for v in over[i] if v in payloads])
+            blocks.extend([(rho, k, v, payloads[v]) for k, v in enumerate(over[i])
+                           if v in payloads])
         at = self.at[id(x)] = (x, len(inner.elements), len(dom.elements), len(aux.elements),
                                len(cod.elements), dom.family, cod.family, tuple(blocks),
                                start, x.proj.positions(), cod.index(), {})
@@ -857,21 +849,19 @@ def random_cell(rng, p1: PolyDiagram, p2: PolyDiagram, span: Span) -> SimCell | 
 
 def enumerate_sim(p1: PolyDiagram, p2: PolyDiagram, span: Span) -> list[SimCell]:
     """All valid cells over the given span: per (state, shape) pair, a
-    choice of assigned shape plus a move for each of its directions.
-    The cell count is guarded up front, cut at the limit plus one: the
-    product of every pair's _fillings (finset.check_guard_product). If
-    some pair has no filling there is no cell, and nothing more is
-    guarded, listed, checked or laid out. Otherwise each pair's count is
-    guarded before it is listed by index (_pair_choice). A cell is a
-    choice of one listed option per pair, so the entry check runs once
-    per option, at its pair (_check_entries). A state's rows are the
-    product of its pairs' option lists, with None at the shapes off its
-    left end; each is laid out once and checked once against the
-    state's layout (as _check_layout checks it), and a cell is a choice
-    of one row per state. In this order, the last pair's option varies
-    fastest, as in itertools.product over the pairs. With every pair
-    filled, a pair's options and a state's rows are at most the cells,
-    which the guard bounds."""
+    choice of assigned shape plus a move for each of its directions. The
+    cell count is guarded up front, cut at the limit plus one: the product
+    of every pair's _fillings (finset.check_guard_product). If some pair
+    has no filling there is no cell, and nothing more is guarded, listed,
+    checked or laid out. Otherwise each pair's count is guarded before it
+    is listed by index (_pair_choice). A cell is a choice of one listed
+    option per pair, so the entry check runs once per option, at its pair
+    (_check_entries). A state's rows are the product of its pairs' option
+    lists, all of one length, so one row per state gives the layout check
+    (_check_layout), and a cell is a choice of one row per state. In this
+    order, the last pair's option varies fastest, as in itertools.product
+    over the pairs. With every pair filled, a pair's options and a state's
+    rows are at most the cells, which the guard bounds."""
     _check_ends(span, p1, p2)
     pair_fills = _pair_fills(p1, p2, span)
     cap = finset.guard_limit() + 1
@@ -885,14 +875,11 @@ def enumerate_sim(p1: PolyDiagram, p2: PolyDiagram, span: Span) -> list[SimCell]
         per_pair.append([_pair_choice(options, i) for i in range(n)])
     _check_entries(span, p1, p2, [(rho, v, e) for (rho, v), listed
                                   in zip(cell_pairs(span, p1), per_pair) for e in listed])
-    it, sorts = iter(per_pair), p1.shape_sort.table
-    per_state = []
-    for i in span.left.table:
-        rows = list(itertools.product(*[next(it) if s == i else (None,) for s in sorts]))
-        mask = [s != i for s in sorts]
-        if any([e is None for e in row] != mask for row in rows):
-            raise ValidationError(_PAIR_KEYS)
-        per_state.append(rows)
+    it, fibers = iter(per_pair), p1.shape_sort.fibers()
+    per_state = [list(itertools.product(*itertools.islice(it, len(fibers[i]))))
+                 for i in span.left.table]
+    # a state's rows have one length, so its first row checks them all
+    _check_layout(span, p1, [rows[0] for rows in per_state])
     cells = []
     for plan in itertools.product(*per_state):
         c = object.__new__(SimCell)
@@ -904,8 +891,7 @@ def enumerate_sim(p1: PolyDiagram, p2: PolyDiagram, span: Span) -> list[SimCell]
 def _signatures(c: SimCell) -> list[tuple]:
     """Per state: its two legs and its row with the successors left out."""
     left, right = c.span.left.table, c.span.right.table
-    return [(left[rho], right[rho],
-             tuple([None if e is None else (e[0], tuple([k for _, k in e[1]])) for e in row]))
+    return [(left[rho], right[rho], tuple([(w, tuple([k for _, k in moves])) for w, moves in row]))
             for rho, row in enumerate(c._plan)]
 
 
@@ -933,8 +919,7 @@ def equivalence_check(c: SimCell, c2: SimCell) -> FinMap | None:
         # equal rows over equal legs: the identity carries every successor
         return FinMap(r.carrier, r2.carrier, tuple(range(n)))
     sig, sig2 = _signatures(c), _signatures(c2)
-    # a state's image has its signature (and sorting never compares None
-    # with an entry, as equal left ends put None at the same places)
+    # a state's image has its signature
     if sorted(sig) != sorted(sig2):
         return None
     eps: list = [None] * n
@@ -952,15 +937,14 @@ def equivalence_check(c: SimCell, c2: SimCell) -> FinMap | None:
                 return False
             eps[a], inv[b] = b, a
             trail.append(a)
-            for e, e2 in zip(plan[a], plan2[b]):
-                if e is not None:
-                    stack.extend((g, g2) for (g, _), (g2, _) in zip(e[1], e2[1]))
+            for (_, moves), (_, moves2) in zip(plan[a], plan2[b]):
+                stack.extend((g, g2) for (g, _), (g2, _) in zip(moves, moves2))
         return True
 
     candidates: dict = {}
     for b in range(n):
         candidates.setdefault(sig2[b], []).append(b)
-    branching = [a for a in range(n) if any(e and e[1] for e in plan[a])]
+    branching = [a for a in range(n) if any(moves for _, moves in plan[a])]
     limit, choices = finset.guard_limit(), 0
     # open branch points: position in branching, candidates left, and the
     # states assigned by the current choice

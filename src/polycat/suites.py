@@ -353,23 +353,6 @@ def sim_roundtrip_suite(seed: int = 0, cell_budget: int = 256,
         "every extracted cell is equivalent to the cell it came from")
 
 
-def _lifted_box(s1: Span, s2: Span, s12: Span, a: Family, b: Family) -> fam.FamMorphism:
-    """The isomorphism from box(AU1 a, AU2 b) to AU12(box(a, b)), with AU
-    the sum lift of a span (poly.au_lift) and s12 the product of s1 and
-    s2, its states paired as tensor_sim pairs them: the pair of (r1, t1)
-    and (r2, t2) goes to (r1 * |s2| + r2, t1 * |b| + t2)."""
-    au1, au2, au12 = (poly.au_lift(s) for s in (s1, s2, s12))
-    n2, size_b, ab = s2.carrier.size, b.total.size, fam.box(a, b)
-    index = poly.extension_index(au12, ab)
-    elems2 = poly.extension_elements(au2, b)
-    table = tuple([index[(r1 * n2 + r2, (t1 * size_b + t2,))]
-                   for r1, (t1,) in poly.extension_elements(au1, a)
-                   for r2, (t2,) in elems2])
-    dom = fam.box(poly.eval_extension(au1, a), poly.eval_extension(au2, b))
-    cod = poly.eval_extension(au12, ab)
-    return fam.FamMorphism(dom, cod, FinMap(dom.total, cod.total, table))
-
-
 def sim_tensor_suite(seed: int = 0, cases: int = 40) -> Report:
     """The tensor of simulation cells and its symmetry, on seeded cells
     between random endo diagrams (up to 2 sorts and 2 shapes, fibers of
@@ -379,8 +362,8 @@ def sim_tensor_suite(seed: int = 0, cases: int = 40) -> Report:
     on the nose; functoriality, bilinearity and the symmetry's laws hold
     up to equivalence. The component of c1 (x) c2 at box(x, y) is the
     external product of the components of c1 at x and c2 at y, through
-    the comparison maps (smcc.epsilon) of both ends and the sum lifts'
-    pairing (_lifted_box)."""
+    the comparison maps (smcc.epsilon) of both ends and of the two sum
+    lifts, whose tensor is the sum lift of the tensor's span."""
     rng = random.Random(seed)
     verdict = _Verdict("tensor of simulation cells")
     compose, tensor, sigma, add = sim.compose_sim, sim.tensor_sim, sim.symmetry_sim, sim.sum_sim
@@ -461,14 +444,15 @@ def sim_tensor_suite(seed: int = 0, cases: int = 40) -> Report:
         x = randgen.random_family(rng, c1.src.source, max_fiber=2)
         y = randgen.random_family(rng, c2.src.source, max_fiber=2)
         c12 = tensor(c1, c2)
+        au1, au2, au12 = (poly.au_lift(c.span) for c in (c1, c2, c12))
         inner = poly.eval_extension(c1.src, x), poly.eval_extension(c2.src, y)
-        lifted = (poly.eval_extension(poly.au_lift(c.span), z) for c, z in ((c1, x), (c2, y)))
-        direct = _lifted_box(c1.span, c2.span, c12.span, *inner).then(
-            poly.extension_map(poly.au_lift(c12.span), smcc.epsilon(c1.src, c2.src, x, y))
+        lifted = poly.eval_extension(au1, x), poly.eval_extension(au2, y)
+        direct = smcc.epsilon(au1, au2, *inner).then(
+            poly.extension_map(au12, smcc.epsilon(c1.src, c2.src, x, y))
         ).then(sim.eval_sim(c12, fam.box(x, y)))
         paired = fam.box_morphism(sim.eval_sim(c1, x), sim.eval_sim(c2, y)).then(
             smcc.epsilon(c1.dst, c2.dst, *lifted)
-        ).then(poly.extension_map(c12.dst, _lifted_box(c1.span, c2.span, c12.span, x, y)))
+        ).then(poly.extension_map(c12.dst, smcc.epsilon(au1, au2, x, y)))
         return law(direct == paired,
                    f"the component at the box of fibers {x.fiber_sizes()} and "
                    f"{y.fiber_sizes()} is not the external product of the components")

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from polycat import doc, fam, finset, nat, poly, randgen, sim, suites
+from polycat import doc, fam, finset, nat, poly, randgen, sim, smcc, suites
 from polycat.errors import (OracleNotNatural, ShapeMismatch,
                             SizeGuardExceeded, ValidationError)
 from polycat.fam import FamMorphism, Span
@@ -373,20 +373,18 @@ def tables_of(c: sim.SimCell, rows) -> tuple:
     out of range keeps the keys of the shape it replaced."""
     src_fibers, dst_fibers = c.src.dir_shape.fibers(), c.dst.dir_shape.fibers()
     alpha, beta, gamma = {}, {}, {}
-    for rho, row in enumerate(rows):
-        for v, entry in enumerate(row):
-            if entry is None:
-                continue
-            w, moves = entry
-            alpha[rho, v] = w
-            fiber = src_fibers[v]
-            keyed = w if w in c.dst.shapes else c._plan[rho][v][0]
-            for u, (g, k) in zip(dst_fibers[keyed], moves):
-                if k is None:
-                    beta[rho, v, u] = next(b for b in c.src.dirs if b not in fiber)
-                else:
-                    beta[rho, v, u] = fiber[k] if k < len(fiber) else c.src.dirs.size
-                gamma[rho, v, u] = g
+    for (rho, v), (w, moves), (was, _) in zip(sim.cell_pairs(c.span, c.src),
+                                              itertools.chain(*rows),
+                                              itertools.chain(*c._plan)):
+        alpha[rho, v] = w
+        fiber = src_fibers[v]
+        keyed = w if w in c.dst.shapes else was
+        for u, (g, k) in zip(dst_fibers[keyed], moves):
+            if k is None:
+                beta[rho, v, u] = next(b for b in c.src.dirs if b not in fiber)
+            else:
+                beta[rho, v, u] = fiber[k] if k < len(fiber) else c.src.dirs.size
+            gamma[rho, v, u] = g
     return alpha, beta, gamma
 
 
@@ -398,9 +396,11 @@ def corrupted_rows(c: sim.SimCell, rng) -> list:
     rows = [list(row) for row in c._plan]
     dst_fibers = c.dst.dir_shape.fibers()
     src_fibers = c.src.dir_shape.fibers()
+    # a pair's entry sits at its shape's position in the state's row
+    position = c.src.shape_sort.positions()
     for _ in range(rng.randint(1, 3)):
         rho, v = rng.choice(c.pairs)
-        w, moves = rows[rho][v]
+        w, moves = rows[rho][position[v]]
         moves = list(moves)
         kind = rng.choice(("shape", "drop", "move") if moves else ("shape",))
         if kind == "shape":
@@ -417,7 +417,7 @@ def corrupted_rows(c: sim.SimCell, rng) -> list:
                 off_fiber = len(src_fibers[v]) < c.src.dirs.size
                 k = rng.choice([*range(len(src_fibers[v]) + 1), *[None] * off_fiber])
             moves[j] = (g, k)
-        rows[rho][v] = (w, tuple(moves))
+        rows[rho][position[v]] = (w, tuple(moves))
     return rows
 
 
@@ -435,15 +435,30 @@ def test_rows_and_tables_build_the_same_cells():
             faults.add(from_rows.split(" at ")[0] if isinstance(from_rows, str) else None)
     # harmless changes and every kind of fault but an entry off the pairs
     assert len(faults) == 9, sorted(map(str, faults))
-    # an entry off the pairs, as a row entry and as a table key
+    # an entry off the pairs, as a row entry and as a table key: state 0
+    # sits over sort 0, and shape 1 over sort 1
     c = sim.identity_sim(two_sorted_endo())
     rows = [list(row) for row in c._plan]
-    rows[0][1] = rows[1][1]
+    rows[0].append(rows[1][0])
     alpha = {**c.alpha, (0, 1): 1}
     message = "shape table must be indexed by exactly the (state, shape) pairs"
     assert built_or_refused(lambda: sim._cell(c.span, c.src, c.dst, rows)) == message
     assert built_or_refused(lambda: sim.SimCell(c.span, c.src, c.dst, alpha, c.beta,
                                                 c.gamma)) == message
+
+
+def test_cell_refuses_rows_off_the_layout():
+    # a row holds one entry per src shape over its state's left end, and
+    # the plan one row per state: a row one entry too long or too short,
+    # or a plan one row short, is refused before any entry is checked
+    message = "shape table must be indexed by exactly the (state, shape) pairs"
+    for c in (sim.identity_sim(ss(1, 2)), sim.identity_sim(two_sorted_endo())):
+        rows = [list(row) for row in c._plan]
+        too_long = [rows[0] + [rows[-1][-1]], *rows[1:]]
+        too_short = [rows[0][:-1], *rows[1:]]
+        for bad in (too_long, too_short, rows[:-1]):
+            assert built_or_refused(lambda: sim._cell(c.span, c.src, c.dst, bad)) == message
+        assert sim._cell(c.span, c.src, c.dst, rows) == c
 
 
 def test_a_round_trip_builds_no_tables():
@@ -1432,8 +1447,8 @@ def choices_oracle(p1, p2, span) -> list:
 
 
 def entries(c: sim.SimCell) -> list:
-    """The cell's row entries in cell_pairs order."""
-    return [c._plan[rho][v] for rho, v in sim.cell_pairs(c.span, c.src)]
+    """The cell's row entries in cell_pairs order: its rows, concatenated."""
+    return list(itertools.chain(*c._plan))
 
 
 def counting_instances(seed: int, n: int) -> list:
@@ -1611,9 +1626,10 @@ def test_enumeration_lays_out_the_per_pair_product():
         assert [c._plan for c in cells] == want
         assert all((c.span, c.src, c.dst) == (span, p1, p2) for c in cells)
         listed[base.size] += len(cells)
-        mixed += sum(None in row and row.count(None) < len(row) for c in cells for row in c._plan)
-    # two-sorted rows hold None at the shapes off their state's left end
-    assert listed[1] > 2000 and listed[2] > 80 and mixed > 25
+        mixed += sum(0 < len(row) < p1.shapes.size for c in cells for row in c._plan)
+    # a two-sorted row holds entries for the shapes over its state's left
+    # end only, so it is shorter than the shape count
+    assert listed[1] > 2000 and listed[2] > 80 and mixed > 25, mixed
 
 
 def test_enumeration_lays_out_no_row_when_a_pair_has_no_filling(monkeypatch):
@@ -1680,7 +1696,7 @@ def test_enumerate_sim_refuses_a_bad_option(monkeypatch, bad, message):
     ident = finset.identity(p.source)
     span = Span(p.source, ident, ident)
     assert [c._plan for c in sim.enumerate_sim(p, p, span)] == [
-        (((0, ((1, 0),)), None), (None, (1, ((0, 0),))))]
+        (((0, ((1, 0),)),), ((1, ((0, 0),)),))]
     fill_table = sim._fill_table
 
     def with_a_bad_move(p1, p2, span):
@@ -2238,6 +2254,45 @@ def test_the_symmetry_is_natural():
                        compose(tensor(c2, c1), sigma(p1, p2)))
         cases += 1
     assert (cases, skipped) == (128, 72)
+
+
+def lifted_box(s1: Span, s2: Span, s12: Span, a: fam.Family, b: fam.Family) -> FamMorphism:
+    """The isomorphism from box(AU1 a, AU2 b) to AU12(box(a, b)), with AU
+    the sum lift of a span and s12 the product of s1 and s2, written out
+    on the states as tensor_sim pairs them: the pair of (r1, t1) and
+    (r2, t2) goes to (r1 * |s2| + r2, t1 * |b| + t2)."""
+    au1, au2, au12 = (poly.au_lift(s) for s in (s1, s2, s12))
+    n2, size_b, ab = s2.carrier.size, b.total.size, fam.box(a, b)
+    index = poly.extension_index(au12, ab)
+    elems2 = poly.extension_elements(au2, b)
+    table = tuple([index[(r1 * n2 + r2, (t1 * size_b + t2,))]
+                   for r1, (t1,) in poly.extension_elements(au1, a)
+                   for r2, (t2,) in elems2])
+    dom = fam.box(poly.eval_extension(au1, a), poly.eval_extension(au2, b))
+    cod = poly.eval_extension(au12, ab)
+    return FamMorphism(dom, cod, FinMap(dom.total, cod.total, table))
+
+
+def test_the_sum_lift_of_the_tensor_span_is_the_tensor_of_the_lifts():
+    # so the comparison map at the two lifts pairs the states as the
+    # tensor's span does, and the sim-tensor suite reads it off smcc
+    rng = random.Random(39)
+    empty = two_sorted = 0
+    for _ in range(200):
+        p1, q1, p2, q2 = (endo(rng) for _ in range(4))
+        c1, c2 = (randgen.random_sim_cell(rng, p, q, max_states=rng.choice((0, 3, 3, 3)))
+                  for p, q in ((p1, q1), (p2, q2)))
+        if c1 is None or c2 is None:
+            continue
+        c12 = sim.tensor_sim(c1, c2)
+        au1, au2 = poly.au_lift(c1.span), poly.au_lift(c2.span)
+        assert poly.tensor(au1, au2) == poly.au_lift(c12.span)
+        a = randgen.random_family(rng, p1.source, max_fiber=2)
+        b = randgen.random_family(rng, p2.source, max_fiber=2)
+        assert smcc.epsilon(au1, au2, a, b) == lifted_box(c1.span, c2.span, c12.span, a, b)
+        empty += not c12.span.carrier.size
+        two_sorted += c12.src.source.size > 1 and c12.span.carrier.size > 0
+    assert empty > 20 and two_sorted > 40, (empty, two_sorted)
 
 
 def test_tensor_sim_guards_the_product_span():

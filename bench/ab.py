@@ -1,5 +1,5 @@
-"""Paired comparison of two versions of polycat's nat, sim and smcc code in
-one process.
+"""Paired comparison of two versions of polycat's nat, poly, sim and smcc
+code and of its command line in one process.
 
     python3 bench/ab.py [--rev REV] [--rounds N] [--seed S]
 
@@ -10,15 +10,20 @@ once, and the ``polycat`` entries of ``sys.modules`` are swapped before
 each side's set-up, so that everything a side builds is bound to its own
 modules.
 
-Three workloads are timed, each with its kernels: the ``simcells``
+Four workloads are timed, each with its kernels: the ``simcells``
 workload with the kernels of bench/test_sim_kernels.py, the
-``universal`` workload with those of bench/test_smcc_kernels.py, and
-the ``adjunction`` workload with those of bench/test_nat_kernels.py
-(the workloads are perfbench/catalog.py's, imported read-only). A
-kernel is a bench function that takes the ``benchmark`` fixture, and
-perhaps ``capsys``, for which it gets a stand-in that captures what it
-prints; a kernel that takes any other argument stops the harness with
-exit code 1, naming it.
+``universal`` workload with those of bench/test_smcc_kernels.py, the
+``adjunction`` workload with those of bench/test_nat_kernels.py, and
+the ``queries`` workload with those of bench/test_poly_kernels.py (the
+workloads are perfbench/catalog.py's and perfbench/queries.py's,
+imported read-only). The ``queries`` set-up writes its documents into a
+working directory; in each round both sides get the same fresh one, so
+that a path in an answer agrees. A kernel is a bench function that
+takes the ``benchmark`` fixture, and perhaps ``capsys``, for which it
+gets a stand-in that captures what it prints; a kernel that takes any
+other argument stops the harness with exit code 1, naming it. The
+``benchmark`` stand-in also offers ``pedantic`` with a ``setup``, which
+runs outside the timed region.
 
 Before timing, both sides run one round on the first seed and must give
 equal results: the answers of the workloads' ops and the kernels'
@@ -61,11 +66,13 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 from perfbench.catalog import Adjunction, Simcells, Universal  # noqa: E402
+from perfbench.queries import Queries  # noqa: E402
 
 # each workload with the file of its kernels
 WORKLOADS = [(Simcells, HERE / "test_sim_kernels.py"),
              (Universal, HERE / "test_smcc_kernels.py"),
-             (Adjunction, HERE / "test_nat_kernels.py")]
+             (Adjunction, HERE / "test_nat_kernels.py"),
+             (Queries, HERE / "test_poly_kernels.py")]
 # the fixtures a kernel may take
 FIXTURES = ("benchmark", "capsys")
 ROUNDS = [f"{workload.name} round" for workload, _ in WORKLOADS]
@@ -122,6 +129,19 @@ class _Benchmark:
             result = fn(*args, **kwargs)
         self.took, self.result = time.perf_counter() - start, result
         return result
+
+    def pedantic(self, fn, *, setup, rounds):
+        """pytest-benchmark's pedantic call with a setup: the fixed number
+        of calls stands in for rounds, and each call's setup, which returns
+        its arguments and keyword arguments, runs outside the timed
+        region."""
+        self.took = 0.0
+        for _ in range(self.calls):
+            args, kwargs = setup()
+            start = time.perf_counter()
+            self.result = fn(*args, **kwargs)
+            self.took += time.perf_counter() - start
+        return self.result
 
 
 class _Capsys:
@@ -189,8 +209,9 @@ def plain(value):
     """A result as plain values, comparable across the two sides whatever
     their storage: a cell as its legs and the items of its three tables,
     a morphism as its endpoints' fibers and table,
-    a transformation as its shape table and backward tables, a report as
-    its ok flag and lines."""
+    a transformation as its shape table and backward tables, an
+    isomorphism as its two transformations, a report as its ok flag and
+    lines."""
     if isinstance(value, (list, tuple)):
         return [plain(v) for v in value]
     if hasattr(value, "lines") and hasattr(value, "ok"):
@@ -198,6 +219,8 @@ def plain(value):
     if hasattr(value, "gamma") and hasattr(value, "span"):
         return ("cell", value.span.left.table, value.span.right.table,
                 *(sorted(table.items()) for table in (value.alpha, value.beta, value.gamma)))
+    if hasattr(value, "forward") and hasattr(value, "backward"):
+        return ("iso", plain(value.forward), plain(value.backward))
     if hasattr(value, "alpha") and hasattr(value, "betas"):
         return ("transformation", value.alpha.table, value.betas)
     if hasattr(value, "map") and hasattr(value, "src"):
@@ -205,14 +228,14 @@ def plain(value):
     return value
 
 
-def run_side(side: Side, seed: int, calls: dict) -> tuple[dict, list]:
+def run_side(side: Side, seed: int, calls: dict, workdir: Path) -> tuple[dict, list]:
     """One round on a side: per workload, its ops of a fresh set-up on the
-    seed, then each of its kernels its number of calls. Returns the time
-    of each timed item and the plain results, in order."""
+    seed in workdir, then each of its kernels its number of calls. Returns
+    the time of each timed item and the plain results, in order."""
     times, results = {}, []
     with side.active():
         for (workload, _), name, kernels in zip(WORKLOADS, ROUNDS, side.kernels):
-            ops = workload().setup(seed, None)
+            ops = workload().setup(seed, workdir)
             gc.collect()
             answers = []
             start = time.perf_counter()
@@ -254,8 +277,10 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         # the equality check, which also sizes each kernel's calls from the
         # base side's first call
-        base_times, want = run_side(base, args.seed, {})
-        _, got = run_side(change, args.seed, {})
+        # each round's working directory is fresh and shared by both sides
+        workdir = Path(tmp) / "check"
+        base_times, want = run_side(base, args.seed, {}, workdir)
+        _, got = run_side(change, args.seed, {}, workdir)
         if got != want:
             print("the two sides give different results", file=sys.stderr)
             return 1
@@ -265,7 +290,8 @@ def main(argv: list[str] | None = None) -> int:
         for k in range(args.rounds):
             seed = args.seed + k
             order = (base, change) if k % 2 == 0 else (change, base)
-            runs = {side.label: run_side(side, seed, calls) for side in order}
+            workdir = Path(tmp) / f"round{k}"
+            runs = {side.label: run_side(side, seed, calls, workdir) for side in order}
             if runs["base"][1] != runs["change"][1]:
                 print(f"the two sides give different results on seed {seed}", file=sys.stderr)
                 return 1

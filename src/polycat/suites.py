@@ -97,6 +97,39 @@ def _agreements(cases: int, one: Callable[[], Report], verdict: _Verdict,
     return agreed
 
 
+def _law(holds: bool, failure: str) -> Report:
+    """A case's report for _agreements: ok, or failed with one line."""
+    return Report("law", holds, () if holds else (failure,))
+
+
+class _Cells:
+    """Seeded simulation cells between random endo diagrams (up to 2
+    sorts and 2 shapes, fibers of at most 2) over nonempty spans.
+    cells(n, *pairs) draws n diagrams and then a cell between each listed
+    pair of them; at the first pair with no cell, it counts one skipped
+    draw and redraws everything."""
+
+    def __init__(self, rng: random.Random) -> None:
+        self.rng = rng
+        self.skipped = 0
+
+    def endo(self) -> PolyDiagram:
+        return randgen.random_endo(self.rng, max_sorts=2, max_shapes=2, max_fiber=2)
+
+    def __call__(self, n: int, *pairs: tuple[int, int]) -> list[sim.SimCell]:
+        while True:
+            ps = [self.endo() for _ in range(n)]
+            drawn = []
+            for i, j in pairs:
+                c = randgen.random_sim_cell(self.rng, ps[i], ps[j])
+                if c is None:
+                    self.skipped += 1
+                    break
+                drawn.append(c)
+            else:
+                return drawn
+
+
 def _equivalent(c: sim.SimCell, c2: sim.SimCell) -> bool:
     return sim.equivalence_check(c, c2) is not None
 
@@ -224,8 +257,7 @@ def structural_direct_suite(seed: int = 0, cases: int = 100) -> Report:
         p = randgen.random_diagram(rng, i, j, max_shapes=2, max_fiber=2)
         q = randgen.random_diagram(rng, j, k, max_shapes=2, max_fiber=2)
         found = poly.iso_check(poly.compose_structural(q, p), poly.compose_direct(q, p))
-        return Report("isomorphism witness", found is not None,
-                      () if found else ("no isomorphism witness between the two composites",))
+        return _law(found is not None, "no isomorphism witness between the two composites")
 
     witnessed = _agreements(cases, one, verdict, "first failure", 1)
     return verdict.report(f"{witnessed} of {cases} seeded pairs: isomorphism witness found "
@@ -355,94 +387,71 @@ def sim_roundtrip_suite(seed: int = 0, cell_budget: int = 256,
 
 def sim_tensor_suite(seed: int = 0, cases: int = 40) -> Report:
     """The tensor of simulation cells and its symmetry, on seeded cells
-    between random endo diagrams (up to 2 sorts and 2 shapes, fibers of
-    at most 2) over nonempty spans; a draw in which an operand has no
-    cell is skipped and counted. The tensor of diagrams is strict, so
-    identities, the zero cell, the unit and associativity hold on cells
-    on the nose; functoriality, bilinearity and the symmetry's laws hold
-    up to equivalence. The component of c1 (x) c2 at box(x, y) is the
+    drawn by _Cells; a draw in which an operand has no cell is skipped
+    and counted. The tensor of diagrams is strict, so identities, the
+    zero cell, the unit and associativity hold on cells on the nose;
+    functoriality, bilinearity and the symmetry's laws hold up to
+    equivalence. The component of c1 (x) c2 at box(x, y) is the
     external product of the components of c1 at x and c2 at y, through
     the comparison maps (smcc.epsilon) of both ends and of the two sum
     lifts, whose tensor is the sum lift of the tensor's span."""
-    rng = random.Random(seed)
     verdict = _Verdict("tensor of simulation cells")
+    cells = _Cells(random.Random(seed))
+    endo = cells.endo
     compose, tensor, sigma, add = sim.compose_sim, sim.tensor_sim, sim.symmetry_sim, sim.sum_sim
     unit = sim.identity_sim(poly.tensor_unit())
-    skipped = 0
-
-    def endo() -> PolyDiagram:
-        return randgen.random_endo(rng, max_sorts=2, max_shapes=2, max_fiber=2)
-
-    def cells(n: int, *pairs: tuple[int, int]) -> list[sim.SimCell]:
-        # n diagrams and a cell between each pair of them, all redrawn
-        # from the first pair without a cell
-        nonlocal skipped
-        while True:
-            ps = [endo() for _ in range(n)]
-            drawn = []
-            for i, j in pairs:
-                c = randgen.random_sim_cell(rng, ps[i], ps[j])
-                if c is None:
-                    skipped += 1
-                    break
-                drawn.append(c)
-            else:
-                return drawn
-
-    def law(holds: bool, failure: str) -> Report:
-        return Report("cell law", holds, () if holds else (failure,))
 
     def identities() -> Report:
         p, q = endo(), endo()
-        return law(tensor(sim.identity_sim(p), sim.identity_sim(q))
-                   == sim.identity_sim(poly.tensor(p, q)),
-                   "id (x) id is not the identity of the tensor")
+        return _law(tensor(sim.identity_sim(p), sim.identity_sim(q))
+                    == sim.identity_sim(poly.tensor(p, q)),
+                    "id (x) id is not the identity of the tensor")
 
     def zero() -> Report:
         c, z = cells(2, (0, 1)) + [sim.zero_sim(endo(), endo())]
-        return law(tensor(c, z) == sim.zero_sim(poly.tensor(c.src, z.src),
-                                                poly.tensor(c.dst, z.dst))
-                   and tensor(z, c) == sim.zero_sim(poly.tensor(z.src, c.src),
-                                                    poly.tensor(z.dst, c.dst)),
-                   "c (x) 0 or 0 (x) c is not the zero cell")
+        return _law(tensor(c, z) == sim.zero_sim(poly.tensor(c.src, z.src),
+                                                 poly.tensor(c.dst, z.dst))
+                    and tensor(z, c) == sim.zero_sim(poly.tensor(z.src, c.src),
+                                                     poly.tensor(z.dst, c.dst)),
+                    "c (x) 0 or 0 (x) c is not the zero cell")
 
     def strict() -> Report:
         a, b, c = cells(6, (0, 1), (2, 3), (4, 5))
-        return law(all(tensor(d, unit) == d == tensor(unit, d) for d in (a, b, c))
-                   and tensor(tensor(a, b), c) == tensor(a, tensor(b, c)),
-                   "the unit or associativity fails on cells")
+        return _law(all(tensor(d, unit) == d == tensor(unit, d) for d in (a, b, c))
+                    and tensor(tensor(a, b), c) == tensor(a, tensor(b, c)),
+                    "the unit or associativity fails on cells")
 
     def functorial() -> Report:
         c1, d1, c2, d2 = cells(6, (0, 1), (1, 2), (3, 4), (4, 5))
-        return law(_equivalent(tensor(compose(d1, c1), compose(d2, c2)),
-                               compose(tensor(d1, d2), tensor(c1, c2))),
-                   "the tensor of composites is not the composite of tensors")
+        return _law(_equivalent(tensor(compose(d1, c1), compose(d2, c2)),
+                                compose(tensor(d1, d2), tensor(c1, c2))),
+                    "the tensor of composites is not the composite of tensors")
 
     def bilinear() -> Report:
         c, d1, d2 = cells(4, (0, 1), (2, 3), (2, 3))
-        return law(_equivalent(tensor(c, add(d1, d2)), add(tensor(c, d1), tensor(c, d2)))
-                   and _equivalent(tensor(add(d1, d2), c), add(tensor(d1, c), tensor(d2, c))),
-                   "the tensor does not distribute over a sum of cells")
+        return _law(_equivalent(tensor(c, add(d1, d2)), add(tensor(c, d1), tensor(c, d2)))
+                    and _equivalent(tensor(add(d1, d2), c), add(tensor(d1, c), tensor(d2, c))),
+                    "the tensor does not distribute over a sum of cells")
 
     def symmetric() -> Report:
         p, q, r = endo(), endo(), endo()
-        return law(_equivalent(compose(sigma(q, p), sigma(p, q)),
-                               sim.identity_sim(poly.tensor(p, q)))
-                   and _equivalent(sigma(p, poly.tensor(q, r)),
-                                   compose(tensor(sim.identity_sim(q), sigma(p, r)),
-                                           tensor(sigma(p, q), sim.identity_sim(r)))),
-                   "the symmetry is not an involution or fails the hexagon")
+        return _law(_equivalent(compose(sigma(q, p), sigma(p, q)),
+                                sim.identity_sim(poly.tensor(p, q)))
+                    and _equivalent(sigma(p, poly.tensor(q, r)),
+                                    compose(tensor(sim.identity_sim(q), sigma(p, r)),
+                                            tensor(sigma(p, q), sim.identity_sim(r)))),
+                    "the symmetry is not an involution or fails the hexagon")
 
     def natural() -> Report:
         c1, c2 = cells(4, (0, 1), (2, 3))
-        return law(_equivalent(compose(sigma(c1.dst, c2.dst), tensor(c1, c2)),
-                               compose(tensor(c2, c1), sigma(c1.src, c2.src))),
-                   "the symmetry is not natural")
+        return _law(_equivalent(compose(sigma(c1.dst, c2.dst), tensor(c1, c2)),
+                                compose(tensor(c2, c1), sigma(c1.src, c2.src))),
+                    "the symmetry is not natural")
 
     def external() -> Report:
         c1, c2 = cells(4, (0, 1), (2, 3))
-        x = randgen.random_family(rng, c1.src.source, max_fiber=2)
-        y = randgen.random_family(rng, c2.src.source, max_fiber=2)
+        x = randgen.random_family(cells.rng, c1.src.source, max_fiber=2)
+        y = randgen.random_family(cells.rng, c2.src.source, max_fiber=2)
         c12 = tensor(c1, c2)
         au1, au2, au12 = (poly.au_lift(c.span) for c in (c1, c2, c12))
         inner = poly.eval_extension(c1.src, x), poly.eval_extension(c2.src, y)
@@ -453,9 +462,9 @@ def sim_tensor_suite(seed: int = 0, cases: int = 40) -> Report:
         paired = fam.box_morphism(sim.eval_sim(c1, x), sim.eval_sim(c2, y)).then(
             smcc.epsilon(c1.dst, c2.dst, *lifted)
         ).then(poly.extension_map(c12.dst, smcc.epsilon(au1, au2, x, y)))
-        return law(direct == paired,
-                   f"the component at the box of fibers {x.fiber_sizes()} and "
-                   f"{y.fiber_sizes()} is not the external product of the components")
+        return _law(direct == paired,
+                    f"the component at the box of fibers {x.fiber_sizes()} and "
+                    f"{y.fiber_sizes()} is not the external product of the components")
 
     lines = [f"{_agreements(cases, one, verdict, 'first failure', 1)} of {cases} {what}"
              for one, what in [
@@ -474,52 +483,36 @@ def sim_tensor_suite(seed: int = 0, cases: int = 40) -> Report:
             (external, "seeded pairs of cells at families with fibers <= 2: the component "
                        "at a box is the external product of the components through the "
                        "comparison maps")]:
-        before = skipped
+        before = cells.skipped
         agreed = _agreements(cases, one, verdict, "first failure", 1)
         lines.append(f"{agreed} of {cases} {what} "
-                     f"({skipped - before} draws skipped: no cell on a drawn span)")
+                     f"({cells.skipped - before} draws skipped: no cell on a drawn span)")
     return verdict.report(*lines)
 
 
 def sim_category_suite(seed: int = 0, cases: int = 40) -> Report:
-    """Categorical laws for cells: identity cells are units for
-    composition, and composition is associative up to span equivalence."""
-    rng = random.Random(seed)
+    """Categorical laws for cells drawn by _Cells: identity cells are
+    units for composition on cases cells, and composition is associative
+    up to span equivalence on cases // 2 composable triples."""
     verdict = _Verdict("simulation category laws")
-    units = 0
-    assocs = 0
-    attempts = 0
-    while units < cases and attempts < cases * 8:
-        attempts += 1
-        p1 = randgen.random_endo(rng, max_sorts=2, max_shapes=2, max_fiber=2)
-        p2 = randgen.random_endo(rng, max_sorts=2, max_shapes=2, max_fiber=2)
-        c = randgen.random_sim_cell(rng, p1, p2)
-        if c is None:
-            continue
-        left = sim.compose_sim(sim.identity_sim(p2), c)
-        right = sim.compose_sim(c, sim.identity_sim(p1))
-        if not (_equivalent(left, c) and _equivalent(right, c)):
-            verdict.fail("first failure: identity cell is not a unit")
-            break
-        units += 1
-    attempts = 0
-    while assocs < cases // 2 and attempts < cases * 8:
-        attempts += 1
-        ps = [randgen.random_endo(rng, max_sorts=2, max_shapes=2, max_fiber=2)
-              for _ in range(4)]
-        c1 = randgen.random_sim_cell(rng, ps[0], ps[1])
-        c2 = randgen.random_sim_cell(rng, ps[1], ps[2])
-        c3 = randgen.random_sim_cell(rng, ps[2], ps[3])
-        if c1 is None or c2 is None or c3 is None:
-            continue
-        lhs = sim.compose_sim(c3, sim.compose_sim(c2, c1))
-        rhs = sim.compose_sim(sim.compose_sim(c3, c2), c1)
-        if not _equivalent(lhs, rhs):
-            verdict.fail("first failure: composition is not associative")
-            break
-        assocs += 1
+    cells = _Cells(random.Random(seed))
+
+    def units() -> Report:
+        c, = cells(2, (0, 1))
+        return _law(_equivalent(sim.compose_sim(sim.identity_sim(c.dst), c), c)
+                    and _equivalent(sim.compose_sim(c, sim.identity_sim(c.src)), c),
+                    "identity cell is not a unit")
+
+    def associative() -> Report:
+        c1, c2, c3 = cells(4, (0, 1), (1, 2), (2, 3))
+        return _law(_equivalent(sim.compose_sim(c3, sim.compose_sim(c2, c1)),
+                                sim.compose_sim(sim.compose_sim(c3, c2), c1)),
+                    "composition is not associative")
+
+    unital = _agreements(cases, units, verdict, "first failure", 1)
+    assocs = _agreements(cases // 2, associative, verdict, "first failure", 1)
     return verdict.report(
-        f"{units} seeded cells: identity cells act as units under composition",
+        f"{unital} seeded cells: identity cells act as units under composition",
         f"{assocs} seeded triples: both bracketings of a triple composite "
         "are equivalent")
 
@@ -690,7 +683,8 @@ def kernel_witnesses_suite(seed: int = 0, cases: int = 100) -> Report:
 def naturality_suite(seed: int = 0, cases: int = 8) -> Report:
     """Naturality squares at small bounds, checked on the generating maps
     (which give every square): the canonical comparison map in both
-    arguments, evaluated morphisms, and evaluated simulation cells."""
+    arguments, evaluated morphisms, and evaluated simulation cells, which
+    _Cells draws on the suite's generator after the first two sections."""
     rng = random.Random(seed)
     verdict = _Verdict("naturality squares")
     eps = 0
@@ -716,22 +710,19 @@ def naturality_suite(seed: int = 0, cases: int = 8) -> Report:
                 dm += 1
             else:
                 verdict.fail("evaluated morphism is not natural")
-    cells = 0
-    while cells < cases:
-        p1 = randgen.random_endo(rng, max_sorts=2, max_shapes=2, max_fiber=2)
-        p2 = randgen.random_endo(rng, max_sorts=2, max_shapes=2, max_fiber=2)
-        c = randgen.random_sim_cell(rng, p1, p2)
-        if c is None:
-            continue
-        if not sim.sim_naturality_check(c, bound=2).ok:
-            verdict.fail("evaluated simulation cell is not natural")
-            break
-        cells += 1
+    cells = _Cells(rng)
+
+    def one_cell() -> Report:
+        c, = cells(2, (0, 1))
+        return _law(sim.sim_naturality_check(c, bound=2).ok,
+                    "evaluated simulation cell is not natural")
+
+    natural = _agreements(cases, one_cell, verdict, "first failure", 1)
     return verdict.report(
         f"{eps} diagram pairs: comparison map natural in both arguments "
         "(all base morphisms with fibers <= 2)",
         f"{dm} enumerated morphisms pass exhaustive naturality at bound 2",
-        f"{cells} seeded cells evaluate to natural transformations at bound 2")
+        f"{natural} seeded cells evaluate to natural transformations at bound 2")
 
 
 SUITES: dict[str, Callable[..., Report]] = {

@@ -656,3 +656,84 @@ def test_readme_command_examples_print_what_they_show(capsys):
     for argv, expected in examples:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (0, expected, ""), argv
+
+
+# --- branches of the commands that the tests above do not reach -------------
+
+
+def test_curry_with_no_transformations_has_nothing_to_curry(capsys, tmp_path):
+    # no shape of 2X (x) X^2 has a target in the diagram with no shapes
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"diagrams": {
+        "zero": {"source": 1, "target": 1, "shapes": []},
+        "square": {"source": 1, "target": 1, "shapes": [{"sort": 0, "dir_sorts": [0, 0]}]},
+        "two-x": doc.encode_diagram(poly.single_sorted((1, 1)))}}))
+    code, out, _ = run(capsys, "curry", str(path), "--p1", "two-x", "--p2", "square",
+                       "--p3", "zero")
+    assert code == 0
+    assert out == ("transformations: 0 out of the tensor, 0 into the hom\n"
+                   "nothing to curry\n")
+
+
+def test_curry_reports_counts_that_differ(capsys, monkeypatch):
+    monkeypatch.setattr(smcc.Currying, "counts", lambda self: (16, 15))
+    code, out, _ = run(capsys, *CURRY_ARGS)
+    assert code == 4
+    assert out == ("transformations: 16 out of the tensor, 15 into the hom\n"
+                   "counts differ: LAW VIOLATION\n")
+
+
+@pytest.mark.parametrize("mode, build", [("--direct", poly.compose_direct),
+                                         ("--structural", poly.compose_structural),
+                                         ("--both", poly.compose_direct)])
+def test_compose_json_prints_only_the_composite(capsys, mode, build):
+    code, out, _ = run(capsys, "compose", LIST_DOC, "--outer", "square",
+                       "--inner", "two-x", mode, "--json")
+    assert code == 0
+    square, two_x = poly.single_sorted((2,)), poly.single_sorted((1, 1))
+    assert json.loads(out) == doc.encode_diagram(build(square, two_x))
+
+
+def test_compose_both_without_an_iso_witness_is_a_law_violation(capsys, monkeypatch):
+    monkeypatch.setattr(poly, "iso_check", lambda p1, p2: None)
+    code, out, _ = run(capsys, "compose", LIST_DOC, "--outer", "square",
+                       "--inner", "two-x", "--both")
+    assert code == 4
+    assert out == ("structural: 4X^2\ndirect: 4X^2\n"
+                   "structural and direct composites: NO ISO WITNESS\n")
+
+
+def test_compose_family_with_a_failing_witness_is_a_law_violation(capsys, monkeypatch):
+    monkeypatch.setattr(poly, "compose_witness",
+                        lambda q, p, x: Report("composition witness", False, ("sizes differ",)))
+    code, out, _ = run(capsys, "compose", LIST_DOC, "--outer", "square",
+                       "--inner", "two-x", "--family", "three")
+    assert code == 4
+    assert out == "composite: 4X^2\ncomposition witness: FAIL\n  sizes differ\n"
+
+
+def test_bang_json_is_the_truncated_replication(capsys):
+    code, out, _ = run(capsys, "bang", LIST_DOC, "--diagram", "square", "--depth", "2",
+                       "--json")
+    assert code == 0
+    assert json.loads(out) == doc.encode_diagram(
+        poly.bang_truncated(poly.single_sorted((2,)), 2))
+
+
+def test_check_laws_validates_a_given_document_first(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    code, out, err = run(capsys, "check-laws", str(bad), "--suite", "double-dual")
+    assert (code, out) == (1, "")
+    assert err.startswith("parse error: not valid JSON")
+    code, out, _ = run(capsys, "check-laws", LIST_DOC, "--suite", "double-dual")
+    assert code == 0
+    assert out.startswith("double dual comparison: ok")
+
+
+def test_a_suite_with_no_instance_under_the_guard_exits_three(capsys, monkeypatch):
+    # with a guard of 0 every seeded pair trips it, and _drawn gives up
+    monkeypatch.setenv("POLYCAT_GUARD", "0")
+    code, out, err = run(capsys, "check-laws", "--suite", "composition")
+    assert (code, out) == (3, "")
+    assert err == "size guard exceeded: no instance fit under the size guard after redraws\n"

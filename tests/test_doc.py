@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from polycat import doc, finset, poly, randgen, sim
+from polycat import doc, fam, finset, poly, randgen, sim
 from polycat.errors import ParseError, ValidationError
 
 
@@ -204,3 +204,35 @@ def test_constructed_objects_survive_the_round_trip():
     d.diagrams["c"] = poly.compose_structural(two_x, square)
     again = doc.parse_document(doc.dump_document(d))
     assert again == d
+
+
+def test_families_and_simulations_may_be_defined_as_another_name():
+    with open("docs/examples/simulation.json") as fh:
+        tree = json.load(fh)
+    tree["families"]["again"] = "pair"
+    tree["simulations"]["again"] = "embed"
+    d = parse(tree)
+    assert d.family("again") == d.family("pair")
+    assert d.simulation("again") == d.simulation("embed")
+
+
+def test_document_repr_counts_its_sections_and_equality_is_among_documents():
+    assert repr(doc.Document()) == "Document(empty)"
+    d = parse({"sets": {"I": 2, "J": 1}, "families": {"x": {"base": "I", "fibers": [1, 0]}}})
+    assert repr(d) == "Document(2 sets, 1 families)"
+    assert (doc.Document() == 1) is False
+    assert doc.Document() != d
+
+
+def test_loading_a_missing_path_is_a_parse_error(tmp_path):
+    with pytest.raises(ParseError, match="^cannot read document: "):
+        doc.load_document(str(tmp_path / "missing.json"))
+
+
+def test_a_family_with_a_labeled_total_keeps_its_labels():
+    total = finset.FinSet(3, ("a", "b", "c"))
+    x = fam.Family(total, finset.FinSet(2), finset.FinMap(total, finset.FinSet(2), (1, 0, 1)))
+    tree = doc.encode_family(x)
+    assert tree == {"base": 2, "proj": [1, 0, 1],
+                    "total": {"size": 3, "labels": ["a", "b", "c"]}}
+    assert parse({"families": {"x": tree}}).family("x") == x

@@ -219,3 +219,31 @@ def test_sim_tensor_suite_keeps_the_first_failure(monkeypatch):
         f"(0 {skipped})",
         "  first failure: the symmetry is not an involution or fails the hexagon",
     ])
+
+
+def test_sim_category_suite_counts_every_case_of_a_failing_section(monkeypatch):
+    # the unit law's 40 cases compare twice each, so the 81st comparison
+    # is the first associativity case; the other 19 triples still run
+    real = suites._equivalent
+    calls = itertools.count(1)
+    monkeypatch.setattr(suites, "_equivalent",
+                        lambda c1, c2: next(calls) != 81 and real(c1, c2))
+    assert suites.sim_category_suite().render() == "\n".join([
+        "simulation category laws: FAIL",
+        "  40 seeded cells: identity cells act as units under composition",
+        "  19 seeded triples: both bracketings of a triple composite are equivalent",
+        "  first failure: composition is not associative",
+    ])
+
+
+def test_naturality_suite_counts_every_cell_after_a_failure(monkeypatch):
+    monkeypatch.setattr(sim, "sim_naturality_check",
+                        _failing_at({3: Report("cell", False)}))
+    assert suites.naturality_suite().render() == "\n".join([
+        "naturality squares: FAIL",
+        "  8 diagram pairs: comparison map natural in both arguments "
+        "(all base morphisms with fibers <= 2)",
+        "  8 enumerated morphisms pass exhaustive naturality at bound 2",
+        "  7 seeded cells evaluate to natural transformations at bound 2",
+        "  first failure: evaluated simulation cell is not natural",
+    ])

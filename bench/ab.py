@@ -28,10 +28,14 @@ runs outside the timed region.
 Before timing, both sides run one round on the first seed and must give
 equal results: the answers of the workloads' ops and the kernels'
 results, compared as plain values. Then it runs N rounds. Each round
-sets up every workload afresh on its own seed on both sides and times
-one round of each workload's ops and a fixed number of calls of each
-kernel, the side that goes first alternating from round to round. The
-answers are compared again in every round.
+sets up every workload afresh on its own seed on both sides, then runs
+it on the two sides in step: op j of one side and, at once, op j of the
+other, then each kernel's fixed number of calls on one side and at once
+on the other. The side that goes first alternates from op to op, from
+kernel to kernel and from round to round, so that both sides meet the
+same swings of the host's speed. A workload's round time on a side is
+the sum of its ops' times there. The answers are compared again in
+every round.
 
 Per timed item it prints the median ratio of the working tree's time to
 REV's, the quartiles of the ratios, and the number of rounds in which
@@ -228,29 +232,47 @@ def plain(value):
     return value
 
 
-def run_side(side: Side, seed: int, calls: dict, workdir: Path) -> tuple[dict, list]:
-    """One round on a side: per workload, its ops of a fresh set-up on the
-    seed in workdir, then each of its kernels its number of calls. Returns
-    the time of each timed item and the plain results, in order."""
-    times, results = {}, []
-    with side.active():
-        for (workload, _), name, kernels in zip(WORKLOADS, ROUNDS, side.kernels):
-            ops = workload().setup(seed, workdir)
-            gc.collect()
-            answers = []
-            start = time.perf_counter()
-            for op in ops:
-                answers.append(op.call())
-            times[name] = time.perf_counter() - start
-            results.append(plain(answers))
-            for kernel_name, (kernel, params) in kernels.items():
+def _order(n: int) -> tuple[int, int]:
+    """The indices of the two sides in the order they run the n-th item."""
+    return (0, 1) if n % 2 == 0 else (1, 0)
+
+
+def run_round(sides: tuple[Side, Side], seed: int, calls: dict, workdir: Path,
+              k: int) -> tuple[list, list]:
+    """One round on both sides, in step: per workload, both sides' ops of
+    a fresh set-up on the seed in workdir, op j run on both sides back to
+    back, then each of its kernels its number of calls on both sides back
+    to back; the side that goes first alternates with j, and with the
+    kernel, starting from round k's side. Returns, per side, the time of
+    each timed item and the plain results, in order."""
+    times, results = ({}, {}), ([], [])
+    for (workload, _), name, *kernels in zip(WORKLOADS, ROUNDS, *(s.kernels for s in sides)):
+        ops = []
+        for side in sides:
+            with side.active():
+                ops.append(workload().setup(seed, workdir))
+        gc.collect()
+        took, answers = [0.0, 0.0], ([], [])
+        for j, pair in enumerate(zip(*ops, strict=True)):
+            for s in _order(k + j):
+                with sides[s].active():
+                    start = time.perf_counter()
+                    answers[s].append(pair[s].call())
+                    took[s] += time.perf_counter() - start
+        for s in (0, 1):
+            times[s][name] = took[s]
+            results[s].append(plain(answers[s]))
+        for i, kernel_name in enumerate(kernels[0]):
+            for s in _order(k + i):
+                kernel, params = kernels[s][kernel_name]
                 bench = _Benchmark(calls.get(kernel_name, 1))
                 fixtures = {"benchmark": bench, "capsys": _Capsys()}
-                gc.collect()
-                with fixtures["capsys"].capturing():
-                    kernel(**{param: fixtures[param] for param in params})
-                times[kernel_name] = bench.took
-                results.append((kernel_name, plain(bench.result)))
+                with sides[s].active():
+                    gc.collect()
+                    with fixtures["capsys"].capturing():
+                        kernel(**{param: fixtures[param] for param in params})
+                times[s][kernel_name] = bench.took
+                results[s].append((kernel_name, plain(bench.result)))
     return times, results
 
 
@@ -278,9 +300,8 @@ def main(argv: list[str] | None = None) -> int:
         # the equality check, which also sizes each kernel's calls from the
         # base side's first call
         # each round's working directory is fresh and shared by both sides
-        workdir = Path(tmp) / "check"
-        base_times, want = run_side(base, args.seed, {}, workdir)
-        _, got = run_side(change, args.seed, {}, workdir)
+        sides = (base, change)
+        (base_times, _), (want, got) = run_round(sides, args.seed, {}, Path(tmp) / "check", 0)
         if got != want:
             print("the two sides give different results", file=sys.stderr)
             return 1
@@ -289,14 +310,12 @@ def main(argv: list[str] | None = None) -> int:
         ratios: dict = {name: [] for name in base_times}
         for k in range(args.rounds):
             seed = args.seed + k
-            order = (base, change) if k % 2 == 0 else (change, base)
-            workdir = Path(tmp) / f"round{k}"
-            runs = {side.label: run_side(side, seed, calls, workdir) for side in order}
-            if runs["base"][1] != runs["change"][1]:
+            times, results = run_round(sides, seed, calls, Path(tmp) / f"round{k}", k)
+            if results[0] != results[1]:
                 print(f"the two sides give different results on seed {seed}", file=sys.stderr)
                 return 1
             for name in ratios:
-                ratios[name].append(runs["change"][0][name] / runs["base"][0][name])
+                ratios[name].append(times[1][name] / times[0][name])
     print(f"working tree against {args.rev}: {args.rounds} rounds from seed {args.seed},"
           f" equal results on every round")
     width = max(map(len, ratios))

@@ -5,7 +5,9 @@ all), extraction with a precomputed oracle, the round trip of every
 cell of one instance over one span (the frame held on the span serves
 them all) and of one cell over a fresh span (the frame is built anew),
 building a cell from its rows, counting and enumerating cells (the
-grid instance's 225 too), evaluating the zero cell, whose span has
+grid instance's 225 too), one whole op of the simcells workload on the
+grid instance over a fresh span (count, enumerate, and round-trip and
+match every cell, the frame built anew), evaluating the zero cell, whose span has
 no states, through its frame, building the tensor of two cells and
 the symmetry of a tensor of grid diagrams, and composing seeded cells
 between two-sorted diagrams, whose rows hold fewer entries than there
@@ -112,6 +114,22 @@ def test_count_sim(benchmark):
 def test_enumerate_grid(benchmark):
     cells = benchmark(sim.enumerate_sim, P, poly.single_sorted((0, 1)), SPAN)
     assert cells == GRID_CELLS and len(cells) == 225
+
+
+def test_simcells_op_fresh_span(benchmark):
+    # perfbench's simcells op on the grid instance: count the cells,
+    # enumerate them, extract each through its own evaluation and match
+    # it to the cell, over a span whose frame is built anew on each call
+    q = poly.single_sorted((0, 1))
+
+    def run():
+        span = Span(SPAN.carrier, SPAN.left, SPAN.right)
+        count = sim.count_sim(P, q, span)
+        cells = sim.enumerate_sim(P, q, span)
+        matched = all(sim.equivalence_check(round_trip(c, span), c) is not None for c in cells)
+        return count, len(cells), matched
+
+    assert benchmark(run) == (225, 225, True)
 
 
 def test_enumerate_sim(benchmark):

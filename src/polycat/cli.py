@@ -309,14 +309,13 @@ def _run(args: argparse.Namespace) -> int:
         print("uncurrying returns the original transformation")
         return 0
 
-    if command == "day-oracle":
-        rep = smcc.day_coend_oracle(
-            document.diagram(args.left), document.diagram(args.right),
-            document.family(args.family), skeleton_bound=args.skeleton,
-            seed=args.seed)
-        return _print_report(rep)
-
-    raise ParseError(f"unknown command {command!r}")
+    # day-oracle: the parser's subcommands are required, so it refuses any
+    # other command before this function runs
+    rep = smcc.day_coend_oracle(
+        document.diagram(args.left), document.diagram(args.right),
+        document.family(args.family), skeleton_bound=args.skeleton,
+        seed=args.seed)
+    return _print_report(rep)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -191,9 +191,11 @@ class SimCell:
         self._keep(span, src, dst, plan)
 
     def _keep(self, span: Span, src: PolyDiagram, dst: PolyDiagram, plan: tuple) -> None:
-        """Set the fields to a checked plan and its span and diagrams."""
-        for name, value in (("span", span), ("src", src), ("dst", dst), ("_plan", plan)):
-            object.__setattr__(self, name, value)
+        """Set the fields to a checked plan and its span and diagrams, in
+        one update of the instance dict: the class is a frozen dataclass
+        without slots, so that dict is where its fields live, and equality,
+        hashing and pickling read them there as if set one by one."""
+        self.__dict__.update(span=span, src=src, dst=dst, _plan=plan)
 
     @functools.cached_property
     def pairs(self) -> tuple:
@@ -482,11 +484,17 @@ def eval_sim(c: SimCell, x: Family) -> FamMorphism:
 
 def _eval_table(c: SimCell, x: Family) -> tuple[Family, Family, tuple[int, ...]]:
     """The component at x as its two endpoint families and its table, the
-    parts eval_sim wraps in a FamMorphism. The table concatenates, block
+    parts eval_sim wraps in a FamMorphism: _table_at over the frame of the
+    cell's span and diagrams (_frame), with the cell's rows."""
+    return _table_at(_frame(c.span, c.src, c.dst), c._plan, x)
+
+
+def _table_at(frame: _Frame, plan: tuple, x: Family) -> tuple[Family, Family, tuple[int, ...]]:
+    """The endpoint families and the table of the component at x of the
+    cell with the rows plan over the frame. The table concatenates, block
     by block, the codomain ranks that the block's shape v and row entry e
     give at x: a slice held in the frame's record at x under (v, e),
     computed and kept at its first request."""
-    frame = _frame(c.span, c.src, c.dst)
     at = frame.at.get(id(x))
     if at is None:
         at = frame.evaluation(x)
@@ -496,7 +504,6 @@ def _eval_table(c: SimCell, x: Family) -> tuple[Family, Family, tuple[int, ...]]
         check_guard(at[3], _CARRIER)
         check_guard(at[4], _CARRIER)
     _, _, _, _, _, dom, cod, blocks, start, position, cod_index, slices = at
-    plan = c._plan
     table = []
     for rho, k, v, payloads in blocks:
         # a block's part of the table depends on its shape's payloads at x
@@ -517,9 +524,13 @@ class _Frame:
     reads that no cell changes. A span holds the frame of the last (src,
     dst) pair evaluated or extracted over it, found by the identity of the
     two diagrams (_frame); the frame holds both diagrams, and a call over
-    another pair replaces it. A span without states has one too: it has
-    no blocks, so its components' tables are empty.
+    another pair replaces it. It is built only for ends that passed
+    _check_ends. A span without states has one too: it has no blocks, so
+    its components' tables are empty.
 
+    pairs is cell_pairs(span, src), and cuts holds, per state, the start
+    and end of its row among the entries listed in that order: the rows
+    of a cell whose entries extract_sim reads pair by pair.
     at[id(x)], per family x, holds the component's two endpoint families,
     the domain's elements as (state, position of the shape in the state's
     row, shape, payloads) blocks in their order, what ranks the sum lift's
@@ -547,13 +558,16 @@ class _Frame:
     else that can change while the frame lives, so a later extraction
     over the frame checks it no more."""
 
-    __slots__ = ("src", "dst", "au", "states", "at", "probes", "entries")
+    __slots__ = ("src", "dst", "au", "pairs", "cuts", "states", "at", "probes", "entries")
 
     def __init__(self, span: Span, src: PolyDiagram, dst: PolyDiagram) -> None:
         self.src, self.dst, self.au = src, dst, au_lift(span)
+        self.pairs = cell_pairs(span, src)
+        left, fibers = span.left.table, src.shape_sort.fibers()
+        ends = list(itertools.accumulate((len(fibers[i]) for i in left), initial=0))
+        self.cuts = tuple(zip(ends, ends[1:]))
         # the sum lift's shapes are the states, with their left ends, in
         # the order of its elements: right end major, then ascending
-        left = span.left.table
         self.states = [(rho, left[rho]) for states in span.right.fibers() for rho in states]
         self.at: dict = {}
         self.probes: dict = {}
@@ -633,9 +647,13 @@ def _records(au: PolyDiagram, src: PolyDiagram, dst: PolyDiagram, x: Family) -> 
 
 def _frame(span: Span, src: PolyDiagram, dst: PolyDiagram) -> _Frame:
     """The frame of cells over the span from src to dst, held on the span
-    (_Frame)."""
+    (_Frame). A new frame is built only after the ends pass _check_ends,
+    which raises otherwise and leaves the span's frame as it was; the
+    span's legs and the diagrams do not change, so a held frame vouches
+    for its ends."""
     frame = getattr(span, "_frame", None)
     if frame is None or frame.src is not src or frame.dst is not dst:
+        _check_ends(span, src, dst)
         frame = _Frame(span, src, dst)
         object.__setattr__(span, "_frame", frame)
     return frame
@@ -656,67 +674,85 @@ def extract_sim(oracle, span: Span, p1: PolyDiagram, p2: PolyDiagram) -> SimCell
     probing each (state, shape) pair at the shape's representing family,
     then verify the round trip on every family with fibers at most 3.
 
-    The oracle is asked once per family value, in the order of the first
+    Everything it reads that depends only on the span and the two
+    diagrams is held in the frame on the span (_Frame), the one eval_sim
+    reads, which it looks up first: built at the first call over the span
+    from p1 to p2, only once the ends pass (_frame), and kept until a
+    call over another pair of diagrams replaces it. So ends that fail
+    raise before the oracle is asked anything.
+
+    The oracle is asked once per family, in the order of the first
     request: the probes' families in cell_pairs order, then the check
-    families. Each src shape is probed once, at its first pair, and every
-    state over its sort then costs one read of the component's table.
-    What a probe reads besides the component (the generic family and
-    element, the extension records, the rank of each state's element
-    and the fiber position of each direction) is held in the frame on
-    the span (_Frame), the one eval_sim reads: built at the first probe
-    of the shape over the span from p1 to p2, kept until a call over
-    another pair of diagrams replaces the frame, and checked against the
-    guard on every call. A component's endpoints are checked wherever it
-    is compared, at the probes and in the round trip, before its table
-    is read.
+    families. Its answers are kept by the family's identity: every family
+    asked is a block family held on p1 (nat.generic_family,
+    nat.check_families), and block families are interned, so one object
+    stands for each value. Each src shape is probed once, at its first
+    pair, and every state over its sort then costs one read of the
+    component's table. What a probe reads besides the component (the
+    generic family and element, the extension records, the rank of each
+    state's element and the fiber position of each direction) is held in
+    the frame and checked against the guard on every call. A component's
+    endpoints are checked wherever it is compared, at the probes and in
+    the round trip, before its table is read.
 
     The entries read are checked (_check_entries) in one call, in
     cell_pairs order, except those the frame holds as checked: each
     passed every check, so leaving it out changes neither whether the
-    call raises nor which fault it raises first. The entries that pass
-    are held in the frame, the rows are laid out and given the layout
-    check, and the cell keeps them. A failed check raises
-    OracleNotNatural. The round trip runs on the check families held on
-    p1 (nat.check_families) and compares the components' tables with
-    the extracted cell's (_check_round_trip), which it computes without
-    building a morphism."""
-    _check_ends(span, p1, p2)
-    # each family value's component, kept for this extraction; a
-    # component is never None, so get tells a missing key from a kept one
+    call raises nor which fault it raises first. With none left there is
+    no call. The entries that pass are held in the frame, cut into rows
+    at the frame's cuts and given the layout check, and the cell keeps
+    them. A failed check raises OracleNotNatural. The round trip runs on
+    the check families held on p1 (nat.check_families): at each, in
+    order, it computes the extracted rows' endpoints and table over the
+    frame (_table_at), without building a morphism, then asks the oracle.
+    It raises ValidationError if the component has other endpoints, and
+    OracleNotNatural if it has another table. The component was built
+    through the checking constructors, or assembled by eval_sim from a
+    validated cell, so equal endpoints and tables make it the expected
+    morphism."""
+    frame = _frame(span, p1, p2)
+    # each family's component, kept for this extraction; a component is
+    # never None, so get tells a missing key from a kept one
     answers: dict = {}
 
     def ask(x: Family) -> FamMorphism:
-        comp = answers.get(x)
+        comp = answers.get(id(x))
         if comp is None:
-            comp = answers[x] = oracle(x)
+            comp = answers[id(x)] = oracle(x)
         return comp
 
     probes: dict = {}
+    checked = frame.entries
     entries, fresh = [], []
-    for rho, v in cell_pairs(span, p1):
+    for rho, v in frame.pairs:
         probe = probes.get(v)
         if probe is None:
-            frame = _frame(span, p1, p2)
             probe = probes[v] = frame.probe(v, ask)
         table, (ranks, dst_elems, moves) = probe
         key = (rho, v, table[ranks[rho]])
-        e = frame.entries.get(key)
+        e = checked.get(key)
         if e is None:
             w, payload = dst_elems[key[2]]
             e = (w, tuple(map(moves.__getitem__, payload)))
             fresh.append((key, e))
         entries.append(e)
     try:
-        _check_entries(span, p1, p2, [(rho, v, e) for (rho, v, _), e in fresh])
-        plan = _layout(span, p1, entries)
+        if fresh:
+            _check_entries(span, p1, p2, [(rho, v, e) for (rho, v, _), e in fresh])
+        plan = tuple([tuple(entries[a:b]) for a, b in frame.cuts])
         _check_layout(span, p1, plan)
     except ValidationError as exc:
         raise OracleNotNatural("oracle not natural") from exc
     if fresh:
-        frame.entries.update(fresh)
+        checked.update(fresh)
+    for x in nat.check_families(p1):
+        src, dst, table = _table_at(frame, plan, x)
+        comp = ask(x)
+        _check_endpoints(comp, src, dst)
+        if comp.map.table != table:
+            raise OracleNotNatural("oracle not natural")
     c = object.__new__(SimCell)
     c._keep(span, p1, p2, plan)
-    _check_round_trip(ask, c)
     return c
 
 
@@ -725,23 +761,6 @@ def _check_endpoints(comp: FamMorphism, src: Family, dst: Family) -> None:
     dst, comparing by identity first (as FamMorphism does)."""
     if (comp.src is not src and comp.src != src) or (comp.dst is not dst and comp.dst != dst):
         raise ValidationError("oracle component has the wrong endpoints")
-
-
-def _check_round_trip(ask, c: SimCell) -> None:
-    """The round trip of an extraction: at every check family x of the
-    cell's src, in order, compute the component's endpoints and table
-    (_eval_table), then ask the oracle at x. Raise ValidationError if its
-    component has other endpoints, and OracleNotNatural if it has another
-    table. The component was built through the checking constructors,
-    or assembled by eval_sim from a validated cell, so equal endpoints
-    and tables make it the expected morphism, and no morphism is built
-    for the expected side."""
-    for x in nat.check_families(c.src):
-        src, dst, table = _eval_table(c, x)
-        comp = ask(x)
-        _check_endpoints(comp, src, dst)
-        if comp.map.table != table:
-            raise OracleNotNatural("oracle not natural")
 
 
 def _fill_table(p1: PolyDiagram, p2: PolyDiagram, span: Span):

@@ -1340,6 +1340,52 @@ def test_a_frame_is_replaced_by_a_call_over_another_pair():
     assert vars(span)["_frame"].src is q and vars(span)["_frame"] is not frame
 
 
+def test_ends_that_fail_leave_the_held_frame():
+    # the span holds the frame of (p, p). An extraction over it to a
+    # diagram on other sorts than the right leg's codomain, or to one that
+    # is not endo, raises as a first call does, before the oracle is asked,
+    # and the span keeps the earlier frame
+    p, span = ss(1, 2), two_state_span()
+    c = sim.random_cell(random.Random(3), p, p, span)
+    assert sim.extract_sim(lambda x: sim.eval_sim(c, x), span, p, p) == c
+    frame = vars(span)["_frame"]
+    not_endo = poly.PolyDiagram(
+        source=FinSet(1), dirs=FinSet(0), shapes=FinSet(1), target=FinSet(2),
+        dir_sort=fmap(0, 1, ()), dir_shape=fmap(0, 1, ()), shape_sort=fmap(1, 2, (0,)),
+    )
+    for q, error, message in (
+            (two_sorted_endo(), ShapeMismatch, "span legs must land in the two sort sets"),
+            (not_endo, ValidationError, "simulations relate endo diagrams")):
+        oracle, asked = recorded(lambda x: sim.eval_sim(c, x))
+        with pytest.raises(ValidationError) as exc:
+            sim.extract_sim(oracle, span, p, q)
+        assert type(exc.value) is error and str(exc.value) == message
+        assert asked == []
+        assert vars(span)["_frame"] is frame
+    assert sim.extract_sim(lambda x: sim.eval_sim(c, x), span, p, p) == c
+    assert vars(span)["_frame"] is frame
+
+
+def test_extracted_and_enumerated_cells_hold_exactly_their_fields():
+    # enumerate_sim and extract_sim write a cell's four fields in one go:
+    # before any table is read the instance dict holds exactly those, and
+    # the cell equals, hashes and pickles like the cell the public
+    # constructor builds from the same tables
+    p1, p2, span = ss(1, 2), ss(0, 1), two_state_span()
+    enumerated = sim.enumerate_sim(p1, p2, span)[::28]
+    extracted = [sim.extract_sim(lambda x, c=c: sim.eval_sim(c, x), span, p1, p2)
+                 for c in enumerated]
+    assert len(extracted) == 9
+    for c in (*enumerated, *extracted):
+        assert list(vars(c)) == ["span", "src", "dst", "_plan"]
+        built = sim.SimCell(c.span, c.src, c.dst, c.alpha, c.beta, c.gamma)
+        assert c == built and hash(c) == hash(built)
+        assert finset.field_state(c) == finset.field_state(built)
+        copied = pickle.loads(pickle.dumps(c))
+        assert copied == built and list(vars(copied)) == ["span", "src", "dst", "_plan"]
+    assert extracted == enumerated
+
+
 def slices_at(span: Span, x: fam.Family) -> dict:
     """The (shape, row entry) slices held in the frame's record at x."""
     return vars(span)["_frame"].at[id(x)][-1]

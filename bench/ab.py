@@ -238,12 +238,12 @@ def _order(n: int) -> tuple[int, int]:
 
 
 def run_round(sides: tuple[Side, Side], seed: int, calls: dict, workdir: Path,
-              k: int) -> tuple[list, list]:
-    """One round on both sides, in step: per workload, both sides' ops of
-    a fresh set-up on the seed in workdir, op j run on both sides back to
+              k: int) -> tuple[tuple[dict, dict], tuple[list, list]]:
+    """Round k on both sides, in step: per workload, both sides' ops of a
+    fresh set-up on the seed in workdir, op j run on both sides back to
     back, then each of its kernels its number of calls on both sides back
-    to back; the side that goes first alternates with j, and with the
-    kernel, starting from round k's side. Returns, per side, the time of
+    to back. The side that goes first alternates from op to op and from
+    kernel to kernel, and flips with k. Returns, per side, the time of
     each timed item and the plain results, in order."""
     times, results = ({}, {}), ([], [])
     for (workload, _), name, *kernels in zip(WORKLOADS, ROUNDS, *(s.kernels for s in sides)):

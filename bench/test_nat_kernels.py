@@ -1,6 +1,7 @@
 """Microbenchmarks of transformation counting and enumeration: the count
-from X^20000 into 1600 copies of X, which groups the source shape's
-directions by sort once for all 1600 target shapes, and the enumeration
+from X^20000 into 1600 copies of X, on diagrams that keep their sort
+groups from the first call (poly._by_sort) and on fresh diagrams built
+for each call, which group their directions first, and the enumeration
 out of the tensor of X^2 + X and X^2 + 1 into X^2 + X + 1, one pair of
 the kind the adjunction workload enumerates.
 
@@ -26,6 +27,13 @@ P3 = poly.single_sorted((2, 1, 0))
 def test_count_nat(benchmark):
     # each copy of X takes one of the 20000 directions
     assert benchmark(nat.count_nat, WIDE, COPIES) == 1600 * 20000
+
+
+def test_count_nat_cold(benchmark):
+    def fresh():
+        return (poly.single_sorted((20000,)), poly.single_sorted((1,) * 1600)), {}
+
+    assert benchmark.pedantic(nat.count_nat, setup=fresh, rounds=5) == 1600 * 20000
 
 
 def test_enumerate_dm(benchmark):

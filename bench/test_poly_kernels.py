@@ -1,7 +1,9 @@
 """Microbenchmarks of the kernels that read each direction's position in
-its shape's fiber: the isomorphism check and the component of a
-container morphism on one shape of 40,000 directions, and the positions
-of a 10^6-point map, built afresh for each round.
+its shape's fiber: the isomorphism check, on a diagram that keeps its
+sort groups from the first call (poly._by_sort) and on two fresh ones
+built for each call, and the component of a container morphism, all on
+one shape of 40,000 directions, and the positions of a 10^6-point map,
+built afresh for each round.
 
 These cases sit outside the tier-1 test paths and need pytest-benchmark:
 
@@ -28,6 +30,14 @@ TABLE = tuple(random.Random(7).randrange(1000) for _ in range(10**6))
 
 def test_iso_check(benchmark):
     iso = benchmark(poly.iso_check, WIDE, WIDE)
+    assert iso.forward.betas == (tuple(range(N)),)
+
+
+def test_iso_check_cold(benchmark):
+    def fresh():
+        return (poly.single_sorted((N,)), poly.single_sorted((N,))), {}
+
+    iso = benchmark.pedantic(poly.iso_check, setup=fresh, rounds=5)
     assert iso.forward.betas == (tuple(range(N)),)
 
 

@@ -58,27 +58,18 @@ def eval_dm(m: DiagMorphism, x: Family) -> FamMorphism:
     return FamMorphism(src_ext, dst_ext, FinMap(src_ext.total, dst_ext.total, table))
 
 
-def _by_sort(p: PolyDiagram) -> list[dict[int, list[int]]]:
-    """Per shape of p, its directions grouped by sort, each group
-    ascending, in one pass over p's directions."""
-    groups: list[dict[int, list[int]]] = [{} for _ in p.shapes]
-    for u, (v, i) in enumerate(zip(p.dir_shape.table, p.dir_sort.table)):
-        groups[v].setdefault(i, []).append(u)
-    return groups
-
-
-def _table_counts(p: PolyDiagram, q: PolyDiagram,
-                  groups: list[dict[int, list[int]]]) -> list[dict[int, int]]:
-    """Per src shape v (groups is _by_sort(p)), the sort-compatible dst
-    shapes w, ascending, that leave v a backward table, with their numbers
-    of tables: Π_i n_v(i)^n_w(i) over the sorts i of w's directions, n
-    counting a shape's directions of sort i, one power per sort."""
+def _table_counts(p: PolyDiagram, q: PolyDiagram) -> list[dict[int, int]]:
+    """Per src shape v, the sort-compatible dst shapes w, ascending, that
+    leave v a backward table, with their numbers of tables: Π_i
+    n_v(i)^n_w(i) over the sorts i of w's directions, n counting a shape's
+    directions of sort i, one power per sort, read off both diagrams'
+    sort groups (poly._by_sort)."""
     if p.source != q.source or p.target != q.target:
         raise ShapeMismatch("transformations need diagrams over the same sorts")
-    dst = [[(i, len(us)) for i, us in by.items()] for by in _by_sort(q)]
+    dst = [[(i, len(us)) for i, us in by.items()] for by in poly._by_sort(q)]
     over, sorts = q.shape_sort.fibers(), p.shape_sort.table
     out = []
-    for v, by in enumerate(groups):
+    for v, by in enumerate(poly._by_sort(p)):
         counts = ((w, math.prod(len(by.get(i, ())) ** m for i, m in dst[w]))
                   for w in over[sorts[v]])
         out.append({w: n for w, n in counts if n})
@@ -90,8 +81,9 @@ def count_nat(p: PolyDiagram, q: PolyDiagram) -> int:
     Nat(sum_v X^{A_v}, q) = prod_v q(A_v): the product over source shapes
     v of the sum over sort-compatible target shapes w of their numbers of
     backward tables (_table_counts), counted from the sizes of the
-    directions' sort groups. Pure arithmetic, never guarded."""
-    return math.prod(sum(counts.values()) for counts in _table_counts(p, q, _by_sort(p)))
+    directions' sort groups, which each diagram builds once and keeps
+    (poly._by_sort). Pure arithmetic, never guarded."""
+    return math.prod(sum(counts.values()) for counts in _table_counts(p, q))
 
 
 def _blocks(p: PolyDiagram, q: PolyDiagram):
@@ -102,14 +94,14 @@ def _blocks(p: PolyDiagram, q: PolyDiagram):
     exact count; with none, no table is listed. The backward tables of
     each (source shape, target shape) pair are listed once, and target
     shapes with no tables are dropped, so no shape map is visited that
-    yields nothing.
+    yields nothing. A direction's options are the directions of its sort
+    in the source shape, read off the source's sort groups (poly._by_sort).
 
     A member is a choice of one listed table per source shape, so each
     option is checked once: every (v, w, table) by DiagMorphism's beta
     check and every shape map by its alpha check. So every member is one
     that DiagMorphism's construction accepts."""
-    groups = _by_sort(p)
-    counts = _table_counts(p, q, groups)
+    groups, counts = poly._by_sort(p), _table_counts(p, q)
     total = math.prod(sum(c.values()) for c in counts)
     check_guard(total, "transformation enumeration")
     if not total:
@@ -149,21 +141,18 @@ def enumerate_dm(p: PolyDiagram, q: PolyDiagram) -> list[DiagMorphism]:
 
 
 def _generic(p: PolyDiagram, v: int) -> tuple[Family, tuple[int, ...], tuple[int, ...]]:
-    """The representing family of shape v, its direction order and the
-    generic element's payload, built on the first request and kept in a
-    dict on p."""
+    """The representing family of shape v, its direction order (v's sort
+    groups, poly._by_sort, in ascending sort) and the generic element's
+    payload, built on the first request and kept in a dict on p."""
     cache = getattr(p, "_generic", None)
     if cache is None:
         cache = {}
         object.__setattr__(p, "_generic", cache)
     entry = cache.get(v)
     if entry is None:
-        by_sort: dict[int, list[int]] = {i: [] for i in p.source}
-        for u in p.shape_fiber(v):
-            by_sort[p.dir_sort(u)].append(u)
-        sizes = [len(by_sort[i]) for i in p.source]
-        y = fam.family_from_fibers(p.source, sizes)
-        order = tuple(u for i in p.source for u in by_sort[i])
+        by = poly._by_sort(p)[v]
+        y = fam.family_from_fibers(p.source, [len(by.get(i, ())) for i in p.source])
+        order = tuple([u for i in sorted(by) for u in by[i]])
         t_of = {u: t for t, u in enumerate(order)}
         entry = cache[v] = (y, order, tuple(t_of[u] for u in p.shape_fiber(v)))
     return entry

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import itemgetter
@@ -97,6 +97,20 @@ def zero_diagram() -> PolyDiagram:
     return PolyDiagram(empty, empty, empty, empty, e, e, e)
 
 
+def _by_sort(p: PolyDiagram) -> list[dict[int, list[int]]]:
+    """Per shape of p, its directions grouped by sort, each group
+    ascending: the family A_v of the shape's representable y^{A_v}. Built
+    in one pass over p's directions on the first call and kept on p, so
+    every later call returns the same list; shared, so read-only."""
+    groups = getattr(p, "_by_sort", None)
+    if groups is None:
+        groups = [{} for _ in p.shapes]
+        for u, (v, i) in enumerate(zip(p.dir_shape.table, p.dir_sort.table)):
+            groups[v].setdefault(i, []).append(u)
+        object.__setattr__(p, "_by_sort", groups)
+    return groups
+
+
 def _arities(p: PolyDiagram) -> list[int]:
     """Each shape's arity, in one pass over the direction table."""
     return list(map(Counter(p.dir_shape.table).__getitem__, p.shapes))
@@ -137,14 +151,8 @@ def payload_sizes(p: PolyDiagram, x: Family) -> tuple[int, ...]:
     of the matching fiber sizes of x."""
     if x.base != p.source:
         raise ShapeMismatch("family must live over the diagram's source")
-    xs = x.fiber_sizes()
-    out = []
-    for v in p.shapes:
-        n = 1
-        for u in p.shape_fiber(v):
-            n *= xs[p.dir_sort(u)]
-        out.append(n)
-    return tuple(out)
+    xs, sorts = x.fiber_sizes(), p.dir_sort.table
+    return tuple([math.prod([xs[sorts[u]] for u in us]) for us in p.dir_shape.fibers()])
 
 
 def extension_fiber_sizes(p: PolyDiagram, x: Family) -> tuple[int, ...]:
@@ -791,48 +799,49 @@ class DiagIso:
             raise ValidationError("direction tables are not mutually inverse")
 
 
-def _dir_signature(p: PolyDiagram, v: int) -> tuple[tuple[int, ...], int]:
-    return (tuple(sorted(p.dir_sort(u) for u in p.shape_fiber(v))), p.shape_sort(v))
+def _dir_signature(p: PolyDiagram, v: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Shape v's direction count per sort read, sorts ascending, and its
+    shape sort."""
+    return (tuple(sorted([(i, len(us)) for i, us in _by_sort(p)[v].items()])), p.shape_sort(v))
 
 
 def iso_check(p1: PolyDiagram, p2: PolyDiagram) -> DiagIso | None:
     """Decide isomorphism of diagrams over the same sorts and return a
     witness (a shape bijection over the target together with
     sort-preserving direction bijections), or None. Two diagrams are
-    isomorphic exactly when their multisets of shape signatures (sorted
-    direction sorts, shape sort) agree, and shapes with equal signatures
+    isomorphic exactly when their multisets of shape signatures (direction
+    count per sort, shape sort) agree, and shapes with equal signatures
     are interchangeable, so each shape of p1 is matched to the first
-    unused shape of p2 with its signature, with no backtracking."""
+    unused shape of p2 with its signature, with no backtracking. Within a
+    matched pair, each direction of p2's shape takes the first unused
+    direction of its sort in p1's shape, read off p1's groups (_by_sort)
+    by one iterator per group."""
     if p1.source != p2.source or p1.target != p2.target:
         raise ShapeMismatch("isomorphic diagrams must share source and target")
     if p1.shapes.size != p2.shapes.size or p1.dirs.size != p2.dirs.size:
         return None
-    unused: dict[tuple[tuple[int, ...], int], deque[int]] = {}
+    unused: dict[tuple, list[int]] = {}
     for w in p2.shapes:
-        unused.setdefault(_dir_signature(p2, w), deque()).append(w)
+        unused.setdefault(_dir_signature(p2, w), []).append(w)
+    free = {sig: iter(ws) for sig, ws in unused.items()}
     theta: list[int] = []
     for v in p1.shapes:
-        ws = unused.get(_dir_signature(p1, v))
-        if not ws:
+        w = next(free.get(_dir_signature(p1, v), iter(())), None)
+        if w is None:
             return None
-        theta.append(ws.popleft())
+        theta.append(w)
 
     alpha = FinMap(p1.shapes, p2.shapes, tuple(theta))
+    groups, fibers1, fibers2 = _by_sort(p1), p1.dir_shape.fibers(), p2.dir_shape.fibers()
+    sorts2 = p2.dir_sort.table
     betas_f: list[tuple[int, ...]] = []
     betas_b: list[tuple[int, ...]] = [() for _ in range(p2.shapes.size)]
-    for v in p1.shapes:
-        w = theta[v]
-        by_sort: dict[int, deque[int]] = {}
-        for u1 in p1.shape_fiber(v):
-            by_sort.setdefault(p1.dir_sort(u1), deque()).append(u1)
-        fwd = []
-        back = {}
-        for u2 in p2.shape_fiber(w):
-            u1 = by_sort[p2.dir_sort(u2)].popleft()
-            fwd.append(u1)
-            back[u1] = u2
-        betas_f.append(tuple(fwd))
-        betas_b[w] = tuple(back[u1] for u1 in p1.shape_fiber(v))
+    for v, w in enumerate(theta):
+        firsts = {i: iter(us) for i, us in groups[v].items()}
+        fwd = tuple([next(firsts[sorts2[u2]]) for u2 in fibers2[w]])
+        back = dict(zip(fwd, fibers2[w]))
+        betas_f.append(fwd)
+        betas_b[w] = tuple([back[u1] for u1 in fibers1[v]])
     forward = DiagMorphism(p1, p2, alpha, tuple(betas_f))
     backward = DiagMorphism(p2, p1, alpha.inverse(), tuple(betas_b))
     return DiagIso(forward, backward)

@@ -464,14 +464,14 @@ def eval_sim(c: SimCell, x: Family) -> FamMorphism:
     The cell is read through its rows (SimCell): per (state, shape) pair,
     the assigned shape and the (successor, position) pair of each of its
     directions, each row entry once per block of the domain. Everything
-    else the component needs at x is read from the frame held on the
-    cell's span (_Frame), which is built at the first evaluation or
-    extraction over the span between the cell's two diagrams and kept on
-    the span until a call over another pair of diagrams replaces it. The
-    frame's record at x also holds each (shape, row entry) pair's slice of
-    the table, computed at its first request by any cell over the span.
-    The guard is checked on every call, on the four extension carriers,
-    as when the frame was built.
+    else the component needs at x is read, by _table_at, from the frame
+    held on the cell's span (_Frame), which is built at the first
+    evaluation or extraction over the span between the cell's two
+    diagrams and kept on the span until a call over another pair of
+    diagrams replaces it. The frame's record at x also holds each (shape,
+    row entry) pair's slice of the table, computed at its first request
+    by any cell over the span. The guard is checked on every call, on
+    the four extension carriers, as when the frame was built.
 
     The component is assembled without the FinMap and FamMorphism
     constructors' checks (fam._assembled). It would pass them: the cell
@@ -479,14 +479,7 @@ def eval_sim(c: SimCell, x: Family) -> FamMorphism:
     element of the codomain's extension, over the sort of the domain
     element it comes from, and the table has one entry per domain
     element."""
-    return fam._assembled(*_eval_table(c, x))
-
-
-def _eval_table(c: SimCell, x: Family) -> tuple[Family, Family, tuple[int, ...]]:
-    """The component at x as its two endpoint families and its table, the
-    parts eval_sim wraps in a FamMorphism: _table_at over the frame of the
-    cell's span and diagrams (_frame), with the cell's rows."""
-    return _table_at(_frame(c.span, c.src, c.dst), c._plan, x)
+    return fam._assembled(*_table_at(_frame(c.span, c.src, c.dst), c._plan, x))
 
 
 def _table_at(frame: _Frame, plan: tuple, x: Family) -> tuple[Family, Family, tuple[int, ...]]:
@@ -538,7 +531,7 @@ class _Frame:
     element of x in its fiber), the codomain's ranks (evaluation) and, per
     (shape, row entry) pair, the slice of codomain ranks that a block of
     the shape with that entry contributes to a table, computed at its
-    first request (_eval_table) and held for every cell over the span, as
+    first request (_table_at) and held for every cell over the span, as
     it depends on neither the state nor the cell.
     It holds x too, so the id names no other family while the frame
     lives; a family value-equal to x, such as one built with the Family
@@ -769,11 +762,12 @@ def _fill_table(p1: PolyDiagram, p2: PolyDiagram, span: Span):
     j, the (successor, position) moves of each direction u of w at a
     (state, shape v) pair whose state's right end is j. A move pairs a
     state g over u's sort on the right with the position k in v's fiber
-    of a direction over g's left end, state first, then position. The
-    moves are built once per shape v and direction sort, and every
-    direction of that sort shares the list."""
+    of a direction of v over g's left end (v's sort groups,
+    poly._by_sort), state first, then position. The moves are built once
+    per shape v and direction sort, and every direction of that sort
+    shares the list."""
     left, by_right = span.left.table, span.right.fibers()
-    src_fibers, src_sorts = p1.dir_shape.fibers(), p1.dir_sort.table
+    groups, position = poly._by_sort(p1), p1.dir_shape.positions()
     dst_fibers, dst_sorts, over = p2.dir_shape.fibers(), p2.dir_sort.table, p2.shape_sort.fibers()
     by_shape: dict = {}
     table: dict = {}
@@ -783,10 +777,9 @@ def _fill_table(p1: PolyDiagram, p2: PolyDiagram, span: Span):
         if got is None:
             by_sort = by_shape.get(v)
             if by_sort is None:
-                positions: list = [[] for _ in p1.source]
-                for k, b in enumerate(src_fibers[v]):
-                    positions[src_sorts[b]].append(k)
-                by_sort = by_shape[v] = [[(g, k) for g in states for k in positions[left[g]]]
+                by = groups[v]
+                by_sort = by_shape[v] = [[(g, position[b]) for g in states
+                                          for b in by.get(left[g], ())]
                                          for states in by_right]
             got = table[v, j] = [(w, [by_sort[dst_sorts[u]] for u in dst_fibers[w]])
                                  for w in over[j]]

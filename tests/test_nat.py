@@ -291,17 +291,21 @@ def _two_sorted(shape_sorts, dir_shape, dir_sort) -> poly.PolyDiagram:
      "beta at shape 0 does not respect sorts"),
 ], ids=["off-the-fiber", "wrong-sort"])
 def test_enumerate_dm_refuses_a_bad_option(monkeypatch, p, q, message):
-    by_sort = nat._by_sort
+    by_sort = poly._by_sort
+    kept = [{i: list(us) for i, us in by.items()} for by in by_sort(p)]
 
     def corrupted(d):
         groups = by_sort(d)
         if d is p:
+            # a corrupted copy: the table kept on p stays as it was
+            groups = [dict(by) for by in groups]
             groups[0][0] = groups[0][0] + [1]
         return groups
 
-    monkeypatch.setattr(nat, "_by_sort", corrupted)
+    monkeypatch.setattr(poly, "_by_sort", corrupted)
     with pytest.raises(ValidationError, match=f"^{message}$"):
         nat.enumerate_dm(p, q)
+    assert by_sort(p) == kept
 
 REFUSE_EMPTY_CODOMAINS = """
 import random

@@ -12,12 +12,13 @@ import sys
 import time
 import tracemalloc
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycat import fam, finset, nat, poly, sim
+from polycat import fam, finset, nat, poly, randgen, sim
 from polycat.errors import ShapeMismatch, SizeGuardExceeded, ValidationError
 from polycat.fam import Span
 from polycat.finset import FinMap, FinSet
@@ -875,6 +876,37 @@ def test_iso_check_verdict_is_signature_multiset_equality():
         assert verdict == (signatures(p1) == signatures(p2))
         verdicts.append(verdict)
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+
+def test_sort_groups_are_built_once_and_left_as_built_by_their_readers():
+    # poly._by_sort is the one grouping of directions by sort; nat, sim
+    # and the iso check all read the table it keeps on the diagram
+    def brute(p):
+        return [{i: [u for u in p.shape_fiber(v) if p.dir_sort(u) == i]
+                 for i in p.source if i in map(p.dir_sort, p.shape_fiber(v))}
+                for v in p.shapes]
+
+    rng = random.Random(42)
+    listed = Counter()
+    for _ in range(120):
+        sorts = FinSet(rng.randint(1, 3))
+        p, q = (randgen.random_diagram(rng, sorts, sorts, max_shapes=3, max_fiber=3)
+                for _ in range(2))
+        for d in (p, q):
+            groups = poly._by_sort(d)
+            assert groups == brute(d) and poly._by_sort(d) is groups
+        span = randgen.random_span(rng, sorts, sorts)
+        if nat.count_nat(p, q) <= 500:
+            listed["dm"] += len(nat.enumerate_dm(p, q))
+        poly.iso_check(p, q)
+        listed["iso"] += poly.iso_check(p, p) is not None
+        for v in p.shapes:
+            nat.generic_family(p, v)
+        if sim.count_sim(p, q, span) <= 500:
+            listed["sim"] += len(sim.enumerate_sim(p, q, span))
+        for d in (p, q):
+            assert poly._by_sort(d) == brute(d)
+    assert listed["iso"] == 120 and listed["dm"] >= 1000 and listed["sim"] >= 500
 
 
 def test_iso_check_finds_a_witness_for_every_shuffle():

@@ -875,9 +875,9 @@ def test_eval_sim_components_pass_the_full_check():
         generic = [nat.generic_family(c.src, v)[0] for v in c.src.shapes]
         for x in (*nat.check_families(c.src), *generic):
             got = sim.eval_sim(c, x)
-            dom, cod, table = sim._eval_table(c, x)
-            assert type(table) is tuple
-            assert got == FamMorphism(dom, cod, FinMap(dom.total, cod.total, table))
+            assert type(got.map.table) is tuple
+            dom, cod = got.src, got.dst
+            assert got == FamMorphism(dom, cod, FinMap(dom.total, cod.total, got.map.table))
             cases += 1
     assert cases == 920
 

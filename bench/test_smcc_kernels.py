@@ -1,8 +1,12 @@
 """Microbenchmarks of the kernels of the tensor's universal property on
 one fixed pair of the tensor-universal grid, X + 1 against X^2 + X: the
-coend oracle in sampled mode (|x| = 2) and in exact mode (|x| = 0), in
-sampled mode at the grid's heaviest pair, 2X^2 against itself, also at
-|x| = 2, and in exact mode at X^2 against X at |x| = 1 (300 tuples); the
+coend oracle in sampled mode (|x| = 2 and |x| = 1, where each pairing
+entry is a draw below 1 and takes two words on average) and in exact
+mode (|x| = 0), in sampled mode at the grid's heaviest pair, 2X^2
+against itself, also at |x| = 2, in sampled mode at 1 against X at
+|x| = 0 with skeleton bound 12, where most relation draws are skipped
+and the relation loop stops at its 8,000-attempt limit, and in exact
+mode at X^2 against X at |x| = 1 (300 tuples); the
 binaturality check of the comparison map (the squares that theta and
 epsilon_naturality_check walk), the comparison map alone at every
 argument pair with fibers at most 2, and the whole universal-property
@@ -60,6 +64,34 @@ def test_coend_sampled_heaviest(benchmark):
         "sampled tuples reduce to canonical rectangles: yes (400 samples)",
         "separating comparison respects sampled relations: yes (400 samples)",
         "canonical rectangles: 64 (one per extension element: yes)")
+
+
+def test_coend_sampled_unit_family(benchmark):
+    rep = benchmark(coend, 1)
+    assert rep.ok and rep.lines == (
+        "skeleton 0..4: 600 tuples, 218600 generating relations",
+        "mode: factorization with sampled relation checks",
+        "sampled tuples reduce to canonical rectangles: yes (400 samples)",
+        "separating comparison respects sampled relations: yes (400 samples)",
+        "canonical rectangles: 4 (one per extension element: yes)")
+
+
+def test_coend_sampled_skipping(benchmark):
+    # a relation draw is skipped when its sizes leave no map or no element,
+    # so 400 samples take all 20 * 400 attempts and check 274 relations
+    one, x = poly.single_sorted((0,)), poly.single_sorted((1,))
+    empty = fam.family_from_fibers(FinSet(1), (0,))
+
+    def run():
+        return smcc.day_coend_oracle(one, x, empty, 12, samples=400, seed=0)
+
+    rep = benchmark(run)
+    assert rep.ok and rep.lines == (
+        "skeleton 0..12: 78 tuples, 175057590111132 generating relations",
+        "mode: factorization with sampled relation checks",
+        "sampled tuples reduce to canonical rectangles: yes (400 samples)",
+        "separating comparison respects sampled relations: yes (274 samples)",
+        "canonical rectangles: 1 (one per extension element: yes)")
 
 
 def test_coend_exact(benchmark):

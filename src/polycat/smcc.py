@@ -434,9 +434,12 @@ def _draws(rng: random.Random):
     without `randrange`'s two Python frames per draw. As with
     `randrange`, a draw below n <= 0 raises ValueError: `getrandbits(0)`
     is 0, so the loop would never end. `below_each(n, 0)` is () for
-    every n, as no `randrange` call is made. The oracle takes every draw
-    in the order the pairings and elements are built, so a check made
-    cheaper must still take the draws it no longer reads."""
+    every n, as no `randrange` call is made. The coend oracle's sampled
+    mode repeats this loop inline at each of its draws, with each bit
+    width worked out outside its loops, and its filters run ahead of
+    every draw, so no inline loop draws below a bound of 0 or less, where
+    it would never end. This function is kept as the tested reference
+    definition of those draws."""
     getrandbits = rng.getrandbits
 
     def below(n: int) -> int:
@@ -502,19 +505,21 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
     of the pulled-back pairing is built. `_cocone` reads the tensor's
     element for the reductions, the exact mode and `epsilon`.
     The sampled mode's seeded draws are exactly those of
-    `random.Random(seed)`'s `randrange` and `choice`, taken through its
-    `getrandbits` (see `_draws`): per relation sample, the side, the
-    three sizes, f, the pairing and the two elements, in that order, and
-    each draw in full, the whole pairing included. A reduction's cocone
-    is looked up in the tensor's extension index at x. The compared
-    relation holds by construction: the pushed payload reads phi2 at
-    `moved`, f's image of the payload, which is what the pulled-back
-    pairing holds there, so the line reads yes until `moved` is computed
-    by another route than the pull-back. So in sampled mode only the
-    reduction lookup and the decode count can read NO, and the lookup
-    reads NO only if the tensor's extension at x misses a payload, since
-    every cocone payload has f1 · f2 entries below |x|. The sample count
-    must be positive. The skeleton bound is guarded before the per-size
+    `random.Random(seed)`'s `randrange` and `choice`, taken inline from
+    its `getrandbits` by `_draws`'s rejection loop: per reduction, the
+    size pair, the two elements and the pairing; per relation sample,
+    the side, the three sizes, f, the pairing and the two elements; each
+    in that order, and each draw in full, the whole pairing included, so
+    a check made cheaper must still take the draws it no longer reads.
+    A reduction's cocone is looked up in the tensor's extension index at
+    x. The compared relation holds by construction: the pushed payload
+    reads phi2 at `moved`, f's image of the payload, which is what the
+    pulled-back pairing holds there, so the line reads yes until `moved`
+    is computed by another route than the pull-back. So in sampled mode
+    only the reduction lookup and the decode count can read NO, and the
+    lookup reads NO only if the tensor's extension at x misses a payload,
+    since every cocone payload has f1 · f2 entries below |x|. The sample
+    count must be positive. The skeleton bound is guarded before the per-size
     element counts are computed, once, and their sum before anything is
     listed."""
     if samples < 1:
@@ -573,7 +578,9 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
     else:
         lines.append("mode: factorization with sampled relation checks")
         rng = random.Random(seed)
-        below, below_each = _draws(rng)
+        # every draw below n is `_draws`'s rejection loop, taken inline with
+        # its bit width k = n.bit_length() worked out outside the loops
+        bits = rng.getrandbits
         elems1 = [_set_value(p1, a).elements for a in range(s + 1)]
         elems2 = [_set_value(p2, b).elements for b in range(s + 1)]
 
@@ -582,16 +589,35 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
         reductions_ok = True
         reduced = 0
         rect_index = poly.extension_index(tens, x)
-        # per size pair: both element lists, their lengths, b and a * b
-        weighted = [(es1, len(es1), es2, len(es2), b, a * b)
+        # per size pair: both element lists with their lengths and those
+        # lengths' widths, b and a * b
+        weighted = [(es1, len(es1), len(es1).bit_length(),
+                     es2, len(es2), len(es2).bit_length(), b, a * b)
                     for a, es1 in enumerate(elems1) for b, es2 in enumerate(elems2)
                     if p1_counts[a] * p2_counts[b] > 0 and (nx > 0 or a * b == 0)]
+        nw = len(weighted)
+        kw, kx = nw.bit_length(), nx.bit_length()
         for _ in range(samples if weighted else 0):
-            es1, k1, es2, k2, b, ab = weighted[below(len(weighted))]
+            r = bits(kw)
+            while r >= nw:
+                r = bits(kw)
+            es1, m1, k1, es2, m2, k2, b, ab = weighted[r]
             reduced += 1
-            e1 = es1[below(k1)]
-            e2 = es2[below(k2)]
-            if _cocone(b, below_each(nx, ab), e1, e2, n2) not in rect_index:
+            r = bits(k1)
+            while r >= m1:
+                r = bits(k1)
+            e1 = es1[r]
+            r = bits(k2)
+            while r >= m2:
+                r = bits(k2)
+            e2 = es2[r]
+            phi = []
+            for _ in range(ab):
+                r = bits(kx)
+                while r >= nx:
+                    r = bits(kx)
+                phi.append(r)
+            if _cocone(b, phi, e1, e2, n2) not in rect_index:
                 reductions_ok = False
                 break
         lines.append(f"sampled tuples reduce to canonical rectangles: "
@@ -605,19 +631,49 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
         coin = rng.random
         lens1 = [len(es) for es in elems1]
         lens2 = [len(es) for es in elems2]
+        widths1 = [m.bit_length() for m in lens1]
+        widths2 = [m.bit_length() for m in lens2]
+        ks = (s + 1).bit_length()
         while tried < samples and attempts < 20 * samples:
             attempts += 1
             left = coin() < 0.5
-            a, a2, b = below_each(s + 1, 3)
+            a = bits(ks)
+            while a > s:
+                a = bits(ks)
+            a2 = bits(ks)
+            while a2 > s:
+                a2 = bits(ks)
+            b = bits(ks)
+            while b > s:
+                b = bits(ks)
             n, o = (a, b) if left else (b, a)
             if (n > 0 and a2 == 0) or not lens1[a] or not lens2[b]:
                 continue
-            f = below_each(a2, n)
+            ka = a2.bit_length()
+            f = []
+            for _ in range(n):
+                r = bits(ka)
+                while r >= a2:
+                    r = bits(ka)
+                f.append(r)
             if nx == 0 and a2 * o > 0:
                 continue
-            phi2 = below_each(nx, a2 * o)
-            pay1 = elems1[a][below(lens1[a])][1]
-            pay2 = elems2[b][below(lens2[b])][1]
+            phi2 = []
+            for _ in range(a2 * o):
+                r = bits(kx)
+                while r >= nx:
+                    r = bits(kx)
+                phi2.append(r)
+            m1, k1 = lens1[a], widths1[a]
+            r = bits(k1)
+            while r >= m1:
+                r = bits(k1)
+            pay1 = elems1[a][r][1]
+            m2, k2 = lens2[b], widths2[b]
+            r = bits(k2)
+            while r >= m2:
+                r = bits(k2)
+            pay2 = elems2[b][r][1]
             # both tuples' cocones have the shape v1 * |S2| + v2, so they
             # agree when their payloads do; both are read off phi2, the
             # pulled-back pairing only at pay1 x pay2

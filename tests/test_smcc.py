@@ -911,6 +911,11 @@ _SAMPLED_STREAMS = [
      "92ba9d4395e8f6b223b314899089caaf9c57448184d74682dc30a95eff89b4d0"),
     ((1,), (0, 1), 0, 12, 5, "78 tuples, 175057590111132", 250, 1,
      "6e0cee7b0a548b169258c48c7a6ee10086e26624e021b1eb26d5b52f154a5c44"),
+    # at |x| = 1 every pairing entry is a draw below 1, two words on average
+    ((2, 2), (2, 1), 1, 4, 1, "2400 tuples, 1044320", 400, 4,
+     "445c15378242a8363ad46f341adc62507e0b4127ae7956c625055f6116134da6"),
+    ((2, 1), (2,), 1, 4, 4, "1200 tuples, 522160", 400, 2,
+     "c30dd8b8892767a1f9cc9145fff7e5e43398932a72c6bf83de8c02e97b561b83"),
 ]
 
 
@@ -936,6 +941,30 @@ def test_day_oracle_sampled_stream_is_pinned(monkeypatch, f1, f2, n, s, seed, co
         f"  canonical rectangles: {rects} (one per extension element: yes)")
     [rng] = made
     assert hashlib.sha256(repr(rng.getstate()).encode()).hexdigest() == state
+
+
+def test_day_oracle_sampled_stream_at_the_default_sample_count(monkeypatch):
+    # the CLI's default of 2000 samples at skeleton bound 3, the largest
+    # bound of the queries workload's day-oracle calls
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, x=None):
+            super().__init__(x)
+            made.append(self)
+
+    monkeypatch.setattr(random, "Random", Recorded)
+    rep = smcc.day_coend_oracle(ss((2, 1)), ss((2, 2)), fams(1, [2]), 3, seed=6)
+    assert rep.render() == (
+        "coend oracle: ok\n"
+        "  skeleton 0..3: 125016 tuples, 7756256 generating relations\n"
+        "  mode: factorization with sampled relation checks\n"
+        "  sampled tuples reduce to canonical rectangles: yes (2000 samples)\n"
+        "  separating comparison respects sampled relations: yes (2000 samples)\n"
+        "  canonical rectangles: 40 (one per extension element: yes)")
+    [rng] = made
+    assert hashlib.sha256(repr(rng.getstate()).encode()).hexdigest() == (
+        "0eff668b7e404e9e53d93f69fbd86bc5ffb8dfbff53225cbefab782b9155116d")
 
 
 def test_day_oracle_skeleton_too_small():

@@ -578,8 +578,9 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
     else:
         lines.append("mode: factorization with sampled relation checks")
         rng = random.Random(seed)
-        # every draw below n is `_draws`'s rejection loop, taken inline with
-        # its bit width k = n.bit_length() worked out outside the loops
+        # every draw below n is `_draws`'s rejection loop, taken inline; its
+        # bit width k = n.bit_length() is worked out outside the loops,
+        # except a2's, which changes with each relation attempt
         bits = rng.getrandbits
         elems1 = [_set_value(p1, a).elements for a in range(s + 1)]
         elems2 = [_set_value(p2, b).elements for b in range(s + 1)]

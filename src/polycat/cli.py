@@ -205,41 +205,26 @@ def _run(args: argparse.Namespace) -> int:
             print(f"composite: {_describe(composite)}")
         if args.family is not None:
             rep = poly.compose_witness(q, p, document.family(args.family))
-            print(rep.render())
-            if not rep.ok:
-                exit_code = 4
+            exit_code = _print_report(rep) or exit_code
         return exit_code
 
-    if command in ("tensor", "plus", "hom"):
-        left = document.diagram(args.left)
-        right = document.diagram(args.right)
-        build = {"tensor": poly.tensor, "plus": poly.plus,
-                 "hom": poly.hom_single_sorted}[command]
-        result = build(left, right)
+    if command in ("tensor", "plus", "hom", "bang", "dual"):
+        label = command
+        if command == "bang":
+            if args.depth < 0:
+                raise ValidationError("--depth must be nonnegative")
+            label = f"bang depth {args.depth}"
+            result = poly.bang_truncated(document.diagram(args.diagram), args.depth)
+        elif command == "dual":
+            result = poly.dualize(document.diagram(args.diagram))
+        else:
+            build = {"tensor": poly.tensor, "plus": poly.plus,
+                     "hom": poly.hom_single_sorted}[command]
+            result = build(document.diagram(args.left), document.diagram(args.right))
         if args.json:
             _print_json(docmod.encode_diagram(result))
         else:
-            print(f"{command}: {_describe(result)}")
-        return 0
-
-    if command == "bang":
-        if args.depth < 0:
-            raise ValidationError("--depth must be nonnegative")
-        p = document.diagram(args.diagram)
-        result = poly.bang_truncated(p, args.depth)
-        if args.json:
-            _print_json(docmod.encode_diagram(result))
-        else:
-            print(f"bang depth {args.depth}: {_describe(result)}")
-        return 0
-
-    if command == "dual":
-        p = document.diagram(args.diagram)
-        result = poly.dualize(p)
-        if args.json:
-            _print_json(docmod.encode_diagram(result))
-        else:
-            print(f"dual: {_describe(result)}")
+            print(f"{label}: {_describe(result)}")
         return 0
 
     if command == "count-nat":

@@ -752,10 +752,10 @@ def _check_betas(src: PolyDiagram, dst: PolyDiagram, options) -> None:
 
 def _assembled(src: PolyDiagram, dst: PolyDiagram, alpha: FinMap, betas: tuple) -> DiagMorphism:
     """The morphism with these fields, set without the construction
-    check, for parts that have passed _check_alpha and _check_betas."""
+    check, for parts that have passed _check_alpha and _check_betas. The
+    fields go into the instance dict in one update, as in fam._assembled."""
     m = object.__new__(DiagMorphism)
-    for name, value in (("src", src), ("dst", dst), ("alpha", alpha), ("betas", betas)):
-        object.__setattr__(m, name, value)
+    m.__dict__.update(src=src, dst=dst, alpha=alpha, betas=betas)
     return m
 
 

@@ -16,7 +16,7 @@ from collections import Counter
 from . import fam, finset, nat, poly
 from .errors import OracleNotNatural, ShapeMismatch, ValidationError
 from .fam import FamMorphism, Family
-from .finset import FinMap, FinSet, check_guard
+from .finset import FinMap, check_guard
 from .poly import DiagMorphism, PolyDiagram
 from .report import Report, decimal
 
@@ -876,34 +876,36 @@ def _bang_bijection(p, x, k, bd, bang, xhat, tuples) -> bool:
     the tensor power's directions at a shape tuple are tuples of member
     directions, each payload entry drawn from the external power of x at
     the direction tuple's sorts, matched to the multiset power along the
-    stable sort of positions. tuples are the blocks (_shape_tuples)."""
-    lhs = poly.eval_extension(bang, xhat)
+    stable sort of positions. tuples are the blocks (_shape_tuples).
+
+    Each direction tuple u is decoded once: its stable order by sort, the
+    index of its sorted sorts in bd.base_reps, and the multiset-power
+    rank of each of its picks read along that order. A block's elements
+    are then read off at each tuple of the product of those rank lists.
+    The check holds if the map is a bijection onto the exponential's
+    carrier that keeps each block over its multiset, and reads False
+    otherwise."""
+    over = poly.eval_extension(bang, xhat).proj.table
     lhs_index = poly.extension_index(bang, xhat)
     mp_index = {e: t for t, e in enumerate(poly.multiset_power_elements(x, k))}
     base_index = {m: i for i, m in enumerate(bd.base_reps)}
     shape_index = {l: i for i, l in enumerate(bd.shape_reps)}
     xfibs = x.proj.fibers()
-    rhs_sizes = [0] * len(bd.base_reps)
     table = []
     for mi, l in tuples:
-        n = len(l)
-        dir_tuples = list(itertools.product(*[p.shape_fiber(v) for v in l]))
-        entry_options = [
-            list(itertools.product(*[xfibs[p.dir_sort(uj)] for uj in u]))
-            for u in dir_tuples
-        ]
-        for payload_choice in itertools.product(*entry_options):
-            rhs_sizes[mi] += 1
-            entries = []
-            for u, picks in zip(dir_tuples, payload_choice):
-                order = sorted(range(n), key=lambda j: (p.dir_sort(u[j]), j))
-                ms = tuple(p.dir_sort(u[j]) for j in order)
-                sp = tuple(picks[j] for j in order)
-                entries.append(mp_index[(base_index[ms], sp)])
-            table.append(lhs_index[(shape_index[l], tuple(entries))])
-    rhs = fam.family_from_fibers(FinSet(len(bd.base_reps)), rhs_sizes)
-    bij = FamMorphism(rhs, lhs, FinMap(rhs.total, lhs.total, tuple(table)))
-    return bij.is_iso()
+        ranks = []
+        for u in itertools.product(*[p.shape_fiber(v) for v in l]):
+            sorts = [p.dir_sort(uj) for uj in u]
+            order = sorted(range(len(u)), key=sorts.__getitem__)
+            b = base_index[tuple([sorts[j] for j in order])]
+            ranks.append([mp_index[(b, tuple([picks[j] for j in order]))]
+                          for picks in itertools.product(*[xfibs[s] for s in sorts])])
+        si = shape_index[l]
+        block = [lhs_index[(si, entries)] for entries in itertools.product(*ranks)]
+        if any(over[t] != mi for t in block):
+            return False
+        table += block
+    return len(table) == len(over) == len(set(table))
 
 
 # ---------------------------------------------------------------------------

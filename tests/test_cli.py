@@ -720,6 +720,30 @@ def test_bang_json_is_the_truncated_replication(capsys):
         poly.bang_truncated(poly.single_sorted((2,)), 2))
 
 
+@pytest.mark.parametrize("argv, build", [
+    (("tensor", "--left", "square", "--right", "two-x"),
+     lambda d: poly.tensor(d.diagram("square"), d.diagram("two-x"))),
+    (("plus", "--left", "square", "--right", "two-x"),
+     lambda d: poly.plus(d.diagram("square"), d.diagram("two-x"))),
+    (("hom", "--left", "square", "--right", "two-x"),
+     lambda d: poly.hom_single_sorted(d.diagram("square"), d.diagram("two-x"))),
+    (("bang", "--diagram", "two-x", "--depth", "1"),
+     lambda d: poly.bang_truncated(d.diagram("two-x"), 1)),
+    (("dual", "--diagram", "list3"),
+     lambda d: poly.dualize(d.diagram("list3"))),
+])
+def test_diagram_commands_print_the_library_result_as_json(capsys, argv, build):
+    code, out, err = run(capsys, argv[0], LIST_DOC, *argv[1:], "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == doc.encode_diagram(build(doc.load_document(LIST_DOC)))
+
+
+def test_bang_refuses_a_negative_depth(capsys):
+    code, out, err = run(capsys, "bang", LIST_DOC, "--diagram", "square", "--depth", "-1")
+    assert (code, out) == (2, "")
+    assert err == "validation failure: --depth must be nonnegative\n"
+
+
 def test_check_laws_validates_a_given_document_first(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")

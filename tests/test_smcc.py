@@ -1186,6 +1186,44 @@ def test_bang_extension_wrong_base():
         smcc.bang_extension_check(ss((1,)), fams(2, [1, 1]), 1)
 
 
+_SHAPE_TUPLES = smcc._shape_tuples
+
+
+def _blocks_twice(p, bd):
+    return [block for block in _SHAPE_TUPLES(p, bd) for _ in range(2)]
+
+
+def _blocks_on_the_wrong_multiset(p, bd):
+    # multiset mi becomes the mirror index, which for X^2 at depth 2 swaps
+    # the empty and the doubleton multiset; the blocks stay ascending
+    last = len(bd.base_reps) - 1
+    return sorted([(last - mi, l) for mi, l in _SHAPE_TUPLES(p, bd)], key=lambda b: b[0])
+
+
+@pytest.mark.parametrize("mutant, sizes", [
+    (_blocks_twice, "(2, 8, 512)"),
+    (_blocks_on_the_wrong_multiset, "(256, 4, 1)"),
+])
+def test_bang_extension_reads_no_when_the_blocks_disagree_fiberwise(monkeypatch, mutant, sizes):
+    monkeypatch.setattr(smcc, "_shape_tuples", mutant)
+    rep = smcc.bang_extension_check(ss((2,)), fams(1, [2]), 2)
+    assert not rep.ok
+    assert rep.lines == (
+        f"fibers over size-at-most-2 multisets: (1, 4, 256) vs {sizes}",
+        "blockwise tensor powers match the exponential fiberwise: NO",
+    )
+
+
+@pytest.mark.parametrize("mutant", [_blocks_twice, _blocks_on_the_wrong_multiset])
+def test_exponential_suite_with_disagreeing_blocks_is_a_law_violation(
+        monkeypatch, capsys, mutant):
+    monkeypatch.setattr(smcc, "_shape_tuples", mutant)
+    assert cli.main(["check-laws", "--suite", "exponential", "--seed", "0"]) == 4
+    out, err = capsys.readouterr()
+    assert out.startswith("exponential identity: FAIL\n")
+    assert err == ""
+
+
 # ---------------------------------------------------------------------------
 # double dualization
 

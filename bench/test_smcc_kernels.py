@@ -11,6 +11,12 @@ binaturality check of the comparison map (the squares that theta and
 epsilon_naturality_check walk), the comparison map alone at every
 argument pair with fibers at most 2, and the whole universal-property
 check of the comparison map (theta_check, the workload's theta op).
+epsilon holds the morphism it builds per argument pair on the tensor,
+so after the first call test_epsilon times the guarded record reads and
+the lookup of held morphisms. test_theta_check_cold times theta_check
+on fresh copies of the pair, with no tensor, extension record or held
+morphism yet, as a theta op of a freshly set-up universal workload
+starts.
 Also the currying kernels: the adjunction check on X^2 + X, X^2 + 1 and
 X^2 + X + 1, which counts both sides and round-trips all 147 + 147
 members (the adjunction workload's triple op), and the curry command,
@@ -137,6 +143,21 @@ def test_theta_check(benchmark):
         return smcc.theta_check(P1, P2, tens, lambda x, y: smcc.epsilon(P1, P2, x, y))
 
     rep = benchmark(run)
+    assert rep.ok and rep.lines == (
+        "mediating map reproduces rho after the comparison map at 9 argument pairs",
+        "128 candidate transformations exceed the sampling limit 8; "
+        "uniqueness not sampled")
+
+
+def test_theta_check_cold(benchmark):
+    def run(p1, p2):
+        return smcc.theta_check(p1, p2, poly.tensor(p1, p2),
+                                lambda x, y: smcc.epsilon(p1, p2, x, y))
+
+    def fresh():
+        return (poly.single_sorted((0, 1)), poly.single_sorted((1, 2))), {}
+
+    rep = benchmark.pedantic(run, setup=fresh, rounds=5)
     assert rep.ok and rep.lines == (
         "mediating map reproduces rho after the comparison map at 9 argument pairs",
         "128 candidate transformations exceed the sampling limit 8; "

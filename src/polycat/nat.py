@@ -42,20 +42,20 @@ __all__ = [
 
 def eval_dm(m: DiagMorphism, x: Family) -> FamMorphism:
     """The component at x: keep the payload, recorded through the backward
-    tables, under the forward shape map."""
+    tables, under the forward shape map. Each endpoint's extension record
+    is read once, and guarded, source before target."""
     if x.base != m.src.source:
         raise ShapeMismatch("family must live over the transformation's source")
-    src_ext = poly.eval_extension(m.src, x)
-    dst_ext = poly.eval_extension(m.dst, x)
-    index = poly.extension_index(m.dst, x)
+    src = poly._extension(m.src, x)
+    dst = poly._extension(m.dst, x)
+    index, alpha = dst.index(), m.alpha.table
     # per src shape v, the position in v's fiber of each backward answer
     position = m.src.dir_shape.positions()
     reads = [tuple([position[u] for u in table]) for table in m.betas]
-    table = tuple(
-        index[(m.alpha(v), tuple(payload[k] for k in reads[v]))]
-        for v, payload in poly.extension_elements(m.src, x)
-    )
-    return FamMorphism(src_ext, dst_ext, FinMap(src_ext.total, dst_ext.total, table))
+    table = tuple([index[(alpha[v], tuple([payload[k] for k in reads[v]]))]
+                   for v, payload in src.elements])
+    src, dst = src.family, dst.family
+    return FamMorphism(src, dst, FinMap(src.total, dst.total, table))
 
 
 def _table_counts(p: PolyDiagram, q: PolyDiagram) -> list[dict[int, int]]:

@@ -265,13 +265,15 @@ def eval_extension(p: PolyDiagram, x: Family) -> Family:
 
 def extension_map(p: PolyDiagram, h: FamMorphism) -> FamMorphism:
     """Functorial action of the extension on a family morphism: apply h
-    to every payload entry, keep the shape."""
-    src = eval_extension(p, h.src)
-    dst = eval_extension(p, h.dst)
-    index = extension_index(p, h.dst)
+    to every payload entry, keep the shape. Each endpoint's extension
+    record is read once, and guarded, source before target."""
+    src = _extension(p, h.src)
+    dst = _extension(p, h.dst)
+    index = dst.index()
     ht = h.map.table
     table = tuple([index[(v, tuple([ht[t] for t in payload]))]
-                   for v, payload in extension_elements(p, h.src)])
+                   for v, payload in src.elements])
+    src, dst = src.family, dst.family
     return FamMorphism(src, dst, FinMap(src.total, dst.total, table))
 
 

@@ -39,22 +39,36 @@ def epsilon(p1: PolyDiagram, p2: PolyDiagram, x: Family, y: Family) -> FamMorphi
     """The comparison map from the external product of two values to the
     tensor's value on the external product: the cocone (_cocone) at the
     box pairing, which sends the point pair (t1, t2) to the point t1 *
-    |y| + t2 of the external product of x and y."""
+    |y| + t2 of the external product of x and y.
+
+    Each extension record is read once, and guarded, on every call: p1's
+    at x, then p2's at y, then the tensor's at the box. Only then is the
+    pair looked up in a dict kept on the tensor diagram (as poly keeps
+    `_ext` and `_tensor`), which holds the morphism built at the first
+    call with families of these values. So a limit lowered after that
+    call still refuses, and the held morphism lives as long as the
+    tensor. A pickle of the tensor holds no held morphisms."""
     if x.base != p1.source:
         raise ShapeMismatch("first family must live over the first diagram's sorts")
     if y.base != p2.source:
         raise ShapeMismatch("second family must live over the second diagram's sorts")
     tens = poly.tensor(p1, p2)
-    dom = fam.box(poly.eval_extension(p1, x), poly.eval_extension(p2, y))
+    ext1, ext2 = poly._extension(p1, x), poly._extension(p2, y)
     bx = fam.box(x, y)
-    cod = poly.eval_extension(tens, bx)
-    index = poly.extension_index(tens, bx)
-    elems1 = poly.extension_elements(p1, x)
-    elems2 = poly.extension_elements(p2, y)
-    b, n2 = y.total.size, p2.shapes.size
-    pairing = range(bx.total.size)
-    table = tuple([index[_cocone(b, pairing, e1, e2, n2)] for e1 in elems1 for e2 in elems2])
-    return FamMorphism(dom, cod, FinMap(dom.total, cod.total, table))
+    ext = poly._extension(tens, bx)
+    held = getattr(tens, "_epsilon", None)
+    if held is None:
+        held = {}
+        object.__setattr__(tens, "_epsilon", held)
+    comp = held.get((x, y))
+    if comp is None:
+        dom, cod, index = fam.box(ext1.family, ext2.family), ext.family, ext.index()
+        b, n2 = y.total.size, p2.shapes.size
+        pairing = range(bx.total.size)
+        table = tuple([index[_cocone(b, pairing, e1, e2, n2)]
+                       for e1 in ext1.elements for e2 in ext2.elements])
+        comp = held[x, y] = FamMorphism(dom, cod, FinMap(dom.total, cod.total, table))
+    return comp
 
 
 def _cocone(b: int, phi, e1, e2, n2: int) -> tuple[int, tuple[int, ...]]:
@@ -182,10 +196,13 @@ def theta(rho, p1: PolyDiagram, p2: PolyDiagram, f_diag: PolyDiagram,
     which probes rho once per tensor shape. rho's naturality is always
     verified first, at fiber bound 2, on the squares of the generating
     morphisms only: naturality squares paste, so these give every square
-    between families with fibers at most 2."""
+    between families with fibers at most 2. rho is evaluated once per
+    argument pair, its values shared by the naturality check and the
+    mediator and kept for this call only."""
     tens = _tensor_into(p1, p2, f_diag)
     if r.base != tens.source:
         raise ShapeMismatch("family must live over the tensor's source sorts")
+    rho = functools.cache(rho)
     _check_rho_natural(rho, p1, p2, f_diag, 2)
     return nat.eval_dm(_mediator(rho, p1, p2, f_diag), r)
 
@@ -733,7 +750,12 @@ def _coend_exact(p1, p2, s, nx):
     relation first reads them, at the first size o of the other side
     whose relations are not skipped, and the o loop ends if there are
     none. At |x| = 0 every o > 0 is skipped for a nonempty target set,
-    so against a diagram with no constant shape no push is built."""
+    so against a diagram with no constant shape no push is built.
+
+    Each relation's union runs inline in the relation loop, with no call:
+    the roots of both tuples by path halving, the pushed tuple's root
+    linked below the other's. find, the same path halving, reads the
+    final roots."""
     values = [[_set_value(p, a) for a in range(s + 1)] for p in (p1, p2)]
     index1, index2 = index = [[value.index() for value in side] for side in values]
     offsets = {}
@@ -759,11 +781,6 @@ def _coend_exact(p1, p2, s, nx):
             parent[k] = parent[parent[k]]
             k = parent[k]
         return k
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
 
     for n, m, f in fam.elementary_maps(s):
         for side in (0, 1):
@@ -797,7 +814,16 @@ def _coend_exact(p1, p2, s, nx):
                     for k, e in enumerate(pushed):
                         lo_k, hi_e = lo + k * stride, hi + e * stride
                         for j in range(others):
-                            union(hi_e + j * other_dst, lo_k + j * other_src)
+                            ri = hi_e + j * other_dst
+                            while parent[ri] != ri:
+                                parent[ri] = parent[parent[ri]]
+                                ri = parent[ri]
+                            rj = lo_k + j * other_src
+                            while parent[rj] != rj:
+                                parent[rj] = parent[parent[rj]]
+                                rj = parent[rj]
+                            if ri != rj:
+                                parent[ri] = rj
 
     def number(a, b, phi, e1, e2):
         return first(a, b, phi) + index1[a][e1] * len(index2[b]) + index2[b][e2]

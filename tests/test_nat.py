@@ -69,6 +69,33 @@ def test_eval_dm_of_a_wide_shape_runs_in_linear_time():
     assert comp.map.table == (0,)
 
 
+@pytest.mark.parametrize("wide_src, limit, size", [
+    # X^2 has 9 elements at a 3-set and X has 3. The source's carrier is
+    # guarded first: when both exceed the limit, it is named
+    (True, 7, 9),
+    (True, 1, 9),
+    (False, 7, 9),
+    (False, 1, 3),
+])
+def test_eval_dm_refuses_the_first_carrier_over_the_limit(wide_src, limit, size):
+    want = f"^search too large: extension carrier has size {size}, guard limit is {limit}$"
+    x = fams(1, (3,))
+    for warm in (False, True):
+        if wide_src:
+            m = nat.DiagMorphism(ss(2), ss(1), fmap(1, 1, (0,)), ((1,),))
+        else:
+            m = nat.DiagMorphism(ss(1), ss(2), fmap(1, 1, (0,)), ((0, 0),))
+        if warm:
+            # both records are held: every call still guards both carriers
+            nat.eval_dm(m, x)
+        old = finset.set_guard_limit(limit)
+        try:
+            with pytest.raises(SizeGuardExceeded, match=want):
+                nat.eval_dm(m, x)
+        finally:
+            finset.set_guard_limit(old)
+
+
 def test_eval_dm_base_mismatch():
     with pytest.raises(ShapeMismatch):
         nat.eval_dm(pick_first(), fams(2, (1, 1)))

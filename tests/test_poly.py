@@ -129,6 +129,31 @@ def test_extension_map_functoriality():
     assert ident.map.table == tuple(range(ident.src.total.size))
 
 
+@pytest.mark.parametrize("src, dst, limit, size", [
+    # X^2 + X has 6 elements at a 2-set and 12 at a 3-set. The source's
+    # carrier is guarded first: when both exceed the limit, it is named
+    ((2,), (3,), 10, 12),
+    ((2,), (3,), 4, 6),
+    ((3,), (2,), 10, 12),
+    ((3,), (2,), 4, 12),
+])
+def test_extension_map_refuses_the_first_carrier_over_the_limit(src, dst, limit, size):
+    want = f"^search too large: extension carrier has size {size}, guard limit is {limit}$"
+    table = (0, 1) if src == (2,) else (0, 1, 1)
+    for warm in (False, True):
+        p = ss(2, 1)
+        h = fam.FamMorphism(fams(1, src), fams(1, dst), fmap(src[0], dst[0], table))
+        if warm:
+            # both records are held: every call still guards both carriers
+            poly.extension_map(p, h)
+        old = finset.set_guard_limit(limit)
+        try:
+            with pytest.raises(SizeGuardExceeded, match=want):
+                poly.extension_map(p, h)
+        finally:
+            finset.set_guard_limit(old)
+
+
 def test_extension_agreement_batch():
     cases = [
         (poly.identity_diagram(FinSet(2)), fams(2, (2, 3))),

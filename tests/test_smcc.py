@@ -3,6 +3,7 @@ currying adjunction, the coend oracle, the truncated exponential
 identity, and double dualization."""
 import hashlib
 import itertools
+import pickle
 import random
 import time
 from collections import Counter
@@ -463,6 +464,114 @@ def test_theta_check_evaluates_rho_and_epsilon_once_per_argument_pair(monkeypatc
     # the cache lives for one call
     smcc.theta_check(p1, p2, poly.tensor(p1, p2), rho, candidate_limit=50)
     assert rho_calls == Counter({pair: 2 for pair in pairs})
+
+
+def test_theta_evaluates_rho_once_per_argument_pair():
+    # X + 1 and X^2: the naturality check asks every pair with fibers at
+    # most 2, and the mediator asks again at the generic families (1,) and
+    # (0,) of X + 1 and (2,) of X^2, from the same values
+    p1, p2 = ss((1, 0)), ss((2,))
+    calls = Counter()
+
+    def rho(x, y):
+        calls[x.fiber_sizes(), y.fiber_sizes()] += 1
+        return smcc.epsilon(p1, p2, x, y)
+
+    r = fam.box(fams(1, [2]), fams(1, [1]))
+    first = smcc.theta(rho, p1, p2, poly.tensor(p1, p2), r)
+    pairs = {((a,), (b,)) for a in range(3) for b in range(3)}
+    assert calls == Counter(pairs)
+    # the values are kept for one call only
+    again = smcc.theta(rho, p1, p2, poly.tensor(p1, p2), r)
+    assert calls == Counter({pair: 2 for pair in pairs})
+    assert again == first
+
+
+def test_epsilon_holds_its_morphism_per_argument_pair():
+    p1, p2 = ss((1, 0)), ss((2,))
+    x, y = fams(1, [2]), fams(1, [1])
+    e = smcc.epsilon(p1, p2, x, y)
+    assert smcc.epsilon(p1, p2, x, y) is e
+    # factors of the same values, built with the Family constructor, and
+    # a second diagram of p2's value find the same morphism
+    x2, y2 = fam.Family(x.total, x.base, x.proj), fam.Family(y.total, y.base, y.proj)
+    assert x2 is not x and y2 is not y
+    assert smcc.epsilon(p1, ss((2,)), x2, y2) is e
+    # a first call on a diagram of p1's value builds its own
+    other = smcc.epsilon(ss((1, 0)), p2, x, y)
+    assert other is not e and other == e
+
+
+def test_theta_check_builds_the_comparison_map_once_per_argument_pair():
+    # rho is the comparison map itself, as in the tensor-universal suite:
+    # the 9 argument pairs each build one morphism, which rho and the
+    # comparison map then share
+    p1, p2 = ss((1, 0)), ss((2,))
+    tens = poly.tensor(p1, p2)
+    rep = smcc.theta_check(p1, p2, tens, _eps_oracle(p1, p2))
+    assert rep.ok
+    xs = list(fam.families_up_to(p1.source, 2))
+    ys = list(fam.families_up_to(p2.source, 2))
+    assert set(tens._epsilon) == {(x, y) for x in xs for y in ys}
+
+
+def test_held_comparison_maps_equal_fresh_ones_on_seeded_instances():
+    rng = random.Random(17)
+    sorts = set()
+    for _ in range(12):
+        k1, k2 = rng.randint(1, 2), rng.randint(1, 2)
+        p1 = randgen.random_diagram(rng, FinSet(k1), FinSet(1), 2, 2)
+        p2 = randgen.random_diagram(rng, FinSet(k2), FinSet(1), 2, 2)
+        sorts.add((k1, k2))
+        bound = 2 if k1 == k2 == 1 else 1
+        xs = list(fam.families_up_to(p1.source, bound))
+        ys = list(fam.families_up_to(p2.source, bound))
+        built = {(x, y): smcc.epsilon(p1, p2, x, y) for x in xs for y in ys}
+        # copies carry no tensor, no extension record and no held map
+        q1, q2 = pickle.loads(pickle.dumps(p1)), pickle.loads(pickle.dumps(p2))
+        for (x, y), e in built.items():
+            held = smcc.epsilon(p1, p2, x, y)
+            fresh = smcc.epsilon(q1, q2, x, y)
+            assert held is e and fresh is not e
+            assert held == fresh and held.map.table == fresh.map.table
+    # one- and two-sorted factors both occur
+    assert {1, 2} <= {k for pair in sorts for k in pair}
+
+
+@pytest.mark.parametrize("limit, size", [
+    # p1 = X + 1 has 9 elements at an 8-set, p2 = X^2 has 16 at a 4-set,
+    # and their tensor 1025 at the 32-set of their box; the tensor's own
+    # carriers sum to 6. The first carrier over the limit is named: p1's,
+    # then p2's, then the tensor's
+    (7, 9),
+    (14, 16),
+    (1000, 1025),
+])
+def test_epsilon_refuses_the_first_carrier_over_the_limit(limit, size):
+    want = f"^search too large: extension carrier has size {size}, guard limit is {limit}$"
+    x, y = fams(1, [8]), fams(1, [4])
+    for warm in (False, True):
+        p1, p2 = ss((1, 0)), ss((2,))
+        if warm:
+            # the morphism is held: a later call still guards every carrier
+            smcc.epsilon(p1, p2, x, y)
+        old = finset.set_guard_limit(limit)
+        try:
+            with pytest.raises(SizeGuardExceeded, match=want):
+                smcc.epsilon(p1, p2, x, y)
+        finally:
+            finset.set_guard_limit(old)
+        if warm:
+            assert smcc.epsilon(p1, p2, x, y).map.dom.size == 9 * 16
+
+
+def test_a_pickled_tensor_carries_no_held_comparison_map():
+    p1, p2 = ss((1, 0)), ss((2,))
+    tens = poly.tensor(p1, p2)
+    smcc.epsilon(p1, p2, fams(1, [2]), fams(1, [1]))
+    assert tens._epsilon
+    copy = pickle.loads(pickle.dumps(tens))
+    assert copy == tens and "_epsilon" not in vars(copy)
 
 
 def test_epsilon_check_agrees_with_all_maps_on_seeded_instances(monkeypatch):

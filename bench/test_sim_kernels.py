@@ -4,14 +4,15 @@ over one span (the table slices held in the span's frame serve them
 all), extraction with a precomputed oracle, the round trip of every
 cell of one instance over one span (the frame held on the span serves
 them all) and of one cell over a fresh span (the frame is built anew),
-building a cell from its rows, counting and enumerating cells (the
-grid instance's 225 too), one whole op of the simcells workload on the
-grid instance over a fresh span (count, enumerate, and round-trip and
-match every cell, the frame built anew), evaluating the zero cell, whose span has
-no states, through its frame, building the tensor of two cells and
-the symmetry of a tensor of grid diagrams, and composing seeded cells
-between two-sorted diagrams, whose rows hold fewer entries than there
-are shapes.
+building a cell from its rows, counting cells (on held diagrams and on
+fresh ones, whose sort groups are built in the timed call) and
+enumerating them (the grid instance's 225 too), one whole op of the
+simcells workload on the grid instance over a fresh span (count,
+enumerate, and round-trip and match every cell, the frame built anew),
+evaluating the zero cell, whose span has no states, through its frame,
+building the tensor of two cells and the symmetry of a tensor of grid
+diagrams, and composing seeded cells between two-sorted diagrams, whose
+rows hold fewer entries than there are shapes.
 
 These cases sit outside the tier-1 test paths and need pytest-benchmark:
 
@@ -109,6 +110,15 @@ def test_cell_from_rows(benchmark):
 
 def test_count_sim(benchmark):
     assert benchmark(sim.count_sim, P, P, SPAN) == 14_400
+
+
+def test_count_sim_cold(benchmark):
+    # fresh diagrams for each round, so the sort groups are built in the
+    # timed call, as at a workload's first count
+    def fresh():
+        return (poly.single_sorted((1, 2)), poly.single_sorted((1, 2)), SPAN), {}
+
+    assert benchmark.pedantic(sim.count_sim, setup=fresh, rounds=5) == 14_400
 
 
 def test_enumerate_grid(benchmark):

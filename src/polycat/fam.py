@@ -119,8 +119,9 @@ def families_up_to(base: FinSet, max_fiber: int) -> Iterator[Family]:
     """All block families over base with every fiber size <= max_fiber,
     in lexicographic order of the size tuple. Guarded by their number
     when called, before the first family is built."""
-    check_guard(finset.capped_power(max_fiber + 1, base.size, finset.guard_limit() + 1),
-                "families with bounded fibers")
+    finset.check_guard_cut(finset.capped_power(max_fiber + 1, base.size,
+                                               finset.guard_limit() + 1),
+                           "families with bounded fibers")
     return (family_from_fibers(base, sizes)
             for sizes in itertools.product(range(max_fiber + 1), repeat=base.size))
 

@@ -42,33 +42,38 @@ def set_guard_limit(limit: int) -> int:
 
 
 def check_guard(size: int, what: str) -> None:
+    """Refuse an exact size over the limit with SizeGuardExceeded, which
+    quotes it. str() refuses integers beyond a few thousand digits, so a
+    huge size is quoted by its order of magnitude."""
     if size > _guard_limit:
-        # a sum cut short at the limit (see check_guard_sum) arrives as
-        # limit + 1 and is quoted as a lower bound; str() refuses integers
-        # beyond a few thousand digits, so a huge size is quoted by its
-        # order of magnitude
-        if size == _guard_limit + 1:
-            shown = f"more than {_guard_limit}"
-        elif size < 10**100:
-            shown = str(size)
-        else:
-            shown = f"more than 10^{math.floor((size.bit_length() - 1) * math.log10(2))}"
-        raise SizeGuardExceeded(
-            f"search too large: {what} has size {shown}, guard limit is {_guard_limit}"
-        )
+        _refuse(what, str(size) if size < 10**100 else
+                f"more than 10^{math.floor((size.bit_length() - 1) * math.log10(2))}")
+
+
+def check_guard_cut(size: int, what: str) -> None:
+    """check_guard on a count cut at the limit plus one (check_guard_sum,
+    capped_product, capped_power): a count over the limit is known only
+    to exceed it, and is quoted as "more than <limit>"."""
+    if size > _guard_limit:
+        _refuse(what, f"more than {_guard_limit}")
+
+
+def _refuse(what: str, shown: str) -> None:
+    raise SizeGuardExceeded(
+        f"search too large: {what} has size {shown}, guard limit is {_guard_limit}"
+    )
 
 
 def check_guard_sum(terms: Iterable[int], what: str) -> None:
-    """check_guard on the sum of nonnegative terms. Adding stops at the
-    first partial sum over the limit, which is passed on as limit + 1, so
-    no huge sum is built just to refuse."""
+    """check_guard_cut on the sum of nonnegative terms. Adding stops at
+    the first partial sum over the limit, so no huge sum is built just to
+    refuse."""
     total = 0
     for term in terms:
         total += term
         if total > _guard_limit:
-            total = _guard_limit + 1
             break
-    check_guard(total, what)
+    check_guard_cut(total, what)
 
 
 def capped_power(base: int, exponent: int, cap: int) -> int:
@@ -107,10 +112,9 @@ def capped_product_rule(pairs: Iterable[tuple[int, int]], cap: int) -> tuple[int
 
 
 def check_guard_product(factors: Iterable[int], what: str) -> None:
-    """check_guard on the product of nonnegative factors, cut at the limit
-    plus one like check_guard_sum (capped_product), so a refusal quotes
-    "more than <limit>" and no huge product is built."""
-    check_guard(capped_product(factors, _guard_limit + 1), what)
+    """check_guard_cut on the product of nonnegative factors, cut at the
+    limit plus one (capped_product), so no huge product is built."""
+    check_guard_cut(capped_product(factors, _guard_limit + 1), what)
 
 
 def field_state(value) -> dict:

@@ -58,32 +58,43 @@ def eval_dm(m: DiagMorphism, x: Family) -> FamMorphism:
     return FamMorphism(src, dst, FinMap(src.total, dst.total, table))
 
 
-def _table_counts(p: PolyDiagram, q: PolyDiagram) -> list[dict[int, int]]:
-    """Per src shape v, the sort-compatible dst shapes w, ascending, that
-    leave v a backward table, with their numbers of tables: Π_i
-    n_v(i)^n_w(i) over the sorts i of w's directions, n counting a shape's
-    directions of sort i, one power per sort, read off both diagrams'
-    sort groups (poly._by_sort)."""
+def _table_counts(p: PolyDiagram, q: PolyDiagram) -> tuple[list[dict[int, int]], list[int]]:
+    """The backward tables of each src shape v: per sort-compatible dst
+    shape w, ascending, that leaves v a table, their number. A backward
+    table at w picks a direction of v of each direction's sort, so by
+    Yoneda the tables are w's payloads at v's representing family A_v:
+    Π_i n_v(i)^n_w(i), read off q's payload count (poly._payload_counts).
+    That depends on v only through its sort and A_v's fiber sizes, so the
+    counts are read once per such key. Returns one dict per key, in order
+    of first use, and the position of each src shape's dict among them."""
     if p.source != q.source or p.target != q.target:
         raise ShapeMismatch("transformations need diagrams over the same sorts")
-    dst = [[(i, len(us)) for i, us in by.items()] for by in poly._by_sort(q)]
-    over, sorts = q.shape_sort.fibers(), p.shape_sort.table
-    out = []
-    for v, by in enumerate(poly._by_sort(p)):
-        counts = ((w, math.prod(len(by.get(i, ())) ** m for i, m in dst[w]))
-                  for w in over[sorts[v]])
-        out.append({w: n for w, n in counts if n})
-    return out
+    over = q.shape_sort.fibers()
+    position: dict = {}
+    dicts, which = [], []
+    for key in zip(p.shape_sort.table, poly._family_sizes(p)):
+        k = position.get(key)
+        if k is None:
+            k = position[key] = len(dicts)
+            payloads = poly._payload_counts(q, key[1])
+            dicts.append({w: payloads[w] for w in over[key[0]] if payloads[w]})
+        which.append(k)
+    return dicts, which
+
+
+def _total(dicts: list[dict[int, int]], which: list[int]) -> int:
+    """Π_v of the number of src shape v's tables (_table_counts), each
+    dict summed once."""
+    sums = [sum(counts.values()) for counts in dicts]
+    return math.prod(map(sums.__getitem__, which))
 
 
 def count_nat(p: PolyDiagram, q: PolyDiagram) -> int:
     """Exact number of strong transformations, by Yoneda
-    Nat(sum_v X^{A_v}, q) = prod_v q(A_v): the product over source shapes
-    v of the sum over sort-compatible target shapes w of their numbers of
-    backward tables (_table_counts), counted from the sizes of the
-    directions' sort groups, which each diagram builds once and keeps
-    (poly._by_sort). Pure arithmetic, never guarded."""
-    return math.prod(sum(counts.values()) for counts in _table_counts(p, q))
+    Nat(sum_v y^{A_v}, q) = prod_v q(A_v), q(A_v) summed over the target
+    shapes of v's sort (_table_counts, _total). Pure arithmetic, never
+    guarded."""
+    return _total(*_table_counts(p, q))
 
 
 def _blocks(p: PolyDiagram, q: PolyDiagram):
@@ -101,14 +112,14 @@ def _blocks(p: PolyDiagram, q: PolyDiagram):
     option is checked once: every (v, w, table) by DiagMorphism's beta
     check and every shape map by its alpha check. So every member is one
     that DiagMorphism's construction accepts."""
-    groups, counts = poly._by_sort(p), _table_counts(p, q)
-    total = math.prod(sum(c.values()) for c in counts)
+    dicts, which = _table_counts(p, q)
+    total = _total(dicts, which)
     check_guard(total, "transformation enumeration")
     if not total:
         return
     fibers, dst_sorts = q.dir_shape.fibers(), q.dir_sort.table
     tables = [{w: list(itertools.product(*[by[dst_sorts[u]] for u in fibers[w]]))
-               for w in c} for by, c in zip(groups, counts)]
+               for w in dicts[k]} for by, k in zip(poly._by_sort(p), which)]
     poly._check_betas(p, q, ((v, w, table) for v, listed in enumerate(tables)
                              for w, options in listed.items() for table in options))
     for combo in itertools.product(*tables):
@@ -196,9 +207,9 @@ def check_families(p: PolyDiagram) -> tuple[Family, ...]:
         held = tuple(fam.families_up_to(p.source, _CHECK_FIBER))
         object.__setattr__(p, "_check_families", held)
     else:
-        check_guard(finset.capped_power(_CHECK_FIBER + 1, p.source.size,
-                                        finset.guard_limit() + 1),
-                    "families with bounded fibers")
+        finset.check_guard_cut(finset.capped_power(_CHECK_FIBER + 1, p.source.size,
+                                                   finset.guard_limit() + 1),
+                               "families with bounded fibers")
     return held
 
 

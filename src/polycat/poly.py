@@ -146,13 +146,30 @@ def monomials(counts: Mapping[int, int]) -> str:
 # extension: evaluating the represented functor
 
 
+def _payload_counts(p: PolyDiagram, sizes) -> tuple[int, ...]:
+    """Per shape v of p, its number of payloads at a family over p's
+    source with the given fiber sizes: Π_i sizes[i]^n_v(i), n_v(i) the
+    number of v's directions of sort i, one power per sort group
+    (_by_sort). The package's one payload count: by Yoneda, the count at
+    a shape's representing family is the number of maps out of its
+    representable, so nat's and sim's hom-set counts read it too."""
+    return tuple([math.prod([sizes[i] ** len(us) for i, us in by.items()])
+                  for by in _by_sort(p)])
+
+
+def _family_sizes(p: PolyDiagram) -> list[tuple[int, ...]]:
+    """Per shape v of p, the fiber sizes of its representing family A_v:
+    the number of v's directions of each sort of p's source."""
+    sorts = range(p.source.size)
+    return [tuple([len(by[i]) if i in by else 0 for i in sorts]) for by in _by_sort(p)]
+
+
 def payload_sizes(p: PolyDiagram, x: Family) -> tuple[int, ...]:
-    """Per shape, the count of payloads: the product over its directions
-    of the matching fiber sizes of x."""
+    """Per shape, the count of payloads at x, from x's fiber sizes
+    (_payload_counts)."""
     if x.base != p.source:
         raise ShapeMismatch("family must live over the diagram's source")
-    xs, sorts = x.fiber_sizes(), p.dir_sort.table
-    return tuple([math.prod([xs[sorts[u]] for u in us]) for us in p.dir_shape.fibers()])
+    return _payload_counts(p, x.fiber_sizes())
 
 
 def extension_fiber_sizes(p: PolyDiagram, x: Family) -> tuple[int, ...]:
@@ -618,8 +635,8 @@ def _check_hom_guards(by_arity2: Mapping[int, int], by_arity3: Mapping[int, int]
     carrier (_hom_sizes, cut at the limit plus one). Returns the shape
     count."""
     shape_count, dir_count = _hom_sizes(by_arity2, by_arity3, finset.guard_limit() + 1)
-    check_guard(shape_count, "hom shape carrier")
-    check_guard(dir_count, "hom direction carrier")
+    finset.check_guard_cut(shape_count, "hom shape carrier")
+    finset.check_guard_cut(dir_count, "hom direction carrier")
     return shape_count
 
 

@@ -67,7 +67,7 @@ from types import MappingProxyType
 from . import fam, finset, nat, poly
 from .errors import OracleNotNatural, ShapeMismatch, ValidationError
 from .fam import FamMorphism, Family, Span
-from .finset import FinMap, FinSet, check_guard
+from .finset import FinMap, FinSet, check_guard, check_guard_cut
 from .poly import _CARRIER, PolyDiagram, au_lift
 from .report import Report
 
@@ -763,61 +763,88 @@ def _fill_table(p1: PolyDiagram, p2: PolyDiagram, span: Span):
     (state, shape v) pair whose state's right end is j. A move pairs a
     state g over u's sort on the right with the position k in v's fiber
     of a direction of v over g's left end (v's sort groups,
-    poly._by_sort), state first, then position. The moves are built once
-    per shape v and direction sort, and every direction of that sort
-    shares the list."""
+    poly._by_sort), state first, then position. So the moves depend on v
+    only through the sorts of its directions, in fiber order: shapes with
+    the same sort tuple share their entries, each built once per (sort
+    tuple, j), and every direction of one sort shares its list. By
+    Yoneda, an entry lists p2's extension elements over j at au(A_v), A_v
+    v's representing family and au the span's sum lift, read as moves."""
     left, by_right = span.left.table, span.right.fibers()
     groups, position = poly._by_sort(p1), p1.dir_shape.positions()
+    fibers, sorts = p1.dir_shape.fibers(), p1.dir_sort.table
     dst_fibers, dst_sorts, over = p2.dir_shape.fibers(), p2.dir_sort.table, p2.shape_sort.fibers()
-    by_shape: dict = {}
+    moves_of: dict = {}
+    shared: dict = {}
     table: dict = {}
 
     def fills(v: int, j: int) -> list:
         got = table.get((v, j))
         if got is None:
-            by_sort = by_shape.get(v)
-            if by_sort is None:
-                by = groups[v]
-                by_sort = by_shape[v] = [[(g, position[b]) for g in states
-                                          for b in by.get(left[g], ())]
-                                         for states in by_right]
-            got = table[v, j] = [(w, [by_sort[dst_sorts[u]] for u in dst_fibers[w]])
-                                 for w in over[j]]
+            kind = tuple([sorts[u] for u in fibers[v]])
+            got = shared.get((kind, j))
+            if got is None:
+                by_sort = moves_of.get(kind)
+                if by_sort is None:
+                    by = groups[v]
+                    by_sort = moves_of[kind] = [[(g, position[b]) for g in states
+                                                 for b in by.get(left[g], ())]
+                                                for states in by_right]
+                got = shared[kind, j] = [(w, [by_sort[dst_sorts[u]] for u in dst_fibers[w]])
+                                         for w in over[j]]
+            table[v, j] = got
         return got
     return fills
 
 
-def _pair_fills(p1: PolyDiagram, p2: PolyDiagram, span: Span) -> list:
-    """The fill table's entry of each (state, shape) pair, in cell_pairs
-    order."""
+def _pair_fills(p1: PolyDiagram, p2: PolyDiagram, span: Span) -> tuple[list, list[int]]:
+    """The fill table's entries of the (state, shape) pairs, each shared
+    entry once, in order of first use, and the position of each pair's
+    entry among them, in cell_pairs order."""
     fills, right = _fill_table(p1, p2, span), span.right.table
-    return [fills(v, right[rho]) for rho, v in cell_pairs(span, p1)]
+    position: dict = {}
+    entries, which = [], []
+    for rho, v in cell_pairs(span, p1):
+        options = fills(v, right[rho])
+        k = position.get(id(options))
+        if k is None:
+            k = position[id(options)] = len(entries)
+            entries.append(options)
+        which.append(k)
+    return entries, which
 
 
 def count_sim(p1: PolyDiagram, p2: PolyDiagram, span: Span) -> int:
-    """Number of valid cells over the given span, in closed form: the
-    (state, shape v) pairs fill independently, each in weight(v, j) =
-    Σ_w Π_u |moves| ways read off the fill table, j the state's right
-    end. So the count is Π_{(i,j)} Π_{v over i} weight(v, j)^n(i,j), with
-    n(i, j) states over the ends (i, j). No guard: it is arithmetic, safe
-    even where enumerate_sim, which checks the same ends, would refuse."""
+    """Number of valid cells over the given span, by Yoneda: a (state,
+    shape v) pair fills in weight(v, j) = |p2(au(A_v))|_j ways, j the
+    state's right end, A_v v's representing family and au the span's sum
+    lift, whose fiber over a sort k is Σ_{g : right(g) = k}
+    |A_v|_{left(g)} (poly._payload_counts, once per representing family).
+    So the count is Π_{(i,j)} Π_{v over i} weight(v, j)^n(i,j), n(i, j)
+    the states over the ends (i, j). No guard: it is arithmetic, safe even
+    where enumerate_sim, which checks the same ends, would refuse."""
     _check_ends(span, p1, p2)
-    fills, shapes_over = _fill_table(p1, p2, span), p1.shape_sort.fibers()
+    left, by_right = span.left.table, span.right.fibers()
+    shapes_over, over = p1.shape_sort.fibers(), p2.shape_sort.fibers()
+    families = poly._family_sizes(p1)
+    weights: dict = {}
     total = 1
-    for (i, j), n in Counter(zip(span.left.table, span.right.table)).items():
+    for (i, j), n in Counter(zip(left, span.right.table)).items():
         for v in shapes_over[i]:
-            total *= sum(math.prod(map(len, moves)) for _, moves in fills(v, j)) ** n
+            a = families[v]
+            weight = weights.get(a)
+            if weight is None:
+                lifted = [sum([a[left[g]] for g in states]) for states in by_right]
+                payloads = poly._payload_counts(p2, lifted)
+                weight = weights[a] = [sum([payloads[w] for w in ws]) for ws in over]
+            total *= weight[j] ** n
     return total
 
 
 def _fillings(options: list, cap: int) -> int:
-    """The number of ways to fill one (state, shape) pair from its fill
+    """The number of ways to fill a (state, shape) pair from its fill
     table entry, with every product and the sum cut at cap
     (finset.capped_product)."""
     return min(sum(finset.capped_product(map(len, moves), cap) for _, moves in options), cap)
-
-
-_PAIR_OPTIONS = "cell table options at one (state, shape) pair"
 
 
 def _pair_choice(options: list, i: int) -> tuple[int, tuple]:
@@ -849,13 +876,15 @@ def random_cell(rng, p1: PolyDiagram, p2: PolyDiagram, span: Span) -> SimCell | 
     drawing from enumerate_sim's list of the pair's fillings.
     """
     _check_ends(span, p1, p2)
+    shared, which = _pair_fills(p1, p2, span)
+    cap = finset.guard_limit() + 1
+    fills = [_fillings(options, cap) for options in shared]
     entries = []
-    for options in _pair_fills(p1, p2, span):
-        n = _fillings(options, finset.guard_limit() + 1)
-        check_guard(n, _PAIR_OPTIONS)
-        if not n:
+    for k in which:
+        check_guard_cut(fills[k], "cell table options at one (state, shape) pair")
+        if not fills[k]:
             return None
-        entries.append(_pair_choice(options, rng.randrange(n)))
+        entries.append(_pair_choice(shared[k], rng.randrange(fills[k])))
     return _cell(span, p1, p2, _layout(span, p1, entries))
 
 
@@ -865,28 +894,26 @@ def enumerate_sim(p1: PolyDiagram, p2: PolyDiagram, span: Span) -> list[SimCell]
     cell count is guarded up front, cut at the limit plus one: the product
     of every pair's _fillings (finset.check_guard_product). If some pair
     has no filling there is no cell, and nothing more is guarded, listed,
-    checked or laid out. Otherwise each pair's count is guarded before it
-    is listed by index (_pair_choice). A cell is a choice of one listed
-    option per pair, so the entry check runs once per option, at its pair
-    (_check_entries). A state's rows are the product of its pairs' option
-    lists, all of one length, so one row per state gives the layout check
-    (_check_layout), and a cell is a choice of one row per state. In this
-    order, the last pair's option varies fastest, as in itertools.product
-    over the pairs. With every pair filled, a pair's options and a state's
-    rows are at most the cells, which the guard bounds."""
+    checked or laid out. Otherwise the fillings are listed by index
+    (_pair_choice), once per shared fill table entry; a pair's fillings
+    and a state's rows are at most the cells, which the guard bounds. A
+    cell is a choice of one listed option per pair, so the entry check
+    runs once per option, at its pair (_check_entries). A state's rows are
+    the product of its pairs' option lists, all of one length, so one row
+    per state gives the layout check (_check_layout), and a cell is a
+    choice of one row per state. In this order, the last pair's option
+    varies fastest, as in itertools.product over the pairs."""
     _check_ends(span, p1, p2)
-    pair_fills = _pair_fills(p1, p2, span)
+    shared, which = _pair_fills(p1, p2, span)
     cap = finset.guard_limit() + 1
-    fills = [_fillings(options, cap) for options in pair_fills]
-    finset.check_guard_product(fills, "cell search space")
+    fills = [_fillings(options, cap) for options in shared]
+    finset.check_guard_product(map(fills.__getitem__, which), "cell search space")
     if not all(fills):
         return []
-    per_pair = []
-    for options, n in zip(pair_fills, fills):
-        check_guard(n, _PAIR_OPTIONS)
-        per_pair.append([_pair_choice(options, i) for i in range(n)])
-    _check_entries(span, p1, p2, [(rho, v, e) for (rho, v), listed
-                                  in zip(cell_pairs(span, p1), per_pair) for e in listed])
+    listed = [[_pair_choice(options, i) for i in range(n)] for options, n in zip(shared, fills)]
+    per_pair = list(map(listed.__getitem__, which))
+    _check_entries(span, p1, p2, [(rho, v, e) for (rho, v), pair
+                                  in zip(cell_pairs(span, p1), per_pair) for e in pair])
     it, fibers = iter(per_pair), p1.shape_sort.fibers()
     per_state = [list(itertools.product(*itertools.islice(it, len(fibers[i]))))
                  for i in span.left.table]
@@ -982,7 +1009,7 @@ def equivalence_check(c: SimCell, c2: SimCell) -> FinMap | None:
                 continue
             choices += 1
             if choices > limit:
-                check_guard(choices, "span isomorphism search")
+                check_guard_cut(choices, "span isomorphism search")
             if assign(branching[p], b, trail):
                 pos = p + 1
                 break

@@ -154,6 +154,18 @@ def test_count_and_enumeration_of_wide_pairs_run_in_linear_time():
     assert all(m.betas == ((),) for m in ms)
 
 
+def test_transformations_of_many_shapes_count_and_list_in_linear_time():
+    # 20000 constant shapes into 1 + 19999X: one transformation. Counting
+    # per pair of shapes took 7.6 s at 4000 shapes on a 2-vCPU host, and
+    # enumerating 6.8 s
+    for run in (lambda p, q: nat.count_nat(p, q) == 1,
+                lambda p, q: [m.alpha.table for m in nat.enumerate_dm(p, q)] == [(0,) * 20000]):
+        p, q = ss(*[0] * 20000), ss(0, *[1] * 19999)
+        start = time.perf_counter()
+        assert run(p, q)
+        assert time.perf_counter() - start < 0.5
+
+
 def test_enumeration_with_no_transformations_lists_no_tables():
     # X^7 has 7^7 backward tables into X^7, but the constant shape has none,
     # so there is no transformation and no table need be listed

@@ -211,6 +211,38 @@ def test_extension_guard_is_checked_on_every_cached_access():
     assert len(poly.extension_elements(p, x)) == 9
 
 
+def test_an_exact_size_of_limit_plus_one_is_quoted_as_it_is():
+    # 7 constant shapes make a 7-element carrier at any family: refused at
+    # limit 6 with its size, where a count cut at the limit plus one, such
+    # as the 7 families of one fiber at most 6, is only "more than 6"
+    p, x = ss(*[0] * 7), fams(1, (1,))
+    old = finset.set_guard_limit(6)
+    try:
+        with pytest.raises(SizeGuardExceeded, match="^search too large: extension carrier has "
+                                                    "size 7, guard limit is 6$"):
+            poly._extension(p, x)
+        with pytest.raises(SizeGuardExceeded, match="^search too large: families with bounded "
+                                                    "fibers has size more than 6, guard limit"):
+            fam.families_up_to(FinSet(1), 6)
+        finset.set_guard_limit(7)
+        assert len(poly._extension(p, x).elements) == 7
+    finally:
+        finset.set_guard_limit(old)
+
+
+def test_a_shape_of_a_million_directions_is_counted_by_one_power():
+    # a product over the directions took 12.5 s, and the refusal 12.8 s,
+    # on a 2-vCPU host
+    p, x = ss(10**6), fams(1, (2,))
+    start = time.perf_counter()
+    assert poly.extension_fiber_sizes(p, x) == (2**10**6,)
+    assert time.perf_counter() - start < 0.5
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardExceeded, match="extension carrier has size more than 10\\^301029,"):
+        poly.eval_extension(p, x)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_extension_index_is_read_only():
     index = poly.extension_index(ss(2), fams(1, (3,)))
     with pytest.raises(TypeError):

@@ -1576,6 +1576,71 @@ def split_span(span: Span, end: str, p: poly.PolyDiagram, q: poly.PolyDiagram) -
     return parts
 
 
+def test_count_sim_is_a_transformation_count_by_yoneda():
+    # a cell over R is a transformation from au ∘ p1 to p2 ∘ au, au the
+    # span's sum lift: counted through the composites and count_nat, which
+    # share no code with count_sim's lifted payload counts
+    counted = nonzero = 0
+    for seed in range(3):
+        rng = random.Random(seed)
+        for _ in range(200):
+            p1, p2 = randgen.random_endo(rng, 2, 2, 2), randgen.random_endo(rng, 2, 2, 2)
+            span = randgen.random_span(rng, p1.source, p2.source, 2)
+            au = poly.au_lift(span)
+            count = sim.count_sim(p1, p2, span)
+            assert count == nat.count_nat(poly.compose_direct(au, p1),
+                                          poly.compose_direct(p2, au))
+            counted += 1
+            nonzero += count > 1
+    assert counted == 600 and nonzero > 100
+
+
+def test_fill_entries_are_the_extension_elements_at_the_lifted_family():
+    # the fillings of a pair (state over j, shape v), in _pair_choice
+    # order, are p2's extension elements over j at au(A_v), A_v v's
+    # representing family, each payload entry read as the move that the
+    # extraction probe decodes it to
+    rng, cap, compared = random.Random(11), finset.guard_limit() + 1, 0
+    for _ in range(400):
+        # up to three shapes of three directions, so that shapes whose
+        # directions have the same sorts in another order occur
+        p1, p2 = randgen.random_endo(rng, 2, 3, 3), randgen.random_endo(rng, 2, 3, 3)
+        span = randgen.random_span(rng, p1.source, p2.source, 2)
+        au, fills = poly.au_lift(span), sim._fill_table(p1, p2, span)
+        position = p1.dir_shape.positions()
+        for v in p1.shapes:
+            y, order = nat.generic_family(p1, v)
+            moves = [(g, position[order[t]]) for g, (t,) in poly.extension_elements(au, y)]
+            elements = poly.extension_elements(p2, poly.eval_extension(au, y))
+            for j in p2.target:
+                options = fills(v, j)
+                n = sim._fillings(options, cap)
+                assert [sim._pair_choice(options, i) for i in range(n)] == [
+                    (w, tuple([moves[t] for t in payload])) for w, payload in elements
+                    if p2.shape_sort(w) == j]
+                compared += n > 0
+    assert compared > 400
+
+
+def _constants_into_one_constant(n: int):
+    # n constant shapes into 1 + (n-1)X over the one-state identity span:
+    # every pair fills only at the constant, so there is one cell
+    return ss(*[0] * n), ss(0, *[1] * (n - 1)), singleton_span()
+
+
+def test_cells_of_many_shapes_count_and_list_in_linear_time():
+    # counting per pair of shapes took 20.7 s at n = 4000 on a 2-vCPU host,
+    # and listing and drawing per (shape, right end) 34 and 28 s
+    for run in (lambda p1, p2, span: sim.count_sim(p1, p2, span) == 1,
+                lambda p1, p2, span: len(sim.enumerate_sim(p1, p2, span)) == 1,
+                lambda p1, p2, span: sim.random_cell(random.Random(0), p1, p2, span)._plan
+                == ((*[(0, ())] * 20000,),)):
+        p1, p2, span = _constants_into_one_constant(20000)
+        start = time.perf_counter()
+        assert run(p1, p2, span)
+        assert time.perf_counter() - start < 0.5
+
+
 def test_count_sim_factors_over_a_sum_of_diagrams():
     # a cell into p ⊕ q is a pair of cells, into p over the states whose
     # right end is a sort of p and into q over the others, as successors

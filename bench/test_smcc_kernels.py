@@ -10,7 +10,9 @@ mode at X^2 against X at |x| = 1 (300 tuples); the
 binaturality check of the comparison map (the squares that theta and
 epsilon_naturality_check walk), the comparison map alone at every
 argument pair with fibers at most 2, and the whole universal-property
-check of the comparison map (theta_check, the workload's theta op).
+check of the comparison map (theta_check, the workload's theta op), on
+that pair and at the grid's heaviest pair, 2X^2 against itself, whose
+tensor values at the boxes of 2-point families have 1,024 elements.
 epsilon holds the morphism it builds per argument pair on the tensor,
 so after the first call test_epsilon times the guarded record reads and
 the lookup of held morphisms. test_theta_check_cold times theta_check
@@ -146,6 +148,21 @@ def test_theta_check(benchmark):
     assert rep.ok and rep.lines == (
         "mediating map reproduces rho after the comparison map at 9 argument pairs",
         "128 candidate transformations exceed the sampling limit 8; "
+        "uniqueness not sampled")
+
+
+def test_theta_check_heaviest(benchmark):
+    square = poly.single_sorted((2, 2))
+    tens = poly.tensor(square, square)
+
+    def run():
+        return smcc.theta_check(square, square, tens,
+                                lambda x, y: smcc.epsilon(square, square, x, y))
+
+    rep = benchmark(run)
+    assert rep.ok and rep.lines == (
+        "mediating map reproduces rho after the comparison map at 9 argument pairs",
+        "1099511627776 candidate transformations exceed the sampling limit 8; "
         "uniqueness not sampled")
 
 

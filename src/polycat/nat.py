@@ -48,14 +48,24 @@ def eval_dm(m: DiagMorphism, x: Family) -> FamMorphism:
         raise ShapeMismatch("family must live over the transformation's source")
     src = poly._extension(m.src, x)
     dst = poly._extension(m.dst, x)
+    table = _component_at(m, dst, src.elements)
+    src, dst = src.family, dst.family
+    return FamMorphism(src, dst, FinMap(src.total, dst.total, table))
+
+
+def _component_at(m: DiagMorphism, dst: poly.Extension, elements) -> tuple[int, ...]:
+    """m's component read at the given elements (shape, payload) of its
+    source's extension: per element, the rank in dst, the target's
+    record, of the image shape with the payload read through the
+    backward tables. eval_dm reads it at every element; smcc's
+    universal-property check reads it only at the elements that the
+    comparison map lands on."""
     index, alpha = dst.index(), m.alpha.table
     # per src shape v, the position in v's fiber of each backward answer
     position = m.src.dir_shape.positions()
     reads = [tuple([position[u] for u in table]) for table in m.betas]
-    table = tuple([index[(alpha[v], tuple([payload[k] for k in reads[v]]))]
-                   for v, payload in src.elements])
-    src, dst = src.family, dst.family
-    return FamMorphism(src, dst, FinMap(src.total, dst.total, table))
+    return tuple([index[(alpha[v], tuple([payload[k] for k in reads[v]]))]
+                  for v, payload in elements])
 
 
 def _table_counts(p: PolyDiagram, q: PolyDiagram) -> tuple[list[dict[int, int]], list[int]]:

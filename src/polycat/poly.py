@@ -286,12 +286,21 @@ def extension_map(p: PolyDiagram, h: FamMorphism) -> FamMorphism:
     record is read once, and guarded, source before target."""
     src = _extension(p, h.src)
     dst = _extension(p, h.dst)
-    index = dst.index()
-    ht = h.map.table
-    table = tuple([index[(v, tuple([ht[t] for t in payload]))]
-                   for v, payload in src.elements])
+    table = _action_at(dst, h.map.table, src.elements)
     src, dst = src.family, dst.family
     return FamMorphism(src, dst, FinMap(src.total, dst.total, table))
+
+
+def _action_at(dst: Extension, ht: tuple[int, ...], elements) -> tuple[int, ...]:
+    """The action of the extension on a family morphism with table ht,
+    read at the given elements (shape, payload) of its source's
+    extension: per element, the rank in dst, the target's record, of the
+    same shape with ht applied to every payload entry. extension_map
+    reads it at every element; smcc's binaturality check reads it only
+    at the elements that rho's component lands on."""
+    index = dst.index()
+    return tuple([index[(v, tuple([ht[t] for t in payload]))]
+                  for v, payload in elements])
 
 
 def eval_via_slices(p: PolyDiagram, x: Family) -> Family:

@@ -106,17 +106,21 @@ def _check_rho_natural(rho, p1: PolyDiagram, p2: PolyDiagram,
     order. rho is evaluated once per argument pair, and each factor's
     functorial action (poly.extension_map of p1 or p2) once per
     generating morphism and once per identity, shared by every square
-    it sits in; only the tensor's action is computed per square.
+    it sits in. The action of f_diag's extension on the box of the two
+    morphisms is never built whole: per square it is read only at the
+    elements that rho's component at (f.src, g.src) lands on.
 
     The two composites of a square are read on tables and not built:
     the left side is rho's table at (f.dst, g.dst) read at F[i1] * m2 +
     G[i2], with F and G the factor actions' tables and m2 the size of
-    g's action's target, and the right side the tensor's action read at
-    rho's table at (f.src, g.src). Their endpoints are checked as
-    FamMorphism.then checks them, with its message ("cannot compose
-    family morphisms: endpoints differ") and in the order that composing
-    them would: the left side's before the tensor's action is built,
-    the right side's after."""
+    g's action's target, and the right side f_diag's action
+    (poly._action_at, with the box map's table from
+    finset.product_map) read at rho's table at (f.src, g.src). Their
+    endpoints are checked as FamMorphism.then checks them, with its
+    message ("cannot compose family morphisms: endpoints differ") and in
+    the order that composing them would: the left side's before f_diag's
+    two extension records are read (source, then target, as
+    poly.extension_map reads them), the right side's after."""
     xs = list(fam.families_up_to(p1.source, bound))
     ys = list(fam.families_up_to(p2.source, bound))
     fs = fam.generating_morphisms(p1.source, bound)
@@ -136,12 +140,13 @@ def _check_rho_natural(rho, p1: PolyDiagram, p2: PolyDiagram,
         after = comps[f.dst, g.dst]
         fam._check_composable(fam.box(f_ext.dst, g_ext.dst), after.src)
         table, gt, m2 = after.map.table, g_ext.map.table, g_ext.dst.total.size
-        lhs = [table[y1 * m2 + y2] for y1 in f_ext.map.table for y2 in gt]
+        lhs = tuple([table[y1 * m2 + y2] for y1 in f_ext.map.table for y2 in gt])
         before = comps[f.src, g.src]
-        action = poly.extension_map(f_diag, fam.box_morphism(f, g))
-        fam._check_composable(before.dst, action.src)
-        table = action.map.table
-        if lhs != [table[t] for t in before.map.table]:
+        src = poly._extension(f_diag, fam.box(f.src, g.src))
+        dst = poly._extension(f_diag, fam.box(f.dst, g.dst))
+        fam._check_composable(before.dst, src.family)
+        if lhs != poly._action_at(dst, finset.product_map(f.map, g.map).table,
+                                  map(src.elements.__getitem__, before.map.table)):
             raise OracleNotNatural(
                 f"rho not natural: counterexample at fibers {f.src.fiber_sizes()}"
                 f"->{f.dst.fiber_sizes()} and {g.src.fiber_sizes()}"
@@ -198,7 +203,9 @@ def theta(rho, p1: PolyDiagram, p2: PolyDiagram, f_diag: PolyDiagram,
     morphisms only: naturality squares paste, so these give every square
     between families with fibers at most 2. rho is evaluated once per
     argument pair, its values shared by the naturality check and the
-    mediator and kept for this call only."""
+    mediator and kept for this call only. The naturality check reads
+    f_diag's action on each square only at rho's image
+    (_check_rho_natural)."""
     tens = _tensor_into(p1, p2, f_diag)
     if r.base != tens.source:
         raise ShapeMismatch("family must live over the tensor's source sorts")
@@ -218,9 +225,13 @@ def theta_check(p1: PolyDiagram, p2: PolyDiagram, f_diag: PolyDiagram, rho,
     rho and the comparison map are evaluated once per argument pair: the
     naturality check, the mediator and every candidate share the values,
     kept for this call only. A candidate's composite with the comparison
-    map is read on tables, the candidate's component at the box read at
-    the comparison map's table, after the endpoint check that composing
-    them would make, with the same message."""
+    map is read on tables and its component is never built whole: its
+    two extension records at the box are read, source then target, as
+    nat.eval_dm reads them, then the endpoint check that composing them
+    would make is made, with the same message, and the component
+    (nat._component_at) is read only at the comparison map's table: one
+    read per element of p1(x) ⊠ p2(y), not one per element of the
+    tensor's value at x ⊠ y."""
     tens = poly.tensor(p1, p2)
     rho = functools.cache(rho)
     comparison = functools.cache(lambda x, y: epsilon(p1, p2, x, y))
@@ -234,10 +245,12 @@ def theta_check(p1: PolyDiagram, p2: PolyDiagram, f_diag: PolyDiagram, rho,
         for x in xs:
             for y in ys:
                 c = comparison(x, y)
-                component = nat.eval_dm(m, fam.box(x, y))
-                fam._check_composable(c.dst, component.src)
-                ct = component.map.table
-                if tuple([ct[t] for t in c.map.table]) != rho(x, y).map.table:
+                bx = fam.box(x, y)
+                src = poly._extension(m.src, bx)
+                dst = poly._extension(m.dst, bx)
+                fam._check_composable(c.dst, src.family)
+                if nat._component_at(m, dst, map(src.elements.__getitem__,
+                                                 c.map.table)) != rho(x, y).map.table:
                     return x, y
         return None
 
@@ -943,14 +956,18 @@ def double_dual_report(a_size: int, b_size: int) -> Report:
     carrier counts with the closed formulas, and search for an
     isomorphism with the original.
 
-    Both duals are guarded in closed form before either is built, with
-    the labels and in the order that building them would check: the
-    first dual is the hom from a shapes of arity b into the bottom
-    diagram, the second the hom from its b^a shapes of arity a, checked
-    once the first has passed, so b^a is within the guard limit. A
-    refusal therefore costs no construction."""
+    The a-fold sum and both duals are guarded in closed form before any
+    is built, with the labels and in the order that building them would
+    check. The sum's a shapes come first: at b = 0 both duals are tiny
+    however large a is. Its a · b directions need no guard of their own,
+    as the first dual's direction count a · b^a bounds them. The first
+    dual is the hom from a shapes of arity b into the bottom diagram, the
+    second the hom from its b^a shapes of arity a, checked once the first
+    has passed, so b^a is within the guard limit. A refusal therefore
+    costs no construction."""
     if a_size < 0 or b_size < 0:
         raise ValidationError("sizes must be nonnegative")
+    check_guard(a_size, "diagram shape carrier")
     bottom = poly.arity_counts(poly.bottom_diagram())
     # _hom_sizes takes positive counts: a zero count is no shape at all
     poly._check_hom_guards({b_size: a_size} if a_size else {}, bottom)

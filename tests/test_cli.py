@@ -92,6 +92,16 @@ def test_double_dual_over_the_guard_refuses_in_one_line(capsys):
                    "more than 1000000, guard limit is 1000000\n")
 
 
+def test_double_dual_of_many_constant_shapes_refuses_before_building_them(capsys):
+    # at b = 0 both duals have at most one shape, so only the a-fold sum
+    # itself is large; it was built whole and raised MemoryError out of main
+    code, out, err = run(capsys, "double-dual", "--a", str(10**9), "--b", "0")
+    assert code == 3
+    assert out == ""
+    assert err == ("size guard exceeded: search too large: diagram shape carrier has "
+                   "size 1000000000, guard limit is 1000000\n")
+
+
 def test_eval_names_an_unknown_family_in_the_singular(capsys):
     code, out, err = run(capsys, "eval", LIST_DOC, "--diagram", "list3", "--family", "x")
     assert code == 1

@@ -419,8 +419,9 @@ def test_rho_check_evaluates_rho_once_per_argument_pair():
 ])
 def test_rho_check_computes_each_factor_action_once(monkeypatch, p1, p2, bound):
     # one action per generating morphism and per identity of each factor,
-    # shared by the squares, and one tensor action per square (rebuilding
-    # both factor actions in every square makes 3 calls a square)
+    # shared by the squares (rebuilding both factor actions in every
+    # square makes 2 more calls a square), and no whole tensor action: a
+    # square reads it only at rho's image
     extension_map = poly.extension_map
     calls = Counter()
 
@@ -436,8 +437,201 @@ def test_rho_check_computes_each_factor_action_once(monkeypatch, p1, p2, bound):
     fs = fam.generating_morphisms(p1.source, bound)
     gs = fam.generating_morphisms(p2.source, bound)
     assert squares == len(fs) * len(ys) + len(xs) * len(gs)
-    assert calls == Counter({p1: len(fs) + len(xs), p2: len(gs) + len(ys),
-                             tens: squares})
+    assert calls == Counter({p1: len(fs) + len(xs), p2: len(gs) + len(ys)})
+
+
+def _swapped(e):
+    # e, then the swap of the first two points of its codomain's first
+    # fiber with two points: a component that is wrong at its pair
+    fib = next(fib for fib in e.dst.proj.fibers() if len(fib) >= 2)
+    a, b = fib[0], fib[1]
+    table = tuple(b if t == a else a if t == b else t for t in e.map.table)
+    return fam.FamMorphism(e.src, e.dst, FinMap(e.src.total, e.dst.total, table))
+
+
+def _record_reads(monkeypatch):
+    # the fiber sizes of every extension record read, per diagram, in order
+    reads = []
+    extension = poly._extension
+
+    def recorded(p, x):
+        reads.append((p, x.fiber_sizes()))
+        return extension(p, x)
+
+    monkeypatch.setattr(poly, "_extension", recorded)
+    return reads
+
+
+def test_a_rho_wrong_at_one_argument_pair_fails_its_first_square(monkeypatch):
+    # rho is the comparison map but at fibers (1,) and (2,), where it swaps
+    # two points; the first square through that pair refuses it, after
+    # reading the tensor's records at its two boxes, source then target
+    p1, p2 = ss((1, 0)), ss((2,))
+    tens = poly.tensor(p1, p2)
+
+    def rho(x, y):
+        e = smcc.epsilon(p1, p2, x, y)
+        return _swapped(e) if (x.fiber_sizes(), y.fiber_sizes()) == ((1,), (2,)) else e
+
+    message = ("rho not natural: counterexample at fibers (1,)->(2,) and "
+               "(2,)->(2,), maps (1,) and (0, 1)")
+    r = fams(1, [1])
+    for check in (lambda: smcc._check_rho_natural(rho, p1, p2, tens, 2),
+                  lambda: smcc.theta_check(p1, p2, tens, rho),
+                  lambda: smcc.theta(rho, p1, p2, tens, r)):
+        reads = _record_reads(monkeypatch)
+        with pytest.raises(OracleNotNatural) as info:
+            check()
+        assert str(info.value) == message
+        mine = [sizes for p, sizes in reads if p is tens]
+        assert len(mine) == 21 and mine[-2:] == [(2,), (4,)]
+
+
+def test_a_rho_component_with_the_wrong_codomain_fails_the_endpoint_check(monkeypatch):
+    # at fibers (1,) and (1,) rho lands in a family one point larger than
+    # the tensor's value: the first square that starts there refuses it,
+    # once both of the tensor's records at its boxes are read
+    p1, p2 = ss((1, 0)), ss((2,))
+    tens = poly.tensor(p1, p2)
+
+    def rho(x, y):
+        e = smcc.epsilon(p1, p2, x, y)
+        if (x.fiber_sizes(), y.fiber_sizes()) != ((1,), (1,)):
+            return e
+        z = fams(1, [e.dst.total.size + 1])
+        return fam.FamMorphism(e.src, z, FinMap(e.src.total, z.total, e.map.table))
+
+    for check in (lambda: smcc._check_rho_natural(rho, p1, p2, tens, 2),
+                  lambda: smcc.theta_check(p1, p2, tens, rho)):
+        reads = _record_reads(monkeypatch)
+        with pytest.raises(ShapeMismatch, match="^cannot compose family morphisms: "
+                                                "endpoints differ$"):
+            check()
+        mine = [sizes for p, sizes in reads if p is tens]
+        assert len(mine) == 19 and mine[-2:] == [(1,), (2,)]
+
+
+def test_each_candidate_is_read_up_to_its_first_failing_pair(monkeypatch):
+    # rho is the comparison map of X^3 and X but at fiber 3, where it first
+    # swaps two points of x: natural at fiber bound 2, but the mediator
+    # probes it at X^3's generic family, of fiber 3, so its backward table
+    # swaps two directions, which shows first at fibers (2,) and (1,). Of
+    # the 27 candidates, 26 fail at some pair and stop there; each reads
+    # the tensor's two records at every box it reaches, so the reads pin
+    # where every candidate stopped
+    p1, p2 = ss((3,)), ss((1,))
+    tens = poly.tensor(p1, p2)
+    x3 = fams(1, [3])
+    swap = fam.FamMorphism(x3, x3, fmap(3, 3, (1, 0, 2)))
+
+    def rho(x, y):
+        e = smcc.epsilon(p1, p2, x, y)
+        if x.fiber_sizes() != (3,):
+            return e
+        return e.then(poly.extension_map(tens, fam.box_morphism(swap, fam.identity_morphism(y))))
+
+    rep = smcc.theta_check(p1, p2, tens, rho, candidate_limit=27)
+    assert rep.render() == (
+        "tensor universal property: FAIL\n"
+        "  mediating map fails after the comparison map at fibers (2,) and (1,)\n"
+        "  1 of 27 candidate transformations satisfy the equation (want exactly 1)\n"
+        "  the matching candidate reproduces the mediating components: NO")
+    comps = {(x, y): rho(x, y) for x in fam.families_up_to(p1.source, 3)
+             for y in fam.families_up_to(p2.source, 2)}
+    reads = _record_reads(monkeypatch)
+    assert smcc.theta_check(p1, p2, tens, lambda x, y: comps[x, y],
+                            candidate_limit=27) == rep
+    mine = Counter(sizes for p, sizes in reads if p is tens)
+    assert mine == Counter({(0,): 309, (2,): 132, (1,): 65, (4,): 13, (3,): 2})
+
+
+def test_a_guard_just_below_a_tensor_box_carrier_refuses_at_that_box(monkeypatch):
+    # X^2 with itself: the tensor's value at the box of two 2-point
+    # families has 256 elements. With rho's values taken first, the limit
+    # 255 trips at the target record of the first square into that box;
+    # theta_check's own comparison map trips at the same box earlier
+    p = ss((2,))
+    tens = poly.tensor(p, p)
+    xs = list(fam.families_up_to(p.source, 2))
+    comps = {(x, y): smcc.epsilon(p, p, x, y) for x in xs for y in xs}
+    message = "^search too large: extension carrier has size 256, guard limit is 255$"
+    for check, count in ((lambda: smcc._check_rho_natural(
+                              lambda x, y: comps[x, y], p, p, tens, 2), 12),
+                         (lambda: smcc.theta_check(
+                              p, p, tens, lambda x, y: smcc.epsilon(p, p, x, y)), 9)):
+        reads = _record_reads(monkeypatch)
+        previous = finset.set_guard_limit(255)
+        try:
+            with pytest.raises(SizeGuardExceeded, match=message):
+                check()
+        finally:
+            finset.set_guard_limit(previous)
+        mine = [sizes for q, sizes in reads if q is tens]
+        assert len(mine) == count and mine[-2:] == [(2,), (4,)]
+
+
+def _random_dm(rng, p, q):
+    # a uniform shape choice among those every direction can be answered
+    # for, then a uniform answer of the same sort per direction; None
+    # when some shape of p has no such choice
+    p_dirs, q_dirs = p.dir_shape.fibers(), q.dir_shape.fibers()
+    p_sort, q_sort = p.dir_sort.table, q.dir_sort.table
+
+    def answers(v, d):
+        return [u for u in p_dirs[v] if p_sort[u] == q_sort[d]]
+
+    alpha, betas = [], []
+    for v in range(p.shapes.size):
+        ws = [w for w in range(q.shapes.size)
+              if q.shape_sort.table[w] == p.shape_sort.table[v]
+              and all(answers(v, d) for d in q_dirs[w])]
+        if not ws:
+            return None
+        w = rng.choice(ws)
+        alpha.append(w)
+        betas.append(tuple(rng.choice(answers(v, d)) for d in q_dirs[w]))
+    return poly.DiagMorphism(p, q, FinMap(p.shapes, q.shapes, tuple(alpha)), tuple(betas))
+
+
+@pytest.mark.parametrize("sorts, bound", [(1, 2), (2, 1)])
+def test_the_reads_at_an_image_agree_with_the_whole_tables(sorts, bound):
+    # the tensor's action on each square's box morphism, read at rho's
+    # image, and a random transformation's component at each box, read at
+    # the comparison map's image, equal the whole tables of
+    # poly.extension_map and nat.eval_dm read there
+    rng = random.Random(4800 + sorts)
+    base = FinSet(sorts)
+    checked = 0
+    for _ in range(12):
+        p1 = randgen.random_diagram(rng, base, base, 2, 2)
+        p2 = randgen.random_diagram(rng, base, base, 2, 2)
+        tens = poly.tensor(p1, p2)
+        xs = list(fam.families_up_to(base, bound))
+        gens = fam.generating_morphisms(base, bound)
+        ids = [fam.identity_morphism(x) for x in xs]
+        for f, g in [(f, g) for f in gens for g in ids] + [(f, g) for f in ids for g in gens]:
+            image = smcc.epsilon(p1, p2, f.src, g.src).map.table
+            whole = poly.extension_map(tens, fam.box_morphism(f, g)).map.table
+            src = poly._extension(tens, fam.box(f.src, g.src))
+            dst = poly._extension(tens, fam.box(f.dst, g.dst))
+            got = poly._action_at(dst, finset.product_map(f.map, g.map).table,
+                                  [src.elements[t] for t in image])
+            assert got == tuple(whole[t] for t in image)
+            checked += len(image)
+        for _ in range(3):
+            m = _random_dm(rng, tens, tens)
+            if m is None:
+                continue
+            for x in xs:
+                for y in xs:
+                    image = smcc.epsilon(p1, p2, x, y).map.table
+                    bx = fam.box(x, y)
+                    whole = nat.eval_dm(m, bx).map.table
+                    ext = poly._extension(tens, bx)
+                    got = nat._component_at(m, ext, [ext.elements[t] for t in image])
+                    assert got == tuple(whole[t] for t in image)
+                    checked += len(image)
+    assert checked > 500
 
 
 def test_theta_check_evaluates_rho_and_epsilon_once_per_argument_pair(monkeypatch):
@@ -1372,7 +1566,9 @@ def test_double_dual_rejects_negative():
 
 def _double_dual_built_first(a_size, b_size):
     """double_dual_report as it reads without the closed-form refusal:
-    build both duals, then compare."""
+    build both duals, then compare. The sum's shape carrier is guarded
+    as it is built."""
+    finset.check_guard(a_size, "diagram shape carrier")
     p = ss((b_size,) * a_size)
     pd = poly.dualize(p)
     pdd = poly.dualize(pd)
@@ -1415,7 +1611,8 @@ def test_double_dual_refuses_exactly_where_building_would():
         finally:
             finset.set_guard_limit(previous)
     assert sum(outcomes.values()) == 385
-    assert set(outcomes) == {"built", "search too large: hom shape carrier",
+    assert set(outcomes) == {"built", "search too large: diagram shape carrier",
+                             "search too large: hom shape carrier",
                              "search too large: hom direction carrier"}
 
 

@@ -476,10 +476,11 @@ def test_a_rho_wrong_at_one_argument_pair_fails_its_first_square(monkeypatch):
     message = ("rho not natural: counterexample at fibers (1,)->(2,) and "
                "(2,)->(2,), maps (1,) and (0, 1)")
     r = fams(1, [1])
+    reads = _record_reads(monkeypatch)
     for check in (lambda: smcc._check_rho_natural(rho, p1, p2, tens, 2),
                   lambda: smcc.theta_check(p1, p2, tens, rho),
                   lambda: smcc.theta(rho, p1, p2, tens, r)):
-        reads = _record_reads(monkeypatch)
+        reads.clear()
         with pytest.raises(OracleNotNatural) as info:
             check()
         assert str(info.value) == message
@@ -501,9 +502,10 @@ def test_a_rho_component_with_the_wrong_codomain_fails_the_endpoint_check(monkey
         z = fams(1, [e.dst.total.size + 1])
         return fam.FamMorphism(e.src, z, FinMap(e.src.total, z.total, e.map.table))
 
+    reads = _record_reads(monkeypatch)
     for check in (lambda: smcc._check_rho_natural(rho, p1, p2, tens, 2),
                   lambda: smcc.theta_check(p1, p2, tens, rho)):
-        reads = _record_reads(monkeypatch)
+        reads.clear()
         with pytest.raises(ShapeMismatch, match="^cannot compose family morphisms: "
                                                 "endpoints differ$"):
             check()
@@ -555,11 +557,12 @@ def test_a_guard_just_below_a_tensor_box_carrier_refuses_at_that_box(monkeypatch
     xs = list(fam.families_up_to(p.source, 2))
     comps = {(x, y): smcc.epsilon(p, p, x, y) for x in xs for y in xs}
     message = "^search too large: extension carrier has size 256, guard limit is 255$"
+    reads = _record_reads(monkeypatch)
     for check, count in ((lambda: smcc._check_rho_natural(
                               lambda x, y: comps[x, y], p, p, tens, 2), 12),
                          (lambda: smcc.theta_check(
                               p, p, tens, lambda x, y: smcc.epsilon(p, p, x, y)), 9)):
-        reads = _record_reads(monkeypatch)
+        reads.clear()
         previous = finset.set_guard_limit(255)
         try:
             with pytest.raises(SizeGuardExceeded, match=message):

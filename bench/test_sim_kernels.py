@@ -6,9 +6,11 @@ cell of one instance over one span (the frame held on the span serves
 them all) and of one cell over a fresh span (the frame is built anew),
 building a cell from its rows, counting cells (on held diagrams and on
 fresh ones, whose sort groups are built in the timed call) and
-enumerating them (the grid instance's 225 too), one whole op of the
-simcells workload on the grid instance over a fresh span (count,
-enumerate, and round-trip and match every cell, the frame built anew),
+enumerating them (the grid instance's 225 too), drawing four seeded
+cells over one span, as a simcells instance over its cell budget does,
+one whole op of the simcells workload on the grid instance over a
+fresh span (count, enumerate, and round-trip and match every cell, the
+frame built anew),
 evaluating the zero cell, whose span has no states, through its frame,
 building the tensor of two cells and the symmetry of a tensor of grid
 diagrams, and composing seeded cells between two-sorted diagrams, whose
@@ -145,6 +147,17 @@ def test_simcells_op_fresh_span(benchmark):
 def test_enumerate_sim(benchmark):
     cells = benchmark(sim.enumerate_sim, P, P, ONE)
     assert len(cells) == sim.count_sim(P, P, ONE) == 12
+
+
+def test_random_cell(benchmark):
+    # a simcells instance over its 256-cell budget draws 4 cells: here
+    # from the 14,400 of the grid pair over the two-state span
+    def run():
+        draws = random.Random(0)
+        return [sim.random_cell(draws, P, P, SPAN) for _ in range(4)]
+
+    got = benchmark(run)
+    assert got == run() and len(set(got)) == 4
 
 
 def test_tensor_sim(benchmark):

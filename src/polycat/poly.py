@@ -354,11 +354,15 @@ class Composite:
 
 
 def _compose_guard(q: PolyDiagram, p: PolyDiagram) -> None:
-    """Guard the composite's carriers by their sizes: a composite shape
-    is an outer shape w with an inner shape for each direction of w; a
-    composite direction is such a shape with one direction of w and one
-    direction of its inner shape. Every product saturates at the limit
-    plus one, so a refusal costs time linear in the directions."""
+    """The checks of both composition routes: raise ShapeMismatch unless
+    q's source is p's target, then guard the composite's carriers by
+    their sizes. A composite shape is an outer shape w with an inner
+    shape for each direction of w; a composite direction is such a shape
+    with one direction of w and one direction of its inner shape. Every
+    product saturates at the limit plus one, so a refusal costs time
+    linear in the directions."""
+    if p.target != q.source:
+        raise ShapeMismatch("composition needs p.target = q.source")
     cap = finset.guard_limit() + 1
     inner_per_sort = [len(p.shape_sort.fiber(j)) for j in p.target]
     dirs_per_sort = [sum(len(p.shape_fiber(v)) for v in p.shape_sort.fiber(j))
@@ -378,8 +382,6 @@ def compose_data(q: PolyDiagram, p: PolyDiagram) -> Composite:
     inner shape chosen for each outer direction; a composite direction is
     an outer direction paired with an inner direction of its chosen
     shape."""
-    if p.target != q.source:
-        raise ShapeMismatch("composition needs p.target = q.source")
     _compose_guard(q, p)
     shape_reps: list[tuple[int, tuple[int, ...]]] = []
     shape_sort_table: list[int] = []
@@ -475,8 +477,6 @@ def compose_structural(q: PolyDiagram, p: PolyDiagram) -> PolyDiagram:
 
     Shapes are then U, directions M3.
     """
-    if p.target != q.source:
-        raise ShapeMismatch("composition needs p.target = q.source")
     _compose_guard(q, p)
     pb1 = finset.pullback(q.dir_sort, p.shape_sort)
     pb2 = finset.pullback(pb1.right, p.dir_shape)

@@ -42,7 +42,9 @@ component is assembled without re-running the morphism constructors'
 checks (eval_sim).
 
 A container morphism is the cell over the diagonal span of its sorts
-(from_dm).
+(from_dm); the identity cell is the identity morphism's (identity_sim).
+random_cell and enumerate_sim read one fill table (_pair_fills), whose
+fillings count_sim counts by Yoneda, without building it.
 
 Cells tensor (tensor_sim) over the product of their spans, paired as
 poly.tensor pairs sorts, shapes and directions; the tensor of diagrams
@@ -326,11 +328,10 @@ def _copying(span: Span, src: PolyDiagram, dst: PolyDiagram, p: PolyDiagram,
 
 
 def identity_sim(p: PolyDiagram) -> SimCell:
-    """The identity simulation: the diagonal span, every shape and
-    direction sent to itself."""
-    require_endo(p)
-    ident = finset.identity(p.source)
-    return _copying(Span(p.source, ident, ident), p, p, p, 0)
+    """The identity simulation: the identity container morphism as a cell
+    (from_dm), over the diagonal span, every shape and direction sent to
+    itself."""
+    return from_dm(poly.identity_dm(p))
 
 
 def from_dm(m: poly.DiagMorphism) -> SimCell:
@@ -756,61 +757,47 @@ def _check_endpoints(comp: FamMorphism, src: Family, dst: Family) -> None:
         raise ValidationError("oracle component has the wrong endpoints")
 
 
-def _fill_table(p1: PolyDiagram, p2: PolyDiagram, span: Span):
-    """The moves that may fill the cells from p1 to p2 over the span, as
-    fills(v, j) for a src shape v and a right end j: per dst shape w over
-    j, the (successor, position) moves of each direction u of w at a
-    (state, shape v) pair whose state's right end is j. A move pairs a
-    state g over u's sort on the right with the position k in v's fiber
-    of a direction of v over g's left end (v's sort groups,
-    poly._by_sort), state first, then position. So the moves depend on v
-    only through the sorts of its directions, in fiber order: shapes with
-    the same sort tuple share their entries, each built once per (sort
-    tuple, j), and every direction of one sort shares its list. By
-    Yoneda, an entry lists p2's extension elements over j at au(A_v), A_v
-    v's representing family and au the span's sum lift, read as moves."""
-    left, by_right = span.left.table, span.right.fibers()
-    groups, position = poly._by_sort(p1), p1.dir_shape.positions()
-    fibers, sorts = p1.dir_shape.fibers(), p1.dir_sort.table
+def _pair_fills(p1: PolyDiagram, p2: PolyDiagram, span: Span) -> tuple[list, list, list]:
+    """The fill table of the cells from p1 to p2 over the span, after the
+    ends check: its entries, each once, in order of first use; each
+    (state, shape) pair's position among them, in cell_pairs order; and
+    each entry's fillings counted, cut at the guard limit plus one
+    (_fillings). The entry of a pair (state over j, shape v) lists, per
+    dst shape w over j, the (successor, position) moves of each
+    direction u of w. A move pairs a state g over u's sort on the right
+    with the position k in v's fiber of a direction of v over g's left
+    end (v's sort groups, poly._by_sort), state first, then position. So
+    an entry depends on v only through the sorts of its directions, in
+    fiber order, numbered once per shape: it is kept per (that number,
+    j), and every direction of one sort shares its move list. By Yoneda,
+    an entry lists p2's extension elements over j at au(A_v), A_v v's
+    representing family and au the span's sum lift, read as moves."""
+    _check_ends(span, p1, p2)
+    left, right, by_right = span.left.table, span.right.table, span.right.fibers()
+    groups, position, sorts = poly._by_sort(p1), p1.dir_shape.positions(), p1.dir_sort.table
     dst_fibers, dst_sorts, over = p2.dir_shape.fibers(), p2.dir_sort.table, p2.shape_sort.fibers()
+    numbers: dict = {}
+    kinds = [numbers.setdefault(tuple([sorts[u] for u in fiber]), len(numbers))
+             for fiber in p1.dir_shape.fibers()]
     moves_of: dict = {}
-    shared: dict = {}
-    table: dict = {}
-
-    def fills(v: int, j: int) -> list:
-        got = table.get((v, j))
-        if got is None:
-            kind = tuple([sorts[u] for u in fibers[v]])
-            got = shared.get((kind, j))
-            if got is None:
-                by_sort = moves_of.get(kind)
-                if by_sort is None:
-                    by = groups[v]
-                    by_sort = moves_of[kind] = [[(g, position[b]) for g in states
-                                                 for b in by.get(left[g], ())]
-                                                for states in by_right]
-                got = shared[kind, j] = [(w, [by_sort[dst_sorts[u]] for u in dst_fibers[w]])
-                                         for w in over[j]]
-            table[v, j] = got
-        return got
-    return fills
-
-
-def _pair_fills(p1: PolyDiagram, p2: PolyDiagram, span: Span) -> tuple[list, list[int]]:
-    """The fill table's entries of the (state, shape) pairs, each shared
-    entry once, in order of first use, and the position of each pair's
-    entry among them, in cell_pairs order."""
-    fills, right = _fill_table(p1, p2, span), span.right.table
-    position: dict = {}
+    position_of: dict = {}
     entries, which = [], []
     for rho, v in cell_pairs(span, p1):
-        options = fills(v, right[rho])
-        k = position.get(id(options))
+        kind, j = kinds[v], right[rho]
+        k = position_of.get((kind, j))
         if k is None:
-            k = position[id(options)] = len(entries)
-            entries.append(options)
+            by_sort = moves_of.get(kind)
+            if by_sort is None:
+                by = groups[v]
+                by_sort = moves_of[kind] = [[(g, position[b]) for g in states
+                                             for b in by.get(left[g], ())]
+                                            for states in by_right]
+            k = position_of[kind, j] = len(entries)
+            entries.append([(w, [by_sort[dst_sorts[u]] for u in dst_fibers[w]])
+                            for w in over[j]])
         which.append(k)
-    return entries, which
+    cap = finset.guard_limit() + 1
+    return entries, which, [_fillings(options, cap) for options in entries]
 
 
 def count_sim(p1: PolyDiagram, p2: PolyDiagram, span: Span) -> int:
@@ -873,12 +860,10 @@ def random_cell(rng, p1: PolyDiagram, p2: PolyDiagram, span: Span) -> SimCell | 
     by its index, rng.randrange(n) over its n fillings, the draw that
     rng.choice makes on the list of them, and decoded without listing
     them (_pair_choice): the same cell and the same generator state as
-    drawing from enumerate_sim's list of the pair's fillings.
+    drawing from enumerate_sim's list of the pair's fillings. The ends
+    check, entries and counts come from _pair_fills.
     """
-    _check_ends(span, p1, p2)
-    shared, which = _pair_fills(p1, p2, span)
-    cap = finset.guard_limit() + 1
-    fills = [_fillings(options, cap) for options in shared]
+    shared, which, fills = _pair_fills(p1, p2, span)
     entries = []
     for k in which:
         check_guard_cut(fills[k], "cell table options at one (state, shape) pair")
@@ -890,9 +875,10 @@ def random_cell(rng, p1: PolyDiagram, p2: PolyDiagram, span: Span) -> SimCell | 
 
 def enumerate_sim(p1: PolyDiagram, p2: PolyDiagram, span: Span) -> list[SimCell]:
     """All valid cells over the given span: per (state, shape) pair, a
-    choice of assigned shape plus a move for each of its directions. The
-    cell count is guarded up front, cut at the limit plus one: the product
-    of every pair's _fillings (finset.check_guard_product). If some pair
+    choice of assigned shape plus a move for each of its directions, from
+    the fill table (_pair_fills, which checks the ends). The cell count is
+    guarded up front, cut at the limit plus one: the product of every
+    pair's filling count (finset.check_guard_product). If some pair
     has no filling there is no cell, and nothing more is guarded, listed,
     checked or laid out. Otherwise the fillings are listed by index
     (_pair_choice), once per shared fill table entry; a pair's fillings
@@ -903,10 +889,7 @@ def enumerate_sim(p1: PolyDiagram, p2: PolyDiagram, span: Span) -> list[SimCell]
     per state gives the layout check (_check_layout), and a cell is a
     choice of one row per state. In this order, the last pair's option
     varies fastest, as in itertools.product over the pairs."""
-    _check_ends(span, p1, p2)
-    shared, which = _pair_fills(p1, p2, span)
-    cap = finset.guard_limit() + 1
-    fills = [_fillings(options, cap) for options in shared]
+    shared, which, fills = _pair_fills(p1, p2, span)
     finset.check_guard_product(map(fills.__getitem__, which), "cell search space")
     if not all(fills):
         return []

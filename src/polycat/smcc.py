@@ -170,7 +170,7 @@ def _mediator(rho, p1: PolyDiagram, p2: PolyDiagram, f_diag: PolyDiagram) -> Dia
     each payload entry k, an element of the external product of e1 and
     e2, names the tensor direction order1[k // n2] * |p2 dirs| +
     order2[k % n2], with n2 = |e2|."""
-    tens = _tensor_into(p1, p2, f_diag)
+    tens = poly.tensor(p1, p2)
     nd2 = p2.dirs.size
     alpha_table: list[int] = []
     betas: list[tuple[int, ...]] = []
@@ -194,6 +194,17 @@ def _mediator(rho, p1: PolyDiagram, p2: PolyDiagram, f_diag: PolyDiagram) -> Dia
                                              tuple(alpha_table)), tuple(betas))
 
 
+def _mediating(rho, p1: PolyDiagram, p2: PolyDiagram, f_diag: PolyDiagram) -> tuple:
+    """The preamble of theta and theta_check: the target's sorts checked
+    (_tensor_into) before rho is asked, rho cached, its naturality
+    checked at fiber bound 2, the mediator built; returns the tensor,
+    the cached rho and the mediator."""
+    tens = _tensor_into(p1, p2, f_diag)
+    rho = functools.cache(rho)
+    _check_rho_natural(rho, p1, p2, f_diag, 2)
+    return tens, rho, _mediator(rho, p1, p2, f_diag)
+
+
 def theta(rho, p1: PolyDiagram, p2: PolyDiagram, f_diag: PolyDiagram,
           r: Family) -> FamMorphism:
     """The mediating component at r induced by a binatural family rho:
@@ -205,13 +216,11 @@ def theta(rho, p1: PolyDiagram, p2: PolyDiagram, f_diag: PolyDiagram,
     argument pair, its values shared by the naturality check and the
     mediator and kept for this call only. The naturality check reads
     f_diag's action on each square only at rho's image
-    (_check_rho_natural)."""
-    tens = _tensor_into(p1, p2, f_diag)
-    if r.base != tens.source:
+    (_check_rho_natural). The target's sorts, then r's, are checked
+    before rho is asked (_mediating)."""
+    if r.base != _tensor_into(p1, p2, f_diag).source:
         raise ShapeMismatch("family must live over the tensor's source sorts")
-    rho = functools.cache(rho)
-    _check_rho_natural(rho, p1, p2, f_diag, 2)
-    return nat.eval_dm(_mediator(rho, p1, p2, f_diag), r)
+    return nat.eval_dm(_mediating(rho, p1, p2, f_diag)[2], r)
 
 
 def theta_check(p1: PolyDiagram, p2: PolyDiagram, f_diag: PolyDiagram, rho,
@@ -231,12 +240,9 @@ def theta_check(p1: PolyDiagram, p2: PolyDiagram, f_diag: PolyDiagram, rho,
     would make is made, with the same message, and the component
     (nat._component_at) is read only at the comparison map's table: one
     read per element of p1(x) ⊠ p2(y), not one per element of the
-    tensor's value at x ⊠ y."""
-    tens = poly.tensor(p1, p2)
-    rho = functools.cache(rho)
+    tensor's value at x ⊠ y. The preamble is theta's (_mediating)."""
+    tens, rho, mediator = _mediating(rho, p1, p2, f_diag)
     comparison = functools.cache(lambda x, y: epsilon(p1, p2, x, y))
-    _check_rho_natural(rho, p1, p2, f_diag, 2)
-    mediator = _mediator(rho, p1, p2, f_diag)
     xs = list(fam.families_up_to(p1.source, 2))
     ys = list(fam.families_up_to(p2.source, 2))
 
@@ -333,6 +339,8 @@ class Currying:
     """The currying bijection Nat(p1 ⊗ p2, p3) ≅ Nat(p1, [p2, p3]) of
     single-sorted diagrams, on (alpha table, betas) pairs, with one
     tensor and one hom (hom_data), built in that order, for every step.
+    A multi-sorted operand is refused before either is built: the one
+    refusal of curry_dm, uncurry_dm, adjunction_count_check and curry.
 
     out_of_tensor and into_hom list each side's members on first use
     (nat.enumerate_tables), each to its position. curry and uncurry
@@ -342,6 +350,8 @@ class Currying:
     other is built as a DiagMorphism, and so checked, when it is made."""
 
     def __init__(self, p1: PolyDiagram, p2: PolyDiagram, p3: PolyDiagram):
+        if not all(p.is_single_sorted() for p in (p1, p2, p3)):
+            raise ValidationError("the currying adjunction is single-sorted only")
         self.p1, self.p2, self.p3 = p1, p2, p3
         self.tensor = poly.tensor(p1, p2)
         self.hom_data = poly.hom_data(p2, p3)
@@ -418,9 +428,6 @@ def adjunction_count_check(p1: PolyDiagram, p2: PolyDiagram, p3: PolyDiagram,
     bijection on every member, and check it injective, on tables (one
     Currying): the right round trip reads the transposes that the left
     one made, and no morphism is built for a listed member."""
-    for p in (p1, p2, p3):
-        if not p.is_single_sorted():
-            raise ValidationError("the currying adjunction is single-sorted only")
     c = Currying(p1, p2, p3)
     n_left, n_right = c.counts()
     lines = [f"transformations out of the tensor: {decimal(n_left)}; "
@@ -759,11 +766,12 @@ def _coend_exact(p1, p2, s, nx):
     at a and at b (`_set_value`). Both sides' relations run through one
     loop: only the pairing's pull-back and the places of the pushed and
     the other element in a pairing's block depend on the side. The
-    numbers of f's pushes of one side's elements are built when a
-    relation first reads them, at the first size o of the other side
-    whose relations are not skipped, and the o loop ends if there are
-    none. At |x| = 0 every o > 0 is skipped for a nonempty target set,
-    so against a diagram with no constant shape no push is built.
+    numbers of f's pushes of one side's elements, its diagram's action
+    on f (poly._action_at), are built when a relation first reads them,
+    at the first size o of the other side whose relations are not
+    skipped, and the o loop ends if there are none. At |x| = 0 every o >
+    0 is skipped for a nonempty target set, so against a diagram with no
+    constant shape no push is built.
 
     Each relation's union runs inline in the relation loop, with no call:
     the roots of both tuples by path halving, the pushed tuple's root
@@ -807,8 +815,7 @@ def _coend_exact(p1, p2, s, nx):
                 if not others or (nx == 0 and m * o > 0):
                     continue
                 if pushed is None:
-                    pushed = [index[side][m][(v, tuple(f[t] for t in pay))]
-                              for v, pay in values[side][n].elements]
+                    pushed = poly._action_at(values[side][m], f, values[side][n].elements)
                 if not pushed:
                     break
                 # a tuple's place in its pairing's block is i1 * |P2[b]| + i2,

@@ -318,6 +318,24 @@ def test_curry_builds_the_hom_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("operand", ["--p1", "--p2", "--p3"])
+def test_curry_refuses_a_two_sorted_operand_before_the_tensor_and_the_hom(
+        capsys, monkeypatch, tmp_path, operand):
+    path = tmp_path / "sorts.json"
+    path.write_text(json.dumps({"diagrams": {
+        "x": doc.encode_diagram(poly.single_sorted((1,))),
+        "two": doc.encode_diagram(poly.identity_diagram(FinSet(2)))}}))
+    calls = []
+    tensor, hom_data = poly.tensor, poly.hom_data
+    monkeypatch.setattr(poly, "tensor", lambda *ps: calls.append("tensor") or tensor(*ps))
+    monkeypatch.setattr(poly, "hom_data", lambda *ps: calls.append("hom") or hom_data(*ps))
+    names = {"--p1": "x", "--p2": "x", "--p3": "x", operand: "two"}
+    code, out, err = run(capsys, "curry", str(path), *[a for item in names.items() for a in item])
+    assert (code, out) == (2, "")
+    assert err == "validation failure: the currying adjunction is single-sorted only\n"
+    assert calls == []
+
+
 def test_curry_bad_index_is_validation_failure(capsys):
     code, _, err = run(capsys, "curry", LIST_DOC, "--p1", "two-x",
                        "--p2", "square", "--p3", "square", "--index", "999")

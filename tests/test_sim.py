@@ -1600,25 +1600,29 @@ def test_fill_entries_are_the_extension_elements_at_the_lifted_family():
     # order, are p2's extension elements over j at au(A_v), A_v v's
     # representing family, each payload entry read as the move that the
     # extraction probe decodes it to
-    rng, cap, compared = random.Random(11), finset.guard_limit() + 1, 0
+    rng, compared = random.Random(11), 0
     for _ in range(400):
         # up to three shapes of three directions, so that shapes whose
         # directions have the same sorts in another order occur
         p1, p2 = randgen.random_endo(rng, 2, 3, 3), randgen.random_endo(rng, 2, 3, 3)
-        span = randgen.random_span(rng, p1.source, p2.source, 2)
-        au, fills = poly.au_lift(span), sim._fill_table(p1, p2, span)
+        # one state per (left sort, right sort) pair, in a drawn order, so
+        # that every (shape v, right end j) has a pair and so an entry
+        ends = list(itertools.product(p1.source, p2.source))
+        rng.shuffle(ends)
+        carrier = FinSet(len(ends))
+        span = Span(carrier, FinMap(carrier, p1.source, tuple([i for i, _ in ends])),
+                    FinMap(carrier, p2.source, tuple([j for _, j in ends])))
+        au, (entries, which, fills) = poly.au_lift(span), sim._pair_fills(p1, p2, span)
         position = p1.dir_shape.positions()
-        for v in p1.shapes:
+        for (rho, v), k in zip(sim.cell_pairs(span, p1), which):
             y, order = nat.generic_family(p1, v)
             moves = [(g, position[order[t]]) for g, (t,) in poly.extension_elements(au, y)]
             elements = poly.extension_elements(p2, poly.eval_extension(au, y))
-            for j in p2.target:
-                options = fills(v, j)
-                n = sim._fillings(options, cap)
-                assert [sim._pair_choice(options, i) for i in range(n)] == [
-                    (w, tuple([moves[t] for t in payload])) for w, payload in elements
-                    if p2.shape_sort(w) == j]
-                compared += n > 0
+            j = span.right(rho)
+            assert [sim._pair_choice(entries[k], i) for i in range(fills[k])] == [
+                (w, tuple([moves[t] for t in payload])) for w, payload in elements
+                if p2.shape_sort(w) == j]
+            compared += fills[k] > 0
     assert compared > 400
 
 
@@ -1808,19 +1812,18 @@ def test_enumerate_sim_refuses_a_bad_option(monkeypatch, bad, message):
     span = Span(p.source, ident, ident)
     assert [c._plan for c in sim.enumerate_sim(p, p, span)] == [
         (((0, ((1, 0),)),), ((1, ((0, 0),)),))]
-    fill_table = sim._fill_table
+    pair_fills = sim._pair_fills
 
     def with_a_bad_move(p1, p2, span):
-        fills = fill_table(p1, p2, span)
+        entries, which, fills = pair_fills(p1, p2, span)
+        # the pair (state 1, shape 1) gets an entry of its own
+        k = sim.cell_pairs(span, p1).index((1, 1))
+        bad_entry = [(w, [[*moves, bad] for moves in lists]) for w, lists in entries[which[k]]]
+        which = [*which[:k], len(entries), *which[k + 1:]]
+        cap = finset.guard_limit() + 1
+        return [*entries, bad_entry], which, [*fills, sim._fillings(bad_entry, cap)]
 
-        def patched(v, j):
-            options = fills(v, j)
-            if (v, j) != (1, 1):
-                return options
-            return [(w, [[*moves, bad] for moves in lists]) for w, lists in options]
-        return patched
-
-    monkeypatch.setattr(sim, "_fill_table", with_a_bad_move)
+    monkeypatch.setattr(sim, "_pair_fills", with_a_bad_move)
     with pytest.raises(ValidationError) as exc:
         sim.enumerate_sim(p, p, span)
     assert str(exc.value) == message

@@ -292,6 +292,23 @@ def test_theta_family_base_mismatch():
                    fams(2, [1, 1]))
 
 
+def test_theta_and_theta_check_refuse_a_target_over_other_sorts_before_asking_rho():
+    # X ⊗ X lies over one sort, the identity diagram on two sorts over two
+    x, target = ss((1,)), poly.identity_diagram(FinSet(2))
+    calls = []
+
+    def rho(a, b):
+        calls.append((a, b))
+        return smcc.epsilon(x, x, a, b)
+
+    for call in (lambda: smcc.theta_check(x, x, target, rho),
+                 lambda: smcc.theta(rho, x, x, target, fams(1, [1]))):
+        with pytest.raises(ShapeMismatch,
+                           match="^target diagram must share the tensor's sorts$"):
+            call()
+    assert calls == []
+
+
 def _all_maps_counterexample(rho, p1, p2, f_diag, bound, keep=lambda m: True):
     """The first pair (f, g) of family morphisms with fibers at most the
     bound, both kept by `keep`, whose naturality square fails; None if
@@ -853,6 +870,45 @@ def test_uncurry_round_trip_explicit():
         assert u.src == poly.tensor(p1, p2)
         assert u.dst == p3
         assert smcc.curry_dm(u, p1, p2, p3) == m
+
+
+def _count_tensor_and_hom(monkeypatch) -> Counter:
+    calls = Counter()
+    tensor, hom_data = poly.tensor, poly.hom_data
+
+    def counted_tensor(p1, p2):
+        calls["tensor"] += 1
+        return tensor(p1, p2)
+
+    def counted_hom_data(p2, p3):
+        calls["hom_data"] += 1
+        return hom_data(p2, p3)
+
+    monkeypatch.setattr(poly, "tensor", counted_tensor)
+    monkeypatch.setattr(poly, "hom_data", counted_hom_data)
+    return calls
+
+
+@pytest.mark.parametrize("at", range(3), ids=["p1", "p2", "p3"])
+def test_currying_refuses_a_multi_sorted_operand_before_the_hom(monkeypatch, at):
+    ops = [ss((1,)), ss((2,)), ss((1, 1))]
+    ops[at] = poly.identity_diagram(FinSet(2))
+    p1, p2, p3 = ops
+    calls = _count_tensor_and_hom(monkeypatch)
+    message = "^the currying adjunction is single-sorted only$"
+    for call in (lambda: smcc.Currying(p1, p2, p3),
+                 lambda: smcc.uncurry_dm(poly.identity_dm(p1), p1, p2, p3),
+                 lambda: smcc.adjunction_count_check(p1, p2, p3)):
+        with pytest.raises(ValidationError, match=message):
+            call()
+    assert calls == Counter()
+    if at < 2:
+        # curry_dm builds the tensor for its own endpoint check first
+        tens = poly.tensor(p1, p2)
+        calls.clear()
+        with pytest.raises(ValidationError, match=message):
+            smcc.curry_dm(poly.identity_dm(tens), p1, p2, tens)
+        assert calls == Counter({"tensor": 1})
 
 
 def test_curry_rejects_wrong_endpoints():

@@ -6,7 +6,9 @@ mode (|x| = 0), in sampled mode at the grid's heaviest pair, 2X^2
 against itself, also at |x| = 2, in sampled mode at 1 against X at
 |x| = 0 with skeleton bound 12, where most relation draws are skipped
 and the relation loop stops at its 8,000-attempt limit, and in exact
-mode at X^2 against X at |x| = 1 (300 tuples); the
+mode at X^2 against X at |x| = 1 (300 tuples) and at X^2 against itself
+at |x| = 2 with skeleton bound 2 (290 tuples, 16 classes), where the
+permutations' relations change the classes; the
 binaturality check of the comparison map (the squares that theta and
 epsilon_naturality_check walk), the comparison map alone at every
 argument pair with fibers at most 2, and the whole universal-property
@@ -117,6 +119,19 @@ def test_coend_exact_unit_family(benchmark):
         "skeleton 0..4: 300 tuples, 120520 generating relations",
         "mode: exact union-find over all tuples",
         "equivalence classes: 1; extension elements: 1",
+        "each class contains exactly one canonical rectangle: yes")
+
+
+def test_coend_exact_square(benchmark):
+    # X^2 against itself at |x| = 2: pairings that are not constant, so a
+    # union with no permutation of the skeleton's sets splits classes
+    square = poly.single_sorted((2,))
+    x = fam.family_from_fibers(FinSet(1), (2,))
+    rep = benchmark(smcc.day_coend_oracle, square, square, x, 2)
+    assert rep.ok and rep.lines == (
+        "skeleton 0..2: 290 tuples, 2628 generating relations",
+        "mode: exact union-find over all tuples",
+        "equivalence classes: 16; extension elements: 16",
         "each class contains exactly one canonical rectangle: yes")
 
 

@@ -202,7 +202,13 @@ def elementary_maps(bound: int) -> list[tuple[int, int, tuple[int, ...]]]:
     that sorts the domain by value, then a monotone surjection onto its
     image, then a monotone injection (the simplicial presentation, Mac
     Lane, Categories for the Working Mathematician, VII.5, with the
-    symmetric groups added). An identity is the empty composite."""
+    symmetric groups added). An identity is the empty composite.
+
+    The naturality checks walk one square per generating morphism built
+    from these maps (generating_morphisms), and their reports print how
+    many, so they keep this set. The exact coend oracle only needs the
+    classes that the relations generate, which any generating set gives,
+    so it unions along the smaller minimal_generators."""
     out: list[tuple[int, int, tuple[int, ...]]] = []
     for n in range(bound):
         for i in range(n + 1):
@@ -215,6 +221,30 @@ def elementary_maps(bound: int) -> list[tuple[int, int, tuple[int, ...]]]:
             table = list(range(n))
             table[i], table[i + 1] = i + 1, i
             out.append((n, n, tuple(table)))
+    return out
+
+
+def minimal_generators(bound: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """A smaller generating set of the same maps, in elementary_maps'
+    (n, m, table) form: per n < bound the coface n -> n+1 that skips the
+    last point, per 1 <= n < bound the codegeneracy n+1 -> n that merges
+    the last two points, and at size bound only the transposition (0 1)
+    (bound >= 2) and the cycle t -> t+1 mod bound (bound >= 3). That is
+    2 * bound + 1 maps from bound 3 on: 9 at bound 4, against 22.
+
+    They generate: every coface is a permutation after the last coface,
+    and every codegeneracy is the last codegeneracy between two
+    permutations; (0 1) and the cycle generate the symmetric group on
+    bound points; and a permutation pi of n < bound points is the last
+    codegeneracy after pi with a fixed point added after the last coface,
+    which passes through size n+1 <= bound."""
+    out: list[tuple[int, int, tuple[int, ...]]] = [
+        (n, n + 1, tuple(range(n))) for n in range(bound)]
+    out += [(n + 1, n, (*range(n), n - 1)) for n in range(1, bound)]
+    if bound >= 2:
+        out.append((bound, bound, (1, 0, *range(2, bound))))
+    if bound >= 3:
+        out.append((bound, bound, (*range(1, bound), 0)))
     return out
 
 

@@ -58,6 +58,7 @@ decomposition are composites with them, added by sum_sim.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -839,7 +840,8 @@ def _pair_choice(options: list, i: int) -> tuple[int, tuple]:
     entry, for i below their number (_fillings), as a row entry: the
     shapes' blocks in order, and within a block itertools.product order,
     the last direction's move fastest. The one filling order: random_cell
-    decodes a drawn index, and enumerate_sim lists every index."""
+    decodes a drawn index within the one block that holds it, and
+    enumerate_sim lists every index."""
     for w, lists in options:
         n = math.prod(map(len, lists))
         if i < n:
@@ -861,15 +863,28 @@ def random_cell(rng, p1: PolyDiagram, p2: PolyDiagram, span: Span) -> SimCell | 
     rng.choice makes on the list of them, and decoded without listing
     them (_pair_choice): the same cell and the same generator state as
     drawing from enumerate_sim's list of the pair's fillings. The ends
-    check, entries and counts come from _pair_fills.
+    check, entries and counts come from _pair_fills. A shared entry is
+    guarded, checked for a filling and has the starts of its blocks
+    summed once, at its first pair; a later pair on it would pass the
+    same checks. Each draw then finds its block by bisection and decodes
+    only that block: an entry's blocks, one per target shape, are walked
+    once per call, not once per pair.
     """
     shared, which, fills = _pair_fills(p1, p2, span)
+    starts: list = [None] * len(shared)
     entries = []
     for k in which:
-        check_guard_cut(fills[k], "cell table options at one (state, shape) pair")
-        if not fills[k]:
-            return None
-        entries.append(_pair_choice(shared[k], rng.randrange(fills[k])))
+        start = starts[k]
+        if start is None:
+            check_guard_cut(fills[k], "cell table options at one (state, shape) pair")
+            if not fills[k]:
+                return None
+            start = starts[k] = [0]
+            for _, lists in shared[k]:
+                start.append(start[-1] + math.prod(map(len, lists)))
+        i = rng.randrange(fills[k])
+        b = bisect.bisect_right(start, i) - 1
+        entries.append(_pair_choice(shared[k][b:b + 1], i - start[b]))
     return _cell(span, p1, p2, _layout(span, p1, entries))
 
 

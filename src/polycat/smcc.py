@@ -516,15 +516,17 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
     form.
 
     Small instances are materialized and quotiented exactly by
-    union-find. The union runs over the relations of the elementary maps
-    only (cofaces, codegeneracies and adjacent transpositions, see
-    `fam.elementary_maps`): relations chain along a composite, and every
-    map of the skeleton is a composite of elementary maps, so the classes
-    are the same. Large instances are handled by the factorization
-    argument: every tuple reduces along its own payloads (two generator
-    steps) to a canonical rectangle, canonical rectangles decode
-    bijectively to extension elements, and the separating comparison is
-    checked to respect a seeded sample of the generating relations.
+    union-find. The union runs over the relations of a minimal
+    generating set of the skeleton's maps only (per size the last coface
+    and the last codegeneracy, and at size s the transposition (0 1) and
+    the cycle, see `fam.minimal_generators`): relations chain along a
+    composite, and every map of the skeleton is a composite of these
+    generators, so the classes are the same. Large instances are handled
+    by the factorization argument: every tuple reduces along its own
+    payloads (two generator steps) to a canonical rectangle, canonical
+    rectangles decode bijectively to extension elements, and the
+    separating comparison is checked to respect a seeded sample of the
+    generating relations.
     A canonical rectangle at shapes (v1, v2) with a pairing is the
     tensor's element (v1 * |S2| + v2, pairing), so both modes read the
     rectangles as the tensor's extension elements at x.
@@ -751,12 +753,14 @@ def _horner(coefficients: list[int], z: int) -> int:
 
 def _coend_exact(p1, p2, s, nx):
     """Materialize the skeleton tuples (a, b, phi, e1, e2) and union them
-    along the generating relations of the elementary maps only
-    (`fam.elementary_maps`). Relations chain: the relation along a
-    composite map joins the same two tuples as the relations along its
-    factors in turn, and every map between sets of size at most s is a
-    composite of elementary maps through such sets. So the classes are
-    the classes of the relations along every map.
+    along the relations of a minimal generating set of the maps only
+    (`fam.minimal_generators`: per size the last coface and the last
+    codegeneracy, and (0 1) and the cycle at size s; 9 maps at s = 4,
+    where `fam.elementary_maps` has 22). Relations chain: the relation
+    along a composite map joins the same two tuples as the relations
+    along its factors in turn, and every map between sets of size at most
+    s is a composite of these generators through such sets. So the
+    classes are the classes of the relations along every map.
 
     Returns the representative of every tuple's class, and the function
     that numbers a tuple (a, b, phi, e1, e2), with e1 and e2 elements of
@@ -803,7 +807,7 @@ def _coend_exact(p1, p2, s, nx):
             k = parent[k]
         return k
 
-    for n, m, f in fam.elementary_maps(s):
+    for n, m, f in fam.minimal_generators(s):
         for side in (0, 1):
             # f on one side's set, an o-set on the other: the tuple with
             # pairing phi2 and f's push of that side's element ~ the tuple

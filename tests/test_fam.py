@@ -291,28 +291,60 @@ def test_elementary_maps_at_bound_four():
     assert fam.elementary_maps(1) == [(0, 1, ())]
 
 
-@pytest.mark.parametrize("sorts, bound", [(s, b) for s in (1, 2) for b in range(4)])
-def test_generating_morphisms_compose_to_every_morphism(sorts, bound):
-    # close the generators under composition, starting from the identities
-    # (the empty composites), and compare with every listed morphism
-    base = FinSet(sorts)
-    gens: dict[tuple, list] = {}
-    for g in fam.generating_morphisms(base, bound):
-        assert all(n <= bound for n in g.src.fiber_sizes() + g.dst.fiber_sizes())
-        gens.setdefault(g.src.fiber_sizes(), []).append((g.dst.fiber_sizes(), g.map.table))
-    families = list(fam.families_up_to(base, bound))
-    reached = {(x.fiber_sizes(), x.fiber_sizes(), tuple(range(x.total.size)))
-               for x in families}
+def _composites(maps, identities):
+    # the maps (src, dst, table) closed under composition, starting from
+    # the identities (the empty composites)
+    after: dict = {}
+    for src, dst, table in maps:
+        after.setdefault(src, []).append((dst, table))
+    reached = set(identities)
     frontier = list(reached)
     while frontier:
         step = []
         for src, mid, table in frontier:
-            for dst, g in gens.get(mid, ()):
+            for dst, g in after.get(mid, ()):
                 h = (src, dst, tuple(g[t] for t in table))
                 if h not in reached:
                     reached.add(h)
                     step.append(h)
         frontier = step
+    return reached
+
+
+def _set_identities(bound):
+    return [(n, n, tuple(range(n))) for n in range(bound + 1)]
+
+
+def test_minimal_generators_generate_every_map():
+    # every map n -> m with n, m <= bound: the sum of m^n, 0^0 = 1
+    for bound, every in enumerate((1, 3, 11, 60, 499, 5705)):
+        gens = fam.minimal_generators(bound)
+        assert len(gens) == len(set(gens)) == (0, 1, 4, 7, 9, 11)[bound]
+        assert all(max(n, m) <= bound and len(f) == n and all(0 <= t < m for t in f)
+                   for n, m, f in gens)
+        assert len(_composites(gens, _set_identities(bound))) == every
+    # each generator is needed: without it the closure falls short
+    gens = fam.minimal_generators(4)
+    for dropped, reached in [((4, 4, (1, 0, 2, 3)), 324), ((4, 4, (1, 2, 3, 0)), 73),
+                             ((1, 2, (0,)), 487), ((3, 2, (0, 1, 1)), 470)]:
+        assert dropped in gens
+        rest = [g for g in gens if g != dropped]
+        assert len(_composites(rest, _set_identities(4))) == reached
+
+
+@pytest.mark.parametrize("sorts, bound", [(s, b) for s in (1, 2) for b in range(4)])
+def test_generating_morphisms_compose_to_every_morphism(sorts, bound):
+    # close the generators under composition, starting from the identities
+    # (the empty composites), and compare with every listed morphism
+    base = FinSet(sorts)
+    gens = fam.generating_morphisms(base, bound)
+    for g in gens:
+        assert all(n <= bound for n in g.src.fiber_sizes() + g.dst.fiber_sizes())
+    families = list(fam.families_up_to(base, bound))
+    reached = _composites([(g.src.fiber_sizes(), g.dst.fiber_sizes(), g.map.table)
+                           for g in gens],
+                          [(x.fiber_sizes(), x.fiber_sizes(), tuple(range(x.total.size)))
+                           for x in families])
     every = {(x.fiber_sizes(), y.fiber_sizes(), m.map.table)
              for x in families for y in families for m in fam.hom_enumerate(x, y)}
     assert reached == every

@@ -1884,6 +1884,20 @@ def test_random_cell_draws_a_wide_pair_without_listing_it():
     assert c._plan == (((0, tuple([(0, k) for k in digits])),),)
 
 
+def test_random_cell_draws_each_pair_in_logarithmic_time():
+    # 4,000 copies of X into themselves over one state: 4,000 pairs, each
+    # with one block of one filling per target shape. Walking the blocks
+    # per pair took 1.6 s on a 2-vCPU host, and count_sim takes 10 ms
+    p = ss(*[1] * 4000)
+    rng, twin = random.Random(0), random.Random(0)
+    start = time.perf_counter()
+    c = sim.random_cell(rng, p, p, singleton_span())
+    assert time.perf_counter() - start < 0.5
+    draws = [twin.randrange(4000) for _ in range(4000)]
+    assert rng.getstate() == twin.getstate()
+    assert c._plan == (tuple((w, ((0, 0),)) for w in draws),)
+
+
 def _constant_cell(states: int) -> sim.SimCell:
     # the cell on the constant 1 whose states all sit over the one sort
     p, carrier = ss(0), FinSet(states)

@@ -1417,6 +1417,52 @@ def test_coend_union_over_elementary_maps_gives_the_all_maps_classes():
         checked += 1
 
 
+def test_coend_union_at_two_points_gives_the_all_maps_classes():
+    # at |x| <= 1 every pairing is constant, and a union with no
+    # permutation at all gives the right classes there; at |x| = 2 the
+    # permutations' relations change the classes of 9 of these 12 pairs
+    rng = random.Random(5)
+    grid = [(), (0,), (1,), (2,)] + [(a, b) for a in range(3) for b in range(3)]
+    sizes = []
+    while len(sizes) < 12:
+        f1, f2 = rng.choice(grid), rng.choice(grid)
+        s = rng.choice((2, 3))
+        if s < max(f1 + f2 + (1,)):
+            continue
+        c1 = [sum(a ** d for d in f1) for a in range(s + 1)]
+        c2 = [sum(b ** d for d in f2) for b in range(s + 1)]
+        total = sum(2 ** (a * b) * c1[a] * c2[b]
+                    for a in range(s + 1) for b in range(s + 1))
+        if not 30 <= total <= 5000:
+            continue
+        p1, p2 = ss(f1), ss(f2)
+        tuples, want = _all_maps_coend_classes(p1, p2, 2, s)
+        roots, number = smcc._coend_exact(p1, p2, s, 2)
+        assert [number(*t) for t in tuples] == list(range(len(tuples)))
+        assert _smallest_in_class(roots) == want
+        sizes.append(s)
+    assert set(sizes) == {2, 3}
+
+
+@pytest.mark.parametrize("f1, f2, tuples, relations, classes", [
+    ((3,), (1,), 47002, 2930340, 8),
+    ((1,), (3,), 47002, 2930340, 8),
+    ((3,), (2,), 136786, 8297236, 64),
+], ids=["cube-x", "x-cube", "cube-square"])
+def test_coend_exact_at_arity_three_needs_both_top_permutations(f1, f2, tuples, relations,
+                                                               classes):
+    # below arity s every tuple at size s is related to one at a smaller
+    # size, so the grid's arities <= 2 never read the cycle at s = 3: an
+    # onto payload of 3 points does. Without the cycle these read 1802,
+    # 1802 and 8522 classes; without (0 1), X³ against X² reads 88
+    rep = smcc.day_coend_oracle(ss(f1), ss(f2), fams(1, [2]), 3, budget=10**6)
+    assert rep.ok and rep.lines == (
+        f"skeleton 0..3: {tuples} tuples, {relations} generating relations",
+        "mode: exact union-find over all tuples",
+        f"equivalence classes: {classes}; extension elements: {classes}",
+        "each class contains exactly one canonical rectangle: yes")
+
+
 @pytest.mark.parametrize("f1, f2, n, s", [
     ((1,), (2, 1), 0, 2),
     ((1,), (2, 0), 0, 2),

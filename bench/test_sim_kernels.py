@@ -12,8 +12,10 @@ one whole op of the simcells workload on the grid instance over a
 fresh span (count, enumerate, and round-trip and match every cell, the
 frame built anew),
 evaluating the zero cell, whose span has no states, through its frame,
-building the tensor of two cells and the symmetry of a tensor of grid
-diagrams, and composing seeded cells between two-sorted diagrams, whose
+building the tensor of two cells, the symmetry of a tensor of grid
+diagrams, the identity of that tensor as a container morphism's cell
+and the injections and projections of a sum of grid diagrams, the
+structural cells built over relations, and composing seeded cells between two-sorted diagrams, whose
 rows hold fewer entries than there are shapes.
 
 These cases sit outside the tier-1 test paths and need pytest-benchmark:
@@ -171,6 +173,26 @@ def test_symmetry_sim(benchmark):
     pp = poly.tensor(P, P)
     got = benchmark(sim.symmetry_sim, pp, P)
     assert sim.compose_sim(sim.symmetry_sim(P, pp), got) == sim.identity_sim(poly.tensor(pp, P))
+
+
+def test_from_dm(benchmark):
+    # the identity of (P ⊗ P) ⊗ P: 8 shapes and 27 directions
+    ppp = poly.tensor(poly.tensor(P, P), P)
+    got = benchmark(sim.from_dm, poly.identity_dm(ppp))
+    assert dict(got.alpha) == {(0, v): v for v in ppp.shapes} and sim._counts(got) == (8, 27)
+
+
+def test_plus_structure(benchmark):
+    # the four cells of P ⊗ P ⊕ P, of 4 and 2 shapes
+    pp = poly.tensor(P, P)
+
+    def run():
+        ps = sim.plus_structure(pp, P)
+        return [ps.inl, ps.inr, ps.proj1, ps.proj2]
+
+    inl, inr, proj1, proj2 = benchmark(run)
+    assert sim.compose_sim(proj1, inl) == sim.identity_sim(pp)
+    assert sim.compose_sim(proj2, inr) == sim.identity_sim(P)
 
 
 def test_compose_two_sorted(benchmark):

@@ -41,20 +41,22 @@ two extensions across the span's sum lift. As the cell is valid, each
 component is assembled without re-running the morphism constructors'
 checks (eval_sim).
 
-A container morphism is the cell over the diagonal span of its sorts
-(from_dm); the identity cell is the identity morphism's (identity_sim).
+The structural cells, a container morphism's (from_dm) and so the
+identity (identity_sim), the symmetry (symmetry_sim) and a sum's
+injections and projections (PlusStructure), sit over relations, spans
+no two of whose states share both ends: one constructor builds them
+(_over_relation), as their successors are forced.
 random_cell and enumerate_sim read one fill table (_pair_fills), whose
 fillings count_sim counts by Yoneda, without building it.
 
 Cells tensor (tensor_sim) over the product of their spans, paired as
 poly.tensor pairs sorts, shapes and directions; the tensor of diagrams
 is strict, so its unit and associativity hold on cells on the nose.
-symmetry_sim is the symmetry p1 ⊗ p2 -> p2 ⊗ p1.
 
 Parallel cells add: sum_sim takes the coproduct of their spans, and
-zero_sim, the empty span, is its unit. On a sum of diagrams only the
-injections and projections are built by hand; pairing, copairing and
-decomposition are composites with them, added by sum_sim.
+zero_sim, the empty span, is its unit. On a sum of diagrams, pairing,
+copairing and decomposition are composites with the injections and
+projections, added by sum_sim.
 """
 from __future__ import annotations
 
@@ -316,16 +318,25 @@ def validate(c: SimCell) -> Report:
                    f"direction entries satisfy all four equations",))
 
 
-def _copying(span: Span, src: PolyDiagram, dst: PolyDiagram, p: PolyDiagram,
-             shift: int) -> SimCell:
-    """The cell over a span whose states are p's sorts that sends the
-    shape x of each pair to x + shift, the lower of the two being a shape
-    of p, and each direction of that shape to itself, with its sort as
-    the successor."""
-    fibers, sorts = p.dir_shape.fibers(), p.dir_sort.table
-    return _cell(span, src, dst, _layout(span, src, [
-        (x + shift, tuple([(sorts[u], k) for k, u in enumerate(fibers[min(x, x + shift)])]))
-        for _, x in cell_pairs(span, src)]))
+def _over_relation(span: Span, src: PolyDiagram, dst: PolyDiagram, entry) -> SimCell:
+    """The cell over a relation, a span no two of whose states share both
+    ends, whose (state, src shape v) entry is entry(v): the assigned
+    shape w and, per direction u of w, its backward direction's position
+    in v's fiber. A successor is forced, the state over (that direction's
+    sort, u's sort), or -1, out of range, for the validator to refuse."""
+    _check_ends(span, src, dst)
+    state: dict = {}
+    for rho, ends in enumerate(zip(span.left.table, span.right.table)):
+        if state.setdefault(ends, rho) != rho:
+            raise ValidationError(f"span is not a relation: states {state[ends]} and {rho} share ends")
+    fibers, src_sorts = src.dir_shape.fibers(), src.dir_sort.table
+    dst_fibers, dst_sorts = dst.dir_shape.fibers(), dst.dir_sort.table
+    entries = []
+    for _, v in cell_pairs(span, src):
+        w, positions = entry(v)
+        entries.append((w, tuple([(state.get((src_sorts[fibers[v][k]], dst_sorts[u]), -1), k)
+                                  for u, k in zip(dst_fibers[w], positions)])))
+    return _cell(span, src, dst, _layout(span, src, entries))
 
 
 def identity_sim(p: PolyDiagram) -> SimCell:
@@ -337,17 +348,12 @@ def identity_sim(p: PolyDiagram) -> SimCell:
 
 def from_dm(m: poly.DiagMorphism) -> SimCell:
     """The container morphism m as the cell over the diagonal span of its
-    sorts: at state i, each shape v of sort i goes to alpha(v), and each
-    direction of alpha(v) to its backward direction's sort and that
-    direction's position in v's fiber."""
-    p = m.src
-    require_endo(p, m.dst)
-    ident = finset.identity(p.source)
-    span = Span(p.source, ident, ident)
-    alpha, sorts, positions = m.alpha.table, p.dir_sort.table, p.dir_shape.positions()
-    return _cell(span, p, m.dst, _layout(span, p, [
-        (alpha[v], tuple([(sorts[b], positions[b]) for b in m.betas[v]]))
-        for _, v in cell_pairs(span, p)]))
+    sorts (_over_relation): shape v goes to alpha(v), and each direction
+    of alpha(v) to its backward direction's position in v's fiber."""
+    p, ident = m.src, finset.identity(m.src.source)
+    alpha, positions = m.alpha.table, p.dir_shape.positions()
+    return _over_relation(Span(p.source, ident, ident), p, m.dst,
+                          lambda v: (alpha[v], [positions[b] for b in m.betas[v]]))
 
 
 def zero_sim(src: PolyDiagram, dst: PolyDiagram) -> SimCell:
@@ -435,28 +441,26 @@ def tensor_sim(c1: SimCell, c2: SimCell) -> SimCell:
 
 def symmetry_sim(p1: PolyDiagram, p2: PolyDiagram) -> SimCell:
     """The symmetry from p1 ⊗ p2 to p2 ⊗ p1, over the graph of the swap
-    of sorts: state (i1, i2) is i1 * n2 + i2, its left end itself and its
-    right end i2 * n1 + i1. Shape v1 * |S2| + v2 goes to v2 * |S1| + v1,
-    whose directions (u2, u1) run over fiber(v2) × fiber(v1) in
-    lexicographic order; the move of (u2, u1) is (sort(u1) * n2 +
-    sort(u2), k1 * |fiber(v2)| + k2), with k1 and k2 the positions of u1
-    and u2 in their fibers."""
+    of sorts (_over_relation): state (i1, i2) is i1 * n2 + i2, its left
+    end itself and its right end i2 * n1 + i1. Shape v1 * |S2| + v2 goes
+    to v2 * |S1| + v1, whose directions (u2, u1) run over fiber(v2) ×
+    fiber(v1) in lexicographic order; the backward direction of (u2, u1)
+    is (u1, u2), at position k1 * |fiber(v2)| + k2, k1 and k2 the
+    positions of u1 and u2 in their fibers. It refuses operands that are
+    not endo before it builds the tensors."""
     require_endo(p1, p2)
     src, dst = poly.tensor(p1, p2), poly.tensor(p2, p1)
     n1, n2, s1, s2 = p1.source.size, p2.source.size, p1.shapes.size, p2.shapes.size
     swap = FinMap(src.source, dst.source,
                   tuple([i2 * n1 + i1 for i1 in range(n1) for i2 in range(n2)]))
-    span = Span(src.source, finset.identity(src.source), swap)
     fibers1, fibers2 = p1.dir_shape.fibers(), p2.dir_shape.fibers()
-    sorts1, sorts2 = p1.dir_sort.table, p2.dir_sort.table
-    entries = []
-    for _, v in cell_pairs(span, src):
+
+    def entry(v: int) -> tuple:
         v1, v2 = divmod(v, s2)
-        f1, f2 = fibers1[v1], fibers2[v2]
-        entries.append((v2 * s1 + v1, tuple([(sorts1[u1] * n2 + sorts2[u2], k1 * len(f2) + k2)
-                                             for k2, u2 in enumerate(f2)
-                                             for k1, u1 in enumerate(f1)])))
-    return _cell(span, src, dst, _layout(span, src, entries))
+        d1, d2 = len(fibers1[v1]), len(fibers2[v2])
+        return v2 * s1 + v1, [k1 * d2 + k2 for k2 in range(d2) for k1 in range(d1)]
+
+    return _over_relation(Span(src.source, finset.identity(src.source), swap), src, dst, entry)
 
 
 def eval_sim(c: SimCell, x: Family) -> FamMorphism:
@@ -1034,24 +1038,20 @@ class PlusStructure:
 
     def __init__(self, p1: PolyDiagram, p2: PolyDiagram):
         require_endo(p1, p2)
-        self.p1 = p1
-        self.p2 = p2
-        self.sum = poly.plus(p1, p2)
-        cop = finset.coproduct(p1.source, p2.source)
-        self._shape_shift = p1.shapes.size
-        self.inl = self._injection(p1, cop.inl, left=True)
-        self.inr = self._injection(p2, cop.inr, left=False)
-        self.proj1 = self._projection(p1, cop.inl, left=True)
-        self.proj2 = self._projection(p2, cop.inr, left=False)
+        self.p1, self.p2, self.sum = p1, p2, poly.plus(p1, p2)
+        cop, shift = finset.coproduct(p1.source, p2.source), p1.shapes.size
+        ident1, ident2 = finset.identity(p1.source), finset.identity(p2.source)
 
-    def _injection(self, p: PolyDiagram, embed: FinMap, left: bool) -> SimCell:
-        span = Span(p.source, finset.identity(p.source), embed)
-        return _copying(span, p, self.sum, p, 0 if left else self._shape_shift)
+        def copying(span: Span, src: PolyDiagram, dst: PolyDiagram, by: int) -> SimCell:
+            # shape x goes to x + by, each direction to itself
+            fibers = src.dir_shape.fibers()
+            return _over_relation(span, src, dst, lambda x: (x + by, range(len(fibers[x]))))
 
-    def _projection(self, p: PolyDiagram, embed: FinMap, left: bool) -> SimCell:
+        self.inl = copying(Span(p1.source, ident1, cop.inl), p1, self.sum, 0)
+        self.inr = copying(Span(p2.source, ident2, cop.inr), p2, self.sum, shift)
         # only shapes of the chosen part sit over embedded sorts
-        span = Span(p.source, embed, finset.identity(p.source))
-        return _copying(span, self.sum, p, p, 0 if left else -self._shape_shift)
+        self.proj1 = copying(Span(p1.source, cop.inl, ident1), self.sum, p1, 0)
+        self.proj2 = copying(Span(p2.source, cop.inr, ident2), self.sum, p2, -shift)
 
     def pair(self, c1: SimCell, c2: SimCell) -> SimCell:
         """The cell into the sum determined by cells into both parts:

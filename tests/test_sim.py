@@ -944,6 +944,107 @@ def test_from_dm_refuses_a_diagram_that_is_not_endo():
         sim.from_dm(poly.identity_dm(p))
 
 
+# -- cells over relations -----------------------------------------------------
+
+
+def test_over_relation_refuses_a_span_that_is_not_a_relation():
+    # two states on the ends (0, 0): the successor would not be forced
+    p, two = ss(1, 0), FinSet(2)
+    legs = FinMap(two, FinSet(1), (0, 0))
+    message = "^span is not a relation: states 0 and 1 share ends$"
+    with pytest.raises(ValidationError, match=message):
+        sim._over_relation(Span(two, legs, legs), p, p, lambda v: (v, range(v)))
+    # the ends are checked before the relation
+    q = randgen.random_diagram(random.Random(2), FinSet(1), FinSet(2))
+    with pytest.raises(ValidationError, match="^simulations relate endo diagrams$"):
+        sim._over_relation(Span(two, legs, legs), q, p, lambda v: (v, range(v)))
+
+
+def test_over_relation_leaves_a_missing_successor_to_the_validator():
+    # one state, on the ends (0, 0): shape 0's one direction has sort 1,
+    # so its successor would lie over (1, 1), where no state is
+    p, one = two_sorted_endo(), FinSet(1)
+    leg = FinMap(one, FinSet(2), (0,))
+    with pytest.raises(ValidationError, match=r"^state table value out of range at \(0, 0, 0\)$"):
+        sim._over_relation(Span(one, leg, leg), p, p, lambda v: (v, [0]))
+
+
+def structural_references(p1: poly.PolyDiagram, p2: poly.PolyDiagram) -> list:
+    """The identity of p1, the symmetry p1 ⊗ p2 -> p2 ⊗ p1 and the sum's
+    injections and projections, each built by the public constructor from
+    its defining tables on absolute shapes and directions: a tensor pairs
+    sorts, shapes and directions (x1, x2) as x1 * |X2| + x2, and a sum
+    puts p2's after p1's."""
+    n1, n2 = p1.source.size, p2.source.size
+    s1, s2, d1, d2 = p1.shapes.size, p2.shapes.size, p1.dirs.size, p2.dirs.size
+    sort1, sort2 = p1.dir_sort, p2.dir_sort
+
+    def cell(span, src, dst, shape, back, state):
+        alpha, beta, gamma = {}, {}, {}
+        for rho, v in sim.cell_pairs(span, src):
+            alpha[rho, v] = w = shape(v)
+            for u in dst.shape_fiber(w):
+                beta[rho, v, u] = back(u)
+                gamma[rho, v, u] = state(u)
+        return sim.SimCell(span, src, dst, alpha, beta, gamma)
+
+    def span(carrier, left, right):
+        return Span(carrier, FinMap(carrier, left[0], left[1]), FinMap(carrier, right[0], right[1]))
+
+    s12, s21 = poly.tensor(p1, p2), poly.tensor(p2, p1)
+    sorts12, all1, all2 = s12.source, tuple(range(n1)), tuple(range(n2))
+    swap = tuple(i2 * n1 + i1 for i1 in all1 for i2 in all2)
+    total = poly.plus(p1, p2)
+    inl, inr = all1, tuple(n1 + i for i in all2)
+    return [
+        cell(span(p1.source, (p1.source, all1), (p1.source, all1)), p1, p1,
+             lambda v: v, lambda u: u, sort1),
+        cell(span(sorts12, (sorts12, tuple(range(n1 * n2))), (s21.source, swap)), s12, s21,
+             lambda v: v % s2 * s1 + v // s2,
+             lambda u: u % d1 * d2 + u // d1,
+             lambda u: sort1(u % d1) * n2 + sort2(u // d1)),
+        cell(span(p1.source, (p1.source, all1), (total.source, inl)), p1, total,
+             lambda v: v, lambda u: u, sort1),
+        cell(span(p2.source, (p2.source, all2), (total.source, inr)), p2, total,
+             lambda v: v + s1, lambda u: u - d1, lambda u: sort2(u - d1)),
+        cell(span(p1.source, (total.source, inl), (p1.source, all1)), total, p1,
+             lambda v: v, lambda u: u, sort1),
+        cell(span(p2.source, (total.source, inr), (p2.source, all2)), total, p2,
+             lambda v: v - s1, lambda u: u + d1, sort2),
+    ]
+
+
+def test_structural_cells_are_their_defining_tables():
+    # every cell built over a relation equals, on the nose, the one the
+    # public constructor builds from its tables, on seeded one- and
+    # two-sorted diagrams
+    rng = random.Random(0)
+    two_sorted = 0
+    for _ in range(100):
+        p, q = randgen.random_endo(rng, 2, 3, 2), randgen.random_endo(rng, 2, 3, 2)
+        ps = sim.plus_structure(p, q)
+        built = [sim.identity_sim(p), sim.symmetry_sim(p, q), ps.inl, ps.inr, ps.proj1, ps.proj2]
+        assert built == structural_references(p, q)
+        two_sorted += p.source.size + q.source.size > 2
+    rng = random.Random(1)
+    morphisms = two_sorted_morphisms = 0
+    for _ in range(100):
+        p, q = randgen.random_endo(rng, 2, 3, 2), randgen.random_endo(rng, 2, 3, 2)
+        if p.source != q.source:
+            continue
+        span = Span(p.source, finset.identity(p.source), finset.identity(p.source))
+        for m in nat.enumerate_dm(p, q)[:5]:
+            tables = {}, {}, {}
+            for rho, v in sim.cell_pairs(span, p):
+                tables[0][rho, v] = m.alpha(v)
+                for u, b in zip(q.shape_fiber(m.alpha(v)), m.betas[v]):
+                    tables[1][rho, v, u], tables[2][rho, v, u] = b, p.dir_sort(b)
+            assert sim.from_dm(m) == sim.SimCell(span, p, q, *tables)
+            morphisms += 1
+            two_sorted_morphisms += p.source.size > 1
+    assert (two_sorted, morphisms, two_sorted_morphisms) == (70, 72, 15)
+
+
 # -- extraction ---------------------------------------------------------------
 
 
@@ -2442,10 +2543,15 @@ def test_tensor_sim_guards_the_product_span():
         finset.set_guard_limit(old)
 
 
-def test_symmetry_sim_refuses_a_diagram_that_is_not_endo():
+def test_symmetry_sim_refuses_a_diagram_that_is_not_endo(monkeypatch):
     p = randgen.random_diagram(random.Random(2), FinSet(1), FinSet(2))
+    calls = []
+    tensor = poly.tensor
+    monkeypatch.setattr(poly, "tensor", lambda *ps: calls.append("tensor") or tensor(*ps))
     with pytest.raises(ValidationError, match="^simulations relate endo diagrams$"):
         sim.symmetry_sim(p, ss(1))
+    # refused before either tensor is built
+    assert calls == []
 
 
 # -- the validity/naturality equivalence --------------------------------------

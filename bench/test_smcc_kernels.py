@@ -137,12 +137,19 @@ def test_coend_exact_square(benchmark):
 
 def test_rho_natural_epsilon(benchmark):
     tens = poly.tensor(P1, P2)
+    squares = {}
 
     def run():
-        return smcc._check_rho_natural(lambda x, y: smcc.epsilon(P1, P2, x, y),
-                                       P1, P2, tens, 2)
+        squares["checked"] = smcc._check_rho_natural(
+            lambda x, y: smcc.epsilon(P1, P2, x, y), P1, P2, tens, 2)
 
-    assert benchmark(run) == 30
+    benchmark(run)
+    # the squares (f, id_y) and (id_x, g) over the generating morphisms of
+    # the polycat that runs, so that two versions that walk different
+    # generating sets time the same check and return the same result
+    xs, ys = (list(fam.families_up_to(p.source, 2)) for p in (P1, P2))
+    fs, gs = (fam.generating_morphisms(p.source, 2) for p in (P1, P2))
+    assert squares["checked"] == len(fs) * len(ys) + len(xs) * len(gs)
 
 
 def test_epsilon(benchmark):

@@ -191,53 +191,31 @@ def identity_morphism(x: Family) -> FamMorphism:
 # a presentation of the skeleton of finite sets
 
 
-def elementary_maps(bound: int) -> list[tuple[int, int, tuple[int, ...]]]:
-    """The generators of the maps between the sets 0..n-1 with n <= bound,
-    as (n, m, table) for a map from an n-set to an m-set: each coface
-    n -> n+1 (skip one point), each codegeneracy n+1 -> n (merge two
-    adjacent points) and each adjacent transposition n -> n.
+def minimal_generators(bound: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Generators of the maps between the sets 0..n-1 with n <= bound,
+    as (n, m, table) for a map from an n-set to an m-set: per n < bound
+    the coface n -> n+1 that skips the last point, per 1 <= n < bound the
+    codegeneracy n+1 -> n that merges the last two points, and at size
+    bound only the transposition (0 1) (bound >= 2) and the cycle
+    t -> t+1 mod bound (bound >= 3). That is 2 * bound + 1 maps from
+    bound 3 on: 9 at bound 4.
 
     Every map between sets of size at most the bound is a composite of
-    these through sets of size at most the bound: it is a permutation
+    these through sets of size at most the bound. A map is a permutation
     that sorts the domain by value, then a monotone surjection onto its
     image, then a monotone injection (the simplicial presentation, Mac
     Lane, Categories for the Working Mathematician, VII.5, with the
-    symmetric groups added). An identity is the empty composite.
+    symmetric groups added), and an identity is the empty composite.
+    Every coface is a permutation after the last coface, and every
+    codegeneracy is the last codegeneracy between two permutations; (0 1)
+    and the cycle generate the symmetric group on bound points; and a
+    permutation pi of n < bound points is the last codegeneracy after pi
+    with a fixed point added after the last coface, which passes through
+    size n+1 <= bound.
 
     The naturality checks walk one square per generating morphism built
-    from these maps (generating_morphisms), and their reports print how
-    many, so they keep this set. The exact coend oracle only needs the
-    classes that the relations generate, which any generating set gives,
-    so it unions along the smaller minimal_generators."""
-    out: list[tuple[int, int, tuple[int, ...]]] = []
-    for n in range(bound):
-        for i in range(n + 1):
-            out.append((n, n + 1, tuple(t if t < i else t + 1 for t in range(n))))
-    for n in range(1, bound):
-        for i in range(n):
-            out.append((n + 1, n, tuple(t if t <= i else t - 1 for t in range(n + 1))))
-    for n in range(2, bound + 1):
-        for i in range(n - 1):
-            table = list(range(n))
-            table[i], table[i + 1] = i + 1, i
-            out.append((n, n, tuple(table)))
-    return out
-
-
-def minimal_generators(bound: int) -> list[tuple[int, int, tuple[int, ...]]]:
-    """A smaller generating set of the same maps, in elementary_maps'
-    (n, m, table) form: per n < bound the coface n -> n+1 that skips the
-    last point, per 1 <= n < bound the codegeneracy n+1 -> n that merges
-    the last two points, and at size bound only the transposition (0 1)
-    (bound >= 2) and the cycle t -> t+1 mod bound (bound >= 3). That is
-    2 * bound + 1 maps from bound 3 on: 9 at bound 4, against 22.
-
-    They generate: every coface is a permutation after the last coface,
-    and every codegeneracy is the last codegeneracy between two
-    permutations; (0 1) and the cycle generate the symmetric group on
-    bound points; and a permutation pi of n < bound points is the last
-    codegeneracy after pi with a fixed point added after the last coface,
-    which passes through size n+1 <= bound."""
+    from these maps (generating_morphisms), and the exact coend oracle
+    unions along them."""
     out: list[tuple[int, int, tuple[int, ...]]] = [
         (n, n + 1, tuple(range(n))) for n in range(bound)]
     out += [(n + 1, n, (*range(n), n - 1)) for n in range(1, bound)]
@@ -250,12 +228,12 @@ def minimal_generators(bound: int) -> list[tuple[int, int, tuple[int, ...]]]:
 
 def generating_morphisms(base: FinSet, bound: int) -> list[FamMorphism]:
     """Generators of the morphisms between block families over base with
-    every fiber of size at most the bound: an elementary map on one
-    sort's fiber and the identity on every other fiber, for every choice
+    every fiber of size at most the bound: a map of minimal_generators on
+    one sort's fiber and the identity on every other fiber, for every choice
     of the other fibers' sizes. Every morphism between such families is
     a composite of these through such families, one fiber at a time.
     Guarded."""
-    maps = elementary_maps(bound)
+    maps = minimal_generators(bound)
     check_guard(base.size * len(maps) * (bound + 1) ** max(base.size - 1, 0),
                 "generating family morphisms")
     out: list[FamMorphism] = []

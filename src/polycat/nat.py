@@ -7,8 +7,10 @@ counts them exactly, enumerates them (as tables, or as morphisms), builds
 the generic families and the check families on which sim.extract_sim
 probes an oracle and checks its round trip, and verifies naturality up
 to a fiber bound on the squares of the generating morphisms
-(fam.generating_morphisms): squares paste, so these give the square of
-every morphism between families within the bound.
+(fam.generating_morphisms, one map of fam.minimal_generators on one
+sort's fiber; the exact coend oracle unions along the same maps):
+squares paste, so these give the square of every morphism between
+families within the bound.
 """
 from __future__ import annotations
 

@@ -516,17 +516,17 @@ def day_coend_oracle(p1: PolyDiagram, p2: PolyDiagram, x: Family,
     form.
 
     Small instances are materialized and quotiented exactly by
-    union-find. The union runs over the relations of a minimal
-    generating set of the skeleton's maps only (per size the last coface
-    and the last codegeneracy, and at size s the transposition (0 1) and
-    the cycle, see `fam.minimal_generators`): relations chain along a
-    composite, and every map of the skeleton is a composite of these
-    generators, so the classes are the same. Large instances are handled
-    by the factorization argument: every tuple reduces along its own
-    payloads (two generator steps) to a canonical rectangle, canonical
-    rectangles decode bijectively to extension elements, and the
-    separating comparison is checked to respect a seeded sample of the
-    generating relations.
+    union-find. The union runs over the relations of the skeleton's
+    generating maps only, the set whose squares the naturality checks
+    walk (per size the last coface and the last codegeneracy, and at size
+    s the transposition (0 1) and the cycle, see `fam.minimal_generators`):
+    relations chain along a composite, and every map of the skeleton is a
+    composite of these generators, so the classes are the same. Large
+    instances are handled by the factorization argument: every tuple
+    reduces along its own payloads (two generator steps) to a canonical
+    rectangle, canonical rectangles decode bijectively to extension
+    elements, and the separating comparison is checked to respect a
+    seeded sample of the generating relations.
     A canonical rectangle at shapes (v1, v2) with a pairing is the
     tensor's element (v1 * |S2| + v2, pairing), so both modes read the
     rectangles as the tensor's extension elements at x.
@@ -753,10 +753,10 @@ def _horner(coefficients: list[int], z: int) -> int:
 
 def _coend_exact(p1, p2, s, nx):
     """Materialize the skeleton tuples (a, b, phi, e1, e2) and union them
-    along the relations of a minimal generating set of the maps only
+    along the relations of the generating maps only
     (`fam.minimal_generators`: per size the last coface and the last
     codegeneracy, and (0 1) and the cycle at size s; 9 maps at s = 4,
-    where `fam.elementary_maps` has 22). Relations chain: the relation
+    against 499 maps in all). Relations chain: the relation
     along a composite map joins the same two tuples as the relations
     along its factors in turn, and every map between sets of size at most
     s is a composite of these generators through such sets. So the

@@ -275,22 +275,6 @@ def test_hom_empty_cases():
 # --- the presentation by generating maps --------------------------------------
 
 
-def test_elementary_maps_at_bound_four():
-    maps = fam.elementary_maps(4)
-    # 10 cofaces, 6 codegeneracies, 6 adjacent transpositions, against the
-    # 499 maps between the sets of size 0..4
-    assert len(maps) == 22
-    assert len(set(maps)) == 22
-    assert sum(1 for n, m, _ in maps if m == n + 1) == 10
-    assert sum(1 for n, m, _ in maps if m == n - 1) == 6
-    assert sum(1 for n, m, _ in maps if m == n) == 6
-    for n, m, table in maps:
-        assert len(table) == n and all(0 <= t < m for t in table)
-        assert max(n, m) <= 4
-    assert fam.elementary_maps(0) == []
-    assert fam.elementary_maps(1) == [(0, 1, ())]
-
-
 def _composites(maps, identities):
     # the maps (src, dst, table) closed under composition, starting from
     # the identities (the empty composites)
@@ -351,10 +335,13 @@ def test_generating_morphisms_compose_to_every_morphism(sorts, bound):
 
 
 def test_generating_morphisms_counts_and_guard():
-    # one sort at bound 2: 2 + 1 + 1 + 1 = 5 maps; two sorts: 5 on each
-    # sort's fiber for each of the 3 sizes of the other fiber
-    assert len(fam.generating_morphisms(FinSet(1), 2)) == 5
-    assert len(fam.generating_morphisms(FinSet(2), 2)) == 30
+    # one generating map on one sort's fiber, for each size of every other
+    # fiber: at bound 2, 4 maps (the cofaces 0 -> 1 and 1 -> 2, the
+    # codegeneracy 2 -> 1 and (0 1)) on one sort and 2 * 4 * 3 = 24 on two
+    for sorts in (1, 2, 3):
+        for bound in range(5):
+            assert len(fam.generating_morphisms(FinSet(sorts), bound)) == \
+                sorts * len(fam.minimal_generators(bound)) * (bound + 1) ** (sorts - 1)
     assert fam.generating_morphisms(FinSet(0), 2) == []
     with pytest.raises(SizeGuardExceeded, match="generating family morphisms"):
         fam.generating_morphisms(FinSet(20), 2)

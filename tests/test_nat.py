@@ -417,15 +417,17 @@ def test_naturality_of_container_morphisms():
     for m in nat.enumerate_dm(ss(2), ss(1, 1)):
         rep = nat.naturality_check(m, 2)
         assert rep.ok, rep.render()
-        # one sort at bound 2: 3 cofaces, 1 codegeneracy, 1 transposition
-        assert rep.lines == ("5 generating squares commute at fiber bound 2",)
+        # one sort at bound 2: the cofaces 0 -> 1 and 1 -> 2, the
+        # codegeneracy 2 -> 1 and the transposition (0 1)
+        assert rep.lines == ("4 generating squares commute at fiber bound 2",)
 
 
 def test_naturality_check_counts_generating_squares_per_sort():
-    # each of 2 sorts: 5 elementary maps, times 3 sizes of the other fiber
+    # each of 2 sorts: 4 generating maps (2 cofaces, 1 codegeneracy and
+    # (0 1)), times 3 sizes of the other fiber
     p = poly.identity_diagram(FinSet(2))
     rep = nat.naturality_check(nat.identity_dm(p), 2)
-    assert rep.lines == ("30 generating squares commute at fiber bound 2",)
+    assert rep.lines == ("24 generating squares commute at fiber bound 2",)
     # bound 1: one coface per sort, times 2 sizes of the other fiber
     rep = nat.naturality_check(nat.identity_dm(p), 1)
     assert rep.lines == ("4 generating squares commute at fiber bound 1",)
@@ -540,6 +542,24 @@ def test_transformation_check_agrees_with_all_maps_on_the_mixed_oracle():
 
     assert not _agree(p, q, mixed, 2)
     assert _agree(p, q, lambda x: nat.eval_dm(ms[3], x), 2)
+
+
+def test_a_component_that_only_the_transposition_square_refuses():
+    # the identity of X but at the 2-point family, where it is the constant
+    # map (0, 0): the cofaces 0 -> 1 and 1 -> 2 (into point 0) and the
+    # codegeneracy 2 -> 1 accept it, and only the square of (0 1) refuses it
+    p = ss(1)
+    f = nat.ExtFunctor(p)
+
+    def component(x):
+        e = nat.eval_dm(nat.identity_dm(p), x)
+        if x.fiber_sizes() != (2,):
+            return e
+        return fam.FamMorphism(e.src, e.dst, FinMap(e.map.dom, e.map.cod, (0, 0)))
+
+    assert _all_maps_counterexample(f, f, component, 2) is not None
+    rep = nat.transformation_check(f, f, component, 2)
+    assert rep.lines == ("counterexample: fibers (2,) -> (2,), morphism table (1, 0)",)
 
 
 # -- brute-force cross-check -------------------------------------------------------
